@@ -1,59 +1,51 @@
-//! The deterministic parallel partition-refinement engine.
+//! The deterministic partition-refinement engine.
 //!
 //! Every alignment method of §3 bottoms out in iterated
 //! `BisimRefine*_X(λ)` rounds, and within one round the recoloring
 //! `recolor_λ(n)` of equation 1 depends only on the *previous*
-//! partition — rounds are embarrassingly parallel over nodes. The
-//! engine runs a whole fixpoint as one SPMD gang: worker threads are
-//! spawned **once per run** (not per round) on [`std::thread::scope`]
-//! and advance through the rounds together, separated by
-//! [`std::sync::Barrier`]s, so per-round overhead is three barrier
-//! waits instead of repeated thread spawns. Each round has two phases:
+//! partition. The engine therefore runs one round as a walk over the
+//! node range in fixed blocks of [`BLOCK`] consecutive ids. For each
+//! block:
 //!
-//! 1. **Signature phase** — every worker computes the 128-bit
-//!    signatures for its chunk of the node range, reusing a per-worker
-//!    pair buffer, and bins `(node, signature)` by shard (the
-//!    signature's high bits);
-//! 2. **Canonicalisation phase** — worker `s` interns exactly shard
-//!    `s`'s keys into its private hash map (shards partition the key
-//!    space, so no synchronisation is needed), recording the first
-//!    node index at which each distinct key occurs; the round leader
-//!    then merges the shards' first-occurrence lists into a
-//!    deterministic dense renumbering ordered by first occurrence and
-//!    scatters the final colors.
+//! 1. **Signature phase** — workers fill the block's key slots in
+//!    parallel: [`rdf_par::scoped_map`] over [`rdf_par::chunk_ranges`],
+//!    each worker owning a disjoint `&mut` sub-slice of the slots and a
+//!    private pair buffer. With one worker the phase runs inline on the
+//!    calling thread.
+//! 2. **Canonicalisation phase** — the calling thread interns the
+//!    block's keys, in node order, into the engine's reused map; a new
+//!    key gets the next dense id.
 //!
-//! Because first-occurrence numbering is exactly what the sequential
-//! single-map loop produces, the output partition is **bit-identical**
-//! for every thread count — `--threads 1` and `--threads 8` give the
-//! same dense color vector, and all results are reproducible. Workers
-//! exchange data only at barriers, through per-worker `RwLock` slots
-//! that are write-locked by their owner in one phase and read by the
-//! others in the next; no atomicity on shared arrays, no `unsafe`.
+//! Colors are numbered by first occurrence in node order whatever the
+//! thread count, so the output partition is **bit-identical** for every
+//! thread count — `--threads 1` and `--threads 8` give the same dense
+//! color vector. Blocking bounds the key column to one block instead of
+//! one slot per node.
 //!
-//! On one thread the engine takes a plain sequential path whose
-//! interning map and pair buffer live in the engine and are reused
-//! round to round *and* run to run — the allocation-churn fix for the
-//! old free-standing `bisim_refine_step` loop, which rebuilt both every
-//! round. The thin [`crate::refine::bisim_refine_step`] wrapper remains
-//! for API compatibility.
+//! The interning map, the key column and the pair buffers live in the
+//! engine and are reused round to round *and* run to run.
 
 use crate::partition::{ColorId, Partition};
-use crate::refine::RefineOutcome;
+use crate::refine::{label_partition, label_partition_from, RefineOutcome};
 use rdf_model::hash::mix64;
-use rdf_model::{FxHashMap, NodeId, OutColumns, TripleGraph};
-use rdf_obs::{Recorder, SpanGuard};
-use rdf_par::{chunk_ranges, Threads, TimedBarrier};
-use std::sync::{Arc, RwLock};
-use std::time::Instant;
+use rdf_model::{FxHashMap, LabelId, NodeId, OutColumns, TripleGraph};
+use rdf_obs::Recorder;
+use rdf_par::{chunk_ranges, scoped_map, Threads};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Nodes per block of a refinement round: the signature phase fills
+/// this many key slots before the canonicalisation phase interns them.
+pub const BLOCK: usize = 65_536;
 
 /// Multiplier for the primary signature stream.
-pub(crate) const K1: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+const K1: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// Multiplier for the secondary (independent) signature stream.
-pub(crate) const K2: u64 = 0x9e37_79b9_7f4a_7c15;
+const K2: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Interning key for one refinement round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum RoundKey {
+enum RoundKey {
     /// Node kept its previous color (n ∉ X).
     Kept(u32),
     /// Node was recolored; identified by the 128-bit signature of
@@ -62,11 +54,9 @@ pub(crate) enum RoundKey {
 }
 
 /// The 128-bit signature of `recolor_λ(n)` (equation 1): the previous
-/// color mixed with the sorted, distinct outbound color pairs. Shared
-/// by the engine and the sequential reference in [`crate::refine`] so
-/// the two cannot drift.
+/// color mixed with the sorted, distinct outbound color pairs.
 #[inline]
-pub(crate) fn recolor_signature(prev: u32, pairs: &[(u32, u32)]) -> (u64, u64) {
+fn recolor_signature(prev: u32, pairs: &[(u32, u32)]) -> (u64, u64) {
     let c = prev as u64;
     let mut h1 = mix64(c ^ 0xA5A5_5A5A_DEAD_BEEF);
     let mut h2 = mix64(c ^ 0x0123_4567_89AB_CDEF);
@@ -76,44 +66,6 @@ pub(crate) fn recolor_signature(prev: u32, pairs: &[(u32, u32)]) -> (u64, u64) {
         h2 = (h2.rotate_left(9) ^ x).wrapping_mul(K2);
     }
     (h1, h2)
-}
-
-/// Shard owning a key: the signature's high bits reduced to the shard
-/// count. A deterministic function of the key alone, so every worker
-/// agrees on ownership without communication.
-#[inline]
-fn shard_of(key: &RoundKey, shards: usize) -> usize {
-    let h = match *key {
-        // Kept colors are small dense integers; mix them so the high
-        // bits spread. (Kept and Recolored keys can never collide: the
-        // enum discriminant is part of the key.)
-        RoundKey::Kept(c) => mix64(0x4B45_5054 ^ ((c as u64) << 17)),
-        RoundKey::Recolored(h1, _) => h1,
-    };
-    ((h >> 32) as usize) % shards
-}
-
-/// One worker's signature-phase output: for each shard, the
-/// `(node, key)` pairs that shard owns, in ascending node order.
-type ShardBins = Vec<Vec<(u32, RoundKey)>>;
-
-/// Per-shard interning output, handed from the canonicalisation
-/// workers to the round leader through an `RwLock` slot.
-#[derive(Debug, Default)]
-struct InternOut {
-    /// First-occurrence node index of each distinct key, ascending.
-    firsts: Vec<u32>,
-    /// Local id of every binned node, in shard scan order.
-    locals: Vec<u32>,
-}
-
-/// Round-to-round state shared by the worker gang.
-#[derive(Debug)]
-struct GangState {
-    partition: Partition,
-    rounds: usize,
-    last_changed: bool,
-    done: bool,
 }
 
 /// Reusable, deterministic, multi-threaded refinement engine.
@@ -148,11 +100,12 @@ pub struct RefineEngine {
     /// Instrumentation sink; [`Recorder::disabled`] by default, in
     /// which case every emission site reduces to one branch.
     recorder: Arc<Recorder>,
-    /// Sequential-path interning map, reused round to round and run to
-    /// run.
-    seq_map: FxHashMap<RoundKey, u32>,
-    /// Sequential-path pair buffer for equation 1's sorted pair set.
-    seq_buf: Vec<(u32, u32)>,
+    /// Interning map, reused round to round and run to run.
+    map: FxHashMap<RoundKey, u32>,
+    /// One block's key slots.
+    keys: Vec<RoundKey>,
+    /// One pair buffer per worker for equation 1's sorted pair set.
+    bufs: Vec<Vec<(u32, u32)>>,
 }
 
 impl RefineEngine {
@@ -161,8 +114,9 @@ impl RefineEngine {
         RefineEngine {
             threads: threads.resolve(),
             recorder: Arc::new(Recorder::disabled()),
-            seq_map: FxHashMap::default(),
-            seq_buf: Vec::new(),
+            map: FxHashMap::default(),
+            keys: Vec::new(),
+            bufs: Vec::new(),
         }
     }
 
@@ -190,251 +144,71 @@ impl RefineEngine {
         self.threads
     }
 
-    /// Run canonicalised rounds from `initial` until the class count
-    /// stops changing (or `max_rounds` is hit). `sig` maps
-    /// `(node, previous partition, scratch pair buffer)` to the node's
-    /// [`RoundKey`] for the round; it must be a pure function of the
-    /// node and partition so rounds parallelise.
-    ///
-    /// This is the engine's generic core; the bisimulation step and the
-    /// §6 refinement variants all plug their signature function in
-    /// here. Returns the final partition, the number of rounds
-    /// executed, and whether the *last* round still changed the class
-    /// count (false at a certified fixpoint).
-    pub(crate) fn run<S>(
-        &mut self,
-        n: usize,
-        initial: Partition,
-        sig: S,
-        max_rounds: Option<usize>,
-    ) -> (Partition, usize, bool)
-    where
-        S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey + Sync,
-    {
-        debug_assert_eq!(initial.len(), n);
-        if n == 0 || max_rounds == Some(0) {
-            return (initial, 0, false);
-        }
-        let rec = Arc::clone(&self.recorder);
-        let mut fix = rec.span("refine.fixpoint");
-        let ranges = chunk_ranges(n, self.threads);
-        let workers = ranges.len();
-        let (partition, rounds, changed) = if workers == 1 {
-            self.run_sequential(n, initial, sig, max_rounds, &rec)
-        } else {
-            run_gang(n, initial, &sig, max_rounds, &ranges, &rec)
-        };
-        if fix.enabled() {
-            fix.field("rounds", rounds);
-            fix.field("classes", partition.num_colors());
-            fix.field("nodes", n);
-            fix.field("threads", workers);
-        }
-        (partition, rounds, changed)
-    }
-
-    /// The single-worker path: one interning map, dense ids straight
-    /// from insertion order (identical numbering to the parallel path
-    /// by construction), scratch reused across rounds and runs.
-    fn run_sequential<S>(
-        &mut self,
-        n: usize,
-        initial: Partition,
-        sig: S,
-        max_rounds: Option<usize>,
-        rec: &Recorder,
-    ) -> (Partition, usize, bool)
-    where
-        S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey,
-    {
-        if rec.enabled() {
-            return self.run_sequential_traced(n, initial, sig, max_rounds, rec);
-        }
-        let mut partition = initial;
-        let mut rounds = 0;
-        loop {
-            let map = &mut self.seq_map;
-            map.clear();
-            map.reserve(partition.num_colors() as usize + 16);
-            let mut colors = Vec::with_capacity(n);
-            for i in 0..n {
-                let key = sig(i, &partition, &mut self.seq_buf);
-                let next = map.len() as u32;
-                colors.push(ColorId(*map.entry(key).or_insert(next)));
-            }
-            let new_num = map.len() as u32;
-            let changed = new_num != partition.num_colors();
-            partition = Partition::from_dense(colors, new_num);
-            rounds += 1;
-            if !changed || Some(rounds) == max_rounds {
-                return (partition, rounds, changed);
-            }
-        }
-    }
-
-    /// The traced twin of the sequential loop. The fused
-    /// signature+intern loop above cannot time its two halves, so this
-    /// path materialises the round's key sequence first and interns it
-    /// second. Interning consumes the identical key sequence in the
-    /// identical order, so the dense numbering — and therefore the
-    /// output partition — is bit-identical to the fused loop; only the
-    /// phase boundary becomes observable.
-    fn run_sequential_traced<S>(
-        &mut self,
-        n: usize,
-        initial: Partition,
-        sig: S,
-        max_rounds: Option<usize>,
-        rec: &Recorder,
-    ) -> (Partition, usize, bool)
-    where
-        S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey,
-    {
-        let mut partition = initial;
-        let mut rounds = 0;
-        let mut keys: Vec<RoundKey> = Vec::with_capacity(n);
-        loop {
-            let mut sp = rec.span("refine.round");
-            let prev_num = partition.num_colors();
-            let sig_start = Instant::now();
-            keys.clear();
-            for i in 0..n {
-                keys.push(sig(i, &partition, &mut self.seq_buf));
-            }
-            let sig_us = sig_start.elapsed().as_micros() as u64;
-            let canon_start = Instant::now();
-            let map = &mut self.seq_map;
-            map.clear();
-            map.reserve(prev_num as usize + 16);
-            let mut colors = Vec::with_capacity(n);
-            for &key in &keys {
-                let next = map.len() as u32;
-                colors.push(ColorId(*map.entry(key).or_insert(next)));
-            }
-            let new_num = map.len() as u32;
-            let canon_us = canon_start.elapsed().as_micros() as u64;
-            let changed = new_num != partition.num_colors();
-            partition = Partition::from_dense(colors, new_num);
-            rounds += 1;
-            sp.field("round", rounds);
-            sp.field("classes", new_num);
-            sp.field("splits", new_num.saturating_sub(prev_num));
-            sp.field("sig_us", sig_us);
-            sp.field("canon_us", canon_us);
-            drop(sp);
-            if !changed || Some(rounds) == max_rounds {
-                return (partition, rounds, changed);
-            }
-        }
-    }
-
-    /// Apply one refinement step `BisimRefine_X(λ)` (equation 2) over a
-    /// prebuilt grouped-CSR column view (the fixpoint driver builds the
-    /// view once per run).
-    pub fn refine_step_columns(
-        &mut self,
-        cols: &OutColumns<'_>,
-        partition: &Partition,
-        in_x: &[bool],
-    ) -> (Partition, bool) {
-        let n = partition.len();
-        // Real asserts, not debug: a length mismatch detected inside a
-        // gang worker would panic past a `Barrier` and deadlock the
-        // remaining workers, so reject bad input on the calling thread
-        // before any thread spawns.
-        assert_eq!(in_x.len(), n, "in_x length != partition length");
-        assert_eq!(cols.offsets().len(), n + 1, "column view/partition mismatch");
-        let (next, _, changed) =
-            self.run(n, partition.clone(), bisim_sig(cols, in_x), Some(1));
-        (next, changed)
-    }
-
-    /// Apply one refinement step `BisimRefine_X(λ)` (equation 2).
-    pub fn refine_step(
-        &mut self,
-        g: &TripleGraph,
-        partition: &Partition,
-        in_x: &[bool],
-    ) -> (Partition, bool) {
-        debug_assert_eq!(partition.len(), g.node_count());
-        let cols = g.out_columns();
-        self.refine_step_columns(&cols, partition, in_x)
-    }
-
     /// Run `BisimRefine*_X(λ)` to fixpoint (Definition 4) over a
-    /// prebuilt grouped-CSR column view, returning the final partition
-    /// and the number of rounds executed (≥ 1; an empty graph still
-    /// "certifies" its fixpoint instantly).
+    /// grouped-CSR column view, with a membership mask for `X`.
+    ///
+    /// Terminates after at most `|N_G|` changing rounds: `recolor`
+    /// embeds the previous color, so classes only split and every
+    /// changing round strictly increases the class count. The outcome
+    /// counts every executed round, including the final one that
+    /// certified the fixpoint (≥ 1; an empty graph certifies its
+    /// fixpoint instantly).
     pub fn refine_fixpoint_columns(
         &mut self,
         cols: &OutColumns<'_>,
         initial: Partition,
         in_x: &[bool],
-    ) -> (Partition, usize) {
+    ) -> RefineOutcome {
         let n = initial.len();
-        // See refine_step_columns: validate on the calling thread so no
-        // gang worker can panic mid-round and strand the barrier.
         assert_eq!(in_x.len(), n, "in_x length != partition length");
-        assert_eq!(cols.offsets().len(), n + 1, "column view/partition mismatch");
-        let (partition, rounds, _) =
-            self.run(n, initial, bisim_sig(cols, in_x), None);
-        (partition, rounds.max(1))
+        assert_eq!(
+            cols.offsets().len(),
+            n + 1,
+            "column view/partition mismatch"
+        );
+        if n == 0 {
+            return RefineOutcome {
+                partition: initial,
+                rounds: 1,
+            };
+        }
+        let rec = Arc::clone(&self.recorder);
+        let mut fix = rec.span("refine.fixpoint");
+        let mut partition = initial;
+        let mut rounds = 0;
+        loop {
+            let prev_num = partition.num_colors();
+            partition = self.round(cols, in_x, &partition, &rec, rounds + 1);
+            rounds += 1;
+            if partition.num_colors() == prev_num {
+                break;
+            }
+        }
+        if fix.enabled() {
+            fix.field("rounds", rounds);
+            fix.field("classes", partition.num_colors());
+            fix.field("nodes", n);
+            fix.field("threads", self.threads.min(n));
+        }
+        RefineOutcome { partition, rounds }
     }
 
-    /// Run `BisimRefine*_X(λ)` to fixpoint (Definition 4) with a
-    /// membership mask for `X`.
+    /// [`RefineEngine::refine_fixpoint_columns`] over a graph's own
+    /// columns.
     pub fn refine_fixpoint_mask(
         &mut self,
         g: &TripleGraph,
         initial: Partition,
         in_x: &[bool],
     ) -> RefineOutcome {
-        debug_assert_eq!(in_x.len(), g.node_count());
-        let cols = g.out_columns();
-        let (partition, rounds) =
-            self.refine_fixpoint_columns(&cols, initial, in_x);
-        RefineOutcome { partition, rounds }
-    }
-
-    /// Run `BisimRefine*_X(λ)` to fixpoint for an explicit node set.
-    pub fn refine_fixpoint(
-        &mut self,
-        g: &TripleGraph,
-        initial: Partition,
-        x: &[NodeId],
-    ) -> RefineOutcome {
-        let mut in_x = vec![false; g.node_count()];
-        for &n in x {
-            in_x[n.index()] = true;
-        }
-        self.refine_fixpoint_mask(g, initial, &in_x)
-    }
-
-    /// Run a custom signature function to fixpoint through the engine —
-    /// the entry point for the §6 refinement variants (context- and
-    /// key-restricted recoloring), which share the canonicalisation
-    /// machinery but hash different neighbourhoods.
-    pub(crate) fn refine_fixpoint_custom<S>(
-        &mut self,
-        n: usize,
-        initial: Partition,
-        sig: S,
-    ) -> RefineOutcome
-    where
-        S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey + Sync,
-    {
-        let (partition, rounds, _) = self.run(n, initial, sig, None);
-        RefineOutcome {
-            partition,
-            rounds: rounds.max(1),
-        }
+        self.refine_fixpoint_columns(&g.out_columns(), initial, in_x)
     }
 
     /// `λ_Bisim = BisimRefine*_{N_G}(ℓ_G)` — the maximal bisimulation
     /// partition (Proposition 1), through this engine.
     pub fn bisimulation(&mut self, g: &TripleGraph) -> RefineOutcome {
         let all = vec![true; g.node_count()];
-        self.refine_fixpoint_mask(g, crate::refine::label_partition(g), &all)
+        self.refine_fixpoint_mask(g, label_partition(g), &all)
     }
 
     /// [`RefineEngine::bisimulation`] from bare columns: a per-node
@@ -445,14 +219,61 @@ impl RefineEngine {
     /// the equivalent graph.
     pub fn bisimulation_columns(
         &mut self,
-        labels: &[rdf_model::LabelId],
+        labels: &[LabelId],
         cols: &OutColumns<'_>,
     ) -> RefineOutcome {
         let all = vec![true; labels.len()];
-        let initial = crate::refine::label_partition_from(labels);
-        let (partition, rounds) =
-            self.refine_fixpoint_columns(cols, initial, &all);
-        RefineOutcome { partition, rounds }
+        self.refine_fixpoint_columns(cols, label_partition_from(labels), &all)
+    }
+
+    /// One refinement step `BisimRefine_X(λ)` (equation 2), block by
+    /// block: parallel signatures, then a sequential first-occurrence
+    /// intern on the calling thread.
+    fn round(
+        &mut self,
+        cols: &OutColumns<'_>,
+        in_x: &[bool],
+        prev: &Partition,
+        rec: &Recorder,
+        round: usize,
+    ) -> Partition {
+        let mut sp = rec.span("refine.round");
+        let n = prev.len();
+        let sig = Signatures {
+            offsets: cols.offsets(),
+            preds: cols.preds(),
+            objs: cols.objs(),
+            in_x,
+            colors: prev.colors(),
+        };
+        let block = BLOCK.min(n);
+        self.keys.resize(block, RoundKey::Kept(0));
+        self.bufs.resize_with(self.threads.min(block), Vec::new);
+        self.map.clear();
+        self.map.reserve(prev.num_colors() as usize + 16);
+        let mut colors = Vec::with_capacity(n);
+        let (mut sig_time, mut canon_time) = (Duration::ZERO, Duration::ZERO);
+        for start in (0..n).step_by(block) {
+            let keys = &mut self.keys[..block.min(n - start)];
+            let sig_start = Instant::now();
+            sig.fill(keys, start, &mut self.bufs);
+            let canon_start = Instant::now();
+            sig_time += canon_start - sig_start;
+            for &key in keys.iter() {
+                let next = self.map.len() as u32;
+                colors.push(ColorId(*self.map.entry(key).or_insert(next)));
+            }
+            canon_time += canon_start.elapsed();
+        }
+        let new_num = self.map.len() as u32;
+        if sp.enabled() {
+            sp.field("round", round);
+            sp.field("classes", new_num);
+            sp.field("splits", new_num.saturating_sub(prev.num_colors()));
+            sp.field("sig_us", sig_time.as_micros() as u64);
+            sp.field("canon_us", canon_time.as_micros() as u64);
+        }
+        Partition::from_dense(colors, new_num)
     }
 }
 
@@ -462,224 +283,55 @@ impl Default for RefineEngine {
     }
 }
 
-/// The equation-1 signature function over a grouped-CSR view: colors of
-/// the `(pred, obj)` columns, sorted and deduplicated, hashed with the
-/// previous color.
-fn bisim_sig<'a>(
-    cols: &'a OutColumns<'a>,
+/// The equation-1 signature function of one round over a grouped-CSR
+/// view, with the round's inputs hoisted into plain slices.
+struct Signatures<'a> {
+    offsets: &'a [u32],
+    preds: &'a [NodeId],
+    objs: &'a [NodeId],
     in_x: &'a [bool],
-) -> impl Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey + Sync + 'a {
-    let preds = cols.preds();
-    let objs = cols.objs();
-    move |i, partition, buf| {
-        let colors = partition.colors();
-        if in_x[i] {
-            buf.clear();
-            for j in cols.range(NodeId(i as u32)) {
-                buf.push((
-                    colors[preds[j].index()].0,
-                    colors[objs[j].index()].0,
-                ));
-            }
-            // Equation (1) uses a *set* of color pairs: sort + dedup
-            // gives the canonical sequence to hash.
-            buf.sort_unstable();
-            buf.dedup();
-            let (h1, h2) = recolor_signature(colors[i].0, buf);
-            RoundKey::Recolored(h1, h2)
-        } else {
-            RoundKey::Kept(colors[i].0)
-        }
-    }
+    colors: &'a [ColorId],
 }
 
-/// The parallel fixpoint: one scoped worker gang for the whole run.
-///
-/// Workers proceed in lockstep through three barriers per round:
-/// signatures + shard binning → shard interning → leader merge/scatter.
-/// Data crosses thread boundaries only through the `RwLock` slots, each
-/// write-locked by its owning worker in one phase and read-locked by
-/// consumers in the next (the barriers guarantee the locks are never
-/// contended).
-fn run_gang<S>(
-    n: usize,
-    initial: Partition,
-    sig: &S,
-    max_rounds: Option<usize>,
-    ranges: &[std::ops::Range<usize>],
-    rec: &Recorder,
-) -> (Partition, usize, bool)
-where
-    S: Fn(usize, &Partition, &mut Vec<(u32, u32)>) -> RoundKey + Sync,
-{
-    let workers = ranges.len();
-    let shards = workers;
-    let barrier = TimedBarrier::new(workers);
-    // bins[w][s]: worker w's (node, key) pairs owned by shard s.
-    let bins: Vec<RwLock<ShardBins>> = (0..workers)
-        .map(|_| RwLock::new(vec![Vec::new(); shards]))
-        .collect();
-    let interns: Vec<RwLock<InternOut>> =
-        (0..shards).map(|_| RwLock::new(InternOut::default())).collect();
-    let state = RwLock::new(GangState {
-        partition: initial,
-        rounds: 0,
-        last_changed: false,
-        done: false,
-    });
-
-    let work = |w: usize| {
-        let range = ranges[w].clone();
-        let mut buf: Vec<(u32, u32)> = Vec::new();
-        let mut map: FxHashMap<RoundKey, u32> = FxHashMap::default();
-        // Leader-only merge scratch, reused across rounds.
-        let mut merge: Vec<(u32, u32)> = Vec::new();
-        let mut ranks: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        loop {
-            // Leader-only per-round span; it must not be created when
-            // the done flag is already set (no round happens then), so
-            // it is hoisted out of the phase-A block and filled in
-            // during phase C.
-            let mut sp: Option<SpanGuard<'_>> = None;
-            let mut round_start: Option<Instant> = None;
-            // Phase A: signatures for this worker's node chunk, binned
-            // by owning shard.
-            {
-                let st = state.read().expect("gang state readable");
-                if st.done {
-                    return;
-                }
-                if w == 0 {
-                    let guard = rec.span("refine.round");
-                    if guard.enabled() {
-                        round_start = Some(Instant::now());
-                    }
-                    sp = Some(guard);
-                }
-                let mut my_bins =
-                    bins[w].write().expect("own bins writable");
-                for b in my_bins.iter_mut() {
-                    b.clear();
-                }
-                for i in range.clone() {
-                    let key = sig(i, &st.partition, &mut buf);
-                    my_bins[shard_of(&key, shards)].push((i as u32, key));
-                }
-            }
-            barrier.wait_timed(rec, w);
-            // On the leader, wall-clock time from round start to here
-            // is the gang-wide signature phase (the barrier aligns all
-            // workers); the remainder of the round is canonicalisation.
-            let sig_done = round_start.map(|start| {
-                (start.elapsed().as_micros() as u64, Instant::now())
-            });
-
-            // Phase B: intern shard `w`. Walking the workers' bins in
-            // worker order visits nodes in ascending order (chunks are
-            // ascending ranges), so each key's recorded first
-            // occurrence is its global first occurrence.
-            {
-                map.clear();
-                let mut out =
-                    interns[w].write().expect("own intern slot writable");
-                out.firsts.clear();
-                out.locals.clear();
-                for slot in &bins {
-                    let worker_bins = slot.read().expect("bins readable");
-                    for &(i, key) in &worker_bins[w] {
-                        let next = map.len() as u32;
-                        let local = *map.entry(key).or_insert_with(|| {
-                            out.firsts.push(i);
-                            next
-                        });
-                        out.locals.push(local);
-                    }
-                }
-            }
-            barrier.wait_timed(rec, w);
-
-            // Phase C: the leader renumbers densely by first occurrence
-            // and scatters the colors.
-            if w == 0 {
-                let mut st = state.write().expect("gang state writable");
-                merge.clear();
-                let intern_guards: Vec<_> = interns
-                    .iter()
-                    .map(|s| s.read().expect("intern slots readable"))
-                    .collect();
-                for (s, out) in intern_guards.iter().enumerate() {
-                    for &i in &out.firsts {
-                        merge.push((i, s as u32));
-                    }
-                }
-                merge.sort_unstable();
-                for r in ranks.iter_mut() {
-                    r.clear();
-                }
-                for (rank, &(_, s)) in merge.iter().enumerate() {
-                    // Within one shard, first-occurrence indices ascend
-                    // in insertion (local-id) order, so pushing in
-                    // global sorted order fills `ranks[s]` positionally.
-                    ranks[s as usize].push(rank as u32);
-                }
-                let new_num = merge.len() as u32;
-
-                let mut colors = vec![ColorId(0); n];
-                let bin_guards: Vec<_> = bins
-                    .iter()
-                    .map(|s| s.read().expect("bins readable"))
-                    .collect();
-                for (s, out) in intern_guards.iter().enumerate() {
-                    let shard_ranks = &ranks[s];
-                    let mut locals = out.locals.iter();
-                    for worker_bins in &bin_guards {
-                        for &(i, _) in &worker_bins[s] {
-                            let local =
-                                *locals.next().expect("local per node");
-                            colors[i as usize] =
-                                ColorId(shard_ranks[local as usize]);
-                        }
-                    }
-                }
-
-                let prev_num = st.partition.num_colors();
-                let changed = new_num != prev_num;
-                st.partition = Partition::from_dense(colors, new_num);
-                st.rounds += 1;
-                st.last_changed = changed;
-                if !changed || Some(st.rounds) == max_rounds {
-                    st.done = true;
-                }
-                if let Some(sp) = sp.as_mut() {
-                    sp.field("round", st.rounds);
-                    sp.field("classes", new_num);
-                    sp.field("splits", new_num.saturating_sub(prev_num));
-                    if let Some((sig_us, canon_start)) = sig_done {
-                        sp.field("sig_us", sig_us);
-                        sp.field(
-                            "canon_us",
-                            canon_start.elapsed().as_micros() as u64,
-                        );
-                    }
-                }
-            }
-            // The leader's span drops (and emits) here, covering the
-            // full round; it deliberately excludes the final barrier.
-            drop(sp);
-            barrier.wait_timed(rec, w);
+impl Signatures<'_> {
+    /// Node `i`'s key: its previous color when `i ∉ X`, else the hash of
+    /// its previous color and its sorted, distinct outbound color pairs.
+    #[inline]
+    fn key(&self, i: usize, buf: &mut Vec<(u32, u32)>) -> RoundKey {
+        let prev = self.colors[i].0;
+        if !self.in_x[i] {
+            return RoundKey::Kept(prev);
         }
-    };
-
-    std::thread::scope(|scope| {
-        let work = &work;
-        for w in 1..workers {
-            scope.spawn(move || work(w));
+        buf.clear();
+        let edges = self.offsets[i] as usize..self.offsets[i + 1] as usize;
+        for (p, o) in self.preds[edges.clone()].iter().zip(&self.objs[edges]) {
+            buf.push((self.colors[p.index()].0, self.colors[o.index()].0));
         }
-        work(0);
-    });
+        // Equation (1) uses a *set* of color pairs: sort + dedup gives
+        // the canonical sequence to hash.
+        buf.sort_unstable();
+        buf.dedup();
+        let (h1, h2) = recolor_signature(prev, buf);
+        RoundKey::Recolored(h1, h2)
+    }
 
-    let st = state.into_inner().expect("gang finished");
-    (st.partition, st.rounds, st.last_changed)
+    /// Fill `keys` with the keys of nodes `first..first + keys.len()`,
+    /// split across at most `bufs.len()` workers.
+    fn fill(&self, keys: &mut [RoundKey], first: usize, bufs: &mut [Vec<(u32, u32)>]) {
+        let ranges = chunk_ranges(keys.len(), bufs.len());
+        let mut tasks = Vec::with_capacity(ranges.len());
+        let mut rest = keys;
+        for (range, buf) in ranges.into_iter().zip(bufs) {
+            let (slots, tail) = rest.split_at_mut(range.len());
+            rest = tail;
+            tasks.push((first + range.start, slots, buf));
+        }
+        scoped_map(tasks, |_, (base, slots, buf)| {
+            for (i, slot) in (base..).zip(slots.iter_mut()) {
+                *slot = self.key(i, buf);
+            }
+        });
+    }
 }
 
 #[cfg(test)]
@@ -743,32 +395,17 @@ mod tests {
     }
 
     #[test]
-    fn single_step_matches_across_threads() {
-        let g = sample();
-        let initial = crate::refine::label_partition(&g);
-        let all = vec![true; g.node_count()];
-        let (seq, seq_changed) = RefineEngine::new(Threads::Fixed(1))
-            .refine_step(&g, &initial, &all);
-        for t in [2usize, 4] {
-            let (par, par_changed) = RefineEngine::new(Threads::Fixed(t))
-                .refine_step(&g, &initial, &all);
-            assert_eq!(seq.colors(), par.colors());
-            assert_eq!(seq_changed, par_changed);
-        }
-    }
-
-    #[test]
     fn partial_mask_matches_across_threads() {
         let g = sample();
         let in_x: Vec<bool> = g.nodes().map(|n| g.is_blank(n)).collect();
         let seq = RefineEngine::new(Threads::Fixed(1)).refine_fixpoint_mask(
             &g,
-            crate::refine::label_partition(&g),
+            label_partition(&g),
             &in_x,
         );
         let par = RefineEngine::new(Threads::Fixed(4)).refine_fixpoint_mask(
             &g,
-            crate::refine::label_partition(&g),
+            label_partition(&g),
             &in_x,
         );
         assert_eq!(seq.partition.colors(), par.partition.colors());

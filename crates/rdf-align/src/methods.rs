@@ -7,8 +7,7 @@
 use crate::engine::RefineEngine;
 use crate::partition::{unaligned_non_literals, ColorId, Partition};
 use crate::refine::{label_partition, RefineOutcome};
-use crate::stream::{StreamError, StreamingRefineEngine};
-use rdf_model::{CombinedGraph, NodeId, ShardColumnsSource};
+use rdf_model::{CombinedGraph, NodeId};
 
 /// `λ_Trivial` (§3.1): label equality on non-blank nodes; every blank node
 /// is its own class.
@@ -46,26 +45,6 @@ pub fn deblank_partition_with(
     let initial = label_partition(g);
     let in_x: Vec<bool> = g.nodes().map(|n| g.is_blank(n)).collect();
     engine.refine_fixpoint_mask(g, initial, &in_x)
-}
-
-/// As [`deblank_partition_with`], but sourcing adjacency shard-by-shard
-/// through a [`StreamingRefineEngine`] instead of the combined graph's
-/// resident columns. `source` must decompose exactly the combined
-/// graph (same node ids); the result is bit-identical to the in-RAM
-/// path at every shard count × thread count.
-pub fn deblank_partition_streaming_with<S>(
-    combined: &CombinedGraph,
-    source: &S,
-    engine: &mut StreamingRefineEngine,
-) -> Result<RefineOutcome, StreamError<S::Error>>
-where
-    S: ShardColumnsSource + Sync,
-    S::Error: Send,
-{
-    let g = combined.graph();
-    let initial = label_partition(g);
-    let in_x: Vec<bool> = g.nodes().map(|n| g.is_blank(n)).collect();
-    engine.refine_fixpoint_mask(source, initial, &in_x)
 }
 
 /// `Blank(λ, X)` (equation 3): reset the color of the nodes in `X` to the
@@ -125,58 +104,19 @@ pub fn hybrid_from_with(
     base: Partition,
     engine: &mut RefineEngine,
 ) -> HybridOutcome {
-    let (unaligned, blanked, in_x) = hybrid_prep(combined, &base);
-    let out =
-        engine.refine_fixpoint_mask(combined.graph(), blanked, &in_x);
+    let unaligned = unaligned_non_literals(&base, combined);
+    let blanked = blank_out(&base, &unaligned);
+    let mut in_x = vec![false; combined.graph().node_count()];
+    for &n in &unaligned {
+        in_x[n.index()] = true;
+    }
+    let out = engine.refine_fixpoint_mask(combined.graph(), blanked, &in_x);
     HybridOutcome {
         deblank: base,
         unaligned,
         partition: out.partition,
         rounds: out.rounds,
     }
-}
-
-/// The §3.4 hybrid construction's shared preparation: blank out
-/// exactly `UN(base)` (the unaligned non-literals) and build the
-/// refinement mask for exactly those nodes. One implementation feeds
-/// both the in-RAM and the streaming fixpoint, so the bit-identical
-/// contract between them cannot be broken by the two paths drifting.
-fn hybrid_prep(
-    combined: &CombinedGraph,
-    base: &Partition,
-) -> (Vec<NodeId>, Partition, Vec<bool>) {
-    let unaligned = unaligned_non_literals(base, combined);
-    let blanked = blank_out(base, &unaligned);
-    let mut in_x = vec![false; combined.graph().node_count()];
-    for &n in &unaligned {
-        in_x[n.index()] = true;
-    }
-    (unaligned, blanked, in_x)
-}
-
-/// As [`hybrid_partition_with`], but running both refinement fixpoints
-/// (deblank, then hybrid) through a [`StreamingRefineEngine`] over a
-/// shard source. Bit-identical to the in-RAM path at every shard
-/// count × thread count.
-pub fn hybrid_partition_streaming_with<S>(
-    combined: &CombinedGraph,
-    source: &S,
-    engine: &mut StreamingRefineEngine,
-) -> Result<HybridOutcome, StreamError<S::Error>>
-where
-    S: ShardColumnsSource + Sync,
-    S::Error: Send,
-{
-    let deblank =
-        deblank_partition_streaming_with(combined, source, engine)?.partition;
-    let (unaligned, blanked, in_x) = hybrid_prep(combined, &deblank);
-    let out = engine.refine_fixpoint_mask(source, blanked, &in_x)?;
-    Ok(HybridOutcome {
-        deblank,
-        unaligned,
-        partition: out.partition,
-        rounds: out.rounds,
-    })
 }
 
 /// Check the containment `Align(λ_a) ⊆ Align(λ_b)` over a combined graph:

@@ -6,15 +6,12 @@
 use crate::engine::RefineEngine;
 use crate::metrics::{edge_stats, node_counts, EdgeStats, NodeCounts};
 use crate::methods::{
-    deblank_partition_streaming_with, deblank_partition_with,
-    hybrid_partition_streaming_with, hybrid_partition_with,
-    trivial_partition,
+    deblank_partition_with, hybrid_partition_with, trivial_partition,
 };
 use crate::overlap_align::{overlap_align_with, OverlapConfig};
 use crate::partition::{unaligned_nodes, Partition};
-use crate::stream::StreamingRefineEngine;
 use crate::weighted::WeightedPartition;
-use rdf_model::{CombinedGraph, GraphShards, NodeId, RdfGraph, Vocab};
+use rdf_model::{CombinedGraph, NodeId, RdfGraph, Vocab};
 use rdf_obs::Recorder;
 use rdf_par::Threads;
 use std::sync::Arc;
@@ -112,7 +109,7 @@ pub fn align_with(
 }
 
 /// As [`align_with`], with an instrumentation recorder threaded through
-/// the refinement engine (per-round spans, barrier-wait counters) and
+/// the refinement engine (per-fixpoint and per-round spans) and
 /// the pipeline stages (`align.union`, `align.metrics` spans).
 ///
 /// Tracing is inert: the returned alignment is bit-identical to
@@ -167,124 +164,6 @@ pub fn align_with_recorder(
     }
 }
 
-/// Default shard count for the streaming alignment path when the
-/// caller has no on-disk shard structure to mirror (the CLI's
-/// `align --streaming` uses it for the combined graph's range
-/// decomposition). The streaming engine's output is independent of the
-/// shard count, so this is purely a residency-granularity knob.
-pub const DEFAULT_STREAM_SHARDS: usize = 8;
-
-/// The requested method cannot run on the streaming refinement path.
-///
-/// Only the partition-only methods (Trivial, Deblank, Hybrid) stream;
-/// Overlap interleaves weight propagation with refinement rounds and
-/// still needs the resident engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamingUnsupported;
-
-impl std::fmt::Display for StreamingUnsupported {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(
-            "the overlap method is not supported on the streaming \
-             refinement path (use trivial, deblank or hybrid)",
-        )
-    }
-}
-
-impl std::error::Error for StreamingUnsupported {}
-
-/// As [`align_with`], but running every refinement fixpoint through the
-/// shard-at-a-time [`StreamingRefineEngine`] over a `stream_shards`-way
-/// decomposition of the combined graph (see
-/// [`rdf_model::GraphShards::chunked`]): during refinement only the
-/// dense color vector plus one shard's columns per worker are resident,
-/// instead of the whole combined adjacency.
-///
-/// The report is **bit-identical** to [`align_with`] for every
-/// `stream_shards` and every thread count. Returns
-/// [`StreamingUnsupported`] for [`Method::Overlap`].
-pub fn align_streaming_with(
-    vocab: &Vocab,
-    source: &RdfGraph,
-    target: &RdfGraph,
-    method: Method,
-    threads: Threads,
-    stream_shards: usize,
-) -> Result<Aligned, StreamingUnsupported> {
-    align_streaming_with_recorder(
-        vocab,
-        source,
-        target,
-        method,
-        threads,
-        stream_shards,
-        Arc::new(Recorder::disabled()),
-    )
-}
-
-/// As [`align_streaming_with`], with an instrumentation recorder
-/// threaded through the streaming engine (per-round and per-shard
-/// spans, the `stream.peak_shard_bytes` gauge) and the pipeline
-/// stages. Tracing is inert: the returned alignment is bit-identical
-/// to [`align_streaming_with`] for every recorder.
-#[allow(clippy::too_many_arguments)]
-pub fn align_streaming_with_recorder(
-    vocab: &Vocab,
-    source: &RdfGraph,
-    target: &RdfGraph,
-    method: Method,
-    threads: Threads,
-    stream_shards: usize,
-    recorder: Arc<Recorder>,
-) -> Result<Aligned, StreamingUnsupported> {
-    let rec = Arc::clone(&recorder);
-    let combined = {
-        let mut sp = rec.span("align.union");
-        let combined = CombinedGraph::union(vocab, source, target);
-        if sp.enabled() {
-            sp.field("nodes", combined.graph().node_count());
-            sp.field("triples", combined.graph().triple_count());
-        }
-        combined
-    };
-    let shards = GraphShards::chunked(combined.graph(), stream_shards);
-    let mut engine = StreamingRefineEngine::with_recorder(threads, recorder);
-    // In-memory graph shards cannot fail to load, overlap, or point
-    // outside the graph; the expect documents that invariant.
-    let infallible = "in-memory graph shards are well-formed";
-    let weighted = match method {
-        Method::Trivial => {
-            WeightedPartition::zero(trivial_partition(&combined))
-        }
-        Method::Deblank => WeightedPartition::zero(
-            deblank_partition_streaming_with(&combined, &shards, &mut engine)
-                .expect(infallible)
-                .partition,
-        ),
-        Method::Hybrid => WeightedPartition::zero(
-            hybrid_partition_streaming_with(&combined, &shards, &mut engine)
-                .expect(infallible)
-                .partition,
-        ),
-        Method::Overlap(_) => return Err(StreamingUnsupported),
-    };
-    let mut sp = rec.span("align.metrics");
-    let edges = edge_stats(&weighted.partition, &combined);
-    let nodes = node_counts(&weighted.partition, &combined);
-    let unaligned = unaligned_nodes(&weighted.partition, &combined);
-    if sp.enabled() {
-        sp.field("unaligned", unaligned.len());
-    }
-    drop(sp);
-    Ok(Aligned {
-        combined,
-        weighted,
-        edges,
-        nodes,
-        unaligned,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,44 +211,6 @@ mod tests {
     #[test]
     fn default_method_is_hybrid() {
         assert_eq!(Method::default(), Method::Hybrid);
-    }
-
-    #[test]
-    fn streaming_alignment_matches_in_ram_alignment() {
-        let (vocab, v1, v2) = versions();
-        for method in [Method::Trivial, Method::Deblank, Method::Hybrid] {
-            let in_ram =
-                align_with(&vocab, &v1, &v2, method, Threads::Fixed(1));
-            for shards in [1usize, 2, 4, 8] {
-                for threads in [1usize, 2, 4] {
-                    let streamed = align_streaming_with(
-                        &vocab,
-                        &v1,
-                        &v2,
-                        method,
-                        Threads::Fixed(threads),
-                        shards,
-                    )
-                    .expect("partition methods stream");
-                    assert_eq!(
-                        streamed.partition().colors(),
-                        in_ram.partition().colors(),
-                        "{method:?} shards={shards} threads={threads}"
-                    );
-                    assert_eq!(streamed.edges.ratio(), in_ram.edges.ratio());
-                    assert_eq!(streamed.unaligned, in_ram.unaligned);
-                }
-            }
-        }
-        let overlap = align_streaming_with(
-            &vocab,
-            &v1,
-            &v2,
-            Method::overlap(),
-            Threads::Fixed(1),
-            4,
-        );
-        assert!(matches!(overlap, Err(StreamingUnsupported)));
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! relationship with §3.4 noted by the paper.
 
 use crate::engine::RefineEngine;
+use crate::refine::RefineOutcome;
 use crate::methods::blank_out;
 use crate::partition::unaligned_non_literals;
 use crate::weighted::WeightedPartition;
@@ -111,8 +112,10 @@ pub(crate) fn weighted_refine_fixpoint_cols(
         partition,
         mut weights,
     } = xi;
-    let (partition, color_rounds) =
-        engine.refine_fixpoint_columns(cols, partition, &in_x);
+    let RefineOutcome {
+        partition,
+        rounds: color_rounds,
+    } = engine.refine_fixpoint_columns(cols, partition, &in_x);
     let mut rounds = 0;
     let mut weight_rounds = 0;
     loop {

@@ -7,24 +7,26 @@
 //! `recolor` embeds the previous color, classes only ever split, so the
 //! fixpoint test reduces to "did the number of classes change".
 //!
-//! Colors are interned per round. A recolored node's color is identified
-//! by a 128-bit signature of its previous color and its sorted, distinct
-//! outbound color pairs — the "simple hashing technique" the paper
-//! describes for representing derivation-tree colors as DAGs. Collisions
-//! are possible in principle but need ~2⁶⁴ distinct classes to become
-//! likely; the paper-scale inputs have < 2²³ nodes.
+//! Colors are interned per round. The engine identifies a recolored
+//! node's color by a 128-bit signature of its previous color and its
+//! sorted, distinct outbound color pairs — the "simple hashing
+//! technique" the paper describes for representing derivation-tree
+//! colors as DAGs. Collisions are possible in principle but need ~2⁶⁴
+//! distinct classes to become likely; the paper-scale inputs have < 2²³
+//! nodes.
 //!
-//! The heavy lifting lives in [`crate::engine::RefineEngine`], the
-//! deterministic multi-threaded two-phase implementation; the functions
-//! here are thin wrappers that build a throwaway engine per call, plus
-//! the plainly-written sequential [`reference_refine_step`] /
-//! [`reference_refine_fixpoint_mask`] that the property-test suite
-//! compares the engine against, thread count by thread count.
+//! The heavy lifting lives in [`crate::engine::RefineEngine`]. This
+//! module holds the initial partitions, the [`bisimulation_partition`]
+//! convenience, and the plainly-written sequential
+//! [`reference_refine_step`] / [`reference_refine_fixpoint_mask`] that
+//! the identity suites compare the engine against. The reference interns
+//! the *exact* key — the previous color plus the pair set itself — so it
+//! shares no hash with the engine, and a signature collision in the
+//! engine would show up as a difference.
 
-use crate::engine::{recolor_signature, RefineEngine, RoundKey};
+use crate::engine::RefineEngine;
 use crate::partition::{ColorId, Partition};
-use rdf_model::{FxHashMap, NodeId, TripleGraph};
-use rdf_par::Threads;
+use rdf_model::{FxHashMap, TripleGraph};
 
 /// Result of running refinement to fixpoint.
 #[derive(Debug, Clone)]
@@ -36,46 +38,6 @@ pub struct RefineOutcome {
     pub rounds: usize,
 }
 
-/// Apply one refinement step `BisimRefine_X(λ)` (equation 2).
-///
-/// Returns the refined partition and whether it is strictly finer than
-/// the input (i.e. not equivalent).
-///
-/// Thin compatibility wrapper: builds a throwaway single-thread
-/// [`RefineEngine`] per call. Loops that refine repeatedly should hold
-/// an engine (or call [`bisim_refine_fixpoint_mask`]) so the interning
-/// map and pair buffers are reused round to round instead of
-/// reallocated.
-pub fn bisim_refine_step(
-    g: &TripleGraph,
-    partition: &Partition,
-    in_x: &[bool],
-) -> (Partition, bool) {
-    RefineEngine::new(Threads::Fixed(1)).refine_step(g, partition, in_x)
-}
-
-/// Run `BisimRefine*_X(λ)`: iterate refinement steps until the
-/// partition stabilises (Definition 4).
-///
-/// Terminates after at most `|N_G|` changing rounds because every
-/// changing round strictly increases the class count.
-pub fn bisim_refine_fixpoint(
-    g: &TripleGraph,
-    initial: Partition,
-    x: &[NodeId],
-) -> RefineOutcome {
-    RefineEngine::auto().refine_fixpoint(g, initial, x)
-}
-
-/// As [`bisim_refine_fixpoint`] but with a precomputed membership mask.
-pub fn bisim_refine_fixpoint_mask(
-    g: &TripleGraph,
-    initial: Partition,
-    in_x: &[bool],
-) -> RefineOutcome {
-    RefineEngine::auto().refine_fixpoint_mask(g, initial, in_x)
-}
-
 /// The node-labelling partition `ℓ_G`: nodes grouped by label, all blank
 /// nodes in a single class (the initial partition of Proposition 1).
 pub fn label_partition(g: &TripleGraph) -> Partition {
@@ -84,8 +46,7 @@ pub fn label_partition(g: &TripleGraph) -> Partition {
 
 /// [`label_partition`] from a bare per-node label array — the entry
 /// point for sources that never materialise a [`TripleGraph`] (the
-/// streaming refinement path reads the label table of a sharded store
-/// directly).
+/// zero-copy store view behind `rdf info --bisim`).
 pub fn label_partition_from(labels: &[rdf_model::LabelId]) -> Partition {
     let raw: Vec<u32> = labels.iter().map(|l| l.0).collect();
     Partition::from_colors(&raw)
@@ -97,39 +58,51 @@ pub fn bisimulation_partition(g: &TripleGraph) -> RefineOutcome {
     RefineEngine::auto().bisimulation(g)
 }
 
-/// One refinement step by the *sequential reference* algorithm: a
-/// single interning map filled in node order, dense ids straight from
-/// insertion order. This is the original single-threaded loop, kept —
-/// deliberately separate from the engine's chunked/sharded machinery —
-/// as the oracle the parallel engine must match bit-for-bit at every
+/// The exact interning key of the reference step: `recolor_λ(n)` of
+/// equation 1 itself, not a hash of it.
+#[derive(PartialEq, Eq, Hash)]
+enum ExactKey {
+    /// Node kept its previous color (n ∉ X).
+    Kept(u32),
+    /// Previous color plus the sorted, distinct outbound color pairs.
+    Recolored(u32, Vec<(u32, u32)>),
+}
+
+/// One refinement step `BisimRefine_X(λ)` (equation 2) by the
+/// *sequential reference* algorithm: a single interning map filled in
+/// node order, dense ids straight from insertion order. It is kept —
+/// deliberately separate from the engine's blocked rounds and hashed
+/// keys — as the oracle the engine must match bit-for-bit at every
 /// thread count (asserted by `tests/parallel_refine_identity.rs`).
+///
+/// Returns the refined partition and whether it is strictly finer than
+/// the input (i.e. not equivalent).
 pub fn reference_refine_step(
     g: &TripleGraph,
     partition: &Partition,
     in_x: &[bool],
 ) -> (Partition, bool) {
     let n = g.node_count();
-    debug_assert_eq!(in_x.len(), n);
-    debug_assert_eq!(partition.len(), n);
+    assert_eq!(in_x.len(), n, "in_x length != node count");
+    assert_eq!(partition.len(), n, "partition length != node count");
 
-    let mut map: FxHashMap<RoundKey, u32> = FxHashMap::default();
+    let mut map: FxHashMap<ExactKey, u32> = FxHashMap::default();
     let mut new_colors: Vec<ColorId> = Vec::with_capacity(n);
-    let mut buf: Vec<(u32, u32)> = Vec::new();
 
     for node in g.nodes() {
+        let prev = partition.color(node).0;
         let key = if in_x[node.index()] {
-            buf.clear();
-            for &(p, o) in g.out(node) {
-                buf.push((partition.color(p).0, partition.color(o).0));
-            }
-            // Equation (1) uses a *set* of color pairs: sort + dedup gives
-            // the canonical sequence to hash.
-            buf.sort_unstable();
-            buf.dedup();
-            let (h1, h2) = recolor_signature(partition.color(node).0, &buf);
-            RoundKey::Recolored(h1, h2)
+            let mut pairs: Vec<(u32, u32)> = g
+                .out(node)
+                .iter()
+                .map(|&(p, o)| (partition.color(p).0, partition.color(o).0))
+                .collect();
+            // Equation (1) uses a *set* of color pairs.
+            pairs.sort_unstable();
+            pairs.dedup();
+            ExactKey::Recolored(prev, pairs)
         } else {
-            RoundKey::Kept(partition.color(node).0)
+            ExactKey::Kept(prev)
         };
         let next = map.len() as u32;
         let id = *map.entry(key).or_insert(next);
@@ -165,7 +138,7 @@ pub fn reference_refine_fixpoint_mask(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_model::{LabelId, GraphBuilder, Vocab};
+    use rdf_model::{GraphBuilder, LabelId, NodeId, Vocab};
 
     /// The graph of Figure 2: URIs `w`, `u`, literals `"a"`, `"b"`,
     /// blanks `b1 b2 b3`, predicates `p q r`.
@@ -231,10 +204,10 @@ mod tests {
         let (_, g, _) = figure2();
         let initial = label_partition(&g);
         let all = vec![true; g.node_count()];
-        let (step1, changed1) = bisim_refine_step(&g, &initial, &all);
+        let (step1, changed1) = reference_refine_step(&g, &initial, &all);
         assert!(changed1);
         assert!(step1.finer_than(&initial));
-        let (step2, _) = bisim_refine_step(&g, &step1, &all);
+        let (step2, _) = reference_refine_step(&g, &step1, &all);
         assert!(step2.finer_than(&step1));
     }
 
@@ -243,7 +216,7 @@ mod tests {
         let (_, g, _) = figure2();
         let out = bisimulation_partition(&g);
         let all = vec![true; g.node_count()];
-        let (again, changed) = bisim_refine_step(&g, &out.partition, &all);
+        let (again, changed) = reference_refine_step(&g, &out.partition, &all);
         assert!(!changed);
         assert!(again.equivalent(&out.partition));
     }
@@ -265,8 +238,10 @@ mod tests {
         let [_, _, _, _, b1, b2, b3, _] = ids;
         let initial = label_partition(&g);
         // Refine only blank nodes (the deblanking restriction).
-        let out =
-            bisim_refine_fixpoint(&g, initial.clone(), &[b1, b2, b3]);
+        let in_x: Vec<bool> =
+            g.nodes().map(|n| [b1, b2, b3].contains(&n)).collect();
+        let out = RefineEngine::auto()
+            .refine_fixpoint_mask(&g, initial.clone(), &in_x);
         // Non-blank nodes keep label-based classes.
         for n in g.nodes() {
             if !g.is_blank(n) {
@@ -347,22 +322,17 @@ mod tests {
 
     #[test]
     fn wrapper_equals_reference_on_figure2() {
-        // The compat wrapper (engine at 1 thread) and the sequential
-        // reference must agree exactly, round by round.
+        // The engine, at one thread and at several, and the sequential
+        // reference must agree exactly: same dense colors, same rounds.
         let (_, g, _) = figure2();
         let all = vec![true; g.node_count()];
-        let mut p_engine = label_partition(&g);
-        let mut p_ref = p_engine.clone();
-        loop {
-            let (e, e_changed) = bisim_refine_step(&g, &p_engine, &all);
-            let (r, r_changed) = reference_refine_step(&g, &p_ref, &all);
-            assert_eq!(e.colors(), r.colors());
-            assert_eq!(e_changed, r_changed);
-            p_engine = e;
-            p_ref = r;
-            if !e_changed {
-                break;
-            }
+        let reference =
+            reference_refine_fixpoint_mask(&g, label_partition(&g), &all);
+        for t in [1usize, 2, 4] {
+            let out = RefineEngine::new(rdf_par::Threads::Fixed(t))
+                .refine_fixpoint_mask(&g, label_partition(&g), &all);
+            assert_eq!(out.partition.colors(), reference.partition.colors());
+            assert_eq!(out.rounds, reference.rounds);
         }
     }
 }

@@ -2,9 +2,11 @@
 //! reference: at 1, 2 and 4 threads it must produce partitions with the
 //! same dense color vectors — not merely equivalent partitions — for
 //! random version pairs, across the Trivial/Deblank/Hybrid method
-//! family, and it must be deterministic run to run at a fixed thread
-//! count. This is the determinism guarantee the CLI's
-//! `--threads 1` vs `--threads 4` CI diff also checks end to end.
+//! family, and on a union that spans several engine blocks; and it must
+//! be deterministic run to run at a fixed thread count. This is the
+//! determinism guarantee the CLI's `--threads 1` vs `--threads 4` CI
+//! diff also checks end to end. The reference interns exact keys, so a
+//! signature collision in the engine would fail these suites.
 
 use proptest::prelude::*;
 use rdf_align::engine::RefineEngine;
@@ -167,5 +169,73 @@ proptest! {
             fresh.partition.colors()
         );
         prop_assert_eq!(first.rounds, second.rounds);
+    }
+}
+
+/// A version pair whose union spans more than one engine block
+/// ([`rdf_align::engine::BLOCK`] nodes), so signatures and first
+/// occurrences straddle block boundaries. Each entity `e{i}` owns a
+/// blank record; records point at literals from a small pool and at
+/// one of the first 997 records, so refinement takes more than one
+/// changing round and classes recur across blocks. The second version
+/// renames every seventh entity and edits every eleventh literal.
+fn multi_block_versions(entities: usize) -> (Vocab, RdfGraph, RdfGraph) {
+    let mut vocab = Vocab::new();
+    let mut build = |rename: bool| {
+        let mut b = RdfGraphBuilder::new(&mut vocab);
+        for i in 0..entities {
+            let name = |j: usize| {
+                if rename && j.is_multiple_of(7) {
+                    format!("n{j}")
+                } else {
+                    format!("e{j}")
+                }
+            };
+            let record = format!("r{i}");
+            let lit = if rename && i.is_multiple_of(11) {
+                format!("edited {}", i % 300)
+            } else {
+                format!("value {}", i % 300)
+            };
+            b.uub(&name(i), "has", &record);
+            b.bul(&record, "value", &lit);
+            b.bub(&record, "next", &format!("r{}", i % 997));
+            b.uuu(&name(i), "link", &name((i + 1) % entities));
+        }
+        b.finish()
+    };
+    let g1 = build(false);
+    let g2 = build(true);
+    (vocab, g1, g2)
+}
+
+/// Deblank and hybrid over a union larger than one block: the engine
+/// at threads {1, 2, 4} == the exact sequential reference.
+#[test]
+fn multi_block_graph_identical_to_reference() {
+    let (vocab, g1, g2) = multi_block_versions(20_000);
+    let c = CombinedGraph::union(&vocab, &g1, &g2);
+    assert!(
+        c.graph().node_count() > rdf_align::engine::BLOCK,
+        "the fixture must span several blocks"
+    );
+    let ref_deblank = reference_deblank(&c);
+    let ref_hybrid = reference_hybrid_from(&c, ref_deblank.partition.clone());
+    for t in THREAD_COUNTS {
+        let mut engine = RefineEngine::new(Threads::Fixed(t));
+        let deblank = deblank_partition_with(&c, &mut engine);
+        assert_eq!(
+            deblank.partition.colors(),
+            ref_deblank.partition.colors(),
+            "deblank diverged at {t} threads"
+        );
+        assert_eq!(deblank.rounds, ref_deblank.rounds);
+        let hybrid = hybrid_from_with(&c, deblank.partition, &mut engine);
+        assert_eq!(
+            hybrid.partition.colors(),
+            ref_hybrid.partition.colors(),
+            "hybrid diverged at {t} threads"
+        );
+        assert_eq!(hybrid.rounds, ref_hybrid.rounds);
     }
 }

@@ -6,9 +6,9 @@
 use proptest::prelude::*;
 use rdf_align::partition::Partition;
 use rdf_align::refine::{
-    bisim_refine_fixpoint_mask, bisim_refine_step, bisimulation_partition,
-    label_partition,
+    bisimulation_partition, label_partition, reference_refine_step,
 };
+use rdf_align::RefineEngine;
 use rdf_model::{GraphBuilder, LabelId, NodeId, TripleGraph, Vocab};
 
 /// A random small triple graph with a mix of blank, literal and URI
@@ -86,7 +86,7 @@ proptest! {
     ) {
         let initial = label_partition(&g);
         let in_x = arb_mask(&g, mask_seed);
-        let (step, changed) = bisim_refine_step(&g, &initial, &in_x);
+        let (step, changed) = reference_refine_step(&g, &initial, &in_x);
         prop_assert!(step.finer_than(&initial));
         // `changed` is accurate: it flags exactly non-equivalence.
         prop_assert_eq!(changed, !step.equivalent(&initial));
@@ -101,7 +101,7 @@ proptest! {
         let mut chain = vec![label_partition(&g)];
         loop {
             let (next, changed) =
-                bisim_refine_step(&g, chain.last().unwrap(), &all);
+                reference_refine_step(&g, chain.last().unwrap(), &all);
             chain.push(next);
             if !changed {
                 break;
@@ -133,11 +133,12 @@ proptest! {
     ) {
         let out = bisimulation_partition(&g);
         let all = vec![true; g.node_count()];
-        let (again, changed) = bisim_refine_step(&g, &out.partition, &all);
+        let (again, changed) = reference_refine_step(&g, &out.partition, &all);
         prop_assert!(!changed);
         prop_assert!(again.equivalent(&out.partition));
         let in_x = arb_mask(&g, mask_seed);
-        let sub = bisim_refine_fixpoint_mask(&g, out.partition.clone(), &in_x);
+        let sub = RefineEngine::auto()
+            .refine_fixpoint_mask(&g, out.partition.clone(), &in_x);
         prop_assert!(sub.partition.finer_than(&out.partition));
         let outside: Vec<NodeId> =
             g.nodes().filter(|n| !in_x[n.index()]).collect();

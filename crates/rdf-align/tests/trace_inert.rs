@@ -1,18 +1,16 @@
 //! Instrumentation must be *inert*: an alignment run traced through a
 //! [`rdf_obs::JsonlRecorder`] produces bit-identical output (dense
 //! colors, §5 metrics, unaligned report) to the same run under the
-//! disabled recorder, at every thread count {1, 4} × shard count
-//! {1, 4} — and the trace itself is structurally deterministic: the
-//! per-family span *counts* (never the timings) are identical across
-//! thread counts, because only spans emit event lines and spans are
-//! keyed by run structure (rounds, shards, sections), not by worker
-//! scheduling.
+//! disabled recorder, at every thread count {1, 4} — and the trace
+//! itself is structurally deterministic: the per-family span *counts*
+//! (never the timings) are identical across thread counts, because only
+//! spans emit event lines and spans are keyed by run structure (rounds,
+//! sections), not by worker scheduling. Every `refine.round` span
+//! carries its phase split (`sig_us`, `canon_us`) at every thread
+//! count.
 
 use proptest::prelude::*;
-use rdf_align::pipeline::{
-    align_streaming_with, align_streaming_with_recorder, align_with,
-    align_with_recorder, Method,
-};
+use rdf_align::pipeline::{align_with, align_with_recorder, Method};
 use rdf_align::{Recorder, Threads};
 use rdf_model::{RdfGraph, RdfGraphBuilder, Vocab};
 use rdf_obs::RunReport;
@@ -43,34 +41,31 @@ impl io::Write for SharedBuf {
 /// Run one traced alignment, returning the aligned output plus the
 /// validated trace aggregate. `RunReport::from_jsonl` re-parses every
 /// emitted line (JSON object, `ev` key, `name`/`us` on spans), so a
-/// malformed event fails the test here.
+/// malformed event fails the test here. Every `refine.round` line must
+/// carry the round's phase split.
 fn traced(
     vocab: &Vocab,
     g1: &RdfGraph,
     g2: &RdfGraph,
     method: Method,
     threads: Threads,
-    stream_shards: Option<usize>,
 ) -> (rdf_align::pipeline::Aligned, RunReport) {
     let buf = SharedBuf::default();
     let rec = Arc::new(Recorder::jsonl_writer(Box::new(buf.clone())));
-    let out = match stream_shards {
-        None => {
-            align_with_recorder(vocab, g1, g2, method, threads, Arc::clone(&rec))
-        }
-        Some(shards) => align_streaming_with_recorder(
-            vocab,
-            g1,
-            g2,
-            method,
-            threads,
-            shards,
-            Arc::clone(&rec),
-        )
-        .expect("partition methods stream"),
-    };
+    let out =
+        align_with_recorder(vocab, g1, g2, method, threads, Arc::clone(&rec));
     rec.finish().expect("in-memory sink cannot fail");
-    let report = RunReport::from_jsonl(&buf.text())
+    let text = buf.text();
+    let rounds = text.lines().filter(|l| {
+        l.contains(r#""ev":"span""#) && l.contains(r#""refine.round""#)
+    });
+    for line in rounds {
+        assert!(
+            line.contains(r#""sig_us""#) && line.contains(r#""canon_us""#),
+            "{threads:?}: refine.round without its phase split: {line}"
+        );
+    }
+    let report = RunReport::from_jsonl(&text)
         .expect("every emitted line is schema-valid JSONL");
     (out, report)
 }
@@ -86,7 +81,7 @@ fn span_counts(report: &RunReport) -> Vec<(String, u64)> {
 }
 
 /// A random pair of graph versions sharing a vocabulary (same shape as
-/// the streaming-equivalence suite).
+/// the parallel-identity suite).
 fn arb_versions() -> impl Strategy<Value = (Vocab, RdfGraph, RdfGraph)> {
     (1usize..24, 1usize..24, any::<u64>()).prop_map(|(m1, m2, seed)| {
         let mut state = seed | 1;
@@ -123,61 +118,34 @@ fn arb_versions() -> impl Strategy<Value = (Vocab, RdfGraph, RdfGraph)> {
 }
 
 const THREADS: [usize; 2] = [1, 4];
-const SHARDS: [usize; 2] = [1, 4];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Null vs Jsonl recorder: bit-identical alignment output at every
-    /// thread × shard configuration, in-RAM and streaming; and the
-    /// trace's span counts depend only on the run structure — never on
-    /// the thread count.
+    /// thread count; and the trace's span counts depend only on the run
+    /// structure — never on the thread count.
     #[test]
     fn tracing_is_inert_and_structurally_deterministic(
         (vocab, g1, g2) in arb_versions()
     ) {
         let method = Method::Hybrid;
 
-        // In-RAM path: Null vs Jsonl at each thread count, then span
-        // counts across thread counts.
-        let mut inram_shapes = Vec::new();
+        // Null vs Jsonl at each thread count, then span counts across
+        // thread counts.
+        let mut shapes = Vec::new();
         for t in THREADS {
             let base = align_with(
                 &vocab, &g1, &g2, method, Threads::Fixed(t));
-            let (out, report) = traced(
-                &vocab, &g1, &g2, method, Threads::Fixed(t), None);
+            let (out, report) =
+                traced(&vocab, &g1, &g2, method, Threads::Fixed(t));
             prop_assert_eq!(
                 out.partition().colors(), base.partition().colors());
             prop_assert_eq!(out.edges.ratio(), base.edges.ratio());
             prop_assert_eq!(&out.unaligned, &base.unaligned);
-            inram_shapes.push(span_counts(&report));
+            shapes.push(span_counts(&report));
         }
         // Span counts must not depend on thread count.
-        prop_assert_eq!(&inram_shapes[0], &inram_shapes[1]);
-
-        // Streaming path: same matrix, plus the peak-shard gauge must
-        // be thread-invariant (it is a property of the sharding).
-        for shards in SHARDS {
-            let mut shapes = Vec::new();
-            let mut gauges = Vec::new();
-            for t in THREADS {
-                let base = align_streaming_with(
-                    &vocab, &g1, &g2, method, Threads::Fixed(t), shards,
-                ).expect("partition methods stream");
-                let (out, report) = traced(
-                    &vocab, &g1, &g2, method,
-                    Threads::Fixed(t), Some(shards));
-                prop_assert_eq!(
-                    out.partition().colors(), base.partition().colors());
-                prop_assert_eq!(out.edges.ratio(), base.edges.ratio());
-                prop_assert_eq!(&out.unaligned, &base.unaligned);
-                shapes.push(span_counts(&report));
-                gauges.push(report.gauge("stream.peak_shard_bytes"));
-            }
-            // Neither span counts nor the peak-shard gauge may
-            // depend on the thread count.
-            prop_assert_eq!(&shapes[0], &shapes[1]);
-            prop_assert_eq!(&gauges[0], &gauges[1]);
-        }
+        prop_assert_eq!(&shapes[0], &shapes[1]);
     }
 }

@@ -166,8 +166,8 @@ fn main() {
     }
 
     // One extra instrumented run at the baseline thread count: the
-    // BENCH json carries the phase breakdown (per-round spans, barrier
-    // counters), not just the headline wall time.
+    // BENCH json carries the phase breakdown (per-round spans with
+    // their sig_us/canon_us split), not just the headline wall time.
     let rec = Arc::new(Recorder::jsonl_writer(Box::new(std::io::sink())));
     let mut engine = RefineEngine::with_recorder(
         Threads::Fixed(threads_list[0]),

@@ -14,12 +14,9 @@ pub mod serve;
 pub mod signals;
 
 use crate::pipeline::{ctx, open_any};
-use rdf_align::pipeline::{
-    align_streaming_with_recorder, align_with_recorder, Aligned, Method,
-    DEFAULT_STREAM_SHARDS,
-};
-use rdf_align::{RefineEngine, StreamingRefineEngine, Threads};
-use rdf_model::{ShardColumnsSource, Vocab};
+use rdf_align::pipeline::{align_with_recorder, Aligned, Method};
+use rdf_align::{RefineEngine, Threads};
+use rdf_model::Vocab;
 use rdf_obs::{Recorder, RunReport};
 use rdf_store::{AnyReader, BorrowedStoreReader, Layout};
 use std::fmt;
@@ -160,25 +157,15 @@ pub fn export(input: &Path, output: &Path) -> Result<String, CliError> {
     ))
 }
 
-/// `rdf info [--bisim [--streaming] [--threads N]] <file>` — header,
-/// counts and per-section (or per-shard) sizes; all checksums —
-/// including every shard file of a manifest — are verified before this
-/// returns.
+/// `rdf info [--bisim [--threads N]] <file>` — header, counts and
+/// per-section (or per-shard) sizes; all checksums — including every
+/// shard file of a manifest — are verified before this returns.
 ///
 /// With `bisim = Some(threads)`, graph stores additionally get a
 /// maximal-bisimulation summary (quotient classes and rounds) computed
-/// through the parallel [`RefineEngine`] on the given thread
-/// configuration. With `streaming` also set, the summary is computed
-/// by the shard-at-a-time [`StreamingRefineEngine`] straight from the
-/// shard files — the stitched graph is never materialised, so this
-/// requires a `.rdfm` manifest. The summary is byte-identical either
-/// way.
-pub fn info(
-    input: &Path,
-    bisim: Option<Threads>,
-    streaming: bool,
-) -> Result<String, CliError> {
-    info_traced(input, bisim, streaming, &Arc::new(Recorder::disabled()))
+/// through the [`RefineEngine`] on the given thread configuration.
+pub fn info(input: &Path, bisim: Option<Threads>) -> Result<String, CliError> {
+    info_traced(input, bisim, &Arc::new(Recorder::disabled()))
 }
 
 /// [`info`] with instrumentation: store loads emit `store.open` /
@@ -188,12 +175,8 @@ pub fn info(
 pub fn info_traced(
     input: &Path,
     bisim: Option<Threads>,
-    streaming: bool,
     rec: &Arc<Recorder>,
 ) -> Result<String, CliError> {
-    if streaming && bisim.is_none() {
-        return Err(CliError::new("--streaming requires --bisim"));
-    }
     match open_any(input)? {
         AnyReader::Single(reader) => {
             let info = reader.info().map_err(|e| ctx(input, e))?;
@@ -238,13 +221,6 @@ pub fn info_traced(
                 ));
             }
             if let Some(threads) = bisim {
-                if streaming {
-                    return Err(ctx(
-                        input,
-                        "--streaming requires a sharded store \
-                         (.rdfm manifest)",
-                    ));
-                }
                 if info.header.kind == rdf_store::KIND_GRAPH {
                     // Zero-copy path: serve the id columns as a view of
                     // the (mapped) store buffer — fixed-layout stores
@@ -276,27 +252,14 @@ pub fn info_traced(
         AnyReader::Sharded(reader) => {
             // With --bisim the graph is needed anyway, so gather the
             // info summary in the same pass instead of reading and
-            // CRC-checking every shard file twice. On the streaming
-            // path the graph is deliberately *not* materialised:
-            // open_streaming_traced validates every shard exactly once
-            // (that pass doubles as the info summary), then the
-            // streaming engine re-reads the shards round by round
-            // without further checksum work.
-            let (info, graph, stream) = match (bisim, streaming) {
-                (Some(_), true) => {
-                    let (store, info) = reader
-                        .open_streaming_traced(Arc::clone(rec))
-                        .map_err(|e| ctx(input, e))?;
-                    (info, None, Some(store))
-                }
-                (None, _) => {
-                    (reader.info().map_err(|e| ctx(input, e))?, None, None)
-                }
-                (Some(threads), false) => {
+            // CRC-checking every shard file twice.
+            let (info, graph) = match bisim {
+                None => (reader.info().map_err(|e| ctx(input, e))?, None),
+                Some(threads) => {
                     let (info, _, graph) = reader
                         .read_graph_with_info_traced(threads, rec)
                         .map_err(|e| ctx(input, e))?;
-                    (info, Some(graph), None)
+                    (info, Some(graph))
                 }
             };
             let m = &info.manifest;
@@ -323,31 +286,8 @@ pub fn info_traced(
                     entry.name, entry.triples, bytes,
                 ));
             }
-            match (bisim, streaming, &graph) {
-                (Some(threads), true, _) => {
-                    // Shard-at-a-time: only the color vector plus one
-                    // shard's columns per worker are ever resident.
-                    // The store (recorder already attached) comes from
-                    // the validating open above.
-                    let store = stream.expect("opened on the streaming arm");
-                    let mut engine = StreamingRefineEngine::with_recorder(
-                        threads,
-                        Arc::clone(rec),
-                    );
-                    let bisim = engine
-                        .bisimulation(&store, store.labels())
-                        .map_err(|e| ctx(input, e))?;
-                    out.push_str(&bisim_line(
-                        bisim.partition.num_colors(),
-                        store.node_count(),
-                        bisim.rounds,
-                        engine.threads(),
-                    ));
-                }
-                (Some(threads), false, Some(graph)) => {
-                    out.push_str(&bisim_summary(graph, threads, rec));
-                }
-                _ => {}
+            if let (Some(threads), Some(graph)) = (bisim, &graph) {
+                out.push_str(&bisim_summary(graph, threads, rec));
             }
             Ok(out)
         }
@@ -393,8 +333,8 @@ fn bisim_summary(
     )
 }
 
-/// The one `info --bisim` summary format, shared by the in-RAM and
-/// streaming paths so their reports stay byte-identical.
+/// The one `info --bisim` summary format, shared by the single-file
+/// and sharded paths so their reports stay byte-identical.
 fn bisim_line(
     classes: u32,
     nodes: usize,
@@ -486,25 +426,18 @@ impl AlignOutcome {
     }
 }
 
-/// `rdf align [--method M] [--theta T] [--threads N] [--streaming]
-/// <source> <target>` — run the full pipeline over two inputs
-/// (single-file stores, sharded manifests or N-Triples, mixed freely).
-/// Refinement — and the sharded load, when a manifest is given — runs
-/// on the configured thread count; the reported metrics are
-/// bit-identical for every count.
-///
-/// With `streaming`, every refinement fixpoint runs through the
-/// shard-at-a-time [`StreamingRefineEngine`] over a range
-/// decomposition of the combined graph (methods `trivial`, `deblank`
-/// and `hybrid` only) — the report stays byte-identical to the in-RAM
-/// engine's.
+/// `rdf align [--method M] [--theta T] [--threads N] <source>
+/// <target>` — run the full pipeline over two inputs (single-file
+/// stores, sharded manifests or N-Triples, mixed freely). Refinement —
+/// and the sharded load, when a manifest is given — runs on the
+/// configured thread count; the reported metrics are bit-identical for
+/// every count.
 pub fn align(
     source: &Path,
     target: &Path,
     method_name: &str,
     theta: Option<f64>,
     threads: Threads,
-    streaming: bool,
 ) -> Result<AlignOutcome, CliError> {
     align_traced(
         source,
@@ -512,7 +445,6 @@ pub fn align(
         method_name,
         theta,
         threads,
-        streaming,
         &Arc::new(Recorder::disabled()),
     )
 }
@@ -521,34 +453,20 @@ pub fn align(
 /// the pipeline emits `align.*` / `refine.*` spans into `rec`. The
 /// rendered report is byte-identical to the untraced run — tracing is
 /// a pure side channel.
-#[allow(clippy::too_many_arguments)]
 pub fn align_traced(
     source: &Path,
     target: &Path,
     method_name: &str,
     theta: Option<f64>,
     threads: Threads,
-    streaming: bool,
     rec: &Arc<Recorder>,
 ) -> Result<AlignOutcome, CliError> {
     let method = parse_method(method_name, theta)?;
     let mut vocab = Vocab::new();
     let g1 = load_input_traced(source, &mut vocab, threads, rec)?;
     let g2 = load_input_traced(target, &mut vocab, threads, rec)?;
-    let aligned = if streaming {
-        align_streaming_with_recorder(
-            &vocab,
-            &g1,
-            &g2,
-            method,
-            threads,
-            DEFAULT_STREAM_SHARDS,
-            Arc::clone(rec),
-        )
-        .map_err(|e| CliError::new(e.to_string()))?
-    } else {
-        align_with_recorder(&vocab, &g1, &g2, method, threads, Arc::clone(rec))
-    };
+    let aligned =
+        align_with_recorder(&vocab, &g1, &g2, method, threads, Arc::clone(rec));
     Ok(AlignOutcome {
         method: method_name.to_string(),
         source: (

@@ -4,10 +4,9 @@
 //! rdf import [--shards N] [--layout varint|fixed] [--trace PATH]
 //!            <input.nt> <output>
 //! rdf export <input> <output.nt>
-//! rdf info   [--bisim [--streaming]] [--threads N] [--trace PATH] <file>
+//! rdf info   [--bisim] [--threads N] [--trace PATH] <file>
 //! rdf align  [--method trivial|deblank|hybrid|overlap] [--theta T]
-//!            [--threads N] [--streaming] [--trace PATH]
-//!            <source> <target>
+//!            [--threads N] [--trace PATH] <source> <target>
 //! rdf stats  <trace.jsonl>
 //! rdf gen    [--scale F] [--versions N] --out-dir DIR
 //! rdf serve  [--socket SOCK] [--threads N] [--cache-bytes B]
@@ -19,8 +18,8 @@
 //! (format is resolved from the magic bytes and container kind).
 //! Refinement — and the sharded load — runs on the deterministic
 //! parallel engine: `--threads` only changes wall-clock time, never the
-//! output, and `--streaming` swaps in the shard-at-a-time engine
-//! without changing the output either.
+//! output. An unrecognised `--flag` is an error (exit 2), never an
+//! input path.
 
 use rdf_align::{Recorder, Threads};
 use std::path::PathBuf;
@@ -41,23 +40,16 @@ commands:
                                     fixed-width section layout (v2)
   export <input> <output.nt>        write a store (single-file or
                                     sharded) as canonical N-Triples
-  info   [--bisim [--streaming]] [--threads N] [--trace PATH] <file>
+  info   [--bisim] [--threads N] [--trace PATH] <file>
                                     header, counts, sections/shards,
                                     checksums; --bisim adds a maximal-
-                                    bisimulation summary (graph stores);
-                                    --streaming computes it shard-at-a-
-                                    time from a .rdfm manifest, never
-                                    materialising the stitched graph
-  align  [--method M] [--theta T] [--threads N] [--streaming]
-         [--trace PATH] <source> <target>
+                                    bisimulation summary (graph stores)
+  align  [--method M] [--theta T] [--threads N] [--trace PATH]
+         <source> <target>
                                     align two graphs (stores, manifests
                                     or N-Triples, mixed freely);
                                     M = trivial|deblank|hybrid|overlap
-                                    (default hybrid); --streaming runs
-                                    the refinement fixpoints shard-at-a-
-                                    time (byte-identical report; inputs
-                                    are still loaded to build the union;
-                                    not for overlap)
+                                    (default hybrid)
   stats  <trace.jsonl>              aggregate a --trace file into a
                                     table of span / counter / gauge
                                     totals (per-phase time breakdown)
@@ -97,8 +89,8 @@ EXAMPLES
   rdf gen --scale 0.25 --versions 2 --out-dir /tmp/efo
   rdf import --shards 4 /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfm
   rdf import --shards 4 /tmp/efo/efo-v2.nt /tmp/efo/v2.rdfm
-  rdf info --bisim --streaming /tmp/efo/v1.rdfm
-  rdf align --method hybrid --streaming --trace /tmp/efo/trace.jsonl /tmp/efo/v1.rdfm /tmp/efo/v2.rdfm
+  rdf info --bisim /tmp/efo/v1.rdfm
+  rdf align --method hybrid --trace /tmp/efo/trace.jsonl /tmp/efo/v1.rdfm /tmp/efo/v2.rdfm
   rdf stats /tmp/efo/trace.jsonl
 ";
 
@@ -135,45 +127,38 @@ EXAMPLES
 ";
 
 const HELP_INFO: &str = "\
-usage: rdf info [--bisim [--streaming]] [--threads N] [--trace PATH]
-                <file>
+usage: rdf info [--bisim] [--threads N] [--trace PATH] <file>
 
 Report the container header, counts and per-section (or per-shard)
 sizes; every checksum — including each shard file of a manifest — is
 verified first. --bisim adds a maximal-bisimulation summary (classes,
 rounds) for graph stores, computed on the deterministic parallel
-engine. --bisim --streaming computes the same summary shard-at-a-time
-from a .rdfm manifest: only the color vector plus one shard's columns
-per worker stay resident, and the line is byte-identical. --trace PATH
-(or RDF_TRACE=PATH) appends load and refinement timing events as
-JSONL; see `rdf stats`.
+engine; the line is byte-identical for every --threads and for a store
+and its sharded copy. --trace PATH (or RDF_TRACE=PATH) appends load
+and refinement timing events as JSONL; see `rdf stats`.
 
 EXAMPLES
   rdf info /tmp/efo/v1.rdfb
   rdf info --bisim --threads 4 /tmp/efo/v1.rdfb
-  rdf info --bisim --streaming /tmp/efo/v1.rdfm
+  rdf info --bisim /tmp/efo/v1.rdfm
 ";
 
 const HELP_ALIGN: &str = "\
-usage: rdf align [--method M] [--theta T] [--threads N] [--streaming]
-                 [--trace PATH] <source> <target>
+usage: rdf align [--method M] [--theta T] [--threads N] [--trace PATH]
+                 <source> <target>
 
 Align two graph versions and print the report of §5 metrics. Inputs
 may be .rdfb stores, .rdfm sharded manifests or N-Triples text, mixed
 freely. M = trivial|deblank|hybrid|overlap (default hybrid); --theta
-sets the overlap threshold. --streaming runs every refinement fixpoint
-shard-at-a-time (trivial|deblank|hybrid only) — the report is
-byte-identical to the in-RAM engine's at every thread count. Note that
-align still loads both inputs and builds their union in memory; only
-the refinement working set is shard-bounded (the fully external path
-is `rdf info --bisim --streaming`). --trace PATH (or RDF_TRACE=PATH)
-appends load, union and per-round refinement timing events as JSONL
-without changing the report; see `rdf stats`.
+sets the overlap threshold. The report is byte-identical at every
+--threads. --trace PATH (or RDF_TRACE=PATH) appends load, union and
+per-round refinement timing events as JSONL without changing the
+report; see `rdf stats`.
 
 EXAMPLES
   rdf align --method hybrid /tmp/efo/v1.rdfb /tmp/efo/v2.rdfb
   rdf align --method overlap --theta 0.5 /tmp/efo/v1.rdfb /tmp/efo/v2.rdfb
-  rdf align --streaming /tmp/efo/v1.rdfm /tmp/efo/v2.rdfm
+  rdf align /tmp/efo/v1.rdfm /tmp/efo/v2.rdfm
 ";
 
 const HELP_STATS: &str = "\
@@ -330,7 +315,7 @@ fn run(args: &[String]) -> Result<String, String> {
                             it.next().ok_or("--trace needs a path")?,
                         ));
                     }
-                    other => inputs.push(PathBuf::from(other)),
+                    other => inputs.push(positional(other, "import")?),
                 }
             }
             let [input, output]: [PathBuf; 2] = inputs
@@ -355,7 +340,6 @@ fn run(args: &[String]) -> Result<String, String> {
                 return Ok(HELP_INFO.to_string());
             }
             let mut bisim = false;
-            let mut streaming = false;
             let mut threads = Threads::Auto;
             let mut trace: Option<PathBuf> = None;
             let mut inputs: Vec<PathBuf> = Vec::new();
@@ -363,7 +347,6 @@ fn run(args: &[String]) -> Result<String, String> {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--bisim" => bisim = true,
-                    "--streaming" => streaming = true,
                     "--threads" => {
                         threads = Threads::parse(
                             it.next().ok_or("--threads needs a value")?,
@@ -374,7 +357,7 @@ fn run(args: &[String]) -> Result<String, String> {
                             it.next().ok_or("--trace needs a path")?,
                         ));
                     }
-                    other => inputs.push(PathBuf::from(other)),
+                    other => inputs.push(positional(other, "info")?),
                 }
             }
             let [input]: [PathBuf; 1] = inputs
@@ -384,7 +367,6 @@ fn run(args: &[String]) -> Result<String, String> {
             let out = rdf_cli::info_traced(
                 &input,
                 bisim.then_some(threads),
-                streaming,
                 &rec,
             )
             .map_err(|e| e.to_string())?;
@@ -398,13 +380,11 @@ fn run(args: &[String]) -> Result<String, String> {
             let mut method = "hybrid".to_string();
             let mut theta: Option<f64> = None;
             let mut threads = Threads::Auto;
-            let mut streaming = false;
             let mut trace: Option<PathBuf> = None;
             let mut inputs: Vec<PathBuf> = Vec::new();
             let mut it = rest.iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--streaming" => streaming = true,
                     "--trace" => {
                         trace = Some(PathBuf::from(
                             it.next().ok_or("--trace needs a path")?,
@@ -429,7 +409,7 @@ fn run(args: &[String]) -> Result<String, String> {
                             it.next().ok_or("--threads needs a value")?,
                         )?;
                     }
-                    other => inputs.push(PathBuf::from(other)),
+                    other => inputs.push(positional(other, "align")?),
                 }
             }
             let [source, target]: [PathBuf; 2] = inputs
@@ -437,7 +417,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 .map_err(|_| "align takes exactly two inputs")?;
             let rec = trace_recorder(trace)?;
             let outcome = rdf_cli::align_traced(
-                &source, &target, &method, theta, threads, streaming, &rec,
+                &source, &target, &method, theta, threads, &rec,
             )
             .map_err(|e| e.to_string())?;
             finish_trace(&rec)?;
@@ -448,7 +428,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 return Ok(HELP_STATS.to_string());
             }
             let [trace] = match rest {
-                [a] => [PathBuf::from(a)],
+                [a] => [positional(a, "stats")?],
                 _ => return Err("stats takes exactly one trace file".into()),
             };
             rdf_cli::stats(&trace).map_err(|e| e.to_string())
@@ -483,7 +463,8 @@ fn run(args: &[String]) -> Result<String, String> {
                         ));
                     }
                     other => {
-                        return Err(format!("unknown gen argument {other}"))
+                        positional(other, "gen")?;
+                        return Err(format!("unknown gen argument {other}"));
                     }
                 }
             }
@@ -520,9 +501,8 @@ fn run(args: &[String]) -> Result<String, String> {
                             })?;
                     }
                     other => {
-                        return Err(format!(
-                            "unknown serve argument {other}"
-                        ))
+                        positional(other, "serve")?;
+                        return Err(format!("unknown serve argument {other}"));
                     }
                 }
             }
@@ -550,7 +530,10 @@ fn run(args: &[String]) -> Result<String, String> {
                             it.next().ok_or("--trace-out needs a path")?,
                         ));
                     }
-                    other => lines.push(other.to_string()),
+                    other => {
+                        positional(other, "request")?;
+                        lines.push(other.to_string());
+                    }
                 }
             }
             let [line]: [String; 1] = lines.try_into().map_err(|_| {
@@ -580,9 +563,24 @@ fn resolve_socket(flag: Option<String>) -> Result<String, String> {
     })
 }
 
-fn two_paths(rest: &[String], cmd: &str) -> Result<[PathBuf; 2], String> {
-    match rest {
-        [a, b] => Ok([PathBuf::from(a), PathBuf::from(b)]),
-        _ => Err(format!("{cmd} takes exactly two paths")),
+/// A positional argument as a path — or, when it looks like a flag the
+/// command does not know, the error that says so. Without this check a
+/// mistyped `--flag` would become an input path and surface as a
+/// confusing argument-count error.
+fn positional(arg: &str, cmd: &str) -> Result<PathBuf, String> {
+    if arg.starts_with("--") {
+        Err(format!("unknown flag {arg} for {cmd}"))
+    } else {
+        Ok(PathBuf::from(arg))
     }
+}
+
+fn two_paths(rest: &[String], cmd: &str) -> Result<[PathBuf; 2], String> {
+    let paths = rest
+        .iter()
+        .map(|a| positional(a, cmd))
+        .collect::<Result<Vec<_>, _>>()?;
+    paths
+        .try_into()
+        .map_err(|_| format!("{cmd} takes exactly two paths"))
 }

@@ -23,10 +23,7 @@
 use crate::pipeline::{ctx, is_store, load_input_traced};
 use crate::signals;
 use crate::{AlignOutcome, CliError};
-use rdf_align::pipeline::{
-    align_streaming_with_recorder, align_with_recorder,
-    DEFAULT_STREAM_SHARDS,
-};
+use rdf_align::pipeline::align_with_recorder;
 use rdf_align::Threads;
 use rdf_model::{rebase_into, RdfGraph, Vocab};
 use rdf_obs::Recorder;
@@ -346,6 +343,17 @@ pub fn handle_request(state: &Arc<ServeState>, req: Request) -> Response {
 }
 
 fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
+    if matches!(
+        &req,
+        Request::Info { streaming: true, .. }
+            | Request::Align { streaming: true, .. }
+    ) {
+        return return_bad_request(
+            "streaming was removed: refinement always runs in memory; \
+             drop the \"streaming\" field"
+                .to_string(),
+        );
+    }
     let op = req.op().to_string();
     let want_trace = matches!(
         &req,
@@ -395,7 +403,7 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
         Request::Info {
             path,
             bisim,
-            streaming,
+            streaming: _,
             threads,
             trace: _,
         } => {
@@ -406,7 +414,6 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
             crate::info_traced(
                 Path::new(&path),
                 bisim.then_some(threads),
-                streaming,
                 &rec,
             )
             .map(|report| (report, false))
@@ -416,7 +423,7 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
             target,
             method,
             theta,
-            streaming,
+            streaming: _,
             threads,
             trace: _,
         } => align_cached(
@@ -425,7 +432,6 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
             &target,
             &method,
             theta,
-            streaming,
             state.threads_for(threads),
             &rec,
         ),
@@ -451,7 +457,7 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
     }
 }
 
-/// Helper: build the bad-request response used by dispatch's layout
+/// Helper: build the bad-request response used by dispatch's request
 /// validation (kept out of line so the match stays readable).
 fn return_bad_request(msg: String) -> Response {
     Response::error(ErrorKind::BadRequest, msg)
@@ -461,14 +467,12 @@ fn return_bad_request(msg: String) -> Response {
 /// construction, same pipeline, same renderer — the report is
 /// byte-identical to the one-shot CLI's. `cached` is true only when
 /// *every* store input came from the cache.
-#[allow(clippy::too_many_arguments)]
 fn align_cached(
     state: &ServeState,
     source: &str,
     target: &str,
     method_name: &str,
     theta: Option<f64>,
-    streaming: bool,
     threads: Threads,
     rec: &Arc<Recorder>,
 ) -> Result<(String, bool), CliError> {
@@ -480,20 +484,8 @@ fn align_cached(
         state.load_cached(source, &mut vocab, threads, rec)?;
     let (g2, warm2) =
         state.load_cached(target, &mut vocab, threads, rec)?;
-    let aligned = if streaming {
-        align_streaming_with_recorder(
-            &vocab,
-            &g1,
-            &g2,
-            method,
-            threads,
-            DEFAULT_STREAM_SHARDS,
-            Arc::clone(rec),
-        )
-        .map_err(|e| CliError::new(e.to_string()))?
-    } else {
-        align_with_recorder(&vocab, &g1, &g2, method, threads, Arc::clone(rec))
-    };
+    let aligned =
+        align_with_recorder(&vocab, &g1, &g2, method, threads, Arc::clone(rec));
     let outcome = AlignOutcome {
         method: method_name.to_string(),
         source: (

@@ -161,7 +161,6 @@ fn full_pipeline_matches_in_process_alignment() {
         "hybrid",
         None,
         rdf_align::Threads::Auto,
-        false,
     )
     .unwrap();
     assert_eq!(cli_report, outcome.render());
@@ -317,7 +316,6 @@ fn sharded_flow_matches_single_file_flow() {
         "hybrid",
         None,
         rdf_align::Threads::Auto,
-        false,
     )
     .unwrap();
     let cli_report =
@@ -336,43 +334,6 @@ fn sharded_flow_matches_single_file_flow() {
             .expect("report has a bisimulation line")
     };
     assert_eq!(bisim_line(&bisim_sharded), bisim_line(&bisim_single));
-
-    // --streaming: the shard-at-a-time engine must leave every report
-    // byte-identical — align at 1 and 4 threads, and the whole
-    // info --bisim output (the streaming path never stitches the
-    // graph, yet prints the very same summary).
-    for t in ["1", "4"] {
-        let streamed = run_ok(&[
-            "align", "--method", "hybrid", "--streaming", "--threads", t,
-            s(&v1_man), s(&v2_man),
-        ]);
-        assert_eq!(
-            metrics(&single_report),
-            metrics(&streamed),
-            "streaming align metrics diverged at {t} threads"
-        );
-    }
-    let bisim_streamed = run_ok(&[
-        "info", "--bisim", "--streaming", "--threads", "2", s(&v1_man),
-    ]);
-    assert_eq!(
-        bisim_streamed, bisim_sharded,
-        "streaming info --bisim diverged from the in-RAM report"
-    );
-    // Streaming misuse is rejected with clear messages.
-    let err = run_err(&["info", "--streaming", s(&v1_man)]);
-    assert!(err.contains("--streaming requires --bisim"), "got: {err}");
-    let err =
-        run_err(&["info", "--bisim", "--streaming", s(&v1_store)]);
-    assert!(err.contains("sharded store"), "got: {err}");
-    let err = run_err(&[
-        "align", "--method", "overlap", "--streaming",
-        s(&v1_man), s(&v2_man),
-    ]);
-    assert!(
-        err.contains("overlap") && err.contains("streaming"),
-        "got: {err}"
-    );
 
     // Corrupting one shard fails loudly with the shard named.
     let shard = dir.path("v1-shard-2.rdfb");
@@ -461,10 +422,10 @@ fn help_examples_execute_and_cover_every_subcommand() {
         let out = run_ok(&argv);
         assert!(!out.is_empty(), "example `rdf {args:?}` printed nothing");
     }
-    // The advertised pipeline really exercised the streaming path.
+    // The advertised pipeline really exercised the sharded path.
     assert!(
-        examples.iter().any(|a| a.contains(&"--streaming".to_string())),
-        "top-level examples should show --streaming: {examples:?}"
+        examples.iter().any(|a| a.contains(&"--shards".to_string())),
+        "top-level examples should show --shards: {examples:?}"
     );
 
     // Per-subcommand help: an EXAMPLES block that addresses the
@@ -515,13 +476,11 @@ fn trace_and_stats_cover_span_families() {
 
     // Traced and untraced runs print byte-identical reports.
     let untraced = run_ok(&[
-        "align", "--method", "hybrid", "--streaming",
-        s(&v1_man), s(&v2_man),
+        "align", "--method", "hybrid", s(&v1_man), s(&v2_man),
     ]);
     let trace = dir.path("t.jsonl");
     let traced = run_ok(&[
-        "align", "--method", "hybrid", "--streaming",
-        "--trace", s(&trace),
+        "align", "--method", "hybrid", "--trace", s(&trace),
         s(&v1_man), s(&v2_man),
     ]);
     assert_eq!(untraced, traced, "--trace changed the report");
@@ -563,7 +522,7 @@ fn trace_and_stats_cover_span_families() {
     // RDF_TRACE traces without the flag, through the same machinery.
     let trace_env = dir.path("env.jsonl");
     let out = Command::new(bin())
-        .args(["info", "--bisim", "--streaming", s(&v1_man)])
+        .args(["info", "--bisim", s(&v1_man)])
         .env("RDF_TRACE", &trace_env)
         .output()
         .expect("binary runs");
@@ -615,6 +574,37 @@ fn errors_exit_nonzero_with_context() {
     std::fs::write(&bad, "<u:s> <u:p> broken .\n").unwrap();
     let err = run_err(&["import", s(&bad), s(&dir.path("bad.rdfb"))]);
     assert!(err.contains("line 1"), "got: {err}");
+}
+
+/// A mistyped or retired flag is an error naming the flag and the
+/// command (exit 2) — never an input path that surfaces later as a
+/// confusing argument-count error. `--streaming` was retired with the
+/// shard-at-a-time engine and now takes the same path.
+#[test]
+fn unknown_flags_are_rejected_not_read_as_paths() {
+    for (args, flag, cmd) in [
+        (vec!["align", "--thread", "1", "a.rdfb", "b.rdfb"], "--thread", "align"),
+        (vec!["align", "--streaming", "a.rdfb", "b.rdfb"], "--streaming", "align"),
+        (vec!["info", "--bsim", "x.rdfb"], "--bsim", "info"),
+        (vec!["info", "--bisim", "--streaming", "x.rdfm"], "--streaming", "info"),
+        (vec!["import", "--layot", "fixed", "x.nt", "y"], "--layot", "import"),
+        (vec!["export", "--shards", "2", "x.rdfb", "y"], "--shards", "export"),
+        (vec!["stats", "--json"], "--json", "stats"),
+        (vec!["gen", "--scal", "1", "--out-dir", "d"], "--scal", "gen"),
+        (vec!["serve", "--cache", "1"], "--cache", "serve"),
+        (vec!["request", "--sock", "s", "{}"], "--sock", "request"),
+    ] {
+        let out = Command::new(bin())
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "rdf {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag {flag} for {cmd}")),
+            "rdf {args:?}: got {err}"
+        );
+    }
 }
 
 #[test]

@@ -348,3 +348,38 @@ fn served_info_matches_one_shot_cli() {
     assert!(clean);
     assert!(rest.contains("requests served"), "{rest:?}");
 }
+
+/// The streaming engine is gone, but the protocol still parses its
+/// `streaming` field: `true` on either op gets a typed `bad_request`
+/// that says why, over valid inputs, while `false` is still served.
+#[test]
+fn streaming_requests_get_bad_request() {
+    let dir = TempDir::new("streaming");
+    let (v1, v2) = fixture(&dir);
+    let daemon = Daemon::start(&dir.path("rdf.sock"), &[]);
+    let align = align_request(&v1, &v2);
+    let with = |req: &str, value: bool| {
+        format!(
+            r#"{},"streaming":{value}}}"#,
+            req.strip_suffix('}').unwrap()
+        )
+    };
+    let info = format!(r#"{{"op":"info","path":"{}","bisim":true}}"#, v1.display());
+    let replies = raw_roundtrips(
+        &daemon.socket,
+        &[
+            &with(&align, true),
+            &with(&info, true),
+            &with(&align, false),
+            &with(&info, false),
+        ],
+    );
+    for bad in &replies[..2] {
+        assert!(bad.contains(r#""ok":false"#), "typed error: {bad}");
+        assert!(bad.contains(r#""kind":"bad_request""#), "{bad}");
+        assert!(bad.contains("streaming was removed"), "{bad}");
+    }
+    for good in &replies[2..] {
+        assert!(good.contains(r#""ok":true"#), "{good}");
+    }
+}

@@ -36,7 +36,6 @@ pub mod graph;
 pub mod hash;
 pub mod label;
 pub mod rdf;
-pub mod shard;
 pub mod stats;
 pub mod truth;
 pub mod union;
@@ -49,7 +48,6 @@ pub use view::{
     label_ids_from_le_bytes, node_ids_from_le_bytes, u32s_from_le_bytes,
     TripleGraphView, ViewError,
 };
-pub use shard::{GraphShards, ShardColumns, ShardColumnsSource};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use label::{LabelId, LabelKind, LabelRef, Vocab};
 pub use rdf::{rebase_into, RdfError, RdfGraph, RdfGraphBuilder, Term};

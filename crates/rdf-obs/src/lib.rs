@@ -1,12 +1,11 @@
 //! Structured tracing and metrics for the alignment pipeline.
 //!
-//! The workspace has three execution modes for the same fixpoint —
-//! sequential reference, gang-parallel [`RefineEngine`], shard-streaming
-//! [`StreamingRefineEngine`] — whose *equivalence* is proven by the
-//! bit-identity suites but whose *behavior* (rounds, splits per round,
-//! signature vs. canonicalise time, barrier waits, shard I/O, peak
-//! residency) used to be invisible outside the bench binaries. This
-//! crate makes that behavior observable without perturbing it:
+//! The workspace runs every fixpoint through one engine,
+//! [`RefineEngine`], whose *equivalence* to the sequential reference is
+//! proven by the bit-identity suites but whose *behavior* (rounds,
+//! splits per round, signature vs. canonicalise time, shard and section
+//! I/O) would be invisible without tracing. This crate makes that
+//! behavior observable without perturbing it:
 //!
 //! * [`Recorder`] — the instrumentation handle threaded through hot
 //!   paths. It is a two-variant enum, not a `&dyn` trait object: the
@@ -38,7 +37,6 @@
 //! the convenience of a `static`.
 //!
 //! [`RefineEngine`]: ../rdf_align/struct.RefineEngine.html
-//! [`StreamingRefineEngine`]: ../rdf_align/struct.StreamingRefineEngine.html
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -524,16 +524,16 @@ mod tests {
             sp.field("round", round + 1);
             sp.field("label", "seq");
         }
-        rec.counter("par.barrier_wait_us.w0").add(7);
-        rec.counter("par.barrier_wait_us.w0").add(3);
-        rec.gauge("stream.peak_shard_bytes").set(10);
-        rec.gauge("stream.peak_shard_bytes").set(4);
+        rec.counter("store.widen").add(7);
+        rec.counter("store.widen").add(3);
+        rec.gauge("mem.peak_bytes").set(10);
+        rec.gauge("mem.peak_bytes").set(4);
         let report = rec.finish().unwrap().unwrap();
         let fam = report.span("refine.round").unwrap();
         assert_eq!(fam.count, 3);
-        assert_eq!(report.counter("par.barrier_wait_us.w0"), Some(10));
+        assert_eq!(report.counter("store.widen"), Some(10));
         // Gauges keep the maximum, not the last value.
-        assert_eq!(report.gauge("stream.peak_shard_bytes"), Some(10));
+        assert_eq!(report.gauge("mem.peak_bytes"), Some(10));
 
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> =
@@ -548,8 +548,8 @@ mod tests {
         // Round-trip: parsing the trace reproduces the aggregates.
         let parsed = RunReport::from_jsonl(&text).unwrap();
         assert_eq!(parsed.span("refine.round").unwrap().count, 3);
-        assert_eq!(parsed.counter("par.barrier_wait_us.w0"), Some(10));
-        assert_eq!(parsed.gauge("stream.peak_shard_bytes"), Some(10));
+        assert_eq!(parsed.counter("store.widen"), Some(10));
+        assert_eq!(parsed.gauge("mem.peak_bytes"), Some(10));
     }
 
     #[test]

@@ -297,8 +297,8 @@ mod tests {
                     total_us: 100,
                 },
             ],
-            counters: vec![("par.barrier_wait_us.w0".into(), 42)],
-            gauges: vec![("stream.peak_shard_bytes".into(), 4096)],
+            counters: vec![("store.widen".into(), 42)],
+            gauges: vec![("mem.peak_bytes".into(), 4096)],
         }
     }
 
@@ -314,7 +314,7 @@ mod tests {
         assert_eq!(
             v.get("gauges")
                 .unwrap()
-                .get("stream.peak_shard_bytes")
+                .get("mem.peak_bytes")
                 .unwrap()
                 .as_u64(),
             Some(4096)
@@ -356,6 +356,6 @@ mod tests {
         assert!(table.contains("refine.round"));
         assert!(table.contains("shard.load"));
         assert!(table.contains("cores = 2"));
-        assert!(table.contains("stream.peak_shard_bytes = 4096"));
+        assert!(table.contains("mem.peak_bytes = 4096"));
     }
 }

@@ -29,10 +29,7 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Barrier, BarrierWaitResult, Mutex};
-use std::time::Instant;
-
-use rdf_obs::Recorder;
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Environment variable consulted by [`Threads::Auto`]: set
 /// `RDF_THREADS=N` to cap the automatic thread count without touching
@@ -114,57 +111,6 @@ pub fn chunk_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// A [`std::sync::Barrier`] whose waits can be attributed, per worker,
-/// to an observability counter.
-///
-/// SPMD gangs (the parallel refinement engine) synchronise with a few
-/// barrier waits per round; how long each worker idles at them is the
-/// load-imbalance signal the bench binaries could never see. When the
-/// recorder is enabled, [`TimedBarrier::wait_timed`] accumulates each
-/// worker's wait microseconds into the counter
-/// `par.barrier_wait_us.w<worker>`; when disabled it is exactly a plain
-/// barrier wait (one branch, no clock reads, no formatting).
-///
-/// Counters aggregate in the final run report only — no per-wait event
-/// is emitted, so trace event counts stay deterministic across thread
-/// counts.
-#[derive(Debug)]
-pub struct TimedBarrier {
-    inner: Barrier,
-}
-
-impl TimedBarrier {
-    /// A barrier for `n` workers.
-    pub fn new(n: usize) -> TimedBarrier {
-        TimedBarrier {
-            inner: Barrier::new(n),
-        }
-    }
-
-    /// Plain untimed wait.
-    pub fn wait(&self) -> BarrierWaitResult {
-        self.inner.wait()
-    }
-
-    /// Wait, attributing the time spent blocked to
-    /// `par.barrier_wait_us.w<worker>` on `rec` (no-op attribution when
-    /// the recorder is disabled).
-    pub fn wait_timed(
-        &self,
-        rec: &Recorder,
-        worker: usize,
-    ) -> BarrierWaitResult {
-        if !rec.enabled() {
-            return self.inner.wait();
-        }
-        let start = Instant::now();
-        let result = self.inner.wait();
-        let us = start.elapsed().as_micros() as u64;
-        rec.counter(&format!("par.barrier_wait_us.w{worker}")).add(us);
-        result
-    }
-}
-
 /// Run `f(index, task)` for every task, on scoped threads, and return
 /// the results in task order.
 ///
@@ -214,9 +160,8 @@ where
 /// Every task runs to completion even when an earlier one fails (the
 /// scope joins all threads regardless), so which error surfaces is
 /// deterministic: it depends only on task order, never on thread
-/// scheduling. The sharded-store loader and the streaming refinement
-/// engine's signature phase both lean on this to report the same
-/// corrupt shard at every thread count.
+/// scheduling. The sharded-store loader leans on this to report the
+/// same corrupt shard at every thread count.
 pub fn scoped_try_map<T, R, E, F>(tasks: Vec<T>, f: F) -> Result<Vec<R>, E>
 where
     T: Send,
@@ -267,7 +212,6 @@ impl WorkerPool {
         let workers = (0..n)
             .map(|k| {
                 let rx = Arc::clone(&rx);
-                let completed = Arc::clone(&completed);
                 std::thread::Builder::new()
                     .name(format!("rdf-worker-{k}"))
                     .spawn(move || loop {
@@ -280,15 +224,9 @@ impl WorkerPool {
                             guard.recv()
                         };
                         match job {
-                            Ok(job) => {
-                                // A panic inside one request must not
-                                // take the worker down with it.
-                                let _ = catch_unwind(
-                                    AssertUnwindSafe(job),
-                                );
-                                completed
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
+                            // Every job catches its own panic (see
+                            // run_counted), so the worker survives it.
+                            Ok(job) => job(),
                             // Channel closed: pool is shutting down.
                             Err(_) => break,
                         }
@@ -321,11 +259,7 @@ impl WorkerPool {
     /// # Panics
     /// Panics if called after [`WorkerPool::shutdown`].
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.tx
-            .as_ref()
-            .expect("pool is shut down")
-            .send(Box::new(job))
-            .expect("pool workers alive while sender is held");
+        self.run_counted(job, |_| {});
     }
 
     /// Run `f` on the gang and block until it finishes, returning its
@@ -335,10 +269,35 @@ impl WorkerPool {
         f: impl FnOnce() -> R + Send + 'static,
     ) -> std::thread::Result<R> {
         let (tx, rx) = mpsc::channel();
-        self.submit(move || {
-            let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
+        self.run_counted(f, move |result| {
+            let _ = tx.send(result);
         });
         rx.recv().expect("pool worker dropped the result channel")
+    }
+
+    /// Enqueue `f`, catching its panic so the worker survives, then
+    /// count it as completed *before* handing its result to `deliver`:
+    /// a caller woken by the delivery always sees its own job in
+    /// [`WorkerPool::completed`].
+    fn run_counted<R>(
+        &self,
+        f: impl FnOnce() -> R + Send + 'static,
+        deliver: impl FnOnce(std::thread::Result<R>) + Send + 'static,
+    ) {
+        let completed = Arc::clone(&self.completed);
+        let job: Job = Box::new(move || {
+            let result = catch_unwind(AssertUnwindSafe(f));
+            // Relaxed is enough: the count publishes no other data, and
+            // `deliver`'s channel send orders this increment before the
+            // woken caller's load.
+            completed.fetch_add(1, Ordering::Relaxed);
+            deliver(result);
+        });
+        self.tx
+            .as_ref()
+            .expect("pool is shut down")
+            .send(job)
+            .expect("pool workers alive while sender is held");
     }
 
     /// Close the queue, drain queued jobs, and join every worker.
@@ -447,54 +406,30 @@ mod tests {
         assert!(empty.unwrap().is_empty());
     }
 
-    #[test]
-    fn timed_barrier_synchronises_and_attributes_waits() {
-        use rdf_obs::JsonlRecorder;
-        let workers = 4usize;
-        let barrier = TimedBarrier::new(workers);
-        let rec = Recorder::Jsonl(JsonlRecorder::to_writer(Box::new(
-            std::io::sink(),
-        )));
-        let null = Recorder::disabled();
-        let hits = Mutex::new(0usize);
-        std::thread::scope(|scope| {
-            for w in 1..workers {
-                let barrier = &barrier;
-                let rec = &rec;
-                let null = &null;
-                let hits = &hits;
-                scope.spawn(move || {
-                    barrier.wait_timed(rec, w);
-                    *hits.lock().unwrap() += 1;
-                    barrier.wait_timed(null, w);
-                });
-            }
-            barrier.wait_timed(&rec, 0);
-            *hits.lock().unwrap() += 1;
-            barrier.wait_timed(&null, 0);
-        });
-        assert_eq!(*hits.lock().unwrap(), workers);
-        let report = rec.finish().unwrap().expect("jsonl report");
-        // Every worker's timed wait left a counter entry (possibly 0µs,
-        // but the entry itself must exist).
-        for w in 0..workers {
-            assert!(
-                report
-                    .counter(&format!("par.barrier_wait_us.w{w}"))
-                    .is_some(),
-                "missing barrier counter for worker {w}"
-            );
-        }
-    }
-
-    #[test]
-    fn worker_pool_runs_jobs_and_returns_results() {
+    /// A fresh pool of four runs 32 jobs; every result comes back in
+    /// order and every job is counted by the time its result arrives.
+    fn pool_round_trip() {
         let pool = WorkerPool::new(Threads::Fixed(4));
         assert_eq!(pool.size(), 4);
         let results: Vec<u64> =
             (0..32u64).map(|i| pool.run(move || i * i).unwrap()).collect();
         assert_eq!(results, (0..32u64).map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(pool.completed(), 32);
+    }
+
+    #[test]
+    fn worker_pool_runs_jobs_and_returns_results() {
+        pool_round_trip();
+    }
+
+    /// A job must be counted before its result wakes the caller; when
+    /// the count trailed the delivery, the test above failed about one
+    /// run in eight, so it is repeated here until a race would show.
+    #[test]
+    fn worker_pool_completion_count_never_trails_results() {
+        for _ in 0..1_000 {
+            pool_round_trip();
+        }
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub enum Request {
         path: String,
         /// Compute the `--bisim` summary.
         bisim: bool,
-        /// Use the shard-at-a-time streaming engine (requires `bisim`
-        /// and a `.rdfm` manifest).
+        /// Retired: the streaming engine was removed, and the server
+        /// answers `true` with a `bad_request` error.
         streaming: bool,
         /// Per-request thread budget; `None` for the server default.
         threads: Option<usize>,
@@ -73,7 +73,8 @@ pub enum Request {
         method: String,
         /// Overlap threshold θ (overlap method only).
         theta: Option<f64>,
-        /// Run refinement through the streaming engine.
+        /// Retired: the streaming engine was removed, and the server
+        /// answers `true` with a `bad_request` error.
         streaming: bool,
         /// Per-request thread budget; `None` for the server default.
         threads: Option<usize>,

@@ -211,27 +211,6 @@ impl<'a> Container<'a> {
     /// Parse and fully validate a container (header fields, section
     /// framing, and every payload checksum).
     pub fn parse(bytes: &'a [u8]) -> Result<Self, StoreError> {
-        Self::parse_inner(bytes, true)
-    }
-
-    /// [`Container::parse`] minus the per-section checksum comparison:
-    /// framing, lengths and header fields are still fully validated,
-    /// but payload CRCs are *assumed* correct.
-    ///
-    /// Strictly for buffers whose checksums were already verified this
-    /// run (the streaming refinement engine re-reads each shard file
-    /// every round; [`crate::ShardedReader::open_streaming`] validates
-    /// every shard once up front, so the per-round re-parse must not
-    /// pay the checksum pass again). Never call this on bytes that have
-    /// not been through a checksummed parse first.
-    pub fn parse_trusted(bytes: &'a [u8]) -> Result<Self, StoreError> {
-        Self::parse_inner(bytes, false)
-    }
-
-    fn parse_inner(
-        bytes: &'a [u8],
-        verify_crc: bool,
-    ) -> Result<Self, StoreError> {
         let header = Self::parse_header(bytes)?;
         let mut pos = HEADER_LEN;
         let mut sections = Vec::with_capacity(header.sections as usize);
@@ -259,15 +238,13 @@ impl<'a> Container<'a> {
                     what: "section payload",
                 })?;
             pos = end;
-            if verify_crc {
-                let computed = crc32(payload);
-                if computed != stored {
-                    return Err(StoreError::ChecksumMismatch {
-                        section: tag,
-                        stored,
-                        computed,
-                    });
-                }
+            let computed = crc32(payload);
+            if computed != stored {
+                return Err(StoreError::ChecksumMismatch {
+                    section: tag,
+                    stored,
+                    computed,
+                });
             }
             sections.push((tag, payload));
         }

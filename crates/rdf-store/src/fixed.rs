@@ -250,10 +250,8 @@ pub fn decode_node_fixed(
         .collect())
 }
 
-/// Decode a fixed `TRPL` body into its three widened `u32` columns —
-/// the streaming loader's entry point (it groups the columns into
-/// [`rdf_model::ShardColumns`] without an intermediate triple vector).
-pub fn decode_trpl_fixed_cols(
+/// Decode a fixed `TRPL` body into its three widened `u32` columns.
+fn decode_trpl_fixed_cols(
     body: &[u8],
     expected: Option<u64>,
 ) -> Result<[Vec<u32>; 3], StoreError> {

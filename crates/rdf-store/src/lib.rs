@@ -75,5 +75,5 @@ pub use mmap::StoreBuf;
 pub use sharded::{
     open_any, save_sharded, save_sharded_layout, shard_of, AnyReader,
     Manifest, ShardEntry, ShardedInfo, ShardedReader, ShardedWriter,
-    StreamingStore, DEFAULT_SHARD_SEED, TAG_SHRD,
+    DEFAULT_SHARD_SEED, TAG_SHRD,
 };

@@ -3,8 +3,8 @@
 //!
 //! The I/O-efficient bisimulation literature (Luo et al., Hellings et
 //! al.) scales past RAM by partitioning the store itself. This module
-//! splits one graph across N shard files so import, load and (later)
-//! refinement parallelise over the `rdf-par` gang:
+//! splits one graph across N shard files so import and load
+//! parallelise over the `rdf-par` gang:
 //!
 //! * the **manifest** is an `RDFB` container of kind [`KIND_MANIFEST`]
 //!   carrying the *global* sections once — `SHRD` (hash seed + shard
@@ -31,21 +31,17 @@ use crate::container::{
     Container, ContainerWriter, Layout, KIND_MANIFEST, KIND_SHARD,
 };
 use crate::error::StoreError;
-use crate::fixed::{check_pad8, decode_trpl_fixed_cols, pad8};
+use crate::fixed::{check_pad8, pad8};
 use crate::graph_store::{
     decode_bnam, decode_dict_checked, decode_node, decode_trpl,
     encode_global_sections, encode_trpl_into, section_span, StoreReader,
     TAG_BNAM, TAG_DICT, TAG_NODE, TAG_TRPL,
 };
 use crate::varint::{read_varint, read_varint_u32, write_varint};
-use rdf_model::{
-    LabelId, LabelKind, NodeId, RdfGraph, ShardColumns,
-    ShardColumnsSource, Triple, TripleGraph, Vocab,
-};
+use rdf_model::{NodeId, RdfGraph, Triple, TripleGraph, Vocab};
 use rdf_obs::Recorder;
 use rdf_par::{chunk_ranges, scoped_try_map, Threads};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Tag of the manifest's shard-directory section.
@@ -470,81 +466,6 @@ impl ShardedReader {
     ) -> Result<Vec<u8>, StoreError> {
         read_shard_file(&self.dir, entry)
     }
-
-    /// Open the store for **streaming refinement**: decode only the
-    /// global sections (dictionary and node table) and keep the shard
-    /// directory, so [`StreamingStore::load_shard`] can serve one
-    /// shard's columns at a time. The triples are *never* stitched
-    /// into a resident [`TripleGraph`] — this is the external-memory
-    /// entry point of the Luo et al. / Hellings et al. construction.
-    ///
-    /// Every shard file is read and fully checksum-verified **here,
-    /// once** (manifest whole-file CRC plus the shard's own section
-    /// checksums); subsequent [`StreamingStore::load_shard`] calls
-    /// re-read the bytes but skip the checksum passes, so a 20-round
-    /// fixpoint pays for 20 reads and **one** validation — not 20.
-    /// Corruption therefore surfaces before any refinement work starts.
-    pub fn open_streaming(&self) -> Result<StreamingStore, StoreError> {
-        self.open_streaming_traced(Arc::new(Recorder::disabled()))
-            .map(|(store, _)| store)
-    }
-
-    /// [`ShardedReader::open_streaming`] with instrumentation, also
-    /// returning the [`ShardedInfo`] summary gathered by the one-time
-    /// validation pass (callers rendering `rdf info` output must not
-    /// pay a second full read). The recorder is retained by the store,
-    /// so later `shard.load` spans land in the same trace; the
-    /// validation pass itself emits one `shard.crc` span per shard
-    /// (fields: `shard`, `bytes`) — exactly once per run, regardless
-    /// of how many refinement rounds follow.
-    pub fn open_streaming_traced(
-        &self,
-        rec: Arc<Recorder>,
-    ) -> Result<(StreamingStore, ShardedInfo), StoreError> {
-        let c = Container::parse(&self.bytes)?;
-        let version = c.header().version;
-        let layout = c.header().layout();
-        let manifest = parse_manifest(&c)?;
-        let vocab =
-            decode_dict_checked(c.section(TAG_DICT)?, None, layout)?;
-        let (labels, kinds) = decode_node(
-            c.section(TAG_NODE)?,
-            &vocab,
-            Some(manifest.nodes),
-            layout,
-        )?;
-        // The one-time validation pass: whole-file CRC against the
-        // manifest, then the shard's own framing, kind, index and
-        // section checksums. load_shard trusts these from here on.
-        let mut shard_bytes = Vec::with_capacity(manifest.shards.len());
-        for (k, entry) in manifest.shards.iter().enumerate() {
-            let mut sp = rec.span("shard.crc");
-            sp.field("shard", k);
-            let bytes = read_shard_file(&self.dir, entry)?;
-            sp.field("bytes", bytes.len());
-            check_shard_crc(&bytes, entry)?;
-            shard_trpl_body(&bytes, k, entry)
-                .map_err(|e| wrap_in_shard(entry, e))?;
-            shard_bytes.push(bytes.len() as u64);
-        }
-        let info = ShardedInfo {
-            version,
-            manifest: manifest.clone(),
-            manifest_bytes: self.bytes.len(),
-            shard_bytes,
-        };
-        Ok((
-            StreamingStore {
-                dir: self.dir.clone(),
-                manifest,
-                vocab,
-                labels,
-                kinds,
-                recorder: rec,
-            },
-            info,
-        ))
-    }
 }
 
 /// Read, CRC-check and decode one shard file, emitting a `shard.load`
@@ -589,146 +510,6 @@ fn read_shard_file(
         }
         Err(e) => Err(e.into()),
     }
-}
-
-/// A sharded store opened for shard-at-a-time streaming: the global
-/// sections (dictionary, per-node labels and kinds) are resident, the
-/// triples stay on disk and are served one shard at a time through the
-/// [`ShardColumnsSource`] implementation.
-///
-/// Checksums are verified **once**, by the
-/// [`ShardedReader::open_streaming`] validation pass — each
-/// [`StreamingStore::load_shard`] call re-reads its shard file but
-/// skips the whole-file CRC and section-checksum passes (framing,
-/// lengths, kind, index and triple counts are still checked, so a file
-/// swapped mid-run still fails with a typed [`StoreError`]). Like any
-/// mmap'd reader, external modification of a store *during* a run is
-/// outside the supported contract.
-///
-/// Built by [`ShardedReader::open_streaming`]:
-///
-/// ```
-/// use rdf_model::{RdfGraphBuilder, ShardColumnsSource, Vocab};
-/// use rdf_store::{save_sharded, ShardedReader};
-///
-/// let dir = std::env::temp_dir().join(format!(
-///     "rdfb-doc-streaming-{}", std::process::id()));
-/// std::fs::create_dir_all(&dir).unwrap();
-/// let mut vocab = Vocab::new();
-/// let g = {
-///     let mut b = RdfGraphBuilder::new(&mut vocab);
-///     b.uub("ss", "address", "b1");
-///     b.bul("b1", "zip", "EH8");
-///     b.finish()
-/// };
-/// let manifest = dir.join("g.rdfm");
-/// save_sharded(&manifest, &vocab, &g, 2).unwrap();
-///
-/// let store = ShardedReader::open(&manifest)
-///     .unwrap()
-///     .open_streaming()
-///     .unwrap();
-/// assert_eq!(store.node_count(), g.node_count());
-/// let edges: usize = (0..store.shard_count())
-///     .map(|k| store.load_shard(k).unwrap().len())
-///     .sum();
-/// assert_eq!(edges, g.triple_count());
-/// # std::fs::remove_dir_all(&dir).unwrap();
-/// ```
-#[derive(Debug)]
-pub struct StreamingStore {
-    dir: PathBuf,
-    manifest: Manifest,
-    vocab: Vocab,
-    labels: Vec<LabelId>,
-    kinds: Vec<LabelKind>,
-    recorder: Arc<Recorder>,
-}
-
-impl StreamingStore {
-    /// Attach an instrumentation recorder: every subsequent
-    /// [`StreamingStore::load_shard`] emits a `shard.load` span (shard
-    /// index, file bytes — no `crc_us`: checksums were verified once at
-    /// open). Prefer [`ShardedReader::open_streaming_traced`], which
-    /// also captures the one-time `shard.crc` validation spans.
-    pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
-        self.recorder = recorder;
-    }
-
-    /// The parsed shard directory.
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
-    }
-
-    /// The store's dictionary.
-    pub fn vocab(&self) -> &Vocab {
-        &self.vocab
-    }
-
-    /// Per-node label ids (index = node id), decoded from the global
-    /// `NODE` section — the input to the initial labelling partition.
-    pub fn labels(&self) -> &[LabelId] {
-        &self.labels
-    }
-
-    /// Per-node label kinds (index = node id).
-    pub fn kinds(&self) -> &[LabelKind] {
-        &self.kinds
-    }
-}
-
-impl ShardColumnsSource for StreamingStore {
-    type Error = StoreError;
-
-    fn node_count(&self) -> usize {
-        self.labels.len()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.manifest.shards.len()
-    }
-
-    fn load_shard(&self, k: usize) -> Result<ShardColumns, StoreError> {
-        let entry = &self.manifest.shards[k];
-        let mut sp = self.recorder.span("shard.load");
-        sp.field("shard", k);
-        let bytes = read_shard_file(&self.dir, entry)?;
-        sp.field("bytes", bytes.len());
-        // No checksum pass here: open_streaming() validated this file
-        // (whole-file CRC + section CRCs) exactly once, up front.
-        decode_shard_columns(&bytes, k, entry)
-            .map_err(|e| wrap_in_shard(entry, e))
-    }
-}
-
-/// Decode one validated shard file straight into [`ShardColumns`]. The
-/// fixed layout feeds its widened columns through
-/// [`ShardColumns::from_sorted_iter`] — no intermediate `Vec<Triple>`
-/// and no varint work on the streaming hot path.
-fn decode_shard_columns(
-    bytes: &[u8],
-    index: usize,
-    entry: &ShardEntry,
-) -> Result<ShardColumns, StoreError> {
-    // Trusted parse: the streaming open already checksummed this file;
-    // the per-round re-parse validates framing and counts only.
-    let (body, layout) = shard_trpl_body_with(bytes, index, entry, true)?;
-    Ok(match layout {
-        Layout::Varint => ShardColumns::from_sorted_triples(&decode_trpl(
-            body,
-            Some(entry.triples),
-            layout,
-        )?),
-        Layout::Fixed => {
-            let [s, p, o] =
-                decode_trpl_fixed_cols(body, Some(entry.triples))?;
-            ShardColumns::from_sorted_iter(
-                s.iter().zip(&p).zip(&o).map(|((&s, &p), &o)| {
-                    Triple::new(NodeId(s), NodeId(p), NodeId(o))
-                }),
-            )
-        }
-    })
 }
 
 /// Parse the `SHRD` directory out of a validated manifest container and
@@ -888,23 +669,7 @@ fn shard_trpl_body<'a>(
     index: usize,
     entry: &ShardEntry,
 ) -> Result<(&'a [u8], Layout), StoreError> {
-    shard_trpl_body_with(bytes, index, entry, false)
-}
-
-/// [`shard_trpl_body`] with a `trusted` switch: a trusted parse skips
-/// the section-checksum comparison (for buffers validated earlier in
-/// the same run — the streaming engine's per-round re-reads).
-fn shard_trpl_body_with<'a>(
-    bytes: &'a [u8],
-    index: usize,
-    entry: &ShardEntry,
-    trusted: bool,
-) -> Result<(&'a [u8], Layout), StoreError> {
-    let c = if trusted {
-        Container::parse_trusted(bytes)?
-    } else {
-        Container::parse(bytes)?
-    };
+    let c = Container::parse(bytes)?;
     let header = *c.header();
     if header.kind != KIND_SHARD {
         return Err(StoreError::WrongContentKind {
@@ -1149,78 +914,6 @@ mod tests {
         assert_eq!(report.span("shard.load").unwrap().count, 3);
         assert_eq!(report.span("store.open").unwrap().count, 1);
         assert_eq!(report.span("store.section").unwrap().count, 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn streaming_validates_shard_crcs_once_per_run_not_per_round() {
-        let dir = tmp("crc-once");
-        let (vocab, g) = sample();
-        let manifest = dir.join("c.rdfm");
-        save_sharded(&manifest, &vocab, &g, 3).unwrap();
-        let reader = ShardedReader::open(&manifest).unwrap();
-
-        // Shared Vec<u8> sink so the raw JSONL lines can be inspected.
-        #[derive(Clone, Default)]
-        struct Buf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-        impl std::io::Write for Buf {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = Buf::default();
-        let rec = Arc::new(Recorder::jsonl_writer(Box::new(buf.clone())));
-        let (store, info) =
-            reader.open_streaming_traced(Arc::clone(&rec)).unwrap();
-        assert_eq!(info.shard_bytes.len(), 3);
-        // Simulate a 5-round fixpoint: every round re-reads every
-        // shard. The checksum pass must NOT scale with rounds.
-        let rounds = 5u64;
-        for _ in 0..rounds {
-            for k in 0..store.shard_count() {
-                store.load_shard(k).unwrap();
-            }
-        }
-        let report = rec.finish().unwrap().unwrap();
-        assert_eq!(report.span("shard.crc").unwrap().count, 3);
-        assert_eq!(report.span("shard.load").unwrap().count, rounds * 3);
-        let text =
-            String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        for line in text.lines().filter(|l| l.contains("shard.load")) {
-            assert!(
-                !line.contains("crc_us"),
-                "per-round CRC pass resurfaced: {line}"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_streaming_rejects_corrupt_shards_up_front() {
-        let dir = tmp("crc-eager");
-        let (vocab, g) = sample();
-        let manifest = dir.join("e.rdfm");
-        let paths = save_sharded(&manifest, &vocab, &g, 2).unwrap();
-        // Flip one payload byte in the last shard file: the damage must
-        // surface at open_streaming(), before any refinement round.
-        let shard_path = paths.last().unwrap();
-        let mut bytes = std::fs::read(shard_path).unwrap();
-        let mid = bytes.len() - 5;
-        bytes[mid] ^= 0xff;
-        std::fs::write(shard_path, &bytes).unwrap();
-        let err = ShardedReader::open(&manifest)
-            .unwrap()
-            .open_streaming()
-            .unwrap_err();
-        assert!(
-            matches!(err, StoreError::ShardChecksumMismatch { .. }),
-            "expected eager shard CRC failure, got {err:?}"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

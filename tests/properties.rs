@@ -10,7 +10,7 @@ use rdf_align::methods::{
 };
 use rdf_align::overlap::{overlap_sorted, PrefixBound};
 use rdf_align::refine::{
-    bisim_refine_step, bisimulation_partition, label_partition,
+    bisimulation_partition, label_partition, reference_refine_step,
 };
 use rdf_edit::hungarian::hungarian;
 use rdf_edit::levenshtein::{levenshtein, normalized_levenshtein};
@@ -99,9 +99,9 @@ proptest! {
     fn refinement_is_monotone(g in arb_triple_graph()) {
         let initial = label_partition(&g);
         let all = vec![true; g.node_count()];
-        let (step, _) = bisim_refine_step(&g, &initial, &all);
+        let (step, _) = reference_refine_step(&g, &initial, &all);
         prop_assert!(step.finer_than(&initial));
-        let (step2, _) = bisim_refine_step(&g, &step, &all);
+        let (step2, _) = reference_refine_step(&g, &step, &all);
         prop_assert!(step2.finer_than(&step));
     }
 

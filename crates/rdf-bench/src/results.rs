@@ -1,12 +1,10 @@
 //! Machine-readable benchmark records.
 //!
-//! Every benchmark / figure run writes a `BENCH_<name>.json` next to its
-//! human-readable output so the repo's perf trajectory is tracked in
-//! version control from PR 2 onward. The format is a single flat JSON
+//! Every figure run of the `repro` binary writes a `BENCH_<name>.json`
+//! next to its human-readable output. The format is a single flat JSON
 //! object — hand-rolled here because the offline dependency set carries
 //! no serde.
 
-use rdf_obs::RunReport;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -23,13 +21,6 @@ pub struct BenchRecord {
     pub nodes: usize,
     /// Triple count of the workload graph(s).
     pub triples: usize,
-    /// Extra numeric results (per-phase timings, ratios, …).
-    pub extra: Vec<(String, f64)>,
-    /// Aggregated trace of one instrumented run of the measured work,
-    /// emitted as a nested `"run_report"` object. Carried so every
-    /// `BENCH_*.json` explains *where* its wall time went (per-phase
-    /// span totals), not just what the headline number was.
-    pub report: Option<RunReport>,
 }
 
 impl BenchRecord {
@@ -37,10 +28,7 @@ impl BenchRecord {
     ///
     /// Every record automatically carries a `cores` parameter — the
     /// machine's [`std::thread::available_parallelism`] at measurement
-    /// time — so the benchmark-provenance caveat (see the README's
-    /// "Benchmark provenance" section) is machine-checkable: a reader
-    /// can reject speedup claims recorded on a single-core container
-    /// without trusting prose.
+    /// time — so a reader can tell what hardware a record came from.
     pub fn new(name: impl Into<String>, wall_ms: f64) -> Self {
         let cores = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -51,18 +39,7 @@ impl BenchRecord {
             wall_ms,
             nodes: 0,
             triples: 0,
-            extra: Vec::new(),
-            report: None,
         }
-    }
-
-    /// The `cores` provenance parameter, parsed back out of `params`.
-    fn cores(&self) -> usize {
-        self.params
-            .iter()
-            .find(|(k, _)| k == "cores")
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(1)
     }
 
     /// Attach a parameter.
@@ -75,43 +52,6 @@ impl BenchRecord {
     pub fn counts(mut self, nodes: usize, triples: usize) -> Self {
         self.nodes = nodes;
         self.triples = triples;
-        self
-    }
-
-    /// Attach an extra numeric result.
-    pub fn metric(mut self, key: &str, value: f64) -> Self {
-        self.extra.push((key.into(), value));
-        self
-    }
-
-    /// Attach a headline speedup metric — honestly.
-    ///
-    /// A parallel-speedup number measured on a single hardware core is
-    /// scheduler noise, not a result, so this method refuses to stamp
-    /// one: when the record's `cores` provenance parameter is 1 the
-    /// metric is emitted as JSON `null` and a one-time `caveat`
-    /// parameter explains why. On multi-core machines it behaves
-    /// exactly like [`BenchRecord::metric`].
-    ///
-    /// Use plain [`BenchRecord::metric`] for speedups that compare two
-    /// *algorithms* at the same thread count (those are meaningful on
-    /// any machine); use this for speedups that compare thread counts.
-    pub fn speedup(mut self, key: &str, value: f64) -> Self {
-        if self.cores() > 1 {
-            return self.metric(key, value);
-        }
-        const CAVEAT: &str = "recorded on 1 core: parallel speedups \
-                              suppressed (null)";
-        if !self.params.iter().any(|(k, _)| k == "caveat") {
-            self = self.param("caveat", CAVEAT);
-        }
-        // NaN renders as `null` through `json_number`.
-        self.metric(key, f64::NAN)
-    }
-
-    /// Attach the aggregated trace of one instrumented run.
-    pub fn with_report(mut self, report: RunReport) -> Self {
-        self.report = Some(report);
         self
     }
 
@@ -129,14 +69,8 @@ impl BenchRecord {
         out.push_str("},\n");
         let _ = writeln!(out, "  \"wall_ms\": {},", json_number(self.wall_ms));
         let _ = writeln!(out, "  \"nodes\": {},", self.nodes);
-        let _ = write!(out, "  \"triples\": {}", self.triples);
-        for (k, v) in &self.extra {
-            let _ = write!(out, ",\n  {}: {}", json_string(k), json_number(*v));
-        }
-        if let Some(report) = &self.report {
-            let _ = write!(out, ",\n  \"run_report\": {}", report.to_json());
-        }
-        out.push_str("\n}\n");
+        let _ = writeln!(out, "  \"triples\": {}", self.triples);
+        out.push_str("}\n");
         out
     }
 
@@ -186,13 +120,12 @@ mod tests {
 
     #[test]
     fn json_shape() {
-        let r = BenchRecord::new("store_load", 12.5)
+        let r = BenchRecord::new("fig9", 12.5)
             .param("scale", 1.0)
             .param("note", "with \"quotes\"\n")
-            .counts(100, 200)
-            .metric("speedup", 6.25);
+            .counts(100, 200);
         let j = r.to_json();
-        assert!(j.contains("\"name\": \"store_load\""));
+        assert!(j.contains("\"name\": \"fig9\""));
         // The provenance parameter is always present, first.
         assert!(j.contains("\"cores\": \""));
         assert!(j.contains("\"scale\": \"1\""));
@@ -200,7 +133,6 @@ mod tests {
         assert!(j.contains("\"wall_ms\": 12.5"));
         assert!(j.contains("\"nodes\": 100"));
         assert!(j.contains("\"triples\": 200"));
-        assert!(j.contains("\"speedup\": 6.25"));
         assert!(j.ends_with("}\n"));
         // Balanced braces, no trailing commas before a close.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
@@ -227,58 +159,5 @@ mod tests {
         assert_eq!(json_number(0.125), "0.125");
         assert_eq!(json_number(f64::NAN), "null");
         assert_eq!(json_number(f64::INFINITY), "null");
-    }
-
-    /// Force the `cores` provenance parameter to a known value so the
-    /// gate is testable regardless of the machine running the tests.
-    fn with_cores(mut r: BenchRecord, cores: usize) -> BenchRecord {
-        for (k, v) in &mut r.params {
-            if k == "cores" {
-                *v = cores.to_string();
-            }
-        }
-        r
-    }
-
-    #[test]
-    fn speedup_is_suppressed_on_one_core() {
-        let r = with_cores(BenchRecord::new("gate", 1.0), 1)
-            .speedup("speedup_t4", 3.5)
-            .speedup("speedup_t8", 5.0);
-        let j = r.to_json();
-        assert!(j.contains("\"speedup_t4\": null"), "got: {j}");
-        assert!(j.contains("\"speedup_t8\": null"), "got: {j}");
-        // One caveat parameter, even with several suppressed metrics.
-        assert_eq!(j.matches("\"caveat\"").count(), 1, "got: {j}");
-        assert!(j.contains("recorded on 1 core"), "got: {j}");
-    }
-
-    #[test]
-    fn speedup_passes_through_on_multicore() {
-        let r = with_cores(BenchRecord::new("gate", 1.0), 8)
-            .speedup("speedup_t4", 3.5);
-        let j = r.to_json();
-        assert!(j.contains("\"speedup_t4\": 3.5"), "got: {j}");
-        assert!(!j.contains("caveat"), "got: {j}");
-    }
-
-    #[test]
-    fn run_report_embeds_as_nested_object() {
-        let rec =
-            rdf_obs::Recorder::jsonl_writer(Box::new(std::io::sink()));
-        {
-            let mut sp = rec.span("unit.work");
-            sp.field("items", 3u64);
-        }
-        rec.counter("unit.count").add(7);
-        let report = rec.finish().unwrap().unwrap();
-        let j = BenchRecord::new("rep", 1.0)
-            .with_report(report)
-            .to_json();
-        assert!(j.contains("\"run_report\": {"), "got: {j}");
-        assert!(j.contains("\"unit.work\""), "got: {j}");
-        assert!(j.contains("\"unit.count\""), "got: {j}");
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.ends_with("}\n"));
     }
 }

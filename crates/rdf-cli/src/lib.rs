@@ -3,9 +3,8 @@
 //! Each subcommand is a plain function returning its report text, so the
 //! end-to-end tests can call the exact code the binary runs (and compare
 //! the binary's stdout against it byte-for-byte). Inputs may be `.rdfb`
-//! single-file stores, `.rdfm` sharded-store manifests, or N-Triples
-//! text; the format is resolved by [`pipeline`] from the file's magic
-//! bytes and container kind, never the extension.
+//! stores or N-Triples text; the format is resolved by [`pipeline`]
+//! from the file's magic bytes, never the extension.
 
 #![warn(missing_docs)]
 
@@ -18,12 +17,12 @@ use rdf_align::pipeline::{align_with_recorder, Aligned, Method};
 use rdf_align::{RefineEngine, Threads};
 use rdf_model::Vocab;
 use rdf_obs::{Recorder, RunReport};
-use rdf_store::{AnyReader, BorrowedStoreReader, Layout};
+use rdf_store::{BorrowedStoreReader, Layout};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-pub use pipeline::{load_input, load_input_traced, load_input_with};
+pub use pipeline::{load_input, load_input_traced};
 
 /// Any failure surfaced to the CLI user, with file context baked into
 /// the message.
@@ -44,108 +43,61 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// `rdf import [--shards N] [--layout varint|fixed] <input.nt>
-/// <output>` — stream-parse N-Triples into a dictionary-encoded store.
-/// Without `--shards` the output is one `.rdfb` file; with `--shards N`
-/// it is a `.rdfm` manifest plus N subject-hash-partitioned shard files
-/// next to it. `layout` selects the section encoding: varint (the
-/// default, byte-identical to previous releases) or the fixed-width
-/// zero-copy layout.
+/// `rdf import [--layout varint|fixed] <input.nt> <output.rdfb>` —
+/// stream-parse N-Triples into one dictionary-encoded `.rdfb` store.
+/// `layout` selects the section encoding: varint (the default,
+/// byte-identical to previous releases) or the fixed-width zero-copy
+/// layout.
 pub fn import(
     input: &Path,
     output: &Path,
-    shards: Option<usize>,
     layout: Layout,
 ) -> Result<String, CliError> {
-    import_traced(input, output, shards, layout, &Recorder::disabled())
+    import_traced(input, output, layout, &Recorder::disabled())
 }
 
-/// [`import`] with instrumentation: the streaming parse+write (or, for
-/// sharded output, the parse and the sharded write separately) are
-/// wrapped in spans. The report text is byte-identical to the untraced
-/// run.
+/// [`import`] with instrumentation: the streaming parse+write is
+/// wrapped in one `import.run` span. The report text is byte-identical
+/// to the untraced run.
 pub fn import_traced(
     input: &Path,
     output: &Path,
-    shards: Option<usize>,
     layout: Layout,
     rec: &Recorder,
 ) -> Result<String, CliError> {
     let file = std::fs::File::open(input).map_err(|e| ctx(input, e))?;
     let reader = std::io::BufReader::new(file);
     let in_bytes = std::fs::metadata(input).map(|m| m.len()).unwrap_or(0);
-    match shards {
-        None => {
-            let out =
-                std::fs::File::create(output).map_err(|e| ctx(output, e))?;
-            let mut sp = rec.span("import.run");
-            sp.field("bytes_in", in_bytes);
-            let (vocab, graph) = rdf_store::import_ntriples_layout(
-                reader,
-                std::io::BufWriter::new(out),
-                layout,
-            )
-            .map_err(|e| ctx(input, e))?;
-            sp.field("nodes", graph.node_count());
-            sp.field("triples", graph.triple_count());
-            drop(sp);
-            let out_bytes =
-                std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
-            Ok(format!(
-                "imported {} -> {}\n  nodes {} triples {} labels {}\n  {} bytes -> {} bytes\n",
-                input.display(),
-                output.display(),
-                graph.node_count(),
-                graph.triple_count(),
-                vocab.len(),
-                in_bytes,
-                out_bytes,
-            ))
-        }
-        Some(n) => {
-            let mut vocab = Vocab::new();
-            let graph = {
-                let mut sp = rec.span("import.parse");
-                sp.field("bytes_in", in_bytes);
-                rdf_io::parse_graph_reader(reader, &mut vocab)
-                    .map_err(|e| ctx(input, e))?
-            };
-            let paths = {
-                let mut sp = rec.span("import.write");
-                sp.field("shards", n);
-                sp.field("triples", graph.triple_count());
-                rdf_store::save_sharded_layout(
-                    output, &vocab, &graph, n, layout,
-                )
-                .map_err(|e| ctx(output, e))?
-            };
-            let out_bytes: u64 = paths
-                .iter()
-                .map(|p| {
-                    std::fs::metadata(p).map(|m| m.len()).unwrap_or(0)
-                })
-                .sum();
-            Ok(format!(
-                "imported {} -> {} ({} shards)\n  nodes {} triples {} labels {}\n  {} bytes -> {} bytes across {} files\n",
-                input.display(),
-                output.display(),
-                n,
-                graph.node_count(),
-                graph.triple_count(),
-                vocab.len(),
-                in_bytes,
-                out_bytes,
-                paths.len(),
-            ))
-        }
-    }
+    let out = std::fs::File::create(output).map_err(|e| ctx(output, e))?;
+    let mut sp = rec.span("import.run");
+    sp.field("bytes_in", in_bytes);
+    let (vocab, graph) = rdf_store::import_ntriples_layout(
+        reader,
+        std::io::BufWriter::new(out),
+        layout,
+    )
+    .map_err(|e| ctx(input, e))?;
+    sp.field("nodes", graph.node_count());
+    sp.field("triples", graph.triple_count());
+    drop(sp);
+    let out_bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
+    Ok(format!(
+        "imported {} -> {}\n  nodes {} triples {} labels {}\n  {} bytes -> {} bytes\n",
+        input.display(),
+        output.display(),
+        graph.node_count(),
+        graph.triple_count(),
+        vocab.len(),
+        in_bytes,
+        out_bytes,
+    ))
 }
 
-/// `rdf export <input> <output.nt>` — write a store of either layout
-/// back out as canonical (line-sorted) N-Triples.
+/// `rdf export <input> <output.nt>` — write a store back out as
+/// canonical (line-sorted) N-Triples.
 pub fn export(input: &Path, output: &Path) -> Result<String, CliError> {
     let (vocab, graph) = open_any(input)?
-        .read_graph(Threads::Auto)
+        .read_graph()
         .map_err(|e| ctx(input, e))?;
     rdf_io::save_file(output, &graph, &vocab).map_err(|e| ctx(output, e))?;
     Ok(format!(
@@ -158,8 +110,8 @@ pub fn export(input: &Path, output: &Path) -> Result<String, CliError> {
 }
 
 /// `rdf info [--bisim [--threads N]] <file>` — header, counts and
-/// per-section (or per-shard) sizes; all checksums — including every
-/// shard file of a manifest — are verified before this returns.
+/// per-section sizes; every section checksum is verified before this
+/// returns.
 ///
 /// With `bisim = Some(threads)`, graph stores additionally get a
 /// maximal-bisimulation summary (quotient classes and rounds) computed
@@ -168,130 +120,75 @@ pub fn info(input: &Path, bisim: Option<Threads>) -> Result<String, CliError> {
     info_traced(input, bisim, &Arc::new(Recorder::disabled()))
 }
 
-/// [`info`] with instrumentation: store loads emit `store.open` /
-/// `store.section` / `shard.load` spans and the `--bisim` refinement
-/// emits its `refine.*` spans into `rec`. The report text is
-/// byte-identical to the untraced run.
+/// [`info`] with instrumentation: the `--bisim` store view emits
+/// `store.open` / `store.section` spans and the refinement emits its
+/// `refine.*` spans into `rec`. The report text is byte-identical to
+/// the untraced run.
 pub fn info_traced(
     input: &Path,
     bisim: Option<Threads>,
     rec: &Arc<Recorder>,
 ) -> Result<String, CliError> {
-    match open_any(input)? {
-        AnyReader::Single(reader) => {
-            let info = reader.info().map_err(|e| ctx(input, e))?;
-            let kind = match info.header.kind {
-                rdf_store::KIND_GRAPH => "graph store",
-                rdf_store::KIND_ARCHIVE => "archive",
-                rdf_store::KIND_SHARD => {
-                    "graph shard (load via its .rdfm manifest)"
-                }
-                _ => "unknown",
-            };
-            let [c0, c1, c2] = info.header.counts;
-            let counts = match info.header.kind {
-                rdf_store::KIND_GRAPH => {
-                    format!("labels {c0} nodes {c1} triples {c2}")
-                }
-                rdf_store::KIND_ARCHIVE => {
-                    format!("versions {c0} entities {c1} distinct-triples {c2}")
-                }
-                rdf_store::KIND_SHARD => {
-                    format!("shard-index {c0} triples {c2}")
-                }
-                _ => format!("{c0} {c1} {c2}"),
-            };
-            let mut out = format!(
-                "{}: RDFB v{} {kind}, {} bytes, checksums OK\n  {counts}\n",
-                input.display(),
-                info.header.version,
-                info.file_bytes,
-            );
-            for (tag, bytes) in &info.sections {
-                out.push_str(&format!(
-                    "  section {tag}  {bytes} bytes  [{}]\n",
-                    section_encoding(info.layout, tag),
-                ));
-            }
-            if info.header.kind == rdf_store::KIND_GRAPH {
-                out.push_str(&format!(
-                    "  layout {}, load mode {}\n",
-                    info.layout,
-                    load_mode_label(&info),
-                ));
-            }
-            if let Some(threads) = bisim {
-                if info.header.kind == rdf_store::KIND_GRAPH {
-                    // Zero-copy path: serve the id columns as a view of
-                    // the (mapped) store buffer — fixed-layout stores
-                    // never materialise owned triple vectors here.
-                    let breader = BorrowedStoreReader::open(input)
-                        .map_err(|e| ctx(input, e))?;
-                    let (_, view) = breader
-                        .read_view_traced(rec)
-                        .map_err(|e| ctx(input, e))?;
-                    let cols = view.out_columns();
-                    let mut engine =
-                        RefineEngine::with_recorder(threads, Arc::clone(rec));
-                    let outcome =
-                        engine.bisimulation_columns(view.labels(), &cols);
-                    out.push_str(&bisim_line(
-                        outcome.partition.num_colors(),
-                        view.node_count(),
-                        outcome.rounds,
-                        engine.threads(),
-                    ));
-                } else {
-                    out.push_str(
-                        "  bisimulation: n/a (not a graph store)\n",
-                    );
-                }
-            }
-            Ok(out)
+    let reader = open_any(input)?;
+    let info = reader.info().map_err(|e| ctx(input, e))?;
+    let kind = match info.header.kind {
+        rdf_store::KIND_GRAPH => "graph store",
+        rdf_store::KIND_ARCHIVE => "archive",
+        _ => "unknown",
+    };
+    let [c0, c1, c2] = info.header.counts;
+    let counts = match info.header.kind {
+        rdf_store::KIND_GRAPH => {
+            format!("labels {c0} nodes {c1} triples {c2}")
         }
-        AnyReader::Sharded(reader) => {
-            // With --bisim the graph is needed anyway, so gather the
-            // info summary in the same pass instead of reading and
-            // CRC-checking every shard file twice.
-            let (info, graph) = match bisim {
-                None => (reader.info().map_err(|e| ctx(input, e))?, None),
-                Some(threads) => {
-                    let (info, _, graph) = reader
-                        .read_graph_with_info_traced(threads, rec)
-                        .map_err(|e| ctx(input, e))?;
-                    (info, Some(graph))
-                }
-            };
-            let m = &info.manifest;
-            let mut out = format!(
-                "{}: RDFB v{} sharded graph store ({} shards), {} bytes \
-                 total, checksums OK\n  nodes {} triples {} seed {:#018x}\n",
-                input.display(),
-                info.version,
-                m.shards.len(),
-                info.total_bytes(),
-                m.nodes,
-                m.triples,
-                m.seed,
-            );
-            out.push_str(&format!(
-                "  layout {}\n",
-                Layout::from_version(info.version).unwrap_or_default(),
+        rdf_store::KIND_ARCHIVE => {
+            format!("versions {c0} entities {c1} distinct-triples {c2}")
+        }
+        _ => format!("{c0} {c1} {c2}"),
+    };
+    let mut out = format!(
+        "{}: RDFB v{} {kind}, {} bytes, checksums OK\n  {counts}\n",
+        input.display(),
+        info.header.version,
+        info.file_bytes,
+    );
+    for (tag, bytes) in &info.sections {
+        out.push_str(&format!(
+            "  section {tag}  {bytes} bytes  [{}]\n",
+            section_encoding(info.layout, tag),
+        ));
+    }
+    if info.header.kind == rdf_store::KIND_GRAPH {
+        out.push_str(&format!(
+            "  layout {}, load mode {}\n",
+            info.layout,
+            load_mode_label(&info),
+        ));
+    }
+    if let Some(threads) = bisim {
+        if info.header.kind == rdf_store::KIND_GRAPH {
+            // Zero-copy path: serve the id columns as a view of the
+            // (mapped) store buffer — fixed-layout stores never
+            // materialise owned triple vectors here.
+            let breader =
+                BorrowedStoreReader::open(input).map_err(|e| ctx(input, e))?;
+            let (_, view) =
+                breader.read_view_traced(rec).map_err(|e| ctx(input, e))?;
+            let cols = view.out_columns();
+            let mut engine =
+                RefineEngine::with_recorder(threads, Arc::clone(rec));
+            let outcome = engine.bisimulation_columns(view.labels(), &cols);
+            out.push_str(&bisim_line(
+                outcome.partition.num_colors(),
+                view.node_count(),
+                outcome.rounds,
+                engine.threads(),
             ));
-            for (k, (entry, bytes)) in
-                m.shards.iter().zip(&info.shard_bytes).enumerate()
-            {
-                out.push_str(&format!(
-                    "  shard {k}: {}  triples {}  {} bytes\n",
-                    entry.name, entry.triples, bytes,
-                ));
-            }
-            if let (Some(threads), Some(graph)) = (bisim, &graph) {
-                out.push_str(&bisim_summary(graph, threads, rec));
-            }
-            Ok(out)
+        } else {
+            out.push_str("  bisimulation: n/a (not a graph store)\n");
         }
     }
+    Ok(out)
 }
 
 /// Render a store's load mode for `rdf info`. A widening load names
@@ -317,24 +214,7 @@ fn section_encoding(layout: Layout, tag: &str) -> &'static str {
     }
 }
 
-/// Render the `info --bisim` summary line for a loaded graph.
-fn bisim_summary(
-    graph: &rdf_model::RdfGraph,
-    threads: Threads,
-    rec: &Arc<Recorder>,
-) -> String {
-    let mut engine = RefineEngine::with_recorder(threads, Arc::clone(rec));
-    let bisim = engine.bisimulation(graph.graph());
-    bisim_line(
-        bisim.partition.num_colors(),
-        graph.node_count(),
-        bisim.rounds,
-        engine.threads(),
-    )
-}
-
-/// The one `info --bisim` summary format, shared by the single-file
-/// and sharded paths so their reports stay byte-identical.
+/// The one `info --bisim` summary line.
 fn bisim_line(
     classes: u32,
     nodes: usize,
@@ -427,11 +307,10 @@ impl AlignOutcome {
 }
 
 /// `rdf align [--method M] [--theta T] [--threads N] <source>
-/// <target>` — run the full pipeline over two inputs (single-file
-/// stores, sharded manifests or N-Triples, mixed freely). Refinement —
-/// and the sharded load, when a manifest is given — runs on the
-/// configured thread count; the reported metrics are bit-identical for
-/// every count.
+/// <target>` — run the full pipeline over two inputs (`.rdfb` stores
+/// or N-Triples, mixed freely). Refinement runs on the configured
+/// thread count; the reported metrics are bit-identical for every
+/// count.
 pub fn align(
     source: &Path,
     target: &Path,
@@ -463,8 +342,8 @@ pub fn align_traced(
 ) -> Result<AlignOutcome, CliError> {
     let method = parse_method(method_name, theta)?;
     let mut vocab = Vocab::new();
-    let g1 = load_input_traced(source, &mut vocab, threads, rec)?;
-    let g2 = load_input_traced(target, &mut vocab, threads, rec)?;
+    let g1 = load_input_traced(source, &mut vocab, rec)?;
+    let g2 = load_input_traced(target, &mut vocab, rec)?;
     let aligned =
         align_with_recorder(&vocab, &g1, &g2, method, threads, Arc::clone(rec));
     Ok(AlignOutcome {

@@ -1,8 +1,8 @@
 //! `rdf` — the pipeline from the shell: N-Triples → store → alignment.
 //!
 //! ```text
-//! rdf import [--shards N] [--layout varint|fixed] [--trace PATH]
-//!            <input.nt> <output>
+//! rdf import [--layout varint|fixed] [--trace PATH]
+//!            <input.nt> <output.rdfb>
 //! rdf export <input> <output.nt>
 //! rdf info   [--bisim] [--threads N] [--trace PATH] <file>
 //! rdf align  [--method trivial|deblank|hybrid|overlap] [--theta T]
@@ -13,13 +13,11 @@
 //! rdf request [--socket SOCK] [--trace-out PATH] <request-json>
 //! ```
 //!
-//! Store inputs may be `.rdfb` single files or `.rdfm` sharded
-//! manifests, and `align` also accepts N-Triples files, mixed freely
-//! (format is resolved from the magic bytes and container kind).
-//! Refinement — and the sharded load — runs on the deterministic
-//! parallel engine: `--threads` only changes wall-clock time, never the
-//! output. An unrecognised `--flag` is an error (exit 2), never an
-//! input path.
+//! A store is one `.rdfb` file, and `align` also accepts N-Triples
+//! files, mixed freely (format is resolved from the magic bytes).
+//! Refinement runs on the deterministic parallel engine: `--threads`
+//! only changes wall-clock time, never the output. An unrecognised
+//! `--flag` is an error (exit 2), never an input path.
 
 use rdf_align::{Recorder, Threads};
 use std::path::PathBuf;
@@ -30,24 +28,21 @@ const USAGE: &str = "\
 usage: rdf <command> [options]
 
 commands:
-  import [--shards N] [--layout varint|fixed] [--trace PATH]
-         <input.nt> <output>
-                                    parse N-Triples (streaming) into a
-                                    store: one .rdfb file, or with
-                                    --shards N a .rdfm manifest plus N
-                                    subject-hash-partitioned shards;
-                                    --layout fixed writes the zero-copy
-                                    fixed-width section layout (v2)
-  export <input> <output.nt>        write a store (single-file or
-                                    sharded) as canonical N-Triples
+  import [--layout varint|fixed] [--trace PATH]
+         <input.nt> <output.rdfb>
+                                    parse N-Triples (streaming) into one
+                                    .rdfb store; --layout fixed writes
+                                    the zero-copy fixed-width section
+                                    layout (v2)
+  export <input> <output.nt>        write a store as canonical N-Triples
   info   [--bisim] [--threads N] [--trace PATH] <file>
-                                    header, counts, sections/shards,
-                                    checksums; --bisim adds a maximal-
-                                    bisimulation summary (graph stores)
+                                    header, counts, sections, checksums;
+                                    --bisim adds a maximal-bisimulation
+                                    summary (graph stores)
   align  [--method M] [--theta T] [--threads N] [--trace PATH]
          <source> <target>
-                                    align two graphs (stores, manifests
-                                    or N-Triples, mixed freely);
+                                    align two graphs (stores or
+                                    N-Triples, mixed freely);
                                     M = trivial|deblank|hybrid|overlap
                                     (default hybrid)
   stats  <trace.jsonl>              aggregate a --trace file into a
@@ -87,60 +82,55 @@ Run `rdf <command> --help` for per-command details.
 
 EXAMPLES
   rdf gen --scale 0.25 --versions 2 --out-dir /tmp/efo
-  rdf import --shards 4 /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfm
-  rdf import --shards 4 /tmp/efo/efo-v2.nt /tmp/efo/v2.rdfm
-  rdf info --bisim /tmp/efo/v1.rdfm
-  rdf align --method hybrid --trace /tmp/efo/trace.jsonl /tmp/efo/v1.rdfm /tmp/efo/v2.rdfm
+  rdf import --layout fixed /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfb
+  rdf import --layout fixed /tmp/efo/efo-v2.nt /tmp/efo/v2.rdfb
+  rdf info --bisim /tmp/efo/v1.rdfb
+  rdf align --method hybrid --trace /tmp/efo/trace.jsonl /tmp/efo/v1.rdfb /tmp/efo/v2.rdfb
   rdf stats /tmp/efo/trace.jsonl
 ";
 
 const HELP_IMPORT: &str = "\
-usage: rdf import [--shards N] [--layout varint|fixed] [--trace PATH]
-                  <input.nt> <output>
+usage: rdf import [--layout varint|fixed] [--trace PATH]
+                  <input.nt> <output.rdfb>
 
-Parse N-Triples (streaming, one line resident at a time) into a
-dictionary-encoded store. Without --shards the output is a single
-.rdfb file; with --shards N it is a .rdfm manifest plus N
-subject-hash-partitioned .rdfb shard files written next to it.
---layout selects the section encoding: varint (default, the v1 bytes)
-or fixed, the v2 fixed-width layout whose id columns load zero-copy
-(`rdf info` shows the resulting layout and load mode). Readers resolve
-the layout from the store header, never the extension, so both
-layouts are accepted everywhere a store is. --trace PATH (or
-RDF_TRACE=PATH) appends timing events as JSONL; see `rdf stats`.
+Parse N-Triples (streaming, one line resident at a time) into one
+dictionary-encoded .rdfb store. --layout selects the section
+encoding: varint (default, the v1 bytes) or fixed, the v2 fixed-width
+layout whose id columns load zero-copy (`rdf info` shows the resulting
+layout and load mode). Readers resolve the layout from the store
+header, never the extension, so both layouts are accepted everywhere a
+store is. --trace PATH (or RDF_TRACE=PATH) appends timing events as
+JSONL; see `rdf stats`.
 
 EXAMPLES
   rdf import /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfb
   rdf import --layout fixed /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfb
-  rdf import --shards 4 /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfm
 ";
 
 const HELP_EXPORT: &str = "\
 usage: rdf export <input> <output.nt>
 
-Write a store of either layout (single-file .rdfb or sharded .rdfm)
-back out as canonical, line-sorted N-Triples.
+Write a .rdfb store of either layout (varint or fixed) back out as
+canonical, line-sorted N-Triples.
 
 EXAMPLES
   rdf export /tmp/efo/v1.rdfb /tmp/efo/v1-canonical.nt
-  rdf export /tmp/efo/v1.rdfm /tmp/efo/v1-canonical.nt
 ";
 
 const HELP_INFO: &str = "\
 usage: rdf info [--bisim] [--threads N] [--trace PATH] <file>
 
-Report the container header, counts and per-section (or per-shard)
-sizes; every checksum — including each shard file of a manifest — is
-verified first. --bisim adds a maximal-bisimulation summary (classes,
-rounds) for graph stores, computed on the deterministic parallel
-engine; the line is byte-identical for every --threads and for a store
-and its sharded copy. --trace PATH (or RDF_TRACE=PATH) appends load
-and refinement timing events as JSONL; see `rdf stats`.
+Report the container header, counts and per-section sizes; every
+checksum is verified first. --bisim adds a maximal-bisimulation
+summary (classes, rounds) for graph stores, computed on the
+deterministic parallel engine; the line is byte-identical for every
+--threads and for both layouts of the same graph. --trace PATH (or
+RDF_TRACE=PATH) appends load and refinement timing events as JSONL;
+see `rdf stats`.
 
 EXAMPLES
   rdf info /tmp/efo/v1.rdfb
   rdf info --bisim --threads 4 /tmp/efo/v1.rdfb
-  rdf info --bisim /tmp/efo/v1.rdfm
 ";
 
 const HELP_ALIGN: &str = "\
@@ -148,17 +138,16 @@ usage: rdf align [--method M] [--theta T] [--threads N] [--trace PATH]
                  <source> <target>
 
 Align two graph versions and print the report of §5 metrics. Inputs
-may be .rdfb stores, .rdfm sharded manifests or N-Triples text, mixed
-freely. M = trivial|deblank|hybrid|overlap (default hybrid); --theta
-sets the overlap threshold. The report is byte-identical at every
---threads. --trace PATH (or RDF_TRACE=PATH) appends load, union and
-per-round refinement timing events as JSONL without changing the
-report; see `rdf stats`.
+may be .rdfb stores or N-Triples text, mixed freely. M =
+trivial|deblank|hybrid|overlap (default hybrid); --theta sets the
+overlap threshold. The report is byte-identical at every --threads.
+--trace PATH (or RDF_TRACE=PATH) appends load, union and per-round
+refinement timing events as JSONL without changing the report; see
+`rdf stats`.
 
 EXAMPLES
   rdf align --method hybrid /tmp/efo/v1.rdfb /tmp/efo/v2.rdfb
   rdf align --method overlap --theta 0.5 /tmp/efo/v1.rdfb /tmp/efo/v2.rdfb
-  rdf align /tmp/efo/v1.rdfm /tmp/efo/v2.rdfm
 ";
 
 const HELP_STATS: &str = "\
@@ -196,7 +185,7 @@ JSON response line back; `info` and `align` reports are byte-identical
 to the one-shot commands' stdout. docs/PROTOCOL.md is the normative
 wire spec.
 
-Align inputs that are single-file stores are decoded once and kept in
+Align inputs that are stores are decoded once and kept in
 an in-memory pool keyed by content hash, bounded by --cache-bytes B
 (default 268435456): a warm request skips the store open entirely.
 Eviction is least-recently-used by resident bytes, preferring to keep
@@ -279,7 +268,6 @@ fn run(args: &[String]) -> Result<String, String> {
             if wants_help(rest) {
                 return Ok(HELP_IMPORT.to_string());
             }
-            let mut shards: Option<usize> = None;
             let mut layout = rdf_store::Layout::default();
             let mut trace: Option<PathBuf> = None;
             let mut inputs: Vec<PathBuf> = Vec::new();
@@ -297,19 +285,6 @@ fn run(args: &[String]) -> Result<String, String> {
                                 )
                             })?;
                     }
-                    "--shards" => {
-                        let n = it
-                            .next()
-                            .ok_or("--shards needs a count")?
-                            .parse::<usize>()
-                            .map_err(|_| "--shards needs a count")?;
-                        if n == 0 {
-                            return Err(
-                                "--shards needs a positive count".into()
-                            );
-                        }
-                        shards = Some(n);
-                    }
                     "--trace" => {
                         trace = Some(PathBuf::from(
                             it.next().ok_or("--trace needs a path")?,
@@ -323,7 +298,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 .map_err(|_| "import takes exactly two paths")?;
             let rec = trace_recorder(trace)?;
             let out =
-                rdf_cli::import_traced(&input, &output, shards, layout, &rec)
+                rdf_cli::import_traced(&input, &output, layout, &rec)
                     .map_err(|e| e.to_string())?;
             finish_trace(&rec)?;
             Ok(out)

@@ -1,21 +1,19 @@
 //! Input resolution for the CLI pipeline: every subcommand that reads a
-//! graph goes through here, so `.rdfb` single-file stores, `.rdfm`
-//! sharded manifests and plain N-Triples text are accepted anywhere a
-//! store path is accepted — resolved by file *content* (container magic
-//! and kind byte), never by extension.
+//! graph goes through here, so `.rdfb` stores and plain N-Triples text
+//! are accepted anywhere a store path is accepted — resolved by file
+//! *content* (the container magic), never by extension.
 
 use crate::CliError;
-use rdf_align::Threads;
 use rdf_model::{rebase_into, RdfGraph, Vocab};
 use rdf_obs::Recorder;
-use rdf_store::AnyReader;
+use rdf_store::StoreReader;
 use std::path::Path;
 
 pub(crate) fn ctx(path: &Path, e: impl std::fmt::Display) -> CliError {
     CliError::new(format!("{}: {e}", path.display()))
 }
 
-/// Sniff a file: `.rdfb`/`.rdfm` containers open with the `RDFB` magic,
+/// Sniff a file: `.rdfb` containers open with the `RDFB` magic,
 /// anything else is treated as N-Triples text.
 pub fn is_store(path: &Path) -> Result<bool, CliError> {
     use std::io::Read;
@@ -31,47 +29,33 @@ pub fn is_store(path: &Path) -> Result<bool, CliError> {
     Ok(magic == rdf_store::MAGIC)
 }
 
-/// Open a store of either on-disk layout (single-file or sharded),
-/// with the path baked into any error. This is the one store-opening
-/// path the CLI has: `info`, `export` and `align` all route through it
-/// instead of assuming a single-file store exists.
-pub fn open_any(path: &Path) -> Result<AnyReader, CliError> {
-    rdf_store::open_any(path).map_err(|e| ctx(path, e))
+/// Read a `.rdfb` store into memory for a heap decode, with the path
+/// baked into any error. `info`, `export` and `align` all open their
+/// stores here.
+pub fn open_any(path: &Path) -> Result<StoreReader, CliError> {
+    StoreReader::open(path).map_err(|e| ctx(path, e))
 }
 
-/// Load either input format (store of either layout, or N-Triples) into
-/// the shared session vocabulary, on the default thread configuration.
+/// Load either input format (a `.rdfb` store or N-Triples) into the
+/// shared session vocabulary.
 pub fn load_input(
     path: &Path,
     vocab: &mut Vocab,
 ) -> Result<RdfGraph, CliError> {
-    load_input_with(path, vocab, Threads::Auto)
+    load_input_traced(path, vocab, &Recorder::disabled())
 }
 
-/// [`load_input`] with an explicit thread configuration — `threads`
-/// drives the parallel shard load for manifests and is ignored
-/// otherwise. The loaded graph is identical for every thread count.
-pub fn load_input_with(
-    path: &Path,
-    vocab: &mut Vocab,
-    threads: Threads,
-) -> Result<RdfGraph, CliError> {
-    load_input_traced(path, vocab, threads, &Recorder::disabled())
-}
-
-/// [`load_input_with`] with instrumentation: store loads emit
-/// `store.open` / `store.section` / `shard.load` spans into `rec`
-/// (N-Triples text loads are not instrumented). The loaded graph is
-/// identical to the untraced load.
+/// [`load_input`] with instrumentation: store loads emit `store.open`
+/// and `store.section` spans into `rec` (N-Triples text loads are not
+/// instrumented). The loaded graph is identical to the untraced load.
 pub fn load_input_traced(
     path: &Path,
     vocab: &mut Vocab,
-    threads: Threads,
     rec: &Recorder,
 ) -> Result<RdfGraph, CliError> {
     if is_store(path)? {
         let (store_vocab, graph) = open_any(path)?
-            .read_graph_traced(threads, rec)
+            .read_graph_traced(rdf_par::Threads::Auto, rec)
             .map_err(|e| ctx(path, e))?;
         // Re-express the store's dictionary in the session vocabulary:
         // O(|dictionary|) string work, nothing per node or triple.
@@ -95,9 +79,9 @@ mod tests {
         dir
     }
 
-    /// The open-any satellite: nonexistent paths, `.rdfb` single files
-    /// and `.rdfm` manifests each resolve correctly (and with the path
-    /// in the error message on failure).
+    /// Every input shape resolves: a `.rdfb` store and N-Triples text
+    /// load to the same graph, and an absent path is an error naming
+    /// the path.
     #[test]
     fn open_any_covers_every_input_shape() {
         let dir = tmp("openany");
@@ -108,29 +92,19 @@ mod tests {
             b.bul("b1", "zip", "EH8");
             b.finish()
         };
-        let single = dir.join("g.rdfb");
-        rdf_store::save_graph(&single, &vocab, &g).unwrap();
-        let manifest = dir.join("g.rdfm");
-        rdf_store::save_sharded(&manifest, &vocab, &g, 3).unwrap();
+        let store = dir.join("g.rdfb");
+        rdf_store::save_graph(&store, &vocab, &g).unwrap();
+        let text = dir.join("g.nt");
+        rdf_io::save_file(&text, &g, &vocab).unwrap();
 
-        assert!(matches!(
-            open_any(&single).unwrap(),
-            AnyReader::Single(_)
-        ));
-        assert!(matches!(
-            open_any(&manifest).unwrap(),
-            AnyReader::Sharded(_)
-        ));
+        let (_, direct) = open_any(&store).unwrap().read_graph().unwrap();
+        assert_eq!(direct.graph().triples(), g.graph().triples());
         let err = open_any(&dir.join("absent.rdfb")).unwrap_err();
         assert!(err.to_string().contains("absent.rdfb"), "got: {err}");
 
-        // And both layouts load to the same graph through the shared
-        // session-vocabulary path.
         let mut session = Vocab::new();
-        let a = load_input(&single, &mut session).unwrap();
-        let b =
-            load_input_with(&manifest, &mut session, Threads::Fixed(2))
-                .unwrap();
+        let a = load_input(&store, &mut session).unwrap();
+        let b = load_input(&text, &mut session).unwrap();
         assert_eq!(a.graph().triples(), b.graph().triples());
         assert_eq!(a.graph().labels_raw(), b.graph().labels_raw());
         let _ = std::fs::remove_dir_all(&dir);

@@ -6,8 +6,8 @@
 //!
 //! * a line-delimited JSON protocol (types in the `rdf-serve` crate —
 //!   `docs/PROTOCOL.md` is normative);
-//! * an LRU **store cache** keyed by content hash: single-file graph
-//!   stores are decoded once and served to every request; eviction is
+//! * an LRU **store cache** keyed by content hash: graph stores are
+//!   decoded once and served to every request; eviction is
 //!   by resident bytes, preferring to keep fixed-layout (v2) entries,
 //!   whose on-disk columns are the mmap-shareable ones;
 //! * a persistent [`rdf_par::WorkerPool`] handling connections, so
@@ -29,7 +29,7 @@ use rdf_model::{rebase_into, RdfGraph, Vocab};
 use rdf_obs::Recorder;
 use rdf_par::WorkerPool;
 use rdf_serve::{ErrorKind, Request, Response};
-use rdf_store::{Container, StoreReader, FORMAT_VERSION_FIXED, KIND_MANIFEST};
+use rdf_store::{Container, StoreReader, FORMAT_VERSION_FIXED};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -210,9 +210,9 @@ impl ServeState {
         }
     }
 
-    /// Load one `align` input, through the cache when it is a
-    /// single-file store. Returns the graph rebased into the request's
-    /// session vocabulary plus whether it was served warm.
+    /// Load one `align` input, through the cache when it is a store.
+    /// Returns the graph rebased into the request's session vocabulary
+    /// plus whether it was served warm.
     ///
     /// Cached loads replay the exact one-shot pipeline
     /// ([`load_input_traced`]: decode → `rebase_into`), just with the
@@ -222,24 +222,16 @@ impl ServeState {
         &self,
         path: &Path,
         session: &mut Vocab,
-        threads: Threads,
         rec: &Recorder,
     ) -> Result<(RdfGraph, bool), CliError> {
         if !is_store(path)? {
             // N-Triples text: uncached (cheap relative to stores, and
             // keeping it out preserves the parse-order contract).
-            return load_input_traced(path, session, threads, rec)
-                .map(|g| (g, false));
+            return load_input_traced(path, session, rec).map(|g| (g, false));
         }
         let bytes = std::fs::read(path).map_err(|e| ctx(path, e))?;
         let header =
             Container::parse_header(&bytes).map_err(|e| ctx(path, e))?;
-        if header.kind == KIND_MANIFEST {
-            // Sharded store: the manifest hash would not cover the
-            // shard files, so serve it uncached.
-            return load_input_traced(path, session, threads, rec)
-                .map(|g| (g, false));
-        }
         let key = fnv1a(&bytes);
         let resident = bytes.len() as u64;
         let v2 = header.version == FORMAT_VERSION_FIXED;
@@ -253,7 +245,7 @@ impl ServeState {
         // Miss: decode under the lock so concurrent requests for the
         // same store pay one decode, not N.
         let (vocab, graph) = StoreReader::from_bytes(bytes)
-            .read_graph_traced(rec)
+            .read_graph_traced(Threads::Auto, rec)
             .map_err(|e| ctx(path, e))?;
         let store = Arc::new(CachedStore { vocab, graph });
         cache.insert(key, resident, v2, Arc::clone(&store));
@@ -372,7 +364,6 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
         Request::Import {
             input,
             output,
-            shards,
             layout,
             threads: _,
             trace: _,
@@ -393,7 +384,6 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
                 Ok(layout) => crate::import_traced(
                     Path::new(&input),
                     Path::new(&output),
-                    shards,
                     layout,
                     &rec,
                 )
@@ -480,10 +470,8 @@ fn align_cached(
     let source = Path::new(source);
     let target = Path::new(target);
     let mut vocab = Vocab::new();
-    let (g1, warm1) =
-        state.load_cached(source, &mut vocab, threads, rec)?;
-    let (g2, warm2) =
-        state.load_cached(target, &mut vocab, threads, rec)?;
+    let (g1, warm1) = state.load_cached(source, &mut vocab, rec)?;
+    let (g2, warm2) = state.load_cached(target, &mut vocab, rec)?;
     let aligned =
         align_with_recorder(&vocab, &g1, &g2, method, threads, Arc::clone(rec));
     let outcome = AlignOutcome {
@@ -833,12 +821,12 @@ mod tests {
         let rec = Recorder::disabled();
         let mut v1 = Vocab::new();
         let (g1, warm1) = state
-            .load_cached(&path, &mut v1, Threads::Fixed(1), &rec)
+            .load_cached(&path, &mut v1, &rec)
             .unwrap();
         assert!(!warm1);
         let mut v2 = Vocab::new();
         let (g2, warm2) = state
-            .load_cached(&path, &mut v2, Threads::Fixed(1), &rec)
+            .load_cached(&path, &mut v2, &rec)
             .unwrap();
         assert!(warm2);
         assert_eq!(g1.graph().triples(), g2.graph().triples());
@@ -866,7 +854,7 @@ mod tests {
         for p in [&a, &b, &c] {
             let mut v = Vocab::new();
             state
-                .load_cached(p, &mut v, Threads::Fixed(1), &rec)
+                .load_cached(p, &mut v, &rec)
                 .unwrap();
         }
         let cache = state.cache.lock().unwrap();

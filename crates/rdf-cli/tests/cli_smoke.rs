@@ -210,9 +210,13 @@ fn full_pipeline_matches_in_process_alignment() {
     assert_eq!(metrics(&cli_report), metrics(&nt_report));
 }
 
+/// The two store layouts are interchangeable everywhere: a varint and
+/// a fixed-layout `.rdfb` of the same graph export byte-identical
+/// N-Triples, align to byte-identical metrics at 1 and 4 threads, and
+/// give the same `info --bisim` line.
 #[test]
-fn sharded_flow_matches_single_file_flow() {
-    let dir = TempDir::new("sharded");
+fn layouts_are_interchangeable_in_every_command() {
+    let dir = TempDir::new("layouts");
     run_ok(&[
         "gen",
         "--scale",
@@ -225,138 +229,108 @@ fn sharded_flow_matches_single_file_flow() {
     let v1_nt = dir.path("efo-v1.nt");
     let v2_nt = dir.path("efo-v2.nt");
 
-    // Import each version twice: single-file and 4-way sharded.
+    // Import each version in both layouts.
     let v1_store = dir.path("v1.rdfb");
     let v2_store = dir.path("v2.rdfb");
     run_ok(&["import", s(&v1_nt), s(&v1_store)]);
     run_ok(&["import", s(&v2_nt), s(&v2_store)]);
-    let v1_man = dir.path("v1.rdfm");
-    let v2_man = dir.path("v2.rdfm");
-    let imp = run_ok(&["import", "--shards", "4", s(&v1_nt), s(&v1_man)]);
-    assert!(imp.contains("(4 shards)"), "got: {imp}");
-    run_ok(&["import", "--shards", "4", s(&v2_nt), s(&v2_man)]);
-    for k in 0..4 {
-        assert!(
-            dir.path(&format!("v1-shard-{k}.rdfb")).exists(),
-            "shard {k} written"
-        );
-    }
+    let v1_fixed = dir.path("v1-fixed.rdfb");
+    let v2_fixed = dir.path("v2-fixed.rdfb");
+    run_ok(&["import", "--layout", "fixed", s(&v1_nt), s(&v1_fixed)]);
+    run_ok(&["import", "--layout", "fixed", s(&v2_nt), s(&v2_fixed)]);
+    let info_out = run_ok(&["info", s(&v1_fixed)]);
+    assert!(info_out.contains("layout fixed"), "got: {info_out}");
 
-    // info validates the manifest and every shard file.
-    let info_out = run_ok(&["info", s(&v1_man)]);
-    assert!(info_out.contains("sharded graph store (4 shards)"));
-    assert!(info_out.contains("checksums OK"));
-    for k in 0..4 {
-        assert!(
-            info_out.contains(&format!("shard {k}: v1-shard-{k}.rdfb")),
-            "info lists shard {k}: {info_out}"
-        );
-    }
-    // info on a bare shard file identifies it and points at the
-    // manifest (a shard alone is not a loadable graph).
-    let shard_info = run_ok(&["info", s(&dir.path("v1-shard-0.rdfb"))]);
-    assert!(
-        shard_info.contains("graph shard") && shard_info.contains(".rdfm"),
-        "got: {shard_info}"
-    );
-
-    // The single-file and manifest node/triple counts agree.
-    let single_info = run_ok(&["info", s(&v1_store)]);
-    let pick = |r: &str, key: &str| -> String {
-        r.lines()
-            .find(|l| l.contains(key))
-            .unwrap_or_default()
-            .split(key)
-            .nth(1)
-            .unwrap_or_default()
-            .split_whitespace()
-            .next()
-            .unwrap_or_default()
-            .to_owned()
-    };
+    // export(fixed) == export(varint), byte for byte.
+    let from_varint = dir.path("varint.nt");
+    let from_fixed = dir.path("fixed.nt");
+    run_ok(&["export", s(&v1_store), s(&from_varint)]);
+    run_ok(&["export", s(&v1_fixed), s(&from_fixed)]);
     assert_eq!(
-        pick(&info_out, "nodes "),
-        pick(&single_info, "nodes ")
-    );
-    assert_eq!(
-        pick(&info_out, "triples "),
-        pick(&single_info, "triples ")
+        std::fs::read(&from_varint).unwrap(),
+        std::fs::read(&from_fixed).unwrap(),
+        "fixed-layout export diverged from varint export"
     );
 
-    // export(manifest) == export(single store), byte for byte.
-    let from_single = dir.path("single.nt");
-    let from_sharded = dir.path("sharded.nt");
-    run_ok(&["export", s(&v1_store), s(&from_single)]);
-    run_ok(&["export", s(&v1_man), s(&from_sharded)]);
-    assert_eq!(
-        std::fs::read(&from_single).unwrap(),
-        std::fs::read(&from_sharded).unwrap(),
-        "sharded export diverged from single-file export"
-    );
-
-    // align over manifests: metrics byte-identical to the single-file
-    // flow (only the source/target path lines differ), at 1 and 4
-    // threads, and identical to the in-process pipeline.
-    let single_report =
+    // align over fixed-layout stores: metrics byte-identical to the
+    // varint flow (only the source/target path lines differ), at 1 and
+    // 4 threads, and the binary prints exactly the library render.
+    let varint_report =
         run_ok(&["align", "--method", "hybrid", s(&v1_store), s(&v2_store)]);
     for t in ["1", "4"] {
-        let sharded_report = run_ok(&[
+        let fixed_report = run_ok(&[
             "align", "--method", "hybrid", "--threads", t,
-            s(&v1_man), s(&v2_man),
+            s(&v1_fixed), s(&v2_fixed),
         ]);
         assert_eq!(
-            metrics(&single_report),
-            metrics(&sharded_report),
-            "sharded align metrics diverged at {t} threads"
+            metrics(&varint_report),
+            metrics(&fixed_report),
+            "fixed-layout align metrics diverged at {t} threads"
         );
     }
     let outcome = rdf_cli::align(
-        &v1_man,
-        &v2_man,
+        &v1_fixed,
+        &v2_fixed,
         "hybrid",
         None,
         rdf_align::Threads::Auto,
     )
     .unwrap();
     let cli_report =
-        run_ok(&["align", "--method", "hybrid", s(&v1_man), s(&v2_man)]);
+        run_ok(&["align", "--method", "hybrid", s(&v1_fixed), s(&v2_fixed)]);
     assert_eq!(cli_report, outcome.render());
 
-    // info --bisim over the manifest agrees with the single store.
-    let bisim_sharded =
-        run_ok(&["info", "--bisim", "--threads", "2", s(&v1_man)]);
-    let bisim_single =
-        run_ok(&["info", "--bisim", "--threads", "2", s(&v1_store)]);
+    // info --bisim agrees across layouts.
     let bisim_line = |r: &str| {
         r.lines()
             .find(|l| l.contains("bisimulation:"))
             .map(str::to_owned)
             .expect("report has a bisimulation line")
     };
-    assert_eq!(bisim_line(&bisim_sharded), bisim_line(&bisim_single));
+    let bisim = |store: &Path| {
+        bisim_line(&run_ok(&["info", "--bisim", "--threads", "2", s(store)]))
+    };
+    assert_eq!(bisim(&v1_fixed), bisim(&v1_store));
+}
 
-    // Corrupting one shard fails loudly with the shard named.
-    let shard = dir.path("v1-shard-2.rdfb");
-    let mut bytes = std::fs::read(&shard).unwrap();
-    let at = bytes.len() - 1;
-    bytes[at] ^= 0xff;
-    std::fs::write(&shard, bytes).unwrap();
-    let err = run_err(&["info", s(&v1_man)]);
-    assert!(
-        err.contains("v1-shard-2.rdfb") && err.contains("checksum"),
-        "got: {err}"
-    );
-    // And a missing shard is a typed error too.
-    std::fs::remove_file(&shard).unwrap();
-    let err = run_err(&["align", s(&v1_man), s(&v2_man)]);
-    assert!(err.contains("v1-shard-2.rdfb"), "got: {err}");
-
-    // Invalid --shards values are rejected up front.
-    let err = run_err(&["import", "--shards", "0", s(&v1_nt), s(&v1_man)]);
-    assert!(err.contains("--shards"), "got: {err}");
-    let err =
-        run_err(&["import", "--shards", "lots", s(&v1_nt), s(&v1_man)]);
-    assert!(err.contains("--shards"), "got: {err}");
+/// Content kinds 3 and 4 belonged to the retired sharded layout. A
+/// container carrying either is refused by every command that reads a
+/// store — one-shot and served — with an error naming the path, a
+/// non-zero exit and no panic.
+#[test]
+fn retired_store_kinds_fail_with_the_path_named() {
+    let dir = TempDir::new("retired");
+    let nt = dir.path("x.nt");
+    std::fs::write(&nt, "<u:s> <u:p> <u:o> .\n").unwrap();
+    for kind in rdf_store::RETIRED_KINDS {
+        let path = dir.path(&format!("kind{kind}.rdfb"));
+        let mut w = rdf_store::ContainerWriter::new();
+        w.section(*b"DICT", vec![0]);
+        let mut bytes = Vec::new();
+        w.finish(&mut bytes, kind, [1, 0, 0]).unwrap();
+        std::fs::write(&path, bytes).unwrap();
+        let out_nt = dir.path("out.nt");
+        for args in [
+            vec!["align", s(&path), s(&nt)],
+            vec!["align", s(&nt), s(&path)],
+            vec!["info", "--bisim", s(&path)],
+            vec!["info", s(&path)],
+            vec!["export", s(&path), s(&out_nt)],
+        ] {
+            let out = Command::new(bin())
+                .args(&args)
+                .output()
+                .expect("binary runs");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "rdf {args:?}: {err}");
+            assert!(
+                err.contains(s(&path)) && err.contains("retired"),
+                "rdf {args:?}: got {err}"
+            );
+            assert!(!err.contains("panicked"), "rdf {args:?}: got {err}");
+        }
+        assert!(!out_nt.exists(), "export wrote output for kind {kind}");
+    }
 }
 
 #[test]
@@ -422,10 +396,10 @@ fn help_examples_execute_and_cover_every_subcommand() {
         let out = run_ok(&argv);
         assert!(!out.is_empty(), "example `rdf {args:?}` printed nothing");
     }
-    // The advertised pipeline really exercised the sharded path.
+    // The advertised pipeline really exercised the fixed layout.
     assert!(
-        examples.iter().any(|a| a.contains(&"--shards".to_string())),
-        "top-level examples should show --shards: {examples:?}"
+        examples.iter().any(|a| a.contains(&"--layout".to_string())),
+        "top-level examples should show --layout: {examples:?}"
     );
 
     // Per-subcommand help: an EXAMPLES block that addresses the
@@ -463,25 +437,17 @@ fn trace_and_stats_cover_span_families() {
         "--out-dir",
         s(&dir.0),
     ]);
-    let v1_man = dir.path("v1.rdfm");
-    let v2_man = dir.path("v2.rdfm");
-    run_ok(&[
-        "import", "--shards", "4",
-        s(&dir.path("efo-v1.nt")), s(&v1_man),
-    ]);
-    run_ok(&[
-        "import", "--shards", "4",
-        s(&dir.path("efo-v2.nt")), s(&v2_man),
-    ]);
+    let v1 = dir.path("v1.rdfb");
+    let v2 = dir.path("v2.rdfb");
+    run_ok(&["import", s(&dir.path("efo-v1.nt")), s(&v1)]);
+    run_ok(&["import", "--layout", "fixed", s(&dir.path("efo-v2.nt")), s(&v2)]);
 
     // Traced and untraced runs print byte-identical reports.
-    let untraced = run_ok(&[
-        "align", "--method", "hybrid", s(&v1_man), s(&v2_man),
-    ]);
+    let untraced = run_ok(&["align", "--method", "hybrid", s(&v1), s(&v2)]);
     let trace = dir.path("t.jsonl");
     let traced = run_ok(&[
         "align", "--method", "hybrid", "--trace", s(&trace),
-        s(&v1_man), s(&v2_man),
+        s(&v1), s(&v2),
     ]);
     assert_eq!(untraced, traced, "--trace changed the report");
 
@@ -507,7 +473,7 @@ fn trace_and_stats_cover_span_families() {
 
     // stats aggregates the trace and names the span families.
     let stats_out = run_ok(&["stats", s(&trace)]);
-    for family in ["refine.round", "shard.load", "align.union"] {
+    for family in ["refine.round", "store.section", "align.union"] {
         assert!(
             stats_out.contains(family),
             "stats table misses {family}:\n{stats_out}"
@@ -517,12 +483,12 @@ fn trace_and_stats_cover_span_families() {
     // The report line alone must agree with re-aggregating the events.
     let report = rdf_obs::RunReport::from_jsonl(&text).unwrap();
     assert!(report.span("refine.round").is_some());
-    assert!(report.span("shard.load").is_some());
+    assert!(report.span("store.section").is_some());
 
     // RDF_TRACE traces without the flag, through the same machinery.
     let trace_env = dir.path("env.jsonl");
     let out = Command::new(bin())
-        .args(["info", "--bisim", s(&v1_man)])
+        .args(["info", "--bisim", s(&v1)])
         .env("RDF_TRACE", &trace_env)
         .output()
         .expect("binary runs");
@@ -530,7 +496,7 @@ fn trace_and_stats_cover_span_families() {
     assert!(trace_env.exists(), "RDF_TRACE wrote no trace");
     let env_stats = run_ok(&["stats", s(&trace_env)]);
     assert!(env_stats.contains("refine.round"), "got: {env_stats}");
-    assert!(env_stats.contains("shard.load"), "got: {env_stats}");
+    assert!(env_stats.contains("store.section"), "got: {env_stats}");
 
     // A malformed trace is a loud, contextful error.
     let bad = dir.path("bad.jsonl");
@@ -578,16 +544,17 @@ fn errors_exit_nonzero_with_context() {
 
 /// A mistyped or retired flag is an error naming the flag and the
 /// command (exit 2) — never an input path that surfaces later as a
-/// confusing argument-count error. `--streaming` was retired with the
-/// shard-at-a-time engine and now takes the same path.
+/// confusing argument-count error. The retired `--streaming` and
+/// `--shards` flags take the same path.
 #[test]
 fn unknown_flags_are_rejected_not_read_as_paths() {
     for (args, flag, cmd) in [
         (vec!["align", "--thread", "1", "a.rdfb", "b.rdfb"], "--thread", "align"),
         (vec!["align", "--streaming", "a.rdfb", "b.rdfb"], "--streaming", "align"),
         (vec!["info", "--bsim", "x.rdfb"], "--bsim", "info"),
-        (vec!["info", "--bisim", "--streaming", "x.rdfm"], "--streaming", "info"),
+        (vec!["info", "--bisim", "--streaming", "x.rdfb"], "--streaming", "info"),
         (vec!["import", "--layot", "fixed", "x.nt", "y"], "--layot", "import"),
+        (vec!["import", "--shards", "4", "x.nt", "y"], "--shards", "import"),
         (vec!["export", "--shards", "2", "x.rdfb", "y"], "--shards", "export"),
         (vec!["stats", "--json"], "--json", "stats"),
         (vec!["gen", "--scal", "1", "--out-dir", "d"], "--scal", "gen"),

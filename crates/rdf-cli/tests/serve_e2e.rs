@@ -383,3 +383,48 @@ fn streaming_requests_get_bad_request() {
         assert!(good.contains(r#""ok":true"#), "{good}");
     }
 }
+
+/// The sharded layout is gone from the daemon too: an `import` that
+/// asks for shards is a `bad_request` (nothing is written), and an
+/// `align` over a container of a retired kind fails with the path
+/// named. Neither costs the connection or the daemon.
+#[test]
+fn sharded_imports_and_retired_kinds_get_typed_errors() {
+    let dir = TempDir::new("retired");
+    let (v1, v2) = fixture(&dir);
+    let retired = dir.path("kind3.rdfb");
+    let mut w = rdf_store::ContainerWriter::new();
+    w.section(*b"DICT", vec![0]);
+    let mut bytes = Vec::new();
+    w.finish(&mut bytes, rdf_store::RETIRED_KINDS[0], [1, 0, 0])
+        .unwrap();
+    std::fs::write(&retired, bytes).unwrap();
+    let out = dir.path("sharded.out");
+    let daemon = Daemon::start(&dir.path("rdf.sock"), &[]);
+    let replies = raw_roundtrips(
+        &daemon.socket,
+        &[
+            &format!(
+                r#"{{"op":"import","input":"{}","output":"{}","shards":4}}"#,
+                dir.path("efo-v1.nt").display(),
+                out.display()
+            ),
+            &align_request(&retired, &v2),
+            &align_request(&v1, &v2),
+        ],
+    );
+    assert!(replies[0].contains(r#""kind":"bad_request""#), "{}", replies[0]);
+    assert!(
+        replies[0].contains("sharded stores were removed"),
+        "{}",
+        replies[0]
+    );
+    assert!(!out.exists(), "a rejected import wrote {}", out.display());
+    assert!(replies[1].contains(r#""ok":false"#), "{}", replies[1]);
+    assert!(
+        replies[1].contains(s(&retired)) && replies[1].contains("retired"),
+        "{}",
+        replies[1]
+    );
+    assert!(replies[2].contains(r#""ok":true"#), "{}", replies[2]);
+}

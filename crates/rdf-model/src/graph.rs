@@ -253,50 +253,6 @@ impl TripleGraph {
             out_pairs,
         })
     }
-
-    /// Stitch a graph together from several *runs* of triples — the
-    /// deserialisation path of a sharded store, where each shard holds a
-    /// sorted slice of the triple set partitioned by subject hash.
-    ///
-    /// Runs that are individually sorted (as every well-formed shard is)
-    /// are merged in `O(total · runs)` head-comparison work without a
-    /// global re-sort, so the stitched triple vector — and therefore the
-    /// CSR arrays built from it — is **bit-identical** to
-    /// [`TripleGraph::from_raw_parts`] over the concatenation of all
-    /// runs, which in turn matches a single-file load of the same graph.
-    /// An unsorted run degrades gracefully: the merged vector falls back
-    /// to the sort-and-dedup path inside `from_raw_parts`.
-    pub fn from_sorted_runs(
-        labels: Vec<LabelId>,
-        kinds: Vec<LabelKind>,
-        runs: Vec<Vec<Triple>>,
-    ) -> Result<TripleGraph, RawPartsError> {
-        let total: usize = runs.iter().map(Vec::len).sum();
-        let mut merged = Vec::with_capacity(total);
-        // Iterate each run front to back; repeatedly take the smallest
-        // head. Run counts are small (shard counts), so a linear scan of
-        // the heads beats a heap in practice and stays obviously
-        // deterministic.
-        let mut heads: Vec<std::iter::Peekable<std::vec::IntoIter<Triple>>> =
-            runs.into_iter().map(|r| r.into_iter().peekable()).collect();
-        loop {
-            let mut best: Option<(usize, Triple)> = None;
-            for (i, it) in heads.iter_mut().enumerate() {
-                if let Some(&t) = it.peek() {
-                    if best.is_none_or(|(_, b)| t < b) {
-                        best = Some((i, t));
-                    }
-                }
-            }
-            match best {
-                Some((i, _)) => {
-                    merged.push(heads[i].next().expect("peeked head"))
-                }
-                None => break,
-            }
-        }
-        TripleGraph::from_raw_parts(labels, kinds, merged)
-    }
 }
 
 /// Grouped-CSR form of a graph's outbound adjacency (see
@@ -656,62 +612,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(g.triples(), g2.triples());
-    }
-
-    #[test]
-    fn sorted_runs_stitch_identically_to_raw_parts() {
-        let mut v = Vocab::new();
-        let mut b = GraphBuilder::new();
-        let nodes: Vec<NodeId> = (0..6)
-            .map(|i| b.add_node(v.uri(&format!("n{i}")), &v))
-            .collect();
-        for i in 0..6usize {
-            for j in 0..6usize {
-                if (i * 7 + j) % 3 != 0 {
-                    b.add_triple(nodes[i], nodes[(i + j) % 6], nodes[j]);
-                }
-            }
-        }
-        let g = b.freeze();
-        // Partition the sorted triples by a subject hash into 3 runs —
-        // each run stays sorted, subjects interleave across runs.
-        let mut runs: Vec<Vec<Triple>> = vec![Vec::new(); 3];
-        for &t in g.triples() {
-            runs[(t.s.0 as usize * 2654435761) % 3].push(t);
-        }
-        let stitched = TripleGraph::from_sorted_runs(
-            g.labels_raw().to_vec(),
-            g.kinds_raw().to_vec(),
-            runs,
-        )
-        .unwrap();
-        assert_eq!(stitched.triples(), g.triples());
-        assert_eq!(stitched.labels_raw(), g.labels_raw());
-        for n in g.nodes() {
-            assert_eq!(stitched.out(n), g.out(n));
-        }
-        // Degenerate shapes: no runs, and empty runs among real ones.
-        let empty = TripleGraph::from_sorted_runs(
-            g.labels_raw().to_vec(),
-            g.kinds_raw().to_vec(),
-            vec![Vec::new(), g.triples().to_vec(), Vec::new()],
-        )
-        .unwrap();
-        assert_eq!(empty.triples(), g.triples());
-    }
-
-    #[test]
-    fn unsorted_runs_still_build_the_sorted_graph() {
-        let (_, g) = tiny();
-        let mut backwards = g.triples().to_vec();
-        backwards.reverse();
-        let stitched = TripleGraph::from_sorted_runs(
-            g.labels_raw().to_vec(),
-            g.kinds_raw().to_vec(),
-            vec![backwards],
-        )
-        .unwrap();
-        assert_eq!(stitched.triples(), g.triples());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The workspace runs every fixpoint through one engine,
 //! [`RefineEngine`], whose *equivalence* to the sequential reference is
 //! proven by the bit-identity suites but whose *behavior* (rounds,
-//! splits per round, signature vs. canonicalise time, shard and section
-//! I/O) would be invisible without tracing. This crate makes that
+//! splits per round, signature vs. canonicalise time, section I/O)
+//! would be invisible without tracing. This crate makes that
 //! behavior observable without perturbing it:
 //!
 //! * [`Recorder`] — the instrumentation handle threaded through hot
@@ -19,15 +19,15 @@
 //! * counters ([`Recorder::counter`]) and gauges ([`Recorder::gauge`]) —
 //!   aggregate-only metrics. They deliberately emit **no** per-update
 //!   event lines, so the number of events in a trace depends only on the
-//!   structure of the run (rounds, shards, sections), never on the
+//!   structure of the run (rounds, blocks, sections), never on the
 //!   thread count — that invariant is what lets the test suite assert
 //!   event-count determinism across thread counts.
 //! * [`JsonlRecorder`] — the enabled recorder: appends one JSON object
 //!   per line (see `docs/TRACE_FORMAT.md`) and aggregates everything
 //!   into a final [`RunReport`].
 //! * [`RunReport`] — per-span-family totals, counter table, gauge table
-//!   and core count; renders as JSON (embedded in `BENCH_*.json`) or as
-//!   a text table (`rdf stats`).
+//!   and core count; renders as JSON (the trace's final line) or as a
+//!   text table (`rdf stats`).
 //!
 //! There is intentionally **no** global or thread-local recorder.
 //! Recorders are plain values handed down by the caller (usually as

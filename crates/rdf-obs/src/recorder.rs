@@ -114,7 +114,8 @@ pub struct NullRecorder;
 /// A two-variant enum rather than a `&dyn Record`: the null arm costs
 /// one predictable branch per call site and lets the optimiser erase
 /// instrumentation from monomorphic loops, which is what keeps the
-/// default path inside the <3% `refine_scale` regression budget.
+/// untraced path's cost near zero (`perfbench/` reports it as
+/// `trace_overhead_pct`).
 pub enum Recorder {
     /// Record nothing (the default everywhere).
     Null(NullRecorder),
@@ -195,7 +196,7 @@ impl Recorder {
     }
 
     /// Handle on a named gauge. Gauges keep the **maximum** value seen
-    /// (the use cases are peaks: residency, shard bytes) and, like
+    /// (the use cases are peaks: residency, buffer bytes) and, like
     /// counters, surface only in the final [`RunReport`].
     pub fn gauge<'a>(&'a self, name: &'a str) -> Gauge<'a> {
         Gauge {
@@ -364,7 +365,7 @@ struct Inner {
 /// and aggregates spans, counters and gauges into a [`RunReport`].
 ///
 /// All state sits behind one mutex; the intended emitters are
-/// per-round / per-shard / per-section events, orders of magnitude
+/// per-round / per-block / per-section events, orders of magnitude
 /// rarer than the per-node work they measure, so contention is not a
 /// concern. I/O errors during emission are sticky and reported by
 /// [`JsonlRecorder::finish`] (span emission happens in `Drop`, which
@@ -588,14 +589,14 @@ mod tests {
             for w in 0..4usize {
                 let rec = Arc::clone(&rec);
                 scope.spawn(move || {
-                    let mut sp = rec.span("shard.load");
+                    let mut sp = rec.span("store.section");
                     sp.field("worker", w);
                     rec.counter(&format!("w{w}")).add(1);
                 });
             }
         });
         let report = rec.finish().unwrap().unwrap();
-        assert_eq!(report.span("shard.load").unwrap().count, 4);
+        assert_eq!(report.span("store.section").unwrap().count, 4);
         for w in 0..4 {
             assert_eq!(report.counter(&format!("w{w}")), Some(1));
         }

@@ -1,13 +1,13 @@
 //! The aggregated run report: per-span-family totals, counter and
-//! gauge tables, rendered as JSON (for `BENCH_*.json` embedding) or as
-//! a text table (`rdf stats`), and re-derivable from a trace file.
+//! gauge tables, rendered as JSON (the trace's final `report` line) or
+//! as a text table (`rdf stats`), and re-derivable from a trace file.
 
 use std::fmt::Write as _;
 
 use crate::json::{self, escape, Json};
 
 /// Aggregate over every span event sharing one name ("family"):
-/// `refine.round`, `shard.load`, `store.section`, ….
+/// `refine.round`, `store.open`, `store.section`, ….
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanTotal {
     /// Span family name.
@@ -292,7 +292,7 @@ mod tests {
                     total_us: 600,
                 },
                 SpanTotal {
-                    name: "shard.load".into(),
+                    name: "store.section".into(),
                     count: 4,
                     total_us: 100,
                 },
@@ -330,12 +330,12 @@ mod tests {
         let trace = concat!(
             "{\"ev\":\"span\",\"name\":\"refine.round\",\"us\":100,\"round\":1}\n",
             "{\"ev\":\"span\",\"name\":\"refine.round\",\"us\":200,\"round\":2}\n",
-            "{\"ev\":\"span\",\"name\":\"shard.load\",\"us\":5,\"shard\":0}\n",
+            "{\"ev\":\"span\",\"name\":\"store.section\",\"us\":5,\"section\":\"DICT\"}\n",
         );
         let r = RunReport::from_jsonl(trace).unwrap();
         assert_eq!(r.span("refine.round").unwrap().count, 2);
         assert_eq!(r.span("refine.round").unwrap().total_us, 300);
-        assert_eq!(r.span("shard.load").unwrap().count, 1);
+        assert_eq!(r.span("store.section").unwrap().count, 1);
     }
 
     #[test]
@@ -354,7 +354,7 @@ mod tests {
     fn table_names_span_families() {
         let table = sample().render_table();
         assert!(table.contains("refine.round"));
-        assert!(table.contains("shard.load"));
+        assert!(table.contains("store.section"));
         assert!(table.contains("cores = 2"));
         assert!(table.contains("mem.peak_bytes = 4096"));
     }

@@ -3,7 +3,7 @@
 //! The container building this workspace is offline, so there is no
 //! rayon; the vendored shims stay `rand`/`proptest`/`criterion` only.
 //! This crate provides the minimal substrate the parallel refinement
-//! engine (and future sharded-store work) needs on plain
+//! engine and the `rdf serve` daemon need on plain
 //! [`std::thread::scope`]:
 //!
 //! * [`Threads`] — a thread-count configuration: explicit `N`, or an
@@ -151,29 +151,6 @@ where
         .into_iter()
         .map(|r| r.expect("every task ran to completion"))
         .collect()
-}
-
-/// Fallible [`scoped_map`]: run `f(index, task)` for every task on
-/// scoped threads, then return all results in task order — or the error
-/// of the **lowest-indexed** failing task.
-///
-/// Every task runs to completion even when an earlier one fails (the
-/// scope joins all threads regardless), so which error surfaces is
-/// deterministic: it depends only on task order, never on thread
-/// scheduling. The sharded-store loader leans on this to report the
-/// same corrupt shard at every thread count.
-pub fn scoped_try_map<T, R, E, F>(tasks: Vec<T>, f: F) -> Result<Vec<R>, E>
-where
-    T: Send,
-    R: Send,
-    E: Send,
-    F: Fn(usize, T) -> Result<R, E> + Sync,
-{
-    let mut out = Vec::with_capacity(tasks.len());
-    for r in scoped_map(tasks, f) {
-        out.push(r?);
-    }
-    Ok(out)
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -383,27 +360,6 @@ mod tests {
             }
         });
         assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
-    }
-
-    #[test]
-    fn scoped_try_map_collects_or_reports_first_error() {
-        let ok: Result<Vec<u32>, String> =
-            scoped_try_map((0u32..9).collect(), |_, t| Ok(t * 2));
-        assert_eq!(ok.unwrap(), (0..9).map(|t| t * 2).collect::<Vec<_>>());
-        // Two failing tasks: the lowest-indexed error wins regardless of
-        // which thread finished first.
-        let err: Result<Vec<u32>, String> =
-            scoped_try_map((0u32..9).collect(), |i, t| {
-                if i == 3 || i == 7 {
-                    Err(format!("task {t} failed"))
-                } else {
-                    Ok(t)
-                }
-            });
-        assert_eq!(err.unwrap_err(), "task 3 failed");
-        let empty: Result<Vec<u32>, String> =
-            scoped_try_map(Vec::<u32>::new(), |_, t| Ok(t));
-        assert!(empty.unwrap().is_empty());
     }
 
     /// A fresh pool of four runs 32 jobs; every result comes back in

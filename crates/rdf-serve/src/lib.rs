@@ -35,10 +35,8 @@ pub enum Request {
     Import {
         /// Input N-Triples path.
         input: String,
-        /// Output store path (`.rdfb`, or `.rdfm` with `shards`).
+        /// Output `.rdfb` store path.
         output: String,
-        /// Shard count for a sharded store; `None` for single-file.
-        shards: Option<usize>,
         /// Section layout: `"varint"` or `"fixed"`; `None` for the
         /// server default (varint).
         layout: Option<String>,
@@ -47,7 +45,7 @@ pub enum Request {
         /// Return the request's JSONL trace in the response.
         trace: bool,
     },
-    /// `info`: header/section/shard summary, optionally with a
+    /// `info`: header and per-section summary, optionally with a
     /// bisimulation quotient summary (mirrors `rdf info`).
     Info {
         /// Store path.
@@ -109,10 +107,18 @@ impl Request {
         }
         let op = req_str(&v, "op")?;
         match op.as_str() {
+            // Unknown fields are ignored, but this one was a real
+            // field: silently dropping it would write one file where
+            // the client asked for a sharded store.
+            "import" if v.get("shards").is_some() => {
+                Err(ProtocolError::new(
+                    "field \"shards\" is not supported: sharded stores \
+                     were removed; import writes one .rdfb file",
+                ))
+            }
             "import" => Ok(Request::Import {
                 input: req_str(&v, "input")?,
                 output: req_str(&v, "output")?,
-                shards: opt_usize(&v, "shards")?,
                 layout: opt_str(&v, "layout")?,
                 threads: opt_usize(&v, "threads")?,
                 trace: opt_bool(&v, "trace")?.unwrap_or(false),
@@ -148,14 +154,12 @@ impl Request {
             Request::Import {
                 input,
                 output,
-                shards,
                 layout,
                 threads,
                 trace,
             } => {
                 push_str_field(&mut s, "input", input);
                 push_str_field(&mut s, "output", output);
-                push_opt_num(&mut s, "shards", *shards);
                 if let Some(l) = layout {
                     push_str_field(&mut s, "layout", l);
                 }
@@ -444,7 +448,6 @@ mod tests {
             Request::Import {
                 input: "a.nt".into(),
                 output: "a.rdfb".into(),
-                shards: Some(4),
                 layout: Some("fixed".into()),
                 threads: Some(2),
                 trace: true,
@@ -523,6 +526,26 @@ mod tests {
                 "{line}: expected {needle:?} in {err}"
             );
         }
+    }
+
+    /// `shards` was a real import field; with the sharded layout gone
+    /// it is rejected rather than ignored like an unknown field, so a
+    /// client never gets one file where it asked for shards.
+    #[test]
+    fn import_with_shards_is_rejected() {
+        let base = r#"{"op":"import","input":"a.nt","output":"a.rdfb""#;
+        for shards in ["4", "1", "null"] {
+            let line = format!(r#"{base},"shards":{shards}}}"#);
+            let err = Request::parse(&line).unwrap_err();
+            assert!(
+                err.to_string().contains("sharded stores were removed"),
+                "{line}: got {err}"
+            );
+        }
+        assert!(matches!(
+            Request::parse(&format!("{base}}}")),
+            Ok(Request::Import { .. })
+        ));
     }
 
     #[test]

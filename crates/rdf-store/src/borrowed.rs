@@ -263,7 +263,7 @@ impl BorrowedStoreReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph_store::graph_to_bytes_layout;
+    use crate::graph_store::{graph_to_bytes, graph_to_bytes_layout};
     use rdf_model::RdfGraphBuilder;
 
     fn sample() -> (Vocab, rdf_model::RdfGraph) {
@@ -359,19 +359,30 @@ mod tests {
 
     #[test]
     fn wrong_kind_rejected() {
+        // The graph's own sections under another kind byte: an archive
+        // is the wrong kind, and the sharded-layout kinds are retired.
         let (vocab, g) = sample();
-        let dir = std::env::temp_dir().join(format!(
-            "rdf-borrowed-kind-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let manifest = dir.join("m.rdfm");
-        crate::save_sharded(&manifest, &vocab, &g, 2).unwrap();
-        let reader = BorrowedStoreReader::open(&manifest).unwrap();
-        assert!(matches!(
-            reader.read_view(),
-            Err(StoreError::WrongContentKind { .. })
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let bytes = graph_to_bytes(&vocab, &g).unwrap();
+        let c = Container::parse(&bytes).unwrap();
+        for kind in [crate::KIND_ARCHIVE, 3, 4] {
+            let mut w = crate::ContainerWriter::new();
+            for (tag, payload) in c.sections() {
+                w.section(*tag, payload.to_vec());
+            }
+            let mut out = Vec::new();
+            w.finish(&mut out, kind, c.header().counts).unwrap();
+            let reader =
+                BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&out));
+            match (kind, reader.read_view().map(|_| ())) {
+                (
+                    crate::KIND_ARCHIVE,
+                    Err(StoreError::WrongContentKind { .. }),
+                ) => {}
+                (3 | 4, Err(StoreError::RetiredKind { found })) => {
+                    assert_eq!(found, kind)
+                }
+                (kind, other) => panic!("kind {kind}: got {other:?}"),
+            }
+        }
     }
 }

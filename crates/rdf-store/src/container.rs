@@ -20,7 +20,6 @@
 
 use crate::checksum::crc32;
 use crate::error::StoreError;
-use std::borrow::Cow;
 
 /// The four magic bytes opening every container.
 pub const MAGIC: [u8; 4] = *b"RDFB";
@@ -97,13 +96,10 @@ pub const KIND_GRAPH: u8 = 1;
 /// Content kind: a multi-version archive.
 pub const KIND_ARCHIVE: u8 = 2;
 
-/// Content kind: a sharded-store manifest (global dictionary + shard
-/// directory; the triples live in [`KIND_SHARD`] files).
-pub const KIND_MANIFEST: u8 = 3;
-
-/// Content kind: one shard of a sharded graph store (a subject-hash
-/// partition of the triple set; meaningless without its manifest).
-pub const KIND_SHARD: u8 = 4;
+/// Content kinds 3 and 4, retired with the sharded store layout (a
+/// manifest and its shard files). [`Container::parse_header`] rejects
+/// them with [`StoreError::RetiredKind`]; the numbers stay reserved.
+pub const RETIRED_KINDS: [u8; 2] = [3, 4];
 
 /// Size of the fixed header in bytes.
 pub const HEADER_LEN: usize = 32;
@@ -134,29 +130,20 @@ impl Header {
 }
 
 /// Accumulates tagged sections, then writes the whole container.
-///
-/// Payloads are [`Cow`]s so hot writers (the sharded import loop) can
-/// hand the same scratch buffer to successive sections without a fresh
-/// allocation per section.
 #[derive(Debug, Default)]
-pub struct ContainerWriter<'a> {
-    sections: Vec<([u8; 4], Cow<'a, [u8]>)>,
+pub struct ContainerWriter {
+    sections: Vec<([u8; 4], Vec<u8>)>,
 }
 
-impl<'a> ContainerWriter<'a> {
+impl ContainerWriter {
     /// Empty writer.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Append a section; order is preserved in the file. Accepts an
-    /// owned `Vec<u8>` or a borrowed `&[u8]` (scratch reuse).
-    pub fn section(
-        &mut self,
-        tag: [u8; 4],
-        payload: impl Into<Cow<'a, [u8]>>,
-    ) -> &mut Self {
-        self.sections.push((tag, payload.into()));
+    /// Append a section; order is preserved in the file.
+    pub fn section(&mut self, tag: [u8; 4], payload: Vec<u8>) -> &mut Self {
+        self.sections.push((tag, payload));
         self
     }
 
@@ -279,6 +266,9 @@ impl<'a> Container<'a> {
             });
         }
         let kind = head[6];
+        if RETIRED_KINDS.contains(&kind) {
+            return Err(StoreError::RetiredKind { found: kind });
+        }
         let sections = head[7];
         let mut counts = [0u64; 3];
         for (i, c) in counts.iter_mut().enumerate() {
@@ -400,7 +390,7 @@ mod tests {
     fn versioned_finish_round_trips_layout() {
         let mut w = ContainerWriter::new();
         let scratch = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
-        w.section(*b"AAAA", scratch.as_slice()); // borrowed payload
+        w.section(*b"AAAA", scratch.clone());
         let mut out = Vec::new();
         w.finish_versioned(&mut out, FORMAT_VERSION_FIXED, KIND_GRAPH, [8, 0, 0])
             .unwrap();
@@ -439,6 +429,18 @@ mod tests {
             Container::parse(&bytes),
             Err(StoreError::UnsupportedVersion { found: 0, .. })
         ));
+    }
+
+    #[test]
+    fn retired_kinds_rejected() {
+        for kind in RETIRED_KINDS {
+            let mut bytes = sample();
+            bytes[6] = kind;
+            assert!(matches!(
+                Container::parse(&bytes),
+                Err(StoreError::RetiredKind { found }) if found == kind
+            ));
+        }
     }
 
     #[test]

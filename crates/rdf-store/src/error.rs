@@ -48,33 +48,11 @@ pub enum StoreError {
         /// Tag of the missing section.
         section: [u8; 4],
     },
-    /// A shard file named by a manifest does not exist on disk.
-    MissingShard {
-        /// Path of the absent shard file.
-        path: String,
-    },
-    /// A shard file's bytes disagree with the whole-file CRC recorded
-    /// in its manifest entry (the file was replaced, reordered or
-    /// damaged as a unit — finer-grained damage is caught by the
-    /// shard's own section checksums).
-    ShardChecksumMismatch {
-        /// Shard file name as listed in the manifest.
-        shard: String,
-        /// CRC recorded in the manifest.
-        stored: u32,
-        /// CRC computed over the file actually read.
-        computed: u32,
-    },
-    /// An error raised while parsing one shard of a sharded store,
-    /// wrapped with the shard's file name. A bare
-    /// [`StoreError::ChecksumMismatch`] (say) from deep inside a shard
-    /// container would otherwise never name which of the N files
-    /// failed.
-    InShard {
-        /// Shard file name as listed in the manifest.
-        shard: String,
-        /// The underlying error from parsing that shard.
-        source: Box<StoreError>,
+    /// The container holds a content kind that was retired: 3 or 4,
+    /// the manifest and shard files of the removed sharded layout.
+    RetiredKind {
+        /// Kind byte found in the header.
+        found: u8,
     },
     /// Structurally invalid content (bad counts, out-of-range ids,
     /// inconsistent dictionaries, …).
@@ -127,21 +105,12 @@ impl fmt::Display for StoreError {
             StoreError::MissingSection { section } => {
                 write!(f, "required section {:?} missing", tag_str(section))
             }
-            StoreError::MissingShard { path } => {
-                write!(f, "shard file {path} is missing")
-            }
-            StoreError::ShardChecksumMismatch {
-                shard,
-                stored,
-                computed,
-            } => write!(
+            StoreError::RetiredKind { found } => write!(
                 f,
-                "shard {shard} checksum mismatch: manifest records \
-                 {stored:#010x}, file computes {computed:#010x}"
+                "container holds content kind {found}, part of the retired \
+                 sharded store layout; re-import the N-Triples into a \
+                 single .rdfb store"
             ),
-            StoreError::InShard { shard, source } => {
-                write!(f, "shard {shard}: {source}")
-            }
             StoreError::Corrupt(msg) => write!(f, "corrupt container: {msg}"),
         }
     }
@@ -151,7 +120,6 @@ impl std::error::Error for StoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             StoreError::Io(e) => Some(e),
-            StoreError::InShard { source, .. } => Some(source),
             _ => None,
         }
     }

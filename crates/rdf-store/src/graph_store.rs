@@ -12,12 +12,8 @@
 //! graph byte-identical to `parse(text)` — same node ids, same label ids,
 //! same CSR layout — without hashing a single string per node or triple.
 //!
-//! The section bodies are format primitives shared with the *sharded*
-//! layout ([`crate::sharded`]): a manifest carries the same `DICT` /
-//! `NODE` / `BNAM` sections once, globally, while each shard file holds
-//! a `TRPL` section encoding its subject-partition. The encode/decode
-//! helpers below are therefore the single source of truth for both
-//! layouts — byte-identical stitching falls out by construction.
+//! The section decoders below are shared with the zero-copy reader
+//! ([`crate::borrowed`]), so both readers accept exactly the same bytes.
 
 use crate::container::{
     Container, ContainerWriter, Header, Layout, KIND_GRAPH, SECTION_OVERHEAD,
@@ -37,6 +33,7 @@ use rdf_model::{
     Vocab,
 };
 use rdf_obs::{Recorder, SpanGuard};
+use rdf_par::Threads;
 use std::io::Write;
 use std::path::Path;
 
@@ -45,10 +42,9 @@ pub(crate) const TAG_NODE: [u8; 4] = *b"NODE";
 pub(crate) const TAG_TRPL: [u8; 4] = *b"TRPL";
 pub(crate) const TAG_BNAM: [u8; 4] = *b"BNAM";
 
-/// The encoded graph-global section bodies (everything except triples):
-/// dictionary, per-node labels, and blank-node names. One instance is
-/// written per graph regardless of how many files the triples span.
-pub(crate) struct GlobalSections {
+/// The encoded section bodies other than `TRPL`: dictionary, per-node
+/// labels, and blank-node names.
+struct GlobalSections {
     pub dict: Vec<u8>,
     pub node: Vec<u8>,
     pub bnam: Vec<u8>,
@@ -60,7 +56,7 @@ pub(crate) struct GlobalSections {
 /// label ids onto a dense dictionary (0 stays the blank label, the rest
 /// keep their relative first-interned order — a graph parsed into a
 /// fresh vocab maps identically).
-pub(crate) fn encode_global_sections(
+fn encode_global_sections(
     vocab: &Vocab,
     graph: &RdfGraph,
     layout: Layout,
@@ -128,23 +124,17 @@ pub(crate) fn encode_global_sections(
     })
 }
 
-/// Encode a `TRPL` body into `out` (cleared first — hot writers hand
-/// the same scratch buffer to every call instead of allocating a fresh
-/// `Vec` per section). Varint layout: varint count, then varint-deltas
-/// over the `(s, p, o)` sequence; fixed layout: three padded columns
-/// ([`crate::fixed`]). The input must be sorted ascending (as graph
-/// triple lists and their subject-partitioned slices always are).
-pub(crate) fn encode_trpl_into(
-    out: &mut Vec<u8>,
-    triples: &[Triple],
-    layout: Layout,
-) {
+/// Encode a `TRPL` body. Varint layout: varint count, then
+/// varint-deltas over the `(s, p, o)` sequence; fixed layout: three
+/// padded columns ([`crate::fixed`]). The input must be sorted
+/// ascending, as graph triple lists always are.
+fn encode_trpl(triples: &[Triple], layout: Layout) -> Vec<u8> {
+    let mut out = Vec::new();
     if layout == Layout::Fixed {
-        encode_trpl_fixed_into(out, triples);
-        return;
+        encode_trpl_fixed_into(&mut out, triples);
+        return out;
     }
-    out.clear();
-    write_varint(out, triples.len() as u64);
+    write_varint(&mut out, triples.len() as u64);
     let (mut prev_s, mut prev_p, mut prev_o) = (0u32, 0u32, 0u32);
     for t in triples {
         let ds = t.s.0 - prev_s;
@@ -157,11 +147,12 @@ pub(crate) fn encode_trpl_into(
             prev_o = 0;
         }
         let dobj = t.o.0 - prev_o;
-        write_varint(out, u64::from(ds));
-        write_varint(out, u64::from(dp));
-        write_varint(out, u64::from(dobj));
+        write_varint(&mut out, u64::from(ds));
+        write_varint(&mut out, u64::from(dp));
+        write_varint(&mut out, u64::from(dobj));
         (prev_s, prev_p, prev_o) = (t.s.0, t.p.0, t.o.0);
     }
+    out
 }
 
 /// Bounds-check store label ids against the decoded dictionary and
@@ -363,8 +354,7 @@ impl<W: Write> StoreWriter<W> {
     ) -> Result<W, StoreError> {
         let g = graph.graph();
         let global = encode_global_sections(vocab, graph, layout)?;
-        let mut trpl = Vec::new();
-        encode_trpl_into(&mut trpl, g.triples(), layout);
+        let trpl = encode_trpl(g.triples(), layout);
 
         let counts = [
             global.dict_count,
@@ -494,7 +484,7 @@ impl StoreReader {
     /// pass that rebuilds the vocabulary's intern maps from the
     /// dictionary.
     pub fn read_graph(&self) -> Result<(Vocab, RdfGraph), StoreError> {
-        self.read_graph_traced(&Recorder::disabled())
+        self.read_graph_traced(Threads::Auto, &Recorder::disabled())
     }
 
     /// [`StoreReader::read_graph`] with instrumentation: emits one
@@ -502,8 +492,12 @@ impl StoreReader {
     /// every section CRC) and one `store.section` span per decoded
     /// section body. The decoded graph is byte-identical to the
     /// untraced load — tracing is a pure side channel.
+    ///
+    /// `threads` is not used: the decode is sequential. The parameter
+    /// remains because the benchmark harness calls this signature.
     pub fn read_graph_traced(
         &self,
+        _threads: Threads,
         rec: &Recorder,
     ) -> Result<(Vocab, RdfGraph), StoreError> {
         let mut open = rec.span("store.open");
@@ -554,8 +548,7 @@ impl StoreReader {
 }
 
 /// A `store.section` span tagged with the section name, body size and
-/// container layout. Shared by the single-file and manifest traced
-/// loads.
+/// container layout. Shared by the heap and borrowed traced loads.
 pub(crate) fn section_span<'a>(
     rec: &'a Recorder,
     section: &'static str,

@@ -12,21 +12,21 @@
 //! * [`StoreReader`] / [`load_graph`] — reconstruct them with **zero
 //!   per-triple string hashing** (only the dictionary itself is
 //!   re-interned, once per distinct label);
+//! * [`BorrowedStoreReader`] — open the same file as a zero-copy view
+//!   whose fixed-layout id columns borrow straight from the mapped
+//!   file;
 //! * [`import_ntriples`] — stream N-Triples from any `BufRead` into a
 //!   store without materialising the document;
-//! * [`sharded`] — the sharded layout: a `.rdfm` manifest (global
-//!   dictionary + shard directory) plus N subject-hash-partitioned
-//!   `.rdfb` shard files, loaded concurrently and stitched
-//!   bit-identically to the single-file load ([`save_sharded`],
-//!   [`ShardedReader`], [`open_any`]);
 //! * [`container`] — the generic section framing, reused by
 //!   `rdf-archive` for persistent archives.
 //!
+//! A graph store is always one `.rdfb` file, in either the varint or
+//! the fixed-width layout.
+//!
 //! The byte-level layout of every container kind — header, section
-//! framing, `DICT`/`NODE`/`TRPL`/`BNAM`/`SHRD` bodies, varint and CRC
-//! rules, and the `shard_of` subject hash — is specified normatively
-//! in **`docs/FORMAT.md`** at the repository root; module comments
-//! here only summarise it.
+//! framing, `DICT`/`NODE`/`TRPL`/`BNAM` bodies, varint and CRC rules —
+//! is specified normatively in **`docs/FORMAT.md`** at the repository
+//! root; module comments here only summarise it.
 //!
 //! ```
 //! use rdf_model::{RdfGraphBuilder, Vocab};
@@ -56,14 +56,13 @@ pub mod fixed;
 pub mod graph_store;
 pub mod import;
 pub mod mmap;
-pub mod sharded;
 pub mod varint;
 
 pub use borrowed::{BorrowedStoreReader, LoadMode};
 pub use container::{
     Container, ContainerWriter, Header, Layout, FORMAT_VERSION,
-    FORMAT_VERSION_FIXED, KIND_ARCHIVE, KIND_GRAPH, KIND_MANIFEST,
-    KIND_SHARD, MAGIC, MAX_FORMAT_VERSION,
+    FORMAT_VERSION_FIXED, KIND_ARCHIVE, KIND_GRAPH, MAGIC,
+    MAX_FORMAT_VERSION, RETIRED_KINDS,
 };
 pub use error::StoreError;
 pub use graph_store::{
@@ -72,8 +71,3 @@ pub use graph_store::{
 };
 pub use import::{import_ntriples, import_ntriples_layout, ImportError};
 pub use mmap::StoreBuf;
-pub use sharded::{
-    open_any, save_sharded, save_sharded_layout, shard_of, AnyReader,
-    Manifest, ShardEntry, ShardedInfo, ShardedReader, ShardedWriter,
-    DEFAULT_SHARD_SEED, TAG_SHRD,
-};

@@ -1,8 +1,8 @@
 //! Property suite for the fixed-width (v2) store layout: for random
 //! graphs, `load(save_fixed(g)) == g` term-for-term, fixed-layout loads
 //! are **bit-identical** to varint loads — same dense arrays, same
-//! dictionary, same canonical N-Triples export bytes — at every shard
-//! count × thread count, and every typed corruption (mid-record
+//! dictionary, same canonical N-Triples export bytes — and every typed
+//! corruption (mid-record
 //! truncation, bad width byte, misaligned/unpadded payload, CRC flip)
 //! fails with a typed [`StoreError`], never a panic.
 //!
@@ -12,36 +12,16 @@
 
 use proptest::prelude::*;
 use rdf_model::{LabelRef, NodeId, RdfGraph, Term, Vocab};
-use rdf_par::Threads;
 use rdf_store::{
     container::{HEADER_LEN, SECTION_OVERHEAD},
-    graph_to_bytes, graph_to_bytes_layout, save_sharded_layout,
-    BorrowedStoreReader, Layout, ShardedReader, StoreBuf, StoreError,
-    StoreReader,
+    graph_to_bytes, graph_to_bytes_layout, BorrowedStoreReader, Layout,
+    StoreBuf, StoreError, StoreReader,
 };
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Awkward characters exercising literal and IRI escaping.
 const TRICKY: &[&str] = &[
     "", " ", "\"", "\\", "\n", "café", "😀", "a b", "x\\\"y", "<angle>",
 ];
-
-/// Unique-per-call scratch dir (proptest shrinkers re-enter cases).
-fn tmp(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "rdf-v2-rt-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 fn term_of(g: &RdfGraph, vocab: &Vocab, n: NodeId) -> Term {
     match vocab.resolve(g.graph().label(n)) {
@@ -73,7 +53,7 @@ fn term_triples(g: &RdfGraph, vocab: &Vocab) -> Vec<(Term, Term, Term)> {
 }
 
 /// A random RDF graph mixing URI/blank subjects and URI/literal/blank
-/// objects (same shape as the single-file and sharded suites).
+/// objects (same shape as `store_roundtrip.rs`).
 fn arb_rdf_graph() -> impl Strategy<Value = (Vocab, RdfGraph)> {
     (1usize..28, any::<u64>()).prop_map(|(m, seed)| {
         let mut vocab = Vocab::new();
@@ -133,8 +113,7 @@ proptest! {
 
     /// `load(save_fixed(g))` reconstructs `g` term-for-term, the load
     /// is bit-identical to the varint load, and the canonical export
-    /// bytes agree — single-file, plus every shard × thread combination
-    /// of the fixed-layout sharded store.
+    /// bytes agree.
     #[test]
     fn fixed_load_is_identity_and_matches_varint(
         (vocab, g) in arb_rdf_graph()
@@ -158,10 +137,9 @@ proptest! {
         // Bit-identity and canonical-export byte-identity with the
         // varint load.
         assert_loads_identical(&fixed, &varint)?;
-        let export_varint = rdf_io::write_graph(&varint.1, &varint.0);
         prop_assert_eq!(
             rdf_io::write_graph(&fixed.1, &fixed.0),
-            export_varint.clone()
+            rdf_io::write_graph(&varint.1, &varint.0)
         );
 
         // The borrowed (zero-copy) view agrees with the owned load for
@@ -180,27 +158,6 @@ proptest! {
             );
             prop_assert_eq!(bv.len(), varint.0.len());
         }
-
-        // Fixed-layout sharded stores stitch bit-identically at every
-        // shard count × thread count.
-        let dir = tmp("prop");
-        for shards in SHARD_COUNTS {
-            let manifest = dir.join(format!("g{shards}.rdfm"));
-            save_sharded_layout(&manifest, &vocab, &g, shards, Layout::Fixed)
-                .unwrap();
-            for t in THREAD_COUNTS {
-                let sharded = ShardedReader::open(&manifest)
-                    .unwrap()
-                    .read_graph(Threads::Fixed(t))
-                    .unwrap();
-                assert_loads_identical(&sharded, &varint)?;
-                prop_assert_eq!(
-                    rdf_io::write_graph(&sharded.1, &sharded.0),
-                    export_varint.clone()
-                );
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Fixed-layout writes are deterministic, and the two layouts are

@@ -12,7 +12,7 @@
 //! `overlap ≥ θ` is `k − ⌈θ·k⌉ + 1` (if a node shares ≥ θ·k of `n`'s `k`
 //! objects, any `k − ⌈θ·k⌉ + 1` of them must hit a shared one). We default
 //! to the safe bound and keep the paper's literal bound available for the
-//! ablation benchmark (see DESIGN.md).
+//! ablation benchmark (`crates/rdf-bench/benches/ablation.rs`).
 
 use crate::enrich::WeightedBipartite;
 use rdf_model::{FxHashMap, NodeId};

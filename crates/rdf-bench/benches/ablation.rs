@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for four design choices:
 //!
 //! 1. prefix bound in Algorithm 1: the safe `k − ⌈θk⌉ + 1` vs the
 //!    paper-literal `⌈kθ⌉`;

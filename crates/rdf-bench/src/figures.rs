@@ -2,8 +2,8 @@
 //!
 //! Each function generates (or receives) the synthetic dataset, runs the
 //! alignment methods, and returns structured results; the `repro` binary
-//! renders them as text. DESIGN.md carries the per-experiment index;
-//! EXPERIMENTS.md records paper-vs-measured shapes.
+//! renders them as text. README.md ("Micro-benchmarks and figures")
+//! says how to run it.
 
 use crate::render::{matrix_table, simple_table, stacked_rows};
 use rdf_align::metrics::{classify_matches, edge_stats, node_counts};

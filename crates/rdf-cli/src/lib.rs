@@ -17,7 +17,7 @@ use rdf_align::pipeline::{align_with_recorder, Aligned, Method};
 use rdf_align::{RefineEngine, Threads};
 use rdf_model::Vocab;
 use rdf_obs::{Recorder, RunReport};
-use rdf_store::{BorrowedStoreReader, Layout};
+use rdf_store::{BorrowedStoreReader, Layout, StoreError, StoreInfo};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -43,17 +43,10 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// `rdf import [--layout varint|fixed] <input.nt> <output.rdfb>` —
-/// stream-parse N-Triples into one dictionary-encoded `.rdfb` store.
-/// `layout` selects the section encoding: varint (the default,
-/// byte-identical to previous releases) or the fixed-width zero-copy
-/// layout.
-pub fn import(
-    input: &Path,
-    output: &Path,
-    layout: Layout,
-) -> Result<String, CliError> {
-    import_traced(input, output, layout, &Recorder::disabled())
+/// `rdf import <input.nt> <output.rdfb>` — stream-parse N-Triples
+/// into one dictionary-encoded `.rdfb` store in the fixed-width layout.
+pub fn import(input: &Path, output: &Path) -> Result<String, CliError> {
+    import_traced(input, output, &Recorder::disabled())
 }
 
 /// [`import`] with instrumentation: the streaming parse+write is
@@ -62,7 +55,6 @@ pub fn import(
 pub fn import_traced(
     input: &Path,
     output: &Path,
-    layout: Layout,
     rec: &Recorder,
 ) -> Result<String, CliError> {
     let file = std::fs::File::open(input).map_err(|e| ctx(input, e))?;
@@ -71,12 +63,9 @@ pub fn import_traced(
     let out = std::fs::File::create(output).map_err(|e| ctx(output, e))?;
     let mut sp = rec.span("import.run");
     sp.field("bytes_in", in_bytes);
-    let (vocab, graph) = rdf_store::import_ntriples_layout(
-        reader,
-        std::io::BufWriter::new(out),
-        layout,
-    )
-    .map_err(|e| ctx(input, e))?;
+    let (vocab, graph) =
+        rdf_store::import_ntriples(reader, std::io::BufWriter::new(out))
+            .map_err(|e| ctx(input, e))?;
     sp.field("nodes", graph.node_count());
     sp.field("triples", graph.triple_count());
     drop(sp);
@@ -91,6 +80,25 @@ pub fn import_traced(
         in_bytes,
         out_bytes,
     ))
+}
+
+/// Check the value of `import --layout` (or a served import's
+/// `"layout"`): `fixed` is the one graph-store layout and the default,
+/// so it changes nothing; `varint` is the retired layout and gets the
+/// [`StoreError::RetiredLayout`] message.
+pub fn check_layout(name: &str) -> Result<(), CliError> {
+    match name {
+        "fixed" => Ok(()),
+        "varint" => Err(CliError::new(format!(
+            "layout varint: {}",
+            StoreError::RetiredLayout {
+                version: Layout::Varint.version()
+            }
+        ))),
+        other => Err(CliError::new(format!(
+            "unknown layout {other:?} (expected fixed)"
+        ))),
+    }
 }
 
 /// `rdf export <input> <output.nt>` — write a store back out as
@@ -120,17 +128,20 @@ pub fn info(input: &Path, bisim: Option<Threads>) -> Result<String, CliError> {
     info_traced(input, bisim, &Arc::new(Recorder::disabled()))
 }
 
-/// [`info`] with instrumentation: the `--bisim` store view emits
-/// `store.open` / `store.section` spans and the refinement emits its
-/// `refine.*` spans into `rec`. The report text is byte-identical to
-/// the untraced run.
+/// [`info`] with instrumentation: the container parse emits a
+/// `store.open` span, the `--bisim` view its `store.section` spans and
+/// the refinement its `refine.*` spans into `rec`. The report text is
+/// byte-identical to the untraced run.
 pub fn info_traced(
     input: &Path,
     bisim: Option<Threads>,
     rec: &Arc<Recorder>,
 ) -> Result<String, CliError> {
+    // One parse (one checksum pass) serves both the summary and the
+    // `--bisim` view.
     let reader = open_any(input)?;
-    let info = reader.info().map_err(|e| ctx(input, e))?;
+    let container = reader.container(rec).map_err(|e| ctx(input, e))?;
+    let info = StoreInfo::of(&container);
     let kind = match info.header.kind {
         rdf_store::KIND_GRAPH => "graph store",
         rdf_store::KIND_ARCHIVE => "archive",
@@ -158,22 +169,18 @@ pub fn info_traced(
             section_encoding(info.layout, tag),
         ));
     }
-    if info.header.kind == rdf_store::KIND_GRAPH {
+    if let Some(mode) = load_mode_label(&info) {
         out.push_str(&format!(
-            "  layout {}, load mode {}\n",
+            "  layout {}, load mode {mode}\n",
             info.layout,
-            load_mode_label(&info),
         ));
     }
     if let Some(threads) = bisim {
         if info.header.kind == rdf_store::KIND_GRAPH {
             // Zero-copy path: serve the id columns as a view of the
-            // (mapped) store buffer — fixed-layout stores never
-            // materialise owned triple vectors here.
-            let breader =
-                BorrowedStoreReader::open(input).map_err(|e| ctx(input, e))?;
-            let (_, view) =
-                breader.read_view_traced(rec).map_err(|e| ctx(input, e))?;
+            // (mapped) store buffer.
+            let (_, view) = BorrowedStoreReader::view_in(&container, rec)
+                .map_err(|e| ctx(input, e))?;
             let cols = view.out_columns();
             let mut engine =
                 RefineEngine::with_recorder(threads, Arc::clone(rec));
@@ -191,22 +198,20 @@ pub fn info_traced(
     Ok(out)
 }
 
-/// Render a store's load mode for `rdf info`. A widening load names
-/// the column width that forced it — `widen (width 2)` — so operators
-/// can see *why* the zero-copy path was skipped; `borrow` and `decode`
-/// render as before.
-fn load_mode_label(info: &rdf_store::StoreInfo) -> String {
-    match (info.mode, info.trpl_width) {
-        (rdf_store::LoadMode::Widen, Some(w)) => {
-            format!("widen (width {w})")
-        }
+/// Render a graph store's load mode for `rdf info` (`None` for
+/// archives). A widening load names the column width that forced it —
+/// `widen (width 2)` — so operators can see *why* the zero-copy path
+/// was skipped.
+fn load_mode_label(info: &StoreInfo) -> Option<String> {
+    Some(match (info.mode?, info.trpl_width) {
+        (rdf_store::LoadMode::Widen, Some(w)) => format!("widen (width {w})"),
         (mode, _) => mode.to_string(),
-    }
+    })
 }
 
 /// The encoding variant a section body uses under a given layout: the
-/// fixed-width (v2) layout re-encodes only the id columns (`NODE`,
-/// `TRPL`); every other body stays varint (8-padded).
+/// fixed-width layout of graph stores re-encodes only the id columns
+/// (`NODE`, `TRPL`); every other body stays varint (8-padded).
 fn section_encoding(layout: Layout, tag: &str) -> &'static str {
     match (layout, tag) {
         (Layout::Fixed, "NODE" | "TRPL") => "fixed",

@@ -1,8 +1,7 @@
 //! `rdf` — the pipeline from the shell: N-Triples → store → alignment.
 //!
 //! ```text
-//! rdf import [--layout varint|fixed] [--trace PATH]
-//!            <input.nt> <output.rdfb>
+//! rdf import [--trace PATH] <input.nt> <output.rdfb>
 //! rdf export <input> <output.nt>
 //! rdf info   [--bisim] [--threads N] [--trace PATH] <file>
 //! rdf align  [--method trivial|deblank|hybrid|overlap] [--theta T]
@@ -28,12 +27,10 @@ const USAGE: &str = "\
 usage: rdf <command> [options]
 
 commands:
-  import [--layout varint|fixed] [--trace PATH]
-         <input.nt> <output.rdfb>
+  import [--trace PATH] <input.nt> <output.rdfb>
                                     parse N-Triples (streaming) into one
-                                    .rdfb store; --layout fixed writes
-                                    the zero-copy fixed-width section
-                                    layout (v2)
+                                    .rdfb store in the zero-copy
+                                    fixed-width layout
   export <input> <output.nt>        write a store as canonical N-Triples
   info   [--bisim] [--threads N] [--trace PATH] <file>
                                     header, counts, sections, checksums;
@@ -82,36 +79,32 @@ Run `rdf <command> --help` for per-command details.
 
 EXAMPLES
   rdf gen --scale 0.25 --versions 2 --out-dir /tmp/efo
-  rdf import --layout fixed /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfb
-  rdf import --layout fixed /tmp/efo/efo-v2.nt /tmp/efo/v2.rdfb
+  rdf import /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfb
+  rdf import /tmp/efo/efo-v2.nt /tmp/efo/v2.rdfb
   rdf info --bisim /tmp/efo/v1.rdfb
   rdf align --method hybrid --trace /tmp/efo/trace.jsonl /tmp/efo/v1.rdfb /tmp/efo/v2.rdfb
   rdf stats /tmp/efo/trace.jsonl
 ";
 
 const HELP_IMPORT: &str = "\
-usage: rdf import [--layout varint|fixed] [--trace PATH]
-                  <input.nt> <output.rdfb>
+usage: rdf import [--trace PATH] <input.nt> <output.rdfb>
 
 Parse N-Triples (streaming, one line resident at a time) into one
-dictionary-encoded .rdfb store. --layout selects the section
-encoding: varint (default, the v1 bytes) or fixed, the v2 fixed-width
-layout whose id columns load zero-copy (`rdf info` shows the resulting
-layout and load mode). Readers resolve the layout from the store
-header, never the extension, so both layouts are accepted everywhere a
-store is. --trace PATH (or RDF_TRACE=PATH) appends timing events as
-JSONL; see `rdf stats`.
+dictionary-encoded .rdfb store in the fixed-width layout (container
+version 2), whose id columns load zero-copy (`rdf info` shows the
+layout and load mode). `--layout fixed` is accepted and changes
+nothing; `--layout varint` is an error, because the varint layout
+(version 1) is retired and readers refuse it. --trace PATH (or
+RDF_TRACE=PATH) appends timing events as JSONL; see `rdf stats`.
 
 EXAMPLES
   rdf import /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfb
-  rdf import --layout fixed /tmp/efo/efo-v1.nt /tmp/efo/v1.rdfb
 ";
 
 const HELP_EXPORT: &str = "\
 usage: rdf export <input> <output.nt>
 
-Write a .rdfb store of either layout (varint or fixed) back out as
-canonical, line-sorted N-Triples.
+Write a .rdfb store back out as canonical, line-sorted N-Triples.
 
 EXAMPLES
   rdf export /tmp/efo/v1.rdfb /tmp/efo/v1-canonical.nt
@@ -124,7 +117,7 @@ Report the container header, counts and per-section sizes; every
 checksum is verified first. --bisim adds a maximal-bisimulation
 summary (classes, rounds) for graph stores, computed on the
 deterministic parallel engine; the line is byte-identical for every
---threads and for both layouts of the same graph. --trace PATH (or
+--threads. --trace PATH (or
 RDF_TRACE=PATH) appends load and refinement timing events as JSONL;
 see `rdf stats`.
 
@@ -185,13 +178,12 @@ JSON response line back; `info` and `align` reports are byte-identical
 to the one-shot commands' stdout. docs/PROTOCOL.md is the normative
 wire spec.
 
-Align inputs that are stores are decoded once and kept in
-an in-memory pool keyed by content hash, bounded by --cache-bytes B
-(default 268435456): a warm request skips the store open entirely.
-Eviction is least-recently-used by resident bytes, preferring to keep
-fixed-layout (v2) stores. Requests are handled by a persistent worker
-gang of --threads N (default auto). SIGTERM or SIGINT drains in-flight
-requests and exits 0.
+Align inputs that are stores are decoded once and kept in an in-memory
+pool keyed by content hash, bounded by --cache-bytes B (default
+268435456): a warm request skips the store open entirely. Eviction is
+least-recently-used by resident bytes. Requests are handled by a
+persistent worker gang of --threads N (default auto). SIGTERM or
+SIGINT drains in-flight requests and exits 0.
 
 EXAMPLES
   rdf serve --socket /tmp/rdf.sock --threads 4 &
@@ -268,7 +260,6 @@ fn run(args: &[String]) -> Result<String, String> {
             if wants_help(rest) {
                 return Ok(HELP_IMPORT.to_string());
             }
-            let mut layout = rdf_store::Layout::default();
             let mut trace: Option<PathBuf> = None;
             let mut inputs: Vec<PathBuf> = Vec::new();
             let mut it = rest.iter();
@@ -277,13 +268,8 @@ fn run(args: &[String]) -> Result<String, String> {
                     "--layout" => {
                         let name =
                             it.next().ok_or("--layout needs a value")?;
-                        layout = rdf_store::Layout::from_cli(name)
-                            .ok_or_else(|| {
-                                format!(
-                                    "unknown layout {name:?} \
-                                     (expected varint|fixed)"
-                                )
-                            })?;
+                        rdf_cli::check_layout(name)
+                            .map_err(|e| e.to_string())?;
                     }
                     "--trace" => {
                         trace = Some(PathBuf::from(
@@ -298,7 +284,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 .map_err(|_| "import takes exactly two paths")?;
             let rec = trace_recorder(trace)?;
             let out =
-                rdf_cli::import_traced(&input, &output, layout, &rec)
+                rdf_cli::import_traced(&input, &output, &rec)
                     .map_err(|e| e.to_string())?;
             finish_trace(&rec)?;
             Ok(out)

@@ -6,7 +6,7 @@
 use crate::CliError;
 use rdf_model::{rebase_into, RdfGraph, Vocab};
 use rdf_obs::Recorder;
-use rdf_store::StoreReader;
+use rdf_store::BorrowedStoreReader;
 use std::path::Path;
 
 pub(crate) fn ctx(path: &Path, e: impl std::fmt::Display) -> CliError {
@@ -29,11 +29,11 @@ pub fn is_store(path: &Path) -> Result<bool, CliError> {
     Ok(magic == rdf_store::MAGIC)
 }
 
-/// Read a `.rdfb` store into memory for a heap decode, with the path
-/// baked into any error. `info`, `export` and `align` all open their
-/// stores here.
-pub fn open_any(path: &Path) -> Result<StoreReader, CliError> {
-    StoreReader::open(path).map_err(|e| ctx(path, e))
+/// Open a `.rdfb` store (mapped when possible) with the one reader,
+/// with the path baked into any error. `info`, `export`, `align` and
+/// the daemon all open their stores here.
+pub fn open_any(path: &Path) -> Result<BorrowedStoreReader, CliError> {
+    BorrowedStoreReader::open(path).map_err(|e| ctx(path, e))
 }
 
 /// Load either input format (a `.rdfb` store or N-Triples) into the
@@ -80,8 +80,8 @@ mod tests {
     }
 
     /// Every input shape resolves: a `.rdfb` store and N-Triples text
-    /// load to the same graph, and an absent path is an error naming
-    /// the path.
+    /// load to the same graph, and an absent path or a retired
+    /// version-1 store is an error naming the path.
     #[test]
     fn open_any_covers_every_input_shape() {
         let dir = tmp("openany");
@@ -101,6 +101,16 @@ mod tests {
         assert_eq!(direct.graph().triples(), g.graph().triples());
         let err = open_any(&dir.join("absent.rdfb")).unwrap_err();
         assert!(err.to_string().contains("absent.rdfb"), "got: {err}");
+        let v1 = dir.join("v1.rdfb");
+        let mut bytes = std::fs::read(&store).unwrap();
+        bytes[4] = 1;
+        std::fs::write(&v1, bytes).unwrap();
+        let err = load_input(&v1, &mut Vocab::new()).unwrap_err();
+        assert!(
+            err.to_string().contains("v1.rdfb")
+                && err.to_string().contains("retired"),
+            "got: {err}"
+        );
 
         let mut session = Vocab::new();
         let a = load_input(&store, &mut session).unwrap();

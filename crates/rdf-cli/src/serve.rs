@@ -8,8 +8,7 @@
 //!   `docs/PROTOCOL.md` is normative);
 //! * an LRU **store cache** keyed by content hash: graph stores are
 //!   decoded once and served to every request; eviction is
-//!   by resident bytes, preferring to keep fixed-layout (v2) entries,
-//!   whose on-disk columns are the mmap-shareable ones;
+//!   least-recently-used by resident bytes;
 //! * a persistent [`rdf_par::WorkerPool`] handling connections, so
 //!   steady-state request handling never calls `thread::spawn`;
 //! * per-request [`Recorder`]s, so traces stay isolated per client and
@@ -20,7 +19,7 @@
 //! path, which is what makes the byte-identity contract hold by
 //! construction.
 
-use crate::pipeline::{ctx, is_store, load_input_traced};
+use crate::pipeline::{ctx, is_store, load_input_traced, open_any};
 use crate::signals;
 use crate::{AlignOutcome, CliError};
 use rdf_align::pipeline::align_with_recorder;
@@ -29,7 +28,6 @@ use rdf_model::{rebase_into, RdfGraph, Vocab};
 use rdf_obs::Recorder;
 use rdf_par::WorkerPool;
 use rdf_serve::{ErrorKind, Request, Response};
-use rdf_store::{Container, StoreReader, FORMAT_VERSION_FIXED};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -81,9 +79,6 @@ struct CacheEntry {
     /// File bytes — the eviction currency. The decoded columns cost a
     /// small multiple of this; file size is the stable, cheap proxy.
     resident: u64,
-    /// Fixed-layout (v2) store: preferred resident (its on-disk file
-    /// is the one N processes can share via the page cache).
-    v2: bool,
     /// Last-touched tick for LRU ordering.
     tick: u64,
     store: Arc<CachedStore>,
@@ -135,37 +130,21 @@ impl StoreCache {
         }
     }
 
-    fn insert(
-        &mut self,
-        key: u64,
-        resident: u64,
-        v2: bool,
-        store: Arc<CachedStore>,
-    ) {
+    fn insert(&mut self, key: u64, resident: u64, store: Arc<CachedStore>) {
         self.tick += 1;
         self.entries.push(CacheEntry {
             key,
             resident,
-            v2,
             tick: self.tick,
             store,
         });
-        // Evict by LRU until the budget holds, preferring to evict
-        // varint (v1) entries first: fixed-layout stores are the ones
-        // whose bytes the OS page cache can share across readers.
+        // Evict the least recently used entry until the budget holds.
         while self.resident() > self.budget && !self.entries.is_empty() {
             let victim = self
                 .entries
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| !e.v2)
                 .min_by_key(|(_, e)| e.tick)
-                .or_else(|| {
-                    self.entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.tick)
-                })
                 .map(|(i, _)| i)
                 .expect("entries is non-empty");
             self.entries.swap_remove(victim);
@@ -229,12 +208,14 @@ impl ServeState {
             // keeping it out preserves the parse-order contract).
             return load_input_traced(path, session, rec).map(|g| (g, false));
         }
-        let bytes = std::fs::read(path).map_err(|e| ctx(path, e))?;
-        let header =
-            Container::parse_header(&bytes).map_err(|e| ctx(path, e))?;
-        let key = fnv1a(&bytes);
+        let reader = open_any(path)?;
+        let bytes = reader.buf().as_slice();
+        // A bad header (a retired kind or layout) fails before the
+        // cache counts a lookup.
+        rdf_store::Container::parse_header(bytes)
+            .map_err(|e| ctx(path, e))?;
+        let key = fnv1a(bytes);
         let resident = bytes.len() as u64;
-        let v2 = header.version == FORMAT_VERSION_FIXED;
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(store) = cache.get(key) {
             return Ok((
@@ -244,11 +225,12 @@ impl ServeState {
         }
         // Miss: decode under the lock so concurrent requests for the
         // same store pay one decode, not N.
-        let (vocab, graph) = StoreReader::from_bytes(bytes)
+        let (vocab, graph) = reader
             .read_graph_traced(Threads::Auto, rec)
             .map_err(|e| ctx(path, e))?;
+        drop(reader);
         let store = Arc::new(CachedStore { vocab, graph });
-        cache.insert(key, resident, v2, Arc::clone(&store));
+        cache.insert(key, resident, Arc::clone(&store));
         Ok((rebase_into(session, &store.vocab, &store.graph), false))
     }
 
@@ -368,27 +350,11 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
             threads: _,
             trace: _,
         } => {
-            let layout = match &layout {
-                None => Ok(rdf_store::Layout::default()),
-                Some(name) => {
-                    rdf_store::Layout::from_cli(name).ok_or_else(|| {
-                        return_bad_request(format!(
-                            "unknown layout {name:?} (expected \
-                             varint|fixed)"
-                        ))
-                    })
-                }
-            };
-            match layout {
-                Err(resp) => return resp,
-                Ok(layout) => crate::import_traced(
-                    Path::new(&input),
-                    Path::new(&output),
-                    layout,
-                    &rec,
-                )
-                .map(|report| (report, false)),
+            if let Some(Err(e)) = layout.as_deref().map(crate::check_layout) {
+                return return_bad_request(e.to_string());
             }
+            crate::import_traced(Path::new(&input), Path::new(&output), &rec)
+                .map(|report| (report, false))
         }
         Request::Info {
             path,
@@ -771,11 +737,7 @@ fn roundtrip<S: Read + Write>(
 mod tests {
     use super::*;
 
-    fn store(
-        dir: &Path,
-        name: &str,
-        layout: rdf_store::Layout,
-    ) -> PathBuf {
+    fn store(dir: &Path, name: &str) -> PathBuf {
         let mut vocab = Vocab::new();
         let g = {
             let mut b = rdf_model::RdfGraphBuilder::new(&mut vocab);
@@ -788,7 +750,7 @@ mod tests {
             b.finish()
         };
         let path = dir.join(name);
-        rdf_store::save_graph_layout(&path, &vocab, &g, layout).unwrap();
+        rdf_store::save_graph(&path, &vocab, &g).unwrap();
         path
     }
 
@@ -815,7 +777,7 @@ mod tests {
     #[test]
     fn cache_serves_warm_hits_and_counts() {
         let dir = tmp("cache");
-        let path = store(&dir, "a.rdfb", rdf_store::Layout::Varint);
+        let path = store(&dir, "a.rdfb");
         let state =
             Arc::new(ServeState::new(Threads::Fixed(1), 1, 1 << 20));
         let rec = Recorder::disabled();
@@ -836,34 +798,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A budget that fits two stores evicts the least recently used
+    /// one when a third arrives: touching `a` after `b` makes `b` the
+    /// victim.
     #[test]
-    fn tiny_budget_evicts_and_prefers_v2_residents() {
+    fn tiny_budget_evicts_least_recently_used() {
         let dir = tmp("evict");
-        let a = store(&dir, "a.rdfb", rdf_store::Layout::Varint);
-        let b = store(&dir, "b.rdfb", rdf_store::Layout::Fixed);
-        let c = store(&dir, "c.rdfb", rdf_store::Layout::Varint);
+        let a = store(&dir, "a.rdfb");
+        let b = store(&dir, "b.rdfb");
+        let c = store(&dir, "c.rdfb");
         let a_bytes = std::fs::metadata(&a).unwrap().len();
         let b_bytes = std::fs::metadata(&b).unwrap().len();
-        // Budget fits the v1 + v2 pair but not a third store.
         let state = Arc::new(ServeState::new(
             Threads::Fixed(1),
             1,
             a_bytes + b_bytes,
         ));
         let rec = Recorder::disabled();
-        for p in [&a, &b, &c] {
-            let mut v = Vocab::new();
-            state
-                .load_cached(p, &mut v, &rec)
-                .unwrap();
+        let warm = |p: &Path| {
+            state.load_cached(p, &mut Vocab::new(), &rec).unwrap().1
+        };
+        assert!(!warm(&a));
+        assert!(!warm(&b));
+        assert!(warm(&a));
+        assert!(!warm(&c));
+        {
+            let cache = state.cache.lock().unwrap();
+            assert_eq!(cache.evictions, 1);
+            assert_eq!(cache.entries.len(), 2);
         }
-        let cache = state.cache.lock().unwrap();
-        assert_eq!(cache.evictions, 1);
-        // The fixed-layout (v2) store survived; the oldest varint
-        // entry was the victim even though `a` was least recently
-        // used *and* v2 `b` was older than `c`.
-        assert!(cache.entries.iter().any(|e| e.v2));
-        assert_eq!(cache.entries.len(), 2);
+        // `a` and `c` stayed resident; `b` was evicted.
+        assert!(warm(&a));
+        assert!(warm(&c));
+        assert!(!warm(&b));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

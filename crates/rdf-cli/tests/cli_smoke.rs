@@ -62,7 +62,7 @@ fn s(p: &Path) -> &str {
 
 /// The metric lines of an alignment report: everything except the
 /// source/target path lines, which legitimately differ across input
-/// layouts pointing at the same graphs.
+/// formats (stores vs N-Triples) holding the same graphs.
 fn metrics(r: &str) -> Vec<String> {
     r.lines()
         .filter(|l| l.contains(':'))
@@ -210,87 +210,68 @@ fn full_pipeline_matches_in_process_alignment() {
     assert_eq!(metrics(&cli_report), metrics(&nt_report));
 }
 
-/// The two store layouts are interchangeable everywhere: a varint and
-/// a fixed-layout `.rdfb` of the same graph export byte-identical
-/// N-Triples, align to byte-identical metrics at 1 and 4 threads, and
-/// give the same `info --bisim` line.
+/// A version-1 graph store written by the retired varint writer.
+const VARINT_V1_STORE: &[u8] =
+    include_bytes!("../../rdf-store/tests/data/varint-v1.rdfb");
+
+/// The fixed layout is the only graph-store layout: plain `import`
+/// writes it, byte-identical to `import --layout fixed`, while
+/// `--layout varint` is refused (exit 2, nothing written). A version-1
+/// store — the retired varint layout — is refused by every command
+/// that reads a store, with its path named, exit 2 and no panic.
 #[test]
-fn layouts_are_interchangeable_in_every_command() {
+fn retired_varint_layout_fails_with_the_path_named() {
     let dir = TempDir::new("layouts");
-    run_ok(&[
-        "gen",
-        "--scale",
-        "0.2",
-        "--versions",
-        "2",
-        "--out-dir",
-        s(&dir.0),
-    ]);
-    let v1_nt = dir.path("efo-v1.nt");
-    let v2_nt = dir.path("efo-v2.nt");
-
-    // Import each version in both layouts.
-    let v1_store = dir.path("v1.rdfb");
-    let v2_store = dir.path("v2.rdfb");
-    run_ok(&["import", s(&v1_nt), s(&v1_store)]);
-    run_ok(&["import", s(&v2_nt), s(&v2_store)]);
-    let v1_fixed = dir.path("v1-fixed.rdfb");
-    let v2_fixed = dir.path("v2-fixed.rdfb");
-    run_ok(&["import", "--layout", "fixed", s(&v1_nt), s(&v1_fixed)]);
-    run_ok(&["import", "--layout", "fixed", s(&v2_nt), s(&v2_fixed)]);
-    let info_out = run_ok(&["info", s(&v1_fixed)]);
-    assert!(info_out.contains("layout fixed"), "got: {info_out}");
-
-    // export(fixed) == export(varint), byte for byte.
-    let from_varint = dir.path("varint.nt");
-    let from_fixed = dir.path("fixed.nt");
-    run_ok(&["export", s(&v1_store), s(&from_varint)]);
-    run_ok(&["export", s(&v1_fixed), s(&from_fixed)]);
-    assert_eq!(
-        std::fs::read(&from_varint).unwrap(),
-        std::fs::read(&from_fixed).unwrap(),
-        "fixed-layout export diverged from varint export"
-    );
-
-    // align over fixed-layout stores: metrics byte-identical to the
-    // varint flow (only the source/target path lines differ), at 1 and
-    // 4 threads, and the binary prints exactly the library render.
-    let varint_report =
-        run_ok(&["align", "--method", "hybrid", s(&v1_store), s(&v2_store)]);
-    for t in ["1", "4"] {
-        let fixed_report = run_ok(&[
-            "align", "--method", "hybrid", "--threads", t,
-            s(&v1_fixed), s(&v2_fixed),
-        ]);
-        assert_eq!(
-            metrics(&varint_report),
-            metrics(&fixed_report),
-            "fixed-layout align metrics diverged at {t} threads"
-        );
-    }
-    let outcome = rdf_cli::align(
-        &v1_fixed,
-        &v2_fixed,
-        "hybrid",
-        None,
-        rdf_align::Threads::Auto,
+    let nt = dir.path("x.nt");
+    std::fs::write(
+        &nt,
+        "<u:s> <u:p> <u:o> .\n<u:s> <u:q> _:b1 .\n_:b1 <u:p> \"lit\" .\n",
     )
     .unwrap();
-    let cli_report =
-        run_ok(&["align", "--method", "hybrid", s(&v1_fixed), s(&v2_fixed)]);
-    assert_eq!(cli_report, outcome.render());
+    let plain = dir.path("plain.rdfb");
+    let fixed = dir.path("fixed.rdfb");
+    run_ok(&["import", s(&nt), s(&plain)]);
+    run_ok(&["import", "--layout", "fixed", s(&nt), s(&fixed)]);
+    assert_eq!(std::fs::read(&plain).unwrap(), std::fs::read(&fixed).unwrap());
+    let info_out = run_ok(&["info", s(&plain)]);
+    assert!(info_out.contains("RDFB v2 graph store"), "got: {info_out}");
+    assert!(info_out.contains("layout fixed"), "got: {info_out}");
 
-    // info --bisim agrees across layouts.
-    let bisim_line = |r: &str| {
-        r.lines()
-            .find(|l| l.contains("bisimulation:"))
-            .map(str::to_owned)
-            .expect("report has a bisimulation line")
-    };
-    let bisim = |store: &Path| {
-        bisim_line(&run_ok(&["info", "--bisim", "--threads", "2", s(store)]))
-    };
-    assert_eq!(bisim(&v1_fixed), bisim(&v1_store));
+    let varint = dir.path("varint.rdfb");
+    let out = Command::new(bin())
+        .args(["import", "--layout", "varint", s(&nt), s(&varint)])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "got: {err}");
+    assert!(err.contains("varint") && err.contains("retired"), "got: {err}");
+    assert!(!varint.exists(), "a refused import wrote {}", varint.display());
+
+    let v1 = dir.path("v1.rdfb");
+    std::fs::write(&v1, VARINT_V1_STORE).unwrap();
+    let out_nt = dir.path("out.nt");
+    for args in [
+        vec!["align", s(&v1), s(&plain)],
+        vec!["align", s(&plain), s(&v1)],
+        vec!["info", "--bisim", s(&v1)],
+        vec!["info", s(&v1)],
+        vec!["export", s(&v1), s(&out_nt)],
+    ] {
+        let out = Command::new(bin())
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "rdf {args:?}: {err}");
+        assert!(
+            err.contains(s(&v1))
+                && err.contains("varint graph-store layout")
+                && err.contains("retired"),
+            "rdf {args:?}: got {err}"
+        );
+        assert!(!err.contains("panicked"), "rdf {args:?}: got {err}");
+    }
+    assert!(!out_nt.exists(), "export wrote output for a version-1 store");
 }
 
 /// Content kinds 3 and 4 belonged to the retired sharded layout. A
@@ -396,10 +377,11 @@ fn help_examples_execute_and_cover_every_subcommand() {
         let out = run_ok(&argv);
         assert!(!out.is_empty(), "example `rdf {args:?}` printed nothing");
     }
-    // The advertised pipeline really exercised the fixed layout.
+    // The advertised pipeline really wrote fixed-layout stores.
+    let info_out = run_ok(&["info", s(&dir.path("v1.rdfb"))]);
     assert!(
-        examples.iter().any(|a| a.contains(&"--layout".to_string())),
-        "top-level examples should show --layout: {examples:?}"
+        info_out.contains("layout fixed"),
+        "the example imports should write the fixed layout: {info_out}"
     );
 
     // Per-subcommand help: an EXAMPLES block that addresses the
@@ -440,7 +422,7 @@ fn trace_and_stats_cover_span_families() {
     let v1 = dir.path("v1.rdfb");
     let v2 = dir.path("v2.rdfb");
     run_ok(&["import", s(&dir.path("efo-v1.nt")), s(&v1)]);
-    run_ok(&["import", "--layout", "fixed", s(&dir.path("efo-v2.nt")), s(&v2)]);
+    run_ok(&["import", s(&dir.path("efo-v2.nt")), s(&v2)]);
 
     // Traced and untraced runs print byte-identical reports.
     let untraced = run_ok(&["align", "--method", "hybrid", s(&v1), s(&v2)]);
@@ -588,9 +570,11 @@ fn import_rejects_archive_containers() {
         s(&dir.path("a.nt")),
     ]);
     assert!(err.contains("content kind"), "got: {err}");
-    // But info understands it.
+    // But info understands it: archives stay container version 1,
+    // whose graph-store counterpart is retired.
     let info_out = run_ok(&["info", s(&dir.path("a.rdfb"))]);
-    assert!(info_out.contains("archive"));
+    assert!(info_out.contains("RDFB v1 archive"), "got: {info_out}");
+    assert!(!info_out.contains("load mode"), "got: {info_out}");
     // --bisim degrades gracefully on non-graph stores.
     let info_out =
         run_ok(&["info", "--bisim", s(&dir.path("a.rdfb"))]);

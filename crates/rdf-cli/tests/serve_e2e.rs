@@ -428,3 +428,56 @@ fn sharded_imports_and_retired_kinds_get_typed_errors() {
     );
     assert!(replies[2].contains(r#""ok":true"#), "{}", replies[2]);
 }
+
+/// The varint graph-store layout is retired in the daemon too: an
+/// `import` asking for `"layout":"varint"` is a `bad_request` (nothing
+/// is written) while `"fixed"` is accepted, and `align` or `info` over
+/// a version-1 store fails with an `engine` error naming the path.
+/// None of it costs the connection or the daemon.
+#[test]
+fn retired_varint_layout_gets_typed_errors() {
+    let dir = TempDir::new("varint");
+    let (v1, v2) = fixture(&dir);
+    let old = dir.path("old.rdfb");
+    std::fs::write(
+        &old,
+        include_bytes!("../../rdf-store/tests/data/varint-v1.rdfb"),
+    )
+    .unwrap();
+    let import = |layout: &str, out: &Path| {
+        format!(
+            r#"{{"op":"import","input":"{}","output":"{}","layout":"{}"}}"#,
+            dir.path("efo-v1.nt").display(),
+            out.display(),
+            layout
+        )
+    };
+    let refused = dir.path("varint.rdfb");
+    let fixed = dir.path("fixed.rdfb");
+    let daemon = Daemon::start(&dir.path("rdf.sock"), &[]);
+    let replies = raw_roundtrips(
+        &daemon.socket,
+        &[
+            &import("varint", &refused),
+            &import("fixed", &fixed),
+            &align_request(&old, &v2),
+            &format!(r#"{{"op":"info","path":"{}"}}"#, old.display()),
+            &align_request(&v1, &v2),
+        ],
+    );
+    assert!(replies[0].contains(r#""kind":"bad_request""#), "{}", replies[0]);
+    assert!(replies[0].contains("retired"), "{}", replies[0]);
+    assert!(!refused.exists(), "a refused import wrote {}", refused.display());
+    assert!(replies[1].contains(r#""ok":true"#), "{}", replies[1]);
+    assert_eq!(std::fs::read(&fixed).unwrap(), std::fs::read(&v1).unwrap());
+    for reply in &replies[2..4] {
+        assert!(reply.contains(r#""kind":"engine""#), "{reply}");
+        assert!(
+            reply.contains(s(&old))
+                && reply.contains("varint graph-store layout")
+                && reply.contains("retired"),
+            "{reply}"
+        );
+    }
+    assert!(replies[4].contains(r#""ok":true"#), "{}", replies[4]);
+}

@@ -4,7 +4,7 @@
 //! EFO releases, GtoPdb releases, and a DBpedia category subset. This
 //! crate generates seeded synthetic equivalents that exercise the same
 //! code paths and preserve the structural properties the evaluation
-//! depends on (see DESIGN.md, "Substitutions"):
+//! depends on:
 //!
 //! * [`efo`] — ontology with blank-node restriction records, >75 %
 //!   literals, fluctuating duplicated blanks, URI-prefix migrations;

@@ -5,7 +5,8 @@
 //! library default) is needlessly defensive for data we generate ourselves;
 //! the multiply-xor scheme below is the one rustc itself uses and is
 //! 2-5x faster on small integer keys. Implemented locally because the
-//! offline dependency set does not include `rustc-hash` (see DESIGN.md).
+//! offline dependency set does not include `rustc-hash` (README.md,
+//! "Workspace layout", lists the vendored dependencies).
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -2,7 +2,7 @@
 //! columns may borrow from an external byte buffer instead of owning
 //! copies — the model half of the zero-copy store load path.
 //!
-//! The fixed-width `.rdfb` layout (layout v2, `docs/FORMAT.md` §7)
+//! The fixed-width `.rdfb` layout (container version 2, `docs/FORMAT.md` §3)
 //! stores the `NODE` label array and the `TRPL` subject/predicate/
 //! object columns as padded little-endian fixed-width arrays. When a
 //! column is 4 bytes wide and the buffer is aligned, the reader hands

@@ -37,8 +37,9 @@ pub enum Request {
         input: String,
         /// Output `.rdfb` store path.
         output: String,
-        /// Section layout: `"varint"` or `"fixed"`; `None` for the
-        /// server default (varint).
+        /// Section layout: only `"fixed"`, the one graph-store layout
+        /// and the default when `None`. The server answers the retired
+        /// `"varint"` with a `bad_request`.
         layout: Option<String>,
         /// Per-request thread budget; `None` for the server default.
         threads: Option<usize>,

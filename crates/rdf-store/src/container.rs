@@ -12,11 +12,13 @@
 //! flipped bit or a truncated download fails with a typed error instead
 //! of materialising a wrong graph.
 //!
-//! The header version field doubles as the **layout flag**: version 1
-//! containers carry varint section bodies, version 2 containers carry
-//! the fixed-width bodies of the zero-copy load path ([`Layout`],
-//! `docs/FORMAT.md` §7). Layout is always resolved from the header,
-//! never from a file extension.
+//! The header version field doubles as the **layout flag**: graph
+//! stores are version 2, whose `NODE`/`TRPL` bodies are the
+//! fixed-width columns of `docs/FORMAT.md` §3; version 1 is the
+//! archive container (and the retired varint graph layout, which
+//! [`Container::parse_header`] rejects with
+//! [`StoreError::RetiredLayout`]). Layout is always resolved from the
+//! header, never from a file extension.
 
 use crate::checksum::crc32;
 use crate::error::StoreError;
@@ -24,36 +26,35 @@ use crate::error::StoreError;
 /// The four magic bytes opening every container.
 pub const MAGIC: [u8; 4] = *b"RDFB";
 
-/// Format version of the varint layout (layout v1) — the default
-/// writer output, byte-identical to every earlier release.
+/// Container version 1: the version archives are written with. A
+/// graph store (kind 1) with this version is in the retired varint
+/// layout and is rejected with [`StoreError::RetiredLayout`].
 pub const FORMAT_VERSION: u16 = 1;
 
-/// Format version of the fixed-width layout (layout v2): `NODE`/`TRPL`
-/// bodies are padded little-endian fixed-width arrays and every
-/// section payload is zero-padded to a multiple of 8 bytes, so readers
-/// can serve typed slices straight from the file image
-/// (`docs/FORMAT.md` §7).
+/// Container version 2, the fixed-width layout every graph store is
+/// written in: `NODE`/`TRPL` bodies are padded little-endian
+/// fixed-width arrays and every section payload is zero-padded to a
+/// multiple of 8 bytes, so readers can serve typed slices straight
+/// from the file image (`docs/FORMAT.md` §3).
 pub const FORMAT_VERSION_FIXED: u16 = 2;
 
-/// Highest container version this build reads. The version field *is*
-/// the layout flag: 1 = varint bodies, 2 = fixed-width bodies; readers
-/// resolve layout from it, never from a file extension.
+/// Highest container version this build reads.
 pub const MAX_FORMAT_VERSION: u16 = 2;
 
 /// Section body layout of a container, as selected by the header
-/// version field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// version field. Graph stores are always [`Layout::Fixed`];
+/// [`Layout::Varint`] names the version-1 bodies archives still use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Layout {
-    /// Layout v1: varint/delta-coded section bodies (smallest files).
-    #[default]
+    /// Version 1: varint section bodies (archives).
     Varint,
-    /// Layout v2: padded fixed-width little-endian section bodies
-    /// (zero-copy or widen-only loads).
+    /// Version 2: padded fixed-width little-endian section bodies
+    /// (graph stores; zero-copy or widen-only loads).
     Fixed,
 }
 
 impl Layout {
-    /// The container version a writer stamps for this layout.
+    /// The container version this layout is stamped as.
     pub fn version(self) -> u16 {
         match self {
             Layout::Varint => FORMAT_VERSION,
@@ -67,15 +68,6 @@ impl Layout {
         match version {
             FORMAT_VERSION => Some(Layout::Varint),
             FORMAT_VERSION_FIXED => Some(Layout::Fixed),
-            _ => None,
-        }
-    }
-
-    /// Parse the CLI spelling (`"varint"` / `"fixed"`).
-    pub fn from_cli(name: &str) -> Option<Layout> {
-        match name {
-            "varint" => Some(Layout::Varint),
-            "fixed" => Some(Layout::Fixed),
             _ => None,
         }
     }
@@ -121,11 +113,11 @@ pub struct Header {
 }
 
 impl Header {
-    /// The section body layout the version field selects. Infallible
-    /// for parsed headers: [`Container::parse_header`] already
-    /// rejected unknown versions.
+    /// The section body layout the version field selects. Parsed
+    /// headers carry a known version ([`Container::parse_header`]
+    /// rejects the rest); anything above 1 reads as fixed.
     pub fn layout(&self) -> Layout {
-        Layout::from_version(self.version).unwrap_or_default()
+        Layout::from_version(self.version).unwrap_or(Layout::Fixed)
     }
 }
 
@@ -147,8 +139,8 @@ impl ContainerWriter {
         self
     }
 
-    /// Serialise header and sections into `out` with the default
-    /// (layout v1) version stamp.
+    /// Serialise header and sections into `out` stamped as container
+    /// version 1, the archive version.
     pub fn finish(
         self,
         out: &mut impl std::io::Write,
@@ -245,7 +237,8 @@ impl<'a> Container<'a> {
     }
 
     /// Parse only the fixed header (no section walking) — enough for a
-    /// cheap `info` on a large file.
+    /// cheap `info` on a large file. Rejects unknown versions, the
+    /// retired kinds and version-1 graph stores (the retired layout).
     pub fn parse_header(bytes: &[u8]) -> Result<Header, StoreError> {
         // Check the magic before the length, so a short non-container
         // file reports "not an RDFB container" rather than "truncated".
@@ -268,6 +261,9 @@ impl<'a> Container<'a> {
         let kind = head[6];
         if RETIRED_KINDS.contains(&kind) {
             return Err(StoreError::RetiredKind { found: kind });
+        }
+        if kind == KIND_GRAPH && version == FORMAT_VERSION {
+            return Err(StoreError::RetiredLayout { version });
         }
         let sections = head[7];
         let mut counts = [0u64; 3];
@@ -313,7 +309,9 @@ mod tests {
         w.section(*b"AAAA", vec![1, 2, 3]);
         w.section(*b"BBBB", vec![]);
         let mut out = Vec::new();
-        w.finish(&mut out, KIND_GRAPH, [10, 20, 30]).unwrap();
+        let counts = [10, 20, 30];
+        w.finish_versioned(&mut out, FORMAT_VERSION_FIXED, KIND_GRAPH, counts)
+            .unwrap();
         out
     }
 
@@ -321,7 +319,7 @@ mod tests {
     fn write_parse_round_trip() {
         let bytes = sample();
         let c = Container::parse(&bytes).unwrap();
-        assert_eq!(c.header().version, FORMAT_VERSION);
+        assert_eq!(c.header().version, FORMAT_VERSION_FIXED);
         assert_eq!(c.header().kind, KIND_GRAPH);
         assert_eq!(c.header().counts, [10, 20, 30]);
         assert_eq!(c.section(*b"AAAA").unwrap(), &[1, 2, 3]);
@@ -398,14 +396,19 @@ mod tests {
         assert_eq!(c.header().version, FORMAT_VERSION_FIXED);
         assert_eq!(c.header().layout(), Layout::Fixed);
         assert_eq!(c.section(*b"AAAA").unwrap(), scratch.as_slice());
-        // Default finish still stamps v1/varint.
-        let v1 = sample();
+        // Plain finish stamps version 1, the archive layout.
+        let mut w = ContainerWriter::new();
+        w.section(*b"AAAA", vec![1]);
+        let mut v1 = Vec::new();
+        w.finish(&mut v1, KIND_ARCHIVE, [1, 0, 0]).unwrap();
         assert_eq!(
             Container::parse_header(&v1).unwrap().layout(),
             Layout::Varint
         );
     }
 
+    /// The names `rdf info` prints for each layout, and the version
+    /// each one is stamped as.
     #[test]
     fn layout_maps_versions_and_cli_names() {
         assert_eq!(Layout::Varint.version(), FORMAT_VERSION);
@@ -413,9 +416,6 @@ mod tests {
         assert_eq!(Layout::from_version(1), Some(Layout::Varint));
         assert_eq!(Layout::from_version(2), Some(Layout::Fixed));
         assert_eq!(Layout::from_version(3), None);
-        assert_eq!(Layout::from_cli("varint"), Some(Layout::Varint));
-        assert_eq!(Layout::from_cli("fixed"), Some(Layout::Fixed));
-        assert_eq!(Layout::from_cli("FIXED"), None);
         assert_eq!(Layout::Varint.to_string(), "varint");
         assert_eq!(Layout::Fixed.to_string(), "fixed");
     }
@@ -441,6 +441,20 @@ mod tests {
                 Err(StoreError::RetiredKind { found }) if found == kind
             ));
         }
+    }
+
+    /// A version-1 graph store is the retired varint layout, refused
+    /// from its header; a version-1 archive still parses.
+    #[test]
+    fn retired_layout_rejected() {
+        let mut bytes = sample();
+        bytes[4] = FORMAT_VERSION as u8;
+        assert!(matches!(
+            Container::parse(&bytes),
+            Err(StoreError::RetiredLayout { version: FORMAT_VERSION })
+        ));
+        bytes[6] = KIND_ARCHIVE;
+        assert_eq!(Container::parse(&bytes).unwrap().header().version, 1);
     }
 
     #[test]

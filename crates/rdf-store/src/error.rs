@@ -54,6 +54,14 @@ pub enum StoreError {
         /// Kind byte found in the header.
         found: u8,
     },
+    /// A graph store (kind 1) in a retired section layout: container
+    /// version 1, the varint `NODE`/`TRPL` bodies. Graph stores are
+    /// written and read in the fixed layout (version 2) only;
+    /// archives keep version 1.
+    RetiredLayout {
+        /// Container version found in the header.
+        version: u16,
+    },
     /// Structurally invalid content (bad counts, out-of-range ids,
     /// inconsistent dictionaries, …).
     Corrupt(String),
@@ -110,6 +118,12 @@ impl fmt::Display for StoreError {
                 "container holds content kind {found}, part of the retired \
                  sharded store layout; re-import the N-Triples into a \
                  single .rdfb store"
+            ),
+            StoreError::RetiredLayout { version } => write!(
+                f,
+                "the varint graph-store layout (container version \
+                 {version}) is retired; re-import the N-Triples with \
+                 `rdf import`, which writes the fixed layout"
             ),
             StoreError::Corrupt(msg) => write!(f, "corrupt container: {msg}"),
         }

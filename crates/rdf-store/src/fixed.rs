@@ -1,14 +1,15 @@
-//! Fixed-width section bodies (container layout v2).
+//! Fixed-width section bodies (container version 2, the one graph-store
+//! layout).
 //!
-//! Layout v2 trades a few bytes of padding for *decodability by
+//! The layout trades a few bytes of padding for *decodability by
 //! pointer cast*: `NODE` and `TRPL` bodies are little-endian
 //! fixed-width id arrays behind a 16-byte preamble, and **every**
-//! section payload (including the still-varint `DICT`/`BNAM`/`SHRD`)
-//! is zero-padded to a multiple of 8 bytes. Because the container
+//! section payload (including the still-varint `DICT`/`BNAM`) is
+//! zero-padded to a multiple of 8 bytes. Because the container
 //! header is 32 bytes and each section frame 16, every payload then
 //! starts 8-aligned within the file image — so a 4-byte-wide column in
 //! a mapped or 8-aligned buffer can be served as `&[u32]` without a
-//! copy. The normative spec is `docs/FORMAT.md` §7.
+//! copy. The normative spec is `docs/FORMAT.md` §3.
 //!
 //! Body shapes:
 //!
@@ -25,7 +26,7 @@
 //! else is a typed corruption error.
 
 use crate::error::StoreError;
-use rdf_model::{LabelId, NodeId, Triple};
+use rdf_model::{LabelId, Triple};
 
 /// Valid fixed-column widths in bytes.
 pub const FIXED_WIDTHS: [u8; 3] = [1, 2, 4];
@@ -44,15 +45,15 @@ pub fn width_for(max_id: u32) -> u8 {
     }
 }
 
-/// Zero-pad `buf` to a multiple of 8 bytes (layout v2's universal
-/// payload rule).
+/// Zero-pad `buf` to a multiple of 8 bytes (the fixed layout's
+/// universal payload rule).
 pub fn pad8(buf: &mut Vec<u8>) {
     while !buf.len().is_multiple_of(8) {
         buf.push(0);
     }
 }
 
-/// Verify the layout-v2 padding rule at the end of a payload: from
+/// Verify the fixed layout's padding rule at the end of a payload: from
 /// `pos` to `body.len()` there are at most 7 bytes and all are zero.
 pub fn check_pad8(body: &[u8], pos: usize, what: &str) -> Result<(), StoreError> {
     let tail = body.get(pos..).ok_or(StoreError::Truncated {
@@ -83,9 +84,13 @@ fn push_id(out: &mut Vec<u8>, id: u32, width: u8) {
     }
 }
 
-/// Write the 16-byte fixed-section preamble.
-fn push_preamble(out: &mut Vec<u8>, count: u64, width: u8) {
-    out.extend_from_slice(&count.to_le_bytes());
+/// Reserve the exact size of a fixed body of `columns` padded columns
+/// of `count` ids each, then write its 16-byte preamble. The exact
+/// reservation keeps the `Vec` from doubling past the body size.
+fn push_preamble(out: &mut Vec<u8>, count: usize, width: u8, columns: usize) {
+    let col_stride = (count * width as usize).div_ceil(8) * 8;
+    out.reserve_exact(FIXED_PREAMBLE + columns * col_stride);
+    out.extend_from_slice(&(count as u64).to_le_bytes());
     out.push(width);
     out.extend_from_slice(&[0u8; 7]);
 }
@@ -96,7 +101,7 @@ pub fn encode_node_fixed_into(out: &mut Vec<u8>, labels: &[LabelId]) {
     out.clear();
     let max = labels.iter().map(|l| l.0).max().unwrap_or(0);
     let width = width_for(max);
-    push_preamble(out, labels.len() as u64, width);
+    push_preamble(out, labels.len(), width, 1);
     for l in labels {
         push_id(out, l.0, width);
     }
@@ -114,7 +119,7 @@ pub fn encode_trpl_fixed_into(out: &mut Vec<u8>, triples: &[Triple]) {
         .max()
         .unwrap_or(0);
     let width = width_for(max);
-    push_preamble(out, triples.len() as u64, width);
+    push_preamble(out, triples.len(), width, 3);
     for pick in [
         |t: &Triple| t.s.0,
         |t: &Triple| t.p.0,
@@ -238,61 +243,36 @@ pub fn widen_column(col: &[u8], width: u8) -> Vec<u32> {
     }
 }
 
-/// Decode a fixed `NODE` body into owned label ids (widening path).
-pub fn decode_node_fixed(
-    body: &[u8],
-    expected: Option<u64>,
-) -> Result<Vec<LabelId>, StoreError> {
-    let fb = parse_fixed_body(body, 1, expected, "fixed NODE section")?;
-    Ok(widen_column(fixed_column(body, &fb, 0), fb.width)
-        .into_iter()
-        .map(LabelId)
-        .collect())
-}
-
-/// Decode a fixed `TRPL` body into its three widened `u32` columns.
-fn decode_trpl_fixed_cols(
-    body: &[u8],
-    expected: Option<u64>,
-) -> Result<[Vec<u32>; 3], StoreError> {
-    let fb = parse_fixed_body(body, 3, expected, "fixed TRPL section")?;
-    Ok([
-        widen_column(fixed_column(body, &fb, 0), fb.width),
-        widen_column(fixed_column(body, &fb, 1), fb.width),
-        widen_column(fixed_column(body, &fb, 2), fb.width),
-    ])
-}
-
-/// Decode a fixed `TRPL` body into owned triples (widening path),
-/// verifying the strictly-ascending on-disk contract.
-pub fn decode_trpl_fixed(
-    body: &[u8],
-    expected: Option<u64>,
-) -> Result<Vec<Triple>, StoreError> {
-    let [s, p, o] = decode_trpl_fixed_cols(body, expected)?;
-    let count = s.len();
-    let mut triples = Vec::with_capacity(count);
-    for j in 0..count {
-        let t = Triple::new(NodeId(s[j]), NodeId(p[j]), NodeId(o[j]));
-        if let Some(prev) = triples.last() {
-            if *prev >= t {
-                return Err(StoreError::Corrupt(format!(
-                    "fixed TRPL section: triples not strictly \
-                     ascending at record {j}"
-                )));
-            }
-        }
-        triples.push(t);
-    }
-    Ok(triples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdf_model::NodeId;
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
         Triple::new(NodeId(s), NodeId(p), NodeId(o))
+    }
+
+    /// Read a fixed `NODE` body back through the reader's helpers.
+    fn decode_node(
+        body: &[u8],
+        expected: Option<u64>,
+    ) -> Result<Vec<LabelId>, StoreError> {
+        let fb = parse_fixed_body(body, 1, expected, "fixed NODE section")?;
+        Ok(widen_column(fixed_column(body, &fb, 0), fb.width)
+            .into_iter()
+            .map(LabelId)
+            .collect())
+    }
+
+    /// Read a fixed `TRPL` body back through the reader's helpers.
+    fn decode_trpl(
+        body: &[u8],
+        expected: Option<u64>,
+    ) -> Result<Vec<Triple>, StoreError> {
+        let fb = parse_fixed_body(body, 3, expected, "fixed TRPL section")?;
+        let [s, p, o] = [0, 1, 2]
+            .map(|c| widen_column(fixed_column(body, &fb, c), fb.width));
+        Ok((0..fb.count).map(|j| t(s[j], p[j], o[j])).collect())
     }
 
     #[test]
@@ -313,13 +293,14 @@ mod tests {
             let mut body = Vec::new();
             encode_node_fixed_into(&mut body, &labels);
             assert_eq!(body.len() % 8, 0);
-            let back = decode_node_fixed(&body, Some(9)).unwrap();
+            assert_eq!(body.capacity(), body.len(), "exact reservation");
+            let back = decode_node(&body, Some(9)).unwrap();
             assert_eq!(back, labels);
         }
         let mut empty = Vec::new();
         encode_node_fixed_into(&mut empty, &[]);
         assert_eq!(empty.len(), FIXED_PREAMBLE);
-        assert_eq!(decode_node_fixed(&empty, Some(0)).unwrap(), vec![]);
+        assert_eq!(decode_node(&empty, Some(0)).unwrap(), vec![]);
     }
 
     #[test]
@@ -336,13 +317,14 @@ mod tests {
             let mut body = Vec::new();
             encode_trpl_fixed_into(&mut body, &sorted);
             assert_eq!(body.len() % 8, 0);
+            assert_eq!(body.capacity(), body.len(), "exact reservation");
             let back =
-                decode_trpl_fixed(&body, Some(sorted.len() as u64)).unwrap();
+                decode_trpl(&body, Some(sorted.len() as u64)).unwrap();
             assert_eq!(back, sorted);
         }
         let mut empty = Vec::new();
         encode_trpl_fixed_into(&mut empty, &[]);
-        assert_eq!(decode_trpl_fixed(&empty, Some(0)).unwrap(), vec![]);
+        assert_eq!(decode_trpl(&empty, Some(0)).unwrap(), vec![]);
     }
 
     #[test]
@@ -364,19 +346,19 @@ mod tests {
         let mut bad = body.clone();
         bad[8] = 3;
         assert!(matches!(
-            decode_trpl_fixed(&bad, None),
+            decode_trpl(&bad, None),
             Err(StoreError::Corrupt(m)) if m.contains("invalid fixed width")
         ));
 
         // Truncation mid-record.
         assert!(matches!(
-            decode_trpl_fixed(&body[..body.len() - 3], Some(2)),
+            decode_trpl(&body[..body.len() - 3], Some(2)),
             Err(StoreError::Truncated { .. }) | Err(StoreError::Corrupt(_))
         ));
 
         // Count mismatch vs header.
         assert!(matches!(
-            decode_trpl_fixed(&body, Some(5)),
+            decode_trpl(&body, Some(5)),
             Err(StoreError::Corrupt(m)) if m.contains("header says 5")
         ));
 
@@ -384,7 +366,7 @@ mod tests {
         let mut bad = body.clone();
         bad[12] = 1;
         assert!(matches!(
-            decode_trpl_fixed(&bad, None),
+            decode_trpl(&bad, None),
             Err(StoreError::Corrupt(m)) if m.contains("preamble padding")
         ));
 
@@ -392,23 +374,15 @@ mod tests {
         let mut bad = body.clone();
         *bad.last_mut().unwrap() = 7;
         assert!(matches!(
-            decode_trpl_fixed(&bad, None),
+            decode_trpl(&bad, None),
             Err(StoreError::Corrupt(m)) if m.contains("column padding")
-        ));
-
-        // Unsorted triples.
-        let mut swapped = Vec::new();
-        encode_trpl_fixed_into(&mut swapped, &[t(1, 0, 300), t(0, 1, 2)]);
-        assert!(matches!(
-            decode_trpl_fixed(&swapped, None),
-            Err(StoreError::Corrupt(m)) if m.contains("ascending")
         ));
 
         // Trailing garbage after the columns.
         let mut long = body.clone();
         long.extend_from_slice(&[0u8; 8]);
         assert!(matches!(
-            decode_trpl_fixed(&long, None),
+            decode_trpl(&long, None),
             Err(StoreError::Corrupt(m)) if m.contains("trailing")
         ));
     }

@@ -56,18 +56,25 @@ pub fn import_ntriples<R: BufRead, W: Write>(
     reader: R,
     out: W,
 ) -> Result<(Vocab, RdfGraph), ImportError> {
-    import_ntriples_layout(reader, out, Layout::default())
+    let mut vocab = Vocab::new();
+    let graph = rdf_io::parse_graph_reader(reader, &mut vocab)?;
+    StoreWriter::new(out).write_graph(&vocab, &graph)?;
+    Ok((vocab, graph))
 }
 
-/// [`import_ntriples`] with an explicit section [`Layout`] for the
-/// written container (`Layout::Varint` reproduces the default bytes).
+/// [`import_ntriples`] under an explicit [`Layout`]. Only
+/// [`Layout::Fixed`] is written; [`Layout::Varint`] fails up front with
+/// [`StoreError::RetiredLayout`], before any input is read. Kept
+/// because the benchmark harness calls this signature.
 pub fn import_ntriples_layout<R: BufRead, W: Write>(
     reader: R,
     out: W,
     layout: Layout,
 ) -> Result<(Vocab, RdfGraph), ImportError> {
-    let mut vocab = Vocab::new();
-    let graph = rdf_io::parse_graph_reader(reader, &mut vocab)?;
-    StoreWriter::new(out).write_graph_layout(&vocab, &graph, layout)?;
-    Ok((vocab, graph))
+    match layout {
+        Layout::Fixed => import_ntriples(reader, out),
+        Layout::Varint => Err(ImportError::Store(StoreError::RetiredLayout {
+            version: layout.version(),
+        })),
+    }
 }

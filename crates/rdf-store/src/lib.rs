@@ -4,24 +4,25 @@
 //! crate, were re-tokenised on every run. Following the I/O-efficient
 //! bisimulation literature (Luo et al., Hellings et al.), the enabling
 //! step for big-graph work is a compact binary representation that loads
-//! without re-parsing: a deduplicated label dictionary plus the CSR
-//! triple arrays, varint-delta encoded, each section protected by a
-//! CRC-32 so corruption fails loudly.
+//! without re-parsing: a deduplicated label dictionary plus fixed-width
+//! integer id columns that read without decoding, each section
+//! protected by a CRC-32 so corruption fails loudly.
 //!
-//! * [`StoreWriter`] / [`save_graph`] — serialise a graph + vocabulary;
-//! * [`StoreReader`] / [`load_graph`] — reconstruct them with **zero
-//!   per-triple string hashing** (only the dictionary itself is
-//!   re-interned, once per distinct label);
-//! * [`BorrowedStoreReader`] — open the same file as a zero-copy view
-//!   whose fixed-layout id columns borrow straight from the mapped
-//!   file;
+//! * [`StoreWriter`] / [`save_graph`] / [`graph_to_bytes`] — serialise
+//!   a graph + vocabulary;
+//! * [`BorrowedStoreReader`] — the one reader: `info`, a zero-copy
+//!   view whose id columns borrow straight from the mapped file, and
+//!   an owned `(Vocab, RdfGraph)` decode ([`load_graph`]) with **zero
+//!   per-triple string hashing**;
 //! * [`import_ntriples`] — stream N-Triples from any `BufRead` into a
 //!   store without materialising the document;
 //! * [`container`] — the generic section framing, reused by
 //!   `rdf-archive` for persistent archives.
 //!
-//! A graph store is always one `.rdfb` file, in either the varint or
-//! the fixed-width layout.
+//! A graph store is always one `.rdfb` file in the fixed-width layout
+//! (container version 2). Version-1 graph stores, the retired varint
+//! layout, are refused with [`StoreError::RetiredLayout`]; archives
+//! stay version 1.
 //!
 //! The byte-level layout of every container kind — header, section
 //! framing, `DICT`/`NODE`/`TRPL`/`BNAM` bodies, varint and CRC rules —
@@ -30,7 +31,7 @@
 //!
 //! ```
 //! use rdf_model::{RdfGraphBuilder, Vocab};
-//! use rdf_store::{graph_to_bytes, StoreReader};
+//! use rdf_store::{graph_to_bytes, BorrowedStoreReader, StoreBuf};
 //!
 //! let mut vocab = Vocab::new();
 //! let g = {
@@ -40,7 +41,8 @@
 //!     b.finish()
 //! };
 //! let bytes = graph_to_bytes(&vocab, &g).unwrap();
-//! let (vocab2, g2) = StoreReader::from_bytes(bytes).read_graph().unwrap();
+//! let reader = BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bytes));
+//! let (vocab2, g2) = reader.read_graph().unwrap();
 //! assert_eq!(g2.triple_count(), g.triple_count());
 //! assert_eq!(vocab2.find_uri("address").is_some(), true);
 //! ```
@@ -58,16 +60,13 @@ pub mod import;
 pub mod mmap;
 pub mod varint;
 
-pub use borrowed::{BorrowedStoreReader, LoadMode};
+pub use borrowed::{BorrowedStoreReader, LoadMode, StoreInfo};
 pub use container::{
     Container, ContainerWriter, Header, Layout, FORMAT_VERSION,
     FORMAT_VERSION_FIXED, KIND_ARCHIVE, KIND_GRAPH, MAGIC,
     MAX_FORMAT_VERSION, RETIRED_KINDS,
 };
 pub use error::StoreError;
-pub use graph_store::{
-    graph_to_bytes, graph_to_bytes_layout, load_graph, save_graph,
-    save_graph_layout, StoreInfo, StoreReader, StoreWriter,
-};
+pub use graph_store::{graph_to_bytes, load_graph, save_graph, StoreWriter};
 pub use import::{import_ntriples, import_ntriples_layout, ImportError};
 pub use mmap::StoreBuf;

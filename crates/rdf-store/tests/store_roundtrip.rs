@@ -1,89 +1,40 @@
-//! Property suite for the `.rdfb` store: `load(save(g)) == g`
-//! term-for-term for random graphs (blank nodes, escaped / lang-tagged /
-//! datatyped literals), byte-identical reconstruction of freshly parsed
-//! graphs, and typed — never panicking — failures on corrupt containers.
+//! Property suite for the `.rdfb` graph store through its one reader:
+//! `load(save(g)) == g` term-for-term for random graphs (blank nodes,
+//! escaped / lang-tagged / datatyped literals); byte-identical
+//! reconstruction of freshly parsed graphs; deterministic writes; and
+//! typed — never panicking — failures on corrupt containers (truncation,
+//! bit flips, bad magic, future versions, checksum flips) and on
+//! version-1 stores, the retired varint layout. The fixed-width column
+//! bodies themselves are exercised by `store_v2_roundtrip.rs`.
 
+mod common;
+
+use common::{arb_rdf_graph, load, reader_of, term_triples};
 use proptest::prelude::*;
 use rdf_io::{parse_graph, write_graph};
-use rdf_model::{LabelRef, NodeId, RdfGraph, Term, Vocab};
-use rdf_store::{graph_to_bytes, StoreError, StoreReader};
+use rdf_model::{RdfGraph, Vocab};
+use rdf_store::{graph_to_bytes, Layout, LoadMode, StoreError};
 
-/// Awkward characters exercising literal and IRI escaping.
-const TRICKY: &[&str] = &[
-    "", " ", "\"", "\\", "\n", "\r", "\t", "café", "😀", "a b", "x\\\"y",
-    "line1\nline2", "<angle>", "fin.",
-];
-
-fn term_of(g: &RdfGraph, vocab: &Vocab, n: NodeId) -> Term {
-    match vocab.resolve(g.graph().label(n)) {
-        LabelRef::Uri(u) => Term::uri(u),
-        LabelRef::Literal(l) => Term::literal(l),
-        LabelRef::Blank => Term::blank(
-            g.blank_name(n)
-                .map(str::to_owned)
-                .unwrap_or_else(|| format!("b{}", n.0)),
-        ),
+/// Assert two loaded (vocab, graph) pairs are bit-identical: dense
+/// arrays, CSR adjacency, blank names and dictionary.
+fn assert_loads_identical(
+    (va, ga): &(Vocab, RdfGraph),
+    (vb, gb): &(Vocab, RdfGraph),
+) -> Result<(), String> {
+    prop_assert_eq!(ga.graph().labels_raw(), gb.graph().labels_raw());
+    prop_assert_eq!(ga.graph().kinds_raw(), gb.graph().kinds_raw());
+    prop_assert_eq!(ga.graph().triples(), gb.graph().triples());
+    for n in ga.graph().nodes() {
+        prop_assert_eq!(ga.graph().out(n), gb.graph().out(n));
+        prop_assert_eq!(ga.blank_name(n), gb.blank_name(n));
     }
-}
-
-fn term_triples(g: &RdfGraph, vocab: &Vocab) -> Vec<(Term, Term, Term)> {
-    let mut out: Vec<(Term, Term, Term)> = g
-        .graph()
-        .triples()
-        .iter()
-        .map(|t| {
-            (
-                term_of(g, vocab, t.s),
-                term_of(g, vocab, t.p),
-                term_of(g, vocab, t.o),
-            )
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-/// A random RDF graph mixing URI/blank subjects and URI/literal/blank
-/// objects, literals drawn from the tricky pool with language tags and
-/// datatypes folded in.
-fn arb_rdf_graph() -> impl Strategy<Value = (Vocab, RdfGraph)> {
-    (1usize..24, any::<u64>()).prop_map(|(m, seed)| {
-        let mut vocab = Vocab::new();
-        let mut b = rdf_model::RdfGraphBuilder::new(&mut vocab);
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..m {
-            let s_uri = format!("http://e.org/s{}", next() % 6);
-            let s_blank = format!("bn{}", next() % 5);
-            let p = format!("http://e.org/p{}", next() % 4);
-            let tricky = TRICKY[(next() % TRICKY.len() as u64) as usize];
-            let lit = match next() % 4 {
-                0 => tricky.to_string(),
-                1 => format!("{tricky}@en"),
-                2 => format!(
-                    "{}^^http://www.w3.org/2001/XMLSchema#string",
-                    next() % 9
-                ),
-                _ => format!("value {} {tricky}", next() % 7),
-            };
-            let o_blank = format!("bn{}", next() % 5);
-            let o_uri = format!("http://e.org/o-{}", next() % 8);
-            match next() % 5 {
-                0 => b.uuu(&s_uri, &p, &o_uri),
-                1 => b.uul(&s_uri, &p, &lit),
-                2 => b.uub(&s_uri, &p, &o_blank),
-                3 => b.bul(&s_blank, &p, &lit),
-                _ => b.bub(&s_blank, &p, &o_blank),
-            }
-        }
-        let g = b.finish();
-        (vocab, g)
-    })
+    prop_assert_eq!(va.len(), vb.len());
+    for i in 0..va.len() {
+        let id = rdf_model::LabelId(i as u32);
+        prop_assert_eq!(va.kind(id), vb.kind(id));
+        prop_assert_eq!(va.text(id), vb.text(id));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -93,7 +44,7 @@ proptest! {
     #[test]
     fn save_load_is_identity((vocab, g) in arb_rdf_graph()) {
         let bytes = graph_to_bytes(&vocab, &g).unwrap();
-        let (v2, g2) = StoreReader::from_bytes(bytes).read_graph().unwrap();
+        let (v2, g2) = load(&bytes).unwrap();
         prop_assert_eq!(g2.node_count(), g.node_count());
         prop_assert_eq!(g2.triple_count(), g.triple_count());
         prop_assert_eq!(term_triples(&g2, &v2), term_triples(&g, &vocab));
@@ -102,35 +53,21 @@ proptest! {
         }
     }
 
-    /// `load(save(parse(text)))` reconstructs `parse(text)` *byte-
-    /// identically*: same node ids, same label ids, same CSR adjacency —
-    /// not just term equality — because a fresh parse interns labels
-    /// densely in first-appearance order, which is exactly the store's
-    /// dictionary order.
+    /// `load(save(parse(text)))` reconstructs `parse(text)` *bit-
+    /// identically*: same node ids, same label ids, same CSR adjacency,
+    /// same blank names and dictionary — not just term equality —
+    /// because a fresh parse interns labels densely in first-appearance
+    /// order, which is exactly the store's dictionary order. The
+    /// canonical export bytes agree too.
     #[test]
     fn store_of_fresh_parse_is_byte_identical((vocab, g) in arb_rdf_graph()) {
         let text = write_graph(&g, &vocab);
         let mut fresh = Vocab::new();
         let parsed = parse_graph(&text, &mut fresh).unwrap();
         let bytes = graph_to_bytes(&fresh, &parsed).unwrap();
-        let (v2, loaded) = StoreReader::from_bytes(bytes).read_graph().unwrap();
-        prop_assert_eq!(
-            loaded.graph().labels_raw(),
-            parsed.graph().labels_raw()
-        );
-        prop_assert_eq!(loaded.graph().kinds_raw(), parsed.graph().kinds_raw());
-        prop_assert_eq!(loaded.graph().triples(), parsed.graph().triples());
-        for n in parsed.graph().nodes() {
-            prop_assert_eq!(loaded.graph().out(n), parsed.graph().out(n));
-        }
-        prop_assert_eq!(v2.len(), fresh.len());
-        for i in 0..fresh.len() {
-            let id = rdf_model::LabelId(i as u32);
-            prop_assert_eq!(v2.kind(id), fresh.kind(id));
-            prop_assert_eq!(v2.text(id), fresh.text(id));
-        }
-        // And the canonical serialisation agrees byte-for-byte.
-        prop_assert_eq!(write_graph(&loaded, &v2), text);
+        let loaded = load(&bytes).unwrap();
+        assert_loads_identical(&loaded, &(fresh, parsed))?;
+        prop_assert_eq!(write_graph(&loaded.1, &loaded.0), text);
     }
 
     /// Saving is deterministic: identical graphs produce identical bytes.
@@ -149,7 +86,7 @@ proptest! {
         // Sampling every 7th cut keeps the case fast while still
         // touching header, frame and payload territory.
         for cut in (0..bytes.len()).step_by(7) {
-            let r = StoreReader::from_bytes(bytes[..cut].to_vec());
+            let r = reader_of(&bytes[..cut]);
             prop_assert!(r.read_graph().is_err(), "cut at {} must fail", cut);
         }
     }
@@ -162,13 +99,11 @@ proptest! {
         for i in (0..bytes.len()).step_by(11) {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x10;
-            // Must not panic; almost always errors. A flip inside an
-            // unused header byte region cannot occur (all 32 bytes are
-            // meaningful), but a flip may cancel out only by breaking a
-            // count that a structural check catches — either way, no
-            // silent success with different content.
-            let r = StoreReader::from_bytes(corrupt).read_graph();
-            if let Ok((v2, g2)) = r {
+            // Must not panic; almost always errors. A flip may cancel
+            // out only by breaking a count that a structural check
+            // catches — either way, no silent success with different
+            // content.
+            if let Ok((v2, g2)) = load(&corrupt) {
                 // The only acceptable "success" is content identity
                 // (impossible for a real flip, but assert it anyway).
                 prop_assert_eq!(
@@ -189,6 +124,7 @@ fn sample_store() -> (Vocab, RdfGraph, Vec<u8>) {
         b.bul("b1", "zip", "EH8 9AB");
         b.bul("b1", "city", "Edinburgh");
         b.uul("ss", "name", "Sławek\nStaworko@pl");
+        b.uuu("ss", "employer", "ed-uni");
         b.finish()
     };
     let bytes = graph_to_bytes(&vocab, &g).unwrap();
@@ -199,7 +135,7 @@ fn sample_store() -> (Vocab, RdfGraph, Vec<u8>) {
 fn bad_magic_is_typed() {
     let (_, _, mut bytes) = sample_store();
     bytes[..4].copy_from_slice(b"NOPE");
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::BadMagic { found }) => assert_eq!(&found, b"NOPE"),
         other => panic!("expected BadMagic, got {other:?}"),
     }
@@ -210,7 +146,7 @@ fn future_version_is_typed() {
     let (_, _, mut bytes) = sample_store();
     bytes[4] = 3;
     bytes[5] = 0;
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::UnsupportedVersion { found: 3, supported }) => {
             assert_eq!(supported, rdf_store::MAX_FORMAT_VERSION)
         }
@@ -220,18 +156,71 @@ fn future_version_is_typed() {
 
 #[test]
 fn version_flag_is_the_layout_authority() {
-    // Stamping the fixed-layout version onto varint bytes must fail with
-    // a typed fixed-parse error, never silently decode as varint: readers
-    // resolve layout from the header flag alone.
+    // Stamping version 1 onto fixed bytes must fail with the typed
+    // retired-layout error in every reader entry point, never decode:
+    // readers resolve layout from the header flag alone.
     let (_, _, mut bytes) = sample_store();
-    bytes[4] = rdf_store::FORMAT_VERSION_FIXED as u8;
+    bytes[4] = rdf_store::FORMAT_VERSION as u8;
     bytes[5] = 0;
-    match StoreReader::from_bytes(bytes).read_graph() {
-        Err(
-            StoreError::Truncated { .. } | StoreError::Corrupt(_),
-        ) => {}
-        other => panic!("expected typed fixed-parse error, got {other:?}"),
+    let reader = reader_of(&bytes);
+    for got in [
+        reader.read_graph().map(drop),
+        reader.read_view().map(drop),
+        reader.info().map(drop),
+    ] {
+        match got {
+            Err(StoreError::RetiredLayout { version: 1 }) => {}
+            other => panic!("expected RetiredLayout, got {other:?}"),
+        }
     }
+}
+
+/// A version-1 graph store exactly as the retired varint writer laid
+/// it out (`tests/data/varint-v1.rdfb`, the three-triple graph below)
+/// is refused by every reader entry point with a typed error that
+/// says what to do; it never panics and never decodes.
+#[test]
+fn varint_store_is_retired_with_a_typed_error() {
+    const V1: &[u8] = include_bytes!("data/varint-v1.rdfb");
+    const TEXT: &str =
+        "<u:s> <u:p> <u:o> .\n<u:s> <u:q> _:b1 .\n_:b1 <u:p> \"lit\" .\n";
+    let header = rdf_store::Container::parse_header(V1);
+    assert!(matches!(header, Err(StoreError::RetiredLayout { version: 1 })));
+    let reader = reader_of(V1);
+    for got in [
+        reader.read_graph().map(drop),
+        reader.read_view().map(drop),
+        reader.info().map(drop),
+    ] {
+        let err = got.expect_err("a version-1 graph store must not load");
+        assert!(matches!(err, StoreError::RetiredLayout { version: 1 }));
+        assert!(err.to_string().contains("rdf import"), "got: {err}");
+    }
+    // Re-importing the same text gives a fixed store that loads.
+    let mut out = Vec::new();
+    rdf_store::import_ntriples(TEXT.as_bytes(), &mut out).unwrap();
+    let (_, g) = load(&out).unwrap();
+    assert_eq!((g.node_count(), g.triple_count()), (6, 3));
+    // The pinned layout-taking import refuses varint before reading.
+    let mut sink = Vec::new();
+    match rdf_store::import_ntriples_layout(
+        TEXT.as_bytes(),
+        &mut sink,
+        Layout::Varint,
+    ) {
+        Err(rdf_store::ImportError::Store(StoreError::RetiredLayout {
+            version: 1,
+        })) => assert!(sink.is_empty()),
+        other => panic!("expected RetiredLayout, got {:?}", other.map(drop)),
+    }
+    let mut fixed = Vec::new();
+    rdf_store::import_ntriples_layout(
+        TEXT.as_bytes(),
+        &mut fixed,
+        Layout::Fixed,
+    )
+    .unwrap();
+    assert_eq!(fixed, out);
 }
 
 #[test]
@@ -240,7 +229,7 @@ fn flipped_checksum_byte_is_typed() {
     // First section's stored checksum sits at header + tag + len.
     let crc_at = rdf_store::container::HEADER_LEN + 4 + 8;
     bytes[crc_at] ^= 0xff;
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::ChecksumMismatch { section, .. }) => {
             assert_eq!(&section, b"DICT")
         }
@@ -255,7 +244,7 @@ fn flipped_payload_byte_is_typed() {
         + rdf_store::container::SECTION_OVERHEAD
         + 3;
     bytes[payload_at] ^= 0x55;
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::ChecksumMismatch { .. }) => {}
         other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
@@ -264,7 +253,7 @@ fn flipped_payload_byte_is_typed() {
 #[test]
 fn truncated_header_is_typed() {
     let (_, _, bytes) = sample_store();
-    match StoreReader::from_bytes(bytes[..10].to_vec()).read_graph() {
+    match load(&bytes[..10]) {
         Err(StoreError::Truncated { .. }) => {}
         other => panic!("expected Truncated, got {other:?}"),
     }
@@ -276,7 +265,7 @@ fn archive_kind_rejected_by_graph_loader() {
     // Patch the content-kind byte to ARCHIVE and fix nothing else; the
     // kind check fires before any section is interpreted.
     bytes[6] = rdf_store::KIND_ARCHIVE;
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::WrongContentKind { found, expected }) => {
             assert_eq!(found, rdf_store::KIND_ARCHIVE);
             assert_eq!(expected, rdf_store::KIND_GRAPH);
@@ -290,7 +279,7 @@ fn empty_graph_round_trips() {
     let vocab = Vocab::new();
     let g = rdf_model::RdfGraphBuilder::new(&mut Vocab::new()).finish();
     let bytes = graph_to_bytes(&vocab, &g).unwrap();
-    let (v2, g2) = StoreReader::from_bytes(bytes).read_graph().unwrap();
+    let (v2, g2) = load(&bytes).unwrap();
     assert_eq!(g2.node_count(), 0);
     assert_eq!(g2.triple_count(), 0);
     assert_eq!(v2.len(), 1);
@@ -299,7 +288,7 @@ fn empty_graph_round_trips() {
 #[test]
 fn info_reports_header_and_sections() {
     let (_, g, bytes) = sample_store();
-    let info = StoreReader::from_bytes(bytes.clone()).info().unwrap();
+    let info = reader_of(&bytes).info().unwrap();
     assert_eq!(info.header.kind, rdf_store::KIND_GRAPH);
     assert_eq!(info.header.counts[1], g.node_count() as u64);
     assert_eq!(info.header.counts[2], g.triple_count() as u64);
@@ -307,4 +296,7 @@ fn info_reports_header_and_sections() {
     let tags: Vec<&str> =
         info.sections.iter().map(|(t, _)| t.as_str()).collect();
     assert_eq!(tags, ["DICT", "NODE", "TRPL", "BNAM"]);
+    assert_eq!(info.layout, Layout::Fixed);
+    assert_eq!(info.mode, Some(LoadMode::Widen));
+    assert_eq!(info.trpl_width, Some(1));
 }

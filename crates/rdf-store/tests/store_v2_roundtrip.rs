@@ -1,188 +1,99 @@
-//! Property suite for the fixed-width (v2) store layout: for random
-//! graphs, `load(save_fixed(g)) == g` term-for-term, fixed-layout loads
-//! are **bit-identical** to varint loads — same dense arrays, same
-//! dictionary, same canonical N-Triples export bytes — and every typed
-//! corruption (mid-record
-//! truncation, bad width byte, misaligned/unpadded payload, CRC flip)
-//! fails with a typed [`StoreError`], never a panic.
+//! Property suite for the fixed-width columns of container version 2,
+//! the one graph-store layout: for random graphs `load(save(g)) == g`
+//! term-for-term, the owned load and the borrowed (zero-copy) view of
+//! the same bytes are **bit-identical** — same dense arrays, same
+//! dictionary size, same canonical N-Triples export bytes — and every
+//! typed corruption of the column bodies (mid-record truncation, bad
+//! width byte, misaligned/unpadded payload, CRC flip, count mismatch,
+//! unsorted triples) fails with a typed [`StoreError`], never a panic.
 //!
 //! The borrowed-reader *lifetime* contract (a view cannot outlive its
 //! buffer) is enforced at compile time by the `compile_fail` doctest on
 //! [`rdf_store::BorrowedStoreReader`].
 
+mod common;
+
+use common::{arb_rdf_graph, load, reader_of, term_triples};
 use proptest::prelude::*;
-use rdf_model::{LabelRef, NodeId, RdfGraph, Term, Vocab};
+use rdf_model::{RdfGraph, Vocab};
 use rdf_store::{
     container::{HEADER_LEN, SECTION_OVERHEAD},
-    graph_to_bytes, graph_to_bytes_layout, BorrowedStoreReader, Layout,
-    StoreBuf, StoreError, StoreReader,
+    graph_to_bytes, StoreError,
 };
-
-/// Awkward characters exercising literal and IRI escaping.
-const TRICKY: &[&str] = &[
-    "", " ", "\"", "\\", "\n", "café", "😀", "a b", "x\\\"y", "<angle>",
-];
-
-fn term_of(g: &RdfGraph, vocab: &Vocab, n: NodeId) -> Term {
-    match vocab.resolve(g.graph().label(n)) {
-        LabelRef::Uri(u) => Term::uri(u),
-        LabelRef::Literal(l) => Term::literal(l),
-        LabelRef::Blank => Term::blank(
-            g.blank_name(n)
-                .map(str::to_owned)
-                .unwrap_or_else(|| format!("b{}", n.0)),
-        ),
-    }
-}
-
-fn term_triples(g: &RdfGraph, vocab: &Vocab) -> Vec<(Term, Term, Term)> {
-    let mut out: Vec<(Term, Term, Term)> = g
-        .graph()
-        .triples()
-        .iter()
-        .map(|t| {
-            (
-                term_of(g, vocab, t.s),
-                term_of(g, vocab, t.p),
-                term_of(g, vocab, t.o),
-            )
-        })
-        .collect();
-    out.sort();
-    out
-}
-
-/// A random RDF graph mixing URI/blank subjects and URI/literal/blank
-/// objects (same shape as `store_roundtrip.rs`).
-fn arb_rdf_graph() -> impl Strategy<Value = (Vocab, RdfGraph)> {
-    (1usize..28, any::<u64>()).prop_map(|(m, seed)| {
-        let mut vocab = Vocab::new();
-        let mut b = rdf_model::RdfGraphBuilder::new(&mut vocab);
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..m {
-            let s_uri = format!("http://e.org/s{}", next() % 7);
-            let s_blank = format!("bn{}", next() % 5);
-            let p = format!("http://e.org/p{}", next() % 4);
-            let tricky = TRICKY[(next() % TRICKY.len() as u64) as usize];
-            let lit = format!("v{} {tricky}", next() % 9);
-            let o_blank = format!("bn{}", next() % 5);
-            let o_uri = format!("http://e.org/o-{}", next() % 8);
-            match next() % 5 {
-                0 => b.uuu(&s_uri, &p, &o_uri),
-                1 => b.uul(&s_uri, &p, &lit),
-                2 => b.uub(&s_uri, &p, &o_blank),
-                3 => b.bul(&s_blank, &p, &lit),
-                _ => b.bub(&s_blank, &p, &o_blank),
-            }
-        }
-        let g = b.finish();
-        (vocab, g)
-    })
-}
-
-/// Assert two loaded (vocab, graph) pairs are bit-identical: dense
-/// arrays, CSR adjacency, blank names and dictionary.
-fn assert_loads_identical(
-    (va, ga): &(Vocab, RdfGraph),
-    (vb, gb): &(Vocab, RdfGraph),
-) -> Result<(), String> {
-    prop_assert_eq!(ga.graph().labels_raw(), gb.graph().labels_raw());
-    prop_assert_eq!(ga.graph().kinds_raw(), gb.graph().kinds_raw());
-    prop_assert_eq!(ga.graph().triples(), gb.graph().triples());
-    for n in ga.graph().nodes() {
-        prop_assert_eq!(ga.graph().out(n), gb.graph().out(n));
-        prop_assert_eq!(ga.blank_name(n), gb.blank_name(n));
-    }
-    prop_assert_eq!(va.len(), vb.len());
-    for i in 0..va.len() {
-        let id = rdf_model::LabelId(i as u32);
-        prop_assert_eq!(va.kind(id), vb.kind(id));
-        prop_assert_eq!(va.text(id), vb.text(id));
-    }
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `load(save_fixed(g))` reconstructs `g` term-for-term, the load
-    /// is bit-identical to the varint load, and the canonical export
-    /// bytes agree.
+    /// `load(save(g))` reconstructs `g` term-for-term; the owned load
+    /// and the borrowed view of the same bytes agree column for column;
+    /// and the canonical export of the load is the export of `g`. The
+    /// varint layout this once also compared against is retired: the
+    /// same bytes stamped version 1 are refused with the typed
+    /// `RetiredLayout` error by both readers, never decoded.
     #[test]
     fn fixed_load_is_identity_and_matches_varint(
         (vocab, g) in arb_rdf_graph()
     ) {
-        let varint = StoreReader::from_bytes(
-            graph_to_bytes(&vocab, &g).unwrap(),
-        )
-        .read_graph()
-        .unwrap();
-        let fixed_bytes =
-            graph_to_bytes_layout(&vocab, &g, Layout::Fixed).unwrap();
-        let fixed = StoreReader::from_bytes(fixed_bytes.clone())
-            .read_graph()
-            .unwrap();
+        let bytes = graph_to_bytes(&vocab, &g).unwrap();
+        let owned = load(&bytes).unwrap();
 
         // Term-level identity with the original graph.
         prop_assert_eq!(
-            term_triples(&fixed.1, &fixed.0),
+            term_triples(&owned.1, &owned.0),
             term_triples(&g, &vocab)
         );
-        // Bit-identity and canonical-export byte-identity with the
-        // varint load.
-        assert_loads_identical(&fixed, &varint)?;
         prop_assert_eq!(
-            rdf_io::write_graph(&fixed.1, &fixed.0),
-            rdf_io::write_graph(&varint.1, &varint.0)
+            rdf_io::write_graph(&owned.1, &owned.0),
+            rdf_io::write_graph(&g, &vocab)
         );
 
-        // The borrowed (zero-copy) view agrees with the owned load for
-        // both layouts.
-        for bytes in [graph_to_bytes(&vocab, &g).unwrap(), fixed_bytes] {
-            let reader =
-                BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bytes));
-            let (bv, view) = reader.read_view().unwrap();
-            prop_assert_eq!(
-                view.labels(),
-                varint.1.graph().labels_raw()
-            );
-            prop_assert_eq!(
-                view.to_graph().triples(),
-                varint.1.graph().triples()
-            );
-            prop_assert_eq!(bv.len(), varint.0.len());
+        // The borrowed (zero-copy) view agrees with the owned load.
+        let reader = reader_of(&bytes);
+        let (bv, view) = reader.read_view().unwrap();
+        prop_assert_eq!(view.labels(), owned.1.graph().labels_raw());
+        prop_assert_eq!(view.kinds(), owned.1.graph().kinds_raw());
+        prop_assert_eq!(
+            view.to_graph().triples(),
+            owned.1.graph().triples()
+        );
+        prop_assert_eq!(bv.len(), owned.0.len());
+
+        // A version-1 stamp on the same bytes is the retired layout.
+        let mut v1 = bytes.clone();
+        v1[4..6].copy_from_slice(&rdf_store::FORMAT_VERSION.to_le_bytes());
+        let reader = reader_of(&v1);
+        for got in [reader.read_graph().map(drop), reader.read_view().map(drop)]
+        {
+            let retired =
+                matches!(got, Err(StoreError::RetiredLayout { version: 1 }));
+            prop_assert!(retired, "expected RetiredLayout, got {:?}", got);
         }
     }
 
-    /// Fixed-layout writes are deterministic, and the two layouts are
-    /// distinguished by the header version flag alone.
+    /// Fixed-layout writes are deterministic, and every graph store is
+    /// stamped container version 2.
     #[test]
     fn fixed_save_is_deterministic((vocab, g) in arb_rdf_graph()) {
-        let a = graph_to_bytes_layout(&vocab, &g, Layout::Fixed).unwrap();
-        let b = graph_to_bytes_layout(&vocab, &g, Layout::Fixed).unwrap();
+        let a = graph_to_bytes(&vocab, &g).unwrap();
+        let b = graph_to_bytes(&vocab, &g).unwrap();
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(u16::from_le_bytes([a[4], a[5]]), 2);
-        let v = graph_to_bytes(&vocab, &g).unwrap();
-        prop_assert_eq!(u16::from_le_bytes([v[4], v[5]]), 1);
+        prop_assert_eq!(
+            u16::from_le_bytes([a[4], a[5]]),
+            rdf_store::FORMAT_VERSION_FIXED
+        );
     }
 
     /// Every prefix-truncation of a fixed-layout store — including cuts
     /// landing mid-record inside the fixed columns — fails with a typed
-    /// error, never a panic.
+    /// error from the borrowed view as well as the owned load, never a
+    /// panic.
     #[test]
     fn fixed_truncations_fail_loudly((vocab, g) in arb_rdf_graph()) {
-        let bytes =
-            graph_to_bytes_layout(&vocab, &g, Layout::Fixed).unwrap();
+        let bytes = graph_to_bytes(&vocab, &g).unwrap();
         for cut in (0..bytes.len()).step_by(7) {
-            let r = StoreReader::from_bytes(bytes[..cut].to_vec())
-                .read_graph();
-            prop_assert!(r.is_err(), "cut at {} must fail", cut);
+            let r = reader_of(&bytes[..cut]);
+            prop_assert!(r.read_view().is_err(), "cut at {} must fail", cut);
+            prop_assert!(r.read_graph().is_err(), "cut at {} must fail", cut);
         }
     }
 }
@@ -215,7 +126,7 @@ fn sample_fixed_store() -> (Vocab, RdfGraph, Vec<u8>) {
         b.uuu("ss", "employer", "ed-uni");
         b.finish()
     };
-    let bytes = graph_to_bytes_layout(&vocab, &g, Layout::Fixed).unwrap();
+    let bytes = graph_to_bytes(&vocab, &g).unwrap();
     (vocab, g, bytes)
 }
 
@@ -234,7 +145,7 @@ fn fixed_bad_width_byte_is_typed() {
     let (off, _) = section_payload(&bytes, b"TRPL");
     bytes[off + 8] = 3;
     fix_crc(&mut bytes, b"TRPL");
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::Corrupt(msg)) => {
             assert!(msg.contains("invalid fixed width"), "got: {msg}")
         }
@@ -248,7 +159,7 @@ fn fixed_crc_flip_is_typed() {
     let (off, _) = section_payload(&bytes, b"TRPL");
     // Stored checksum sits in the 4 bytes before the payload.
     bytes[off - 4] ^= 0xff;
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::ChecksumMismatch { section, .. }) => {
             assert_eq!(&section, b"TRPL")
         }
@@ -265,7 +176,7 @@ fn fixed_nonzero_padding_is_typed() {
     let (off, len) = section_payload(&bytes, b"NODE");
     bytes[off + len - 1] = 0xAA;
     fix_crc(&mut bytes, b"NODE");
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::Corrupt(msg)) => {
             assert!(msg.contains("padding"), "got: {msg}")
         }
@@ -293,7 +204,7 @@ fn fixed_misaligned_payload_is_typed() {
     let mut out = Vec::new();
     w.finish_versioned(&mut out, header.version, header.kind, header.counts)
         .unwrap();
-    match StoreReader::from_bytes(out).read_graph() {
+    match load(&out) {
         Err(StoreError::Corrupt(_) | StoreError::Truncated { .. }) => {}
         other => panic!("expected typed misalignment error, got {other:?}"),
     }
@@ -307,10 +218,34 @@ fn fixed_count_mismatch_is_typed() {
     let triples =
         u64::from_le_bytes(bytes[24..32].try_into().unwrap());
     bytes[24..32].copy_from_slice(&(triples - 1).to_le_bytes());
-    match StoreReader::from_bytes(bytes).read_graph() {
+    match load(&bytes) {
         Err(StoreError::Corrupt(msg)) => {
             assert!(msg.contains("header says"), "got: {msg}")
         }
         other => panic!("expected Corrupt(count mismatch), got {other:?}"),
     }
+}
+
+#[test]
+fn unsorted_triples_are_typed() {
+    // Swap the first two subject ids inside the TRPL columns (and fix
+    // the CRC): the columns still parse, but the on-disk order is
+    // broken, which both readers refuse.
+    let (_, _, mut bytes) = sample_fixed_store();
+    let (off, _) = section_payload(&bytes, b"TRPL");
+    let width = bytes[off + 8] as usize;
+    assert_eq!(width, 1);
+    let col = off + 16;
+    let (a, b) = (bytes[col], bytes[col + 3]);
+    assert!(a < b, "sample needs distinct first and last subjects");
+    bytes.swap(col, col + 3);
+    fix_crc(&mut bytes, b"TRPL");
+    match load(&bytes) {
+        Err(StoreError::Corrupt(msg)) => {
+            assert!(msg.contains("ascending"), "got: {msg}")
+        }
+        other => panic!("expected Corrupt(ascending), got {other:?}"),
+    }
+    let reader = reader_of(&bytes);
+    assert!(matches!(reader.read_view(), Err(StoreError::Corrupt(_))));
 }

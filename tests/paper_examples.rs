@@ -155,8 +155,8 @@ fn method_hierarchy_on_figure1() {
 
 #[test]
 fn theorem1_overlap_distance_bounds_sigma_edit() {
-    // Theorem 1 (⊕ form, see DESIGN.md): pairs aligned by the overlap
-    // partition satisfy σEdit(n, m) ≤ ω(n) ⊕ ω(m).
+    // Theorem 1 (⊕ form; ⊕ is defined in `rdf_edit::algebra`): pairs
+    // aligned by the overlap partition satisfy σEdit(n, m) ≤ ω(n) ⊕ ω(m).
     let (vocab, v1, v2) = figure1();
     let c = CombinedGraph::union(&vocab, &v1, &v2);
     let outcome = overlap_align(&c, &vocab, OverlapConfig::default());

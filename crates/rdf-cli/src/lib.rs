@@ -179,7 +179,7 @@ pub fn info_traced(
         if info.header.kind == rdf_store::KIND_GRAPH {
             // Zero-copy path: serve the id columns as a view of the
             // (mapped) store buffer.
-            let (_, view) = BorrowedStoreReader::view_in(&container, rec)
+            let view = BorrowedStoreReader::view_in(&container, rec)
                 .map_err(|e| ctx(input, e))?;
             let cols = view.out_columns();
             let mut engine =

@@ -4,7 +4,7 @@
 //! *content* (the container magic), never by extension.
 
 use crate::CliError;
-use rdf_model::{rebase_into, RdfGraph, Vocab};
+use rdf_model::{RdfGraph, Vocab};
 use rdf_obs::Recorder;
 use rdf_store::BorrowedStoreReader;
 use std::path::Path;
@@ -54,12 +54,11 @@ pub fn load_input_traced(
     rec: &Recorder,
 ) -> Result<RdfGraph, CliError> {
     if is_store(path)? {
-        let (store_vocab, graph) = open_any(path)?
-            .read_graph_traced(rdf_par::Threads::Auto, rec)
-            .map_err(|e| ctx(path, e))?;
-        // Re-express the store's dictionary in the session vocabulary:
-        // O(|dictionary|) string work, nothing per node or triple.
-        Ok(rebase_into(vocab, &store_vocab, &graph))
+        // Intern the mapped dictionary straight into the session
+        // vocabulary: one hash per label, nothing per node or triple.
+        open_any(path)?
+            .read_graph_into(vocab, rec)
+            .map_err(|e| ctx(path, e))
     } else {
         rdf_io::load_file(path, vocab).map_err(|e| ctx(path, e))
     }

@@ -193,10 +193,13 @@ impl ServeState {
     /// Returns the graph rebased into the request's session vocabulary
     /// plus whether it was served warm.
     ///
-    /// Cached loads replay the exact one-shot pipeline
-    /// ([`load_input_traced`]: decode → `rebase_into`), just with the
-    /// decode memoised — so reports stay byte-identical, and a warm hit
-    /// emits **no** `store.open` span (nothing is opened).
+    /// Cached loads replay the one-shot pipeline's label join as
+    /// `rebase_into` from the memoised decode, so reports stay
+    /// byte-identical, and a warm hit emits **no** `store.open` span
+    /// (nothing is opened). The cache lock is never held across a
+    /// rebase: a hit clones the entry's `Arc` and releases the lock; a
+    /// miss decodes under it (so concurrent requests for the same store
+    /// pay one decode, not N) and releases it after the insert.
     fn load_cached(
         &self,
         path: &Path,
@@ -217,21 +220,20 @@ impl ServeState {
         let key = fnv1a(bytes);
         let resident = bytes.len() as u64;
         let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(store) = cache.get(key) {
-            return Ok((
-                rebase_into(session, &store.vocab, &store.graph),
-                true,
-            ));
-        }
-        // Miss: decode under the lock so concurrent requests for the
-        // same store pay one decode, not N.
-        let (vocab, graph) = reader
-            .read_graph_traced(Threads::Auto, rec)
-            .map_err(|e| ctx(path, e))?;
+        let (store, warm) = match cache.get(key) {
+            Some(store) => (store, true),
+            None => {
+                let (vocab, graph) = reader
+                    .read_graph_traced(Threads::Auto, rec)
+                    .map_err(|e| ctx(path, e))?;
+                let store = Arc::new(CachedStore { vocab, graph });
+                cache.insert(key, resident, Arc::clone(&store));
+                (store, false)
+            }
+        };
+        drop(cache);
         drop(reader);
-        let store = Arc::new(CachedStore { vocab, graph });
-        cache.insert(key, resident, Arc::clone(&store));
-        Ok((rebase_into(session, &store.vocab, &store.graph), false))
+        Ok((rebase_into(session, &store.vocab, &store.graph), warm))
     }
 
     /// Render the `stats` report.

@@ -453,6 +453,25 @@ fn trace_and_stats_cover_span_families() {
     assert!(spans > 0, "trace carries span events");
     assert_eq!(reports, 1, "exactly one final report line");
 
+    // Each store's DICT is interned into the session vocabulary, and
+    // its span counts the labels that were new and those already
+    // there: none for v1 (the session starts empty), most for v2.
+    let joins: Vec<(u64, u64)> = text
+        .lines()
+        .map(|l| rdf_obs::json::parse(l).unwrap())
+        .filter(|j| {
+            j.get("name").and_then(|v| v.as_str()) == Some("store.section")
+                && j.get("section").and_then(|v| v.as_str()) == Some("DICT")
+        })
+        .map(|j| {
+            let field = |k| j.get(k).and_then(|v| v.as_u64()).unwrap();
+            (field("labels_new"), field("labels_shared"))
+        })
+        .collect();
+    assert_eq!(joins.len(), 2, "one DICT span per store");
+    assert!(joins[0].0 > 0 && joins[0].1 == 0, "v1 join: {:?}", joins[0]);
+    assert!(joins[1].1 > joins[1].0, "v2 join: {:?}", joins[1]);
+
     // stats aggregates the trace and names the span families.
     let stats_out = run_ok(&["stats", s(&trace)]);
     for family in ["refine.round", "store.section", "align.union"] {

@@ -119,28 +119,33 @@ impl RdfGraph {
     }
 }
 
-/// Re-express `graph`'s labels in `vocab`, interning each distinct label
-/// of `from` at most once — `O(|dictionary|)` string work, nothing per
-/// node or per triple.
+/// Re-express `graph`'s labels in `vocab`, interning each label of
+/// `from` once, in id order — `O(|dictionary|)` string work, nothing per
+/// node or per triple. An empty `vocab` becomes a copy of `from`.
 ///
-/// This is how a graph deserialised against its own store dictionary
-/// joins a shared session vocabulary (the alignment pipeline requires
-/// both versions to share one [`Vocab`]). Node ids, triples and blank
-/// names are preserved verbatim; only label ids are rewritten.
+/// This is how a graph held against its own vocabulary (the daemon's
+/// cached stores) joins a shared session vocabulary (the alignment
+/// pipeline requires both versions to share one [`Vocab`]). Node ids,
+/// triples and blank names are preserved verbatim; only label ids are
+/// rewritten.
 pub fn rebase_into(
     vocab: &mut Vocab,
     from: &Vocab,
     graph: &RdfGraph,
 ) -> RdfGraph {
-    let mut map = vec![LabelId::BLANK; from.len()];
-    for (i, slot) in map.iter_mut().enumerate() {
-        let id = LabelId(i as u32);
-        *slot = match from.kind(id) {
-            LabelKind::Blank => LabelId::BLANK,
-            LabelKind::Uri => vocab.uri(from.text(id)),
-            LabelKind::Literal => vocab.literal(from.text(id)),
-        };
-    }
+    let map: Vec<LabelId> = if vocab.is_empty() {
+        // Interning every label of `from` into an empty vocabulary, in
+        // id order, rebuilds `from` id for id: copy it instead.
+        vocab.clone_from(from);
+        (0..from.len()).map(|i| LabelId(i as u32)).collect()
+    } else {
+        (0..from.len())
+            .map(|i| {
+                let id = LabelId(i as u32);
+                vocab.intern(from.kind(id), from.text(id))
+            })
+            .collect()
+    };
     let labels: Vec<LabelId> = graph
         .graph()
         .labels_raw()

@@ -10,11 +10,13 @@
 //!
 //! * [`BorrowedStoreReader::info`] — header, section sizes and the load
 //!   mode, for `rdf info`;
-//! * [`BorrowedStoreReader::read_view`] — a [`TripleGraphView`] whose
-//!   columns borrow from the buffer, for `rdf info --bisim`;
-//! * [`BorrowedStoreReader::read_graph`] — the columns plus `BNAM`
-//!   decoded into an owned `(Vocab, RdfGraph)`, for `align`, `export`
-//!   and the daemon's cache.
+//! * [`BorrowedStoreReader::view_in`] — a [`TripleGraphView`] whose
+//!   columns borrow from the buffer, for `rdf info --bisim`; it walks
+//!   `DICT` for the label kinds and interns nothing;
+//! * [`BorrowedStoreReader::read_graph_into`] — the columns plus
+//!   `BNAM` decoded into an owned [`RdfGraph`] whose labels are
+//!   interned straight into a caller's [`Vocab`], for `align`,
+//!   `export` and the daemon's cache.
 //!
 //! A caller that needs both the summary and the view (as `rdf info
 //! --bisim` does) parses once with [`BorrowedStoreReader::container`]
@@ -32,8 +34,8 @@ use crate::container::{
 use crate::error::StoreError;
 use crate::fixed::{fixed_column, parse_fixed_body, widen_column, FixedBody};
 use crate::graph_store::{
-    decode_bnam, decode_dict_checked, kinds_for_labels, section_span,
-    TAG_BNAM, TAG_DICT, TAG_NODE, TAG_TRPL,
+    decode_bnam, dict_entry, dict_section_kinds, join_dict_section,
+    section_span, TAG_BNAM, TAG_DICT, TAG_NODE, TAG_TRPL,
 };
 use crate::mmap::StoreBuf;
 use rdf_model::{
@@ -125,9 +127,9 @@ impl StoreInfo {
     }
 }
 
-/// The id columns of a graph store, borrowed or widened.
+/// The `NODE` and `TRPL` id columns of a graph store, borrowed or
+/// widened.
 struct Columns<'a> {
-    vocab: Vocab,
     labels: Cow<'a, [LabelId]>,
     spo: [Cow<'a, [NodeId]>; 3],
 }
@@ -213,56 +215,61 @@ impl BorrowedStoreReader {
     }
 
     /// Decode the dictionary and serve the graph as a view whose
-    /// columns borrow from the buffer when they are 4 bytes wide.
+    /// columns borrow from the buffer when they are 4 bytes wide: the
+    /// view of [`BorrowedStoreReader::view_in`], plus the store's
+    /// dictionary as a fresh [`Vocab`] (which also refuses repeated
+    /// texts).
     pub fn read_view(
         &self,
     ) -> Result<(Vocab, TripleGraphView<'_>), StoreError> {
-        self.read_view_traced(&Recorder::disabled())
-    }
-
-    /// [`BorrowedStoreReader::read_view`] with instrumentation: one
-    /// `store.open` span (bytes, layout) plus one `store.section` span
-    /// per section touched (`DICT`, `NODE`, `TRPL` — a view never
-    /// decodes `BNAM`). The view is identical to the untraced one.
-    pub fn read_view_traced(
-        &self,
-        rec: &Recorder,
-    ) -> Result<(Vocab, TripleGraphView<'_>), StoreError> {
-        Self::view_in(&self.container(rec)?, rec)
+        let c = self.container(&Recorder::disabled())?;
+        let view = Self::view_in(&c, &Recorder::disabled())?;
+        let mut vocab = Vocab::new();
+        let dict_body = c.section(TAG_DICT)?;
+        join_dict_section(dict_body, c.header().counts[0], &mut vocab)?;
+        Ok((vocab, view))
     }
 
     /// Serve the graph of an already-parsed container as a view, so a
-    /// caller holding the parse pays no second checksum pass.
+    /// caller holding the parse pays no second checksum pass. Emits one
+    /// `store.section` span per section touched (`DICT`, `NODE`,
+    /// `TRPL` — a view never decodes `BNAM`).
+    ///
+    /// No label is interned: the per-label kinds come from a walk of
+    /// `DICT` that validates kind tags, UTF-8, the count and the
+    /// padding, and the view's label ids are the store's dictionary
+    /// ids.
     pub fn view_in<'a>(
         c: &Container<'a>,
         rec: &Recorder,
-    ) -> Result<(Vocab, TripleGraphView<'a>), StoreError> {
+    ) -> Result<TripleGraphView<'a>, StoreError> {
+        let dict_body = graph_section(c, TAG_DICT)?;
+        let dict_kinds = {
+            let _sp = section_span(rec, "DICT", dict_body.len());
+            dict_section_kinds(dict_body, c.header().counts[0])?
+        };
         let Columns {
-            vocab,
             labels,
             spo: [s, p, o],
         } = columns(c, rec)?;
-        let kinds = kinds_for_labels(&labels, &vocab)?;
-        let view = TripleGraphView::from_sorted_columns(labels, kinds, s, p, o)
-            .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-        Ok((vocab, view))
+        let kinds = labels
+            .iter()
+            .map(|&l| dict_entry(&dict_kinds, l))
+            .collect::<Result<Vec<_>, _>>()?;
+        TripleGraphView::from_sorted_columns(labels, kinds, s, p, o)
+            .map_err(|e| StoreError::Corrupt(e.to_string()))
     }
 
     /// Decode the graph and its dictionary into owned values.
     ///
     /// The returned [`Vocab`] contains exactly the store's dictionary
     /// (dense ids, blank label at 0); the graph's label ids index it
-    /// directly. No string is hashed per node or triple — only the one
-    /// pass that rebuilds the vocabulary's intern maps from the
-    /// dictionary.
+    /// directly.
     pub fn read_graph(&self) -> Result<(Vocab, RdfGraph), StoreError> {
         self.read_graph_traced(Threads::Auto, &Recorder::disabled())
     }
 
-    /// [`BorrowedStoreReader::read_graph`] with instrumentation: one
-    /// `store.open` span covering the container parse (framing plus
-    /// every section CRC) and one `store.section` span per section
-    /// body. The decoded graph is identical to the untraced load.
+    /// [`BorrowedStoreReader::read_graph_into`] on a fresh [`Vocab`].
     ///
     /// `threads` is not used: the decode is sequential. The parameter
     /// remains because the benchmark harness calls this signature.
@@ -271,13 +278,53 @@ impl BorrowedStoreReader {
         _threads: Threads,
         rec: &Recorder,
     ) -> Result<(Vocab, RdfGraph), StoreError> {
+        let mut vocab = Vocab::new();
+        let graph = self.read_graph_into(&mut vocab, rec)?;
+        Ok((vocab, graph))
+    }
+
+    /// Load the graph with its labels interned straight into `vocab`,
+    /// the session vocabulary: the mapped `DICT` is walked as borrowed
+    /// text, each entry is interned with one hash, and the `NODE`
+    /// column is rewritten through the resulting id map. The graph
+    /// equals [`rdf_model::rebase_into`] of [`read_graph`] into the same
+    /// vocabulary, without building the store's own vocabulary first.
+    ///
+    /// Emits one `store.open` span (the container parse: framing plus
+    /// every section CRC) and one `store.section` span per section
+    /// body; the `DICT` span carries `labels_new` and `labels_shared`.
+    /// Every check of the owned decode applies, each a typed
+    /// [`StoreError`]. On error `vocab` keeps any labels interned
+    /// before the error was found.
+    ///
+    /// [`read_graph`]: BorrowedStoreReader::read_graph
+    pub fn read_graph_into(
+        &self,
+        vocab: &mut Vocab,
+        rec: &Recorder,
+    ) -> Result<RdfGraph, StoreError> {
         let c = self.container(rec)?;
+        let dict_body = graph_section(&c, TAG_DICT)?;
+        let map = {
+            let mut sp = section_span(rec, "DICT", dict_body.len());
+            let join =
+                join_dict_section(dict_body, c.header().counts[0], vocab)?;
+            sp.field("labels_new", join.new);
+            sp.field("labels_shared", join.shared());
+            join.map
+        };
         let Columns {
-            vocab,
-            labels,
+            labels: store_labels,
             spo: [s, p, o],
         } = columns(&c, rec)?;
-        let kinds = kinds_for_labels(&labels, &vocab)?;
+        let mut labels = Vec::with_capacity(store_labels.len());
+        let mut kinds = Vec::with_capacity(store_labels.len());
+        for &l in store_labels.iter() {
+            let id = dict_entry(&map, l)?;
+            labels.push(id);
+            kinds.push(vocab.kind(id));
+        }
+        drop((store_labels, map));
         let mut triples = Vec::with_capacity(s.len());
         for j in 0..s.len() {
             let t = Triple::new(s[j], p[j], o[j]);
@@ -290,38 +337,39 @@ impl BorrowedStoreReader {
             triples.push(t);
         }
         drop((s, p, o));
-        let graph =
-            TripleGraph::from_raw_parts(labels.into_owned(), kinds, triples)
-                .map_err(|e| StoreError::Corrupt(e.to_string()))?;
+        let graph = TripleGraph::from_raw_parts(labels, kinds, triples)
+            .map_err(|e| StoreError::Corrupt(e.to_string()))?;
         let bnam_body = c.section(TAG_BNAM)?;
         let blank_names = {
             let _sp = section_span(rec, "BNAM", bnam_body.len());
             decode_bnam(bnam_body, graph.node_count())?
         };
-        Ok((vocab, RdfGraph::from_raw_parts(graph, blank_names)))
+        Ok(RdfGraph::from_raw_parts(graph, blank_names))
     }
 }
 
-/// Check the content kind, decode `DICT`, and serve the `NODE` and
-/// `TRPL` columns — the part the view and the owned load share.
+/// A section of a graph store, after checking the content kind.
+fn graph_section<'a>(
+    c: &Container<'a>,
+    tag: [u8; 4],
+) -> Result<&'a [u8], StoreError> {
+    let found = c.header().kind;
+    if found != KIND_GRAPH {
+        return Err(StoreError::WrongContentKind {
+            found,
+            expected: KIND_GRAPH,
+        });
+    }
+    c.section(tag)
+}
+
+/// Serve the `NODE` and `TRPL` columns — the part the view and the
+/// owned load share. Callers have checked the content kind.
 fn columns<'a>(
     c: &Container<'a>,
     rec: &Recorder,
 ) -> Result<Columns<'a>, StoreError> {
     let header = *c.header();
-    if header.kind != KIND_GRAPH {
-        return Err(StoreError::WrongContentKind {
-            found: header.kind,
-            expected: KIND_GRAPH,
-        });
-    }
-
-    let dict_body = c.section(TAG_DICT)?;
-    let vocab = {
-        let _sp = section_span(rec, "DICT", dict_body.len());
-        decode_dict_checked(dict_body, header.counts[0])?
-    };
-
     let node_body = c.section(TAG_NODE)?;
     let labels = {
         let _sp = section_span(rec, "NODE", node_body.len());
@@ -347,7 +395,7 @@ fn columns<'a>(
             id_column(trpl_body, &fb, i, node_ids_from_le_bytes, NodeId, rec)
         })
     };
-    Ok(Columns { vocab, labels, spo })
+    Ok(Columns { labels, spo })
 }
 
 /// Column `i` of a fixed body as typed ids: borrowed from the buffer

@@ -5,6 +5,12 @@
 //! Layout: varint entry count (including the implicit blank label at
 //! id 0), then per non-blank entry a kind tag (1 = URI, 2 = literal), a
 //! varint byte length, and the UTF-8 text.
+//!
+//! Every reader walks a body in place with [`DictEntries`], which
+//! borrows each entry's text from the (mapped) bytes.
+//! [`intern_entries`] joins the entries into a vocabulary — the store
+//! load's join into the session vocabulary — and [`read_dict`] interns
+//! them into a fresh one.
 
 use crate::error::StoreError;
 use crate::varint::{read_varint_usize, write_varint};
@@ -36,25 +42,59 @@ pub fn write_dict(
     Ok(())
 }
 
-/// Decode a dictionary section body into a fresh [`Vocab`] (dense ids,
-/// blank at 0). Counts and lengths are untrusted: allocation is capped
-/// by the bytes actually present, and all arithmetic is checked.
-pub fn read_dict(buf: &[u8], pos: &mut usize) -> Result<Vocab, StoreError> {
-    let label_count = read_varint_usize(buf, pos)?;
-    if label_count == 0 {
-        return Err(StoreError::Corrupt(
-            "dictionary must at least hold the blank label".into(),
-        ));
+/// The entries of a dictionary section body, walked in place: each
+/// non-blank entry is borrowed from the body bytes as
+/// `(LabelKind, &str)`, with its kind tag and UTF-8 validated. The walk
+/// allocates nothing; every reader of `DICT` goes through it.
+///
+/// The iterator stops after the first error; [`DictEntries::pos`] is
+/// then meaningless.
+#[derive(Debug, Clone)]
+pub struct DictEntries<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    label_count: usize,
+    /// Non-blank entries not yet read.
+    remaining: usize,
+}
+
+impl<'a> DictEntries<'a> {
+    /// Read the entry count at `pos` and start the walk after it.
+    pub fn new(buf: &'a [u8], mut pos: usize) -> Result<Self, StoreError> {
+        let label_count = read_varint_usize(buf, &mut pos)?;
+        if label_count == 0 {
+            return Err(StoreError::Corrupt(
+                "dictionary must at least hold the blank label".into(),
+            ));
+        }
+        Ok(DictEntries {
+            buf,
+            pos,
+            label_count,
+            remaining: label_count - 1,
+        })
     }
-    // Each entry occupies >= 2 payload bytes; never reserve more than
-    // the payload could possibly hold, however large the count claims.
-    let cap = label_count.min(1 + (buf.len() - *pos) / 2);
-    let mut kinds = Vec::with_capacity(cap);
-    let mut texts = Vec::with_capacity(cap);
-    kinds.push(LabelKind::Blank);
-    texts.push(String::new());
-    for _ in 1..label_count {
-        let kind = match buf.get(*pos) {
+
+    /// The declared label count, including the implicit blank label.
+    /// Untrusted: a walk that runs out of bytes first is `Truncated`.
+    pub fn label_count(&self) -> usize {
+        self.label_count
+    }
+
+    /// Byte offset just past the entries read so far.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// An allocation bound for one slot per label: the declared count,
+    /// capped by what the unread bytes could hold (each entry takes at
+    /// least 2), so a forged count never sizes an allocation.
+    pub fn capacity_hint(&self) -> usize {
+        1 + self.remaining.min((self.buf.len() - self.pos) / 2)
+    }
+
+    fn entry(&mut self) -> Result<(LabelKind, &'a str), StoreError> {
+        let kind = match self.buf.get(self.pos) {
             Some(1) => LabelKind::Uri,
             Some(2) => LabelKind::Literal,
             Some(k) => {
@@ -68,12 +108,108 @@ pub fn read_dict(buf: &[u8], pos: &mut usize) -> Result<Vocab, StoreError> {
                 })
             }
         };
-        *pos += 1;
-        texts.push(read_string(buf, pos, "dictionary text")?);
-        kinds.push(kind);
+        self.pos += 1;
+        let text = read_str(self.buf, &mut self.pos, "dictionary text")?;
+        Ok((kind, text))
     }
-    Vocab::from_raw_parts(kinds, texts)
-        .map_err(|e| StoreError::Corrupt(e.into()))
+}
+
+impl<'a> Iterator for DictEntries<'a> {
+    type Item = Result<(LabelKind, &'a str), StoreError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let entry = self.entry();
+        self.remaining = if entry.is_ok() { self.remaining - 1 } else { 0 };
+        Some(entry)
+    }
+}
+
+/// What interning one dictionary into a vocabulary produced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DictJoin {
+    /// Dictionary id → vocabulary id; entry 0, the blank label, maps to
+    /// [`LabelId::BLANK`].
+    pub map: Vec<LabelId>,
+    /// How many entries the vocabulary did not hold before.
+    pub new: usize,
+}
+
+impl DictJoin {
+    /// How many entries the vocabulary already held.
+    pub fn shared(&self) -> usize {
+        self.map.len() - 1 - self.new
+    }
+}
+
+/// Intern every remaining entry of `entries` into `vocab`, one hash per
+/// label. A text repeated within a namespace is `Corrupt`, whether or
+/// not `vocab` held it before: a repeat of a label this walk added is
+/// an intern that adds nothing, and a repeat of a label `vocab` already
+/// held is caught by a bitset over those ids. On error `vocab` keeps the
+/// labels interned before it.
+pub fn intern_entries(
+    entries: &mut DictEntries<'_>,
+    vocab: &mut Vocab,
+) -> Result<DictJoin, StoreError> {
+    let before = vocab.len();
+    let mut shared_seen = vec![0u64; before.div_ceil(64)];
+    let mut map = Vec::with_capacity(entries.capacity_hint());
+    map.push(LabelId::BLANK);
+    for entry in entries {
+        let (kind, text) = entry?;
+        let len = vocab.len();
+        let id = vocab.intern(kind, text);
+        let i = id.index();
+        let repeat = if i >= before {
+            i != len
+        } else {
+            let (word, bit) = (i / 64, 1u64 << (i % 64));
+            let seen = shared_seen[word] & bit != 0;
+            shared_seen[word] |= bit;
+            seen
+        };
+        if repeat {
+            return Err(StoreError::Corrupt(
+                "duplicate label text within a namespace".into(),
+            ));
+        }
+        map.push(id);
+    }
+    Ok(DictJoin {
+        new: vocab.len() - before,
+        map,
+    })
+}
+
+/// Decode a dictionary section body into a fresh [`Vocab`] (dense ids,
+/// blank at 0). Counts and lengths are untrusted: allocation is capped
+/// by the bytes actually present, and all arithmetic is checked.
+pub fn read_dict(buf: &[u8], pos: &mut usize) -> Result<Vocab, StoreError> {
+    let mut entries = DictEntries::new(buf, *pos)?;
+    let mut vocab = Vocab::new();
+    intern_entries(&mut entries, &mut vocab)?;
+    *pos = entries.pos();
+    Ok(vocab)
+}
+
+/// Read a varint length-prefixed UTF-8 string in place, with checked
+/// bounds.
+fn read_str<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+    what: &'static str,
+) -> Result<&'a str, StoreError> {
+    let len = read_varint_usize(buf, pos)?;
+    let end = pos
+        .checked_add(len)
+        .ok_or(StoreError::Truncated { what })?;
+    let bytes = buf.get(*pos..end).ok_or(StoreError::Truncated { what })?;
+    *pos = end;
+    std::str::from_utf8(bytes)
+        .map_err(|_| StoreError::Corrupt(format!("{what} is not UTF-8")))
 }
 
 /// Read a varint length-prefixed UTF-8 string with checked bounds.
@@ -82,14 +218,7 @@ pub fn read_string(
     pos: &mut usize,
     what: &'static str,
 ) -> Result<String, StoreError> {
-    let len = read_varint_usize(buf, pos)?;
-    let end = pos
-        .checked_add(len)
-        .ok_or(StoreError::Truncated { what })?;
-    let bytes = buf.get(*pos..end).ok_or(StoreError::Truncated { what })?;
-    *pos = end;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| StoreError::Corrupt(format!("{what} is not UTF-8")))
+    read_str(buf, pos, what).map(str::to_owned)
 }
 
 #[cfg(test)]
@@ -109,6 +238,92 @@ mod tests {
         assert_eq!(v2.len(), 3);
         assert_eq!(v2.find_uri("http://e.org/x"), Some(LabelId(1)));
         assert_eq!(v2.find_literal("a literal"), Some(LabelId(2)));
+    }
+
+    /// A dictionary body in the `DICT` encoding, its count given
+    /// separately so tests can make it lie.
+    fn body(count: u64, entries: &[(u8, &[u8])]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_varint(&mut buf, count);
+        for (tag, text) in entries {
+            buf.push(*tag);
+            write_varint(&mut buf, text.len() as u64);
+            buf.extend_from_slice(text);
+        }
+        buf
+    }
+
+    /// [`read_dict`] rebuilds the intern table of the vocabulary it
+    /// decodes: lookups find the stored ids, and further interning
+    /// continues from them.
+    #[test]
+    fn raw_parts_rebuild_intern_maps() {
+        let mut v = Vocab::new();
+        let u = v.uri("u:x");
+        let l = v.literal("x");
+        let mut buf = Vec::new();
+        write_dict(&mut buf, &v, [u, l].into_iter()).unwrap();
+        let mut v2 = read_dict(&buf, &mut 0).unwrap();
+        assert_eq!(v2.find_uri("u:x"), Some(u));
+        assert_eq!(v2.find_literal("x"), Some(l));
+        // Further interning continues from the rebuilt state.
+        assert_eq!(v2.uri("u:x"), u);
+        assert_eq!(v2.uri("u:new"), LabelId(v.len() as u32));
+    }
+
+    /// Every malformed dictionary is a typed error: no blank label, a
+    /// blank or unknown kind tag, a repeated text within a namespace,
+    /// non-UTF-8 text and a truncated entry. The same text in both
+    /// namespaces is two labels, not a repeat.
+    #[test]
+    fn raw_parts_reject_bad_dictionaries() {
+        let corrupt = |buf: Vec<u8>| {
+            matches!(read_dict(&buf, &mut 0), Err(StoreError::Corrupt(_)))
+        };
+        assert!(corrupt(body(0, &[])));
+        assert!(corrupt(body(2, &[(0, b"x")])));
+        assert!(corrupt(body(2, &[(3, b"x")])));
+        assert!(corrupt(body(3, &[(1, b"dup"), (1, b"dup")])));
+        assert!(corrupt(body(2, &[(2, b"\xff\xfe")])));
+        assert!(matches!(
+            read_dict(&body(3, &[(1, b"x")]), &mut 0),
+            Err(StoreError::Truncated { .. })
+        ));
+        let mut cut = body(2, &[(1, b"abc")]);
+        cut.pop();
+        assert!(matches!(
+            read_dict(&cut, &mut 0),
+            Err(StoreError::Truncated { .. })
+        ));
+        let v = read_dict(&body(3, &[(1, b"x"), (2, b"x")]), &mut 0).unwrap();
+        assert_eq!(v.len(), 3);
+    }
+
+    /// Interning into a vocabulary that already holds some labels maps
+    /// them to their existing ids, counts new and shared entries, and
+    /// still refuses a text the dictionary repeats.
+    #[test]
+    fn intern_joins_a_populated_vocabulary() {
+        let mut session = Vocab::new();
+        session.uri("unrelated");
+        let shared = session.literal("x");
+        let buf = body(3, &[(1, b"fresh"), (2, b"x")]);
+        let mut entries = DictEntries::new(&buf, 0).unwrap();
+        let join = intern_entries(&mut entries, &mut session).unwrap();
+        assert_eq!(join.map, vec![LabelId::BLANK, LabelId(3), shared]);
+        assert_eq!((join.new, join.shared()), (1, 1));
+        assert_eq!(entries.pos(), buf.len());
+
+        for dup in [
+            body(3, &[(2, b"x"), (2, b"x")]),
+            body(3, &[(1, b"new"), (1, b"new")]),
+        ] {
+            let mut entries = DictEntries::new(&dup, 0).unwrap();
+            assert!(matches!(
+                intern_entries(&mut entries, &mut session.clone()),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

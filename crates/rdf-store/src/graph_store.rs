@@ -20,7 +20,9 @@
 
 use crate::borrowed::BorrowedStoreReader;
 use crate::container::{ContainerWriter, KIND_GRAPH, FORMAT_VERSION_FIXED};
-use crate::dict::{read_dict, read_string, write_dict};
+use crate::dict::{
+    intern_entries, read_string, write_dict, DictEntries, DictJoin,
+};
 use crate::error::StoreError;
 use crate::fixed::{
     check_pad8, encode_node_fixed_into, encode_trpl_fixed_into, pad8,
@@ -126,26 +128,6 @@ impl<W: Write> StoreWriter<W> {
     }
 }
 
-/// Bounds-check store label ids against the decoded dictionary and
-/// derive the per-node kind array.
-pub(crate) fn kinds_for_labels(
-    labels: &[LabelId],
-    vocab: &Vocab,
-) -> Result<Vec<LabelKind>, StoreError> {
-    let mut kinds = Vec::with_capacity(labels.len());
-    for &label in labels {
-        if label.index() >= vocab.len() {
-            return Err(StoreError::Corrupt(format!(
-                "node label id {} beyond dictionary of {}",
-                label.0,
-                vocab.len()
-            )));
-        }
-        kinds.push(vocab.kind(label));
-    }
-    Ok(kinds)
-}
-
 /// Decode a `BNAM` body into the blank-name map; node ids must stay
 /// within `node_count`, and the body ends in the pad-to-8 tail.
 pub(crate) fn decode_bnam(
@@ -178,23 +160,69 @@ pub(crate) fn decode_bnam(
     Ok(blank_names)
 }
 
-/// Decode a `DICT` body into a fresh vocabulary. The entry count must
-/// match the header's `expected` exactly. The body keeps its varint
-/// encoding and ends in the pad-to-8 tail, which is verified here.
-pub(crate) fn decode_dict_checked(
+/// Start the walk of a `DICT` body whose entry count must match the
+/// header's `expected` exactly. The count is checked before any entry
+/// is read, so a mismatch interns nothing.
+fn dict_section(
     dict: &[u8],
     expected: u64,
-) -> Result<Vocab, StoreError> {
-    let mut pos = 0usize;
-    let vocab = read_dict(dict, &mut pos)?;
-    check_pad8(dict, pos, "DICT section")?;
-    if vocab.len() as u64 != expected {
+) -> Result<DictEntries<'_>, StoreError> {
+    let entries = DictEntries::new(dict, 0)?;
+    if entries.label_count() as u64 != expected {
         return Err(StoreError::Corrupt(format!(
             "dictionary count {} disagrees with header {expected}",
-            vocab.len()
+            entries.label_count()
         )));
     }
-    Ok(vocab)
+    Ok(entries)
+}
+
+/// Intern a `DICT` body into `vocab` (see [`intern_entries`]). The body
+/// keeps its varint encoding and ends in the pad-to-8 tail, which is
+/// verified here.
+pub(crate) fn join_dict_section(
+    dict: &[u8],
+    expected: u64,
+    vocab: &mut Vocab,
+) -> Result<DictJoin, StoreError> {
+    let mut entries = dict_section(dict, expected)?;
+    let join = intern_entries(&mut entries, vocab)?;
+    check_pad8(dict, entries.pos(), "DICT section")?;
+    Ok(join)
+}
+
+/// The kind of every label of a `DICT` body, by dictionary id, from the
+/// same checked walk but without interning: kind tags, UTF-8, the count
+/// and the pad-to-8 tail are verified; repeated texts are not (that
+/// needs the hash).
+pub(crate) fn dict_section_kinds(
+    dict: &[u8],
+    expected: u64,
+) -> Result<Vec<LabelKind>, StoreError> {
+    let mut entries = dict_section(dict, expected)?;
+    let mut kinds = Vec::with_capacity(entries.capacity_hint());
+    kinds.push(LabelKind::Blank);
+    for entry in &mut entries {
+        kinds.push(entry?.0);
+    }
+    check_pad8(dict, entries.pos(), "DICT section")?;
+    Ok(kinds)
+}
+
+/// The entry of a per-dictionary-id table for one `NODE` label id; an
+/// id beyond the dictionary is `Corrupt`.
+#[inline]
+pub(crate) fn dict_entry<T: Copy>(
+    table: &[T],
+    label: LabelId,
+) -> Result<T, StoreError> {
+    table.get(label.index()).copied().ok_or_else(|| {
+        StoreError::Corrupt(format!(
+            "node label id {} beyond dictionary of {}",
+            label.0,
+            table.len()
+        ))
+    })
 }
 
 /// A `store.section` span tagged with the section name, body size and

@@ -134,11 +134,6 @@ impl RefineEngine {
         engine
     }
 
-    /// Attach (or replace) the instrumentation recorder.
-    pub fn set_recorder(&mut self, recorder: Arc<Recorder>) {
-        self.recorder = recorder;
-    }
-
     /// The resolved worker count.
     pub fn threads(&self) -> usize {
         self.threads

@@ -44,7 +44,6 @@
 
 pub mod align;
 pub mod bisim;
-pub mod delta;
 pub mod engine;
 pub mod enrich;
 pub mod metrics;
@@ -59,7 +58,6 @@ pub mod variants;
 pub mod weighted;
 
 pub use align::AlignmentView;
-pub use delta::{delta, Delta};
 pub use engine::RefineEngine;
 pub use enrich::WeightedBipartite;
 pub use pipeline::{align, align_with, align_with_recorder, Aligned, Method};
@@ -68,10 +66,8 @@ pub use methods::{
     deblank_partition, deblank_partition_with, hybrid_partition,
     hybrid_partition_with, trivial_partition, HybridOutcome,
 };
-pub use overlap::PrefixBound;
 pub use overlap_align::{
-    overlap_align, overlap_align_with, LiteralChar, OverlapConfig,
-    OverlapOutcome,
+    overlap_align, overlap_align_with, OverlapConfig, OverlapOutcome,
 };
 pub use partition::{ColorId, Partition};
 pub use propagate::{propagate, PropagateConfig};
@@ -81,7 +77,7 @@ pub use refine::{
 };
 pub use weighted::WeightedPartition;
 // The thread-count knob of the engine, re-exported so downstream crates
-// (CLI, benches) need not depend on rdf-par directly.
+// (CLI, figure harness) need not depend on rdf-par directly.
 pub use rdf_par::Threads;
 // The instrumentation handle the engines accept, re-exported for the
 // same reason.

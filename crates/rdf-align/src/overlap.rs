@@ -7,43 +7,28 @@
 //! candidate generation to a fraction of the objects; every candidate is
 //! then confirmed with the distance function `σ`.
 //!
-//! **Prefix bound.** The paper's listing probes the `⌈k·θ⌉` least
-//! frequent objects. The bound that guarantees no false negatives for
-//! `overlap ≥ θ` is `k − ⌈θ·k⌉ + 1` (if a node shares ≥ θ·k of `n`'s `k`
-//! objects, any `k − ⌈θ·k⌉ + 1` of them must hit a shared one). We default
-//! to the safe bound and keep the paper's literal bound available for the
-//! ablation benchmark (`crates/rdf-bench/benches/ablation.rs`).
+//! **Prefix bound.** A node with `k` objects probes its
+//! `k − ⌈θ·k⌉ + 1` least frequent ones. Overlap
+//! `≥ θ` means at least `⌈θ·k⌉` of the `k` objects are shared, so at
+//! most `k − ⌈θ·k⌉` are not, and any `k − ⌈θ·k⌉ + 1` probes hit a
+//! shared one: no pair with `overlap ≥ θ` is lost. The paper's listing
+//! prints `⌈k·θ⌉` probes instead, which is not used because it can miss
+//! pairs: at `k = 10, θ = 0.5`, a node holding only `n`'s 5 most
+//! frequent objects has overlap 0.5, yet the 5 rarest probes never
+//! reach it.
 
 use crate::enrich::WeightedBipartite;
 use rdf_model::{FxHashMap, NodeId};
 
-/// Which prefix-probing bound Algorithm 1 uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrefixBound {
-    /// `k − ⌈θ·k⌉ + 1` probes — complete for `overlap ≥ θ`.
-    #[default]
-    Safe,
-    /// `⌈k·θ⌉` probes — the bound as printed in the paper's listing.
-    PaperLiteral,
-}
-
-impl PrefixBound {
-    /// Number of least-frequent objects to probe for a node with `k`
-    /// characterising objects.
-    pub fn probes(self, k: usize, theta: f64) -> usize {
-        if k == 0 {
-            return 0;
-        }
-        match self {
-            PrefixBound::Safe => {
-                let kept = (theta * k as f64).ceil() as usize;
-                (k + 1).saturating_sub(kept).clamp(1, k)
-            }
-            PrefixBound::PaperLiteral => {
-                ((k as f64 * theta).ceil() as usize).clamp(1, k)
-            }
-        }
+/// Number of least-frequent objects Algorithm 1 probes for a node with
+/// `k` characterising objects: `k − ⌈θ·k⌉ + 1`, clamped to `1..=k`
+/// (0 when `k = 0`).
+fn prefix_probes(k: usize, theta: f64) -> usize {
+    if k == 0 {
+        return 0;
     }
+    let kept = (theta * k as f64).ceil() as usize;
+    (k + 1).saturating_sub(kept).clamp(1, k)
 }
 
 /// Jaccard overlap of two sorted, deduplicated object slices.
@@ -75,7 +60,7 @@ pub fn diff_sorted(o1: &[u64], o2: &[u64]) -> f64 {
 }
 
 /// Outcome statistics of one `OverlapMatch` invocation, for diagnostics
-/// and the ablation bench.
+/// and the trace.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OverlapMatchStats {
     /// Candidate pairs generated by the index probes.
@@ -98,7 +83,6 @@ pub fn overlap_match(
     char_b: &[Vec<u64>],
     theta: f64,
     mut sigma: impl FnMut(NodeId, NodeId) -> f64,
-    prefix: PrefixBound,
 ) -> (WeightedBipartite, OverlapMatchStats) {
     assert_eq!(a.len(), char_a.len());
     assert_eq!(b.len(), char_b.len());
@@ -129,7 +113,7 @@ pub fn overlap_match(
         sorted_objs.sort_unstable_by_key(|o| {
             (inv.get(o).map_or(0, Vec::len), *o)
         });
-        let probes = prefix.probes(objs.len(), theta);
+        let probes = prefix_probes(objs.len(), theta);
         let mut candidates: Vec<u32> = Vec::new();
         for &o in sorted_objs.iter().take(probes) {
             if let Some(postings) = inv.get(&o) {
@@ -178,14 +162,11 @@ mod tests {
 
     #[test]
     fn prefix_bounds() {
-        // Safe: k − ⌈θk⌉ + 1.
-        assert_eq!(PrefixBound::Safe.probes(10, 0.5), 6);
-        assert_eq!(PrefixBound::Safe.probes(10, 0.9), 2);
-        assert_eq!(PrefixBound::Safe.probes(3, 0.65), 2);
-        assert_eq!(PrefixBound::Safe.probes(0, 0.5), 0);
-        // Paper literal: ⌈kθ⌉.
-        assert_eq!(PrefixBound::PaperLiteral.probes(10, 0.5), 5);
-        assert_eq!(PrefixBound::PaperLiteral.probes(10, 0.9), 9);
+        // k − ⌈θk⌉ + 1.
+        assert_eq!(prefix_probes(10, 0.5), 6);
+        assert_eq!(prefix_probes(10, 0.9), 2);
+        assert_eq!(prefix_probes(3, 0.65), 2);
+        assert_eq!(prefix_probes(0, 0.5), 0);
     }
 
     #[test]
@@ -201,7 +182,6 @@ mod tests {
             &char_b,
             0.6,
             |_, _| 0.0,
-            PrefixBound::Safe,
         );
         assert_eq!(h.len(), 1);
         assert_eq!(h.edges[0].0, NodeId(0));
@@ -223,7 +203,6 @@ mod tests {
             &char_b,
             0.6,
             |_, _| 0.9,
-            PrefixBound::Safe,
         );
         assert!(h.is_empty());
         assert_eq!(stats.overlap_passed, 1);
@@ -232,8 +211,8 @@ mod tests {
 
     #[test]
     fn safe_prefix_is_complete() {
-        // Every pair with overlap ≥ θ must be found by the Safe bound,
-        // regardless of frequency ordering.
+        // Every pair with overlap ≥ θ must be found by the prefix
+        // bound, regardless of frequency ordering.
         let theta = 0.6;
         let universe: Vec<Vec<u64>> = vec![
             vec![1, 2, 3, 4, 5],
@@ -254,7 +233,6 @@ mod tests {
             &char_b,
             theta,
             |_, _| 0.0,
-            PrefixBound::Safe,
         );
         // Brute-force reference.
         let mut expected = 0;
@@ -279,7 +257,6 @@ mod tests {
             &[vec![]],
             0.5,
             |_, _| 0.0,
-            PrefixBound::Safe,
         );
         assert!(h.is_empty());
     }

@@ -16,7 +16,7 @@
 use crate::engine::RefineEngine;
 use crate::enrich::enrich;
 use crate::methods::hybrid_partition_with;
-use crate::overlap::{overlap_match, OverlapMatchStats, PrefixBound};
+use crate::overlap::{overlap_match, OverlapMatchStats};
 use crate::partition::SideCounts;
 use crate::propagate::{propagate_cols, PropagateConfig};
 use crate::weighted::WeightedPartition;
@@ -25,28 +25,11 @@ use rdf_edit::algebra::oplus;
 use rdf_edit::levenshtein::normalized_levenshtein;
 use std::hash::BuildHasher;
 
-/// How literals are characterised in Algorithm 2's round 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LiteralChar {
-    /// The paper's `split`: the set of words. Blind to edits *within* a
-    /// single-word literal ("Sławek" vs "Sławomir" share no word).
-    #[default]
-    Words,
-    /// Character q-grams (padded): catches single-token edits at the
-    /// cost of larger object sets. `3` is the classic choice from the
-    /// entity-resolution literature the paper cites \[8\].
-    Ngrams(u8),
-}
-
 /// Parameters of the overlap alignment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverlapConfig {
     /// Similarity threshold θ (Fig 15 finds 0.65 optimal on GtoPdb).
     pub theta: f64,
-    /// Prefix-probing bound for Algorithm 1.
-    pub prefix: PrefixBound,
-    /// Literal characterisation for round 0.
-    pub literal_char: LiteralChar,
     /// Weighted-refinement convergence parameters.
     pub propagate: PropagateConfig,
     /// Cap on outer iterations (each aligns ≥ 1 new pair, so this only
@@ -58,8 +41,6 @@ impl Default for OverlapConfig {
     fn default() -> Self {
         OverlapConfig {
             theta: 0.65,
-            prefix: PrefixBound::Safe,
-            literal_char: LiteralChar::default(),
             propagate: PropagateConfig::default(),
             max_rounds: 64,
         }
@@ -86,28 +67,6 @@ pub struct OverlapOutcome {
     pub weighted: WeightedPartition,
     /// Per-round diagnostics (round 0 is the literal round).
     pub rounds: Vec<OverlapRound>,
-}
-
-/// Character q-grams of a padded string, hashed to stable object ids —
-/// the alternative literal characterisation for single-token labels.
-pub fn split_ngrams(text: &str, q: usize) -> Vec<u64> {
-    let hasher = rdf_model::FxBuildHasher::default();
-    let chars: Vec<char> = text.chars().collect();
-    if chars.is_empty() {
-        return Vec::new();
-    }
-    // Pad with q-1 sentinels on both ends so prefixes/suffixes weigh in.
-    let mut padded: Vec<char> = Vec::with_capacity(chars.len() + 2 * (q - 1));
-    padded.extend(std::iter::repeat_n('\u{2}', q - 1));
-    padded.extend(&chars);
-    padded.extend(std::iter::repeat_n('\u{3}', q - 1));
-    let mut grams: Vec<u64> = padded
-        .windows(q)
-        .map(|w| hasher.hash_one(w))
-        .collect();
-    grams.sort_unstable();
-    grams.dedup();
-    grams
 }
 
 /// Split a literal into its word set, hashed to stable object ids
@@ -233,21 +192,15 @@ pub fn overlap_align_with(
     let mut xi = WeightedPartition::zero(hybrid);
     let mut rounds = Vec::new();
 
-    // Round 0: unaligned literals, word- or q-gram-overlap + σ_Literals.
-    let literal_char = |text: &str| -> Vec<u64> {
-        match config.literal_char {
-            LiteralChar::Words => split_words(text),
-            LiteralChar::Ngrams(q) => split_ngrams(text, q.max(1) as usize),
-        }
-    };
+    // Round 0: unaligned literals, word overlap + σ_Literals.
     let (a0, b0) = unaligned_by_side(&xi, combined, true);
     let char_a: Vec<Vec<u64>> = a0
         .iter()
-        .map(|&n| literal_char(vocab.text(g.label(n))))
+        .map(|&n| split_words(vocab.text(g.label(n))))
         .collect();
     let char_b: Vec<Vec<u64>> = b0
         .iter()
-        .map(|&n| literal_char(vocab.text(g.label(n))))
+        .map(|&n| split_words(vocab.text(g.label(n))))
         .collect();
     let (mut h, stats) = overlap_match(
         &a0,
@@ -261,7 +214,6 @@ pub fn overlap_align_with(
                 vocab.text(g.label(m)),
             )
         },
-        config.prefix,
     );
     rounds.push(OverlapRound {
         literal_round: true,
@@ -295,7 +247,6 @@ pub fn overlap_align_with(
                 &char_b,
                 config.theta,
                 |n, m| sigma_nl(g, xi_ref, n, m),
-                config.prefix,
             )
         };
         rounds.push(OverlapRound {
@@ -350,29 +301,12 @@ mod tests {
     use crate::methods::hybrid_partition;
     use rdf_model::{RdfGraphBuilder, Vocab};
 
+    /// Single-token typo'd literals: §4.7's `split` characterises a
+    /// literal by its words, and "calcitonin" vs "calcitonim" share
+    /// none, so the literal round never proposes the pair even though
+    /// σ_Literals = 0.1 would confirm it.
     #[test]
-    fn ngrams_catch_single_token_edits() {
-        // "Sławek" vs "Sławomir": zero shared words, but plenty of
-        // shared padded trigrams.
-        let w1 = split_words("Sławek");
-        let w2 = split_words("Sławomir");
-        assert_eq!(w1.iter().filter(|g| w2.contains(g)).count(), 0);
-        let g1 = split_ngrams("Sławek", 3);
-        let g2 = split_ngrams("Sławomir", 3);
-        let shared = g1.iter().filter(|g| g2.contains(g)).count();
-        assert!(shared >= 3, "shared trigrams: {shared}");
-        assert!(split_ngrams("", 3).is_empty());
-        // q=1 degenerates to the character set.
-        assert_eq!(split_ngrams("aab", 1).len(), 2);
-    }
-
-    /// Single-token typo'd literals: word-split misses them entirely;
-    /// trigram characterisation recovers them. (True renames like
-    /// "Sławek"→"Sławomir" stay σ_Edit-only: their trigram overlap 0.33
-    /// is below their edit distance 0.5, so no θ window exists — the
-    /// approximation gap of §4.3.)
-    #[test]
-    fn ngram_literal_round_recovers_typos() {
+    fn word_literal_round_misses_single_token_typo() {
         let mut v = Vocab::new();
         let g1 = {
             let mut b = RdfGraphBuilder::new(&mut v);
@@ -395,27 +329,11 @@ mod tests {
             .target_nodes()
             .find(|&n| v.text(c.graph().label(n)) == "calcitonim")
             .unwrap();
-        // Word characterisation: single tokens share no word — missed.
-        let words = overlap_align(&c, &v, OverlapConfig::default());
-        assert!(!words.weighted.partition.same_class(old_name, new_name));
-        // Trigram characterisation: 9 of 15 padded trigrams shared →
-        // overlap 0.6 ≥ θ = 0.55, and σ_Literals = 0.1 < θ.
-        let trigrams = overlap_align(
-            &c,
-            &v,
-            OverlapConfig {
-                theta: 0.55,
-                literal_char: LiteralChar::Ngrams(3),
-                ..OverlapConfig::default()
-            },
-        );
-        assert!(
-            trigrams.weighted.partition.same_class(old_name, new_name),
-            "trigram characterisation must surface the typo'd literal"
-        );
-        // And the weighted distance reflects the tiny edit.
-        let d = trigrams.weighted.distance(old_name, new_name);
-        assert!(d <= 0.2, "distance {d}");
+        let w1 = split_words("calcitonin");
+        let w2 = split_words("calcitonim");
+        assert!(w1.iter().all(|w| !w2.contains(w)));
+        let out = overlap_align(&c, &v, OverlapConfig::default());
+        assert!(!out.weighted.partition.same_class(old_name, new_name));
     }
 
     #[test]

@@ -77,17 +77,7 @@ fn reweight_step(
 }
 
 /// `BisimRefine*_X(ξ)` for weighted partitions: refine colors and weights
-/// of the nodes in `X` until both stabilise.
-pub fn weighted_refine_fixpoint(
-    g: &TripleGraph,
-    xi: WeightedPartition,
-    x: &[NodeId],
-    config: PropagateConfig,
-) -> WeightedPartition {
-    weighted_refine_fixpoint_with(g, xi, x, config, &mut RefineEngine::auto())
-}
-
-/// As [`weighted_refine_fixpoint`], refining colors through a
+/// of the nodes in `X` until both stabilise, refining colors through a
 /// caller-owned engine over a prebuilt grouped-CSR column view.
 ///
 /// Color rounds read only colors and weight rounds read only weights,
@@ -133,19 +123,6 @@ pub(crate) fn weighted_refine_fixpoint_cols(
     }
 }
 
-/// As [`weighted_refine_fixpoint`], refining colors through a
-/// caller-owned engine (the grouped-CSR view is built once per call).
-pub fn weighted_refine_fixpoint_with(
-    g: &TripleGraph,
-    xi: WeightedPartition,
-    x: &[NodeId],
-    config: PropagateConfig,
-    engine: &mut RefineEngine,
-) -> WeightedPartition {
-    let cols = g.out_columns();
-    weighted_refine_fixpoint_cols(g, &cols, xi, x, config, engine)
-}
-
 /// `Blank(ξ, X)` for weighted partitions: reset colors of `X` to the
 /// neutral blank class and their weights to 0.
 pub fn blank_out_weighted(
@@ -167,23 +144,14 @@ pub fn propagate(
     xi: &WeightedPartition,
     config: PropagateConfig,
 ) -> WeightedPartition {
-    propagate_with(combined, xi, config, &mut RefineEngine::auto())
-}
-
-/// As [`propagate`], refining through a caller-owned engine.
-pub fn propagate_with(
-    combined: &CombinedGraph,
-    xi: &WeightedPartition,
-    config: PropagateConfig,
-    engine: &mut RefineEngine,
-) -> WeightedPartition {
     let cols = combined.graph().out_columns();
-    propagate_cols(combined, &cols, xi, config, engine)
+    propagate_cols(combined, &cols, xi, config, &mut RefineEngine::auto())
 }
 
-/// As [`propagate_with`], over a prebuilt grouped-CSR column view —
-/// callers that propagate repeatedly on one graph (the overlap rounds
-/// loop) build the view once instead of once per round.
+/// As [`propagate`], through a caller-owned engine over a prebuilt
+/// grouped-CSR column view — callers that propagate repeatedly on one
+/// graph (the overlap rounds loop) build the view once instead of once
+/// per round.
 pub(crate) fn propagate_cols(
     combined: &CombinedGraph,
     cols: &rdf_model::OutColumns<'_>,

@@ -54,7 +54,7 @@ pub fn match_predicates_by_usage(
     partition: &Partition,
     theta: f64,
 ) -> PredicateMatching {
-    use crate::overlap::{overlap_match, PrefixBound};
+    use crate::overlap::overlap_match;
     use rdf_model::Side;
 
     let g = combined.graph();
@@ -109,7 +109,6 @@ pub fn match_predicates_by_usage(
             let cb = &char_b_for_sigma[index_of_b[&m]];
             crate::overlap::diff_sorted(ca, cb)
         },
-        PrefixBound::Safe,
     );
     // Keep only the best mutual match per node (predicates are few; a
     // greedy pass by ascending distance suffices).

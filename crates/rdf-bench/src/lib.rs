@@ -5,8 +5,6 @@
 //!   text; run them via the `repro` binary:
 //!   `cargo run --release -p rdf-bench --bin repro -- all`
 //! * [`render`] — plain-text tables / matrices / stacked bars.
-//!
-//! Criterion micro-benchmarks live in `benches/`.
 
 #![warn(missing_docs)]
 

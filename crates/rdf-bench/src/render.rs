@@ -1,4 +1,4 @@
-//! Plain-text rendering of tables, matrices and bar charts for the
+//! Plain-text rendering of tables, matrices and stacked bars for the
 //! figure-reproduction harness.
 
 /// Render a simple aligned table.
@@ -61,30 +61,6 @@ pub fn matrix_table(
             out.push_str(&format!(" {:>w$}", cell(v), w = width));
         }
         out.push('\n');
-    }
-    out
-}
-
-/// Render a horizontal bar chart of labelled values.
-pub fn bar_chart(
-    caption: &str,
-    labels: &[String],
-    values: &[f64],
-    max_width: usize,
-) -> String {
-    let max = values.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
-    let lw = labels.iter().map(String::len).max().unwrap_or(0);
-    let mut out = format!("{caption}\n");
-    for (l, &v) in labels.iter().zip(values) {
-        let n = ((v / max) * max_width as f64).round() as usize;
-        out.push_str(&format!(
-            "{:>w$} | {}{} {:.3}\n",
-            l,
-            "█".repeat(n),
-            " ".repeat(max_width - n),
-            v,
-            w = lw
-        ));
     }
     out
 }
@@ -160,17 +136,6 @@ mod tests {
         assert!(m.starts_with("cap\n"));
         assert!(m.contains("0.50"));
         assert!(m.contains("0.75"));
-    }
-
-    #[test]
-    fn bars_bounded() {
-        let b = bar_chart(
-            "t",
-            &["a".into(), "b".into()],
-            &[1.0, 2.0],
-            10,
-        );
-        assert!(b.contains("██████████ 2.000"));
     }
 
     #[test]

@@ -19,7 +19,8 @@ use rdf_model::Vocab;
 use rdf_obs::{Recorder, RunReport};
 use rdf_store::{BorrowedStoreReader, Layout, StoreError, StoreInfo};
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 pub use pipeline::{load_input, load_input_traced};
@@ -52,6 +53,11 @@ pub fn import(input: &Path, output: &Path) -> Result<String, CliError> {
 /// [`import`] with instrumentation: the streaming parse+write is
 /// wrapped in one `import.run` span. The report text is byte-identical
 /// to the untraced run.
+///
+/// The store is written to a temporary file beside `output` and renamed
+/// over it only once complete, so a failed import leaves an existing
+/// store untouched, and a reader that has the old store mapped keeps
+/// its inode instead of seeing the file truncated under it.
 pub fn import_traced(
     input: &Path,
     output: &Path,
@@ -60,12 +66,20 @@ pub fn import_traced(
     let file = std::fs::File::open(input).map_err(|e| ctx(input, e))?;
     let reader = std::io::BufReader::new(file);
     let in_bytes = std::fs::metadata(input).map(|m| m.len()).unwrap_or(0);
-    let out = std::fs::File::create(output).map_err(|e| ctx(output, e))?;
+    let tmp = temp_beside(output);
+    let out = std::fs::File::create(&tmp).map_err(|e| ctx(output, e))?;
     let mut sp = rec.span("import.run");
     sp.field("bytes_in", in_bytes);
-    let (vocab, graph) =
+    let written =
         rdf_store::import_ntriples(reader, std::io::BufWriter::new(out))
-            .map_err(|e| ctx(input, e))?;
+            .map_err(|e| ctx(input, e))
+            .and_then(|parsed| {
+                std::fs::rename(&tmp, output).map_err(|e| ctx(output, e))?;
+                Ok(parsed)
+            });
+    let (vocab, graph) = written.inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })?;
     sp.field("nodes", graph.node_count());
     sp.field("triples", graph.triple_count());
     drop(sp);
@@ -79,6 +93,21 @@ pub fn import_traced(
         vocab.len(),
         in_bytes,
         out_bytes,
+    ))
+}
+
+/// A fresh path in `output`'s directory for an import to write before
+/// renaming it into place; unique per process and per call, so
+/// concurrent imports to one output (daemon requests) never share it.
+fn temp_beside(output: &Path) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let name = output
+        .file_name()
+        .map_or_else(|| "import".into(), |n| n.to_string_lossy());
+    output.with_file_name(format!(
+        ".{name}.{}.{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ))
 }
 

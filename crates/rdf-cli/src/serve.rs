@@ -464,17 +464,22 @@ fn align_cached(
 /// the connection always stays open until the client closes it.
 fn handle_conn<S: Read + Write>(stream: S, state: Arc<ServeState>) {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let resp = match Request::parse(&line) {
+    let mut line = Vec::new();
+    while let Ok(Some(read)) = read_request_line(&mut reader, &mut line) {
+        let parsed = match read {
+            RequestLine::TooLong => Err(format!(
+                "request line longer than {MAX_REQUEST_LINE} bytes"
+            )),
+            RequestLine::Complete => match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => Request::parse(text).map_err(|e| e.to_string()),
+                Err(e) => Err(format!(
+                    "request line is not valid UTF-8 (at byte {})",
+                    e.valid_up_to()
+                )),
+            },
+        };
+        let resp = match parsed {
             Ok(req) => handle_request(&state, req),
             Err(e) => {
                 state.errors.fetch_add(1, Ordering::Relaxed);
@@ -490,6 +495,37 @@ fn handle_conn<S: Read + Write>(stream: S, state: Arc<ServeState>) {
             break;
         }
     }
+}
+
+/// Longest request line the daemon buffers, newline included. A line
+/// that reaches this length without its newline gets a `bad_request`
+/// reply, and the rest of it is skipped without being buffered.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// How [`read_request_line`] ended a line.
+enum RequestLine {
+    /// The line is in the buffer (with its `\n`, unless at end of input).
+    Complete,
+    /// The line reached [`MAX_REQUEST_LINE`] and was skipped.
+    TooLong,
+}
+
+/// Read one `\n`-terminated line of raw bytes into `line`, holding at
+/// most [`MAX_REQUEST_LINE`] of them. `None` at end of input.
+fn read_request_line<R: BufRead>(
+    reader: &mut R,
+    line: &mut Vec<u8>,
+) -> std::io::Result<Option<RequestLine>> {
+    line.clear();
+    let cap = MAX_REQUEST_LINE as u64;
+    if reader.by_ref().take(cap).read_until(b'\n', line)? == 0 {
+        return Ok(None);
+    }
+    if line.len() == MAX_REQUEST_LINE && !line.ends_with(b"\n") {
+        reader.skip_until(b'\n')?;
+        return Ok(Some(RequestLine::TooLong));
+    }
+    Ok(Some(RequestLine::Complete))
 }
 
 /// Run the daemon until SIGTERM/SIGINT. Returns the shutdown report

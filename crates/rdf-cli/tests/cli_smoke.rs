@@ -543,6 +543,37 @@ fn errors_exit_nonzero_with_context() {
     assert!(err.contains("line 1"), "got: {err}");
 }
 
+/// A failed import over an existing store leaves it byte-identical:
+/// the new store is written beside it and renamed into place only on
+/// success, and the temporary file is removed either way.
+#[test]
+fn failed_import_leaves_existing_store_intact() {
+    let dir = TempDir::new("atomic-import");
+    let good = dir.path("good.nt");
+    std::fs::write(&good, "<u:s> <u:p> \"o\" .\n<u:s> <u:q> <u:t> .\n").unwrap();
+    let store = dir.path("out.rdfb");
+    run_ok(&["import", s(&good), s(&store)]);
+    let before = std::fs::read(&store).unwrap();
+
+    let bad = dir.path("bad.nt");
+    std::fs::write(&bad, "<u:s> <u:p> <u:o> .\n<u:s> <u:p> broken .\n").unwrap();
+    let err = run_err(&["import", s(&bad), s(&store)]);
+    assert!(err.contains("line 2"), "got: {err}");
+    assert_eq!(std::fs::read(&store).unwrap(), before);
+    run_ok(&["info", s(&store)]);
+
+    // A successful re-import replaces the store in place.
+    run_ok(&["import", s(&good), s(&store)]);
+    assert_eq!(std::fs::read(&store).unwrap(), before);
+
+    let mut names: Vec<String> = std::fs::read_dir(&dir.0)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["bad.nt", "good.nt", "out.rdfb"]);
+}
+
 /// A mistyped or retired flag is an error naming the flag and the
 /// command (exit 2) — never an input path that surfaces later as a
 /// confusing argument-count error. The retired `--streaming` and

@@ -130,13 +130,13 @@ impl Drop for Daemon {
 
 /// Raw client: one connection, send each line, read one response per
 /// line sent.
-fn raw_roundtrips(socket: &Path, lines: &[&str]) -> Vec<String> {
+fn raw_roundtrips<L: AsRef<[u8]>>(socket: &Path, lines: &[L]) -> Vec<String> {
     let stream = UnixStream::connect(socket).expect("connects");
     let mut reader = BufReader::new(stream);
     let mut replies = Vec::new();
     for line in lines {
         let s = reader.get_mut();
-        s.write_all(line.as_bytes()).unwrap();
+        s.write_all(line.as_ref()).unwrap();
         s.write_all(b"\n").unwrap();
         s.flush().unwrap();
         let mut reply = String::new();
@@ -304,6 +304,25 @@ fn malformed_lines_get_typed_errors_not_dropped_connections() {
     }
     assert!(replies[3].contains(r#""ok":true"#), "{}", replies[3]);
 
+    // A line that is not UTF-8, and a line past the length cap, each
+    // followed by a valid request on the same connection.
+    let not_utf8 = b"{\"op\":\"stats\xff\"}".to_vec();
+    let too_long = vec![b'x'; rdf_cli::serve::MAX_REQUEST_LINE + 1];
+    let stats = br#"{"op":"stats"}"#.to_vec();
+    let replies = raw_roundtrips(
+        &daemon.socket,
+        &[not_utf8, stats.clone(), too_long, stats],
+    );
+    for (bad, what) in [(&replies[0], "UTF-8"), (&replies[2], "longer than")] {
+        assert!(
+            bad.contains(r#""kind":"bad_request""#) && bad.contains(what),
+            "bad_request naming {what}: {bad}"
+        );
+    }
+    for good in [&replies[1], &replies[3]] {
+        assert!(good.contains(r#""ok":true"#), "{good}");
+    }
+
     // An engine failure (nonexistent store) is typed too, and the
     // server keeps serving fresh connections afterwards.
     let replies = raw_roundtrips(
@@ -329,7 +348,7 @@ fn malformed_lines_get_typed_errors_not_dropped_connections() {
 
     let stats =
         run_ok(&["request", "--socket", daemon.sock(), r#"{"op":"stats"}"#]);
-    assert!(stats.contains("errors 5"), "errors counted: {stats}");
+    assert!(stats.contains("errors 7"), "errors counted: {stats}");
 }
 
 /// `info` over the daemon matches the one-shot CLI byte-for-byte as

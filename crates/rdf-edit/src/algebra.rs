@@ -24,12 +24,6 @@ pub fn oplus_sum(values: impl IntoIterator<Item = f64>) -> f64 {
     acc
 }
 
-/// Clamp an arbitrary non-negative value into the distance interval.
-#[inline]
-pub fn clamp_unit(x: f64) -> f64 {
-    x.clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,7 +5,7 @@
 //! flooding takes a *weighted average over the Cartesian product* of
 //! their outgoing edge sets, while `σ_Edit` finds an *optimal matching*.
 //! This module implements the flooding fixpoint so the two propagation
-//! styles can be compared head-to-head (bench `ablation`).
+//! styles can be compared head-to-head (`tests/approximation_quality.rs`).
 //!
 //! We use the similarity (not distance) orientation of the original
 //! algorithm: `sim ∈ [0, 1]`, larger is more similar, with the `basic`

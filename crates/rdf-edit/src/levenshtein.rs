@@ -2,10 +2,8 @@
 //! paper's `σ_Edit` (§4.2, Example 5): `lev(a, b) / max(|a|, |b|)`, so that
 //! `"abc"` vs `"ac"` is 1/3.
 //!
-//! Distances are computed over Unicode scalar values. The classic
-//! two-row dynamic program is O(|a|·|b|) time, O(min) space; a banded
-//! variant exits early when the distance exceeds a bound, which the
-//! overlap heuristic uses to reject weak candidate pairs cheaply.
+//! Distances are computed over Unicode scalar values by the classic
+//! two-row dynamic program: O(|a|·|b|) time, O(min) space.
 
 /// Levenshtein distance between two strings, over chars.
 pub fn levenshtein(a: &str, b: &str) -> usize {
@@ -34,58 +32,6 @@ pub fn levenshtein_slices(a: &[char], b: &[char]) -> usize {
         std::mem::swap(&mut prev, &mut curr);
     }
     prev[b.len()]
-}
-
-/// Banded Levenshtein: returns `Some(d)` if `d ≤ bound`, else `None`.
-/// Costs O((bound+1)·min(|a|,|b|)) time.
-pub fn levenshtein_bounded(a: &str, b: &str, bound: usize) -> Option<usize> {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let (a, b) = if a.len() < b.len() { (&b, &a) } else { (&a, &b) };
-    if a.len() - b.len() > bound {
-        return None;
-    }
-    if b.is_empty() {
-        return (a.len() <= bound).then_some(a.len());
-    }
-    const INF: usize = usize::MAX / 2;
-    let mut prev: Vec<usize> = (0..=b.len())
-        .map(|j| if j <= bound { j } else { INF })
-        .collect();
-    let mut curr = vec![INF; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        // Cells with |i - j| > bound can never be on a path of cost
-        // ≤ bound; restrict to the band.
-        let lo = i.saturating_sub(bound);
-        let hi = (i + bound + 1).min(b.len());
-        curr[0] = if i < bound { i + 1 } else { INF };
-        let mut row_min = curr[0];
-        for j in lo..hi {
-            let cost = usize::from(ca != b[j]);
-            let mut v = prev[j] + cost;
-            if prev[j + 1] + 1 < v {
-                v = prev[j + 1] + 1;
-            }
-            if (j >= lo.max(1) || lo == 0)
-                && curr[j] + 1 < v {
-                    v = curr[j] + 1;
-                }
-            curr[j + 1] = v;
-            row_min = row_min.min(v);
-        }
-        if lo > 0 {
-            curr[lo] = INF;
-        }
-        if row_min > bound {
-            return None;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-        for c in curr.iter_mut() {
-            *c = INF;
-        }
-    }
-    let d = prev[b.len()];
-    (d <= bound).then_some(d)
 }
 
 /// Normalised edit distance in `[0, 1]`: `lev(a,b) / max(|a|, |b|)`;
@@ -137,28 +83,6 @@ mod tests {
         let n = normalized_levenshtein("Sławek", "Sławomir");
         assert_eq!(d, 4);
         assert!((n - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bounded_agrees_with_full() {
-        let pairs = [
-            ("kitten", "sitting"),
-            ("abc", "ac"),
-            ("", "xyz"),
-            ("hello", "hello"),
-            ("aaaa", "bbbb"),
-        ];
-        for (a, b) in pairs {
-            let full = levenshtein(a, b);
-            for bound in 0..8 {
-                let got = levenshtein_bounded(a, b, bound);
-                if full <= bound {
-                    assert_eq!(got, Some(full), "{a:?} {b:?} bound {bound}");
-                } else {
-                    assert_eq!(got, None, "{a:?} {b:?} bound {bound}");
-                }
-            }
-        }
     }
 
     #[test]

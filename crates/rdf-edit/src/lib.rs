@@ -1,7 +1,7 @@
 //! Edit-distance substrates for RDF alignment (§4 of Buneman & Staworko,
 //! PVLDB 2016).
 //!
-//! * [`levenshtein`](mod@levenshtein) — string edit distance, full / banded / normalised;
+//! * [`levenshtein`](mod@levenshtein) — string edit distance, full / normalised;
 //! * [`hungarian`](mod@hungarian) — minimum-cost assignment (Kuhn–Munkres, O(n³));
 //! * [`algebra`] — the saturating `⊕` operator on `[0, 1]` distances;
 //! * [`sigma_edit`] — the quadratic `σ_Edit` node metric the overlap
@@ -19,5 +19,5 @@ pub mod sigma_edit;
 pub use algebra::{oplus, oplus_sum};
 pub use flooding::{Flooding, FloodingConfig};
 pub use hungarian::{hungarian, hungarian_rect, Assignment};
-pub use levenshtein::{levenshtein, levenshtein_bounded, normalized_levenshtein};
+pub use levenshtein::{levenshtein, normalized_levenshtein};
 pub use sigma_edit::{SigmaEdit, SigmaEditConfig};

@@ -1,7 +1,7 @@
 //! Zero-dependency scoped-thread work splitting.
 //!
 //! The container building this workspace is offline, so there is no
-//! rayon; the vendored shims stay `rand`/`proptest`/`criterion` only.
+//! rayon; the vendored shims stay `rand`/`proptest` only.
 //! This crate provides the minimal substrate the parallel refinement
 //! engine and the `rdf serve` daemon need on plain
 //! [`std::thread::scope`]:

@@ -8,11 +8,12 @@ use rdf_align::bisim::{naive_maximal_bisimulation, partition_matches_relation};
 use rdf_align::methods::{
     alignment_subset, deblank_partition, hybrid_partition, trivial_partition,
 };
-use rdf_align::overlap::{overlap_sorted, PrefixBound};
+use rdf_align::overlap::overlap_sorted;
 use rdf_align::refine::{
     bisimulation_partition, label_partition, reference_refine_step,
 };
-use rdf_edit::hungarian::hungarian;
+use rdf_edit::algebra::oplus;
+use rdf_edit::hungarian::{hungarian, hungarian_rect};
 use rdf_edit::levenshtein::{levenshtein, normalized_levenshtein};
 use rdf_model::{CombinedGraph, GraphBuilder, LabelId, RdfGraph, RdfGraphBuilder, Vocab};
 
@@ -216,7 +217,7 @@ proptest! {
         prop_assert_eq!(v == 1.0, o1 == o2);
     }
 
-    /// The safe prefix bound never misses a pair with overlap ≥ θ.
+    /// The prefix bound `k − ⌈θk⌉ + 1` never misses a pair with overlap ≥ θ.
     #[test]
     fn safe_prefix_bound_complete(
         theta in 0.05f64..0.95,
@@ -239,7 +240,7 @@ proptest! {
         let b: Vec<rdf_model::NodeId> =
             (100..100 + char_b.len() as u32).map(rdf_model::NodeId).collect();
         let (h, _) = rdf_align::overlap::overlap_match(
-            &a, &char_a, &b, &char_b, theta, |_, _| 0.0, PrefixBound::Safe,
+            &a, &char_a, &b, &char_b, theta, |_, _| 0.0,
         );
         let mut expected = 0usize;
         for ca in &char_a {
@@ -250,6 +251,58 @@ proptest! {
             }
         }
         prop_assert_eq!(h.len(), expected);
+    }
+
+    /// σ_NL's rank coupling (§4.7) is an optimal matching: when every
+    /// out-edge of `n` and `m` falls in one edge-color cluster, pairing
+    /// the edges by rank of `ω(p) ⊕ ω(o)` costs exactly the minimum the
+    /// Hungarian method finds on the cluster's `ω ⊕ ω` cost matrix.
+    #[test]
+    fn sigma_nl_rank_coupling_is_optimal(
+        edges_n in proptest::collection::vec((0.0f64..0.5, 0.0f64..0.5), 1..6),
+        edges_m in proptest::collection::vec((0.0f64..0.5, 0.0f64..0.5), 1..6),
+    ) {
+        // Nodes: n = 0, m = 1, then one predicate and one object node
+        // per edge; every predicate shares a color, as does every object.
+        let mut vocab = Vocab::new();
+        let mut b = GraphBuilder::new();
+        let label = vocab.uri("x");
+        let n = b.add_node(label, &vocab);
+        let m = b.add_node(label, &vocab);
+        let mut colors = vec![0u32, 1];
+        let mut weights = vec![0.0, 0.0];
+        for (s, edges) in [(n, &edges_n), (m, &edges_m)] {
+            for &(wp, wo) in edges.iter() {
+                let p = b.add_node(label, &vocab);
+                let o = b.add_node(label, &vocab);
+                b.add_triple(s, p, o);
+                colors.extend([2, 3]);
+                weights.extend([wp, wo]);
+            }
+        }
+        let g = b.freeze();
+        let xi = rdf_align::WeightedPartition::new(
+            rdf_align::Partition::from_colors(&colors),
+            weights,
+        );
+        let cost: Vec<Vec<f64>> = edges_n
+            .iter()
+            .map(|&(p1, o1)| {
+                edges_m
+                    .iter()
+                    .map(|&(p2, o2)| oplus(oplus(p1, p2), oplus(o1, o2)))
+                    .collect()
+            })
+            .collect();
+        let (pairs, min_cost) = hungarian_rect(&cost);
+        let f = edges_n.len().max(edges_m.len());
+        let uncoupled = edges_n.len() + edges_m.len() - 2 * pairs.len();
+        let expected = ((min_cost + uncoupled as f64) / f as f64).min(1.0);
+        let got = rdf_align::overlap_align::sigma_nl(&g, &xi, n, m);
+        prop_assert!(
+            (got - expected).abs() < 1e-9,
+            "rank coupling {got} vs Hungarian {expected}"
+        );
     }
 
     /// N-Triples round trip: parse(write(g)) preserves structure.

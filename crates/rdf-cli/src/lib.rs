@@ -51,8 +51,9 @@ pub fn import(input: &Path, output: &Path) -> Result<String, CliError> {
 }
 
 /// [`import`] with instrumentation: the streaming parse+write is
-/// wrapped in one `import.run` span. The report text is byte-identical
-/// to the untraced run.
+/// wrapped in one `import.run` span, split into `import.parse` and
+/// `import.write`. The report text is byte-identical to the untraced
+/// run.
 ///
 /// The store is written to a temporary file beside `output` and renamed
 /// over it only once complete, so a failed import leaves an existing
@@ -70,13 +71,13 @@ pub fn import_traced(
     let out = std::fs::File::create(&tmp).map_err(|e| ctx(output, e))?;
     let mut sp = rec.span("import.run");
     sp.field("bytes_in", in_bytes);
-    let written =
-        rdf_store::import_ntriples(reader, std::io::BufWriter::new(out))
-            .map_err(|e| ctx(input, e))
-            .and_then(|parsed| {
-                std::fs::rename(&tmp, output).map_err(|e| ctx(output, e))?;
-                Ok(parsed)
-            });
+    let out = std::io::BufWriter::new(out);
+    let written = rdf_store::import_ntriples_traced(reader, out, rec)
+        .map_err(|e| ctx(input, e))
+        .and_then(|parsed| {
+            std::fs::rename(&tmp, output).map_err(|e| ctx(output, e))?;
+            Ok(parsed)
+        });
     let (vocab, graph) = written.inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })?;

@@ -89,8 +89,8 @@ EXAMPLES
 const HELP_IMPORT: &str = "\
 usage: rdf import [--trace PATH] <input.nt> <output.rdfb>
 
-Parse N-Triples (streaming, one line resident at a time) into one
-dictionary-encoded .rdfb store in the fixed-width layout (container
+Parse N-Triples (streaming, one block of lines resident at a time)
+into one dictionary-encoded .rdfb store in the fixed-width layout (container
 version 2), whose id columns load zero-copy (`rdf info` shows the
 layout and load mode). `--layout fixed` is accepted and changes
 nothing; `--layout varint` is an error, because the varint layout

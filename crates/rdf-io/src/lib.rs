@@ -5,6 +5,10 @@
 //! 1.1 parser and serializer so graphs can be loaded from and saved to
 //! the interchange format, plus file helpers.
 //!
+//! Parsing streams: one block of whole lines is resident at a time,
+//! UTF-8-validated once and scanned in place, with terms interned
+//! straight from the borrowed text (see [`parse_graph_reader`]).
+//!
 //! ```
 //! use rdf_model::Vocab;
 //! use rdf_io::{parse_graph, write_graph};
@@ -32,8 +36,8 @@ use rdf_model::{RdfGraph, Vocab};
 use std::io::Write;
 use std::path::Path;
 
-/// Load an N-Triples file into a graph, streaming line by line (the file
-/// is never materialised as one `String`).
+/// Load an N-Triples file into a graph, streaming block by block (the
+/// file is never materialised as one `String`).
 pub fn load_file(
     path: impl AsRef<Path>,
     vocab: &mut Vocab,

@@ -9,10 +9,15 @@
 //!
 //! The parser is line-oriented and reports errors with line/column
 //! positions; the serializer round-trips every graph the parser accepts.
+//! No term spans a line, so each line is scanned in place: a term is a
+//! byte range of the line, and its text is built into a reused buffer
+//! only when it holds a `\` escape or a folded suffix.
 
-use rdf_model::{RdfGraph, RdfGraphBuilder, Term, Vocab};
+use rdf_model::{
+    LabelKind, NodeId, RdfError, RdfGraph, RdfGraphBuilder, Term, Vocab,
+};
 use std::fmt;
-use std::io::BufRead;
+use std::io::{BufRead, Read};
 
 /// Parse error with position information.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,6 +87,151 @@ impl From<ParseError> for ReadError {
 /// A single parsed line: subject, predicate, object terms.
 type ParsedTriple = (Term, Term, Term);
 
+/// Bytes [`parse_graph_reader`] reads per block. A line longer than one
+/// block grows the buffer until its newline arrives.
+const BLOCK: usize = 1 << 20;
+
+/// A byte range of the current line, flagged when it holds a `\` escape
+/// that must be decoded.
+#[derive(Clone, Copy)]
+struct Span {
+    start: usize,
+    end: usize,
+    escaped: bool,
+}
+
+/// A literal's optional suffix, folded into its label text.
+#[derive(Clone, Copy)]
+enum Suffix {
+    None,
+    /// The tag's byte range, without the `@`.
+    Lang(usize, usize),
+    /// The datatype IRI, without the brackets.
+    Datatype(Span),
+}
+
+/// A term as scanned: where its text lies in the line.
+#[derive(Clone, Copy)]
+enum Scanned {
+    Uri(Span),
+    Blank(usize, usize),
+    Literal(Span, Suffix),
+}
+
+/// A term's text, borrowed from the line or from a scratch buffer.
+#[derive(Clone, Copy)]
+enum Tok<'a> {
+    Uri(&'a str),
+    Blank(&'a str),
+    Literal(&'a str),
+}
+
+impl Scanned {
+    /// The term's text: a slice of `line` when it needs no decoding, else
+    /// built in `buf` (a `\` escape or a folded suffix).
+    fn text<'a>(self, line: &'a str, buf: &'a mut String) -> Tok<'a> {
+        match self {
+            Scanned::Uri(s) if !s.escaped => Tok::Uri(&line[s.start..s.end]),
+            Scanned::Uri(s) => {
+                buf.clear();
+                push_span(buf, line, s);
+                Tok::Uri(buf)
+            }
+            Scanned::Blank(start, end) => Tok::Blank(&line[start..end]),
+            Scanned::Literal(s, Suffix::None) if !s.escaped => {
+                Tok::Literal(&line[s.start..s.end])
+            }
+            Scanned::Literal(s, suffix) => {
+                buf.clear();
+                push_span(buf, line, s);
+                match suffix {
+                    Suffix::None => {}
+                    Suffix::Lang(start, end) => {
+                        buf.push('@');
+                        buf.push_str(&line[start..end]);
+                    }
+                    Suffix::Datatype(dt) => {
+                        buf.push_str("^^");
+                        push_span(buf, line, dt);
+                    }
+                }
+                Tok::Literal(buf)
+            }
+        }
+    }
+}
+
+impl<'a> Tok<'a> {
+    /// The owned term [`parse_triples`] returns.
+    fn to_term(self) -> Term {
+        match self {
+            Tok::Uri(u) => Term::uri(u),
+            Tok::Blank(b) => Term::blank(b),
+            Tok::Literal(l) => Term::literal(l),
+        }
+    }
+
+    /// The term's label kind and text.
+    fn parts(self) -> (LabelKind, &'a str) {
+        match self {
+            Tok::Uri(u) => (LabelKind::Uri, u),
+            Tok::Blank(n) => (LabelKind::Blank, n),
+            Tok::Literal(l) => (LabelKind::Literal, l),
+        }
+    }
+
+    /// Intern the term as a node of `b`'s graph.
+    fn node(self, b: &mut RdfGraphBuilder<'_>) -> NodeId {
+        match self {
+            Tok::Uri(u) => b.uri_node(u),
+            Tok::Blank(n) => b.blank_node(n),
+            Tok::Literal(l) => b.literal_node(l),
+        }
+    }
+}
+
+/// Append a span's text to `out`, decoding the escapes the scanner has
+/// already validated.
+fn push_span(out: &mut String, line: &str, s: Span) {
+    let mut rest = &line[s.start..s.end];
+    while let Some(i) = rest.find('\\') {
+        out.push_str(&rest[..i]);
+        let hex = |len: usize| {
+            u32::from_str_radix(&rest[i + 2..i + 2 + len], 16)
+                .ok()
+                .and_then(char::from_u32)
+                .expect("escape validated by the scanner")
+        };
+        let (c, len) = match rest.as_bytes()[i + 1] {
+            b't' => ('\t', 2),
+            b'b' => ('\u{8}', 2),
+            b'n' => ('\n', 2),
+            b'r' => ('\r', 2),
+            b'f' => ('\u{c}', 2),
+            b'u' => (hex(4), 6),
+            b'U' => (hex(8), 10),
+            // `\"`, `\'` and `\\` stand for themselves.
+            other => (other as char, 2),
+        };
+        out.push(c);
+        rest = &rest[i + len..];
+    }
+    out.push_str(rest);
+}
+
+/// Whether `b` may appear unescaped inside `<...>`, one lookup per
+/// byte: above 0x20 and none of `"{}`, nor the closing `>` or a `\`,
+/// which the IRI scanner handles itself.
+const IRI_PLAIN: [bool; 256] = {
+    let mut plain = [false; 256];
+    let mut b = 0x21;
+    while b < 256 {
+        plain[b] = !matches!(b as u8, b'"' | b'{' | b'}' | b'>' | b'\\');
+        b += 1;
+    }
+    plain
+};
+
 struct Cursor<'a> {
     text: &'a [u8],
     pos: usize,
@@ -119,10 +269,16 @@ impl<'a> Cursor<'a> {
         Some(b)
     }
 
+    /// Advance past every byte for which `plain` holds.
+    fn skip_while(&mut self, plain: impl Fn(u8) -> bool) {
+        self.pos += self.text[self.pos..]
+            .iter()
+            .position(|&b| !plain(b))
+            .unwrap_or(self.text.len() - self.pos);
+    }
+
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ') | Some(b'\t')) {
-            self.pos += 1;
-        }
+        self.skip_while(|b| b == b' ' || b == b'\t');
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
@@ -144,20 +300,24 @@ impl<'a> Cursor<'a> {
         matches!(self.peek(), None | Some(b'#'))
     }
 
-    /// Parse `<IRI>` (after the opening `<` has been peeked).
-    fn iri(&mut self) -> Result<String, ParseError> {
+    /// Scan `<IRI>` (after the opening `<` has been peeked).
+    fn iri(&mut self) -> Result<Span, ParseError> {
         self.expect(b'<')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let mut escaped = false;
         loop {
+            self.skip_while(|b| IRI_PLAIN[usize::from(b)]);
             match self.bump() {
-                Some(b'>') => return Ok(out),
-                Some(b'\\') => {
-                    let esc = self.unicode_escape()?;
-                    out.push(esc);
+                Some(b'>') => {
+                    return Ok(Span {
+                        start,
+                        end: self.pos - 1,
+                        escaped,
+                    })
                 }
-                Some(b) if b > 0x20 && b != b'"' && b != b'{' && b != b'}' => {
-                    // Collect UTF-8 continuation bytes verbatim.
-                    out.push(self.decode_utf8_tail(b)?);
+                Some(b'\\') => {
+                    self.unicode_escape()?;
+                    escaped = true;
                 }
                 Some(b) => {
                     return Err(
@@ -169,27 +329,8 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Decode one UTF-8 scalar whose first byte is `first`.
-    fn decode_utf8_tail(&mut self, first: u8) -> Result<char, ParseError> {
-        let len = match first {
-            0x00..=0x7f => 1,
-            0xc0..=0xdf => 2,
-            0xe0..=0xef => 3,
-            0xf0..=0xf7 => 4,
-            _ => return Err(self.error("invalid UTF-8 byte")),
-        };
-        let start = self.pos - 1;
-        for _ in 1..len {
-            self.bump()
-                .ok_or_else(|| self.error("truncated UTF-8 sequence"))?;
-        }
-        let s = std::str::from_utf8(&self.text[start..self.pos])
-            .map_err(|_| self.error("invalid UTF-8 sequence"))?;
-        Ok(s.chars().next().unwrap())
-    }
-
-    /// Parse `\uXXXX` or `\UXXXXXXXX` (backslash already consumed).
-    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+    /// Check `\uXXXX` or `\UXXXXXXXX` (backslash already consumed).
+    fn unicode_escape(&mut self) -> Result<(), ParseError> {
         let kind = self
             .bump()
             .ok_or_else(|| self.error("truncated escape"))?;
@@ -206,7 +347,8 @@ impl<'a> Cursor<'a> {
         self.hex_char(len)
     }
 
-    fn hex_char(&mut self, len: usize) -> Result<char, ParseError> {
+    /// Check `len` hex digits naming a Unicode scalar value.
+    fn hex_char(&mut self, len: usize) -> Result<(), ParseError> {
         let mut v: u32 = 0;
         for _ in 0..len {
             let b = self
@@ -217,60 +359,51 @@ impl<'a> Cursor<'a> {
                 .ok_or_else(|| self.error("invalid hex digit"))?;
             v = v * 16 + d;
         }
-        char::from_u32(v).ok_or_else(|| self.error("invalid code point"))
+        char::from_u32(v)
+            .map(drop)
+            .ok_or_else(|| self.error("invalid code point"))
     }
 
-    /// Parse `_:label`.
-    fn blank(&mut self) -> Result<String, ParseError> {
+    /// Scan `_:label`; returns the label's byte range.
+    fn blank(&mut self) -> Result<(usize, usize), ParseError> {
         self.expect(b'_')?;
         self.expect(b':')?;
-        let mut out = String::new();
-        while let Some(b) = self.peek() {
-            if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.'
-            {
-                out.push(b as char);
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if out.is_empty() {
+        let start = self.pos;
+        self.skip_while(|b| {
+            b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.'
+        });
+        if self.pos == start {
             return Err(self.error("empty blank node label"));
         }
         // A trailing '.' belongs to the statement terminator.
-        while out.ends_with('.') {
-            out.pop();
+        while self.pos > start && self.text[self.pos - 1] == b'.' {
             self.pos -= 1;
         }
-        if out.is_empty() {
+        if self.pos == start {
             return Err(self.error("empty blank node label"));
         }
-        Ok(out)
+        Ok((start, self.pos))
     }
 
-    /// Parse a quoted literal with optional `@lang` / `^^<dt>` suffix.
-    /// The suffix is folded into the returned label text.
-    fn literal(&mut self) -> Result<String, ParseError> {
+    /// Scan a quoted literal with optional `@lang` / `^^<dt>` suffix.
+    fn literal(&mut self) -> Result<Scanned, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let mut escaped = false;
         loop {
+            self.skip_while(|b| b != b'"' && b != b'\\');
             match self.bump() {
                 Some(b'"') => break,
-                Some(b'\\') => {
+                // The only other byte `skip_while` stops at is `\`.
+                Some(_) => {
                     let b = self
                         .bump()
                         .ok_or_else(|| self.error("truncated escape"))?;
                     match b {
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b'f' => out.push('\u{c}'),
-                        b'"' => out.push('"'),
-                        b'\'' => out.push('\''),
-                        b'\\' => out.push('\\'),
-                        b'u' => out.push(self.hex_char(4)?),
-                        b'U' => out.push(self.hex_char(8)?),
+                        b't' | b'b' | b'n' | b'r' | b'f' | b'"' | b'\''
+                        | b'\\' => {}
+                        b'u' => self.hex_char(4)?,
+                        b'U' => self.hex_char(8)?,
                         other => {
                             return Err(self.error(format!(
                                 "invalid string escape '\\{}'",
@@ -278,49 +411,47 @@ impl<'a> Cursor<'a> {
                             )))
                         }
                     }
+                    escaped = true;
                 }
-                Some(b) => out.push(self.decode_utf8_tail(b)?),
                 None => return Err(self.error("unterminated literal")),
             }
         }
+        let value = Span {
+            start,
+            end: self.pos - 1,
+            escaped,
+        };
         // Optional language tag or datatype.
-        match self.peek() {
+        let suffix = match self.peek() {
             Some(b'@') => {
                 self.pos += 1;
-                let mut tag = String::new();
-                while let Some(b) = self.peek() {
-                    if b.is_ascii_alphanumeric() || b == b'-' {
-                        tag.push(b as char);
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                if tag.is_empty() {
+                let tag = self.pos;
+                self.skip_while(|b| b.is_ascii_alphanumeric() || b == b'-');
+                if self.pos == tag {
                     return Err(self.error("empty language tag"));
                 }
-                out.push('@');
-                out.push_str(&tag);
+                Suffix::Lang(tag, self.pos)
             }
             Some(b'^') => {
                 self.expect(b'^')?;
                 self.expect(b'^')?;
-                let dt = self.iri()?;
-                out.push_str("^^");
-                out.push_str(&dt);
+                Suffix::Datatype(self.iri()?)
             }
-            _ => {}
-        }
-        Ok(out)
+            _ => Suffix::None,
+        };
+        Ok(Scanned::Literal(value, suffix))
     }
 
-    /// Parse a subject/predicate/object term.
-    fn term(&mut self) -> Result<Term, ParseError> {
+    /// Scan a subject/predicate/object term.
+    fn term(&mut self) -> Result<Scanned, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'<') => Ok(Term::Uri(self.iri()?)),
-            Some(b'_') => Ok(Term::Blank(self.blank()?)),
-            Some(b'"') => Ok(Term::Literal(self.literal()?)),
+            Some(b'<') => Ok(Scanned::Uri(self.iri()?)),
+            Some(b'_') => {
+                let (start, end) = self.blank()?;
+                Ok(Scanned::Blank(start, end))
+            }
+            Some(b'"') => self.literal(),
             Some(b) => Err(self.error(format!(
                 "expected term, found '{}'",
                 b as char
@@ -329,7 +460,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn triple(&mut self) -> Result<ParsedTriple, ParseError> {
+    fn triple(&mut self) -> Result<[Scanned; 3], ParseError> {
         let s = self.term()?;
         let p = self.term()?;
         let o = self.term()?;
@@ -338,83 +469,214 @@ impl<'a> Cursor<'a> {
         if !self.at_end_or_comment() {
             return Err(self.error("trailing content after '.'"));
         }
-        Ok((s, p, o))
+        Ok([s, p, o])
     }
 }
 
-/// Strip one trailing `\n` or `\r\n` (what [`BufRead::read_line`] leaves
-/// behind) from a line.
+/// Strip one trailing `\n` or `\r\n` from a line.
 fn trim_newline(line: &str) -> &str {
     line.strip_suffix('\n')
         .map(|l| l.strip_suffix('\r').unwrap_or(l))
         .unwrap_or(line)
 }
 
+/// The one line scanner behind every parsing entry point. It counts lines
+/// and bytes across the chunks it is fed, and keeps one reused text
+/// buffer per triple position.
+#[derive(Default)]
+struct Lines {
+    /// Lines scanned so far.
+    line: usize,
+    /// Byte offset of the next line within the document.
+    base: usize,
+    scratch: [String; 3],
+}
+
+impl Lines {
+    /// Scan every line of `text`: whole lines, the last one possibly
+    /// without its newline. Each triple goes to `sink` with its 1-based
+    /// line number and the byte offset of the line's start.
+    fn scan(
+        &mut self,
+        text: &str,
+        mut sink: impl FnMut(
+            [Tok<'_>; 3],
+            usize,
+            usize,
+        ) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        for raw in text.split_inclusive('\n') {
+            self.line += 1;
+            let line = trim_newline(raw);
+            let mut cur = Cursor::new(line, self.line, self.base);
+            if !cur.at_end_or_comment() {
+                let [s, p, o] = cur.triple()?;
+                let [sb, pb, ob] = &mut self.scratch;
+                let terms =
+                    [s.text(line, sb), p.text(line, pb), o.text(line, ob)];
+                sink(terms, self.line, self.base)?;
+            }
+            self.base += raw.len();
+        }
+        Ok(())
+    }
+
+    /// [`Lines::scan`] over raw bytes, validating UTF-8 once for the
+    /// whole chunk. An invalid byte is reported at its own line, column
+    /// and byte, after the lines before it have been scanned, so errors
+    /// still surface in document order.
+    fn scan_bytes(
+        &mut self,
+        bytes: &[u8],
+        mut sink: impl FnMut(
+            [Tok<'_>; 3],
+            usize,
+            usize,
+        ) -> Result<(), ParseError>,
+    ) -> Result<(), ParseError> {
+        let bad = match std::str::from_utf8(bytes) {
+            Ok(text) => return self.scan(text, sink),
+            Err(e) => e.valid_up_to(),
+        };
+        let valid = std::str::from_utf8(&bytes[..bad])
+            .expect("valid_up_to bounds a valid prefix");
+        let start = valid.rfind('\n').map_or(0, |i| i + 1);
+        self.scan(&valid[..start], &mut sink)?;
+        Err(ParseError {
+            line: self.line + 1,
+            column: bad - start + 1,
+            byte: self.base + bad - start,
+            message: format!("invalid UTF-8 byte 0x{:02x}", bytes[bad]),
+        })
+    }
+}
+
 /// Parse an N-Triples document into terms.
 pub fn parse_triples(input: &str) -> Result<Vec<ParsedTriple>, ParseError> {
     let mut out = Vec::new();
-    let mut base = 0usize;
-    for (i, raw) in input.split_inclusive('\n').enumerate() {
-        let mut cur = Cursor::new(trim_newline(raw), i + 1, base);
-        base += raw.len();
-        if cur.at_end_or_comment() {
-            continue;
-        }
-        out.push(cur.triple()?);
-    }
+    Lines::default().scan(input, |[s, p, o], _, _| {
+        out.push((s.to_term(), p.to_term(), o.to_term()));
+        Ok(())
+    })?;
     Ok(out)
+}
+
+/// Interns scanned triples into a graph.
+struct GraphSink<'v> {
+    b: RdfGraphBuilder<'v>,
+    /// The previous triple's subject kind and node, and its text in
+    /// `last_text`. Dumps list a subject's triples together, so a
+    /// repeated subject reuses the node without hashing its text again.
+    last_subject: Option<(LabelKind, NodeId)>,
+    last_text: String,
+}
+
+impl<'v> GraphSink<'v> {
+    fn new(vocab: &'v mut Vocab) -> Self {
+        GraphSink {
+            b: RdfGraphBuilder::new(vocab),
+            last_subject: None,
+            last_text: String::new(),
+        }
+    }
+
+    /// Intern one scanned triple. The RDF conventions (no literal
+    /// subject, no blank or literal predicate) are checked before
+    /// anything is interned, so a rejected line leaves no orphan nodes;
+    /// the error names the line's first column.
+    fn add(
+        &mut self,
+        [s, p, o]: [Tok<'_>; 3],
+        line: usize,
+        base: usize,
+    ) -> Result<(), ParseError> {
+        let located = |e: RdfError| ParseError {
+            line,
+            column: 1,
+            byte: base,
+            message: e.to_string(),
+        };
+        match (s, p) {
+            (Tok::Literal(l), _) => {
+                return Err(located(RdfError::LiteralSubject(l.to_owned())))
+            }
+            (_, Tok::Literal(l)) => {
+                return Err(located(RdfError::LiteralPredicate(l.to_owned())))
+            }
+            (_, Tok::Blank(n)) => {
+                return Err(located(RdfError::BlankPredicate(n.to_owned())))
+            }
+            _ => {}
+        }
+        let s = self.subject(s);
+        let (p, o) = (p.node(&mut self.b), o.node(&mut self.b));
+        self.b.add_triple_ids(s, p, o).map_err(located)
+    }
+
+    /// The subject's node, reused when the previous triple had the same
+    /// subject.
+    fn subject(&mut self, s: Tok<'_>) -> NodeId {
+        let (kind, text) = s.parts();
+        match self.last_subject {
+            Some((k, n)) if k == kind && self.last_text == text => n,
+            _ => {
+                let n = s.node(&mut self.b);
+                self.last_subject = Some((kind, n));
+                self.last_text.clear();
+                self.last_text.push_str(text);
+                n
+            }
+        }
+    }
 }
 
 /// Parse N-Triples from any buffered reader, interning into the supplied
 /// vocabulary — the streaming ingest path.
 ///
-/// Only one line is held in memory at a time, so arbitrarily large
-/// documents never materialise as a single `String`. Errors carry the
-/// real line/column/byte position, including RDF-convention violations
-/// (literal subject, blank or literal predicate), which the line-batched
-/// path could only attribute to a triple index.
+/// The input is read in fixed blocks, each cut after its last newline,
+/// UTF-8-validated once and scanned in place; the partial last line
+/// carries over to the next block. One block is resident at a time, so
+/// arbitrarily large documents never materialise as a single `String`.
+/// Errors carry the real line/column/byte position, including invalid
+/// UTF-8 and RDF-convention violations (literal subject, blank or
+/// literal predicate).
 pub fn parse_graph_reader<R: BufRead>(
     mut reader: R,
     vocab: &mut Vocab,
 ) -> Result<RdfGraph, ReadError> {
-    let mut b = RdfGraphBuilder::new(vocab);
-    let mut raw = String::new();
-    let mut line_no = 0usize;
-    let mut base = 0usize;
+    let mut sink = GraphSink::new(vocab);
+    let mut lines = Lines::default();
+    let mut buf: Vec<u8> = Vec::with_capacity(BLOCK);
     loop {
-        raw.clear();
-        let n = reader.read_line(&mut raw)?;
-        if n == 0 {
+        let carried = buf.len();
+        let n = reader.by_ref().take(BLOCK as u64).read_to_end(&mut buf)?;
+        let eof = n < BLOCK;
+        // Cut after the last newline; at end of input the rest is the
+        // last line. A block with no newline extends the carried line.
+        let cut = match buf[carried..].iter().rposition(|&c| c == b'\n') {
+            _ if eof => buf.len(),
+            Some(i) => carried + i + 1,
+            None => continue,
+        };
+        lines.scan_bytes(&buf[..cut], |t, line, base| sink.add(t, line, base))?;
+        if eof {
             break;
         }
-        line_no += 1;
-        let mut cur = Cursor::new(trim_newline(&raw), line_no, base);
-        if !cur.at_end_or_comment() {
-            let (s, p, o) = cur.triple()?;
-            b.add_triple(&s, &p, &o).map_err(|e| ParseError {
-                line: line_no,
-                column: 1,
-                byte: base,
-                message: e.to_string(),
-            })?;
-        }
-        base += n;
+        buf.drain(..cut);
     }
-    Ok(b.finish())
+    Ok(sink.b.finish())
 }
 
 /// Parse an N-Triples document directly into an [`RdfGraph`], interning
-/// into the supplied vocabulary. Convenience wrapper over
-/// [`parse_graph_reader`] for in-memory input.
+/// into the supplied vocabulary. Runs the same line scanner as
+/// [`parse_graph_reader`], over the text in place.
 pub fn parse_graph(
     input: &str,
     vocab: &mut Vocab,
 ) -> Result<RdfGraph, ParseError> {
-    parse_graph_reader(input.as_bytes(), vocab).map_err(|e| match e {
-        // Reading from a byte slice cannot fail.
-        ReadError::Io(io) => unreachable!("in-memory read failed: {io}"),
-        ReadError::Parse(p) => p,
-    })
+    let mut sink = GraphSink::new(vocab);
+    Lines::default().scan(input, |t, line, base| sink.add(t, line, base))?;
+    Ok(sink.b.finish())
 }
 
 /// Escape a string for inclusion in an IRI or literal.
@@ -593,6 +855,17 @@ mod tests {
         // Second round trip is byte-identical (canonical order).
         let written2 = write_graph(&g2, &v2);
         assert_eq!(written, written2);
+    }
+
+    #[test]
+    fn repeated_subject_text_of_another_kind_is_another_node() {
+        // The sink reuses the previous subject's node only for the same
+        // kind and text: `_:x` and `<x>` are two nodes.
+        let mut v = Vocab::new();
+        let doc = "_:x <u:p> <u:o> .\n<x> <u:p> <u:o> .\n<x> <u:q> _:x .\n";
+        let g = parse_graph(doc, &mut v).unwrap();
+        assert_eq!(g.node_count(), 5);
+        assert_eq!(g.triple_count(), 3);
     }
 
     #[test]

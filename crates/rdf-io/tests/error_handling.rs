@@ -2,26 +2,39 @@
 //! malformed input must fail with a located, descriptive error — never
 //! panic, never mis-parse.
 
+mod common;
+
 use rdf_io::{parse_graph, parse_triples};
 use rdf_model::Vocab;
 
+/// Malformed one-line documents and a word their error must mention.
+const MALFORMED: &[(&str, &str)] = &[
+    ("<u:s> <u:p>", "expected term"),
+    ("<u:s> <u:p> <u:o>", "expected '.'"),
+    ("<u:s <u:p> <u:o> .", "IRI"),
+    ("<u:s> <u:p> \"unterminated .", "unterminated literal"),
+    ("<u:s> <u:p> \"bad\\escape\" .", "invalid string escape"),
+    ("<u:s> <u:p> \"x\"@ .", "empty language tag"),
+    ("<u:s> <u:p> _: .", "empty blank node label"),
+    ("<u:s> <u:p> <u:o> . trailing", "trailing content"),
+    ("<u:s> <u:p> \"\\uZZZZ\" .", "invalid hex digit"),
+    ("<u:s> <u:p> \"\\uD800\" .", "invalid code point"),
+    ("nonsense line", "expected term"),
+    ("<u:s> <u:p> <u:o> extra .", "expected '.'"),
+];
+
+/// Documents that fail on a later line or on an RDF convention.
+const MALFORMED_DOCS: &[&str] = &[
+    "<u:s> <u:p> <u:o> .\n# fine\n<u:s> <u:p> broken .\n",
+    "<u:s> <u:p> <u:o> .\n\"lit\" <u:p> <u:o> .\n",
+    "\"literal\" <u:p> <u:o> .",
+    "<u:s> \"lit\" <u:o> .",
+    "<u:s> _:b <u:o> .",
+];
+
 #[test]
 fn malformed_inputs_report_errors() {
-    let cases: &[(&str, &str)] = &[
-        ("<u:s> <u:p>", "expected term"),
-        ("<u:s> <u:p> <u:o>", "expected '.'"),
-        ("<u:s <u:p> <u:o> .", "IRI"),
-        ("<u:s> <u:p> \"unterminated .", "unterminated literal"),
-        ("<u:s> <u:p> \"bad\\escape\" .", "invalid string escape"),
-        ("<u:s> <u:p> \"x\"@ .", "empty language tag"),
-        ("<u:s> <u:p> _: .", "empty blank node label"),
-        ("<u:s> <u:p> <u:o> . trailing", "trailing content"),
-        ("<u:s> <u:p> \"\\uZZZZ\" .", "invalid hex digit"),
-        ("<u:s> <u:p> \"\\uD800\" .", "invalid code point"),
-        ("nonsense line", "expected term"),
-        ("<u:s> <u:p> <u:o> extra .", "expected '.'"),
-    ];
-    for (input, needle) in cases {
+    for (input, needle) in MALFORMED {
         let err = parse_triples(input)
             .expect_err(&format!("input {input:?} must fail"));
         assert!(
@@ -63,8 +76,8 @@ fn streaming_reader_matches_in_memory_parse() {
     let mut v1 = rdf_model::Vocab::new();
     let g1 = parse_graph(doc, &mut v1).unwrap();
     let mut v2 = rdf_model::Vocab::new();
-    // A BufReader with a pathologically small buffer still yields whole
-    // lines via read_line; the graph must be identical.
+    // A BufReader with a pathologically small buffer hands out a few
+    // bytes per read; the graph must be identical.
     let reader = std::io::BufReader::with_capacity(
         4,
         std::io::Cursor::new(doc.as_bytes()),
@@ -144,4 +157,52 @@ fn file_round_trip() {
 fn load_missing_file_errors() {
     let mut vocab = Vocab::new();
     assert!(rdf_io::load_file("/nonexistent/nope.nt", &mut vocab).is_err());
+}
+
+#[test]
+fn streamed_errors_match_in_memory_errors() {
+    let one_line = MALFORMED.iter().map(|(doc, _)| *doc);
+    let docs = one_line.chain(MALFORMED_DOCS.iter().copied());
+    for (seed, doc) in docs.enumerate() {
+        common::assert_streaming_matches(doc, seed as u64);
+        // The same line after good lines and with a CRLF ending.
+        common::assert_streaming_matches(
+            &format!("<u:a> <u:b> <u:c> .\r\n# note\r\n{doc}\r\n"),
+            seed as u64,
+        );
+    }
+}
+
+#[test]
+fn invalid_utf8_is_located() {
+    let doc = b"<u:s> <u:p> <u:o> .\n<u:s> <u:p> \"a\xffb\" .\n";
+    let bad = doc.iter().position(|&b| b == 0xff).unwrap();
+    let mut v = Vocab::new();
+    match rdf_io::parse_graph_reader(&doc[..], &mut v).unwrap_err() {
+        rdf_io::ReadError::Parse(p) => {
+            assert_eq!(p.line, 2);
+            assert_eq!(p.byte, bad);
+            assert_eq!(p.column, bad - 20 + 1);
+            assert!(p.message.contains("UTF-8"), "{}", p.message);
+        }
+        rdf_io::ReadError::Io(e) => panic!("unexpected io error: {e}"),
+    }
+    // Errors surface in document order: a syntax error on an earlier
+    // line wins over a bad byte later in the same block.
+    let doc = b"<u:s> <u:p> broken .\n# \xff\n";
+    match rdf_io::parse_graph_reader(&doc[..], &mut v).unwrap_err() {
+        rdf_io::ReadError::Parse(p) => {
+            assert_eq!(p.line, 1);
+            assert!(p.message.contains("expected term"));
+        }
+        rdf_io::ReadError::Io(e) => panic!("unexpected io error: {e}"),
+    }
+    // A truncated sequence at the very end of the input is reported too.
+    let doc = b"<u:s> <u:p> \"\xc3";
+    match rdf_io::parse_graph_reader(&doc[..], &mut v).unwrap_err() {
+        rdf_io::ReadError::Parse(p) => {
+            assert_eq!((p.line, p.column, p.byte), (1, 14, 13));
+        }
+        rdf_io::ReadError::Io(e) => panic!("unexpected io error: {e}"),
+    }
 }

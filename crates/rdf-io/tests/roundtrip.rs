@@ -3,6 +3,8 @@
 //! characters that need escaping), language tags, datatypes, and blank
 //! nodes — and a second round trip must be byte-identical.
 
+mod common;
+
 use proptest::prelude::*;
 use rdf_io::{parse_graph, write_graph};
 use rdf_model::{LabelRef, NodeId, RdfGraph, Term, Vocab};
@@ -100,6 +102,16 @@ proptest! {
         prop_assert_eq!(term_triples(&parsed, &fresh), term_triples(&g, &vocab));
         let text2 = write_graph(&parsed, &fresh);
         prop_assert_eq!(text, text2);
+    }
+
+    /// The same documents streamed a few bytes at a time parse exactly
+    /// as they do in memory.
+    #[test]
+    fn streamed_parse_matches_in_memory(
+        (vocab, g) in arb_rdf_graph(),
+        seed in any::<u64>(),
+    ) {
+        common::assert_streaming_matches(&write_graph(&g, &vocab), seed);
     }
 }
 

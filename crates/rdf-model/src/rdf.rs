@@ -161,12 +161,17 @@ pub fn rebase_into(
     RdfGraph::from_raw_parts(rebased, graph.blank_names().clone())
 }
 
+/// Marks a label with no node yet in [`RdfGraphBuilder`]'s dense map.
+const NO_NODE: NodeId = NodeId(u32::MAX);
+
 /// Builder enforcing RDF invariants; terms are deduplicated so that each
 /// URI/literal label yields exactly one node.
 pub struct RdfGraphBuilder<'v> {
     vocab: &'v mut Vocab,
     builder: GraphBuilder,
-    by_label: FxHashMap<LabelId, NodeId>,
+    /// Node of each label id, indexed densely by the id (vocabulary ids
+    /// are dense); [`NO_NODE`] where the label has no node yet.
+    by_label: Vec<NodeId>,
     by_blank_name: FxHashMap<String, NodeId>,
     blank_names: FxHashMap<NodeId, String>,
 }
@@ -177,7 +182,7 @@ impl<'v> RdfGraphBuilder<'v> {
         RdfGraphBuilder {
             vocab,
             builder: GraphBuilder::new(),
-            by_label: FxHashMap::default(),
+            by_label: Vec::new(),
             by_blank_name: FxHashMap::default(),
             blank_names: FxHashMap::default(),
         }
@@ -186,23 +191,25 @@ impl<'v> RdfGraphBuilder<'v> {
     /// Node for a URI, reusing an existing node with the same label.
     pub fn uri_node(&mut self, text: &str) -> NodeId {
         let label = self.vocab.uri(text);
-        if let Some(&n) = self.by_label.get(&label) {
-            return n;
-        }
-        let n = self.builder.add_node(label, self.vocab);
-        self.by_label.insert(label, n);
-        n
+        self.labelled_node(label)
     }
 
     /// Node for a literal, reusing an existing node with the same label.
     pub fn literal_node(&mut self, text: &str) -> NodeId {
         let label = self.vocab.literal(text);
-        if let Some(&n) = self.by_label.get(&label) {
-            return n;
+        self.labelled_node(label)
+    }
+
+    /// The one node of a URI or literal label, added on first use.
+    fn labelled_node(&mut self, label: LabelId) -> NodeId {
+        let i = label.index();
+        if i >= self.by_label.len() {
+            self.by_label.resize(self.vocab.len(), NO_NODE);
         }
-        let n = self.builder.add_node(label, self.vocab);
-        self.by_label.insert(label, n);
-        n
+        if self.by_label[i] == NO_NODE {
+            self.by_label[i] = self.builder.add_node(label, self.vocab);
+        }
+        self.by_label[i]
     }
 
     /// Node for a locally named blank node; the same name maps to the same

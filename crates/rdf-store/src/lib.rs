@@ -15,7 +15,8 @@
 //!   an owned `(Vocab, RdfGraph)` decode ([`load_graph`]) with **zero
 //!   per-triple string hashing**;
 //! * [`import_ntriples`] — stream N-Triples from any `BufRead` into a
-//!   store without materialising the document;
+//!   store without materialising the document (one block of lines is
+//!   resident at a time);
 //! * [`container`] — the generic section framing, reused by
 //!   `rdf-archive` for persistent archives.
 //!
@@ -68,5 +69,7 @@ pub use container::{
 };
 pub use error::StoreError;
 pub use graph_store::{graph_to_bytes, load_graph, save_graph, StoreWriter};
-pub use import::{import_ntriples, import_ntriples_layout, ImportError};
+pub use import::{
+    import_ntriples, import_ntriples_layout, import_ntriples_traced, ImportError,
+};
 pub use mmap::StoreBuf;

@@ -300,3 +300,42 @@ fn info_reports_header_and_sections() {
     assert_eq!(info.mode, Some(LoadMode::Widen));
     assert_eq!(info.trpl_width, Some(1));
 }
+
+/// An in-memory trace sink the test can read back.
+#[derive(Clone, Default)]
+struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("trace buffer lock").extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn traced_import_splits_parse_and_write() {
+    let text = "<u:s> <u:p> \"v\" .\n<u:s> <u:q> _:b .\n_:b <u:r> <u:o> .\n";
+    let buf = SharedBuf::default();
+    let rec = rdf_obs::Recorder::jsonl_writer(Box::new(buf.clone()));
+    let mut traced = Vec::new();
+    rdf_store::import_ntriples_traced(text.as_bytes(), &mut traced, &rec)
+        .unwrap();
+    rec.finish().expect("in-memory sink cannot fail");
+    // Tracing changes no byte of the store.
+    let mut plain = Vec::new();
+    rdf_store::import_ntriples(text.as_bytes(), &mut plain).unwrap();
+    assert_eq!(traced, plain);
+    let trace = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let spans: Vec<&str> = trace
+        .lines()
+        .filter(|l| l.contains(r#""ev":"span""#))
+        .collect();
+    assert_eq!(spans.len(), 2, "{trace}");
+    assert!(spans[0].contains(r#""name":"import.parse""#));
+    assert!(spans[0].contains(&format!(r#""bytes_in":{}"#, text.len())));
+    assert!(spans[1].contains(r#""name":"import.write""#));
+    assert!(spans[1].contains(&format!(r#""bytes_out":{}"#, plain.len())));
+}

@@ -12,10 +12,10 @@ pub mod pipeline;
 pub mod serve;
 pub mod signals;
 
-use crate::pipeline::{ctx, open_any};
+use crate::pipeline::{ctx, open_any, Input};
 use rdf_align::pipeline::{align_with_recorder, Aligned, Method};
 use rdf_align::{RefineEngine, Threads};
-use rdf_model::Vocab;
+use rdf_model::{RdfGraph, Vocab};
 use rdf_obs::{Recorder, RunReport};
 use rdf_store::{BorrowedStoreReader, Layout, StoreError, StoreInfo};
 use std::fmt;
@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-pub use pipeline::{load_input, load_input_traced};
+pub use pipeline::load_input;
 
 /// Any failure surfaced to the CLI user, with file context baked into
 /// the message.
@@ -376,25 +376,73 @@ pub fn align_traced(
     rec: &Arc<Recorder>,
 ) -> Result<AlignOutcome, CliError> {
     let method = parse_method(method_name, theta)?;
-    let mut vocab = Vocab::new();
-    let g1 = load_input_traced(source, &mut vocab, rec)?;
-    let g2 = load_input_traced(target, &mut vocab, rec)?;
-    let aligned =
-        align_with_recorder(&vocab, &g1, &g2, method, threads, Arc::clone(rec));
-    Ok(AlignOutcome {
-        method: method_name.to_string(),
-        source: (
-            source.display().to_string(),
-            g1.node_count(),
-            g1.triple_count(),
-        ),
-        target: (
-            target.display().to_string(),
-            g2.node_count(),
-            g2.triple_count(),
-        ),
-        aligned,
-    })
+    let session =
+        Session::load(Input::open(source)?, Input::open(target)?, rec)?;
+    Ok(session.align(source, target, method_name, method, threads, rec))
+}
+
+/// The two graphs of one `align`, loaded into one session vocabulary.
+/// `rdf align` loads one and aligns it once; the daemon keeps the last
+/// one it loaded and aligns it once per request.
+pub struct Session {
+    vocab: Vocab,
+    source: RdfGraph,
+    target: RdfGraph,
+}
+
+impl Session {
+    /// The load step of `align`: the source, then the target, into a
+    /// fresh vocabulary. Each input is released once it is loaded.
+    pub fn load(
+        source: Input<'_>,
+        target: Input<'_>,
+        rec: &Recorder,
+    ) -> Result<Session, CliError> {
+        let mut vocab = Vocab::new();
+        let source = source.load_into(&mut vocab, rec)?;
+        let target = target.load_into(&mut vocab, rec)?;
+        Ok(Session {
+            vocab,
+            source,
+            target,
+        })
+    }
+
+    /// The outcome step of `align`: run `method` over the session and
+    /// keep the result with its input context. The paths name the
+    /// inputs in the report.
+    pub fn align(
+        &self,
+        source: &Path,
+        target: &Path,
+        method_name: &str,
+        method: Method,
+        threads: Threads,
+        rec: &Arc<Recorder>,
+    ) -> AlignOutcome {
+        let (g1, g2) = (&self.source, &self.target);
+        AlignOutcome {
+            method: method_name.to_string(),
+            source: (
+                source.display().to_string(),
+                g1.node_count(),
+                g1.triple_count(),
+            ),
+            target: (
+                target.display().to_string(),
+                g2.node_count(),
+                g2.triple_count(),
+            ),
+            aligned: align_with_recorder(
+                &self.vocab,
+                g1,
+                g2,
+                method,
+                threads,
+                Arc::clone(rec),
+            ),
+        }
+    }
 }
 
 /// `rdf stats <trace.jsonl>` — aggregate a `--trace` run (or re-render

@@ -8,7 +8,7 @@
 //!            [--threads N] [--trace PATH] <source> <target>
 //! rdf stats  <trace.jsonl>
 //! rdf gen    [--scale F] [--versions N] --out-dir DIR
-//! rdf serve  [--socket SOCK] [--threads N] [--cache-bytes B]
+//! rdf serve  [--socket SOCK] [--threads N]
 //! rdf request [--socket SOCK] [--trace-out PATH] <request-json>
 //! ```
 //!
@@ -47,12 +47,13 @@ commands:
                                     totals (per-phase time breakdown)
   gen    [--scale F] [--versions N] --out-dir DIR
                                     write seeded EFO-like N-Triples fixtures
-  serve  [--socket SOCK] [--threads N] [--cache-bytes B]
+  serve  [--socket SOCK] [--threads N]
                                     run the alignment daemon: answer
                                     line-delimited JSON requests over a
-                                    unix socket (or SOCK = tcp:HOST:PORT)
-                                    with a cached store pool; SIGTERM
-                                    shuts it down cleanly (exit 0)
+                                    unix socket (or SOCK = tcp:HOST:PORT),
+                                    keeping the last aligned store pair
+                                    loaded; SIGTERM shuts it down
+                                    cleanly (exit 0)
   request [--socket SOCK] [--trace-out PATH] <request-json>
                                     send one JSON request line to a
                                     running daemon and print the report
@@ -168,7 +169,7 @@ EXAMPLES
 ";
 
 const HELP_SERVE: &str = "\
-usage: rdf serve [--socket SOCK] [--threads N] [--cache-bytes B]
+usage: rdf serve [--socket SOCK] [--threads N]
 
 Run the long-lived alignment daemon. SOCK is a unix socket path or
 tcp:HOST:PORT (default: the RDF_SOCKET environment variable). Clients
@@ -178,12 +179,13 @@ JSON response line back; `info` and `align` reports are byte-identical
 to the one-shot commands' stdout. docs/PROTOCOL.md is the normative
 wire spec.
 
-Align inputs that are stores are decoded once and kept in an in-memory
-pool keyed by content hash, bounded by --cache-bytes B (default
-268435456): a warm request skips the store open entirely. Eviction is
-least-recently-used by resident bytes. Requests are handled by a
+The daemon keeps one session: the last pair of stores it aligned,
+loaded as `rdf align` loads them and keyed by the content hash of
+both. An align of the same pair, under any method, reuses it and
+opens no store; any other pair replaces it. Requests are handled by a
 persistent worker gang of --threads N (default auto). SIGTERM or
-SIGINT drains in-flight requests and exits 0.
+SIGINT answers the requests in flight, ends idle connections and
+exits 0.
 
 EXAMPLES
   rdf serve --socket /tmp/rdf.sock --threads 4 &
@@ -438,7 +440,6 @@ fn run(args: &[String]) -> Result<String, String> {
             }
             let mut socket: Option<String> = None;
             let mut threads = Threads::Auto;
-            let mut cache_bytes = rdf_cli::serve::DEFAULT_CACHE_BYTES;
             let mut it = rest.iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
@@ -452,15 +453,6 @@ fn run(args: &[String]) -> Result<String, String> {
                             it.next().ok_or("--threads needs a value")?,
                         )?;
                     }
-                    "--cache-bytes" => {
-                        cache_bytes = it
-                            .next()
-                            .ok_or("--cache-bytes needs a byte count")?
-                            .parse::<u64>()
-                            .map_err(|_| {
-                                "--cache-bytes needs a byte count"
-                            })?;
-                    }
                     other => {
                         positional(other, "serve")?;
                         return Err(format!("unknown serve argument {other}"));
@@ -468,7 +460,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 }
             }
             let socket = resolve_socket(socket)?;
-            rdf_cli::serve::serve(&socket, threads, cache_bytes)
+            rdf_cli::serve::serve(&socket, threads)
                 .map_err(|e| e.to_string())
         }
         "request" => {

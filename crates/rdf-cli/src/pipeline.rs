@@ -36,32 +36,56 @@ pub fn open_any(path: &Path) -> Result<BorrowedStoreReader, CliError> {
     BorrowedStoreReader::open(path).map_err(|e| ctx(path, e))
 }
 
+/// One input resolved by its content and opened once: a `.rdfb`
+/// store (mapped) or N-Triples text. The daemon hashes an open store
+/// before it loads it, so the bytes it keys a session by are the bytes
+/// it loads, even if the path is re-imported in between.
+pub struct Input<'p> {
+    pub(crate) path: &'p Path,
+    /// The open store, or `None` for N-Triples text.
+    pub(crate) store: Option<BorrowedStoreReader>,
+}
+
+impl<'p> Input<'p> {
+    /// Sniff `path` and open it: a store is mapped now, text is read
+    /// by [`Input::load_into`].
+    pub fn open(path: &'p Path) -> Result<Input<'p>, CliError> {
+        let store = if is_store(path)? {
+            Some(open_any(path)?)
+        } else {
+            None
+        };
+        Ok(Input { path, store })
+    }
+
+    /// Load the graph into the session vocabulary and release the
+    /// input. A store load emits `store.open` and `store.section`
+    /// spans into `rec` (N-Triples text loads are not instrumented).
+    pub fn load_into(
+        self,
+        vocab: &mut Vocab,
+        rec: &Recorder,
+    ) -> Result<RdfGraph, CliError> {
+        match &self.store {
+            // Intern the mapped dictionary straight into the session
+            // vocabulary: one hash per label, nothing per node or
+            // triple.
+            Some(reader) => reader
+                .read_graph_into(vocab, rec)
+                .map_err(|e| ctx(self.path, e)),
+            None => rdf_io::load_file(self.path, vocab)
+                .map_err(|e| ctx(self.path, e)),
+        }
+    }
+}
+
 /// Load either input format (a `.rdfb` store or N-Triples) into the
 /// shared session vocabulary.
 pub fn load_input(
     path: &Path,
     vocab: &mut Vocab,
 ) -> Result<RdfGraph, CliError> {
-    load_input_traced(path, vocab, &Recorder::disabled())
-}
-
-/// [`load_input`] with instrumentation: store loads emit `store.open`
-/// and `store.section` spans into `rec` (N-Triples text loads are not
-/// instrumented). The loaded graph is identical to the untraced load.
-pub fn load_input_traced(
-    path: &Path,
-    vocab: &mut Vocab,
-    rec: &Recorder,
-) -> Result<RdfGraph, CliError> {
-    if is_store(path)? {
-        // Intern the mapped dictionary straight into the session
-        // vocabulary: one hash per label, nothing per node or triple.
-        open_any(path)?
-            .read_graph_into(vocab, rec)
-            .map_err(|e| ctx(path, e))
-    } else {
-        rdf_io::load_file(path, vocab).map_err(|e| ctx(path, e))
-    }
+    Input::open(path)?.load_into(vocab, &Recorder::disabled())
 }
 
 #[cfg(test)]

@@ -1,41 +1,44 @@
 //! The `rdf serve` daemon: alignment-as-a-service over a unix or tcp
 //! socket.
 //!
-//! One-shot CLI invocations pay a full store load and engine setup per
-//! request; this loop keeps both resident. The moving parts:
+//! A one-shot `rdf align` loads both inputs for every run; the daemon
+//! keeps the last pair it loaded. The moving parts:
 //!
 //! * a line-delimited JSON protocol (types in the `rdf-serve` crate —
 //!   `docs/PROTOCOL.md` is normative);
-//! * an LRU **store cache** keyed by content hash: graph stores are
-//!   decoded once and served to every request; eviction is
-//!   least-recently-used by resident bytes;
+//! * one **session slot**: the last store pair aligned, loaded by the
+//!   one-shot load step ([`Session::load`]) and keyed by the content
+//!   hashes of both stores, so a request for the same pair under any
+//!   method reuses it and any other pair replaces it;
 //! * a persistent [`rdf_par::WorkerPool`] handling connections, so
 //!   steady-state request handling never calls `thread::spawn`;
 //! * per-request [`Recorder`]s, so traces stay isolated per client and
 //!   can be returned in the response (`"trace":true`).
 //!
-//! Responses reuse the one-shot report renderers ([`crate::info_traced`],
-//! [`crate::AlignOutcome::render`]) — there is no second rendering
-//! path, which is what makes the byte-identity contract hold by
-//! construction.
+//! Responses run the one-shot code: [`crate::info_traced`], and for
+//! `align` [`Session::align`] and [`crate::AlignOutcome::render`].
+//! There is no second load, pipeline or rendering path, which is what
+//! makes the byte-identity contract hold by construction.
 
-use crate::pipeline::{ctx, is_store, load_input_traced, open_any};
+use crate::pipeline::{ctx, Input};
 use crate::signals;
-use crate::{AlignOutcome, CliError};
-use rdf_align::pipeline::align_with_recorder;
+use crate::{CliError, Session};
 use rdf_align::Threads;
-use rdf_model::{rebase_into, RdfGraph, Vocab};
 use rdf_obs::Recorder;
 use rdf_par::WorkerPool;
 use rdf_serve::{ErrorKind, Request, Response};
 use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Default cache budget: 256 MiB of resident store bytes.
+/// Retired: the byte budget of the per-store cache the session slot
+/// replaced. [`ServeState::new`] still takes it and ignores it.
 pub const DEFAULT_CACHE_BYTES: u64 = 256 * 1024 * 1024;
 
 /// Where the daemon listens.
@@ -66,91 +69,23 @@ impl std::fmt::Display for SocketSpec {
     }
 }
 
-/// One decoded store, shared by every request that hits its key.
-#[derive(Debug)]
-struct CachedStore {
-    vocab: Vocab,
-    graph: RdfGraph,
+/// The slot's one entry: a store pair's key and, once loaded, its
+/// session. The session mutex is the entry's own load lock: concurrent
+/// requests for the pair pay one load, and the slot, `stats` and every
+/// other pair never wait on it.
+struct SlotEntry {
+    key: (u64, u64),
+    session: Mutex<Option<Arc<Session>>>,
 }
 
-#[derive(Debug)]
-struct CacheEntry {
-    key: u64,
-    /// File bytes — the eviction currency. The decoded columns cost a
-    /// small multiple of this; file size is the stable, cheap proxy.
-    resident: u64,
-    /// Last-touched tick for LRU ordering.
-    tick: u64,
-    store: Arc<CachedStore>,
-}
-
-/// LRU store cache with a resident-byte budget (see `docs/PROTOCOL.md`
-/// §cache). The budget is strict: inserting may evict everything,
-/// including the entry just inserted (requests still hold their `Arc`,
-/// so nothing is freed under them).
-#[derive(Debug)]
-struct StoreCache {
-    budget: u64,
-    tick: u64,
-    entries: Vec<CacheEntry>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl StoreCache {
-    fn new(budget: u64) -> StoreCache {
-        StoreCache {
-            budget,
-            tick: 0,
-            entries: Vec::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    fn resident(&self) -> u64 {
-        self.entries.iter().map(|e| e.resident).sum()
-    }
-
-    fn get(&mut self, key: u64) -> Option<Arc<CachedStore>> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.iter_mut().find(|e| e.key == key) {
-            Some(e) => {
-                e.tick = tick;
-                self.hits += 1;
-                Some(Arc::clone(&e.store))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, key: u64, resident: u64, store: Arc<CachedStore>) {
-        self.tick += 1;
-        self.entries.push(CacheEntry {
-            key,
-            resident,
-            tick: self.tick,
-            store,
-        });
-        // Evict the least recently used entry until the budget holds.
-        while self.resident() > self.budget && !self.entries.is_empty() {
-            let victim = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(i, _)| i)
-                .expect("entries is non-empty");
-            self.entries.swap_remove(victim);
-            self.evictions += 1;
-        }
-    }
+/// Read-side closers of the live connections, by id. At shutdown each
+/// connection is shut for reading, so a handler idling in a read sees
+/// end of input and returns, while one mid-request still writes its
+/// response.
+#[derive(Default)]
+struct LiveConns {
+    next: u64,
+    closers: Vec<(u64, Box<dyn Fn() + Send>)>,
 }
 
 /// Everything a request handler needs, shared across connections.
@@ -158,25 +93,35 @@ pub struct ServeState {
     started: Instant,
     default_threads: Threads,
     workers: usize,
-    cache: Mutex<StoreCache>,
+    /// The session of the last store pair aligned (see
+    /// `docs/PROTOCOL.md`, "The session slot").
+    slot: Mutex<Option<Arc<SlotEntry>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
     requests: AtomicU64,
     errors: AtomicU64,
+    conns: Mutex<LiveConns>,
 }
 
 impl ServeState {
-    /// Fresh state with the given cache budget.
+    /// Fresh state. The third argument is retired and ignored: it was
+    /// the byte budget of the per-store cache the session slot
+    /// replaced.
     pub fn new(
         default_threads: Threads,
         workers: usize,
-        cache_bytes: u64,
+        _retired_cache_bytes: u64,
     ) -> ServeState {
         ServeState {
             started: Instant::now(),
             default_threads,
             workers,
-            cache: Mutex::new(StoreCache::new(cache_bytes)),
+            slot: Mutex::new(None),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
+            conns: Mutex::new(LiveConns::default()),
         }
     }
 
@@ -189,80 +134,116 @@ impl ServeState {
         }
     }
 
-    /// Load one `align` input, through the cache when it is a store.
-    /// Returns the graph rebased into the request's session vocabulary
-    /// plus whether it was served warm.
-    ///
-    /// Cached loads replay the one-shot pipeline's label join as
-    /// `rebase_into` from the memoised decode, so reports stay
-    /// byte-identical, and a warm hit emits **no** `store.open` span
-    /// (nothing is opened). The cache lock is never held across a
-    /// rebase: a hit clones the entry's `Arc` and releases the lock; a
-    /// miss decodes under it (so concurrent requests for the same store
-    /// pay one decode, not N) and releases it after the insert.
-    fn load_cached(
-        &self,
-        path: &Path,
-        session: &mut Vocab,
-        rec: &Recorder,
-    ) -> Result<(RdfGraph, bool), CliError> {
-        if !is_store(path)? {
-            // N-Triples text: uncached (cheap relative to stores, and
-            // keeping it out preserves the parse-order contract).
-            return load_input_traced(path, session, rec).map(|g| (g, false));
-        }
-        let reader = open_any(path)?;
-        let bytes = reader.buf().as_slice();
-        // A bad header (a retired kind or layout) fails before the
-        // cache counts a lookup.
-        rdf_store::Container::parse_header(bytes)
-            .map_err(|e| ctx(path, e))?;
-        let key = fnv1a(bytes);
-        let resident = bytes.len() as u64;
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        let (store, warm) = match cache.get(key) {
-            Some(store) => (store, true),
-            None => {
-                let (vocab, graph) = reader
-                    .read_graph_traced(Threads::Auto, rec)
-                    .map_err(|e| ctx(path, e))?;
-                let store = Arc::new(CachedStore { vocab, graph });
-                cache.insert(key, resident, Arc::clone(&store));
-                (store, false)
+    /// The slot's entry for `key`. Any other pair's entry is replaced;
+    /// requests that already hold it keep it alive until they finish.
+    fn entry(&self, key: (u64, u64)) -> Arc<SlotEntry> {
+        let mut slot = lock(&self.slot);
+        match &*slot {
+            Some(entry) if entry.key == key => Arc::clone(entry),
+            _ => {
+                let entry = Arc::new(SlotEntry {
+                    key,
+                    session: Mutex::new(None),
+                });
+                *slot = Some(Arc::clone(&entry));
+                entry
             }
+        }
+    }
+
+    /// The session for an `align` over two open inputs, and whether it
+    /// came from the slot.
+    ///
+    /// A pair of stores is keyed by the content hashes of the bytes
+    /// already open, and loaded by the one-shot load step under the
+    /// entry's lock, so reports stay byte-identical to `rdf align` and
+    /// a reuse opens nothing (no `store.open` span). A failed load
+    /// leaves the entry empty, and the next request retries it. A pair
+    /// with N-Triples text bypasses the slot.
+    fn session(
+        &self,
+        source: Input<'_>,
+        target: Input<'_>,
+        rec: &Recorder,
+    ) -> Result<(Arc<Session>, bool), CliError> {
+        let (Some(k1), Some(k2)) = (store_key(&source)?, store_key(&target)?)
+        else {
+            return Ok((Arc::new(Session::load(source, target, rec)?), false));
         };
-        drop(cache);
-        drop(reader);
-        Ok((rebase_into(session, &store.vocab, &store.graph), warm))
+        let entry = self.entry((k1, k2));
+        let mut loaded = lock(&entry.session);
+        if let Some(session) = &*loaded {
+            self.hits.fetch_add(2, Ordering::Relaxed);
+            return Ok((Arc::clone(session), true));
+        }
+        self.misses.fetch_add(2, Ordering::Relaxed);
+        let session = Arc::new(Session::load(source, target, rec)?);
+        *loaded = Some(Arc::clone(&session));
+        Ok((session, false))
     }
 
     /// Render the `stats` report.
     fn stats_text(&self) -> String {
-        let cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
         format!(
             "rdf serve stats\n\
              \x20 uptime_s {}\n\
              \x20 requests {} errors {}\n\
              \x20 workers {}\n\
-             \x20 cache entries {} resident {} budget {}\n\
-             \x20 cache hits {} misses {} evictions {}\n",
+             \x20 cache hits {} misses {}\n",
             self.started.elapsed().as_secs(),
             self.requests.load(Ordering::Relaxed),
             self.errors.load(Ordering::Relaxed),
             self.workers,
-            cache.entries.len(),
-            cache.resident(),
-            cache.budget,
-            cache.hits,
-            cache.misses,
-            cache.evictions,
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
         )
+    }
+
+    /// Track a live connection by its read-side closer.
+    fn track(&self, closer: Box<dyn Fn() + Send>) -> u64 {
+        let mut conns = lock(&self.conns);
+        let id = conns.next;
+        conns.next += 1;
+        conns.closers.push((id, closer));
+        id
+    }
+
+    /// Forget a connection whose handler returned (dropping the closer
+    /// closes its handle).
+    fn untrack(&self, id: u64) {
+        lock(&self.conns).closers.retain(|(i, _)| *i != id);
+    }
+
+    /// Shut every live connection for reading.
+    fn close_reads(&self) {
+        for (_, close) in &lock(&self.conns).closers {
+            close();
+        }
     }
 }
 
-/// FNV-1a 64 over the file bytes: the cache key. Content-addressed, so
-/// re-imports of identical data hit and rewritten files miss — no
-/// mtime races.
+/// Lock a mutex, recovering it if a panicking request poisoned it: the
+/// state it guards is replaced whole, never left half-written.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The slot key of one input: FNV-1a 64 over an open store's bytes, or
+/// `None` for N-Triples text. A bad header (a retired kind or layout)
+/// fails before the slot counts a lookup.
+fn store_key(input: &Input<'_>) -> Result<Option<u64>, CliError> {
+    let Some(reader) = &input.store else {
+        return Ok(None);
+    };
+    let bytes = reader.buf().as_slice();
+    rdf_store::Container::parse_header(bytes)
+        .map_err(|e| ctx(input.path, e))?;
+    Ok(Some(fnv1a(bytes)))
+}
+
+/// FNV-1a 64 over the file bytes: half of the slot key.
+/// Content-addressed, so re-imports of identical data hit and rewritten
+/// files miss — no mtime races.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -279,10 +260,7 @@ struct TraceBuf(Arc<Mutex<Vec<u8>>>);
 
 impl Write for TraceBuf {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend_from_slice(buf);
+        lock(&self.0).extend_from_slice(buf);
         Ok(buf.len())
     }
     fn flush(&mut self) -> std::io::Result<()> {
@@ -292,9 +270,7 @@ impl Write for TraceBuf {
 
 impl TraceBuf {
     fn take(&self) -> String {
-        let bytes = std::mem::take(
-            &mut *self.0.lock().unwrap_or_else(|e| e.into_inner()),
-        );
+        let bytes = std::mem::take(&mut *lock(&self.0));
         String::from_utf8_lossy(&bytes).into_owned()
     }
 }
@@ -367,7 +343,7 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
         } => {
             // `info` validates the on-disk bytes by contract (the
             // report says "checksums OK"), so it never reads from the
-            // cache — it is the cache-bypass readback.
+            // slot — it is the slot-bypass readback.
             let threads = state.threads_for(threads);
             crate::info_traced(
                 Path::new(&path),
@@ -384,7 +360,7 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
             streaming: _,
             threads,
             trace: _,
-        } => align_cached(
+        } => align(
             state,
             &source,
             &target,
@@ -421,11 +397,11 @@ fn return_bad_request(msg: String) -> Response {
     Response::error(ErrorKind::BadRequest, msg)
 }
 
-/// [`crate::align_traced`] with cached store loads: same session-vocab
-/// construction, same pipeline, same renderer — the report is
-/// byte-identical to the one-shot CLI's. `cached` is true only when
-/// *every* store input came from the cache.
-fn align_cached(
+/// [`crate::align_traced`] through the session slot: the same load
+/// step, outcome step and renderer, so the report is byte-identical to
+/// the one-shot CLI's. `cached` is true when the session came from the
+/// slot.
+fn align(
     state: &ServeState,
     source: &str,
     target: &str,
@@ -435,28 +411,12 @@ fn align_cached(
     rec: &Arc<Recorder>,
 ) -> Result<(String, bool), CliError> {
     let method = crate::parse_method(method_name, theta)?;
-    let source = Path::new(source);
-    let target = Path::new(target);
-    let mut vocab = Vocab::new();
-    let (g1, warm1) = state.load_cached(source, &mut vocab, rec)?;
-    let (g2, warm2) = state.load_cached(target, &mut vocab, rec)?;
-    let aligned =
-        align_with_recorder(&vocab, &g1, &g2, method, threads, Arc::clone(rec));
-    let outcome = AlignOutcome {
-        method: method_name.to_string(),
-        source: (
-            source.display().to_string(),
-            g1.node_count(),
-            g1.triple_count(),
-        ),
-        target: (
-            target.display().to_string(),
-            g2.node_count(),
-            g2.triple_count(),
-        ),
-        aligned,
-    };
-    Ok((outcome.render(), warm1 && warm2))
+    let (source, target) = (Path::new(source), Path::new(target));
+    let (session, cached) =
+        state.session(Input::open(source)?, Input::open(target)?, rec)?;
+    let outcome =
+        session.align(source, target, method_name, method, threads, rec);
+    Ok((outcome.render(), cached))
 }
 
 /// Serve one connection: read request lines, answer each with exactly
@@ -530,11 +490,11 @@ fn read_request_line<R: BufRead>(
 
 /// Run the daemon until SIGTERM/SIGINT. Returns the shutdown report
 /// line (printed by `main` after a clean exit).
-pub fn serve(
-    socket: &str,
-    threads: Threads,
-    cache_bytes: u64,
-) -> Result<String, CliError> {
+///
+/// Shutdown stops accepting, shuts every live connection for reading
+/// and joins the workers: a request already read is answered, and an
+/// idle connection ends without holding the exit up.
+pub fn serve(socket: &str, threads: Threads) -> Result<String, CliError> {
     let spec = SocketSpec::parse(socket);
     // Block the termination signals *before* spawning the pool, so
     // every worker inherits the mask and SIGTERM only ever surfaces on
@@ -548,162 +508,137 @@ pub fn serve(
     };
     let workers = threads.resolve().max(2);
     let pool = WorkerPool::new(Threads::Fixed(workers));
-    let state =
-        Arc::new(ServeState::new(threads, workers, cache_bytes));
+    let state = Arc::new(ServeState::new(threads, workers, 0));
 
-    match &spec {
+    let ended = match &spec {
         SocketSpec::Unix(path) => {
             // A stale socket file from a previous run would make bind
             // fail; remove it (a live server would still conflict at
             // connect time, which is the error we want).
             let _ = std::fs::remove_file(path);
-            let listener = std::os::unix::net::UnixListener::bind(path)
-                .map_err(|e| ctx(path, e))?;
-            announce(&spec, workers, cache_bytes);
-            let served = accept_loop(
-                &listener,
-                sig,
-                &pool,
-                &state,
-                |l| l.accept().map(|(s, _)| s),
-            )?;
+            let listener =
+                UnixListener::bind(path).map_err(|e| ctx(path, e))?;
+            announce(&spec, workers);
+            let ended = accept_loop(&listener, sig, &pool, &state);
             let _ = std::fs::remove_file(path);
-            drop(listener);
-            drop(pool); // joins workers: in-flight requests finish
-            Ok(shutdown_line(served, &state))
+            ended
         }
         SocketSpec::Tcp(addr) => {
-            let listener = std::net::TcpListener::bind(addr)
+            let listener = TcpListener::bind(addr)
                 .map_err(|e| CliError::new(format!("{addr}: {e}")))?;
-            announce(&spec, workers, cache_bytes);
-            let served = accept_loop(
-                &listener,
-                sig,
-                &pool,
-                &state,
-                |l| l.accept().map(|(s, _)| s),
-            )?;
-            drop(listener);
-            drop(pool);
-            Ok(shutdown_line(served, &state))
+            announce(&spec, workers);
+            accept_loop(&listener, sig, &pool, &state)
         }
-    }
+    };
+    state.close_reads();
+    drop(pool); // joins workers: requests already read are answered
+    Ok(format!(
+        "rdf serve: shutdown on signal {} ({} requests served)\n",
+        ended?,
+        state.requests.load(Ordering::Relaxed),
+    ))
 }
 
 /// Print the readiness line eagerly (clients and CI wait for it).
-fn announce(spec: &SocketSpec, workers: usize, cache_bytes: u64) {
-    println!(
-        "rdf serve: listening on {spec} ({workers} workers, cache \
-         budget {cache_bytes} bytes)"
-    );
+fn announce(spec: &SocketSpec, workers: usize) {
+    println!("rdf serve: listening on {spec} ({workers} workers)");
     let _ = std::io::stdout().flush();
-}
-
-fn shutdown_line(signo: u32, state: &ServeState) -> String {
-    format!(
-        "rdf serve: shutdown on signal {signo} ({} requests served)\n",
-        state.requests.load(Ordering::Relaxed),
-    )
 }
 
 /// The accept loop, generic over the listener flavour. Returns the
 /// signal number that ended it.
-fn accept_loop<L, S, A>(
+fn accept_loop<L: Listener>(
     listener: &L,
     sig: Option<signals::SignalFd>,
     pool: &WorkerPool,
     state: &Arc<ServeState>,
-    accept: A,
-) -> Result<u32, CliError>
-where
-    L: NonBlocking + RawFdLike,
-    S: Read + Write + Send + 'static,
-    A: Fn(&L) -> std::io::Result<S>,
-{
-    match sig {
-        Some(sig) => {
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| CliError::new(format!("listener: {e}")))?;
-            loop {
-                match signals::wait(listener.raw_fd(), &sig)
-                    .map_err(|e| CliError::new(format!("ppoll: {e}")))?
-                {
-                    signals::Wake::Signal(signo) => return Ok(signo),
-                    signals::Wake::Connection => match accept(listener) {
-                        Ok(stream) => {
-                            let state = Arc::clone(state);
-                            pool.submit(move || {
-                                handle_conn(stream, state)
-                            });
-                        }
-                        Err(e)
-                            if e.kind()
-                                == std::io::ErrorKind::WouldBlock =>
-                        {
-                            continue
-                        }
-                        Err(e) => {
-                            return Err(CliError::new(format!(
-                                "accept: {e}"
-                            )))
-                        }
-                    },
-                }
-            }
+) -> Result<u32, CliError> {
+    let accept_err = |e| CliError::new(format!("accept: {e}"));
+    let Some(sig) = sig else {
+        // No signalfd on this platform: serve until killed.
+        loop {
+            let conn = listener.accept_conn().map_err(accept_err)?;
+            spawn_conn::<L>(pool, state, conn);
         }
-        None => {
-            // No signalfd on this platform: serve until killed.
-            loop {
-                match accept(listener) {
-                    Ok(stream) => {
-                        let state = Arc::clone(state);
-                        pool.submit(move || handle_conn(stream, state));
-                    }
-                    Err(e) => {
-                        return Err(CliError::new(format!(
-                            "accept: {e}"
-                        )))
-                    }
-                }
-            }
+    };
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| CliError::new(format!("listener: {e}")))?;
+    loop {
+        match signals::wait(listener.as_raw_fd(), &sig)
+            .map_err(|e| CliError::new(format!("ppoll: {e}")))?
+        {
+            signals::Wake::Signal(signo) => return Ok(signo),
+            signals::Wake::Connection => match listener.accept_conn() {
+                Ok(conn) => spawn_conn::<L>(pool, state, conn),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) => return Err(accept_err(e)),
+            },
         }
     }
 }
 
-/// The two listener capabilities the accept loop needs, abstracted so
-/// unix and tcp share one loop.
-trait NonBlocking {
+/// Hand an accepted connection to the pool, tracked until its handler
+/// returns so that shutdown can end its reads. A connection whose
+/// handle cannot be cloned is dropped: shutdown could not end it.
+fn spawn_conn<L: Listener>(
+    pool: &WorkerPool,
+    state: &Arc<ServeState>,
+    conn: L::Conn,
+) {
+    let Ok(closer) = L::read_closer(&conn) else {
+        return;
+    };
+    let id = state.track(closer);
+    let state = Arc::clone(state);
+    pool.submit(move || {
+        let handler_state = Arc::clone(&state);
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            handle_conn(conn, handler_state)
+        }));
+        state.untrack(id);
+    });
+}
+
+/// What the accept loop needs of a listener, so unix and tcp share one
+/// loop.
+trait Listener: AsRawFd {
+    type Conn: Read + Write + Send + 'static;
     fn set_nonblocking(&self, nb: bool) -> std::io::Result<()>;
+    fn accept_conn(&self) -> std::io::Result<Self::Conn>;
+    /// A second handle on `conn` that shuts its read side when called.
+    fn read_closer(conn: &Self::Conn) -> std::io::Result<Box<dyn Fn() + Send>>;
 }
 
-trait RawFdLike {
-    fn raw_fd(&self) -> i32;
-}
-
-impl NonBlocking for std::os::unix::net::UnixListener {
+impl Listener for UnixListener {
+    type Conn = UnixStream;
     fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        std::os::unix::net::UnixListener::set_nonblocking(self, nb)
+        UnixListener::set_nonblocking(self, nb)
+    }
+    fn accept_conn(&self) -> std::io::Result<UnixStream> {
+        self.accept().map(|(conn, _)| conn)
+    }
+    fn read_closer(conn: &UnixStream) -> std::io::Result<Box<dyn Fn() + Send>> {
+        let handle = conn.try_clone()?;
+        Ok(Box::new(move || {
+            let _ = handle.shutdown(Shutdown::Read);
+        }))
     }
 }
 
-impl NonBlocking for std::net::TcpListener {
+impl Listener for TcpListener {
+    type Conn = TcpStream;
     fn set_nonblocking(&self, nb: bool) -> std::io::Result<()> {
-        std::net::TcpListener::set_nonblocking(self, nb)
+        TcpListener::set_nonblocking(self, nb)
     }
-}
-
-impl RawFdLike for std::os::unix::net::UnixListener {
-    fn raw_fd(&self) -> i32 {
-        use std::os::fd::AsRawFd;
-        self.as_raw_fd()
+    fn accept_conn(&self) -> std::io::Result<TcpStream> {
+        self.accept().map(|(conn, _)| conn)
     }
-}
-
-impl RawFdLike for std::net::TcpListener {
-    fn raw_fd(&self) -> i32 {
-        use std::os::fd::AsRawFd;
-        self.as_raw_fd()
+    fn read_closer(conn: &TcpStream) -> std::io::Result<Box<dyn Fn() + Send>> {
+        let handle = conn.try_clone()?;
+        Ok(Box::new(move || {
+            let _ = handle.shutdown(Shutdown::Read);
+        }))
     }
 }
 
@@ -722,12 +657,12 @@ pub fn request(
 ) -> Result<String, CliError> {
     let reply = match SocketSpec::parse(socket) {
         SocketSpec::Unix(path) => {
-            let stream = std::os::unix::net::UnixStream::connect(&path)
+            let stream = UnixStream::connect(&path)
                 .map_err(|e| ctx(&path, e))?;
             roundtrip(stream, line)?
         }
         SocketSpec::Tcp(addr) => {
-            let stream = std::net::TcpStream::connect(&addr)
+            let stream = TcpStream::connect(&addr)
                 .map_err(|e| CliError::new(format!("{addr}: {e}")))?;
             roundtrip(stream, line)?
         }
@@ -774,6 +709,7 @@ fn roundtrip<S: Read + Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdf_model::Vocab;
 
     fn store(dir: &Path, name: &str) -> PathBuf {
         let mut vocab = Vocab::new();
@@ -782,8 +718,8 @@ mod tests {
             b.uub("ss", "address", "b1");
             b.bul("b1", "zip", "EH8");
             // The file stem keeps each store's bytes distinct: the
-            // cache is content-addressed, so identical content would
-            // dedupe to one entry.
+            // slot is content-addressed, so identical content would
+            // share one key.
             b.uul("ss", "name", name);
             b.finish()
         };
@@ -812,63 +748,113 @@ mod tests {
         );
     }
 
+    fn align_req(source: &Path, target: &Path, method: &str) -> Request {
+        Request::Align {
+            source: source.display().to_string(),
+            target: target.display().to_string(),
+            method: method.into(),
+            theta: None,
+            streaming: false,
+            threads: Some(1),
+            trace: false,
+        }
+    }
+
+    /// The report and `cached` flag of a successful response.
+    fn ok(resp: Response) -> (String, bool) {
+        match resp {
+            Response::Ok { report, cached, .. } => (report, cached),
+            other => panic!("expected ok, got {other:?}"),
+        }
+    }
+
+    fn one_shot(source: &Path, target: &Path, method: &str) -> String {
+        crate::align(source, target, method, None, Threads::Fixed(1))
+            .unwrap()
+            .render()
+    }
+
+    fn slot_key(source: &Path, target: &Path) -> (u64, u64) {
+        let hash = |p: &Path| fnv1a(&std::fs::read(p).unwrap());
+        (hash(source), hash(target))
+    }
+
+    /// The first align of a pair loads it (2 misses); a second
+    /// request, and one for another method on the same pair, reuse the
+    /// session (2 hits each). Every report equals the one-shot CLI's.
     #[test]
     fn cache_serves_warm_hits_and_counts() {
         let dir = tmp("cache");
-        let path = store(&dir, "a.rdfb");
-        let state =
-            Arc::new(ServeState::new(Threads::Fixed(1), 1, 1 << 20));
-        let rec = Recorder::disabled();
-        let mut v1 = Vocab::new();
-        let (g1, warm1) = state
-            .load_cached(&path, &mut v1, &rec)
-            .unwrap();
-        assert!(!warm1);
-        let mut v2 = Vocab::new();
-        let (g2, warm2) = state
-            .load_cached(&path, &mut v2, &rec)
-            .unwrap();
-        assert!(warm2);
-        assert_eq!(g1.graph().triples(), g2.graph().triples());
-        let cache = state.cache.lock().unwrap();
-        assert_eq!(cache.hits, 1);
-        assert_eq!(cache.misses, 1);
+        let a = store(&dir, "a.rdfb");
+        let b = store(&dir, "b.rdfb");
+        let state = Arc::new(ServeState::new(Threads::Fixed(1), 1, 0));
+        for (method, warm) in
+            [("hybrid", false), ("hybrid", true), ("trivial", true)]
+        {
+            let (report, cached) =
+                ok(handle_request(&state, align_req(&a, &b, method)));
+            assert_eq!(cached, warm, "{method}");
+            assert_eq!(report, one_shot(&a, &b, method), "{method}");
+        }
+        assert_eq!(state.hits.load(Ordering::Relaxed), 4);
+        assert_eq!(state.misses.load(Ordering::Relaxed), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A budget that fits two stores evicts the least recently used
-    /// one when a third arrives: touching `a` after `b` makes `b` the
-    /// victim.
+    /// While pair A's entry lock is held, as if its load were in
+    /// flight, and a request for A waits on it, `stats` and an align of
+    /// pair B both complete. Then N concurrent requests for A perform
+    /// one load between them.
     #[test]
-    fn tiny_budget_evicts_least_recently_used() {
-        let dir = tmp("evict");
-        let a = store(&dir, "a.rdfb");
-        let b = store(&dir, "b.rdfb");
-        let c = store(&dir, "c.rdfb");
-        let a_bytes = std::fs::metadata(&a).unwrap().len();
-        let b_bytes = std::fs::metadata(&b).unwrap().len();
-        let state = Arc::new(ServeState::new(
-            Threads::Fixed(1),
-            1,
-            a_bytes + b_bytes,
-        ));
-        let rec = Recorder::disabled();
-        let warm = |p: &Path| {
-            state.load_cached(p, &mut Vocab::new(), &rec).unwrap().1
+    fn no_request_waits_on_another_pairs_load() {
+        let dir = tmp("nowait");
+        let [a1, a2, b1, b2] = ["a1.rdfb", "a2.rdfb", "b1.rdfb", "b2.rdfb"]
+            .map(|name| store(&dir, name));
+        let state = Arc::new(ServeState::new(Threads::Fixed(1), 1, 0));
+        let spawn_align = |source: &Path, target: &Path| {
+            let state = Arc::clone(&state);
+            let req = align_req(source, target, "hybrid");
+            std::thread::spawn(move || ok(handle_request(&state, req)))
         };
-        assert!(!warm(&a));
-        assert!(!warm(&b));
-        assert!(warm(&a));
-        assert!(!warm(&c));
-        {
-            let cache = state.cache.lock().unwrap();
-            assert_eq!(cache.evictions, 1);
-            assert_eq!(cache.entries.len(), 2);
+
+        let entry = state.entry(slot_key(&a1, &a2));
+        let loading = lock(&entry.session);
+        let waiting = spawn_align(&a1, &a2);
+        // The slot, this test and the waiting request hold the entry.
+        while Arc::strong_count(&entry) < 3 {
+            std::thread::yield_now();
         }
-        // `a` and `c` stayed resident; `b` was evicted.
-        assert!(warm(&a));
-        assert!(warm(&c));
-        assert!(!warm(&b));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let other = {
+            let state = Arc::clone(&state);
+            let req = align_req(&b1, &b2, "hybrid");
+            std::thread::spawn(move || {
+                let stats = handle_request(&state, Request::Stats);
+                let _ = tx.send((stats, handle_request(&state, req)));
+            })
+        };
+        let (stats, b) = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("stats and pair B must not wait on pair A's load");
+        other.join().unwrap();
+        ok(stats);
+        assert_eq!(ok(b), (one_shot(&b1, &b2, "hybrid"), false));
+        drop(loading);
+        let want = one_shot(&a1, &a2, "hybrid");
+        assert_eq!(waiting.join().unwrap(), (want.clone(), false));
+        assert_eq!(state.misses.load(Ordering::Relaxed), 2 + 2);
+
+        let n = 4;
+        let entry = state.entry(slot_key(&a1, &a2));
+        let loading = lock(&entry.session);
+        let requests: Vec<_> = (0..n).map(|_| spawn_align(&a1, &a2)).collect();
+        drop(loading);
+        let served: Vec<_> =
+            requests.into_iter().map(|h| h.join().unwrap()).collect();
+        assert!(served.iter().all(|(report, _)| *report == want));
+        assert_eq!(served.iter().filter(|(_, cached)| !cached).count(), 1);
+        assert_eq!(state.misses.load(Ordering::Relaxed), 2 + 2 + 2);
+        assert_eq!(state.hits.load(Ordering::Relaxed), 2 * n - 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -942,15 +928,9 @@ mod tests {
 
     #[test]
     fn stats_reports_cache_and_request_counters() {
-        let state =
-            Arc::new(ServeState::new(Threads::Fixed(2), 2, 123));
-        let resp = handle_request(&state, Request::Stats);
-        match resp {
-            Response::Ok { report, .. } => {
-                assert!(report.contains("budget 123"), "{report}");
-                assert!(report.contains("requests 1"), "{report}");
-            }
-            other => panic!("expected ok, got {other:?}"),
-        }
+        let state = Arc::new(ServeState::new(Threads::Fixed(2), 2, 0));
+        let (report, _) = ok(handle_request(&state, Request::Stats));
+        assert!(report.contains("cache hits 0 misses 0"), "{report}");
+        assert!(report.contains("requests 1"), "{report}");
     }
 }

@@ -591,6 +591,7 @@ fn unknown_flags_are_rejected_not_read_as_paths() {
         (vec!["stats", "--json"], "--json", "stats"),
         (vec!["gen", "--scal", "1", "--out-dir", "d"], "--scal", "gen"),
         (vec!["serve", "--cache", "1"], "--cache", "serve"),
+        (vec!["serve", "--cache-bytes", "1"], "--cache-bytes", "serve"),
         (vec!["request", "--sock", "s", "{}"], "--sock", "request"),
     ] {
         let out = Command::new(bin())

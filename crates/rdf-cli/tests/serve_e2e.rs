@@ -1,13 +1,16 @@
 //! End-to-end tests of the real `rdf serve` daemon: spawn the binary,
 //! talk to it over its unix socket (raw and via `rdf request`), and
 //! hold it to the protocol's contracts — byte-identity with the
-//! one-shot CLI, warm-cache behaviour, typed errors for malformed
-//! lines, eviction under a tiny budget, and clean SIGTERM shutdown.
+//! one-shot CLI, the warm session slot, typed errors for malformed
+//! lines, re-imports under an in-flight align, and clean SIGTERM
+//! shutdown.
 
+use rdf_serve::Response;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_rdf")
@@ -53,8 +56,13 @@ fn s(p: &Path) -> &str {
 /// store paths (absolute so one-shot and served reports agree on the
 /// path lines too).
 fn fixture(dir: &TempDir) -> (PathBuf, PathBuf) {
+    fixture_at(dir, "0.1")
+}
+
+/// [`fixture`] at a given datagen scale.
+fn fixture_at(dir: &TempDir, scale: &str) -> (PathBuf, PathBuf) {
     run_ok(&[
-        "gen", "--scale", "0.1", "--versions", "2", "--out-dir", s(&dir.0),
+        "gen", "--scale", scale, "--versions", "2", "--out-dir", s(&dir.0),
     ]);
     let v1 = dir.path("v1.rdfb");
     let v2 = dir.path("v2.rdfb");
@@ -101,8 +109,12 @@ impl Daemon {
         self.socket.to_str().unwrap()
     }
 
+    fn pid(&self) -> u32 {
+        self.child.as_ref().unwrap().id()
+    }
+
     /// SIGTERM the daemon and return (exit status success, remaining
-    /// stdout).
+    /// stdout). Panics if it has not exited within 20 s.
     fn terminate(mut self) -> (bool, String) {
         let mut child = self.child.take().unwrap();
         let ok = Command::new("kill")
@@ -112,7 +124,18 @@ impl Daemon {
             .expect("kill runs")
             .success();
         assert!(ok, "kill -TERM failed");
-        let status = child.wait().expect("daemon exits");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("daemon waits") {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("daemon still running 20 s after SIGTERM");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
         let mut rest = String::new();
         self.stdout.read_to_string(&mut rest).unwrap();
         (status.success(), rest)
@@ -157,6 +180,14 @@ fn align_request(v1: &Path, v2: &Path) -> String {
         v1.display(),
         v2.display()
     )
+}
+
+/// The report and `cached` flag of a successful response line.
+fn served(reply: &str) -> (String, bool) {
+    match Response::parse(reply).expect("response parses") {
+        Response::Ok { report, cached, .. } => (report, cached),
+        other => panic!("expected ok, got {other:?}"),
+    }
 }
 
 /// N concurrent clients each get a response byte-identical to the
@@ -206,9 +237,9 @@ fn concurrent_clients_match_one_shot_cli_byte_for_byte() {
     assert!(rest.contains("shutdown on signal 15"), "got: {rest:?}");
 }
 
-/// The warm-cache criterion: the first traced align opens both stores
-/// (`store.open` spans); the second identical request is served from
-/// the pool and its trace carries **no** `store.open` span at all —
+/// The warm-session criterion: the first traced align opens both
+/// stores (`store.open` spans); the second identical request reuses
+/// the session and its trace carries **no** `store.open` span at all —
 /// while the report stays byte-identical.
 #[test]
 fn warm_cache_request_skips_store_open_entirely() {
@@ -252,30 +283,102 @@ fn warm_cache_request_skips_store_open_entirely() {
     assert!(stats.contains("refine.fixpoint"), "{stats}");
 }
 
-/// Under a one-byte budget nothing can stay resident: every request
-/// decodes cold, the stats report the evictions, and reports are still
-/// correct (eviction is a cache concern, never a correctness one).
+/// Every method's served report equals the one-shot CLI's, cold and
+/// warm, and the slot follows the pair: a second pair replaces the
+/// first, and the first pair again loads cold and stays correct.
 #[test]
-fn tiny_cache_budget_evicts_but_stays_correct() {
-    let dir = TempDir::new("evict");
+fn every_method_matches_one_shot_cold_and_warm_across_pairs() {
+    let dir = TempDir::new("methods");
+    let (v1, v2) = fixture(&dir);
+    let daemon = Daemon::start(&dir.path("rdf.sock"), &[]);
+    let mut lines = Vec::new();
+    let mut want = Vec::new();
+    for method in ["trivial", "deblank", "hybrid", "overlap"] {
+        for (src, dst) in [(&v1, &v2), (&v2, &v1)] {
+            let one_shot =
+                run_ok(&["align", "--method", method, s(src), s(dst)]);
+            let req = format!(
+                r#"{{"op":"align","source":"{}","target":"{}","method":"{method}"}}"#,
+                src.display(),
+                dst.display()
+            );
+            lines.extend([req.clone(), req]);
+            want.extend([(one_shot.clone(), false), (one_shot, true)]);
+        }
+    }
+    let replies = raw_roundtrips(&daemon.socket, &lines);
+    for ((reply, want), line) in replies.iter().zip(&want).zip(&lines) {
+        assert_eq!(&served(reply), want, "{line}");
+    }
+}
+
+/// Re-importing a store while an align over it is in flight: the
+/// in-flight align reports over the bytes it opened (the old store);
+/// the next align misses the slot and reports over the new store.
+#[test]
+fn reimport_under_an_inflight_align_keeps_both_reports_exact() {
+    let dir = TempDir::new("reimport");
+    let (v1, v2) = fixture_at(&dir, "2");
+    let old = run_ok(&["align", s(&v1), s(&v2)]);
+    let daemon = Daemon::start(&dir.path("rdf.sock"), &[]);
+    let mut conn = BufReader::new(UnixStream::connect(&daemon.socket).unwrap());
+    let req = align_request(&v1, &v2);
+    writeln!(conn.get_mut(), "{req}").unwrap();
+    // Re-import once the daemon has `v2` mapped (it holds the mapping
+    // from open to load), or once the align has already been answered.
+    let maps = format!("/proc/{}/maps", daemon.pid());
+    let deadline = Instant::now() + Duration::from_secs(20);
+    conn.get_ref().set_nonblocking(true).unwrap();
+    while !std::fs::read_to_string(&maps).unwrap().contains(s(&v2))
+        && conn.fill_buf().is_err()
+    {
+        assert!(Instant::now() < deadline, "align never started");
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    conn.get_ref().set_nonblocking(false).unwrap();
+    run_ok(&["import", s(&dir.path("efo-v1.nt")), s(&v2)]);
+    let mut reply = String::new();
+    conn.read_line(&mut reply).unwrap();
+    assert_eq!(served(&reply), (old.clone(), false));
+
+    let new = run_ok(&["align", s(&v1), s(&v2)]);
+    assert_ne!(new, old, "the re-import changed the target");
+    let replies = raw_roundtrips(&daemon.socket, &[&req]);
+    assert_eq!(served(&replies[0]), (new, false));
+}
+
+/// SIGTERM with one idle connection open and one align in flight: the
+/// align gets its full report, the idle connection sees end of input,
+/// and the daemon exits 0 with its shutdown line.
+#[test]
+fn sigterm_answers_inflight_align_and_ends_idle_connections() {
+    let dir = TempDir::new("sigterm");
     let (v1, v2) = fixture(&dir);
     let one_shot = run_ok(&["align", s(&v1), s(&v2)]);
     let daemon =
-        Daemon::start(&dir.path("rdf.sock"), &["--cache-bytes", "1"]);
-    let req = align_request(&v1, &v2);
-    for _ in 0..2 {
-        let served =
-            run_ok(&["request", "--socket", daemon.sock(), &req]);
-        assert_eq!(served, one_shot);
-    }
-    let stats =
-        run_ok(&["request", "--socket", daemon.sock(), r#"{"op":"stats"}"#]);
-    assert!(stats.contains("entries 0"), "nothing fits: {stats}");
-    assert!(stats.contains("hits 0"), "no warm hits possible: {stats}");
-    assert!(
-        stats.contains("evictions 4"),
-        "each of the 4 loads was evicted: {stats}"
-    );
+        Daemon::start(&dir.path("rdf.sock"), &["--threads", "2"]);
+    let connect = || {
+        let mut conn =
+            BufReader::new(UnixStream::connect(&daemon.socket).unwrap());
+        // One answered request: the connection has a running handler.
+        writeln!(conn.get_mut(), r#"{{"op":"stats"}}"#).unwrap();
+        let mut reply = String::new();
+        conn.read_line(&mut reply).unwrap();
+        assert!(reply.contains(r#""ok":true"#), "{reply}");
+        conn
+    };
+    let mut idle = connect();
+    let mut busy = connect();
+    writeln!(busy.get_mut(), "{}", align_request(&v1, &v2)).unwrap();
+
+    let (clean, rest) = daemon.terminate();
+    assert!(clean, "daemon exited non-zero");
+    assert!(rest.contains("shutdown on signal 15"), "got: {rest:?}");
+    let mut reply = String::new();
+    busy.read_line(&mut reply).unwrap();
+    assert_eq!(served(&reply).0, one_shot);
+    let mut eof = String::new();
+    assert_eq!(idle.read_line(&mut eof).unwrap(), 0, "got {eof:?}");
 }
 
 /// Malformed request lines get a typed JSON `bad_request` error on the

@@ -5,9 +5,10 @@
 //! schema). This crate holds only the *protocol*: request/response
 //! types, their JSON encoding/decoding (built on [`rdf_obs::json`], the
 //! workspace's in-tree parser — the container is offline, no serde),
-//! and the typed error envelope. The server loop, store cache and
-//! worker gang live in `rdf-cli`; a future HTTP front end is a thin
-//! adapter over these same types.
+//! and the typed error envelope. The server loop, its session slot
+//! (the last aligned store pair, kept loaded) and its worker gang live
+//! in `rdf-cli`; a future HTTP front end is a thin adapter over these
+//! same types.
 //!
 //! Framing rules:
 //!
@@ -80,8 +81,8 @@ pub enum Request {
         /// Return the request's JSONL trace in the response.
         trace: bool,
     },
-    /// `stats`: server counters — uptime, requests served, cache
-    /// occupancy/hits/evictions, worker-gang size.
+    /// `stats`: server counters — uptime, requests served and failed,
+    /// worker-gang size, session-slot hits and misses.
     Stats,
 }
 
@@ -257,7 +258,8 @@ pub enum Response {
         op: String,
         /// The report text — exactly what the one-shot CLI prints.
         report: String,
-        /// Whether every store input was served from the cache.
+        /// Whether this `align`'s session came from the daemon's
+        /// session slot.
         cached: bool,
         /// The request's JSONL trace, when `trace:true` was requested.
         trace: Option<String>,

@@ -15,8 +15,8 @@
 //!   `DICT` for the label kinds and interns nothing;
 //! * [`BorrowedStoreReader::read_graph_into`] — the columns plus
 //!   `BNAM` decoded into an owned [`RdfGraph`] whose labels are
-//!   interned straight into a caller's [`Vocab`], for `align`,
-//!   `export` and the daemon's cache.
+//!   interned straight into a caller's [`Vocab`], for `align`
+//!   (one-shot and served) and `export`.
 //!
 //! A caller that needs both the summary and the view (as `rdf info
 //! --bisim` does) parses once with [`BorrowedStoreReader::container`]

@@ -13,8 +13,11 @@
 //!    private pair buffer. With one worker the phase runs inline on the
 //!    calling thread.
 //! 2. **Canonicalisation phase** — the calling thread interns the
-//!    block's keys, in node order, into the engine's reused map; a new
-//!    key gets the next dense id.
+//!    block's keys in node order; a new key gets the next dense id. A
+//!    node outside `X` keeps its previous color, so its key is interned
+//!    through a dense table indexed by that color; only the 128-bit
+//!    signatures of recolored nodes go through the hash map. Both draw
+//!    ids from one counter.
 //!
 //! Colors are numbered by first occurrence in node order whatever the
 //! thread count, so the output partition is **bit-identical** for every
@@ -22,15 +25,16 @@
 //! color vector. Blocking bounds the key column to one block instead of
 //! one slot per node.
 //!
-//! The interning map, the key column and the pair buffers live in the
-//! engine and are reused round to round *and* run to run.
+//! The interning map and table, the key column and the pair buffers
+//! live in the engine and are reused round to round *and* run to run.
 
-use crate::partition::{ColorId, Partition};
+use crate::partition::{ColorId, DenseIds, Partition};
 use crate::refine::{label_partition, label_partition_from, RefineOutcome};
 use rdf_model::hash::mix64;
 use rdf_model::{FxHashMap, LabelId, NodeId, OutColumns, TripleGraph};
 use rdf_obs::Recorder;
 use rdf_par::{chunk_ranges, scoped_map, Threads};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,7 +48,7 @@ const K1: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const K2: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Interning key for one refinement round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 enum RoundKey {
     /// Node kept its previous color (n ∉ X).
     Kept(u32),
@@ -100,8 +104,11 @@ pub struct RefineEngine {
     /// Instrumentation sink; [`Recorder::disabled`] by default, in
     /// which case every emission site reduces to one branch.
     recorder: Arc<Recorder>,
-    /// Interning map, reused round to round and run to run.
-    map: FxHashMap<RoundKey, u32>,
+    /// Interning map of recolored nodes' signatures, reused round to
+    /// round and run to run.
+    map: FxHashMap<(u64, u64), u32>,
+    /// Interning table of kept colors, sharing the map's id counter.
+    kept: DenseIds,
     /// One block's key slots.
     keys: Vec<RoundKey>,
     /// One pair buffer per worker for equation 1's sorted pair set.
@@ -115,6 +122,7 @@ impl RefineEngine {
             threads: threads.resolve(),
             recorder: Arc::new(Recorder::disabled()),
             map: FxHashMap::default(),
+            kept: DenseIds::default(),
             keys: Vec::new(),
             bufs: Vec::new(),
         }
@@ -169,11 +177,12 @@ impl RefineEngine {
         }
         let rec = Arc::clone(&self.recorder);
         let mut fix = rec.span("refine.fixpoint");
+        let x_len = in_x.iter().filter(|&&b| b).count();
         let mut partition = initial;
         let mut rounds = 0;
         loop {
             let prev_num = partition.num_colors();
-            partition = self.round(cols, in_x, &partition, &rec, rounds + 1);
+            partition = self.round(cols, in_x, x_len, &partition, &rec, rounds + 1);
             rounds += 1;
             if partition.num_colors() == prev_num {
                 break;
@@ -223,11 +232,13 @@ impl RefineEngine {
 
     /// One refinement step `BisimRefine_X(λ)` (equation 2), block by
     /// block: parallel signatures, then a sequential first-occurrence
-    /// intern on the calling thread.
+    /// intern on the calling thread. `x_len` is `|X|`, the number of
+    /// signatures the map can receive.
     fn round(
         &mut self,
         cols: &OutColumns<'_>,
         in_x: &[bool],
+        x_len: usize,
         prev: &Partition,
         rec: &Recorder,
         round: usize,
@@ -245,7 +256,9 @@ impl RefineEngine {
         self.keys.resize(block, RoundKey::Kept(0));
         self.bufs.resize_with(self.threads.min(block), Vec::new);
         self.map.clear();
-        self.map.reserve(prev.num_colors() as usize + 16);
+        self.map.reserve(x_len);
+        let kept = &mut self.kept;
+        kept.reset(prev.num_colors() as usize);
         let mut colors = Vec::with_capacity(n);
         let (mut sig_time, mut canon_time) = (Duration::ZERO, Duration::ZERO);
         for start in (0..n).step_by(block) {
@@ -255,12 +268,18 @@ impl RefineEngine {
             let canon_start = Instant::now();
             sig_time += canon_start - sig_start;
             for &key in keys.iter() {
-                let next = self.map.len() as u32;
-                colors.push(ColorId(*self.map.entry(key).or_insert(next)));
+                let id = match key {
+                    RoundKey::Kept(c) => kept.id(c),
+                    RoundKey::Recolored(h1, h2) => match self.map.entry((h1, h2)) {
+                        Entry::Occupied(e) => *e.get(),
+                        Entry::Vacant(e) => *e.insert(kept.fresh()),
+                    },
+                };
+                colors.push(ColorId(id));
             }
             canon_time += canon_start.elapsed();
         }
-        let new_num = self.map.len() as u32;
+        let new_num = kept.count();
         if sp.enabled() {
             sp.field("round", round);
             sp.field("classes", new_num);

@@ -197,7 +197,9 @@ pub fn enrich(
         raw[node.index()] = base + comp;
         weights[node.index()] = ew.weights[&node];
     }
-    WeightedPartition::new(Partition::from_colors(&raw), weights)
+    // Keys are colors plus component ids above them: dense.
+    let partition = Partition::from_dense_keys(raw.iter().copied());
+    WeightedPartition::new(partition, weights)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! hierarchy `Align(λ_Trivial) ⊆ Align(λ_Deblank) ⊆ Align(λ_Hybrid)`.
 
 use crate::engine::RefineEngine;
-use crate::partition::{unaligned_non_literals, ColorId, Partition};
+use crate::partition::{unaligned_non_literals, ColorId, DenseIds, Partition};
 use crate::refine::{label_partition, RefineOutcome};
 use rdf_model::{CombinedGraph, NodeId};
 
@@ -13,18 +13,19 @@ use rdf_model::{CombinedGraph, NodeId};
 /// is its own class.
 pub fn trivial_partition(combined: &CombinedGraph) -> Partition {
     let g = combined.graph();
-    // Raw colors: (0, label) for non-blank, (1, node id) for blank.
-    let raw: Vec<(u8, u32)> = g
+    let labels = g.labels_raw();
+    let mut ids = DenseIds::default();
+    ids.reset(labels.iter().map(|l| l.0 as usize + 1).max().unwrap_or(0));
+    // Non-blank nodes are keyed by label id; a blank is its own class,
+    // so it takes the next id directly.
+    let colors = g
         .nodes()
-        .map(|n| {
-            if g.is_blank(n) {
-                (1u8, n.0)
-            } else {
-                (0u8, g.label(n).0)
-            }
+        .zip(labels)
+        .map(|(n, l)| {
+            ColorId(if g.is_blank(n) { ids.fresh() } else { ids.id(l.0) })
         })
         .collect();
-    Partition::from_colors(&raw)
+    Partition::from_dense(colors, ids.count())
 }
 
 /// `λ_Deblank = BisimRefine*_{Blanks(G)}(ℓ_G)` (§3.3): bisimulation
@@ -55,7 +56,8 @@ pub fn blank_out(partition: &Partition, x: &[NodeId]) -> Partition {
     for &n in x {
         raw[n.index()] = fresh;
     }
-    Partition::from_colors(&raw)
+    // Keys are colors plus the one fresh color: dense.
+    Partition::from_dense_keys(raw.iter().copied())
 }
 
 /// Outcome of the hybrid alignment, with intermediate stages exposed for

@@ -12,7 +12,9 @@
 //!   (Figs 14, 15).
 
 use crate::partition::Partition;
-use rdf_model::{CombinedGraph, FxHashMap, FxHashSet, GroundTruth, NodeId, Side};
+use rdf_model::{
+    CombinedGraph, FxHashMap, FxHashSet, GroundTruth, NodeId, Side, Triple,
+};
 
 /// Edge-level alignment statistics for one partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -53,24 +55,136 @@ impl EdgeStats {
 }
 
 /// Compute [`EdgeStats`] for a partition over a combined graph.
+///
+/// One sequential pass that hashes nothing. The union's triples are
+/// sorted by subject with source nodes first, so they split into the
+/// two sides at one boundary. Each side is counting-sorted by
+/// `color(s)` into buckets of packed `color(p) << 32 | color(o)` keys
+/// (8 B per edge), each bucket is sorted, and the two sides are merged
+/// bucket by bucket: every distinct key is one edge class, and a key on
+/// both sides is a common class whose instances are aligned.
 pub fn edge_stats(partition: &Partition, combined: &CombinedGraph) -> EdgeStats {
+    let triples = combined.graph().triples();
+    let split =
+        triples.partition_point(|t| combined.side(t.s) == Side::Source);
+    let (source, target) = triples.split_at(split);
+    let source = ColorBuckets::new(source, partition);
+    let target = ColorBuckets::new(target, partition);
+    let mut stats = EdgeStats {
+        total_source_edges: source.keys.len(),
+        total_target_edges: target.keys.len(),
+        ..EdgeStats::default()
+    };
+    for c in 0..partition.num_colors() as usize {
+        merge_bucket(source.bucket(c), target.bucket(c), &mut stats);
+    }
+    stats
+}
+
+/// One side's edges bucketed by subject color: bucket `c` holds the
+/// sorted `color(p) << 32 | color(o)` keys of the edges whose subject
+/// has color `c`, at `keys[offsets[c]..offsets[c + 1]]`.
+struct ColorBuckets {
+    offsets: Vec<u32>,
+    keys: Vec<u64>,
+}
+
+impl ColorBuckets {
+    /// Counting-sort `triples` by subject color, then sort each bucket.
+    fn new(triples: &[Triple], partition: &Partition) -> Self {
+        let colors = partition.colors();
+        let k = partition.num_colors() as usize;
+        // Count into `offsets[c]`, prefix-sum to bucket ends, then place
+        // each key by decrementing its bucket's end: afterwards
+        // `offsets[c]` is bucket `c`'s start and `offsets[k]` the total.
+        let mut offsets = vec![0u32; k + 1];
+        for t in triples {
+            offsets[colors[t.s.index()].index()] += 1;
+        }
+        let mut end = 0u32;
+        for slot in offsets.iter_mut() {
+            end += *slot;
+            *slot = end;
+        }
+        let mut keys = vec![0u64; triples.len()];
+        for t in triples {
+            let slot = &mut offsets[colors[t.s.index()].index()];
+            *slot -= 1;
+            keys[*slot as usize] = (u64::from(colors[t.p.index()].0) << 32)
+                | u64::from(colors[t.o.index()].0);
+        }
+        for c in 0..k {
+            let bucket =
+                &mut keys[offsets[c] as usize..offsets[c + 1] as usize];
+            if bucket.len() > 1 {
+                bucket.sort_unstable();
+            }
+        }
+        ColorBuckets { offsets, keys }
+    }
+
+    /// Bucket `c`'s sorted keys.
+    #[inline]
+    fn bucket(&self, c: usize) -> &[u64] {
+        &self.keys[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+    }
+}
+
+/// Merge one subject color's sorted source and target buckets into
+/// `stats`: class counts per distinct key, aligned instances per key
+/// present on both sides.
+fn merge_bucket(a: &[u64], b: &[u64], stats: &mut EdgeStats) {
+    let run = |keys: &[u64], i: usize| {
+        keys[i..].iter().take_while(|&&k| k == keys[i]).count()
+    };
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        if j == b.len() || (i < a.len() && a[i] < b[j]) {
+            stats.source_classes += 1;
+            i += run(a, i);
+        } else if i == a.len() || b[j] < a[i] {
+            stats.target_classes += 1;
+            j += run(b, j);
+        } else {
+            let (ra, rb) = (run(a, i), run(b, j));
+            stats.source_classes += 1;
+            stats.target_classes += 1;
+            stats.common_classes += 1;
+            stats.aligned_source_edges += ra;
+            stats.aligned_target_edges += rb;
+            i += ra;
+            j += rb;
+        }
+    }
+}
+
+/// The hash-set formulation [`edge_stats`] replaced, kept as its
+/// reference: both sides' color triples go into one set each, and every
+/// triple is probed against the opposite side's set.
+#[cfg(test)]
+fn edge_stats_reference(
+    partition: &Partition,
+    combined: &CombinedGraph,
+) -> EdgeStats {
     let g = combined.graph();
+    let key = |t: &Triple| {
+        (
+            partition.color(t.s).0,
+            partition.color(t.p).0,
+            partition.color(t.o).0,
+        )
+    };
     let mut s1: FxHashSet<(u32, u32, u32)> = FxHashSet::default();
     let mut s2: FxHashSet<(u32, u32, u32)> = FxHashSet::default();
     let mut stats = EdgeStats::default();
     for t in g.triples() {
-        let key = (
-            partition.color(t.s).0,
-            partition.color(t.p).0,
-            partition.color(t.o).0,
-        );
         match combined.side(t.s) {
             Side::Source => {
-                s1.insert(key);
+                s1.insert(key(t));
                 stats.total_source_edges += 1;
             }
             Side::Target => {
-                s2.insert(key);
+                s2.insert(key(t));
                 stats.total_target_edges += 1;
             }
         }
@@ -79,21 +193,12 @@ pub fn edge_stats(partition: &Partition, combined: &CombinedGraph) -> EdgeStats 
     stats.target_classes = s2.len();
     stats.common_classes = s1.intersection(&s2).count();
     for t in g.triples() {
-        let key = (
-            partition.color(t.s).0,
-            partition.color(t.p).0,
-            partition.color(t.o).0,
-        );
         match combined.side(t.s) {
             Side::Source => {
-                if s2.contains(&key) {
-                    stats.aligned_source_edges += 1;
-                }
+                stats.aligned_source_edges += usize::from(s2.contains(&key(t)));
             }
             Side::Target => {
-                if s1.contains(&key) {
-                    stats.aligned_target_edges += 1;
-                }
+                stats.aligned_target_edges += usize::from(s1.contains(&key(t)));
             }
         }
     }
@@ -288,6 +393,7 @@ pub fn predicate_only_uris(combined: &CombinedGraph) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use crate::methods::{deblank_partition, trivial_partition};
+    use proptest::prelude::*;
     use rdf_model::{RdfGraphBuilder, Vocab};
 
     fn versions() -> (Vocab, CombinedGraph) {
@@ -413,6 +519,85 @@ mod tests {
         let b = classify_matches(&t, &c, &gt);
         assert_eq!(b.false_matches, 4); // x and p on both sides
         assert_eq!(b.exact, 0);
+    }
+
+    /// A random pair of versions sharing a vocabulary, over small URI,
+    /// blank and literal pools so classes repeat within and across
+    /// sides.
+    fn arb_versions() -> impl Strategy<Value = (Vocab, CombinedGraph)> {
+        (0usize..40, 0usize..40, any::<u64>()).prop_map(|(m1, m2, seed)| {
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let mut v = Vocab::new();
+            let mut build = |v: &mut Vocab, triples: usize| {
+                let mut b = RdfGraphBuilder::new(v);
+                for _ in 0..triples {
+                    let s = format!("s{}", next() % 7);
+                    let p = format!("p{}", next() % 3);
+                    let o = format!("o{}", next() % 7);
+                    match next() % 6 {
+                        0 => b.uuu(&s, &p, &o),
+                        1 => b.uul(&s, &p, &o),
+                        2 => b.uub(&s, &p, &o),
+                        3 => b.bul(&s, &p, &o),
+                        4 => b.buu(&s, &p, &o),
+                        _ => b.bub(&s, &p, &o),
+                    }
+                }
+                b.finish()
+            };
+            let g1 = build(&mut v, m1);
+            let g2 = build(&mut v, m2);
+            let c = CombinedGraph::union(&v, &g1, &g2);
+            (v, c)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The bucketed pass equals the hash-set reference under every
+        /// method's partition and under arbitrary partitions: random
+        /// ones, the unit partition, and one class holding every
+        /// subject with the other nodes spread at random.
+        #[test]
+        fn bucketed_edge_stats_equal_hash_set_reference(
+            (v, c) in arb_versions(),
+            raw in proptest::collection::vec(0u32..5, 0..200),
+        ) {
+            let n = c.graph().node_count();
+            let random: Vec<u32> =
+                (0..n).map(|i| raw.get(i).copied().unwrap_or(0)).collect();
+            let mut subjects_merged: Vec<u32> =
+                random.iter().map(|&r| r + 1).collect();
+            for t in c.graph().triples() {
+                subjects_merged[t.s.index()] = 0;
+            }
+            let partitions = [
+                trivial_partition(&c),
+                deblank_partition(&c).partition,
+                crate::methods::hybrid_partition(&c).partition,
+                crate::overlap_align::overlap_align(
+                    &c,
+                    &v,
+                    crate::overlap_align::OverlapConfig::default(),
+                )
+                .weighted
+                .partition,
+                Partition::from_colors(&random),
+                Partition::unit(n),
+                Partition::discrete(n),
+                Partition::from_colors(&subjects_merged),
+            ];
+            for p in &partitions {
+                prop_assert_eq!(edge_stats(p, &c), edge_stats_reference(p, &c));
+            }
+        }
     }
 
     #[test]

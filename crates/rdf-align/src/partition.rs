@@ -20,6 +20,56 @@ impl ColorId {
     }
 }
 
+/// First-occurrence numbering of dense keys: a lookup table indexed by
+/// the key replaces a hash map wherever keys are already small ids.
+/// [`DenseIds::fresh`] hands out an id no key maps to, from the same
+/// counter, so keys and fresh ids interleave in one numbering. The
+/// table is sized by the caller's key bound, so callers pass keys
+/// bounded by memory they already hold (a vocabulary, a color count).
+#[derive(Debug, Default)]
+pub(crate) struct DenseIds {
+    table: Vec<u32>,
+    next: u32,
+}
+
+impl DenseIds {
+    /// Slot value of a key that has no id yet.
+    const UNSEEN: u32 = u32::MAX;
+
+    /// Forget every id and accept keys below `bound`; the table's
+    /// allocation is kept for the next use.
+    pub(crate) fn reset(&mut self, bound: usize) {
+        self.table.clear();
+        self.table.resize(bound, Self::UNSEEN);
+        self.next = 0;
+    }
+
+    /// The id of `key`: the next id the first time it is seen.
+    #[inline]
+    pub(crate) fn id(&mut self, key: u32) -> u32 {
+        let slot = &mut self.table[key as usize];
+        if *slot == Self::UNSEEN {
+            *slot = self.next;
+            self.next += 1;
+        }
+        *slot
+    }
+
+    /// A new id that no key maps to.
+    #[inline]
+    pub(crate) fn fresh(&mut self) -> u32 {
+        let id = self.next;
+        self.next += 1;
+        id
+    }
+
+    /// Ids handed out so far.
+    #[inline]
+    pub(crate) fn count(&self) -> u32 {
+        self.next
+    }
+}
+
 /// A partition `λ : N_G → C` of the nodes of one graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
@@ -42,6 +92,20 @@ impl Partition {
             colors,
             num_colors: map.len() as u32,
         }
+    }
+
+    /// [`Partition::from_colors`] for keys that are dense ids (label ids,
+    /// colors, colors plus a few fresh ones): a [`DenseIds`] table sized
+    /// by the largest key + 1 replaces the hash map, and numbering is by
+    /// first occurrence as there.
+    pub(crate) fn from_dense_keys<I>(keys: I) -> Self
+    where
+        I: Iterator<Item = u32> + Clone,
+    {
+        let mut ids = DenseIds::default();
+        ids.reset(keys.clone().max().map_or(0, |m| m as usize + 1));
+        let colors = keys.map(|k| ColorId(ids.id(k))).collect();
+        Partition::from_dense(colors, ids.count())
     }
 
     /// The discrete partition: every node its own class.
@@ -229,6 +293,7 @@ pub fn unaligned_non_literals(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rdf_model::{RdfGraphBuilder, Vocab};
 
     #[test]
@@ -239,6 +304,48 @@ mod tests {
             p.colors(),
             &[ColorId(0), ColorId(1), ColorId(0), ColorId(2), ColorId(1)]
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dense canonicaliser numbers keys exactly as the hash map
+        /// of `from_colors` does, on keys with repeats and gaps.
+        #[test]
+        fn dense_keys_equal_from_colors(
+            raw in proptest::collection::vec(0u32..40, 0..300),
+            stride in 1u32..5_000,
+        ) {
+            let keys: Vec<u32> = raw.iter().map(|&k| k * stride).collect();
+            prop_assert_eq!(
+                Partition::from_dense_keys(keys.iter().copied()),
+                Partition::from_colors(&keys)
+            );
+        }
+
+        /// Fresh ids interleave with keyed ids in one first-occurrence
+        /// numbering: a fresh id equals a key seen exactly once.
+        #[test]
+        fn fresh_ids_interleave_with_keys(
+            raw in proptest::collection::vec(0u32..60, 0..300),
+        ) {
+            // Keys >= 40 stand for fresh ids.
+            let mut ids = DenseIds::default();
+            ids.reset(40);
+            let colors: Vec<ColorId> = raw
+                .iter()
+                .map(|&k| {
+                    ColorId(if k >= 40 { ids.fresh() } else { ids.id(k) })
+                })
+                .collect();
+            let dense = Partition::from_dense(colors, ids.count());
+            let reference: Vec<(u8, u32)> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| if k >= 40 { (1, i as u32) } else { (0, k) })
+                .collect();
+            prop_assert_eq!(dense, Partition::from_colors(&reference));
+        }
     }
 
     #[test]

@@ -36,6 +36,17 @@ impl Method {
         Method::Overlap(OverlapConfig::default())
     }
 
+    /// The method's name as the CLI spells it (`trivial`, `deblank`,
+    /// `hybrid`, `overlap`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Method::Trivial => "trivial",
+            Method::Deblank => "deblank",
+            Method::Hybrid => "hybrid",
+            Method::Overlap(_) => "overlap",
+        }
+    }
+
     /// Overlap with a specific threshold.
     pub fn overlap_with_theta(theta: f64) -> Self {
         Method::Overlap(OverlapConfig {
@@ -110,7 +121,10 @@ pub fn align_with(
 
 /// As [`align_with`], with an instrumentation recorder threaded through
 /// the refinement engine (per-fixpoint and per-round spans) and
-/// the pipeline stages (`align.union`, `align.metrics` spans).
+/// the pipeline stages (`align.union`, `align.method`, `align.metrics`
+/// spans). `align.method` covers the method's whole run: its set-up
+/// (initial partitions, `UN(λ)`, blank-out) and its `refine.fixpoint`
+/// runs.
 ///
 /// Tracing is inert: the returned alignment is bit-identical to
 /// [`align_with`] for every recorder.
@@ -133,18 +147,25 @@ pub fn align_with_recorder(
         }
         combined
     };
-    let weighted = match method {
-        Method::Trivial => {
-            WeightedPartition::zero(trivial_partition(&combined))
+    let weighted = {
+        let mut sp = rec.span("align.method");
+        if sp.enabled() {
+            sp.field("method", method.name());
         }
-        Method::Deblank => WeightedPartition::zero(
-            deblank_partition_with(&combined, &mut engine).partition,
-        ),
-        Method::Hybrid => WeightedPartition::zero(
-            hybrid_partition_with(&combined, &mut engine).partition,
-        ),
-        Method::Overlap(cfg) => {
-            overlap_align_with(&combined, vocab, cfg, &mut engine).weighted
+        match method {
+            Method::Trivial => {
+                WeightedPartition::zero(trivial_partition(&combined))
+            }
+            Method::Deblank => WeightedPartition::zero(
+                deblank_partition_with(&combined, &mut engine).partition,
+            ),
+            Method::Hybrid => WeightedPartition::zero(
+                hybrid_partition_with(&combined, &mut engine).partition,
+            ),
+            Method::Overlap(cfg) => {
+                overlap_align_with(&combined, vocab, cfg, &mut engine)
+                    .weighted
+            }
         }
     };
     let mut sp = rec.span("align.metrics");

@@ -26,7 +26,7 @@
 
 use crate::engine::RefineEngine;
 use crate::partition::{ColorId, Partition};
-use rdf_model::{FxHashMap, TripleGraph};
+use rdf_model::{FxHashMap, NodeId, OutColumns, TripleGraph};
 
 /// Result of running refinement to fixpoint.
 #[derive(Debug, Clone)]
@@ -48,8 +48,8 @@ pub fn label_partition(g: &TripleGraph) -> Partition {
 /// point for sources that never materialise a [`TripleGraph`] (the
 /// zero-copy store view behind `rdf info --bisim`).
 pub fn label_partition_from(labels: &[rdf_model::LabelId]) -> Partition {
-    let raw: Vec<u32> = labels.iter().map(|l| l.0).collect();
-    Partition::from_colors(&raw)
+    // Label ids are vocabulary (or store `DICT`) ids: dense keys.
+    Partition::from_dense_keys(labels.iter().map(|l| l.0))
 }
 
 /// `λ_Bisim = BisimRefine*_{N_G}(ℓ_G)` — captures the maximal
@@ -135,10 +135,124 @@ pub fn reference_refine_fixpoint_mask(
     }
 }
 
+/// Why a partition is not a fixpoint of `BisimRefine_X` (Definition 4):
+/// the first violation [`verify_stable`] found, in node order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Unstable {
+    /// The class holds a node in `X` and a node outside it, so one more
+    /// round would recolor the one and keep the other.
+    MixedClass {
+        /// The class.
+        color: ColorId,
+        /// The class's first member.
+        first: NodeId,
+        /// A later member on the other side of `X`.
+        node: NodeId,
+    },
+    /// Two members of a class in `X` differ in their sets of outbound
+    /// color pairs, so one more round would split the class.
+    SplitClass {
+        /// The class.
+        color: ColorId,
+        /// The class's first member.
+        first: NodeId,
+        /// A later member whose pair set differs from `first`'s.
+        node: NodeId,
+    },
+}
+
+impl std::fmt::Display for Unstable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Unstable::MixedClass { color, first, node } => write!(
+                f,
+                "class {} mixes nodes inside and outside X (nodes {} and {})",
+                color.0, first.0, node.0
+            ),
+            Unstable::SplitClass { color, first, node } => write!(
+                f,
+                "class {} is not stable: nodes {} and {} differ in \
+                 outbound color pairs",
+                color.0, first.0, node.0
+            ),
+        }
+    }
+}
+
+impl std::error::Error for Unstable {}
+
+/// An exact certificate that `partition` is a fixpoint of
+/// `BisimRefine_X` (Definition 4) over the columns `cols`, with `X`
+/// given by the mask `in_x`:
+///
+/// * no class mixes nodes inside and outside `X`;
+/// * every member of a class in `X` has the same sorted, distinct set
+///   of `(color p, color o)` pairs as the class's first member.
+///
+/// Together these say one more round leaves every class whole. The
+/// check compares the pair sets themselves, so it shares no hash with
+/// [`RefineEngine`]: it runs in O(|E| log d) time for out-degree `d`,
+/// and keeps each class's first pair set, at most one pair per edge.
+pub fn verify_stable(
+    partition: &Partition,
+    cols: &OutColumns<'_>,
+    in_x: &[bool],
+) -> Result<(), Unstable> {
+    let n = partition.len();
+    assert_eq!(in_x.len(), n, "in_x length != partition length");
+    assert_eq!(cols.offsets().len(), n + 1, "column view/partition mismatch");
+    let colors = partition.colors();
+    let (offsets, preds, objs) = (cols.offsets(), cols.preds(), cols.objs());
+    const NONE: u32 = u32::MAX;
+    // Per class: its first member, and for a class in X the range of
+    // that member's pair set in `sets`.
+    let mut first = vec![NONE; partition.num_colors() as usize];
+    let mut first_set = vec![0..0; first.len()];
+    let mut sets: Vec<(u32, u32)> = Vec::new();
+    let mut buf: Vec<(u32, u32)> = Vec::new();
+    for i in 0..n {
+        let c = colors[i];
+        let f = first[c.index()];
+        if f == NONE {
+            first[c.index()] = i as u32;
+        } else if in_x[f as usize] != in_x[i] {
+            return Err(Unstable::MixedClass {
+                color: c,
+                first: NodeId(f),
+                node: NodeId(i as u32),
+            });
+        }
+        if !in_x[i] {
+            continue;
+        }
+        let edges = offsets[i] as usize..offsets[i + 1] as usize;
+        buf.clear();
+        buf.extend(
+            preds[edges.clone()]
+                .iter()
+                .zip(&objs[edges])
+                .map(|(p, o)| (colors[p.index()].0, colors[o.index()].0)),
+        );
+        buf.sort_unstable();
+        buf.dedup();
+        if f == NONE {
+            first_set[c.index()] = sets.len()..sets.len() + buf.len();
+            sets.extend_from_slice(&buf);
+        } else if sets[first_set[c.index()].clone()] != buf[..] {
+            return Err(Unstable::SplitClass {
+                color: c,
+                first: NodeId(f),
+                node: NodeId(i as u32),
+            });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_model::{GraphBuilder, LabelId, NodeId, Vocab};
+    use rdf_model::{GraphBuilder, LabelId, Vocab};
 
     /// The graph of Figure 2: URIs `w`, `u`, literals `"a"`, `"b"`,
     /// blanks `b1 b2 b3`, predicates `p q r`.

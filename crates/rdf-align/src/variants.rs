@@ -27,19 +27,21 @@ impl PredicateMatching {
     /// *splitting* the contentless mega-class that outbound-only
     /// refinement produces (§5.1).
     pub fn apply(&self, partition: &Partition) -> Partition {
-        let mut raw: Vec<(u8, u32)> =
-            partition.colors().iter().map(|c| (0u8, c.0)).collect();
+        // Kept colors stay below `num_colors` and every new class takes
+        // an id at or above it, so plain colors are injective keys.
+        let mut raw: Vec<u32> =
+            partition.colors().iter().map(|c| c.0).collect();
         let mut next = partition.num_colors();
         for &p in &self.ambiguous {
-            raw[p.index()] = (1, next);
+            raw[p.index()] = next;
             next += 1;
         }
         for &(n, m, _) in &self.pairs {
-            raw[n.index()] = (1, next);
-            raw[m.index()] = (1, next);
+            raw[n.index()] = next;
+            raw[m.index()] = next;
             next += 1;
         }
-        Partition::from_colors(&raw)
+        Partition::from_dense_keys(raw.iter().copied())
     }
 }
 

@@ -6,7 +6,9 @@
 //! be deterministic run to run at a fixed thread count. This is the
 //! determinism guarantee the CLI's `--threads 1` vs `--threads 4` CI
 //! diff also checks end to end. The reference interns exact keys, so a
-//! signature collision in the engine would fail these suites.
+//! signature collision in the engine would fail these suites. Every
+//! engine outcome is also certified stable by the exact
+//! [`verify_stable`] check of Definition 4.
 
 use proptest::prelude::*;
 use rdf_align::engine::RefineEngine;
@@ -16,10 +18,14 @@ use rdf_align::methods::{
 };
 use rdf_align::partition::unaligned_non_literals;
 use rdf_align::refine::{
-    label_partition, reference_refine_fixpoint_mask, RefineOutcome,
+    label_partition, reference_refine_fixpoint_mask, verify_stable,
+    RefineOutcome, Unstable,
 };
-use rdf_align::Threads;
-use rdf_model::{CombinedGraph, RdfGraph, RdfGraphBuilder, Vocab};
+use rdf_align::{Partition, Threads};
+use rdf_model::{
+    CombinedGraph, GraphBuilder, LabelId, NodeId, RdfGraph, RdfGraphBuilder,
+    TripleGraph, Vocab,
+};
 
 /// A random pair of graph versions sharing a vocabulary: overlapping
 /// URI/blank/literal pools so some nodes align, some rename, some churn.
@@ -58,12 +64,34 @@ fn arb_versions() -> impl Strategy<Value = (Vocab, RdfGraph, RdfGraph)> {
     })
 }
 
+/// The mask of `X` for a list of its members.
+fn mask_of(n: usize, members: &[NodeId]) -> Vec<bool> {
+    let mut in_x = vec![false; n];
+    for m in members {
+        in_x[m.index()] = true;
+    }
+    in_x
+}
+
+/// Deblank's `X`: the blank nodes.
+fn blank_mask(g: &TripleGraph) -> Vec<bool> {
+    g.nodes().map(|n| g.is_blank(n)).collect()
+}
+
+/// The exact Definition 4 check on an engine outcome.
+fn stable(
+    g: &TripleGraph,
+    p: &Partition,
+    in_x: &[bool],
+) -> Result<(), Unstable> {
+    verify_stable(p, &g.out_columns(), in_x)
+}
+
 /// Sequential-reference Deblank: the method's definition run through
 /// [`reference_refine_fixpoint_mask`] instead of the engine.
 fn reference_deblank(combined: &CombinedGraph) -> RefineOutcome {
     let g = combined.graph();
-    let in_x: Vec<bool> = g.nodes().map(|n| g.is_blank(n)).collect();
-    reference_refine_fixpoint_mask(g, label_partition(g), &in_x)
+    reference_refine_fixpoint_mask(g, label_partition(g), &blank_mask(g))
 }
 
 /// Sequential-reference Hybrid from a given base partition.
@@ -74,10 +102,7 @@ fn reference_hybrid_from(
     let g = combined.graph();
     let unaligned = unaligned_non_literals(&base, combined);
     let blanked = blank_out(&base, &unaligned);
-    let mut in_x = vec![false; g.node_count()];
-    for &n in &unaligned {
-        in_x[n.index()] = true;
-    }
+    let in_x = mask_of(g.node_count(), &unaligned);
     reference_refine_fixpoint_mask(g, blanked, &in_x)
 }
 
@@ -102,6 +127,7 @@ proptest! {
                 reference.partition.colors()
             );
             prop_assert_eq!(out.rounds, reference.rounds);
+            prop_assert_eq!(stable(g, &out.partition, &all), Ok(()));
         }
     }
 
@@ -117,6 +143,8 @@ proptest! {
                 out.partition.colors(),
                 reference.partition.colors()
             );
+            let g = c.graph();
+            prop_assert_eq!(stable(g, &out.partition, &blank_mask(g)), Ok(()));
         }
     }
 
@@ -136,6 +164,9 @@ proptest! {
                 out.partition.colors(),
                 ref_hybrid.partition.colors()
             );
+            let g = c.graph();
+            let in_x = mask_of(g.node_count(), &out.unaligned);
+            prop_assert_eq!(stable(g, &out.partition, &in_x), Ok(()));
             // The Trivial-seeded hybrid exercises a different initial
             // partition through the same engine scratch (reuse!).
             let via_trivial =
@@ -144,6 +175,8 @@ proptest! {
                 via_trivial.partition.colors(),
                 ref_via_trivial.partition.colors()
             );
+            let in_x = mask_of(g.node_count(), &via_trivial.unaligned);
+            prop_assert_eq!(stable(g, &via_trivial.partition, &in_x), Ok(()));
         }
     }
 
@@ -169,6 +202,11 @@ proptest! {
             fresh.partition.colors()
         );
         prop_assert_eq!(first.rounds, second.rounds);
+        let g = c.graph();
+        for out in [&first, &second, &fresh] {
+            let in_x = mask_of(g.node_count(), &out.unaligned);
+            prop_assert_eq!(stable(g, &out.partition, &in_x), Ok(()));
+        }
     }
 }
 
@@ -230,6 +268,8 @@ fn multi_block_graph_identical_to_reference() {
             "deblank diverged at {t} threads"
         );
         assert_eq!(deblank.rounds, ref_deblank.rounds);
+        let g = c.graph();
+        assert_eq!(stable(g, &deblank.partition, &blank_mask(g)), Ok(()));
         let hybrid = hybrid_from_with(&c, deblank.partition, &mut engine);
         assert_eq!(
             hybrid.partition.colors(),
@@ -237,5 +277,132 @@ fn multi_block_graph_identical_to_reference() {
             "hybrid diverged at {t} threads"
         );
         assert_eq!(hybrid.rounds, ref_hybrid.rounds);
+        let in_x = mask_of(g.node_count(), &hybrid.unaligned);
+        assert_eq!(stable(g, &hybrid.partition, &in_x), Ok(()));
+    }
+}
+
+/// A mutant of a Deblank result that merges two of its classes fails
+/// the certificate: two blank records with different literals
+/// (`SplitClass`), and a blank record with a URI (`MixedClass`).
+#[test]
+fn merged_deblank_classes_fail_the_certificate() {
+    let (vocab, g1, g2) = multi_block_versions(2_000);
+    let c = CombinedGraph::union(&vocab, &g1, &g2);
+    let g = c.graph();
+    let in_x = blank_mask(g);
+    let deblank =
+        deblank_partition_with(&c, &mut RefineEngine::new(Threads::Fixed(2)));
+    assert_eq!(stable(g, &deblank.partition, &in_x), Ok(()));
+    // Node ids of v1 follow first mention: e0, has, r0, value,
+    // "value 0", next, link, e1, r1, "value 1", ...
+    let blank = |k: usize| g.nodes().filter(|&n| g.is_blank(n)).nth(k).unwrap();
+    let (r0, r1) = (blank(0), blank(1));
+    let e0 = NodeId(0);
+    assert!(g.is_uri(e0));
+    let merge = |a: NodeId, b: NodeId| {
+        let (ca, cb) = (deblank.partition.color(a), deblank.partition.color(b));
+        assert_ne!(ca, cb, "the mutant must merge two distinct classes");
+        let raw: Vec<u32> = deblank
+            .partition
+            .colors()
+            .iter()
+            .map(|&col| if col == cb { ca.0 } else { col.0 })
+            .collect();
+        Partition::from_colors(&raw)
+    };
+    assert!(matches!(
+        stable(g, &merge(r0, r1), &in_x),
+        Err(Unstable::SplitClass { .. })
+    ));
+    assert!(matches!(
+        stable(g, &merge(e0, r0), &in_x),
+        Err(Unstable::MixedClass { .. })
+    ));
+}
+
+/// A deterministic xorshift stream for the fixtures below.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+/// The engine over a union of more than three [`BLOCK`]s whose initial
+/// partition and `X` make kept colors first occur out of color order
+/// and in a later block than their class's first member, interleaved
+/// with recolored nodes. Kept colors are interned through the dense
+/// table and recolored ones through the map, from one counter; the
+/// result must equal the exact reference bit for bit at 1, 2 and 4
+/// threads.
+///
+/// [`BLOCK`]: rdf_align::engine::BLOCK
+#[test]
+fn kept_colors_across_blocks_match_reference() {
+    let block = rdf_align::engine::BLOCK;
+    let n = 3 * block + 4_321;
+    let classes = 8u64;
+    let mut next = xorshift(0x5eed);
+    let vocab = Vocab::new();
+    let mut b = GraphBuilder::with_capacity(n, 2 * n);
+    for _ in 0..n {
+        b.add_node(LabelId::BLANK, &vocab);
+    }
+    // Up to two out-edges per node, over two predicate nodes: few
+    // enough classes that splits take several rounds to propagate.
+    for s in 0..n as u64 {
+        for _ in 0..next() % 3 {
+            let p = next() % 2;
+            let o = next() % n as u64;
+            b.add_triple(NodeId(s as u32), NodeId(p as u32), NodeId(o as u32));
+        }
+    }
+    let g = b.freeze();
+    let raw: Vec<u64> = (0..n).map(|_| next() % classes).collect();
+    let initial = Partition::from_colors(&raw);
+    // X: every third node and the whole first block. Every class's
+    // first member lies in the first block, so its first kept member
+    // lies in a later one.
+    let in_x: Vec<bool> = (0..n).map(|i| i < block || i % 3 == 0).collect();
+
+    // The fixture has what the test is about: in round 1, kept colors
+    // first occur out of color order, some of them in a later block
+    // than their class's first member, with recolored nodes between.
+    let colors = initial.colors();
+    let mut first_member = vec![usize::MAX; initial.num_colors() as usize];
+    let mut seen_kept = vec![false; first_member.len()];
+    let (mut out_of_order, mut across_blocks) = (false, false);
+    let mut last_kept_color = None;
+    for i in 0..n {
+        let c = colors[i].index();
+        if first_member[c] == usize::MAX {
+            first_member[c] = i;
+        }
+        if in_x[i] || seen_kept[c] {
+            continue;
+        }
+        seen_kept[c] = true;
+        out_of_order |= last_kept_color.is_some_and(|l| c < l);
+        across_blocks |= first_member[c] / block < i / block;
+        last_kept_color = Some(c);
+    }
+    assert!(out_of_order && across_blocks, "fixture lost its shape");
+
+    let reference = reference_refine_fixpoint_mask(&g, initial.clone(), &in_x);
+    assert!(reference.rounds >= 3, "needs several changing rounds");
+    for t in THREAD_COUNTS {
+        let out = RefineEngine::new(Threads::Fixed(t))
+            .refine_fixpoint_mask(&g, initial.clone(), &in_x);
+        assert_eq!(
+            out.partition.colors(),
+            reference.partition.colors(),
+            "diverged at {t} threads"
+        );
+        assert_eq!(out.rounds, reference.rounds);
+        assert_eq!(stable(&g, &out.partition, &in_x), Ok(()));
     }
 }

@@ -378,7 +378,7 @@ pub fn align_traced(
     let method = parse_method(method_name, theta)?;
     let session =
         Session::load(Input::open(source)?, Input::open(target)?, rec)?;
-    Ok(session.align(source, target, method_name, method, threads, rec))
+    Ok(session.align(source, target, method, threads, rec))
 }
 
 /// The two graphs of one `align`, loaded into one session vocabulary.
@@ -415,14 +415,13 @@ impl Session {
         &self,
         source: &Path,
         target: &Path,
-        method_name: &str,
         method: Method,
         threads: Threads,
         rec: &Arc<Recorder>,
     ) -> AlignOutcome {
         let (g1, g2) = (&self.source, &self.target);
         AlignOutcome {
-            method: method_name.to_string(),
+            method: method.name().to_string(),
             source: (
                 source.display().to_string(),
                 g1.node_count(),

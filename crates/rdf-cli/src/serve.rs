@@ -414,8 +414,7 @@ fn align(
     let (source, target) = (Path::new(source), Path::new(target));
     let (session, cached) =
         state.session(Input::open(source)?, Input::open(target)?, rec)?;
-    let outcome =
-        session.align(source, target, method_name, method, threads, rec);
+    let outcome = session.align(source, target, method, threads, rec);
     Ok((outcome.render(), cached))
 }
 

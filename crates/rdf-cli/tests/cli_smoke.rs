@@ -474,12 +474,24 @@ fn trace_and_stats_cover_span_families() {
 
     // stats aggregates the trace and names the span families.
     let stats_out = run_ok(&["stats", s(&trace)]);
-    for family in ["refine.round", "store.section", "align.union"] {
+    for family in
+        ["refine.round", "store.section", "align.union", "align.method"]
+    {
         assert!(
             stats_out.contains(family),
             "stats table misses {family}:\n{stats_out}"
         );
     }
+    // One align.method span per alignment, naming the method.
+    let methods: Vec<String> = text
+        .lines()
+        .map(|l| rdf_obs::json::parse(l).unwrap())
+        .filter(|j| {
+            j.get("name").and_then(|v| v.as_str()) == Some("align.method")
+        })
+        .map(|j| j.get("method").and_then(|v| v.as_str()).unwrap().to_string())
+        .collect();
+    assert_eq!(methods, ["hybrid"], "align.method spans");
 
     // The report line alone must agree with re-aggregating the events.
     let report = rdf_obs::RunReport::from_jsonl(&text).unwrap();

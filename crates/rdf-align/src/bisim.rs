@@ -48,8 +48,8 @@ fn simulates(
     a: NodeId,
     b: NodeId,
 ) -> bool {
-    g.out(a).iter().all(|&(p, o)| {
-        g.out(b).iter().any(|&(p2, o2)| {
+    g.out(a).iter().all(|(p, o)| {
+        g.out(b).iter().any(|(p2, o2)| {
             rel[p.index()][p2.index()] && rel[o.index()][o2.index()]
         })
     })

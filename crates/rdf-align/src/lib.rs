@@ -60,7 +60,9 @@ pub mod weighted;
 pub use align::AlignmentView;
 pub use engine::RefineEngine;
 pub use enrich::WeightedBipartite;
-pub use pipeline::{align, align_with, align_with_recorder, Aligned, Method};
+pub use pipeline::{
+    align, align_combined, align_with, align_with_recorder, Aligned, Method,
+};
 pub use metrics::{EdgeStats, MatchBreakdown, NodeCounts};
 pub use methods::{
     deblank_partition, deblank_partition_with, hybrid_partition,

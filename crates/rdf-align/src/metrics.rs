@@ -11,10 +11,12 @@
 //!   breakdown exact/inclusive/missing/false against a ground truth
 //!   (Figs 14, 15).
 
-use crate::partition::Partition;
+use crate::partition::{NodeTally, Partition};
 use rdf_model::{
-    CombinedGraph, FxHashMap, FxHashSet, GroundTruth, NodeId, Side, Triple,
+    CombinedGraph, FxHashMap, FxHashSet, GroundTruth, NodeId, OutColumns,
+    Side,
 };
+use std::ops::Range;
 
 /// Edge-level alignment statistics for one partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,20 +58,19 @@ impl EdgeStats {
 
 /// Compute [`EdgeStats`] for a partition over a combined graph.
 ///
-/// One sequential pass that hashes nothing. The union's triples are
-/// sorted by subject with source nodes first, so they split into the
-/// two sides at one boundary. Each side is counting-sorted by
-/// `color(s)` into buckets of packed `color(p) << 32 | color(o)` keys
-/// (8 B per edge), each bucket is sorted, and the two sides are merged
-/// bucket by bucket: every distinct key is one edge class, and a key on
-/// both sides is a common class whose instances are aligned.
+/// One sequential pass that hashes nothing. Source nodes come first in
+/// the union, so its out-edges split into the two sides at one node
+/// boundary. Each side is counting-sorted by `color(s)` into buckets of
+/// packed `color(p) << 32 | color(o)` keys (8 B per edge), each bucket
+/// is sorted, and the two sides are merged bucket by bucket: every
+/// distinct key is one edge class, and a key on both sides is a common
+/// class whose instances are aligned.
 pub fn edge_stats(partition: &Partition, combined: &CombinedGraph) -> EdgeStats {
-    let triples = combined.graph().triples();
-    let split =
-        triples.partition_point(|t| combined.side(t.s) == Side::Source);
-    let (source, target) = triples.split_at(split);
-    let source = ColorBuckets::new(source, partition);
-    let target = ColorBuckets::new(target, partition);
+    let cols = combined.graph().out_columns();
+    let n1 = combined.source_len();
+    let all = combined.graph().node_count();
+    let source = ColorBuckets::new(&cols, 0..n1, partition);
+    let target = ColorBuckets::new(&cols, n1..all, partition);
     let mut stats = EdgeStats {
         total_source_edges: source.keys.len(),
         total_target_edges: target.keys.len(),
@@ -90,28 +91,38 @@ struct ColorBuckets {
 }
 
 impl ColorBuckets {
-    /// Counting-sort `triples` by subject color, then sort each bucket.
-    fn new(triples: &[Triple], partition: &Partition) -> Self {
+    /// Counting-sort the out-edges of the subjects `nodes` by subject
+    /// color, then sort each bucket.
+    fn new(
+        cols: &OutColumns<'_>,
+        nodes: Range<usize>,
+        partition: &Partition,
+    ) -> Self {
         let colors = partition.colors();
+        let (preds, objs) = (cols.preds(), cols.objs());
         let k = partition.num_colors() as usize;
         // Count into `offsets[c]`, prefix-sum to bucket ends, then place
         // each key by decrementing its bucket's end: afterwards
         // `offsets[c]` is bucket `c`'s start and `offsets[k]` the total.
         let mut offsets = vec![0u32; k + 1];
-        for t in triples {
-            offsets[colors[t.s.index()].index()] += 1;
+        for n in nodes.clone() {
+            let degree = cols.range(NodeId(n as u32)).len() as u32;
+            offsets[colors[n].index()] += degree;
         }
         let mut end = 0u32;
         for slot in offsets.iter_mut() {
             end += *slot;
             *slot = end;
         }
-        let mut keys = vec![0u64; triples.len()];
-        for t in triples {
-            let slot = &mut offsets[colors[t.s.index()].index()];
-            *slot -= 1;
-            keys[*slot as usize] = (u64::from(colors[t.p.index()].0) << 32)
-                | u64::from(colors[t.o.index()].0);
+        let mut keys = vec![0u64; end as usize];
+        for n in nodes {
+            let slot = &mut offsets[colors[n].index()];
+            for j in cols.range(NodeId(n as u32)) {
+                *slot -= 1;
+                keys[*slot as usize] = (u64::from(colors[preds[j].index()].0)
+                    << 32)
+                    | u64::from(colors[objs[j].index()].0);
+            }
         }
         for c in 0..k {
             let bucket =
@@ -167,7 +178,7 @@ fn edge_stats_reference(
     combined: &CombinedGraph,
 ) -> EdgeStats {
     let g = combined.graph();
-    let key = |t: &Triple| {
+    let key = |t: rdf_model::Triple| {
         (
             partition.color(t.s).0,
             partition.color(t.p).0,
@@ -236,35 +247,7 @@ impl NodeCounts {
 /// Compute [`NodeCounts`] for a partition over a combined graph,
 /// restricted to non-literal nodes.
 pub fn node_counts(partition: &Partition, combined: &CombinedGraph) -> NodeCounts {
-    let g = combined.graph();
-    let k = partition.num_colors() as usize;
-    let mut src = vec![0u32; k];
-    let mut tgt = vec![0u32; k];
-    let mut counts = NodeCounts::default();
-    for n in g.nodes() {
-        if g.is_literal(n) {
-            continue;
-        }
-        let c = partition.color(n).index();
-        match combined.side(n) {
-            Side::Source => {
-                src[c] += 1;
-                counts.total_source_nodes += 1;
-            }
-            Side::Target => {
-                tgt[c] += 1;
-                counts.total_target_nodes += 1;
-            }
-        }
-    }
-    for c in 0..k {
-        if src[c] > 0 && tgt[c] > 0 {
-            counts.aligned_classes += 1;
-            counts.aligned_source_nodes += src[c] as usize;
-            counts.aligned_target_nodes += tgt[c] as usize;
-        }
-    }
-    counts
+    NodeTally::new(partition, combined).node_counts()
 }
 
 /// The four-way per-node classification of §5.2 (Figs 14, 15).

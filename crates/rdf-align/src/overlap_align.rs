@@ -18,7 +18,7 @@ use crate::enrich::enrich;
 use crate::methods::hybrid_partition_with;
 use crate::overlap::{overlap_match, OverlapMatchStats};
 use crate::partition::SideCounts;
-use crate::propagate::{propagate_cols, PropagateConfig};
+use crate::propagate::{propagate_with, PropagateConfig};
 use crate::weighted::WeightedPartition;
 use rdf_model::{CombinedGraph, FxHashMap, NodeId, Side, TripleGraph, Vocab};
 use rdf_edit::algebra::oplus;
@@ -93,7 +93,7 @@ pub fn out_colors(
     let mut cs: Vec<u64> = g
         .out(n)
         .iter()
-        .map(|&(p, o)| {
+        .map(|(p, o)| {
             ((xi.color(p).0 as u64) << 32) | xi.color(o).0 as u64
         })
         .collect();
@@ -129,7 +129,7 @@ pub fn sigma_nl(
     // Group edges by edge color; remember (weight(p)+weight(o) key, p, o).
     let mut groups_n: FxHashMap<u64, Vec<(f64, NodeId, NodeId)>> =
         FxHashMap::default();
-    for &(p, o) in out_n {
+    for (p, o) in out_n {
         let key = ((xi.color(p).0 as u64) << 32) | xi.color(o).0 as u64;
         groups_n
             .entry(key)
@@ -138,7 +138,7 @@ pub fn sigma_nl(
     }
     let mut groups_m: FxHashMap<u64, Vec<(f64, NodeId, NodeId)>> =
         FxHashMap::default();
-    for &(p, o) in out_m {
+    for (p, o) in out_m {
         let key = ((xi.color(p).0 as u64) << 32) | xi.color(o).0 as u64;
         groups_m
             .entry(key)
@@ -223,12 +223,9 @@ pub fn overlap_align_with(
     });
 
     // Non-literal rounds: enrich + propagate, then match non-literals.
-    // One grouped-CSR view serves every propagation round.
-    let cols = g.out_columns();
     for _ in 0..config.max_rounds {
-        xi = propagate_cols(
+        xi = propagate_with(
             combined,
-            &cols,
             &enrich(&xi, &h),
             config.propagate,
             engine,

@@ -6,6 +6,7 @@
 //! makes partition equivalence (`λ1 ≡ λ2`, i.e. `R_{λ1} = R_{λ2}`) a simple
 //! recoloring check and makes per-class counting array-indexed.
 
+use crate::metrics::NodeCounts;
 use rdf_model::{CombinedGraph, FxHashMap, NodeId, Side, TripleGraph};
 
 /// Dense color identifier within one [`Partition`].
@@ -261,18 +262,85 @@ impl SideCounts {
     }
 }
 
+/// Per-class node counts of each side, over every node and over the
+/// non-literal nodes, from one pass over the union: the one count
+/// behind [`unaligned_nodes`] and [`crate::metrics::node_counts`],
+/// which the pipeline takes once for both.
+pub(crate) struct NodeTally {
+    /// Every node, per side and color.
+    all: SideCounts,
+    /// Non-literal nodes, per side and color.
+    non_literal: SideCounts,
+}
+
+impl NodeTally {
+    /// Count every class's members per side.
+    pub(crate) fn new(partition: &Partition, combined: &CombinedGraph) -> Self {
+        let k = partition.num_colors() as usize;
+        let zero = || SideCounts {
+            source: vec![0; k],
+            target: vec![0; k],
+        };
+        let (mut all, mut non_literal) = (zero(), zero());
+        let g = combined.graph();
+        let n1 = combined.source_len() as u32;
+        for n in g.nodes() {
+            let c = partition.color(n).index();
+            let (every, non_lit) = if n.0 < n1 {
+                (&mut all.source, &mut non_literal.source)
+            } else {
+                (&mut all.target, &mut non_literal.target)
+            };
+            every[c] += 1;
+            if !g.is_literal(n) {
+                non_lit[c] += 1;
+            }
+        }
+        NodeTally { all, non_literal }
+    }
+
+    /// The §5 node counts over non-literal nodes.
+    pub(crate) fn node_counts(&self) -> NodeCounts {
+        let SideCounts { source, target } = &self.non_literal;
+        let mut counts = NodeCounts {
+            total_source_nodes: source.iter().map(|&n| n as usize).sum(),
+            total_target_nodes: target.iter().map(|&n| n as usize).sum(),
+            ..NodeCounts::default()
+        };
+        for (&s, &t) in source.iter().zip(target) {
+            if s > 0 && t > 0 {
+                counts.aligned_classes += 1;
+                counts.aligned_source_nodes += s as usize;
+                counts.aligned_target_nodes += t as usize;
+            }
+        }
+        counts
+    }
+
+    /// `Unaligned(λ)` of the counted partition, in ascending node
+    /// order.
+    pub(crate) fn unaligned(
+        &self,
+        partition: &Partition,
+        combined: &CombinedGraph,
+    ) -> Vec<NodeId> {
+        combined
+            .graph()
+            .nodes()
+            .filter(|&n| {
+                !self.all.is_aligned(partition.color(n), combined.side(n))
+            })
+            .collect()
+    }
+}
+
 /// `Unaligned(λ)` (§3.1): nodes whose class contains no node of the
 /// opposite graph. Returned in ascending node order.
 pub fn unaligned_nodes(
     partition: &Partition,
     combined: &CombinedGraph,
 ) -> Vec<NodeId> {
-    let counts = SideCounts::new(partition, combined);
-    combined
-        .graph()
-        .nodes()
-        .filter(|&n| !counts.is_aligned(partition.color(n), combined.side(n)))
-        .collect()
+    NodeTally::new(partition, combined).unaligned(partition, combined)
 }
 
 /// `UN(λ)` (equation 4): unaligned nodes that are not literals.

@@ -1,15 +1,17 @@
 //! One-call alignment pipeline: pick a method, get an alignment report.
 //!
 //! This is the "downstream user" API: wraps graph union, method
-//! dispatch, and the §5 metrics into a single call.
+//! dispatch, and the §5 metrics into a single call. A caller that
+//! already holds the union (the CLI, which loads its inputs straight
+//! into one) calls [`align_combined`].
 
 use crate::engine::RefineEngine;
-use crate::metrics::{edge_stats, node_counts, EdgeStats, NodeCounts};
+use crate::metrics::{edge_stats, EdgeStats, NodeCounts};
 use crate::methods::{
     deblank_partition_with, hybrid_partition_with, trivial_partition,
 };
 use crate::overlap_align::{overlap_align_with, OverlapConfig};
-use crate::partition::{unaligned_nodes, Partition};
+use crate::partition::{NodeTally, Partition};
 use crate::weighted::WeightedPartition;
 use rdf_model::{CombinedGraph, NodeId, RdfGraph, Vocab};
 use rdf_obs::Recorder;
@@ -121,10 +123,8 @@ pub fn align_with(
 
 /// As [`align_with`], with an instrumentation recorder threaded through
 /// the refinement engine (per-fixpoint and per-round spans) and
-/// the pipeline stages (`align.union`, `align.method`, `align.metrics`
-/// spans). `align.method` covers the method's whole run: its set-up
-/// (initial partitions, `UN(λ)`, blank-out) and its `refine.fixpoint`
-/// runs.
+/// the pipeline stages: the union is built inside one `align.union`
+/// span, then [`align_combined`] runs.
 ///
 /// Tracing is inert: the returned alignment is bit-identical to
 /// [`align_with`] for every recorder.
@@ -136,10 +136,8 @@ pub fn align_with_recorder(
     threads: Threads,
     recorder: Arc<Recorder>,
 ) -> Aligned {
-    let rec = Arc::clone(&recorder);
-    let mut engine = RefineEngine::with_recorder(threads, recorder);
     let combined = {
-        let mut sp = rec.span("align.union");
+        let mut sp = recorder.span("align.union");
         let combined = CombinedGraph::union(vocab, source, target);
         if sp.enabled() {
             sp.field("nodes", combined.graph().node_count());
@@ -147,6 +145,27 @@ pub fn align_with_recorder(
         }
         combined
     };
+    align_combined(vocab, combined, method, threads, recorder)
+}
+
+/// Align a built union of two versions (sharing `vocab`) with the
+/// chosen method: the alignment of a held union, which builds nothing
+/// before refinement. Emits `align.method` and `align.metrics` spans;
+/// `align.method` covers the method's whole run: its set-up (initial
+/// partitions, `UN(λ)`, blank-out) and its `refine.fixpoint` runs.
+///
+/// One [`RefineEngine`] is built here and reused across every
+/// refinement stage of the chosen method. The result is bit-identical
+/// for every thread count and every recorder.
+pub fn align_combined(
+    vocab: &Vocab,
+    combined: CombinedGraph,
+    method: Method,
+    threads: Threads,
+    recorder: Arc<Recorder>,
+) -> Aligned {
+    let rec = Arc::clone(&recorder);
+    let mut engine = RefineEngine::with_recorder(threads, recorder);
     let weighted = {
         let mut sp = rec.span("align.method");
         if sp.enabled() {
@@ -170,8 +189,9 @@ pub fn align_with_recorder(
     };
     let mut sp = rec.span("align.metrics");
     let edges = edge_stats(&weighted.partition, &combined);
-    let nodes = node_counts(&weighted.partition, &combined);
-    let unaligned = unaligned_nodes(&weighted.partition, &combined);
+    let tally = NodeTally::new(&weighted.partition, &combined);
+    let nodes = tally.node_counts();
+    let unaligned = tally.unaligned(&weighted.partition, &combined);
     if sp.enabled() {
         sp.field("unaligned", unaligned.len());
     }

@@ -64,7 +64,7 @@ fn reweight_step(
         }
         let f = out.len() as f64;
         let mut acc = 0.0;
-        for &(p, o) in out {
+        for (p, o) in out {
             acc = oplus(acc, oplus(prev[p.index()], prev[o.index()]) / f);
             if acc >= 1.0 {
                 break;
@@ -78,7 +78,7 @@ fn reweight_step(
 
 /// `BisimRefine*_X(ξ)` for weighted partitions: refine colors and weights
 /// of the nodes in `X` until both stabilise, refining colors through a
-/// caller-owned engine over a prebuilt grouped-CSR column view.
+/// caller-owned engine over the graph's grouped-CSR columns.
 ///
 /// Color rounds read only colors and weight rounds read only weights,
 /// so the interleaved loop of §4.5 decouples: the whole color fixpoint
@@ -86,9 +86,8 @@ fn reweight_step(
 /// reused scratch, no per-round partition copies), then the same number
 /// of weight rounds replay before the ε check starts — producing the
 /// exact color and weight sequences of the interleaved formulation.
-pub(crate) fn weighted_refine_fixpoint_cols(
+pub(crate) fn weighted_refine_fixpoint_with(
     g: &TripleGraph,
-    cols: &rdf_model::OutColumns<'_>,
     xi: WeightedPartition,
     x: &[NodeId],
     config: PropagateConfig,
@@ -105,7 +104,7 @@ pub(crate) fn weighted_refine_fixpoint_cols(
     let RefineOutcome {
         partition,
         rounds: color_rounds,
-    } = engine.refine_fixpoint_columns(cols, partition, &in_x);
+    } = engine.refine_fixpoint_mask(g, partition, &in_x);
     let mut rounds = 0;
     let mut weight_rounds = 0;
     loop {
@@ -144,26 +143,21 @@ pub fn propagate(
     xi: &WeightedPartition,
     config: PropagateConfig,
 ) -> WeightedPartition {
-    let cols = combined.graph().out_columns();
-    propagate_cols(combined, &cols, xi, config, &mut RefineEngine::auto())
+    propagate_with(combined, xi, config, &mut RefineEngine::auto())
 }
 
-/// As [`propagate`], through a caller-owned engine over a prebuilt
-/// grouped-CSR column view — callers that propagate repeatedly on one
-/// graph (the overlap rounds loop) build the view once instead of once
-/// per round.
-pub(crate) fn propagate_cols(
+/// As [`propagate`], through a caller-owned engine (the overlap rounds
+/// loop reuses one across its rounds).
+pub(crate) fn propagate_with(
     combined: &CombinedGraph,
-    cols: &rdf_model::OutColumns<'_>,
     xi: &WeightedPartition,
     config: PropagateConfig,
     engine: &mut RefineEngine,
 ) -> WeightedPartition {
     let un = unaligned_non_literals(&xi.partition, combined);
     let blanked = blank_out_weighted(xi, &un);
-    weighted_refine_fixpoint_cols(
+    weighted_refine_fixpoint_with(
         combined.graph(),
-        cols,
         blanked,
         &un,
         config,

@@ -95,7 +95,7 @@ pub fn reference_refine_step(
             let mut pairs: Vec<(u32, u32)> = g
                 .out(node)
                 .iter()
-                .map(|&(p, o)| (partition.color(p).0, partition.color(o).0))
+                .map(|(p, o)| (partition.color(p).0, partition.color(o).0))
                 .collect();
             // Equation (1) uses a *set* of color pairs.
             pairs.sort_unstable();

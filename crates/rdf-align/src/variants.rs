@@ -80,7 +80,6 @@ pub fn match_predicates_by_usage(
     let usage = |p: NodeId| -> Vec<u64> {
         let mut pairs: Vec<u64> = g
             .triples()
-            .iter()
             .filter(|t| t.p == p)
             .map(|t| {
                 ((partition.color(t.s).0 as u64) << 32)

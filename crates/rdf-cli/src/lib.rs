@@ -13,9 +13,9 @@ pub mod serve;
 pub mod signals;
 
 use crate::pipeline::{ctx, open_any, Input};
-use rdf_align::pipeline::{align_with_recorder, Aligned, Method};
+use rdf_align::pipeline::{align_combined, Aligned, Method};
 use rdf_align::{RefineEngine, Threads};
-use rdf_model::{RdfGraph, Vocab};
+use rdf_model::{CombinedGraph, GraphAppender, Vocab};
 use rdf_obs::{Recorder, RunReport};
 use rdf_store::{BorrowedStoreReader, Layout, StoreError, StoreInfo};
 use std::fmt;
@@ -381,36 +381,61 @@ pub fn align_traced(
     Ok(session.align(source, target, method, threads, rec))
 }
 
-/// The two graphs of one `align`, loaded into one session vocabulary.
-/// `rdf align` loads one and aligns it once; the daemon keeps the last
-/// one it loaded and aligns it once per request.
+/// The union of one `align`'s two inputs, loaded straight into one
+/// graph over one session vocabulary. `rdf align` loads one and aligns
+/// it once; the daemon keeps the last one it loaded and aligns its
+/// union once per request, building nothing before refinement.
 pub struct Session {
     vocab: Vocab,
-    source: RdfGraph,
-    target: RdfGraph,
+    combined: CombinedGraph,
+    /// The source's node and triple counts, for the report.
+    source: (usize, usize),
+    /// The target's node and triple counts, for the report.
+    target: (usize, usize),
 }
 
 impl Session {
-    /// The load step of `align`: the source, then the target, into a
-    /// fresh vocabulary. Each input is released once it is loaded.
+    /// The load step of `align`: the source, then the target, appended
+    /// to one union over a fresh vocabulary. Each input is released
+    /// once it is appended, and no per-version graph is kept. The union
+    /// is completed inside one `align.union` span.
     pub fn load(
         source: Input<'_>,
         target: Input<'_>,
         rec: &Recorder,
     ) -> Result<Session, CliError> {
         let mut vocab = Vocab::new();
-        let source = source.load_into(&mut vocab, rec)?;
-        let target = target.load_into(&mut vocab, rec)?;
+        let mut union = GraphAppender::new();
+        let source = source.append_into(&mut vocab, &mut union, rec)?;
+        let target = target.append_into(&mut vocab, &mut union, rec)?;
+        let mut sp = rec.span("align.union");
+        let combined = CombinedGraph::from_parts(union.finish(), source.0);
+        if sp.enabled() {
+            sp.field("nodes", combined.graph().node_count());
+            sp.field("triples", combined.graph().triple_count());
+        }
+        drop(sp);
         Ok(Session {
             vocab,
+            combined,
             source,
             target,
         })
     }
 
-    /// The outcome step of `align`: run `method` over the session and
-    /// keep the result with its input context. The paths name the
-    /// inputs in the report.
+    /// The session vocabulary both inputs' labels are interned in.
+    pub fn vocab(&self) -> &Vocab {
+        &self.vocab
+    }
+
+    /// The union of the two inputs, source first.
+    pub fn combined(&self) -> &CombinedGraph {
+        &self.combined
+    }
+
+    /// The outcome step of `align`: run `method` over the session's
+    /// union and keep the result with its input context. The paths
+    /// name the inputs in the report.
     pub fn align(
         &self,
         source: &Path,
@@ -419,23 +444,21 @@ impl Session {
         threads: Threads,
         rec: &Arc<Recorder>,
     ) -> AlignOutcome {
-        let (g1, g2) = (&self.source, &self.target);
         AlignOutcome {
             method: method.name().to_string(),
             source: (
                 source.display().to_string(),
-                g1.node_count(),
-                g1.triple_count(),
+                self.source.0,
+                self.source.1,
             ),
             target: (
                 target.display().to_string(),
-                g2.node_count(),
-                g2.triple_count(),
+                self.target.0,
+                self.target.1,
             ),
-            aligned: align_with_recorder(
+            aligned: align_combined(
                 &self.vocab,
-                g1,
-                g2,
+                self.combined.clone(),
                 method,
                 threads,
                 Arc::clone(rec),

@@ -4,7 +4,7 @@
 //! *content* (the container magic), never by extension.
 
 use crate::CliError;
-use rdf_model::{RdfGraph, Vocab};
+use rdf_model::{GraphAppender, RdfGraph, Vocab};
 use rdf_obs::Recorder;
 use rdf_store::BorrowedStoreReader;
 use std::path::Path;
@@ -48,7 +48,7 @@ pub struct Input<'p> {
 
 impl<'p> Input<'p> {
     /// Sniff `path` and open it: a store is mapped now, text is read
-    /// by [`Input::load_into`].
+    /// when the input is loaded.
     pub fn open(path: &'p Path) -> Result<Input<'p>, CliError> {
         let store = if is_store(path)? {
             Some(open_any(path)?)
@@ -58,18 +58,43 @@ impl<'p> Input<'p> {
         Ok(Input { path, store })
     }
 
-    /// Load the graph into the session vocabulary and release the
-    /// input. A store load emits `store.open` and `store.section`
-    /// spans into `rec` (N-Triples text loads are not instrumented).
+    /// Append the graph to `union` as its next part, with its labels
+    /// in the session vocabulary, and release the input; returns the
+    /// graph's node and triple counts. A store is appended column by
+    /// column ([`BorrowedStoreReader::append_into`]) and emits
+    /// `store.open`, `store.section` and `store.append` spans into
+    /// `rec`. N-Triples text is parsed into a graph, which is appended
+    /// and dropped (text loads are not instrumented).
+    pub fn append_into(
+        self,
+        vocab: &mut Vocab,
+        union: &mut GraphAppender,
+        rec: &Recorder,
+    ) -> Result<(usize, usize), CliError> {
+        match &self.store {
+            Some(reader) => reader
+                .append_into(vocab, union, rec)
+                .map_err(|e| ctx(self.path, e)),
+            None => {
+                let parsed = rdf_io::load_file(self.path, vocab)
+                    .map_err(|e| ctx(self.path, e))?;
+                union.append_graph(parsed.graph());
+                Ok((parsed.node_count(), parsed.triple_count()))
+            }
+        }
+    }
+
+    /// Load the graph on its own into the session vocabulary and
+    /// release the input: a store through
+    /// [`BorrowedStoreReader::read_graph_into`] (the append of
+    /// [`Input::append_into`] into an empty graph, plus its blank
+    /// names), text through the parser.
     pub fn load_into(
         self,
         vocab: &mut Vocab,
         rec: &Recorder,
     ) -> Result<RdfGraph, CliError> {
         match &self.store {
-            // Intern the mapped dictionary straight into the session
-            // vocabulary: one hash per label, nothing per node or
-            // triple.
             Some(reader) => reader
                 .read_graph_into(vocab, rec)
                 .map_err(|e| ctx(self.path, e)),
@@ -121,7 +146,7 @@ mod tests {
         rdf_io::save_file(&text, &g, &vocab).unwrap();
 
         let (_, direct) = open_any(&store).unwrap().read_graph().unwrap();
-        assert_eq!(direct.graph().triples(), g.graph().triples());
+        assert!(direct.graph().triples().eq(g.graph().triples()));
         let err = open_any(&dir.join("absent.rdfb")).unwrap_err();
         assert!(err.to_string().contains("absent.rdfb"), "got: {err}");
         let v1 = dir.join("v1.rdfb");
@@ -138,7 +163,7 @@ mod tests {
         let mut session = Vocab::new();
         let a = load_input(&store, &mut session).unwrap();
         let b = load_input(&text, &mut session).unwrap();
-        assert_eq!(a.graph().triples(), b.graph().triples());
+        assert!(a.graph().triples().eq(b.graph().triples()));
         assert_eq!(a.graph().labels_raw(), b.graph().labels_raw());
         let _ = std::fs::remove_dir_all(&dir);
     }

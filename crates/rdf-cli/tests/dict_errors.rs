@@ -1,18 +1,22 @@
 //! Every malformed `DICT` is a typed error through every entry point
 //! that reads it: the owned decode (`read_graph`), the direct join into
 //! a session vocabulary (`read_graph_into`, on a fresh and on a
-//! pre-populated session), the view (`read_view`) and the CLI loader
-//! (`load_input`, whose message names the file).
+//! pre-populated session), the view (`read_view`), the append into a
+//! union (`append_into`), the CLI loader (`load_input`) and `rdf
+//! align`, which loads both inputs straight into their union (the
+//! CLI's messages name the file). A `BNAM` or `TRPL` defect in a store
+//! with valid checksums is refused on the union path too.
 
-use rdf_model::{RdfGraphBuilder, Vocab};
+use rdf_align::Threads;
+use rdf_model::{GraphAppender, RdfGraphBuilder, Vocab};
 use rdf_obs::Recorder;
-use rdf_store::fixed::pad8;
+use rdf_store::fixed::{pad8, parse_fixed_body, FIXED_PREAMBLE};
 use rdf_store::varint::write_varint;
 use rdf_store::{
     graph_to_bytes, BorrowedStoreReader, Container, ContainerWriter,
     StoreBuf, StoreError,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A three-label store: `<s> <p> <o>`, dictionary ids 1, 2, 3.
 fn sample() -> Vec<u8> {
@@ -43,19 +47,55 @@ fn with_dict(entries: &[(u8, Option<&[u8]>)], header_count: u64) -> Vec<u8> {
         }
     }
     pad8(&mut dict);
-    let bytes = sample();
-    let c = Container::parse(&bytes).unwrap();
+    reframe(&sample(), b"DICT", &dict, Some(header_count))
+}
+
+/// `bytes` re-framed with valid checksums, section `tag` replaced by
+/// `body`, and the header's label count replaced when `labels` is set.
+fn reframe(
+    bytes: &[u8],
+    tag: &[u8; 4],
+    body: &[u8],
+    labels: Option<u64>,
+) -> Vec<u8> {
+    let c = Container::parse(bytes).unwrap();
     let mut w = ContainerWriter::new();
-    for (tag, payload) in c.sections() {
-        let body = if tag == b"DICT" { dict.clone() } else { payload.to_vec() };
-        w.section(*tag, body);
+    for (t, payload) in c.sections() {
+        let section = if t == tag { body.to_vec() } else { payload.to_vec() };
+        w.section(*t, section);
     }
     let mut counts = c.header().counts;
-    counts[0] = header_count;
+    if let Some(labels) = labels {
+        counts[0] = labels;
+    }
     let mut out = Vec::new();
     w.finish_versioned(&mut out, c.header().version, c.header().kind, counts)
         .unwrap();
     out
+}
+
+/// A fixed `TRPL` body with the records of every column in reverse
+/// order, so its triples descend.
+fn reversed_records(body: &[u8]) -> Vec<u8> {
+    let fb = parse_fixed_body(body, 3, None, "TRPL").unwrap();
+    let (width, len) = (fb.width as usize, fb.col_len);
+    let mut out = body.to_vec();
+    for c in 0..3 {
+        let start = FIXED_PREAMBLE + c * fb.col_stride;
+        let column = &mut out[start..start + len];
+        let records: Vec<u8> =
+            column.chunks(width).rev().flatten().copied().collect();
+        column.copy_from_slice(&records);
+    }
+    out
+}
+
+/// The CLI's error for `rdf align <path> <path>`.
+fn align_error(path: &Path) -> String {
+    match rdf_cli::align(path, path, "hybrid", None, Threads::Fixed(1)) {
+        Ok(_) => panic!("{} aligned", path.display()),
+        Err(e) => e.to_string(),
+    }
 }
 
 /// A session that already holds the sample's label `p`, so the `dup`
@@ -133,6 +173,13 @@ fn malformed_dictionaries_are_typed_errors_everywhere() {
                 &format!("read_graph_into({session})"),
                 reader.read_graph_into(&mut vocab, &rec),
             );
+            let mut union = GraphAppender::new();
+            assert_typed(
+                &case,
+                &format!("append_into({session})"),
+                reader.append_into(&mut vocab, &mut union, &rec),
+            );
+            assert_eq!(union.node_count(), 0, "{}: union changed", case.name);
         }
 
         let path: PathBuf = dir.join(format!("{}.rdfb", case.name));
@@ -148,6 +195,81 @@ fn malformed_dictionaries_are_typed_errors_everywhere() {
                 case.name
             );
         }
+        let msg = align_error(&path);
+        let kind = if case.truncated { "truncated" } else { "corrupt" };
+        assert!(
+            msg.contains(&format!("{}.rdfb", case.name)) && msg.contains(kind),
+            "{} via align: {msg}",
+            case.name
+        );
+    }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store whose `BNAM` names a node beyond the node count, and one
+/// whose `TRPL` records are not ascending, both re-framed with valid
+/// checksums: the union path (`append_into`, `rdf align`) refuses each
+/// with a typed error that names the defect, as the owned decode does,
+/// and leaves the union unchanged.
+#[test]
+fn bnam_and_trpl_defects_are_typed_errors_on_the_union_path() {
+    let dir = std::env::temp_dir()
+        .join(format!("rdf-cli-section-errors-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let mut vocab = Vocab::new();
+    let g = {
+        let mut b = RdfGraphBuilder::new(&mut vocab);
+        b.uuu("s", "p", "o");
+        b.uuu("o", "p", "s");
+        b.uub("s", "q", "x");
+        b.finish()
+    };
+    let bytes = graph_to_bytes(&vocab, &g).unwrap();
+
+    let mut bnam = Vec::new();
+    write_varint(&mut bnam, 1);
+    write_varint(&mut bnam, g.node_count() as u64 + 2);
+    write_varint(&mut bnam, 1);
+    bnam.push(b'x');
+    pad8(&mut bnam);
+
+    let trpl = {
+        let c = Container::parse(&bytes).unwrap();
+        reversed_records(c.section(*b"TRPL").unwrap())
+    };
+
+    for (name, tag, body, defect) in [
+        ("bnam", b"BNAM", bnam, "beyond node count"),
+        ("trpl", b"TRPL", trpl, "not strictly ascending"),
+    ] {
+        let bad = reframe(&bytes, tag, &body, None);
+        let reader = BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bad));
+        reader.info().expect("checksums are valid");
+        let typed = |got: Result<(), StoreError>, entry: &str| match got {
+            Err(StoreError::Corrupt(m)) if m.contains(defect) => {}
+            other => panic!("{name} via {entry}: got {other:?}"),
+        };
+        typed(reader.read_graph().map(drop), "read_graph");
+        let mut union = GraphAppender::new();
+        let rec = Recorder::disabled();
+        typed(
+            reader.append_into(&mut Vocab::new(), &mut union, &rec).map(drop),
+            "append_into",
+        );
+        assert_eq!(union.node_count(), 0, "{name}: union changed");
+
+        let path = dir.join(format!("{name}.rdfb"));
+        std::fs::write(&path, &bad).unwrap();
+        let msg = align_error(&path);
+        assert!(
+            msg.contains(&format!("{name}.rdfb"))
+                && msg.contains("corrupt")
+                && msg.contains(defect),
+            "{name} via align: {msg}"
+        );
     }
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -273,6 +273,15 @@ fn warm_cache_request_skips_store_open_entirely() {
         !warm_text.contains("store.open"),
         "warm trace must skip store.open: {warm_text}"
     );
+    // The union is built once, by the load: the cold trace has exactly
+    // one `align.union` span and the warm one none.
+    let unions = |text: &str| {
+        text.lines()
+            .filter(|l| l.contains(r#""name":"align.union""#))
+            .count()
+    };
+    assert_eq!(unions(&cold_text), 1, "cold trace: {cold_text}");
+    assert_eq!(unions(&warm_text), 0, "warm trace: {warm_text}");
     // The warm request still did real work — refinement spans present.
     assert!(
         warm_text.contains("refine.fixpoint"),

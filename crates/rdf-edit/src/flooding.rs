@@ -99,8 +99,8 @@ impl Flooding {
                         continue;
                     }
                     let w = s / (out_n.len() * out_m.len()) as f64;
-                    for &(p1, o1) in out_n {
-                        for &(p2, o2) in out_m {
+                    for (p1, o1) in out_n {
+                        for (p2, o2) in out_m {
                             if g.label(p1) != g.label(p2) {
                                 continue;
                             }

@@ -182,10 +182,10 @@ impl SigmaEdit {
         }
         let cost: Vec<Vec<f64>> = out_n
             .iter()
-            .map(|&(p1, o1)| {
+            .map(|(p1, o1)| {
                 out_m
                     .iter()
-                    .map(|&(p2, o2)| {
+                    .map(|(p2, o2)| {
                         oplus(self.distance(p1, p2), self.distance(o1, o2))
                     })
                     .collect()

@@ -42,7 +42,8 @@ pub mod union;
 pub mod view;
 
 pub use graph::{
-    GraphBuilder, NodeId, OutColumns, RawPartsError, Triple, TripleGraph,
+    GraphAppender, GraphBuilder, NodeId, OutColumns, OutEdges, OutIter,
+    RawPartsError, Triple, TripleGraph, Triples,
 };
 pub use view::{
     label_ids_from_le_bytes, node_ids_from_le_bytes, u32s_from_le_bytes,

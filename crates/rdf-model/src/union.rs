@@ -5,9 +5,10 @@
 //! from, which the alignment machinery needs to decide "unaligned" status
 //! (a node of one graph whose class contains no node of the opposite graph).
 
-use crate::graph::{GraphBuilder, NodeId, TripleGraph};
+use crate::graph::{GraphAppender, NodeId, TripleGraph};
 use crate::label::Vocab;
 use crate::rdf::RdfGraph;
+use std::sync::Arc;
 
 /// Which version a node of the combined graph originates from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,9 +30,13 @@ impl Side {
 }
 
 /// The combined graph `G1 ⊎ G2` with provenance.
+///
+/// The graph sits behind an [`Arc`], so a clone is cheap: a held union
+/// (the daemon's session) is shared with every alignment of it rather
+/// than rebuilt.
 #[derive(Debug, Clone)]
 pub struct CombinedGraph {
-    graph: TripleGraph,
+    graph: Arc<TripleGraph>,
     /// Number of nodes contributed by the source version; nodes
     /// `0..n1` are source, `n1..` are target.
     n1: u32,
@@ -44,36 +49,35 @@ impl CombinedGraph {
         Self::union_graphs(vocab, g1.graph(), g2.graph())
     }
 
-    /// Disjoint union of raw triple graphs sharing a vocabulary.
+    /// Disjoint union of raw triple graphs sharing a vocabulary: `g1`
+    /// appended, then `g2` (see [`GraphAppender`]).
     pub fn union_graphs(
-        vocab: &Vocab,
+        _vocab: &Vocab,
         g1: &TripleGraph,
         g2: &TripleGraph,
     ) -> Self {
-        let n1 = g1.node_count() as u32;
-        let mut b = GraphBuilder::with_capacity(
-            g1.node_count() + g2.node_count(),
-            g1.triple_count() + g2.triple_count(),
+        let mut b = GraphAppender::new();
+        b.append_graph(g1);
+        b.append_graph(g2);
+        Self::from_parts(b.finish(), g1.node_count())
+    }
+
+    /// The union held by `graph`, whose first `source_len` nodes are
+    /// the source version's and the rest the target's: a graph built by
+    /// appending the source, then the target, to one [`GraphAppender`].
+    ///
+    /// # Panics
+    ///
+    /// If `source_len` exceeds the graph's node count.
+    pub fn from_parts(graph: TripleGraph, source_len: usize) -> Self {
+        assert!(
+            source_len <= graph.node_count(),
+            "source of {source_len} nodes in a union of {}",
+            graph.node_count()
         );
-        for n in g1.nodes() {
-            b.add_node(g1.label(n), vocab);
-        }
-        for n in g2.nodes() {
-            b.add_node(g2.label(n), vocab);
-        }
-        for t in g1.triples() {
-            b.add_triple(t.s, t.p, t.o);
-        }
-        for t in g2.triples() {
-            b.add_triple(
-                NodeId(t.s.0 + n1),
-                NodeId(t.p.0 + n1),
-                NodeId(t.o.0 + n1),
-            );
-        }
         CombinedGraph {
-            graph: b.freeze(),
-            n1,
+            graph: Arc::new(graph),
+            n1: source_len as u32,
         }
     }
 

@@ -19,7 +19,9 @@
 //! little-endian targets (big-endian callers get `None` and fall back
 //! to widening).
 
-use crate::graph::{NodeId, OutColumns, RawPartsError, Triple, TripleGraph};
+use crate::graph::{
+    GraphAppender, NodeId, OutColumns, RawPartsError, Triple, TripleGraph,
+};
 use crate::label::{LabelId, LabelKind};
 use std::borrow::Cow;
 
@@ -70,8 +72,8 @@ pub fn label_ids_from_le_bytes(bytes: &[u8]) -> Option<&[LabelId]> {
 /// from an external buffer (a mapped or owned store image) instead of
 /// owning copies.
 ///
-/// Compared to a resident [`TripleGraph`] the view keeps no
-/// `Vec<Triple>` and no `(p, o)` pair array: the columns *are* the
+/// It has the layout of a resident [`TripleGraph`] plus the store's
+/// subject column: the predicate and object columns *are* the
 /// adjacency, and the only always-owned pieces are the `n + 1` CSR
 /// offsets (rebuilt in one counting pass over the subject column) and
 /// the per-node kind array. [`TripleGraphView::out_columns`] serves
@@ -99,40 +101,13 @@ impl<'a> TripleGraphView<'a> {
         preds: Cow<'a, [NodeId]>,
         objs: Cow<'a, [NodeId]>,
     ) -> Result<TripleGraphView<'a>, ViewError> {
-        if labels.len() != kinds.len() {
-            return Err(ViewError::Raw(RawPartsError::LengthMismatch {
-                labels: labels.len(),
-                kinds: kinds.len(),
-            }));
-        }
-        let e = subjects.len();
-        if preds.len() != e || objs.len() != e {
-            return Err(ViewError::ColumnLengthMismatch {
-                subjects: e,
-                preds: preds.len(),
-                objs: objs.len(),
-            });
-        }
-        let n = labels.len() as u32;
-        for j in 0..e {
-            for node in [subjects[j], preds[j], objs[j]] {
-                if node.0 >= n {
-                    return Err(ViewError::Raw(
-                        RawPartsError::NodeOutOfRange {
-                            node: node.0,
-                            nodes: n,
-                        },
-                    ));
-                }
-            }
-            if j > 0 {
-                let prev = (subjects[j - 1], preds[j - 1], objs[j - 1]);
-                let cur = (subjects[j], preds[j], objs[j]);
-                if prev >= cur {
-                    return Err(ViewError::Unsorted { at: j });
-                }
-            }
-        }
+        check_sorted_columns(
+            labels.len(),
+            kinds.len(),
+            &subjects,
+            &preds,
+            &objs,
+        )?;
         let mut offsets = vec![0u32; labels.len() + 1];
         for &s in subjects.iter() {
             offsets[s.index() + 1] += 1;
@@ -212,12 +187,8 @@ impl<'a> TripleGraphView<'a> {
     /// (the triple sort order groups each subject's edges contiguously
     /// and sorted — exactly the [`TripleGraph::out_columns`] layout).
     pub fn out_columns(&self) -> OutColumns<'_> {
-        OutColumns::from_parts(
-            Cow::Borrowed(self.offsets.as_slice()),
-            Cow::Borrowed(&*self.preds),
-            Cow::Borrowed(&*self.objs),
-        )
-        .expect("view CSR validated on construction")
+        OutColumns::from_parts(&self.offsets, &self.preds, &self.objs)
+            .expect("view CSR validated on construction")
     }
 
     /// Heap bytes the view keeps resident (owned columns, kinds and
@@ -243,18 +214,67 @@ impl<'a> TripleGraphView<'a> {
     /// Materialise a resident [`TripleGraph`] — bit-identical to
     /// loading the same store through the owned decode path.
     pub fn to_graph(&self) -> TripleGraph {
-        let triples: Vec<Triple> =
-            (0..self.triple_count()).map(|j| self.triple(j)).collect();
-        TripleGraph::from_raw_parts(
+        let mut g = GraphAppender::new();
+        g.append_columns(
             self.labels.to_vec(),
             self.kinds.clone(),
-            triples,
+            &self.subjects,
+            &self.preds,
+            &self.objs,
         )
-        .expect("view columns validated on construction")
+        .expect("view columns validated on construction");
+        g.finish()
     }
 }
 
-/// Inconsistency detected by [`TripleGraphView::from_sorted_columns`].
+/// The checks of a graph given as sorted triple columns: one kind per
+/// label, three columns of equal length, every node id below `nodes`,
+/// and the `(s, p, o)` sequence strictly ascending (sorted *and*
+/// duplicate-free — the on-disk contract).
+pub(crate) fn check_sorted_columns(
+    nodes: usize,
+    kinds: usize,
+    subjects: &[NodeId],
+    preds: &[NodeId],
+    objs: &[NodeId],
+) -> Result<(), ViewError> {
+    if nodes != kinds {
+        return Err(ViewError::Raw(RawPartsError::LengthMismatch {
+            labels: nodes,
+            kinds,
+        }));
+    }
+    let e = subjects.len();
+    if preds.len() != e || objs.len() != e {
+        return Err(ViewError::ColumnLengthMismatch {
+            subjects: e,
+            preds: preds.len(),
+            objs: objs.len(),
+        });
+    }
+    let n = nodes as u32;
+    for j in 0..e {
+        for node in [subjects[j], preds[j], objs[j]] {
+            if node.0 >= n {
+                return Err(ViewError::Raw(RawPartsError::NodeOutOfRange {
+                    node: node.0,
+                    nodes: n,
+                }));
+            }
+        }
+        if j > 0 {
+            let prev = (subjects[j - 1], preds[j - 1], objs[j - 1]);
+            let cur = (subjects[j], preds[j], objs[j]);
+            if prev >= cur {
+                return Err(ViewError::Unsorted { at: j });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Inconsistency detected by [`TripleGraphView::from_sorted_columns`]
+/// and [`GraphAppender::append_columns`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewError {
     /// A violation [`TripleGraph::from_raw_parts`] also detects.
@@ -323,9 +343,9 @@ mod tests {
 
     fn view_of(g: &TripleGraph) -> TripleGraphView<'static> {
         let (s, p, o): (Vec<NodeId>, Vec<NodeId>, Vec<NodeId>) = (
-            g.triples().iter().map(|t| t.s).collect(),
-            g.triples().iter().map(|t| t.p).collect(),
-            g.triples().iter().map(|t| t.o).collect(),
+            g.triples().map(|t| t.s).collect(),
+            g.triples().map(|t| t.p).collect(),
+            g.triples().map(|t| t.o).collect(),
         );
         TripleGraphView::from_sorted_columns(
             Cow::Owned(g.labels_raw().to_vec()),
@@ -381,8 +401,8 @@ mod tests {
         assert_eq!(v.triple_count(), g.triple_count());
         assert_eq!(v.labels(), g.labels_raw());
         assert_eq!(v.kinds(), g.kinds_raw());
-        for (j, t) in g.triples().iter().enumerate() {
-            assert_eq!(v.triple(j), *t);
+        for (j, t) in g.triples().enumerate() {
+            assert_eq!(v.triple(j), t);
         }
         // The CSR view agrees edge for edge with the resident graph's.
         let vc = v.out_columns();
@@ -390,11 +410,9 @@ mod tests {
         assert_eq!(vc.offsets(), gc.offsets());
         assert_eq!(vc.preds(), gc.preds());
         assert_eq!(vc.objs(), gc.objs());
-        assert!(vc.is_fully_borrowed());
-        assert!(!gc.is_fully_borrowed());
         // Materialisation rebuilds the identical graph.
         let g2 = v.to_graph();
-        assert_eq!(g2.triples(), g.triples());
+        assert!(g2.triples().eq(g.triples()));
         assert_eq!(g2.labels_raw(), g.labels_raw());
         assert!(v.resident_bytes() > 0);
     }
@@ -403,9 +421,9 @@ mod tests {
     fn view_rejects_malformed_columns() {
         let g = sample();
         // Unsorted (first and last subject swapped breaks the order).
-        let mut s: Vec<NodeId> = g.triples().iter().map(|t| t.s).collect();
-        let p: Vec<NodeId> = g.triples().iter().map(|t| t.p).collect();
-        let o: Vec<NodeId> = g.triples().iter().map(|t| t.o).collect();
+        let mut s: Vec<NodeId> = g.triples().map(|t| t.s).collect();
+        let p: Vec<NodeId> = g.triples().map(|t| t.p).collect();
+        let o: Vec<NodeId> = g.triples().map(|t| t.o).collect();
         let last = s.len() - 1;
         s.swap(0, last);
         let err = TripleGraphView::from_sorted_columns(

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use rdf_model::{
-    CombinedGraph, GraphBuilder, LabelId, NodeId, RdfGraphBuilder, Side,
-    Triple, Vocab,
+    CombinedGraph, GraphAppender, GraphBuilder, LabelId, NodeId,
+    RdfGraphBuilder, Side, Triple, TripleGraph, Vocab,
 };
 
 fn arb_spec() -> impl Strategy<Value = (usize, Vec<(u8, u8, u8)>)> {
@@ -17,6 +17,25 @@ fn arb_spec() -> impl Strategy<Value = (usize, Vec<(u8, u8, u8)>)> {
             ),
         )
     })
+}
+
+/// A graph of `n` nodes (every third blank, the rest URIs) with the
+/// given triples, through the sorting builder.
+fn graph_of(n: usize, triples: &[(u8, u8, u8)]) -> TripleGraph {
+    let mut vocab = Vocab::new();
+    let mut b = GraphBuilder::new();
+    for i in 0..n {
+        let l = if i % 3 == 0 {
+            LabelId::BLANK
+        } else {
+            vocab.uri(&format!("u{i}"))
+        };
+        b.add_node(l, &vocab);
+    }
+    for &(s, p, o) in triples {
+        b.add_triple(NodeId(s as u32), NodeId(p as u32), NodeId(o as u32));
+    }
+    b.freeze()
 }
 
 proptest! {
@@ -43,19 +62,135 @@ proptest! {
         // triple count.
         let mut total = 0;
         for node in g.nodes() {
-            let out = g.out(node);
+            let out: Vec<(NodeId, NodeId)> = g.out(node).iter().collect();
             total += out.len();
             prop_assert!(out.windows(2).all(|w| w[0] <= w[1]), "sorted");
-            for &(p, o) in out {
+            for &(p, o) in &out {
                 prop_assert!(g.has_triple(node, p, o));
             }
         }
         prop_assert_eq!(total, g.triple_count());
         // Deduplication: triple list is strictly increasing.
-        prop_assert!(g
-            .triples()
-            .windows(2)
-            .all(|w| w[0] < w[1]));
+        let triples: Vec<Triple> = g.triples().collect();
+        prop_assert!(triples.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// Every read of the CSR columns — `triples()`, `out(n)`,
+    /// `out_degree(n)`, `has_triple` and `out_columns()` — agrees with
+    /// a sorted, deduplicated `Vec<Triple>` of the same edges.
+    #[test]
+    fn triple_graph_agrees_with_sorted_reference((n, spec) in arb_spec()) {
+        let g = graph_of(n, &spec);
+        let mut reference: Vec<Triple> = spec
+            .iter()
+            .map(|&(s, p, o)| {
+                let id = |i: u8| NodeId(i as u32);
+                Triple::new(id(s), id(p), id(o))
+            })
+            .collect();
+        reference.sort_unstable();
+        reference.dedup();
+        prop_assert_eq!(g.triples().len(), reference.len());
+        prop_assert_eq!(g.triples().collect::<Vec<_>>(), reference.clone());
+        let cols = g.out_columns();
+        prop_assert_eq!(cols.offsets().len(), n + 1);
+        prop_assert_eq!(cols.len(), reference.len());
+        for node in g.nodes() {
+            let expect: Vec<(NodeId, NodeId)> = reference
+                .iter()
+                .filter(|t| t.s == node)
+                .map(|t| (t.p, t.o))
+                .collect();
+            let out: Vec<(NodeId, NodeId)> = g.out(node).iter().collect();
+            prop_assert_eq!(out, expect.clone());
+            prop_assert_eq!(g.out(node).len(), expect.len());
+            prop_assert_eq!(g.out_degree(node), expect.len());
+            let from_cols: Vec<(NodeId, NodeId)> = cols
+                .range(node)
+                .map(|j| (cols.preds()[j], cols.objs()[j]))
+                .collect();
+            prop_assert_eq!(from_cols, expect);
+        }
+        for s in g.nodes() {
+            for p in g.nodes() {
+                for o in g.nodes() {
+                    prop_assert_eq!(
+                        g.has_triple(s, p, o),
+                        reference.binary_search(&Triple::new(s, p, o)).is_ok()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Appending two parts — one as checked columns, one as a graph —
+    /// gives the graph a sorting builder makes of both parts' triples
+    /// with the second part's ids offset; a part whose triples are not
+    /// ascending is refused and leaves the appender unchanged.
+    #[test]
+    fn appender_concatenates_sorted_parts(
+        (n1, t1) in arb_spec(),
+        (n2, t2) in arb_spec(),
+    ) {
+        let (g1, g2) = (graph_of(n1, &t1), graph_of(n2, &t2));
+        let column = |pick: fn(&Triple) -> NodeId| -> Vec<NodeId> {
+            g1.triples().map(|t| pick(&t)).collect()
+        };
+        let (s, p, o) = (column(|t| t.s), column(|t| t.p), column(|t| t.o));
+        let mut appended = GraphAppender::new();
+        appended
+            .append_columns(
+                g1.labels_raw().to_vec(),
+                g1.kinds_raw().to_vec(),
+                &s,
+                &p,
+                &o,
+            )
+            .unwrap();
+        if s.len() > 1 {
+            let mut back = s.clone();
+            back.reverse();
+            let mut pr = p.clone();
+            pr.reverse();
+            let mut or = o.clone();
+            or.reverse();
+            prop_assert!(appended
+                .append_columns(
+                    g1.labels_raw().to_vec(),
+                    g1.kinds_raw().to_vec(),
+                    &back,
+                    &pr,
+                    &or,
+                )
+                .is_err());
+            prop_assert_eq!(appended.node_count(), n1);
+        }
+        appended.append_graph(&g2);
+        let g = appended.finish();
+
+        let shift = |t: Triple| {
+            Triple::new(
+                NodeId(t.s.0 + n1 as u32),
+                NodeId(t.p.0 + n1 as u32),
+                NodeId(t.o.0 + n1 as u32),
+            )
+        };
+        let mut scrambled: Vec<Triple> =
+            g1.triples().chain(g2.triples().map(shift)).collect();
+        scrambled.reverse();
+        let sorted = TripleGraph::from_raw_parts(
+            [g1.labels_raw(), g2.labels_raw()].concat(),
+            [g1.kinds_raw(), g2.kinds_raw()].concat(),
+            scrambled,
+        )
+        .unwrap();
+        prop_assert_eq!(g.labels_raw(), sorted.labels_raw());
+        prop_assert_eq!(g.kinds_raw(), sorted.kinds_raw());
+        prop_assert_eq!(
+            g.out_columns().offsets(),
+            sorted.out_columns().offsets()
+        );
+        prop_assert!(g.triples().eq(sorted.triples()));
     }
 
     /// Union bookkeeping: side, locals, and triple counts add up.

@@ -6,17 +6,20 @@
 //! `NODE`/`TRPL` columns are read straight from it. Every column is
 //! **borrowed from the file bytes** when it is 4 bytes wide on a
 //! little-endian host; narrower columns are widened into owned
-//! vectors. Three entry points share those checked columns:
+//! vectors. Four entry points share those checked columns:
 //!
 //! * [`BorrowedStoreReader::info`] — header, section sizes and the load
 //!   mode, for `rdf info`;
 //! * [`BorrowedStoreReader::view_in`] — a [`TripleGraphView`] whose
 //!   columns borrow from the buffer, for `rdf info --bisim`; it walks
 //!   `DICT` for the label kinds and interns nothing;
-//! * [`BorrowedStoreReader::read_graph_into`] — the columns plus
-//!   `BNAM` decoded into an owned [`RdfGraph`] whose labels are
-//!   interned straight into a caller's [`Vocab`], for `align`
-//!   (one-shot and served) and `export`.
+//! * [`BorrowedStoreReader::append_into`] — the columns appended to a
+//!   [`GraphAppender`] (the union of two versions), with labels
+//!   interned straight into a caller's [`Vocab`] and `BNAM` checked
+//!   but not kept, for `align` (one-shot and served);
+//! * [`BorrowedStoreReader::read_graph_into`] — the same append into an
+//!   empty appender, plus `BNAM` decoded, as an owned [`RdfGraph`], for
+//!   `export`.
 //!
 //! A caller that needs both the summary and the view (as `rdf info
 //! --bisim` does) parses once with [`BorrowedStoreReader::container`]
@@ -35,12 +38,12 @@ use crate::error::StoreError;
 use crate::fixed::{fixed_column, parse_fixed_body, widen_column, FixedBody};
 use crate::graph_store::{
     decode_bnam, dict_entry, dict_section_kinds, join_dict_section,
-    section_span, TAG_BNAM, TAG_DICT, TAG_NODE, TAG_TRPL,
+    section_span, walk_bnam, TAG_BNAM, TAG_DICT, TAG_NODE, TAG_TRPL,
 };
 use crate::mmap::StoreBuf;
 use rdf_model::{
-    label_ids_from_le_bytes, node_ids_from_le_bytes, LabelId, NodeId,
-    RdfGraph, Triple, TripleGraph, TripleGraphView, Vocab,
+    label_ids_from_le_bytes, node_ids_from_le_bytes, GraphAppender, LabelId,
+    LabelKind, NodeId, RdfGraph, TripleGraphView, ViewError, Vocab,
 };
 use rdf_obs::Recorder;
 use rdf_par::Threads;
@@ -156,7 +159,7 @@ struct Columns<'a> {
 /// assert_eq!(view.labels(), g.graph().labels_raw());
 /// assert!(vocab2.find_uri("address").is_some());
 /// let (_, owned) = reader.read_graph().unwrap();
-/// assert_eq!(owned.graph().triples(), g.graph().triples());
+/// assert!(owned.graph().triples().eq(g.graph().triples()));
 /// ```
 ///
 /// A view cannot outlive its reader (and thus its mapping) — this does
@@ -284,18 +287,14 @@ impl BorrowedStoreReader {
     }
 
     /// Load the graph with its labels interned straight into `vocab`,
-    /// the session vocabulary: the mapped `DICT` is walked as borrowed
-    /// text, each entry is interned with one hash, and the `NODE`
-    /// column is rewritten through the resulting id map. The graph
+    /// the session vocabulary: [`BorrowedStoreReader::append_into`] run
+    /// on an empty [`GraphAppender`], plus the `BNAM` names. The graph
     /// equals [`rdf_model::rebase_into`] of [`read_graph`] into the same
     /// vocabulary, without building the store's own vocabulary first.
     ///
-    /// Emits one `store.open` span (the container parse: framing plus
-    /// every section CRC) and one `store.section` span per section
-    /// body; the `DICT` span carries `labels_new` and `labels_shared`.
-    /// Every check of the owned decode applies, each a typed
-    /// [`StoreError`]. On error `vocab` keeps any labels interned
-    /// before the error was found.
+    /// Emits the spans of [`BorrowedStoreReader::append_into`]. Every
+    /// check applies, each a typed [`StoreError`]. On error `vocab`
+    /// keeps any labels interned before the error was found.
     ///
     /// [`read_graph`]: BorrowedStoreReader::read_graph
     pub fn read_graph_into(
@@ -304,7 +303,74 @@ impl BorrowedStoreReader {
         rec: &Recorder,
     ) -> Result<RdfGraph, StoreError> {
         let c = self.container(rec)?;
-        let dict_body = graph_section(&c, TAG_DICT)?;
+        let part = Part::load(&c, vocab, rec)?;
+        let nodes = part.labels.len();
+        let mut graph = GraphAppender::new();
+        part.append_to(&mut graph, rec)?;
+        let bnam_body = c.section(TAG_BNAM)?;
+        let blank_names = {
+            let _sp = section_span(rec, "BNAM", bnam_body.len());
+            decode_bnam(bnam_body, nodes)?
+        };
+        Ok(RdfGraph::from_raw_parts(graph.finish(), blank_names))
+    }
+
+    /// Append the graph to `union` as its next part, with its labels
+    /// interned straight into `vocab`, the session vocabulary: the
+    /// mapped `DICT` is walked as borrowed text, each entry is interned
+    /// with one hash, the `NODE` column is rewritten through the
+    /// resulting id map, and the `TRPL` columns are checked (ids in
+    /// range, triples strictly ascending) and appended with no sort.
+    /// Returns the part's node and triple counts.
+    ///
+    /// `BNAM` is walked with every check [`read_graph`] makes, but no
+    /// name is kept: blank names are document-local, and nothing an
+    /// alignment reports reads them.
+    ///
+    /// Emits one `store.open` span (the container parse: framing plus
+    /// every section CRC), one `store.section` span per section body
+    /// (the `DICT` span carries `labels_new` and `labels_shared`) and
+    /// one `store.append` span. Every check is a typed [`StoreError`],
+    /// made before `union` changes: on error `union` is unchanged, and
+    /// `vocab` keeps any labels interned before the error was found.
+    ///
+    /// [`read_graph`]: BorrowedStoreReader::read_graph
+    pub fn append_into(
+        &self,
+        vocab: &mut Vocab,
+        union: &mut GraphAppender,
+        rec: &Recorder,
+    ) -> Result<(usize, usize), StoreError> {
+        let c = self.container(rec)?;
+        let part = Part::load(&c, vocab, rec)?;
+        let counts = (part.labels.len(), part.spo[0].len());
+        let bnam_body = c.section(TAG_BNAM)?;
+        {
+            let _sp = section_span(rec, "BNAM", bnam_body.len());
+            walk_bnam(bnam_body, counts.0, |_, _| {})?;
+        }
+        part.append_to(union, rec)?;
+        Ok(counts)
+    }
+}
+
+/// One store's graph ready to append: its labels joined into the
+/// session vocabulary, their kinds, and its `TRPL` columns.
+struct Part<'a> {
+    labels: Vec<LabelId>,
+    kinds: Vec<LabelKind>,
+    spo: [Cow<'a, [NodeId]>; 3],
+}
+
+impl<'a> Part<'a> {
+    /// Join the `DICT` into `vocab` and rewrite the `NODE` column
+    /// through the join map.
+    fn load(
+        c: &Container<'a>,
+        vocab: &mut Vocab,
+        rec: &Recorder,
+    ) -> Result<Part<'a>, StoreError> {
+        let dict_body = graph_section(c, TAG_DICT)?;
         let map = {
             let mut sp = section_span(rec, "DICT", dict_body.len());
             let join =
@@ -315,8 +381,8 @@ impl BorrowedStoreReader {
         };
         let Columns {
             labels: store_labels,
-            spo: [s, p, o],
-        } = columns(&c, rec)?;
+            spo,
+        } = columns(c, rec)?;
         let mut labels = Vec::with_capacity(store_labels.len());
         let mut kinds = Vec::with_capacity(store_labels.len());
         for &l in store_labels.iter() {
@@ -324,27 +390,31 @@ impl BorrowedStoreReader {
             labels.push(id);
             kinds.push(vocab.kind(id));
         }
-        drop((store_labels, map));
-        let mut triples = Vec::with_capacity(s.len());
-        for j in 0..s.len() {
-            let t = Triple::new(s[j], p[j], o[j]);
-            if triples.last().is_some_and(|prev| *prev >= t) {
-                return Err(StoreError::Corrupt(format!(
-                    "fixed TRPL section: triples not strictly ascending \
-                     at record {j}"
-                )));
-            }
-            triples.push(t);
+        Ok(Part { labels, kinds, spo })
+    }
+
+    /// Check the `TRPL` columns and append the part, inside one
+    /// `store.append` span.
+    fn append_to(
+        self,
+        union: &mut GraphAppender,
+        rec: &Recorder,
+    ) -> Result<(), StoreError> {
+        let mut sp = rec.span("store.append");
+        if sp.enabled() {
+            sp.field("nodes", self.labels.len());
+            sp.field("triples", self.spo[0].len());
         }
-        drop((s, p, o));
-        let graph = TripleGraph::from_raw_parts(labels, kinds, triples)
-            .map_err(|e| StoreError::Corrupt(e.to_string()))?;
-        let bnam_body = c.section(TAG_BNAM)?;
-        let blank_names = {
-            let _sp = section_span(rec, "BNAM", bnam_body.len());
-            decode_bnam(bnam_body, graph.node_count())?
-        };
-        Ok(RdfGraph::from_raw_parts(graph, blank_names))
+        let [s, p, o] = &self.spo;
+        union
+            .append_columns(self.labels, self.kinds, s, p, o)
+            .map_err(|e| match e {
+                ViewError::Unsorted { at } => StoreError::Corrupt(format!(
+                    "fixed TRPL section: triples not strictly ascending \
+                     at record {at}"
+                )),
+                e => StoreError::Corrupt(e.to_string()),
+            })
     }
 }
 
@@ -456,8 +526,8 @@ mod tests {
         assert_eq!(view.triple_count(), g.triple_count());
         assert_eq!(view.labels(), g.graph().labels_raw());
         assert_eq!(view.kinds(), g.graph().kinds_raw());
-        assert_eq!(view.to_graph().triples(), g.graph().triples());
-        assert_eq!(owned.graph().triples(), g.graph().triples());
+        assert!(view.to_graph().triples().eq(g.graph().triples()));
+        assert!(owned.graph().triples().eq(g.graph().triples()));
         assert_eq!(owned.graph().labels_raw(), view.labels());
         assert_eq!(v2.len(), owned_v.len());
         // Small ids -> width 1/2 -> widen, never borrow.
@@ -502,7 +572,7 @@ mod tests {
             "width-4 LE columns must borrow from the buffer"
         );
         assert_eq!(reader.info().unwrap().mode, Some(LoadMode::Borrow));
-        assert_eq!(view.to_graph().triples(), g.graph().triples());
+        assert!(view.to_graph().triples().eq(g.graph().triples()));
         // Borrowed columns keep almost nothing resident: well under the
         // 12 bytes/triple the owned triple vector alone would cost.
         assert!(
@@ -512,7 +582,7 @@ mod tests {
             view.triple_count()
         );
         let (_, owned) = reader.read_graph().unwrap();
-        assert_eq!(owned.graph().triples(), g.graph().triples());
+        assert!(owned.graph().triples().eq(g.graph().triples()));
     }
 
     #[test]

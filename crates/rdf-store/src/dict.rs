@@ -197,7 +197,7 @@ pub fn read_dict(buf: &[u8], pos: &mut usize) -> Result<Vocab, StoreError> {
 
 /// Read a varint length-prefixed UTF-8 string in place, with checked
 /// bounds.
-fn read_str<'a>(
+pub(crate) fn read_str<'a>(
     buf: &'a [u8],
     pos: &mut usize,
     what: &'static str,

@@ -26,7 +26,7 @@
 //! else is a typed corruption error.
 
 use crate::error::StoreError;
-use rdf_model::{LabelId, Triple};
+use rdf_model::{LabelId, OutColumns};
 
 /// Valid fixed-column widths in bytes.
 pub const FIXED_WIDTHS: [u8; 3] = [1, 2, 4];
@@ -109,24 +109,32 @@ pub fn encode_node_fixed_into(out: &mut Vec<u8>, labels: &[LabelId]) {
 }
 
 /// Encode a fixed `TRPL` body (three padded columns) into `out`
-/// (cleared first). Triples must already be strictly ascending — the
-/// in-memory invariant of every graph this crate persists.
-pub fn encode_trpl_fixed_into(out: &mut Vec<u8>, triples: &[Triple]) {
+/// (cleared first) from a graph's CSR columns: their `(s, p, o)` order
+/// is the strictly ascending triple order every stored graph keeps.
+/// The subject column repeats each node id once per out-edge.
+pub fn encode_trpl_fixed_into(out: &mut Vec<u8>, cols: &OutColumns<'_>) {
     out.clear();
-    let max = triples
+    let offsets = cols.offsets();
+    let last_subject = offsets.windows(2).rposition(|w| w[0] < w[1]);
+    let max = cols
+        .preds()
         .iter()
-        .map(|t| t.s.0.max(t.p.0).max(t.o.0))
+        .chain(cols.objs())
+        .map(|n| n.0)
+        .chain(last_subject.map(|s| s as u32))
         .max()
         .unwrap_or(0);
     let width = width_for(max);
-    push_preamble(out, triples.len(), width, 3);
-    for pick in [
-        |t: &Triple| t.s.0,
-        |t: &Triple| t.p.0,
-        |t: &Triple| t.o.0,
-    ] {
-        for t in triples {
-            push_id(out, pick(t), width);
+    push_preamble(out, cols.len(), width, 3);
+    for (s, w) in offsets.windows(2).enumerate() {
+        for _ in w[0]..w[1] {
+            push_id(out, s as u32, width);
+        }
+    }
+    pad8(out);
+    for column in [cols.preds(), cols.objs()] {
+        for id in column {
+            push_id(out, id.0, width);
         }
         pad8(out);
     }
@@ -246,10 +254,25 @@ pub fn widen_column(col: &[u8], width: u8) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_model::NodeId;
+    use rdf_model::{LabelKind, NodeId, Triple, TripleGraph};
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
         Triple::new(NodeId(s), NodeId(p), NodeId(o))
+    }
+
+    /// A graph holding exactly `triples`, on just enough nodes.
+    fn graph_of(triples: &[Triple]) -> TripleGraph {
+        let n = triples
+            .iter()
+            .map(|t| t.s.0.max(t.p.0).max(t.o.0) as usize + 1)
+            .max()
+            .unwrap_or(0);
+        TripleGraph::from_raw_parts(
+            vec![LabelId::BLANK; n],
+            vec![LabelKind::Blank; n],
+            triples.to_vec(),
+        )
+        .unwrap()
     }
 
     /// Read a fixed `NODE` body back through the reader's helpers.
@@ -315,7 +338,7 @@ mod tests {
             sorted.sort_unstable();
             sorted.dedup();
             let mut body = Vec::new();
-            encode_trpl_fixed_into(&mut body, &sorted);
+            encode_trpl_fixed_into(&mut body, &graph_of(&sorted).out_columns());
             assert_eq!(body.len() % 8, 0);
             assert_eq!(body.capacity(), body.len(), "exact reservation");
             let back =
@@ -323,7 +346,7 @@ mod tests {
             assert_eq!(back, sorted);
         }
         let mut empty = Vec::new();
-        encode_trpl_fixed_into(&mut empty, &[]);
+        encode_trpl_fixed_into(&mut empty, &graph_of(&[]).out_columns());
         assert_eq!(decode_trpl(&empty, Some(0)).unwrap(), vec![]);
     }
 
@@ -338,9 +361,9 @@ mod tests {
 
     #[test]
     fn corruption_is_typed() {
-        let sorted = vec![t(0, 1, 2), t(1, 0, 300)];
+        let sorted = [t(0, 1, 2), t(1, 0, 300)];
         let mut body = Vec::new();
-        encode_trpl_fixed_into(&mut body, &sorted);
+        encode_trpl_fixed_into(&mut body, &graph_of(&sorted).out_columns());
 
         // Bad width byte.
         let mut bad = body.clone();

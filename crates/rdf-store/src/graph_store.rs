@@ -21,7 +21,7 @@
 use crate::borrowed::BorrowedStoreReader;
 use crate::container::{ContainerWriter, KIND_GRAPH, FORMAT_VERSION_FIXED};
 use crate::dict::{
-    intern_entries, read_string, write_dict, DictEntries, DictJoin,
+    intern_entries, read_str, write_dict, DictEntries, DictJoin,
 };
 use crate::error::StoreError;
 use crate::fixed::{
@@ -88,7 +88,7 @@ impl<W: Write> StoreWriter<W> {
         drop(remapped);
 
         let mut trpl = Vec::new();
-        encode_trpl_fixed_into(&mut trpl, g.triples());
+        encode_trpl_fixed_into(&mut trpl, &g.out_columns());
 
         let mut names: Vec<(NodeId, &str)> = graph
             .blank_names()
@@ -128,15 +128,17 @@ impl<W: Write> StoreWriter<W> {
     }
 }
 
-/// Decode a `BNAM` body into the blank-name map; node ids must stay
-/// within `node_count`, and the body ends in the pad-to-8 tail.
-pub(crate) fn decode_bnam(
-    bnam: &[u8],
+/// Walk a `BNAM` body, handing each blank node's id and name to
+/// `visit` in id order, without allocating. Every check of the body is
+/// made here: the varint framing, node ids strictly ascending (so none
+/// repeats) and below `node_count`, UTF-8 names, and the pad-to-8 tail.
+pub(crate) fn walk_bnam<'a>(
+    bnam: &'a [u8],
     node_count: usize,
-) -> Result<FxHashMap<NodeId, String>, StoreError> {
+    mut visit: impl FnMut(NodeId, &'a str),
+) -> Result<(), StoreError> {
     let mut pos = 0usize;
     let name_count = read_varint_usize(bnam, &mut pos)?;
-    let mut blank_names = FxHashMap::default();
     let mut prev = 0u32;
     for i in 0..name_count {
         let delta = read_varint_u32(bnam, &mut pos)?;
@@ -153,10 +155,20 @@ pub(crate) fn decode_bnam(
                 "blank name for node {prev} beyond node count {node_count}"
             )));
         }
-        let name = read_string(bnam, &mut pos, "blank-node name")?;
-        blank_names.insert(NodeId(prev), name);
+        visit(NodeId(prev), read_str(bnam, &mut pos, "blank-node name")?);
     }
-    check_pad8(bnam, pos, "BNAM section")?;
+    check_pad8(bnam, pos, "BNAM section")
+}
+
+/// Decode a `BNAM` body into the blank-name map (see [`walk_bnam`]).
+pub(crate) fn decode_bnam(
+    bnam: &[u8],
+    node_count: usize,
+) -> Result<FxHashMap<NodeId, String>, StoreError> {
+    let mut blank_names = FxHashMap::default();
+    walk_bnam(bnam, node_count, |n, name| {
+        blank_names.insert(n, name.to_owned());
+    })?;
     Ok(blank_names)
 }
 

@@ -38,7 +38,6 @@ pub fn term_triples(g: &RdfGraph, vocab: &Vocab) -> Vec<(Term, Term, Term)> {
     let mut out: Vec<(Term, Term, Term)> = g
         .graph()
         .triples()
-        .iter()
         .map(|t| {
             (
                 term_of(g, vocab, t.s),

@@ -72,7 +72,7 @@ pub use overlap_align::{
     overlap_align, overlap_align_with, OverlapConfig, OverlapOutcome,
 };
 pub use partition::{ColorId, Partition};
-pub use propagate::{propagate, PropagateConfig};
+pub use propagate::propagate;
 pub use refine::{
     bisimulation_partition, label_partition, label_partition_from,
     RefineOutcome,

@@ -18,7 +18,7 @@ use crate::enrich::enrich;
 use crate::methods::hybrid_partition_with;
 use crate::overlap::{overlap_match, OverlapMatchStats};
 use crate::partition::SideCounts;
-use crate::propagate::{propagate_with, PropagateConfig};
+use crate::propagate::propagate_with;
 use crate::weighted::WeightedPartition;
 use rdf_model::{CombinedGraph, FxHashMap, NodeId, Side, TripleGraph, Vocab};
 use rdf_edit::algebra::oplus;
@@ -30,22 +30,17 @@ use std::hash::BuildHasher;
 pub struct OverlapConfig {
     /// Similarity threshold θ (Fig 15 finds 0.65 optimal on GtoPdb).
     pub theta: f64,
-    /// Weighted-refinement convergence parameters.
-    pub propagate: PropagateConfig,
-    /// Cap on outer iterations (each aligns ≥ 1 new pair, so this only
-    /// guards pathological inputs).
-    pub max_rounds: usize,
 }
 
 impl Default for OverlapConfig {
     fn default() -> Self {
-        OverlapConfig {
-            theta: 0.65,
-            propagate: PropagateConfig::default(),
-            max_rounds: 64,
-        }
+        OverlapConfig { theta: 0.65 }
     }
 }
+
+/// Cap on outer iterations (each aligns ≥ 1 new pair, so this only
+/// guards pathological inputs).
+const MAX_ROUNDS: usize = 64;
 
 /// Per-round diagnostics of Algorithm 2.
 #[derive(Debug, Clone, Copy)]
@@ -223,13 +218,8 @@ pub fn overlap_align_with(
     });
 
     // Non-literal rounds: enrich + propagate, then match non-literals.
-    for _ in 0..config.max_rounds {
-        xi = propagate_with(
-            combined,
-            &enrich(&xi, &h),
-            config.propagate,
-            engine,
-        );
+    for _ in 0..MAX_ROUNDS {
+        xi = propagate_with(combined, &enrich(&xi, &h), engine);
         let (a, b) = unaligned_by_side(&xi, combined, false);
         let char_a: Vec<Vec<u64>> =
             a.iter().map(|&n| out_colors(g, &xi, n)).collect();
@@ -448,10 +438,7 @@ mod tests {
         let strict = overlap_align(
             &c,
             &v,
-            OverlapConfig {
-                theta: 0.8,
-                ..OverlapConfig::default()
-            },
+            OverlapConfig { theta: 0.8 },
         );
         assert!(!strict.weighted.partition.same_class(l685_s, l685_t));
     }

@@ -51,10 +51,7 @@ impl Method {
 
     /// Overlap with a specific threshold.
     pub fn overlap_with_theta(theta: f64) -> Self {
-        Method::Overlap(OverlapConfig {
-            theta,
-            ..OverlapConfig::default()
-        })
+        Method::Overlap(OverlapConfig { theta })
     }
 }
 

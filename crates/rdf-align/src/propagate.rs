@@ -27,23 +27,11 @@ use crate::weighted::WeightedPartition;
 use rdf_model::{CombinedGraph, NodeId, TripleGraph};
 use rdf_edit::algebra::oplus;
 
-/// Convergence parameters for weighted refinement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PropagateConfig {
-    /// Weight stabilisation tolerance ε.
-    pub epsilon: f64,
-    /// Cap on extra weight-only rounds after the partition stabilises.
-    pub max_weight_rounds: usize,
-}
+/// Weight stabilisation tolerance ε.
+const EPSILON: f64 = 1e-9;
 
-impl Default for PropagateConfig {
-    fn default() -> Self {
-        PropagateConfig {
-            epsilon: 1e-9,
-            max_weight_rounds: 64,
-        }
-    }
-}
+/// Cap on extra weight-only rounds after the partition stabilises.
+const MAX_WEIGHT_ROUNDS: usize = 64;
 
 /// One weight update `reweight_ω` over the selected nodes; returns the
 /// maximum change.
@@ -90,7 +78,6 @@ pub(crate) fn weighted_refine_fixpoint_with(
     g: &TripleGraph,
     xi: WeightedPartition,
     x: &[NodeId],
-    config: PropagateConfig,
     engine: &mut RefineEngine,
 ) -> WeightedPartition {
     let mut in_x = vec![false; g.node_count()];
@@ -114,8 +101,7 @@ pub(crate) fn weighted_refine_fixpoint_with(
         // has stabilised (round `color_rounds` onwards).
         if rounds >= color_rounds {
             weight_rounds += 1;
-            if delta < config.epsilon || weight_rounds >= config.max_weight_rounds
-            {
+            if delta < EPSILON || weight_rounds >= MAX_WEIGHT_ROUNDS {
                 return WeightedPartition::new(partition, weights);
             }
         }
@@ -141,9 +127,8 @@ pub fn blank_out_weighted(
 pub fn propagate(
     combined: &CombinedGraph,
     xi: &WeightedPartition,
-    config: PropagateConfig,
 ) -> WeightedPartition {
-    propagate_with(combined, xi, config, &mut RefineEngine::auto())
+    propagate_with(combined, xi, &mut RefineEngine::auto())
 }
 
 /// As [`propagate`], through a caller-owned engine (the overlap rounds
@@ -151,18 +136,11 @@ pub fn propagate(
 pub(crate) fn propagate_with(
     combined: &CombinedGraph,
     xi: &WeightedPartition,
-    config: PropagateConfig,
     engine: &mut RefineEngine,
 ) -> WeightedPartition {
     let un = unaligned_non_literals(&xi.partition, combined);
     let blanked = blank_out_weighted(xi, &un);
-    weighted_refine_fixpoint_with(
-        combined.graph(),
-        blanked,
-        &un,
-        config,
-        engine,
-    )
+    weighted_refine_fixpoint_with(combined.graph(), blanked, &un, engine)
 }
 
 #[cfg(test)]
@@ -193,7 +171,7 @@ mod tests {
         // Propagate((λTrivial, 0)) = (λHybrid, 0) — §4.5.
         let c = renamed_pair();
         let xi = WeightedPartition::zero(trivial_partition(&c));
-        let out = propagate(&c, &xi, PropagateConfig::default());
+        let out = propagate(&c, &xi);
         let hybrid = hybrid_partition(&c).partition;
         assert!(out.partition.equivalent(&hybrid));
         assert!(out.weights.iter().all(|&w| w == 0.0));
@@ -210,7 +188,7 @@ mod tests {
         assert!(c.graph().is_literal(rdf_model::NodeId(2)));
         weights[2] = 0.4;
         let xi = WeightedPartition::new(p, weights);
-        let out = propagate(&c, &xi, PropagateConfig::default());
+        let out = propagate(&c, &xi);
         // ed-uni (source node 0) has out-degree 2; one of its objects
         // carries weight 0.4 → reweight = 0.4 / 2 = 0.2.
         assert!((out.weight(rdf_model::NodeId(0)) - 0.2).abs() < 1e-9);
@@ -252,7 +230,7 @@ mod tests {
         };
         let c = CombinedGraph::union(&v, &g1, &g2);
         let xi = WeightedPartition::zero(trivial_partition(&c));
-        let out = propagate(&c, &xi, PropagateConfig::default());
+        let out = propagate(&c, &xi);
         // x/y align with x2/y2 modulo blanking (symmetric cycle).
         assert_eq!(out.partition.len(), c.graph().node_count());
     }

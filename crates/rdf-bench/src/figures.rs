@@ -122,10 +122,7 @@ pub fn fig11(opts: &ReproOptions) -> String {
     let n = ds.len();
     let mut hybrid_gain = vec![vec![0.0; n]; n];
     let mut overlap_gain = vec![vec![0.0; n]; n];
-    let cfg = OverlapConfig {
-        theta: opts.theta,
-        ..OverlapConfig::default()
-    };
+    let cfg = OverlapConfig { theta: opts.theta };
     for i in 0..n {
         for j in 0..n {
             let c = combined(&ds, j, i);
@@ -153,10 +150,7 @@ pub fn fig11(opts: &ReproOptions) -> String {
 /// Fig 13: aligned node counts for consecutive GtoPdb version pairs.
 pub fn fig13(opts: &ReproOptions) -> String {
     let ds = generate_gtopdb(&GtopdbConfig::default().scaled(opts.scale));
-    let cfg = OverlapConfig {
-        theta: opts.theta,
-        ..OverlapConfig::default()
-    };
+    let cfg = OverlapConfig { theta: opts.theta };
     let mut rows = Vec::new();
     for i in 0..ds.len() - 1 {
         let c = combined(&ds, i, i + 1);
@@ -184,10 +178,7 @@ pub fn fig13(opts: &ReproOptions) -> String {
 /// GtoPdb pairs.
 pub fn fig14(opts: &ReproOptions) -> String {
     let ds = generate_gtopdb(&GtopdbConfig::default().scaled(opts.scale));
-    let cfg = OverlapConfig {
-        theta: opts.theta,
-        ..OverlapConfig::default()
-    };
+    let cfg = OverlapConfig { theta: opts.theta };
     let mut labels = Vec::new();
     let mut hybrid_counts = Vec::new();
     let mut overlap_counts = Vec::new();
@@ -226,10 +217,7 @@ pub fn fig15(opts: &ReproOptions) -> String {
     let mut best = (0usize, 0.0f64);
     for step in 0..7 {
         let theta = 0.35 + 0.1 * step as f64;
-        let cfg = OverlapConfig {
-            theta,
-            ..OverlapConfig::default()
-        };
+        let cfg = OverlapConfig { theta };
         let b = classify_matches(
             &overlap_align(&c, &ds.vocab, cfg).weighted.partition,
             &c,
@@ -252,10 +240,7 @@ pub fn fig15(opts: &ReproOptions) -> String {
 /// Fig 16: execution times on the growing DBpedia-like dataset.
 pub fn fig16(opts: &ReproOptions) -> String {
     let ds = generate_dbpedia(&DbpediaConfig::default().scaled(opts.scale));
-    let cfg = OverlapConfig {
-        theta: opts.theta,
-        ..OverlapConfig::default()
-    };
+    let cfg = OverlapConfig { theta: opts.theta };
     let mut rows = Vec::new();
     for i in 0..ds.len() {
         let j = if i == 0 { 0 } else { i - 1 };

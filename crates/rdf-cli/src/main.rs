@@ -182,10 +182,12 @@ wire spec.
 The daemon keeps one session: the last pair of stores it aligned,
 loaded as `rdf align` loads them and keyed by the content hash of
 both. An align of the same pair, under any method, reuses it and
-opens no store; any other pair replaces it. Requests are handled by a
-persistent worker gang of --threads N (default auto). SIGTERM or
-SIGINT answers the requests in flight, ends idle connections and
-exits 0.
+opens no store; any other pair replaces it. Each connection has its
+own thread, up to 64; a connection past that gets an `overloaded`
+error and is closed. import, info and align share max(2, N) permits
+for --threads N (default auto), so at most that many compute at once;
+stats never waits. SIGTERM or SIGINT answers the requests in flight,
+ends idle connections and exits 0.
 
 EXAMPLES
   rdf serve --socket /tmp/rdf.sock --threads 4 &

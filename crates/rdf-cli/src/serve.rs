@@ -10,8 +10,10 @@
 //!   one-shot load step ([`Session::load`]) and keyed by the content
 //!   hashes of both stores, so a request for the same pair under any
 //!   method reuses it and any other pair replaces it;
-//! * a persistent [`rdf_par::WorkerPool`] handling connections, so
-//!   steady-state request handling never calls `thread::spawn`;
+//! * one scoped thread per connection, up to [`MAX_CONNECTIONS`], so
+//!   an idle client holds only its own thread;
+//! * `workers` permits for heavy requests (`import`, `info`, `align`),
+//!   so at most that many compute at once while `stats` never waits;
 //! * per-request [`Recorder`]s, so traces stay isolated per client and
 //!   can be returned in the response (`"trace":true`).
 //!
@@ -25,8 +27,8 @@ use crate::signals;
 use crate::{CliError, Session};
 use rdf_align::Threads;
 use rdf_obs::Recorder;
-use rdf_par::WorkerPool;
 use rdf_serve::{ErrorKind, Request, Response};
+use std::hash::Hasher;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -34,7 +36,8 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::Scope;
 use std::time::Instant;
 
 /// Retired: the byte budget of the per-store cache the session slot
@@ -101,6 +104,27 @@ pub struct ServeState {
     requests: AtomicU64,
     errors: AtomicU64,
     conns: Mutex<LiveConns>,
+    /// The permits for heavy requests. The mutex guards only their
+    /// counts: no lock is held across heavy work.
+    permits: Mutex<Permits>,
+    permit_freed: Condvar,
+}
+
+/// How many of the `workers` permits are free, and how many requests
+/// wait for one.
+struct Permits {
+    free: usize,
+    waiting: usize,
+}
+
+/// One heavy request's permit, returned when dropped.
+struct Permit<'a>(&'a ServeState);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        lock(&self.0.permits).free += 1;
+        self.0.permit_freed.notify_one();
+    }
 }
 
 impl ServeState {
@@ -122,7 +146,29 @@ impl ServeState {
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             conns: Mutex::new(LiveConns::default()),
+            permits: Mutex::new(Permits {
+                free: workers.max(1),
+                waiting: 0,
+            }),
+            permit_freed: Condvar::new(),
         }
+    }
+
+    /// Wait for a free permit: heavy work runs under one, and nothing
+    /// waits on another request (an entry lock, a client's next line)
+    /// while holding one.
+    fn permit(&self) -> Permit<'_> {
+        let mut permits = lock(&self.permits);
+        permits.waiting += 1;
+        while permits.free == 0 {
+            permits = self
+                .permit_freed
+                .wait(permits)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        permits.waiting -= 1;
+        permits.free -= 1;
+        Permit(self)
     }
 
     /// Per-request thread budget: the request's `threads` field wins
@@ -151,25 +197,29 @@ impl ServeState {
         }
     }
 
-    /// The session for an `align` over two open inputs, and whether it
-    /// came from the slot.
+    /// The session for an `align` of `source` to `target`, and whether
+    /// it came from the slot.
     ///
     /// A pair of stores is keyed by the content hashes of the bytes
-    /// already open, and loaded by the one-shot load step under the
-    /// entry's lock, so reports stay byte-identical to `rdf align` and
-    /// a reuse opens nothing (no `store.open` span). A failed load
-    /// leaves the entry empty, and the next request retries it. A pair
-    /// with N-Triples text bypasses the slot.
+    /// opened, and loaded by the one-shot load step under the entry's
+    /// lock, so reports stay byte-identical to `rdf align` and a reuse
+    /// opens nothing (no `store.open` span). A failed load leaves the
+    /// entry empty, and the next request retries it. A pair with
+    /// N-Triples text bypasses the slot. Opening, hashing and loading
+    /// each run under a permit; waiting on the entry lock does not.
     fn session(
         &self,
-        source: Input<'_>,
-        target: Input<'_>,
+        source: &Path,
+        target: &Path,
         rec: &Recorder,
     ) -> Result<(Arc<Session>, bool), CliError> {
+        let heavy = self.permit();
+        let (source, target) = (Input::open(source)?, Input::open(target)?);
         let (Some(k1), Some(k2)) = (store_key(&source)?, store_key(&target)?)
         else {
             return Ok((Arc::new(Session::load(source, target, rec)?), false));
         };
+        drop(heavy);
         let entry = self.entry((k1, k2));
         let mut loaded = lock(&entry.session);
         if let Some(session) = &*loaded {
@@ -177,6 +227,7 @@ impl ServeState {
             return Ok((Arc::clone(session), true));
         }
         self.misses.fetch_add(2, Ordering::Relaxed);
+        let _heavy = self.permit();
         let session = Arc::new(Session::load(source, target, rec)?);
         *loaded = Some(Arc::clone(&session));
         Ok((session, false))
@@ -199,13 +250,17 @@ impl ServeState {
         )
     }
 
-    /// Track a live connection by its read-side closer.
-    fn track(&self, closer: Box<dyn Fn() + Send>) -> u64 {
+    /// Track a live connection by its read-side closer, or `None` when
+    /// [`MAX_CONNECTIONS`] are live already.
+    fn track(&self, closer: Box<dyn Fn() + Send>) -> Option<u64> {
         let mut conns = lock(&self.conns);
+        if conns.closers.len() >= MAX_CONNECTIONS {
+            return None;
+        }
         let id = conns.next;
         conns.next += 1;
         conns.closers.push((id, closer));
-        id
+        Some(id)
     }
 
     /// Forget a connection whose handler returned (dropping the closer
@@ -228,9 +283,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The slot key of one input: FNV-1a 64 over an open store's bytes, or
-/// `None` for N-Triples text. A bad header (a retired kind or layout)
-/// fails before the slot counts a lookup.
+/// The slot key of one input: [`content_key`] over an open store's
+/// bytes, or `None` for N-Triples text. A bad header (a retired kind or
+/// layout) fails before the slot counts a lookup.
 fn store_key(input: &Input<'_>) -> Result<Option<u64>, CliError> {
     let Some(reader) = &input.store else {
         return Ok(None);
@@ -238,19 +293,18 @@ fn store_key(input: &Input<'_>) -> Result<Option<u64>, CliError> {
     let bytes = reader.buf().as_slice();
     rdf_store::Container::parse_header(bytes)
         .map_err(|e| ctx(input.path, e))?;
-    Ok(Some(fnv1a(bytes)))
+    Ok(Some(content_key(bytes)))
 }
 
-/// FNV-1a 64 over the file bytes: half of the slot key.
-/// Content-addressed, so re-imports of identical data hit and rewritten
-/// files miss — no mtime races.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// FxHash over the file's length, then its bytes eight at a time: half
+/// of the slot key. Content-addressed, so re-imports of identical data
+/// hit and rewritten files miss — no mtime races. The length goes first
+/// because FxHash starts at 0, and would map leading zero words to 0.
+fn content_key(bytes: &[u8]) -> u64 {
+    let mut h = rdf_model::FxHasher::default();
+    h.write_usize(bytes.len());
+    h.write(bytes);
+    h.finish()
 }
 
 /// A `Vec<u8>` sink shared with the recorder, so a request's JSONL
@@ -331,6 +385,7 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
             if let Some(Err(e)) = layout.as_deref().map(crate::check_layout) {
                 return return_bad_request(e.to_string());
             }
+            let _heavy = state.permit();
             crate::import_traced(Path::new(&input), Path::new(&output), &rec)
                 .map(|report| (report, false))
         }
@@ -345,6 +400,7 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
             // report says "checksums OK"), so it never reads from the
             // slot — it is the slot-bypass readback.
             let threads = state.threads_for(threads);
+            let _heavy = state.permit();
             crate::info_traced(
                 Path::new(&path),
                 bisim.then_some(threads),
@@ -412,8 +468,8 @@ fn align(
 ) -> Result<(String, bool), CliError> {
     let method = crate::parse_method(method_name, theta)?;
     let (source, target) = (Path::new(source), Path::new(target));
-    let (session, cached) =
-        state.session(Input::open(source)?, Input::open(target)?, rec)?;
+    let (session, cached) = state.session(source, target, rec)?;
+    let _heavy = state.permit();
     let outcome = session.align(source, target, method, threads, rec);
     Ok((outcome.render(), cached))
 }
@@ -421,7 +477,7 @@ fn align(
 /// Serve one connection: read request lines, answer each with exactly
 /// one response line. Malformed lines get a typed `bad_request` error;
 /// the connection always stays open until the client closes it.
-fn handle_conn<S: Read + Write>(stream: S, state: Arc<ServeState>) {
+fn handle_conn<S: Read + Write>(stream: S, state: &Arc<ServeState>) {
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
     while let Ok(Some(read)) = read_request_line(&mut reader, &mut line) {
@@ -439,7 +495,7 @@ fn handle_conn<S: Read + Write>(stream: S, state: Arc<ServeState>) {
             },
         };
         let resp = match parsed {
-            Ok(req) => handle_request(&state, req),
+            Ok(req) => handle_request(state, req),
             Err(e) => {
                 state.errors.fetch_add(1, Ordering::Relaxed);
                 Response::error(ErrorKind::BadRequest, e)
@@ -460,6 +516,11 @@ fn handle_conn<S: Read + Write>(stream: S, state: Arc<ServeState>) {
 /// that reaches this length without its newline gets a `bad_request`
 /// reply, and the rest of it is skipped without being buffered.
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// Most connections the daemon serves at once, each on its own thread.
+/// A connection past the cap gets one `overloaded` error line and is
+/// closed.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// How [`read_request_line`] ended a line.
 enum RequestLine {
@@ -490,14 +551,15 @@ fn read_request_line<R: BufRead>(
 /// Run the daemon until SIGTERM/SIGINT. Returns the shutdown report
 /// line (printed by `main` after a clean exit).
 ///
-/// Shutdown stops accepting, shuts every live connection for reading
-/// and joins the workers: a request already read is answered, and an
-/// idle connection ends without holding the exit up.
+/// Each connection runs on its own scoped thread. Shutdown stops
+/// accepting, shuts every live connection for reading and joins their
+/// threads as the scope ends: a request already read is answered, and
+/// an idle connection ends without holding the exit up.
 pub fn serve(socket: &str, threads: Threads) -> Result<String, CliError> {
     let spec = SocketSpec::parse(socket);
-    // Block the termination signals *before* spawning the pool, so
-    // every worker inherits the mask and SIGTERM only ever surfaces on
-    // the signalfd.
+    // Block the termination signals *before* the first connection
+    // thread starts, so every handler inherits the mask and SIGTERM
+    // only ever surfaces on the signalfd.
     let sig = match signals::setup() {
         Some(Ok(sig)) => Some(sig),
         Some(Err(e)) => {
@@ -506,34 +568,35 @@ pub fn serve(socket: &str, threads: Threads) -> Result<String, CliError> {
         None => None,
     };
     let workers = threads.resolve().max(2);
-    let pool = WorkerPool::new(Threads::Fixed(workers));
     let state = Arc::new(ServeState::new(threads, workers, 0));
 
-    let ended = match &spec {
-        SocketSpec::Unix(path) => {
-            // A stale socket file from a previous run would make bind
-            // fail; remove it (a live server would still conflict at
-            // connect time, which is the error we want).
-            let _ = std::fs::remove_file(path);
-            let listener =
-                UnixListener::bind(path).map_err(|e| ctx(path, e))?;
-            announce(&spec, workers);
-            let ended = accept_loop(&listener, sig, &pool, &state);
-            let _ = std::fs::remove_file(path);
-            ended
-        }
-        SocketSpec::Tcp(addr) => {
-            let listener = TcpListener::bind(addr)
-                .map_err(|e| CliError::new(format!("{addr}: {e}")))?;
-            announce(&spec, workers);
-            accept_loop(&listener, sig, &pool, &state)
-        }
-    };
-    state.close_reads();
-    drop(pool); // joins workers: requests already read are answered
+    let ended = std::thread::scope(|scope| {
+        let ended = match &spec {
+            SocketSpec::Unix(path) => {
+                // A stale socket file from a previous run would make
+                // bind fail; remove it (a live server would still
+                // conflict at connect time, which is the error we want).
+                let _ = std::fs::remove_file(path);
+                let listener =
+                    UnixListener::bind(path).map_err(|e| ctx(path, e))?;
+                announce(&spec, workers);
+                let ended = accept_loop(&listener, sig, scope, &state);
+                let _ = std::fs::remove_file(path);
+                ended
+            }
+            SocketSpec::Tcp(addr) => {
+                let listener = TcpListener::bind(addr)
+                    .map_err(|e| CliError::new(format!("{addr}: {e}")))?;
+                announce(&spec, workers);
+                accept_loop(&listener, sig, scope, &state)
+            }
+        };
+        state.close_reads();
+        ended
+    })?; // the scope has joined every handler: requests read are answered
     Ok(format!(
         "rdf serve: shutdown on signal {} ({} requests served)\n",
-        ended?,
+        ended,
         state.requests.load(Ordering::Relaxed),
     ))
 }
@@ -546,18 +609,18 @@ fn announce(spec: &SocketSpec, workers: usize) {
 
 /// The accept loop, generic over the listener flavour. Returns the
 /// signal number that ended it.
-fn accept_loop<L: Listener>(
+fn accept_loop<'scope, L: Listener>(
     listener: &L,
     sig: Option<signals::SignalFd>,
-    pool: &WorkerPool,
-    state: &Arc<ServeState>,
+    scope: &'scope Scope<'scope, '_>,
+    state: &'scope Arc<ServeState>,
 ) -> Result<u32, CliError> {
     let accept_err = |e| CliError::new(format!("accept: {e}"));
     let Some(sig) = sig else {
         // No signalfd on this platform: serve until killed.
         loop {
             let conn = listener.accept_conn().map_err(accept_err)?;
-            spawn_conn::<L>(pool, state, conn);
+            spawn_conn::<L>(scope, state, conn);
         }
     };
     listener
@@ -569,7 +632,7 @@ fn accept_loop<L: Listener>(
         {
             signals::Wake::Signal(signo) => return Ok(signo),
             signals::Wake::Connection => match listener.accept_conn() {
-                Ok(conn) => spawn_conn::<L>(pool, state, conn),
+                Ok(conn) => spawn_conn::<L>(scope, state, conn),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
                 Err(e) => return Err(accept_err(e)),
             },
@@ -577,26 +640,38 @@ fn accept_loop<L: Listener>(
     }
 }
 
-/// Hand an accepted connection to the pool, tracked until its handler
-/// returns so that shutdown can end its reads. A connection whose
-/// handle cannot be cloned is dropped: shutdown could not end it.
-fn spawn_conn<L: Listener>(
-    pool: &WorkerPool,
-    state: &Arc<ServeState>,
-    conn: L::Conn,
+/// Serve an accepted connection on its own scoped thread, tracked
+/// until its handler returns so that shutdown can end its reads. Past
+/// [`MAX_CONNECTIONS`] it gets one `overloaded` line instead. A
+/// connection whose handle cannot be cloned, or whose thread cannot be
+/// spawned, is dropped.
+fn spawn_conn<'scope, L: Listener>(
+    scope: &'scope Scope<'scope, '_>,
+    state: &'scope Arc<ServeState>,
+    mut conn: L::Conn,
 ) {
     let Ok(closer) = L::read_closer(&conn) else {
         return;
     };
-    let id = state.track(closer);
-    let state = Arc::clone(state);
-    pool.submit(move || {
-        let handler_state = Arc::clone(&state);
-        let _ = catch_unwind(AssertUnwindSafe(|| {
-            handle_conn(conn, handler_state)
-        }));
+    let Some(id) = state.track(closer) else {
+        let busy = Response::error(
+            ErrorKind::Overloaded,
+            format!(
+                "{MAX_CONNECTIONS} connections open; retry after one closes"
+            ),
+        );
+        let _ = conn.write_all(format!("{}\n", busy.to_line()).as_bytes());
+        return;
+    };
+    let spawned = std::thread::Builder::new()
+        .name(format!("rdf-conn-{id}"))
+        .spawn_scoped(scope, move || {
+            let _ = catch_unwind(AssertUnwindSafe(|| handle_conn(conn, state)));
+            state.untrack(id);
+        });
+    if spawned.is_err() {
         state.untrack(id);
-    });
+    }
 }
 
 /// What the accept loop needs of a listener, so unix and tcp share one
@@ -774,7 +849,7 @@ mod tests {
     }
 
     fn slot_key(source: &Path, target: &Path) -> (u64, u64) {
-        let hash = |p: &Path| fnv1a(&std::fs::read(p).unwrap());
+        let hash = |p: &Path| content_key(&std::fs::read(p).unwrap());
         (hash(source), hash(target))
     }
 
@@ -857,6 +932,87 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// While pair A's entry lock is held and a request for A waits on
+    /// it, that request holds no permit. With every permit taken, an
+    /// align of pair B does not run, and `stats` still answers; B runs
+    /// once a permit comes back.
+    #[test]
+    fn heavy_requests_run_only_under_a_permit() {
+        let dir = tmp("permits");
+        let [a1, a2, b1, b2] = ["a1.rdfb", "a2.rdfb", "b1.rdfb", "b2.rdfb"]
+            .map(|name| store(&dir, name));
+        let workers = 2;
+        let state = Arc::new(ServeState::new(Threads::Fixed(1), workers, 0));
+
+        let entry = state.entry(slot_key(&a1, &a2));
+        let loading = lock(&entry.session);
+        let waiting = {
+            let state = Arc::clone(&state);
+            let req = align_req(&a1, &a2, "hybrid");
+            std::thread::spawn(move || ok(handle_request(&state, req)))
+        };
+        // The slot, this test and the waiting request hold the entry.
+        while Arc::strong_count(&entry) < 3 {
+            std::thread::yield_now();
+        }
+        assert_eq!(lock(&state.permits).free, workers);
+        let held: Vec<Permit<'_>> =
+            (0..workers).map(|_| state.permit()).collect();
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let heavy = {
+            let state = Arc::clone(&state);
+            let req = align_req(&b1, &b2, "hybrid");
+            std::thread::spawn(move || {
+                let _ = tx.send(handle_request(&state, req));
+            })
+        };
+        // B waits for a permit, and stats does not.
+        while lock(&state.permits).waiting == 0 {
+            assert!(rx.try_recv().is_err(), "pair B ran without a permit");
+            std::thread::yield_now();
+        }
+        ok(handle_request(&state, Request::Stats));
+        assert!(rx.try_recv().is_err(), "pair B ran without a permit");
+        drop(held);
+        let b = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("pair B runs once a permit is free");
+        heavy.join().unwrap();
+        assert_eq!(ok(b), (one_shot(&b1, &b2, "hybrid"), false));
+
+        drop(loading);
+        let want = one_shot(&a1, &a2, "hybrid");
+        assert_eq!(waiting.join().unwrap(), (want, false));
+        assert_eq!(lock(&state.permits).free, workers);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The slot key is the same for the same bytes opened twice, and
+    /// differs after any one-byte change: first byte, middle, last
+    /// byte, or inside a tail shorter than eight bytes.
+    #[test]
+    fn content_key_tracks_every_byte() {
+        let dir = tmp("key");
+        let path = store(&dir, "k.rdfb");
+        let key = || store_key(&Input::open(&path).unwrap()).unwrap();
+        assert!(key().is_some());
+        assert_eq!(key(), key());
+
+        for len in [8 * 125, 8 * 125 + 3] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            let base = content_key(&bytes);
+            for at in [0, len / 2, len - 2, len - 1] {
+                let mut edited = bytes.clone();
+                edited[at] ^= 1;
+                assert_ne!(content_key(&edited), base, "len {len}, byte {at}");
+            }
+        }
+        // Leading zero words count: the length is hashed first.
+        assert_ne!(content_key(&[0; 16]), content_key(&[0; 8]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn malformed_lines_get_typed_errors_and_keep_the_connection() {
         // Drive handle_conn over an in-memory stream: three bad lines
@@ -901,7 +1057,7 @@ mod tests {
         };
         let state =
             Arc::new(ServeState::new(Threads::Fixed(1), 1, 1 << 20));
-        handle_conn(conn, Arc::clone(&state));
+        handle_conn(conn, &state);
         let text = String::from_utf8(
             out.0.lock().unwrap().clone(),
         )

@@ -390,6 +390,88 @@ fn sigterm_answers_inflight_align_and_ends_idle_connections() {
     assert_eq!(idle.read_line(&mut eof).unwrap(), 0, "got {eof:?}");
 }
 
+/// A connection whose `stats` request was answered, so its handler is
+/// running; the caller keeps it open and idle.
+fn answered_conn(socket: &Path) -> BufReader<UnixStream> {
+    let mut conn = BufReader::new(UnixStream::connect(socket).unwrap());
+    writeln!(conn.get_mut(), r#"{{"op":"stats"}}"#).unwrap();
+    let mut reply = String::new();
+    conn.read_line(&mut reply).unwrap();
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+    conn
+}
+
+/// Idle clients hold only their own connections: on a `--threads 2`
+/// daemon, two idle clients must not keep a third connection's `stats`
+/// from being answered.
+#[test]
+fn idle_connections_do_not_starve_requests() {
+    let dir = TempDir::new("idle");
+    let daemon =
+        Daemon::start(&dir.path("rdf.sock"), &["--threads", "2"]);
+    let idle = [answered_conn(&daemon.socket), answered_conn(&daemon.socket)];
+
+    let mut third = UnixStream::connect(&daemon.socket).unwrap();
+    third
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    writeln!(third, r#"{{"op":"stats"}}"#).unwrap();
+    let mut reply = String::new();
+    let read = BufReader::new(third).read_line(&mut reply);
+    assert!(
+        matches!(read, Ok(n) if n > 0) && reply.contains(r#""ok":true"#),
+        "stats unanswered within 5 s behind two idle clients: {read:?}"
+    );
+    drop(idle);
+    let (clean, _) = daemon.terminate();
+    assert!(clean, "daemon exited non-zero");
+}
+
+/// With `MAX_CONNECTIONS` idle connections open, the next one gets one
+/// `overloaded` line and is closed; once an idle one closes, a new
+/// connection is served. At most the cap plus one are ever open.
+#[test]
+fn connections_past_the_cap_get_overloaded() {
+    let cap = rdf_cli::serve::MAX_CONNECTIONS;
+    let dir = TempDir::new("cap");
+    let daemon = Daemon::start(&dir.path("rdf.sock"), &[]);
+    let mut idle: Vec<_> =
+        (0..cap).map(|_| answered_conn(&daemon.socket)).collect();
+
+    let over = UnixStream::connect(&daemon.socket).unwrap();
+    over.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut over = BufReader::new(over);
+    let mut reply = String::new();
+    over.read_line(&mut reply).unwrap();
+    assert!(reply.contains(r#""kind":"overloaded""#), "{reply}");
+    let mut rest = String::new();
+    assert_eq!(over.read_line(&mut rest).unwrap(), 0, "got {rest:?}");
+    drop(over);
+
+    // The daemon forgets a connection when its handler sees the close,
+    // which the client cannot observe: retry until a slot is free.
+    drop(idle.pop());
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let mut conn =
+            BufReader::new(UnixStream::connect(&daemon.socket).unwrap());
+        // An overloaded connection may be closed before this write
+        // lands; its one line is still there to read.
+        let _ = writeln!(conn.get_mut(), r#"{{"op":"stats"}}"#);
+        let mut reply = String::new();
+        conn.read_line(&mut reply).unwrap();
+        if reply.contains(r#""ok":true"#) {
+            break;
+        }
+        assert!(reply.contains(r#""kind":"overloaded""#), "{reply}");
+        assert!(Instant::now() < deadline, "no slot freed within 20 s");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    drop(idle);
+    let (clean, _) = daemon.terminate();
+    assert!(clean, "daemon exited non-zero");
+}
+
 /// Malformed request lines get a typed JSON `bad_request` error on the
 /// same connection — never a dropped connection, never a dead server.
 #[test]

@@ -3,8 +3,7 @@
 //! The container building this workspace is offline, so there is no
 //! rayon; the vendored shims stay `rand`/`proptest` only.
 //! This crate provides the minimal substrate the parallel refinement
-//! engine and the `rdf serve` daemon need on plain
-//! [`std::thread::scope`]:
+//! engine needs on plain [`std::thread::scope`]:
 //!
 //! * [`Threads`] — a thread-count configuration: explicit `N`, or an
 //!   automatic default from [`std::thread::available_parallelism`] with
@@ -12,24 +11,17 @@
 //! * [`chunk_ranges`] — split an index space into near-even contiguous
 //!   ranges;
 //! * [`scoped_map`] — run one closure per task on scoped threads and
-//!   collect the results in task order;
-//! * [`WorkerPool`] — a small persistent gang for long-running
-//!   processes (the `rdf serve` daemon) that must not pay a spawn per
-//!   request.
+//!   collect the results in task order.
 //!
 //! Threads are spawned per call (a few tens of microseconds each); the
 //! intended callers amortise that over work measured in milliseconds
 //! per round and keep all *allocations* (scratch buffers, interning
-//! maps) in long-lived engine state instead. [`WorkerPool`] is the
-//! exception, for callers whose unit of work is a whole request.
+//! maps) in long-lived engine state instead.
 
 #![warn(missing_docs)]
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
 
 /// Environment variable consulted by [`Threads::Auto`]: set
 /// `RDF_THREADS=N` to cap the automatic thread count without touching
@@ -153,149 +145,10 @@ where
         .collect()
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent worker gang: `n` named OS threads pulling jobs off one
-/// shared queue, living for the lifetime of the pool.
-///
-/// [`scoped_map`] spawns per call, which is right for the CLI (one
-/// burst of work per process). A long-running server wants the
-/// opposite: spawn once at startup, then run every request on the same
-/// gang so steady-state request handling never touches
-/// `thread::spawn`. Jobs are executed in submission order by whichever
-/// worker frees up first.
-///
-/// A panicking job is caught on the worker ([`WorkerPool::submit`]) or
-/// reported back to the caller ([`WorkerPool::run`]) — it never kills
-/// the worker thread, so one poisoned request cannot degrade the gang.
-///
-/// Dropping the pool (or calling [`WorkerPool::shutdown`]) closes the
-/// queue, lets queued jobs drain, and joins every worker.
-#[derive(Debug)]
-pub struct WorkerPool {
-    tx: Option<mpsc::Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    completed: Arc<AtomicU64>,
-}
-
-impl WorkerPool {
-    /// Spawn a pool of `threads.resolve()` workers (named
-    /// `rdf-worker-<k>` for debuggers and `/proc`).
-    pub fn new(threads: Threads) -> WorkerPool {
-        let n = threads.resolve();
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let completed = Arc::new(AtomicU64::new(0));
-        let workers = (0..n)
-            .map(|k| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("rdf-worker-{k}"))
-                    .spawn(move || loop {
-                        // Hold the lock only while *receiving*: a slow
-                        // job must not serialise the whole gang.
-                        let job = {
-                            let guard = rx
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        match job {
-                            // Every job catches its own panic (see
-                            // run_counted), so the worker survives it.
-                            Ok(job) => job(),
-                            // Channel closed: pool is shutting down.
-                            Err(_) => break,
-                        }
-                    })
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        WorkerPool {
-            tx: Some(tx),
-            workers,
-            completed,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn size(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Total jobs executed so far (including panicked ones) — a cheap
-    /// liveness/stats signal for `stats` endpoints.
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Enqueue a fire-and-forget job. Panics in the job are swallowed
-    /// (the worker survives); use [`WorkerPool::run`] when the caller
-    /// needs the result or the panic.
-    ///
-    /// # Panics
-    /// Panics if called after [`WorkerPool::shutdown`].
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.run_counted(job, |_| {});
-    }
-
-    /// Run `f` on the gang and block until it finishes, returning its
-    /// result — or `Err` with the panic payload if it panicked.
-    pub fn run<R: Send + 'static>(
-        &self,
-        f: impl FnOnce() -> R + Send + 'static,
-    ) -> std::thread::Result<R> {
-        let (tx, rx) = mpsc::channel();
-        self.run_counted(f, move |result| {
-            let _ = tx.send(result);
-        });
-        rx.recv().expect("pool worker dropped the result channel")
-    }
-
-    /// Enqueue `f`, catching its panic so the worker survives, then
-    /// count it as completed *before* handing its result to `deliver`:
-    /// a caller woken by the delivery always sees its own job in
-    /// [`WorkerPool::completed`].
-    fn run_counted<R>(
-        &self,
-        f: impl FnOnce() -> R + Send + 'static,
-        deliver: impl FnOnce(std::thread::Result<R>) + Send + 'static,
-    ) {
-        let completed = Arc::clone(&self.completed);
-        let job: Job = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(f));
-            // Relaxed is enough: the count publishes no other data, and
-            // `deliver`'s channel send orders this increment before the
-            // woken caller's load.
-            completed.fetch_add(1, Ordering::Relaxed);
-            deliver(result);
-        });
-        self.tx
-            .as_ref()
-            .expect("pool is shut down")
-            .send(job)
-            .expect("pool workers alive while sender is held");
-    }
-
-    /// Close the queue, drain queued jobs, and join every worker.
-    /// Idempotent; also runs on drop.
-    pub fn shutdown(&mut self) {
-        drop(self.tx.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     /// Every test that reads *or* writes `RDF_THREADS` holds this lock:
     /// libtest runs tests on multiple threads, and a concurrent
@@ -360,61 +213,6 @@ mod tests {
             }
         });
         assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1));
-    }
-
-    /// A fresh pool of four runs 32 jobs; every result comes back in
-    /// order and every job is counted by the time its result arrives.
-    fn pool_round_trip() {
-        let pool = WorkerPool::new(Threads::Fixed(4));
-        assert_eq!(pool.size(), 4);
-        let results: Vec<u64> =
-            (0..32u64).map(|i| pool.run(move || i * i).unwrap()).collect();
-        assert_eq!(results, (0..32u64).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(pool.completed(), 32);
-    }
-
-    #[test]
-    fn worker_pool_runs_jobs_and_returns_results() {
-        pool_round_trip();
-    }
-
-    /// A job must be counted before its result wakes the caller; when
-    /// the count trailed the delivery, the test above failed about one
-    /// run in eight, so it is repeated here until a race would show.
-    #[test]
-    fn worker_pool_completion_count_never_trails_results() {
-        for _ in 0..1_000 {
-            pool_round_trip();
-        }
-    }
-
-    #[test]
-    fn worker_pool_survives_panicking_jobs() {
-        let pool = WorkerPool::new(Threads::Fixed(2));
-        // One panic per worker: both must survive it.
-        for _ in 0..2 {
-            let err = pool.run(|| panic!("request poisoned")).unwrap_err();
-            let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
-            assert!(msg.contains("poisoned"), "got {msg:?}");
-        }
-        // The gang still serves work afterwards.
-        assert_eq!(pool.run(|| 7u32).unwrap(), 7);
-    }
-
-    #[test]
-    fn worker_pool_shutdown_drains_queued_jobs() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut pool = WorkerPool::new(Threads::Fixed(2));
-        for _ in 0..64 {
-            let c = Arc::clone(&counter);
-            pool.submit(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.shutdown();
-        assert_eq!(counter.load(Ordering::Relaxed), 64);
-        // Idempotent.
-        pool.shutdown();
     }
 
     #[test]

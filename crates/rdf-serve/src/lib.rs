@@ -6,9 +6,9 @@
 //! types, their JSON encoding/decoding (built on [`rdf_obs::json`], the
 //! workspace's in-tree parser — the container is offline, no serde),
 //! and the typed error envelope. The server loop, its session slot
-//! (the last aligned store pair, kept loaded) and its worker gang live
-//! in `rdf-cli`; a future HTTP front end is a thin adapter over these
-//! same types.
+//! (the last aligned store pair, kept loaded), its thread per
+//! connection and its permits for heavy requests live in `rdf-cli`; a
+//! future HTTP front end is a thin adapter over these same types.
 //!
 //! Framing rules:
 //!
@@ -16,7 +16,9 @@
 //!   JSON object — no length prefixes, no continuation lines;
 //! * a malformed line yields an `ok:false` response with kind
 //!   [`ErrorKind::BadRequest`]; the connection stays open;
-//! * requests on one connection are answered in order.
+//! * requests on one connection are answered in order;
+//! * a connection past the server's cap gets one
+//!   [`ErrorKind::Overloaded`] line and is closed.
 
 #![deny(missing_docs)]
 
@@ -218,6 +220,9 @@ pub enum ErrorKind {
     Engine,
     /// The server itself misbehaved (a handler panicked).
     Internal,
+    /// The server was at its connection cap: this reply is the
+    /// connection's only line, and the server then closes it.
+    Overloaded,
 }
 
 impl ErrorKind {
@@ -227,6 +232,7 @@ impl ErrorKind {
             ErrorKind::BadRequest => "bad_request",
             ErrorKind::Engine => "engine",
             ErrorKind::Internal => "internal",
+            ErrorKind::Overloaded => "overloaded",
         }
     }
 
@@ -236,6 +242,7 @@ impl ErrorKind {
             "bad_request" => Some(ErrorKind::BadRequest),
             "engine" => Some(ErrorKind::Engine),
             "internal" => Some(ErrorKind::Internal),
+            "overloaded" => Some(ErrorKind::Overloaded),
             _ => None,
         }
     }
@@ -570,12 +577,31 @@ mod tests {
 
     #[test]
     fn error_kinds_roundtrip_the_wire() {
-        for kind in
-            [ErrorKind::BadRequest, ErrorKind::Engine, ErrorKind::Internal]
-        {
+        for kind in [
+            ErrorKind::BadRequest,
+            ErrorKind::Engine,
+            ErrorKind::Internal,
+            ErrorKind::Overloaded,
+        ] {
             assert_eq!(ErrorKind::from_str_wire(kind.as_str()), Some(kind));
         }
         assert_eq!(ErrorKind::from_str_wire("nope"), None);
+    }
+
+    /// The reply a connection past the server's cap gets, through the
+    /// wire and back.
+    #[test]
+    fn overloaded_error_roundtrips_the_wire() {
+        let resp = Response::error(
+            ErrorKind::Overloaded,
+            "64 connections open; retry after one closes",
+        );
+        let line = resp.to_line();
+        assert!(
+            line.contains(r#""kind":"overloaded""#),
+            "wire name: {line}"
+        );
+        assert_eq!(Response::parse(&line).unwrap(), resp);
     }
 
     #[test]

@@ -154,14 +154,7 @@ fn gtopdb_overlap_threshold_tradeoff() {
     let gt = ds.ground_truth(2, 3);
     let run = |theta: f64| {
         classify_matches(
-            &overlap_align(
-                &c,
-                &ds.vocab,
-                OverlapConfig {
-                    theta,
-                    ..OverlapConfig::default()
-                },
-            )
+            &overlap_align(&c, &ds.vocab, OverlapConfig { theta })
             .weighted
             .partition,
             &c,

@@ -5,8 +5,8 @@
 //! exactly the binary relations with the *crossover property*:
 //! `(n,m), (n,m'), (n',m) ∈ A ⟹ (n',m') ∈ A`.
 
-use crate::partition::Partition;
-use rdf_model::{CombinedGraph, FxHashSet, NodeId, Side};
+use crate::partition::{Partition, SideCounts};
+use rdf_model::{CombinedGraph, FxHashSet, NodeId};
 
 /// A read-only view of the alignment induced by a partition over a
 /// combined graph. Pairs are reported in *graph-local* node ids
@@ -36,40 +36,18 @@ impl<'a> AlignmentView<'a> {
     /// Number of aligned pairs `|Align(λ)|` (can be quadratic in class
     /// sizes; computed without materialising).
     pub fn pair_count(&self) -> u64 {
-        let k = self.partition.num_colors() as usize;
-        let mut src = vec![0u64; k];
-        let mut tgt = vec![0u64; k];
-        for n in self.combined.graph().nodes() {
-            let c = self.partition.color(n).index();
-            match self.combined.side(n) {
-                Side::Source => src[c] += 1,
-                Side::Target => tgt[c] += 1,
-            }
-        }
-        src.iter().zip(&tgt).map(|(&s, &t)| s * t).sum()
+        SideCounts::new(self.partition, self.combined).pair_count()
     }
 
     /// Materialise all aligned pairs in graph-local ids. Intended for
     /// tests and small graphs; prefer [`Self::pair_count`] at scale.
     pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
-        let k = self.partition.num_colors() as usize;
-        let mut src: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        let mut tgt: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        for n in self.combined.graph().nodes() {
-            let c = self.partition.color(n).index();
-            match self.combined.to_local(n) {
-                (Side::Source, local) => src[c].push(local),
-                (Side::Target, local) => tgt[c].push(local),
-            }
-        }
         let mut out = Vec::new();
-        for c in 0..k {
-            for &s in &src[c] {
-                for &t in &tgt[c] {
-                    out.push((s, t));
-                }
-            }
-        }
+        SideCounts::new(self.partition, self.combined).for_each_pair(
+            self.partition,
+            self.combined,
+            |s, t| out.push((s, self.combined.to_local(t).1)),
+        );
         out.sort_unstable();
         out
     }

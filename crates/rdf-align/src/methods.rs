@@ -5,7 +5,9 @@
 //! hierarchy `Align(λ_Trivial) ⊆ Align(λ_Deblank) ⊆ Align(λ_Hybrid)`.
 
 use crate::engine::RefineEngine;
-use crate::partition::{unaligned_non_literals, ColorId, DenseIds, Partition};
+use crate::partition::{
+    unaligned_non_literals, ColorId, DenseIds, Partition, SideCounts,
+};
 use crate::refine::{label_partition, RefineOutcome};
 use rdf_model::{CombinedGraph, NodeId};
 
@@ -128,25 +130,18 @@ pub fn alignment_subset(
     b: &Partition,
     combined: &CombinedGraph,
 ) -> bool {
-    // Group nodes by a-color; a class induces cross pairs only when both
-    // sides are present, and then all members must share one b-color.
-    let k = a.num_colors() as usize;
-    let mut has_source = vec![false; k];
-    let mut has_target = vec![false; k];
+    // An a-class induces cross pairs only when both sides are present,
+    // and then all its members must share one b-color.
+    let counts = SideCounts::new(a, combined);
+    let mut b_color: Vec<Option<ColorId>> =
+        vec![None; a.num_colors() as usize];
     for n in combined.graph().nodes() {
-        match combined.side(n) {
-            rdf_model::Side::Source => has_source[a.color(n).index()] = true,
-            rdf_model::Side::Target => has_target[a.color(n).index()] = true,
-        }
-    }
-    let mut b_color: Vec<Option<ColorId>> = vec![None; k];
-    for n in combined.graph().nodes() {
-        let ac = a.color(n).index();
-        if !(has_source[ac] && has_target[ac]) {
+        let ac = a.color(n);
+        if !counts.is_aligned(ac) {
             continue;
         }
-        match b_color[ac] {
-            None => b_color[ac] = Some(b.color(n)),
+        match b_color[ac.index()] {
+            None => b_color[ac.index()] = Some(b.color(n)),
             Some(c) => {
                 if c != b.color(n) {
                     return false;

@@ -11,7 +11,7 @@
 //!   breakdown exact/inclusive/missing/false against a ground truth
 //!   (Figs 14, 15).
 
-use crate::partition::{NodeTally, Partition};
+use crate::partition::{NodeKinds, Partition, SideCounts};
 use rdf_model::{
     CombinedGraph, FxHashMap, FxHashSet, GroundTruth, NodeId, OutColumns,
     Side,
@@ -247,7 +247,7 @@ impl NodeCounts {
 /// Compute [`NodeCounts`] for a partition over a combined graph,
 /// restricted to non-literal nodes.
 pub fn node_counts(partition: &Partition, combined: &CombinedGraph) -> NodeCounts {
-    NodeTally::new(partition, combined).node_counts()
+    SideCounts::new(partition, combined).node_counts()
 }
 
 /// The four-way per-node classification of §5.2 (Figs 14, 15).
@@ -298,30 +298,19 @@ pub fn classify_matches(
     truth: &GroundTruth,
 ) -> MatchBreakdown {
     let g = combined.graph();
-    let k = partition.num_colors() as usize;
-    // Per color: count of non-literal nodes on each side.
-    let mut src_count = vec![0u32; k];
-    let mut tgt_count = vec![0u32; k];
-    for n in g.nodes() {
-        if g.is_literal(n) {
-            continue;
-        }
-        let c = partition.color(n).index();
-        match combined.side(n) {
-            Side::Source => src_count[c] += 1,
-            Side::Target => tgt_count[c] += 1,
-        }
-    }
+    let counts = SideCounts::new(partition, combined);
     let mut breakdown = MatchBreakdown::default();
     for n in g.nodes() {
         if g.is_literal(n) {
             continue;
         }
-        let c = partition.color(n).index();
+        let c = partition.color(n);
         let (side, local) = combined.to_local(n);
-        let (gt_partner, opp_count) = match side {
-            Side::Source => (truth.target_of(local), tgt_count[c]),
-            Side::Target => (truth.source_of(local), src_count[c]),
+        let opp_count =
+            counts.count(NodeKinds::NonLiteral, side.opposite(), c);
+        let gt_partner = match side {
+            Side::Source => truth.target_of(local),
+            Side::Target => truth.source_of(local),
         };
         match gt_partner {
             None => {
@@ -336,8 +325,9 @@ pub fn classify_matches(
                     Side::Source => combined.from_target(partner),
                     Side::Target => combined.from_source(partner),
                 };
-                let partner_in =
-                    partition.color(partner_global).index() == c;
+                // `A(n)` holds non-literals only.
+                let partner_in = !g.is_literal(partner_global)
+                    && partition.color(partner_global) == c;
                 if partner_in && opp_count == 1 {
                     breakdown.exact += 1;
                 } else if partner_in {
@@ -545,42 +535,208 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The bucketed pass equals the hash-set reference under every
-        /// method's partition and under arbitrary partitions: random
-        /// ones, the unit partition, and one class holding every
-        /// subject with the other nodes spread at random.
+        /// method's partition and under arbitrary partitions.
         #[test]
         fn bucketed_edge_stats_equal_hash_set_reference(
             (v, c) in arb_versions(),
             raw in proptest::collection::vec(0u32..5, 0..200),
         ) {
-            let n = c.graph().node_count();
-            let random: Vec<u32> =
-                (0..n).map(|i| raw.get(i).copied().unwrap_or(0)).collect();
-            let mut subjects_merged: Vec<u32> =
-                random.iter().map(|&r| r + 1).collect();
-            for t in c.graph().triples() {
-                subjects_merged[t.s.index()] = 0;
-            }
-            let partitions = [
-                trivial_partition(&c),
-                deblank_partition(&c).partition,
-                crate::methods::hybrid_partition(&c).partition,
-                crate::overlap_align::overlap_align(
-                    &c,
-                    &v,
-                    crate::overlap_align::OverlapConfig::default(),
-                )
-                .weighted
-                .partition,
-                Partition::from_colors(&random),
-                Partition::unit(n),
-                Partition::discrete(n),
-                Partition::from_colors(&subjects_merged),
-            ];
-            for p in &partitions {
+            for p in &test_partitions(&v, &c, &raw) {
                 prop_assert_eq!(edge_stats(p, &c), edge_stats_reference(p, &c));
             }
         }
+
+        /// Every answer read from the per-class side tally equals its
+        /// definition over node pairs, under the same partitions.
+        #[test]
+        fn side_tally_answers_equal_pairwise_definitions(
+            (v, c) in arb_versions(),
+            raw in proptest::collection::vec(0u32..5, 0..200),
+        ) {
+            let g = c.graph();
+            let partitions = test_partitions(&v, &c, &raw);
+            let weights: Vec<f64> = (0..g.node_count())
+                .map(|i| f64::from(raw.get(i).copied().unwrap_or(0)) / 8.0)
+                .collect();
+            let mut truth = GroundTruth::new();
+            for i in 0..c.source_len().min(c.target_len()) {
+                if raw.get(i).is_some_and(|r| r % 2 == 1) {
+                    truth.insert(NodeId(i as u32), NodeId(i as u32));
+                }
+            }
+            for p in &partitions {
+                prop_assert_eq!(
+                    crate::partition::unaligned_nodes(p, &c),
+                    g.nodes()
+                        .filter(|&n| partners(p, &c, n, false).is_empty())
+                        .collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    crate::partition::unaligned_non_literals(p, &c),
+                    g.nodes()
+                        .filter(|&n| {
+                            !g.is_literal(n)
+                                && partners(p, &c, n, false).is_empty()
+                        })
+                        .collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    node_counts(p, &c),
+                    node_counts_by_pairs(p, &c)
+                );
+                let view = crate::align::AlignmentView::new(p, &c);
+                let pairs = view.pairs();
+                prop_assert_eq!(view.pair_count(), pairs.len() as u64);
+                let mut expected = Vec::new();
+                for s in c.source_nodes() {
+                    for t in partners(p, &c, s, false) {
+                        expected.push((s, c.to_local(t).1));
+                    }
+                }
+                prop_assert_eq!(&pairs, &expected);
+                for b in &partitions {
+                    let contained = pairs.iter().all(|&(s, t)| {
+                        b.same_class(s, c.from_target(t))
+                    });
+                    prop_assert_eq!(
+                        crate::methods::alignment_subset(p, b, &c),
+                        contained
+                    );
+                }
+                prop_assert_eq!(
+                    classify_matches(p, &c, &truth),
+                    classify_by_pairs(p, &c, &truth)
+                );
+                let xi = crate::weighted::WeightedPartition::new(
+                    p.clone(),
+                    weights.clone(),
+                );
+                let mut close = xi.align_threshold(&c, 0.5);
+                close.sort_by_key(|&(s, t, _)| (s, t));
+                let mut expected = Vec::new();
+                for s in c.source_nodes() {
+                    for t in partners(p, &c, s, false) {
+                        let d = rdf_edit::algebra::oplus(
+                            weights[s.index()],
+                            weights[t.index()],
+                        );
+                        if d < 0.5 {
+                            expected.push((s, t, d));
+                        }
+                    }
+                }
+                prop_assert_eq!(close, expected);
+            }
+        }
+    }
+
+    /// The partitions both properties run under: every method's, and
+    /// arbitrary ones (random, unit, discrete, and one class holding
+    /// every subject with the other nodes spread at random).
+    fn test_partitions(
+        v: &Vocab,
+        c: &CombinedGraph,
+        raw: &[u32],
+    ) -> [Partition; 8] {
+        let n = c.graph().node_count();
+        let random: Vec<u32> =
+            (0..n).map(|i| raw.get(i).copied().unwrap_or(0)).collect();
+        let mut subjects_merged: Vec<u32> =
+            random.iter().map(|&r| r + 1).collect();
+        for t in c.graph().triples() {
+            subjects_merged[t.s.index()] = 0;
+        }
+        [
+            trivial_partition(c),
+            deblank_partition(c).partition,
+            crate::methods::hybrid_partition(c).partition,
+            crate::overlap_align::overlap_align(
+                c,
+                v,
+                crate::overlap_align::OverlapConfig::default(),
+            )
+            .weighted
+            .partition,
+            Partition::from_colors(&random),
+            Partition::unit(n),
+            Partition::discrete(n),
+            Partition::from_colors(&subjects_merged),
+        ]
+    }
+
+    /// The opposite-side members of `n`'s class (only the non-literal
+    /// ones if `non_literal`), found by testing every node.
+    fn partners(
+        p: &Partition,
+        c: &CombinedGraph,
+        n: NodeId,
+        non_literal: bool,
+    ) -> Vec<NodeId> {
+        let g = c.graph();
+        g.nodes()
+            .filter(|&m| {
+                c.side(m) != c.side(n)
+                    && p.same_class(n, m)
+                    && !(non_literal && g.is_literal(m))
+            })
+            .collect()
+    }
+
+    /// [`NodeCounts`] from its definition: a non-literal node is
+    /// aligned when a non-literal node of the other side shares its
+    /// class.
+    fn node_counts_by_pairs(p: &Partition, c: &CombinedGraph) -> NodeCounts {
+        let g = c.graph();
+        let mut counts = NodeCounts::default();
+        let mut classes = FxHashSet::default();
+        for n in g.nodes().filter(|&n| !g.is_literal(n)) {
+            let aligned = !partners(p, c, n, true).is_empty();
+            match c.side(n) {
+                Side::Source => {
+                    counts.total_source_nodes += 1;
+                    counts.aligned_source_nodes += usize::from(aligned);
+                }
+                Side::Target => {
+                    counts.total_target_nodes += 1;
+                    counts.aligned_target_nodes += usize::from(aligned);
+                }
+            }
+            if aligned {
+                classes.insert(p.color(n));
+            }
+        }
+        counts.aligned_classes = classes.len();
+        counts
+    }
+
+    /// [`classify_matches`] from its definition over each non-literal
+    /// node's aligned set `A(n)`.
+    fn classify_by_pairs(
+        p: &Partition,
+        c: &CombinedGraph,
+        truth: &GroundTruth,
+    ) -> MatchBreakdown {
+        let g = c.graph();
+        let mut b = MatchBreakdown::default();
+        for n in g.nodes().filter(|&n| !g.is_literal(n)) {
+            let aligned = partners(p, c, n, true);
+            let partner = match c.to_local(n) {
+                (Side::Source, l) => {
+                    truth.target_of(l).map(|t| c.from_target(t))
+                }
+                (Side::Target, l) => {
+                    truth.source_of(l).map(|s| c.from_source(s))
+                }
+            };
+            match partner {
+                None if aligned.is_empty() => b.exact += 1,
+                None => b.false_matches += 1,
+                Some(m) if aligned == [m] => b.exact += 1,
+                Some(m) if aligned.contains(&m) => b.inclusive += 1,
+                Some(_) => b.missing += 1,
+            }
+        }
+        b
     }
 
     #[test]

@@ -17,10 +17,10 @@ use crate::engine::RefineEngine;
 use crate::enrich::enrich;
 use crate::methods::hybrid_partition_with;
 use crate::overlap::{overlap_match, OverlapMatchStats};
-use crate::partition::SideCounts;
+use crate::partition::{NodeKinds, SideCounts};
 use crate::propagate::propagate_with;
 use crate::weighted::WeightedPartition;
-use rdf_model::{CombinedGraph, FxHashMap, NodeId, Side, TripleGraph, Vocab};
+use rdf_model::{CombinedGraph, FxHashMap, NodeId, TripleGraph, Vocab};
 use rdf_edit::algebra::oplus;
 use rdf_edit::levenshtein::normalized_levenshtein;
 use std::hash::BuildHasher;
@@ -188,7 +188,7 @@ pub fn overlap_align_with(
     let mut rounds = Vec::new();
 
     // Round 0: unaligned literals, word overlap + σ_Literals.
-    let (a0, b0) = unaligned_by_side(&xi, combined, true);
+    let (a0, b0) = unaligned_by_side(&xi, combined, NodeKinds::Literal);
     let char_a: Vec<Vec<u64>> = a0
         .iter()
         .map(|&n| split_words(vocab.text(g.label(n))))
@@ -220,7 +220,7 @@ pub fn overlap_align_with(
     // Non-literal rounds: enrich + propagate, then match non-literals.
     for _ in 0..MAX_ROUNDS {
         xi = propagate_with(combined, &enrich(&xi, &h), engine);
-        let (a, b) = unaligned_by_side(&xi, combined, false);
+        let (a, b) = unaligned_by_side(&xi, combined, NodeKinds::NonLiteral);
         let char_a: Vec<Vec<u64>> =
             a.iter().map(|&n| out_colors(g, &xi, n)).collect();
         let char_b: Vec<Vec<u64>> =
@@ -256,30 +256,18 @@ pub fn overlap_align_with(
     }
 }
 
-/// Unaligned nodes of each side, restricted to literals or non-literals.
+/// Unaligned nodes of each side among `kinds`.
 fn unaligned_by_side(
     xi: &WeightedPartition,
     combined: &CombinedGraph,
-    literals: bool,
+    kinds: NodeKinds,
 ) -> (Vec<NodeId>, Vec<NodeId>) {
-    let g = combined.graph();
-    let counts = SideCounts::new(&xi.partition, combined);
-    let mut a = Vec::new();
-    let mut b = Vec::new();
-    for n in g.nodes() {
-        if g.is_literal(n) != literals {
-            continue;
-        }
-        let side = combined.side(n);
-        if counts.is_aligned(xi.color(n), side) {
-            continue;
-        }
-        match side {
-            Side::Source => a.push(n),
-            Side::Target => b.push(n),
-        }
-    }
-    (a, b)
+    let (p, g) = (&xi.partition, combined.graph());
+    let counts = SideCounts::new(p, combined);
+    (
+        counts.unaligned(p, g, kinds, combined.source_nodes()),
+        counts.unaligned(p, g, kinds, combined.target_nodes()),
+    )
 }
 
 #[cfg(test)]

@@ -216,92 +216,108 @@ impl Partition {
     }
 }
 
-/// Per-side class occupancy of a partition over a combined graph, the
-/// basis of the aligned/unaligned distinction of §3.1.
+/// Which nodes a [`SideCounts`] query reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeKinds {
+    /// Every node.
+    All,
+    /// URIs and blank nodes.
+    NonLiteral,
+    /// Literals.
+    Literal,
+}
+
+impl NodeKinds {
+    /// Whether a node that is (or is not) a literal is among these.
+    #[inline]
+    fn admits(self, literal: bool) -> bool {
+        match self {
+            NodeKinds::All => true,
+            NodeKinds::NonLiteral => !literal,
+            NodeKinds::Literal => literal,
+        }
+    }
+}
+
+/// Per-class, per-side occupancy of a partition over a combined graph:
+/// how many source and how many target nodes each class holds, over
+/// every node and over the non-literal nodes. It is the one count
+/// behind every §3.1 query: whether a class is aligned, `Align(λ)` and
+/// its size, `Unaligned(λ)`, `UN(λ)` (equation 4) and the §5 node
+/// counts.
 #[derive(Debug, Clone)]
 pub struct SideCounts {
-    /// Number of source-side nodes per color.
-    pub source: Vec<u32>,
-    /// Number of target-side nodes per color.
-    pub target: Vec<u32>,
+    /// Every node per color, indexed `[source, target]`.
+    all: [Vec<u32>; 2],
+    /// Non-literal nodes per color, indexed `[source, target]`.
+    non_literal: [Vec<u32>; 2],
 }
 
 impl SideCounts {
-    /// Count class occupancy per side.
+    /// Count every class's members per side, in one walk over the
+    /// union.
     pub fn new(partition: &Partition, combined: &CombinedGraph) -> Self {
         let k = partition.num_colors() as usize;
-        let mut source = vec![0u32; k];
-        let mut target = vec![0u32; k];
-        for n in combined.graph().nodes() {
-            let c = partition.color(n).index();
-            match combined.side(n) {
-                Side::Source => source[c] += 1,
-                Side::Target => target[c] += 1,
+        let zero = || [vec![0u32; k], vec![0u32; k]];
+        let (mut all, mut non_literal) = (zero(), zero());
+        let g = combined.graph();
+        let n1 = combined.source_len();
+        for (i, c) in partition.colors().iter().enumerate() {
+            let side = usize::from(i >= n1);
+            all[side][c.index()] += 1;
+            if !g.is_literal(NodeId(i as u32)) {
+                non_literal[side][c.index()] += 1;
             }
         }
-        SideCounts { source, target }
+        SideCounts { all, non_literal }
     }
 
-    /// Whether a node of the given side is aligned (its class contains at
-    /// least one node of the opposite side).
+    /// Members of class `color` on `side` among `kinds`.
     #[inline]
-    pub fn is_aligned(&self, color: ColorId, side: Side) -> bool {
-        match side {
-            Side::Source => self.target[color.index()] > 0,
-            Side::Target => self.source[color.index()] > 0,
+    pub fn count(&self, kinds: NodeKinds, side: Side, color: ColorId) -> u32 {
+        let (s, c) = (usize::from(side == Side::Target), color.index());
+        match kinds {
+            NodeKinds::All => self.all[s][c],
+            NodeKinds::NonLiteral => self.non_literal[s][c],
+            NodeKinds::Literal => self.all[s][c] - self.non_literal[s][c],
         }
+    }
+
+    /// Whether a class holds nodes of both sides, so that every member
+    /// is aligned (§3.1).
+    #[inline]
+    pub fn is_aligned(&self, color: ColorId) -> bool {
+        let c = color.index();
+        self.all[0][c] > 0 && self.all[1][c] > 0
+    }
+
+    /// Whether a class holds exactly one node of each side.
+    #[inline]
+    pub fn is_one_to_one(&self, color: ColorId) -> bool {
+        let c = color.index();
+        self.all[0][c] == 1 && self.all[1][c] == 1
     }
 
     /// Number of classes populated from both sides.
     pub fn aligned_classes(&self) -> usize {
-        self.source
-            .iter()
-            .zip(&self.target)
-            .filter(|(&s, &t)| s > 0 && t > 0)
+        (0..self.all[0].len())
+            .filter(|&c| self.is_aligned(ColorId(c as u32)))
             .count()
     }
-}
 
-/// Per-class node counts of each side, over every node and over the
-/// non-literal nodes, from one pass over the union: the one count
-/// behind [`unaligned_nodes`] and [`crate::metrics::node_counts`],
-/// which the pipeline takes once for both.
-pub(crate) struct NodeTally {
-    /// Every node, per side and color.
-    all: SideCounts,
-    /// Non-literal nodes, per side and color.
-    non_literal: SideCounts,
-}
-
-impl NodeTally {
-    /// Count every class's members per side.
-    pub(crate) fn new(partition: &Partition, combined: &CombinedGraph) -> Self {
-        let k = partition.num_colors() as usize;
-        let zero = || SideCounts {
-            source: vec![0; k],
-            target: vec![0; k],
-        };
-        let (mut all, mut non_literal) = (zero(), zero());
-        let g = combined.graph();
-        let n1 = combined.source_len() as u32;
-        for n in g.nodes() {
-            let c = partition.color(n).index();
-            let (every, non_lit) = if n.0 < n1 {
-                (&mut all.source, &mut non_literal.source)
-            } else {
-                (&mut all.target, &mut non_literal.target)
-            };
-            every[c] += 1;
-            if !g.is_literal(n) {
-                non_lit[c] += 1;
-            }
-        }
-        NodeTally { all, non_literal }
+    /// `|Align(λ)|`: Σ over classes of source members · target members.
+    pub fn pair_count(&self) -> u64 {
+        let [source, target] = &self.all;
+        source
+            .iter()
+            .zip(target)
+            .map(|(&s, &t)| u64::from(s) * u64::from(t))
+            .sum()
     }
 
     /// The §5 node counts over non-literal nodes.
-    pub(crate) fn node_counts(&self) -> NodeCounts {
-        let SideCounts { source, target } = &self.non_literal;
+    pub fn node_counts(&self) -> NodeCounts {
+        let [source, target] = &self.non_literal;
         let mut counts = NodeCounts {
             total_source_nodes: source.iter().map(|&n| n as usize).sum(),
             total_target_nodes: target.iter().map(|&n| n as usize).sum(),
@@ -317,21 +333,70 @@ impl NodeTally {
         counts
     }
 
-    /// `Unaligned(λ)` of the counted partition, in ascending node
-    /// order.
-    pub(crate) fn unaligned(
+    /// The unaligned nodes among `kinds` of `nodes` (every node, or one
+    /// side's), in the order given.
+    pub fn unaligned(
         &self,
         partition: &Partition,
-        combined: &CombinedGraph,
+        g: &TripleGraph,
+        kinds: NodeKinds,
+        nodes: impl Iterator<Item = NodeId>,
     ) -> Vec<NodeId> {
-        combined
-            .graph()
-            .nodes()
+        nodes
             .filter(|&n| {
-                !self.all.is_aligned(partition.color(n), combined.side(n))
+                !self.is_aligned(partition.color(n))
+                    && kinds.admits(g.is_literal(n))
             })
             .collect()
     }
+
+    /// Call `f(s, t)` for every pair of `Align(λ)` in combined ids:
+    /// class by class in color order, and within a class sources then
+    /// targets in ascending order. Each side's members are grouped by
+    /// a counting sort over this tally.
+    pub fn for_each_pair(
+        &self,
+        partition: &Partition,
+        combined: &CombinedGraph,
+        mut f: impl FnMut(NodeId, NodeId),
+    ) {
+        let (ss, source) =
+            group_by_color(partition, &self.all[0], combined.source_nodes());
+        let (ts, target) =
+            group_by_color(partition, &self.all[1], combined.target_nodes());
+        for c in 0..self.all[0].len() {
+            for &s in &source[ss[c]..ss[c + 1]] {
+                for &t in &target[ts[c]..ts[c + 1]] {
+                    f(s, t);
+                }
+            }
+        }
+    }
+}
+
+/// Counting-sort `nodes` by color, given each color's member count:
+/// color `c`'s members are `members[starts[c]..starts[c + 1]]`, in the
+/// order given.
+fn group_by_color(
+    partition: &Partition,
+    counts: &[u32],
+    nodes: impl Iterator<Item = NodeId>,
+) -> (Vec<usize>, Vec<NodeId>) {
+    let mut starts = Vec::with_capacity(counts.len() + 1);
+    let mut end = 0usize;
+    starts.push(end);
+    for &n in counts {
+        end += n as usize;
+        starts.push(end);
+    }
+    let mut next = starts.clone();
+    let mut members = vec![NodeId(0); end];
+    for n in nodes {
+        let slot = &mut next[partition.color(n).index()];
+        members[*slot] = n;
+        *slot += 1;
+    }
+    (starts, members)
 }
 
 /// `Unaligned(λ)` (§3.1): nodes whose class contains no node of the
@@ -340,7 +405,9 @@ pub fn unaligned_nodes(
     partition: &Partition,
     combined: &CombinedGraph,
 ) -> Vec<NodeId> {
-    NodeTally::new(partition, combined).unaligned(partition, combined)
+    let g = combined.graph();
+    let counts = SideCounts::new(partition, combined);
+    counts.unaligned(partition, g, NodeKinds::All, g.nodes())
 }
 
 /// `UN(λ)` (equation 4): unaligned nodes that are not literals.
@@ -348,14 +415,9 @@ pub fn unaligned_non_literals(
     partition: &Partition,
     combined: &CombinedGraph,
 ) -> Vec<NodeId> {
+    let g = combined.graph();
     let counts = SideCounts::new(partition, combined);
-    let g: &TripleGraph = combined.graph();
-    g.nodes()
-        .filter(|&n| {
-            !g.is_literal(n)
-                && !counts.is_aligned(partition.color(n), combined.side(n))
-        })
-        .collect()
+    counts.unaligned(partition, g, NodeKinds::NonLiteral, g.nodes())
 }
 
 #[cfg(test)]

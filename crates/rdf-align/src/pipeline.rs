@@ -11,7 +11,7 @@ use crate::methods::{
     deblank_partition_with, hybrid_partition_with, trivial_partition,
 };
 use crate::overlap_align::{overlap_align_with, OverlapConfig};
-use crate::partition::{NodeTally, Partition};
+use crate::partition::{NodeKinds, Partition, SideCounts};
 use crate::weighted::WeightedPartition;
 use rdf_model::{CombinedGraph, NodeId, RdfGraph, Vocab};
 use rdf_obs::Recorder;
@@ -186,9 +186,10 @@ pub fn align_combined(
     };
     let mut sp = rec.span("align.metrics");
     let edges = edge_stats(&weighted.partition, &combined);
-    let tally = NodeTally::new(&weighted.partition, &combined);
-    let nodes = tally.node_counts();
-    let unaligned = tally.unaligned(&weighted.partition, &combined);
+    let (p, g) = (&weighted.partition, combined.graph());
+    let counts = SideCounts::new(p, &combined);
+    let nodes = counts.node_counts();
+    let unaligned = counts.unaligned(p, g, NodeKinds::All, g.nodes());
     if sp.enabled() {
         sp.field("unaligned", unaligned.len());
     }

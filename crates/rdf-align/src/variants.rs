@@ -67,9 +67,7 @@ pub fn match_predicates_by_usage(
     for &p in &predicates {
         // Only predicates whose class is ambiguous or unaligned need a
         // usage-based decision; 1-1 classes are already settled.
-        let c = partition.color(p).index();
-        let settled = counts.source[c] == 1 && counts.target[c] == 1;
-        if settled {
+        if counts.is_one_to_one(partition.color(p)) {
             continue;
         }
         match combined.side(p) {

@@ -11,8 +11,8 @@
 //!
 //! and the alignment `Align_θ(ξ) = {(n, m) | λ(n) = λ(m), ω(n) ⊕ ω(m) < θ}`.
 
-use crate::partition::{ColorId, Partition};
-use rdf_model::{CombinedGraph, NodeId, Side};
+use crate::partition::{ColorId, Partition, SideCounts};
+use rdf_model::{CombinedGraph, NodeId};
 use rdf_edit::algebra::oplus;
 
 /// A weighted partition `ξ = (λ, ω)`.
@@ -83,27 +83,17 @@ impl WeightedPartition {
         combined: &CombinedGraph,
         theta: f64,
     ) -> Vec<(NodeId, NodeId, f64)> {
-        let k = self.partition.num_colors() as usize;
-        let mut src: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        let mut tgt: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        for n in combined.graph().nodes() {
-            let c = self.partition.color(n).index();
-            match combined.side(n) {
-                Side::Source => src[c].push(n),
-                Side::Target => tgt[c].push(n),
-            }
-        }
         let mut out = Vec::new();
-        for c in 0..k {
-            for &s in &src[c] {
-                for &t in &tgt[c] {
-                    let d = oplus(self.weight(s), self.weight(t));
-                    if d < theta {
-                        out.push((s, t, d));
-                    }
+        SideCounts::new(&self.partition, combined).for_each_pair(
+            &self.partition,
+            combined,
+            |s, t| {
+                let d = oplus(self.weight(s), self.weight(t));
+                if d < theta {
+                    out.push((s, t, d));
                 }
-            }
-        }
+            },
+        );
         out
     }
 }

@@ -1,5 +1,5 @@
 //! Instrumentation must be *inert*: an alignment run traced through a
-//! [`rdf_obs::JsonlRecorder`] produces bit-identical output (dense
+//! JSONL [`rdf_obs::Recorder`] produces bit-identical output (dense
 //! colors, §5 metrics, unaligned report) to the same run under the
 //! disabled recorder, at every thread count {1, 4} — and the trace
 //! itself is structurally deterministic: the per-family span *counts*

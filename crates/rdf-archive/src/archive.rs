@@ -117,20 +117,17 @@ impl Archive {
         // Representative source node per 1-1 class.
         let mut source_rep: Vec<Option<NodeId>> = vec![None; k];
         for n in combined.source_nodes() {
-            let c = partition.color(n).index();
-            if counts.source[c] == 1 && counts.target[c] == 1 {
-                source_rep[c] = Some(n);
+            let c = partition.color(n);
+            if counts.is_one_to_one(c) {
+                source_rep[c.index()] = Some(n);
             }
         }
         let mut mapping = Vec::with_capacity(g.node_count());
         for m_local in g.nodes() {
             let m = combined.from_target(m_local);
-            let c = partition.color(m).index();
-            let canon = match source_rep[c] {
-                Some(prev) if counts.target[c] == 1 => {
-                    self.last_mapping[prev.index()]
-                }
-                _ => self.fresh_canon(),
+            let canon = match source_rep[partition.color(m).index()] {
+                Some(prev) => self.last_mapping[prev.index()],
+                None => self.fresh_canon(),
             };
             mapping.push(canon);
         }

@@ -61,11 +61,13 @@ commands:
                                     command); see docs/PROTOCOL.md
 
 threading:
-  --threads N                       N = auto | positive integer (default
-                                    auto). Refinement output is identical
-                                    for every N; only wall time changes.
-                                    auto uses the RDF_THREADS environment
-                                    variable when set, else all cores.
+  --threads N                       N = auto | integer from 1 to 256
+                                    (default auto). Refinement output is
+                                    identical for every N; only wall
+                                    time changes. auto uses the
+                                    RDF_THREADS environment variable when
+                                    it holds such an integer, else all
+                                    cores (at most 256).
 
 tracing:
   --trace PATH                      (import|info|align) append one JSONL
@@ -210,6 +212,13 @@ EXAMPLES
   rdf request --socket /tmp/rdf.sock '{\"op\":\"align\",\"source\":\"/tmp/efo/v1.rdfb\",\"target\":\"/tmp/efo/v2.rdfb\"}'
 ";
 
+/// The value of `--threads`: `auto` or an integer from 1 to
+/// [`rdf_par::MAX_THREADS`]; an error names the flag.
+fn threads_arg(value: Option<&String>) -> Result<Threads, String> {
+    let value = value.ok_or("--threads needs a value")?;
+    Threads::parse(value).map_err(|e| format!("--threads: {e}"))
+}
+
 /// Whether the argument list asks for help.
 fn wants_help(rest: &[String]) -> bool {
     rest.iter().any(|a| a == "--help" || a == "-h")
@@ -313,9 +322,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 match a.as_str() {
                     "--bisim" => bisim = true,
                     "--threads" => {
-                        threads = Threads::parse(
-                            it.next().ok_or("--threads needs a value")?,
-                        )?;
+                        threads = threads_arg(it.next())?;
                     }
                     "--trace" => {
                         trace = Some(PathBuf::from(
@@ -370,9 +377,7 @@ fn run(args: &[String]) -> Result<String, String> {
                         );
                     }
                     "--threads" => {
-                        threads = Threads::parse(
-                            it.next().ok_or("--threads needs a value")?,
-                        )?;
+                        threads = threads_arg(it.next())?;
                     }
                     other => inputs.push(positional(other, "align")?),
                 }
@@ -451,9 +456,7 @@ fn run(args: &[String]) -> Result<String, String> {
                         );
                     }
                     "--threads" => {
-                        threads = Threads::parse(
-                            it.next().ok_or("--threads needs a value")?,
-                        )?;
+                        threads = threads_arg(it.next())?;
                     }
                     other => {
                         positional(other, "serve")?;

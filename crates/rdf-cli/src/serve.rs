@@ -27,6 +27,7 @@ use crate::signals;
 use crate::{CliError, Session};
 use rdf_align::Threads;
 use rdf_obs::Recorder;
+use rdf_par::MAX_THREADS;
 use rdf_serve::{ErrorKind, Request, Response};
 use std::hash::Hasher;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -359,6 +360,16 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
              drop the \"streaming\" field"
                 .to_string(),
         );
+    }
+    if let Request::Import { threads, .. }
+    | Request::Info { threads, .. }
+    | Request::Align { threads, .. } = &req
+    {
+        if let Some(n) = threads.filter(|n| !(1..=MAX_THREADS).contains(n)) {
+            return return_bad_request(format!(
+                "field \"threads\" is {n}; expected 1 to {MAX_THREADS}"
+            ));
+        }
     }
     let op = req.op().to_string();
     let want_trace = matches!(
@@ -1079,6 +1090,27 @@ mod tests {
         }
         let last = Response::parse(lines[3]).unwrap();
         assert!(matches!(last, Response::Ok { .. }), "got {last:?}");
+    }
+
+    /// A thread count outside `1..=MAX_THREADS` is refused before the
+    /// request's path is opened: a missing path would otherwise answer
+    /// `engine`.
+    #[test]
+    fn thread_counts_out_of_bounds_are_bad_requests() {
+        let state = Arc::new(ServeState::new(Threads::Fixed(1), 1, 0));
+        for threads in [100_000, 0] {
+            let line = format!(
+                r#"{{"op":"info","path":"/nonexistent/v1.rdfb","bisim":true,"threads":{threads}}}"#
+            );
+            let resp = handle_request(&state, Request::parse(&line).unwrap());
+            match resp {
+                Response::Err { kind, message } => {
+                    assert_eq!(kind, ErrorKind::BadRequest);
+                    assert!(message.contains("threads"), "{message}");
+                }
+                other => panic!("expected bad_request, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -619,6 +619,25 @@ fn unknown_flags_are_rejected_not_read_as_paths() {
     }
 }
 
+/// A `--threads` count above `rdf_par::MAX_THREADS` fails before any
+/// input is opened: exit 2, with the flag named.
+#[test]
+fn thread_counts_above_the_bound_are_refused() {
+    for args in [
+        vec!["info", "--bisim", "--threads", "100000", "missing.rdfb"],
+        vec!["align", "--threads", "100000", "a.rdfb", "b.rdfb"],
+    ] {
+        let out = Command::new(bin())
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "rdf {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--threads"), "rdf {args:?}: got {err}");
+        assert!(!err.contains(".rdfb"), "rdf {args:?}: got {err}");
+    }
+}
+
 #[test]
 fn import_rejects_archive_containers() {
     let dir = TempDir::new("kind");

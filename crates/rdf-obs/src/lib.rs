@@ -8,11 +8,13 @@
 //! behavior observable without perturbing it:
 //!
 //! * [`Recorder`] — the instrumentation handle threaded through hot
-//!   paths. It is a two-variant enum, not a `&dyn` trait object: the
-//!   disabled arm ([`NullRecorder`]) is a unit struct, every operation
-//!   starts with a branch on the discriminant, and the compiler deletes
-//!   the instrumented arm from monomorphic hot loops. The [`Record`]
-//!   trait exists for code that wants to be generic over recorders.
+//!   paths. It is one concrete type over an optional JSONL sink, not a
+//!   `&dyn` trait object: [`Recorder::disabled`] holds `None`, every
+//!   operation starts with one branch on it, and the compiler deletes
+//!   the instrumented side from monomorphic hot loops. An enabled
+//!   recorder ([`Recorder::jsonl_file`], [`Recorder::jsonl_writer`])
+//!   appends one JSON object per line (see `docs/TRACE_FORMAT.md`) and
+//!   aggregates everything into a final [`RunReport`].
 //! * [`SpanGuard`] — a monotonic-clock timed, nestable span. Created by
 //!   [`Recorder::span`], annotated with [`SpanGuard::field`], emitted as
 //!   one JSONL line when dropped.
@@ -22,9 +24,6 @@
 //!   structure of the run (rounds, blocks, sections), never on the
 //!   thread count — that invariant is what lets the test suite assert
 //!   event-count determinism across thread counts.
-//! * [`JsonlRecorder`] — the enabled recorder: appends one JSON object
-//!   per line (see `docs/TRACE_FORMAT.md`) and aggregates everything
-//!   into a final [`RunReport`].
 //! * [`RunReport`] — per-span-family totals, counter table, gauge table
 //!   and core count; renders as JSON (the trace's final line) or as a
 //!   text table (`rdf stats`).
@@ -45,8 +44,5 @@ pub mod json;
 mod recorder;
 mod report;
 
-pub use recorder::{
-    Counter, FieldValue, Gauge, JsonlRecorder, NullRecorder, Record,
-    Recorder, SpanGuard,
-};
+pub use recorder::{Counter, FieldValue, Gauge, Recorder, SpanGuard};
 pub use report::{RunReport, SpanTotal};

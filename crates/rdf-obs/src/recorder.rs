@@ -1,5 +1,5 @@
-//! Recorder values: the disabled no-op, the JSONL-appending recorder,
-//! and the span/counter/gauge handles they hand out.
+//! The recorder, disabled or appending JSONL, and the span, counter and
+//! gauge handles it hands out.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufWriter, Write};
@@ -87,102 +87,60 @@ impl From<String> for FieldValue {
     }
 }
 
-/// Generic interface over recorders, for code that wants to be generic
-/// instead of holding the concrete [`Recorder`] enum. Hot paths in this
-/// workspace hold the enum directly (one discriminant branch, no
-/// virtual dispatch); the trait exists for tests and adapters.
-pub trait Record {
-    /// `true` when events are actually collected. Hot paths may use
-    /// this to skip building expensive field values.
-    fn enabled(&self) -> bool;
-    /// Start a timed span. The span is emitted when the guard drops.
-    fn span(&self, name: &'static str) -> SpanGuard<'_>;
-    /// Handle on a named monotone counter.
-    fn counter<'a>(&'a self, name: &'a str) -> Counter<'a>;
-    /// Handle on a named gauge (aggregated by maximum).
-    fn gauge<'a>(&'a self, name: &'a str) -> Gauge<'a>;
-}
-
-/// The recorder that records nothing. Every operation is a branch on
-/// `None` and returns immediately; guards carry no clock reads.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
 /// The instrumentation handle threaded through engines, store readers
-/// and the CLI.
+/// and the CLI: either disabled, or appending JSONL events to a sink.
 ///
-/// A two-variant enum rather than a `&dyn Record`: the null arm costs
-/// one predictable branch per call site and lets the optimiser erase
-/// instrumentation from monomorphic loops, which is what keeps the
-/// untraced path's cost near zero (`perfbench/` reports it as
-/// `trace_overhead_pct`).
-pub enum Recorder {
-    /// Record nothing (the default everywhere).
-    Null(NullRecorder),
-    /// Append JSONL events and aggregate a [`RunReport`].
-    Jsonl(JsonlRecorder),
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::disabled()
-    }
+/// A concrete type over an `Option` rather than a `&dyn` trait object:
+/// the disabled recorder costs one predictable branch on `None` per
+/// call site, hands out guards that read no clock, and lets the
+/// optimiser erase instrumentation from monomorphic loops, which is
+/// what keeps the untraced path's cost near zero (`perfbench/`
+/// reports it as `trace_overhead_pct`).
+#[derive(Default)]
+pub struct Recorder {
+    jsonl: Option<JsonlRecorder>,
 }
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Recorder::Null(_) => f.write_str("Recorder::Null"),
-            Recorder::Jsonl(_) => f.write_str("Recorder::Jsonl(..)"),
-        }
-    }
-}
-
-impl From<NullRecorder> for Recorder {
-    fn from(r: NullRecorder) -> Self {
-        Recorder::Null(r)
-    }
-}
-
-impl From<JsonlRecorder> for Recorder {
-    fn from(r: JsonlRecorder) -> Self {
-        Recorder::Jsonl(r)
+        f.write_str(if self.enabled() {
+            "Recorder(jsonl)"
+        } else {
+            "Recorder(disabled)"
+        })
     }
 }
 
 impl Recorder {
     /// The no-op recorder, usable in `const` position.
     pub const fn disabled() -> Recorder {
-        Recorder::Null(NullRecorder)
+        Recorder { jsonl: None }
     }
 
     /// Recorder appending JSONL events to a freshly created file.
     pub fn jsonl_file(path: impl AsRef<Path>) -> io::Result<Recorder> {
-        Ok(Recorder::Jsonl(JsonlRecorder::create(path)?))
+        let file = std::fs::File::create(path)?;
+        Ok(Recorder::jsonl_writer(Box::new(BufWriter::new(file))))
     }
 
     /// Recorder appending JSONL events to an arbitrary sink.
     /// `Recorder::jsonl_writer(Box::new(std::io::sink()))` aggregates a
     /// [`RunReport`] without keeping the event stream.
     pub fn jsonl_writer(out: Box<dyn io::Write + Send>) -> Recorder {
-        Recorder::Jsonl(JsonlRecorder::to_writer(out))
-    }
-
-    /// `true` when this recorder actually collects events.
-    pub fn enabled(&self) -> bool {
-        matches!(self, Recorder::Jsonl(_))
-    }
-
-    fn as_jsonl(&self) -> Option<&JsonlRecorder> {
-        match self {
-            Recorder::Null(_) => None,
-            Recorder::Jsonl(r) => Some(r),
+        Recorder {
+            jsonl: Some(JsonlRecorder::to_writer(out)),
         }
+    }
+
+    /// `true` when this recorder actually collects events. Hot paths
+    /// may use this to skip building expensive field values.
+    pub fn enabled(&self) -> bool {
+        self.jsonl.is_some()
     }
 
     /// Start a timed span; emitted as one JSONL event when dropped.
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        SpanGuard::new(self.as_jsonl(), name)
+        SpanGuard::new(self.jsonl.as_ref(), name)
     }
 
     /// Handle on a named monotone counter. Counters aggregate into the
@@ -190,7 +148,7 @@ impl Recorder {
     /// trace event counts stay independent of thread scheduling.
     pub fn counter<'a>(&'a self, name: &'a str) -> Counter<'a> {
         Counter {
-            rec: self.as_jsonl(),
+            rec: self.jsonl.as_ref(),
             name,
         }
     }
@@ -200,71 +158,19 @@ impl Recorder {
     /// counters, surface only in the final [`RunReport`].
     pub fn gauge<'a>(&'a self, name: &'a str) -> Gauge<'a> {
         Gauge {
-            rec: self.as_jsonl(),
+            rec: self.jsonl.as_ref(),
             name,
         }
     }
 
     /// Flush, append the final `{"ev":"report",...}` line and return
-    /// the aggregated report. Returns `Ok(None)` for the null recorder.
-    /// Calling `finish` more than once re-returns the report without
-    /// writing a second line.
+    /// the aggregated report. Returns `Ok(None)` for the disabled
+    /// recorder. Calling `finish` more than once re-returns the report
+    /// without writing a second line. If any earlier write failed,
+    /// that error surfaces here (span emission happens in `Drop`,
+    /// which cannot fail).
     pub fn finish(&self) -> io::Result<Option<RunReport>> {
-        match self.as_jsonl() {
-            None => Ok(None),
-            Some(r) => r.finish().map(Some),
-        }
-    }
-}
-
-impl Record for Recorder {
-    fn enabled(&self) -> bool {
-        Recorder::enabled(self)
-    }
-    fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        Recorder::span(self, name)
-    }
-    fn counter<'a>(&'a self, name: &'a str) -> Counter<'a> {
-        Recorder::counter(self, name)
-    }
-    fn gauge<'a>(&'a self, name: &'a str) -> Gauge<'a> {
-        Recorder::gauge(self, name)
-    }
-}
-
-impl Record for NullRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-    fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        SpanGuard::new(None, name)
-    }
-    fn counter<'a>(&'a self, name: &'a str) -> Counter<'a> {
-        Counter { rec: None, name }
-    }
-    fn gauge<'a>(&'a self, name: &'a str) -> Gauge<'a> {
-        Gauge { rec: None, name }
-    }
-}
-
-impl Record for JsonlRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-    fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        SpanGuard::new(Some(self), name)
-    }
-    fn counter<'a>(&'a self, name: &'a str) -> Counter<'a> {
-        Counter {
-            rec: Some(self),
-            name,
-        }
-    }
-    fn gauge<'a>(&'a self, name: &'a str) -> Gauge<'a> {
-        Gauge {
-            rec: Some(self),
-            name,
-        }
+        self.jsonl.as_ref().map(JsonlRecorder::finish).transpose()
     }
 }
 
@@ -361,30 +267,22 @@ struct Inner {
     finished: bool,
 }
 
-/// The enabled recorder: appends one JSON object per line to a sink
-/// and aggregates spans, counters and gauges into a [`RunReport`].
+/// The enabled recorder's state: appends one JSON object per line to
+/// a sink and aggregates spans, counters and gauges into a
+/// [`RunReport`].
 ///
 /// All state sits behind one mutex; the intended emitters are
 /// per-round / per-block / per-section events, orders of magnitude
 /// rarer than the per-node work they measure, so contention is not a
 /// concern. I/O errors during emission are sticky and reported by
-/// [`JsonlRecorder::finish`] (span emission happens in `Drop`, which
-/// cannot fail).
-pub struct JsonlRecorder {
+/// [`Recorder::finish`].
+struct JsonlRecorder {
     inner: Mutex<Inner>,
 }
 
 impl JsonlRecorder {
-    /// Create (truncate) `path` and record events into it.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<JsonlRecorder> {
-        let file = std::fs::File::create(path)?;
-        Ok(JsonlRecorder::to_writer(Box::new(BufWriter::new(file))))
-    }
-
-    /// Record events into an arbitrary sink. `Box::new(std::io::sink())`
-    /// gives aggregation (a [`RunReport`]) without keeping the event
-    /// stream — the bench binaries use exactly that.
-    pub fn to_writer(out: Box<dyn Write + Send>) -> JsonlRecorder {
+    /// Record events into an arbitrary sink.
+    fn to_writer(out: Box<dyn Write + Send>) -> JsonlRecorder {
         JsonlRecorder {
             inner: Mutex::new(Inner {
                 out,
@@ -457,10 +355,8 @@ impl JsonlRecorder {
     }
 
     /// Append the final `{"ev":"report",...}` line, flush the sink and
-    /// return the aggregated report. If any earlier write failed, that
-    /// error surfaces here. A second call re-returns the report without
-    /// writing another line.
-    pub fn finish(&self) -> io::Result<RunReport> {
+    /// return the aggregated report; see [`Recorder::finish`].
+    fn finish(&self) -> io::Result<RunReport> {
         let mut inner = self.lock();
         let report = Self::snapshot(&inner);
         if let Some(e) = inner.io_error.take() {
@@ -498,8 +394,7 @@ mod tests {
 
     fn jsonl_pair() -> (Recorder, SharedBuf) {
         let buf = SharedBuf::default();
-        let rec =
-            Recorder::Jsonl(JsonlRecorder::to_writer(Box::new(buf.clone())));
+        let rec = Recorder::jsonl_writer(Box::new(buf.clone()));
         (rec, buf)
     }
 

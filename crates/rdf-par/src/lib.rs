@@ -28,46 +28,55 @@ use std::ops::Range;
 /// any call site.
 pub const THREADS_ENV: &str = "RDF_THREADS";
 
+/// Most threads any configuration resolves to. A refinement round
+/// starts up to this many workers per block, so a count from outside
+/// the program (a flag, the environment, a request) above it is
+/// refused rather than allowed to start one thread per node.
+pub const MAX_THREADS: usize = 256;
+
 /// Thread-count configuration for parallel helpers.
 ///
 /// `Auto` (the default) resolves to the `RDF_THREADS` environment
-/// variable when it holds a positive integer, and otherwise to
-/// [`std::thread::available_parallelism`]. `Fixed(n)` always resolves
-/// to `max(n, 1)` — an explicit request (e.g. a `--threads` flag) wins
-/// over the environment.
+/// variable when it holds an integer from 1 to [`MAX_THREADS`], and
+/// otherwise to [`std::thread::available_parallelism`]. `Fixed(n)`
+/// always resolves to `n` clamped to `1..=MAX_THREADS` — an explicit
+/// request (e.g. a `--threads` flag) wins over the environment. Every
+/// resolution is at most [`MAX_THREADS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Threads {
     /// `RDF_THREADS` if set and valid, else `available_parallelism()`.
     #[default]
     Auto,
-    /// Exactly this many threads (clamped to at least 1).
+    /// Exactly this many threads (clamped to `1..=MAX_THREADS`).
     Fixed(usize),
 }
 
 impl Threads {
-    /// Resolve to a concrete thread count (always ≥ 1).
+    /// Resolve to a concrete thread count in `1..=MAX_THREADS`.
     pub fn resolve(self) -> usize {
-        match self {
-            Threads::Fixed(n) => n.max(1),
+        let n = match self {
+            Threads::Fixed(n) => n,
             Threads::Auto => std::env::var(THREADS_ENV)
                 .ok()
                 .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1)
+                .filter(|n| (1..=MAX_THREADS).contains(n))
                 .unwrap_or_else(available),
-        }
+        };
+        n.clamp(1, MAX_THREADS)
     }
 
-    /// Parse a command-line value: `"auto"` or a positive integer.
+    /// Parse a command-line value: `"auto"` or an integer from 1 to
+    /// [`MAX_THREADS`].
     pub fn parse(s: &str) -> Result<Threads, String> {
         let s = s.trim();
         if s.eq_ignore_ascii_case("auto") {
             return Ok(Threads::Auto);
         }
         match s.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(Threads::Fixed(n)),
+            Ok(n) if (1..=MAX_THREADS).contains(&n) => Ok(Threads::Fixed(n)),
             _ => Err(format!(
-                "invalid thread count {s:?} (expected \"auto\" or a \
-                 positive integer)"
+                "invalid thread count {s:?} (expected \"auto\" or an \
+                 integer from 1 to {MAX_THREADS})"
             )),
         }
     }
@@ -224,8 +233,16 @@ mod tests {
         assert!(Threads::parse("0").is_err());
         assert!(Threads::parse("-2").is_err());
         assert!(Threads::parse("lots").is_err());
+        assert_eq!(
+            Threads::parse(&MAX_THREADS.to_string()).unwrap(),
+            Threads::Fixed(MAX_THREADS)
+        );
+        let err = Threads::parse("100000").unwrap_err();
+        assert!(err.contains(&MAX_THREADS.to_string()), "{err}");
         assert_eq!(Threads::Fixed(4).resolve(), 4);
         assert_eq!(Threads::Fixed(0).resolve(), 1);
+        // Library callers are clamped, not refused.
+        assert_eq!(Threads::Fixed(100_000).resolve(), MAX_THREADS);
         assert!(Threads::Auto.resolve() >= 1);
     }
 
@@ -243,6 +260,9 @@ mod tests {
         assert!(Threads::Auto.resolve() >= 1);
         std::env::set_var(THREADS_ENV, "0");
         assert!(Threads::Auto.resolve() >= 1);
+        // Above the bound: the core count, as for any invalid value.
+        std::env::set_var(THREADS_ENV, "100000");
+        assert_eq!(Threads::Auto.resolve(), available().min(MAX_THREADS));
         std::env::remove_var(THREADS_ENV);
         assert!(Threads::Auto.resolve() >= 1);
     }

@@ -6,8 +6,7 @@
 //! on Linux x86-64 and aarch64 (no libc crate, nothing to install),
 //! and a single `read_to_end`-style fallback everywhere else — so
 //! every platform and the CI container keep working, just without
-//! page-cache sharing. Setting `RDF_NO_MMAP=1` forces the fallback
-//! (used by tests to cover both paths on one machine).
+//! page-cache sharing. A failed map falls back the same way.
 //!
 //! Either way the buffer base is at least 8-aligned (pages are
 //! page-aligned; the owned fallback stores `u64` words), which is what
@@ -278,12 +277,10 @@ pub struct StoreBuf {
 
 impl StoreBuf {
     /// Open `path`, mapping it when possible and falling back to one
-    /// aligned read otherwise. `RDF_NO_MMAP=1` forces the fallback.
+    /// aligned read otherwise.
     pub fn open(path: impl AsRef<Path>) -> Result<StoreBuf, StoreError> {
         let mut file = File::open(path)?;
-        if MMAP_SUPPORTED
-            && std::env::var_os("RDF_NO_MMAP").is_none_or(|v| v != "1")
-        {
+        if MMAP_SUPPORTED {
             #[cfg(all(
                 target_os = "linux",
                 any(target_arch = "x86_64", target_arch = "aarch64")
@@ -388,20 +385,27 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// The owned read (the path of platforms without the raw map, and
+    /// of a failed map) serves the bytes `open` serves, from an
+    /// 8-aligned base, on a file whose length is not a multiple of 8.
     #[test]
-    fn fallback_env_matches_mapped_bytes() {
+    fn owned_read_matches_mapped_bytes() {
         let path = temp_path("fallback");
-        let data = vec![7u8; 12345];
+        let data: Vec<u8> =
+            (0..12345u32).map(|i| (i * 7 % 251) as u8).collect();
+        assert_ne!(data.len() % 8, 0);
         File::create(&path).unwrap().write_all(&data).unwrap();
-        // Forced fallback must serve identical bytes, also 8-aligned.
-        // (Env var is read at open; tests in this process may race on
-        // set/remove, so compare against an explicit from_bytes copy.)
+        let read = AlignedBuf::read_file(&mut File::open(&path).unwrap())
+            .unwrap();
+        assert_eq!(read.as_slice(), data.as_slice());
+        assert_eq!(read.as_slice().as_ptr() as usize % 8, 0, "8-aligned");
+        let opened = StoreBuf::open(&path).unwrap();
+        assert_eq!(opened.as_slice(), read.as_slice());
+        assert_eq!(opened.as_slice().as_ptr() as usize % 8, 0);
         let owned = StoreBuf::from_bytes(&data);
         assert!(!owned.is_mapped());
         assert_eq!(owned.as_slice(), data.as_slice());
         assert_eq!(owned.as_slice().as_ptr() as usize % 8, 0);
-        let opened = StoreBuf::open(&path).unwrap();
-        assert_eq!(opened.as_slice(), owned.as_slice());
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -243,12 +243,10 @@ pub fn overlap_align_with(
             stats,
         });
         if h_next.is_empty() {
-            h = h_next;
             break;
         }
         h = h_next;
     }
-    let _ = h;
 
     OverlapOutcome {
         weighted: xi,

@@ -91,12 +91,10 @@ pub fn match_predicates_by_usage(
     let char_a: Vec<Vec<u64>> = a.iter().map(|&p| usage(p)).collect();
     let char_b: Vec<Vec<u64>> = b.iter().map(|&p| usage(p)).collect();
     // Confirm with the same overlap measure (diff = 1 − overlap).
-    let char_b_for_sigma = char_b.clone();
     let index_of_b: rdf_model::FxHashMap<NodeId, usize> =
         b.iter().enumerate().map(|(i, &n)| (n, i)).collect();
     let index_of_a: rdf_model::FxHashMap<NodeId, usize> =
         a.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-    let char_a_for_sigma = char_a.clone();
     let (h, _) = overlap_match(
         &a,
         &char_a,
@@ -104,8 +102,8 @@ pub fn match_predicates_by_usage(
         &char_b,
         theta,
         |n, m| {
-            let ca = &char_a_for_sigma[index_of_a[&n]];
-            let cb = &char_b_for_sigma[index_of_b[&m]];
+            let ca = &char_a[index_of_a[&n]];
+            let cb = &char_b[index_of_b[&m]];
             crate::overlap::diff_sorted(ca, cb)
         },
     );

@@ -5,6 +5,7 @@
 //! object — hand-rolled here because the offline dependency set carries
 //! no serde.
 
+use rdf_obs::json::escape;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -58,13 +59,13 @@ impl BenchRecord {
     /// Serialise to a JSON object (stable key order, `\n`-terminated).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"name\": {},", json_string(&self.name));
+        let _ = writeln!(out, "  \"name\": \"{}\",", escape(&self.name));
         out.push_str("  \"params\": {");
         for (i, (k, v)) in self.params.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            let _ = write!(out, "{}: {}", json_string(k), json_string(v));
+            let _ = write!(out, "\"{}\": \"{}\"", escape(k), escape(v));
         }
         out.push_str("},\n");
         let _ = writeln!(out, "  \"wall_ms\": {},", json_number(self.wall_ms));
@@ -82,27 +83,6 @@ impl BenchRecord {
         std::fs::write(&path, self.to_json())?;
         Ok(path)
     }
-}
-
-/// JSON-escape a string (quotes, backslashes, control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Format a float as valid JSON (finite; trailing-zero trimmed).

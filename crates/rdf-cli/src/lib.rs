@@ -159,7 +159,8 @@ pub fn info(input: &Path, bisim: Option<Threads>) -> Result<String, CliError> {
 }
 
 /// [`info`] with instrumentation: the container parse emits a
-/// `store.open` span, the `--bisim` view its `store.section` spans and
+/// `store.open` span, the `--bisim` view its `store.section` spans
+/// (`NODE` and `TRPL`: bisimulation starts from the labels alone) and
 /// the refinement its `refine.*` spans into `rec`. The report text is
 /// byte-identical to the untraced run.
 pub fn info_traced(
@@ -207,8 +208,8 @@ pub fn info_traced(
     }
     if let Some(threads) = bisim {
         if info.header.kind == rdf_store::KIND_GRAPH {
-            // Zero-copy path: serve the id columns as a view of the
-            // (mapped) store buffer.
+            // Zero-copy path: serve the labels and edge columns as a
+            // view of the (mapped) store buffer; no `DICT` entry is read.
             let view = BorrowedStoreReader::view_in(&container, rec)
                 .map_err(|e| ctx(input, e))?;
             let cols = view.out_columns();

@@ -5,18 +5,23 @@
 //! union (`append_into`), the CLI loader (`load_input`) and `rdf
 //! align`, which loads both inputs straight into their union (the
 //! CLI's messages name the file). A `BNAM` or `TRPL` defect in a store
-//! with valid checksums is refused on the union path too.
+//! with valid checksums is refused on the union path too, and so is a
+//! `NODE` label id beyond the dictionary on every path, `rdf info
+//! --bisim` included, which reads only the `DICT` entry count.
 
 use rdf_align::Threads;
-use rdf_model::{GraphAppender, RdfGraphBuilder, Vocab};
+use rdf_model::{GraphAppender, LabelId, RdfGraphBuilder, Vocab};
 use rdf_obs::Recorder;
-use rdf_store::fixed::{pad8, parse_fixed_body, FIXED_PREAMBLE};
+use rdf_store::fixed::{
+    encode_node_fixed_into, pad8, parse_fixed_body, FIXED_PREAMBLE,
+};
 use rdf_store::varint::write_varint;
 use rdf_store::{
     graph_to_bytes, BorrowedStoreReader, Container, ContainerWriter,
     StoreBuf, StoreError,
 };
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 /// A three-label store: `<s> <p> <o>`, dictionary ids 1, 2, 3.
 fn sample() -> Vec<u8> {
@@ -271,6 +276,85 @@ fn bnam_and_trpl_defects_are_typed_errors_on_the_union_path() {
             "{name} via align: {msg}"
         );
     }
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `rdf info --bisim <path>` fails with exit 2, naming the path and the
+/// defect, without a panic.
+fn assert_info_bisim_refuses(path: &Path, defect: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_rdf"))
+        .args(["info", "--bisim", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{}: {err}", path.display());
+    assert!(
+        err.contains(path.to_str().unwrap())
+            && err.contains("corrupt")
+            && err.contains(defect)
+            && !err.contains("panicked"),
+        "{}: {err}",
+        path.display()
+    );
+}
+
+/// The label bound on a `NODE` id: the `DICT` entry count. A store
+/// with valid checksums whose `NODE` holds an id equal to the count is
+/// `Corrupt` through the view, the owned decode, the union append and
+/// `rdf info --bisim`; a `DICT` whose declared count matches the header
+/// but not what its body holds is refused by the view and `info
+/// --bisim` before any entry is read.
+#[test]
+fn node_label_ids_beyond_the_dictionary_are_refused_everywhere() {
+    let dir = std::env::temp_dir()
+        .join(format!("rdf-cli-label-bound-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // Case 1: the sample's labels are dictionary ids 1..=3 of 4.
+    let mut node = Vec::new();
+    encode_node_fixed_into(&mut node, &[LabelId(1), LabelId(2), LabelId(4)]);
+    let bad = reframe(&sample(), b"NODE", &node, None);
+    let reader = BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bad));
+    reader.info().expect("checksums are valid");
+    let beyond = |got: Result<(), StoreError>, entry: &str| match got {
+        Err(StoreError::Corrupt(m)) if m.contains("beyond dictionary") => {}
+        other => panic!("label bound via {entry}: got {other:?}"),
+    };
+    beyond(reader.read_view().map(drop), "read_view");
+    beyond(reader.read_graph().map(drop), "read_graph");
+    let mut union = GraphAppender::new();
+    let rec = Recorder::disabled();
+    beyond(
+        reader.append_into(&mut Vocab::new(), &mut union, &rec).map(drop),
+        "append_into",
+    );
+    assert_eq!(union.node_count(), 0, "label bound: union changed");
+    let path = dir.join("label-bound.rdfb");
+    std::fs::write(&path, &bad).unwrap();
+    assert_info_bisim_refuses(&path, "beyond dictionary");
+
+    // Case 2: a declared count of 2^20 in a body of three entries.
+    let count = 1u64 << 20;
+    let mut dict = Vec::new();
+    write_varint(&mut dict, count);
+    for text in [b"s", b"p", b"o"] {
+        dict.push(1);
+        write_varint(&mut dict, 1);
+        dict.extend_from_slice(text);
+    }
+    pad8(&mut dict);
+    let bad = reframe(&sample(), b"DICT", &dict, Some(count));
+    let reader = BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bad));
+    reader.info().expect("checksums are valid");
+    match reader.read_view() {
+        Err(StoreError::Corrupt(m)) if m.contains("exceeds") => {}
+        other => panic!("forged count via read_view: got {other:?}"),
+    }
+    let path = dir.join("forged-count.rdfb");
+    std::fs::write(&path, &bad).unwrap();
+    assert_info_bisim_refuses(&path, "exceeds");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,6 @@
-//! Borrowed graph views: a [`TripleGraph`]-shaped read surface whose
-//! columns may borrow from an external byte buffer instead of owning
-//! copies — the model half of the zero-copy store load path.
+//! Borrowed graph views: the labels and grouped-CSR edge columns of a
+//! graph, borrowed from an external byte buffer where possible instead
+//! of owning copies — the model half of the zero-copy store load path.
 //!
 //! The fixed-width `.rdfb` layout (container version 2, `docs/FORMAT.md` §3)
 //! stores the `NODE` label array and the `TRPL` subject/predicate/
@@ -9,9 +9,12 @@
 //! it out as a `&[NodeId]`/`&[LabelId]` slice *borrowing the file
 //! bytes* (see the cast helpers below); narrower columns are widened
 //! into owned vectors — still without any varint decode. Either way
-//! the result is a [`TripleGraphView`], which serves the same
+//! the result is a [`TripleGraphView`]: labels plus the same
 //! [`OutColumns`] the refinement engine consumes from a resident
-//! graph, so `info --bisim` can run straight off the buffer.
+//! graph, which is all bisimulation reads, so `info --bisim` runs
+//! straight off the buffer. A view has no label kinds and no subject
+//! column; a caller that needs a resident [`crate::TripleGraph`]
+//! appends the store's columns to a [`crate::GraphAppender`] instead.
 //!
 //! The casts rely on two invariants, both stated at the type
 //! definitions: [`NodeId`] and [`LabelId`] are `repr(transparent)`
@@ -19,10 +22,8 @@
 //! little-endian targets (big-endian callers get `None` and fall back
 //! to widening).
 
-use crate::graph::{
-    GraphAppender, NodeId, OutColumns, RawPartsError, Triple, TripleGraph,
-};
-use crate::label::{LabelId, LabelKind};
+use crate::graph::{extend_offsets, NodeId, OutColumns, RawPartsError};
+use crate::label::LabelId;
 use std::borrow::Cow;
 
 /// Reinterpret little-endian bytes as a `u32` slice without copying.
@@ -68,58 +69,43 @@ pub fn label_ids_from_le_bytes(bytes: &[u8]) -> Option<&[LabelId]> {
     })
 }
 
-/// A read-only triple graph whose label and triple columns may borrow
-/// from an external buffer (a mapped or owned store image) instead of
-/// owning copies.
+/// A read-only graph whose label and edge columns may borrow from an
+/// external buffer (a mapped or owned store image) instead of owning
+/// copies.
 ///
-/// It has the layout of a resident [`TripleGraph`] plus the store's
-/// subject column: the predicate and object columns *are* the
-/// adjacency, and the only always-owned pieces are the `n + 1` CSR
-/// offsets (rebuilt in one counting pass over the subject column) and
-/// the per-node kind array. [`TripleGraphView::out_columns`] serves
-/// the refinement engine without further copying.
+/// It is what bisimulation reads (Proposition 1): the node labels
+/// `ℓ_G` and the grouped-CSR columns of the edges. The predicate and
+/// object columns *are* the adjacency; the only always-owned piece is
+/// the `n + 1` CSR offsets, built from the subject column, which is
+/// then dropped. [`TripleGraphView::out_columns`] serves the refinement
+/// engine without further copying.
 #[derive(Debug)]
 pub struct TripleGraphView<'a> {
     labels: Cow<'a, [LabelId]>,
-    kinds: Vec<LabelKind>,
     offsets: Vec<u32>,
-    subjects: Cow<'a, [NodeId]>,
     preds: Cow<'a, [NodeId]>,
     objs: Cow<'a, [NodeId]>,
 }
 
 impl<'a> TripleGraphView<'a> {
-    /// Assemble a view from per-node labels/kinds and the three triple
-    /// columns of a store, validating exactly what
-    /// [`TripleGraph::from_raw_parts`] would: equal column lengths,
-    /// node ids in range, and the `(s, p, o)` sequence strictly
-    /// ascending (sorted *and* duplicate-free — the on-disk contract).
+    /// Assemble a view from per-node labels and the three triple
+    /// columns of a store, validating what
+    /// [`crate::GraphAppender::append_columns`] does: equal column
+    /// lengths, node ids in range, and the `(s, p, o)` sequence
+    /// strictly ascending (sorted *and* duplicate-free — the on-disk
+    /// contract). The subject column only builds the offsets.
     pub fn from_sorted_columns(
         labels: Cow<'a, [LabelId]>,
-        kinds: Vec<LabelKind>,
-        subjects: Cow<'a, [NodeId]>,
+        subjects: &[NodeId],
         preds: Cow<'a, [NodeId]>,
         objs: Cow<'a, [NodeId]>,
     ) -> Result<TripleGraphView<'a>, ViewError> {
-        check_sorted_columns(
-            labels.len(),
-            kinds.len(),
-            &subjects,
-            &preds,
-            &objs,
-        )?;
-        let mut offsets = vec![0u32; labels.len() + 1];
-        for &s in subjects.iter() {
-            offsets[s.index() + 1] += 1;
-        }
-        for i in 0..labels.len() {
-            offsets[i + 1] += offsets[i];
-        }
+        check_sorted_columns(labels.len(), subjects, &preds, &objs)?;
+        let mut offsets = Vec::new();
+        extend_offsets(&mut offsets, labels.len(), subjects.iter().copied());
         Ok(TripleGraphView {
             labels,
-            kinds,
             offsets,
-            subjects,
             preds,
             objs,
         })
@@ -134,7 +120,7 @@ impl<'a> TripleGraphView<'a> {
     /// Number of triples.
     #[inline]
     pub fn triple_count(&self) -> usize {
-        self.subjects.len()
+        self.preds.len()
     }
 
     /// The per-node label array (index = node id).
@@ -143,58 +129,26 @@ impl<'a> TripleGraphView<'a> {
         &self.labels
     }
 
-    /// The per-node label-kind array (index = node id).
-    #[inline]
-    pub fn kinds(&self) -> &[LabelKind] {
-        &self.kinds
-    }
-
-    /// The subject column, indexed by triple.
-    #[inline]
-    pub fn subjects(&self) -> &[NodeId] {
-        &self.subjects
-    }
-
-    /// The predicate column, indexed by triple.
-    #[inline]
-    pub fn preds(&self) -> &[NodeId] {
-        &self.preds
-    }
-
-    /// The object column, indexed by triple.
-    #[inline]
-    pub fn objs(&self) -> &[NodeId] {
-        &self.objs
-    }
-
-    /// Triple `j` of the sorted sequence.
-    #[inline]
-    pub fn triple(&self, j: usize) -> Triple {
-        Triple::new(self.subjects[j], self.preds[j], self.objs[j])
-    }
-
-    /// Whether every triple column (subjects, predicates, objects)
-    /// borrows from the external buffer — true exactly when the store
-    /// columns were 4 bytes wide and aligned on a little-endian target.
+    /// Whether the predicate and object columns borrow from the
+    /// external buffer — true exactly when the store columns were 4
+    /// bytes wide and aligned on a little-endian target.
     pub fn columns_borrowed(&self) -> bool {
-        matches!(self.subjects, Cow::Borrowed(_))
-            && matches!(self.preds, Cow::Borrowed(_))
+        matches!(self.preds, Cow::Borrowed(_))
             && matches!(self.objs, Cow::Borrowed(_))
     }
 
     /// The grouped-CSR outbound view the refinement engine consumes.
     /// Predicate/object columns are handed through without copying
     /// (the triple sort order groups each subject's edges contiguously
-    /// and sorted — exactly the [`TripleGraph::out_columns`] layout).
+    /// and sorted — exactly the [`crate::TripleGraph::out_columns`]
+    /// layout).
     pub fn out_columns(&self) -> OutColumns<'_> {
         OutColumns::from_parts(&self.offsets, &self.preds, &self.objs)
             .expect("view CSR validated on construction")
     }
 
-    /// Heap bytes the view keeps resident (owned columns, kinds and
-    /// offsets; borrowed columns cost nothing here) — the bytes the
-    /// zero-copy path saves show up as the gap between this and
-    /// [`TripleGraphView::to_graph`]'s materialisation.
+    /// Heap bytes the view keeps resident: the offsets and any owned
+    /// (widened) column; borrowed columns cost nothing here.
     pub fn resident_bytes(&self) -> usize {
         #[allow(clippy::ptr_arg)]
         fn cow_bytes<T: Clone>(c: &Cow<'_, [T]>) -> usize {
@@ -204,46 +158,22 @@ impl<'a> TripleGraphView<'a> {
             }
         }
         cow_bytes(&self.labels)
-            + self.kinds.len()
             + 4 * self.offsets.len()
-            + cow_bytes(&self.subjects)
             + cow_bytes(&self.preds)
             + cow_bytes(&self.objs)
     }
-
-    /// Materialise a resident [`TripleGraph`] — bit-identical to
-    /// loading the same store through the owned decode path.
-    pub fn to_graph(&self) -> TripleGraph {
-        let mut g = GraphAppender::new();
-        g.append_columns(
-            self.labels.to_vec(),
-            self.kinds.clone(),
-            &self.subjects,
-            &self.preds,
-            &self.objs,
-        )
-        .expect("view columns validated on construction");
-        g.finish()
-    }
 }
 
-/// The checks of a graph given as sorted triple columns: one kind per
-/// label, three columns of equal length, every node id below `nodes`,
-/// and the `(s, p, o)` sequence strictly ascending (sorted *and*
-/// duplicate-free — the on-disk contract).
+/// The checks of a graph given as sorted triple columns: three columns
+/// of equal length, every node id below `nodes`, and the `(s, p, o)`
+/// sequence strictly ascending (sorted *and* duplicate-free — the
+/// on-disk contract).
 pub(crate) fn check_sorted_columns(
     nodes: usize,
-    kinds: usize,
     subjects: &[NodeId],
     preds: &[NodeId],
     objs: &[NodeId],
 ) -> Result<(), ViewError> {
-    if nodes != kinds {
-        return Err(ViewError::Raw(RawPartsError::LengthMismatch {
-            labels: nodes,
-            kinds,
-        }));
-    }
     let e = subjects.len();
     if preds.len() != e || objs.len() != e {
         return Err(ViewError::ColumnLengthMismatch {
@@ -274,10 +204,10 @@ pub(crate) fn check_sorted_columns(
 }
 
 /// Inconsistency detected by [`TripleGraphView::from_sorted_columns`]
-/// and [`GraphAppender::append_columns`].
+/// and [`crate::GraphAppender::append_columns`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewError {
-    /// A violation [`TripleGraph::from_raw_parts`] also detects.
+    /// A violation [`crate::TripleGraph::from_raw_parts`] also detects.
     Raw(RawPartsError),
     /// The three triple columns have different lengths.
     ColumnLengthMismatch {
@@ -322,7 +252,7 @@ impl std::error::Error for ViewError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::GraphBuilder;
+    use crate::graph::{GraphAppender, GraphBuilder, TripleGraph};
     use crate::label::Vocab;
 
     fn sample() -> TripleGraph {
@@ -341,16 +271,20 @@ mod tests {
         b.freeze()
     }
 
-    fn view_of(g: &TripleGraph) -> TripleGraphView<'static> {
-        let (s, p, o): (Vec<NodeId>, Vec<NodeId>, Vec<NodeId>) = (
+    /// The `(s, p, o)` columns of a graph's triples.
+    fn columns(g: &TripleGraph) -> [Vec<NodeId>; 3] {
+        [
             g.triples().map(|t| t.s).collect(),
             g.triples().map(|t| t.p).collect(),
             g.triples().map(|t| t.o).collect(),
-        );
+        ]
+    }
+
+    fn view_of(g: &TripleGraph) -> TripleGraphView<'static> {
+        let [s, p, o] = columns(g);
         TripleGraphView::from_sorted_columns(
             Cow::Owned(g.labels_raw().to_vec()),
-            g.kinds_raw().to_vec(),
-            Cow::Owned(s),
+            &s,
             Cow::Owned(p),
             Cow::Owned(o),
         )
@@ -400,36 +334,39 @@ mod tests {
         assert_eq!(v.node_count(), g.node_count());
         assert_eq!(v.triple_count(), g.triple_count());
         assert_eq!(v.labels(), g.labels_raw());
-        assert_eq!(v.kinds(), g.kinds_raw());
-        for (j, t) in g.triples().enumerate() {
-            assert_eq!(v.triple(j), t);
-        }
         // The CSR view agrees edge for edge with the resident graph's.
         let vc = v.out_columns();
         let gc = g.out_columns();
         assert_eq!(vc.offsets(), gc.offsets());
         assert_eq!(vc.preds(), gc.preds());
         assert_eq!(vc.objs(), gc.objs());
-        // Materialisation rebuilds the identical graph.
-        let g2 = v.to_graph();
-        assert!(g2.triples().eq(g.triples()));
-        assert_eq!(g2.labels_raw(), g.labels_raw());
         assert!(v.resident_bytes() > 0);
+        // Appending the same columns builds the identical graph: the
+        // view and the appender share one offset builder.
+        let [s, p, o] = columns(&g);
+        let mut a = GraphAppender::new();
+        a.append_columns(
+            g.labels_raw().to_vec(),
+            g.kinds_raw().to_vec(),
+            &s,
+            &p,
+            &o,
+        )
+        .unwrap();
+        assert_eq!(a.finish().out_columns().offsets(), vc.offsets());
     }
 
     #[test]
     fn view_rejects_malformed_columns() {
         let g = sample();
+        let labels = || Cow::Owned(g.labels_raw().to_vec());
         // Unsorted (first and last subject swapped breaks the order).
-        let mut s: Vec<NodeId> = g.triples().map(|t| t.s).collect();
-        let p: Vec<NodeId> = g.triples().map(|t| t.p).collect();
-        let o: Vec<NodeId> = g.triples().map(|t| t.o).collect();
+        let [mut s, p, o] = columns(&g);
         let last = s.len() - 1;
         s.swap(0, last);
         let err = TripleGraphView::from_sorted_columns(
-            Cow::Owned(g.labels_raw().to_vec()),
-            g.kinds_raw().to_vec(),
-            Cow::Owned(s.clone()),
+            labels(),
+            &s,
             Cow::Owned(p.clone()),
             Cow::Owned(o.clone()),
         );
@@ -439,9 +376,8 @@ mod tests {
         ));
         // Length mismatch.
         let err = TripleGraphView::from_sorted_columns(
-            Cow::Owned(g.labels_raw().to_vec()),
-            g.kinds_raw().to_vec(),
-            Cow::Owned(vec![NodeId(0)]),
+            labels(),
+            &[NodeId(0)],
             Cow::Owned(p.clone()),
             Cow::Owned(o.clone()),
         );
@@ -451,9 +387,8 @@ mod tests {
         ));
         // Out-of-range node id.
         let err = TripleGraphView::from_sorted_columns(
-            Cow::Owned(g.labels_raw().to_vec()),
-            g.kinds_raw().to_vec(),
-            Cow::Owned(vec![NodeId(u32::MAX)]),
+            labels(),
+            &[NodeId(u32::MAX)],
             Cow::Owned(vec![NodeId(0)]),
             Cow::Owned(vec![NodeId(0)]),
         );
@@ -467,8 +402,7 @@ mod tests {
     fn empty_view() {
         let v = TripleGraphView::from_sorted_columns(
             Cow::Owned(Vec::new()),
-            Vec::new(),
-            Cow::Owned(Vec::new()),
+            &[],
             Cow::Owned(Vec::new()),
             Cow::Owned(Vec::new()),
         )
@@ -476,6 +410,6 @@ mod tests {
         assert_eq!(v.node_count(), 0);
         assert_eq!(v.triple_count(), 0);
         assert!(v.out_columns().is_empty());
-        assert_eq!(v.to_graph().triple_count(), 0);
+        assert_eq!(v.out_columns().offsets(), [0]);
     }
 }

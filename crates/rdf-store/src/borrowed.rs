@@ -11,8 +11,10 @@
 //! * [`BorrowedStoreReader::info`] — header, section sizes and the load
 //!   mode, for `rdf info`;
 //! * [`BorrowedStoreReader::view_in`] — a [`TripleGraphView`] whose
-//!   columns borrow from the buffer, for `rdf info --bisim`; it walks
-//!   `DICT` for the label kinds and interns nothing;
+//!   columns borrow from the buffer, for `rdf info --bisim`: the
+//!   `NODE` labels and the `TRPL` edges, which are all bisimulation
+//!   reads. Of `DICT` it reads only the entry count, which bounds the
+//!   label ids; it reads no entry and interns nothing;
 //! * [`BorrowedStoreReader::append_into`] — the columns appended to a
 //!   [`GraphAppender`] (the union of two versions), with labels
 //!   interned straight into a caller's [`Vocab`] and `BNAM` checked
@@ -37,8 +39,9 @@ use crate::container::{
 use crate::error::StoreError;
 use crate::fixed::{fixed_column, parse_fixed_body, widen_column, FixedBody};
 use crate::graph_store::{
-    decode_bnam, dict_entry, dict_section_kinds, join_dict_section,
-    section_span, walk_bnam, TAG_BNAM, TAG_DICT, TAG_NODE, TAG_TRPL,
+    decode_bnam, dict_entry, dict_label_count, join_dict_section,
+    label_beyond_dict, section_span, walk_bnam, TAG_BNAM, TAG_DICT,
+    TAG_NODE, TAG_TRPL,
 };
 use crate::mmap::StoreBuf;
 use rdf_model::{
@@ -235,31 +238,27 @@ impl BorrowedStoreReader {
 
     /// Serve the graph of an already-parsed container as a view, so a
     /// caller holding the parse pays no second checksum pass. Emits one
-    /// `store.section` span per section touched (`DICT`, `NODE`,
-    /// `TRPL` — a view never decodes `BNAM`).
+    /// `store.section` span per section read: `NODE` and `TRPL`.
     ///
-    /// No label is interned: the per-label kinds come from a walk of
-    /// `DICT` that validates kind tags, UTF-8, the count and the
-    /// padding, and the view's label ids are the store's dictionary
-    /// ids.
+    /// The view's label ids are the store's dictionary ids, and `DICT`
+    /// is read only for its entry count: the count must match the
+    /// header and fit the body, and a `NODE` label id at or above it is
+    /// `Corrupt`, so no forged id can size a per-label table. No entry
+    /// is read and no label is interned.
     pub fn view_in<'a>(
         c: &Container<'a>,
         rec: &Recorder,
     ) -> Result<TripleGraphView<'a>, StoreError> {
         let dict_body = graph_section(c, TAG_DICT)?;
-        let dict_kinds = {
-            let _sp = section_span(rec, "DICT", dict_body.len());
-            dict_section_kinds(dict_body, c.header().counts[0])?
-        };
+        let label_count = dict_label_count(dict_body, c.header().counts[0])?;
         let Columns {
             labels,
             spo: [s, p, o],
         } = columns(c, rec)?;
-        let kinds = labels
-            .iter()
-            .map(|&l| dict_entry(&dict_kinds, l))
-            .collect::<Result<Vec<_>, _>>()?;
-        TripleGraphView::from_sorted_columns(labels, kinds, s, p, o)
+        if let Some(&l) = labels.iter().find(|l| l.index() >= label_count) {
+            return Err(label_beyond_dict(l, label_count));
+        }
+        TripleGraphView::from_sorted_columns(labels, &s, p, o)
             .map_err(|e| StoreError::Corrupt(e.to_string()))
     }
 
@@ -495,7 +494,7 @@ fn id_column<'a, T: Clone>(
 mod tests {
     use super::*;
     use crate::graph_store::graph_to_bytes;
-    use rdf_model::RdfGraphBuilder;
+    use rdf_model::{RdfGraphBuilder, TripleGraph};
 
     fn sample() -> (Vocab, rdf_model::RdfGraph) {
         let mut vocab = Vocab::new();
@@ -509,6 +508,14 @@ mod tests {
             b.finish()
         };
         (vocab, g)
+    }
+
+    /// The view serves the graph's CSR columns, edge for edge.
+    fn assert_same_edges(view: &TripleGraphView<'_>, g: &TripleGraph) {
+        let (vc, gc) = (view.out_columns(), g.out_columns());
+        assert_eq!(vc.offsets(), gc.offsets());
+        assert_eq!(vc.preds(), gc.preds());
+        assert_eq!(vc.objs(), gc.objs());
     }
 
     /// The view and the owned load agree on the fixed layout, and the
@@ -525,8 +532,7 @@ mod tests {
         assert_eq!(view.node_count(), g.node_count());
         assert_eq!(view.triple_count(), g.triple_count());
         assert_eq!(view.labels(), g.graph().labels_raw());
-        assert_eq!(view.kinds(), g.graph().kinds_raw());
-        assert!(view.to_graph().triples().eq(g.graph().triples()));
+        assert_same_edges(&view, g.graph());
         assert!(owned.graph().triples().eq(g.graph().triples()));
         assert_eq!(owned.graph().labels_raw(), view.labels());
         assert_eq!(v2.len(), owned_v.len());
@@ -572,7 +578,7 @@ mod tests {
             "width-4 LE columns must borrow from the buffer"
         );
         assert_eq!(reader.info().unwrap().mode, Some(LoadMode::Borrow));
-        assert!(view.to_graph().triples().eq(g.graph().triples()));
+        assert_same_edges(&view, g.graph());
         // Borrowed columns keep almost nothing resident: well under the
         // 12 bytes/triple the owned triple vector alone would cost.
         assert!(

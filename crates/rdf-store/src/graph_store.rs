@@ -28,7 +28,7 @@ use crate::fixed::{
     check_pad8, encode_node_fixed_into, encode_trpl_fixed_into, pad8,
 };
 use crate::varint::{read_varint_u32, read_varint_usize, write_varint};
-use rdf_model::{FxHashMap, LabelId, LabelKind, NodeId, RdfGraph, Vocab};
+use rdf_model::{FxHashMap, LabelId, NodeId, RdfGraph, Vocab};
 use rdf_obs::{Recorder, SpanGuard};
 use std::io::Write;
 use std::path::Path;
@@ -203,22 +203,24 @@ pub(crate) fn join_dict_section(
     Ok(join)
 }
 
-/// The kind of every label of a `DICT` body, by dictionary id, from the
-/// same checked walk but without interning: kind tags, UTF-8, the count
-/// and the pad-to-8 tail are verified; repeated texts are not (that
-/// needs the hash).
-pub(crate) fn dict_section_kinds(
+/// The entry count of a `DICT` body, without reading an entry: it must
+/// match the header's `expected`, and the body must have room for that
+/// many entries, so a forged count cannot pass for a dictionary the
+/// body does not hold. Entry tags, UTF-8 and the padding are not
+/// checked.
+pub(crate) fn dict_label_count(
     dict: &[u8],
     expected: u64,
-) -> Result<Vec<LabelKind>, StoreError> {
-    let mut entries = dict_section(dict, expected)?;
-    let mut kinds = Vec::with_capacity(entries.capacity_hint());
-    kinds.push(LabelKind::Blank);
-    for entry in &mut entries {
-        kinds.push(entry?.0);
+) -> Result<usize, StoreError> {
+    let entries = dict_section(dict, expected)?;
+    let count = entries.label_count();
+    if entries.capacity_hint() < count {
+        return Err(StoreError::Corrupt(format!(
+            "dictionary count {count} exceeds what its {} bytes hold",
+            dict.len()
+        )));
     }
-    check_pad8(dict, entries.pos(), "DICT section")?;
-    Ok(kinds)
+    Ok(count)
 }
 
 /// The entry of a per-dictionary-id table for one `NODE` label id; an
@@ -228,13 +230,18 @@ pub(crate) fn dict_entry<T: Copy>(
     table: &[T],
     label: LabelId,
 ) -> Result<T, StoreError> {
-    table.get(label.index()).copied().ok_or_else(|| {
-        StoreError::Corrupt(format!(
-            "node label id {} beyond dictionary of {}",
-            label.0,
-            table.len()
-        ))
-    })
+    table
+        .get(label.index())
+        .copied()
+        .ok_or_else(|| label_beyond_dict(label, table.len()))
+}
+
+/// The error for a `NODE` label id at or above the dictionary's count.
+pub(crate) fn label_beyond_dict(label: LabelId, count: usize) -> StoreError {
+    StoreError::Corrupt(format!(
+        "node label id {} beyond dictionary of {count}",
+        label.0
+    ))
 }
 
 /// A `store.section` span tagged with the section name, body size and

@@ -51,8 +51,10 @@ proptest! {
         let reader = reader_of(&bytes);
         let (bv, view) = reader.read_view().unwrap();
         prop_assert_eq!(view.labels(), owned.1.graph().labels_raw());
-        prop_assert_eq!(view.kinds(), owned.1.graph().kinds_raw());
-        prop_assert!(view.to_graph().triples().eq(owned.1.graph().triples()));
+        let (vc, gc) = (view.out_columns(), owned.1.graph().out_columns());
+        prop_assert_eq!(vc.offsets(), gc.offsets());
+        prop_assert_eq!(vc.preds(), gc.preds());
+        prop_assert_eq!(vc.objs(), gc.objs());
         prop_assert_eq!(bv.len(), owned.0.len());
 
         // A version-1 stamp on the same bytes is the retired layout.

@@ -1,45 +1,71 @@
 //! The deterministic partition-refinement engine.
 //!
 //! Every alignment method of §3 bottoms out in iterated
-//! `BisimRefine*_X(λ)` rounds, and within one round the recoloring
+//! `BisimRefine*_X(λ)` rounds. Within one round the recoloring
 //! `recolor_λ(n)` of equation 1 depends only on the *previous*
-//! partition. The engine therefore runs one round as a walk over the
-//! node range in fixed blocks of [`BLOCK`] consecutive ids. For each
-//! block:
+//! partition, and by equation 2 a node outside `X` keeps its color. So
+//! a fixpoint only ever works on `X`, one class at a time:
 //!
-//! 1. **Signature phase** — workers fill the block's key slots in
-//!    parallel: [`rdf_par::scoped_map`] over [`rdf_par::chunk_ranges`],
-//!    each worker owning a disjoint `&mut` sub-slice of the slots and a
-//!    private pair buffer. With one worker the phase runs inline on the
-//!    calling thread.
-//! 2. **Canonicalisation phase** — the calling thread interns the
-//!    block's keys in node order; a new key gets the next dense id. A
-//!    node outside `X` keeps its previous color, so its key is interned
-//!    through a dense table indexed by that color; only the 128-bit
-//!    signatures of recolored nodes go through the hash map. Both draw
-//!    ids from one counter.
+//! 1. **`X` indexed by class.** When a fixpoint starts, the `X` nodes
+//!    are counting-sorted by initial color into one member array, and
+//!    each class of `X` is a range of it. No round visits a node
+//!    outside `X`.
+//! 2. **A dirty-class worklist.** All members of a class share one pair
+//!    set over the previous colors. So a class can split in round `r`
+//!    only if a member has a successor, in predicate or object
+//!    position, in a class that split in round `r - 1`, and then every
+//!    member has one: testing one member per class is exact. Round 1
+//!    takes every class of `X`. Later rounds test only the classes
+//!    with a successor that can ever split (one in `X`, or one whose
+//!    initial color `X` shares), found while round 1 signs them, and
+//!    take the dirty ones. A round with none does no work.
+//! 3. **Signatures, then splits.** The members of the dirty classes
+//!    are signed in batches of about [`BLOCK`] nodes. Workers fill
+//!    disjoint chunks of a batch's slots in parallel
+//!    ([`rdf_par::scoped_map`] over [`rdf_par::chunk_ranges`], inline
+//!    at one worker) with a 128-bit hash of each member's sorted,
+//!    distinct outbound color pairs. The calling thread then groups
+//!    each class's slots by signature in an open-addressing table. The
+//!    first group keeps the class's id and every other group takes a
+//!    fresh one. Fragment colors are written when the round ends, so
+//!    every signature of a round reads the previous round's colors.
+//! 4. **Stable ids, one renumber.** Inside a fixpoint a class keeps its
+//!    id. Round 1 moves every class of `X` to an id above the initial
+//!    colors, which also parts its members from nodes outside `X` that
+//!    shared their initial color. The fixpoint ends with one
+//!    first-occurrence renumber in node order. That gives the dense
+//!    canonical colors the sequential reference emits, and the same
+//!    round count, since the reference's rounds split the same
+//!    classes.
 //!
-//! Colors are numbered by first occurrence in node order whatever the
-//! thread count, so the output partition is **bit-identical** for every
-//! thread count — `--threads 1` and `--threads 8` give the same dense
-//! color vector. Blocking bounds the key column to one block instead of
-//! one slot per node.
-//!
-//! The interning map and table, the key column and the pair buffers
-//! live in the engine and are reused round to round *and* run to run.
+//! The output depends only on the classes, never on which worker
+//! signed which slot, so it is **bit-identical** for every thread
+//! count: `--threads 1` and `--threads 8` give the same dense color
+//! vector. A fixpoint costs one pass over the nodes to index `X` and
+//! one to renumber; its rounds cost work in proportion to the dirty
+//! classes. The engine's scratch is `O(|X|)` plus one table and one
+//! bitset over the initial colors, and lives in the engine, reused
+//! round to round and run to run.
 
-use crate::partition::{ColorId, DenseIds, Partition};
+use crate::partition::{ColorId, Partition};
 use crate::refine::{label_partition, label_partition_from, RefineOutcome};
 use rdf_model::hash::mix64;
-use rdf_model::{FxHashMap, LabelId, NodeId, OutColumns, TripleGraph};
+use rdf_model::{LabelId, NodeId, OutColumns, TripleGraph};
 use rdf_obs::Recorder;
 use rdf_par::{chunk_ranges, scoped_map, Threads};
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Nodes per block of a refinement round: the signature phase fills
-/// this many key slots before the canonicalisation phase interns them.
+/// Nodes whose pairs a worker gathers before it sorts and hashes any,
+/// so that their color loads overlap.
+const GATHER: usize = 32;
+
+/// An empty slot of an id table.
+const NONE: u32 = u32::MAX;
+
+/// Members per batch of a refinement round: the signature phase fills
+/// slots for whole dirty classes until a batch holds at least this
+/// many (or one class, if larger) before the split phase reads them.
 pub const BLOCK: usize = 65_536;
 
 /// Multiplier for the primary signature stream.
@@ -47,29 +73,57 @@ const K1: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// Multiplier for the secondary (independent) signature stream.
 const K2: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Interning key for one refinement round.
-#[derive(Debug, Clone, Copy)]
-enum RoundKey {
-    /// Node kept its previous color (n ∉ X).
-    Kept(u32),
-    /// Node was recolored; identified by the 128-bit signature of
-    /// `(previous color, sorted outbound color pairs)`.
-    Recolored(u64, u64),
-}
-
-/// The 128-bit signature of `recolor_λ(n)` (equation 1): the previous
-/// color mixed with the sorted, distinct outbound color pairs.
+/// The 128-bit signature of a node's outbound color pairs, each packed
+/// as `color(p) << 32 | color(o)` and given sorted: the part of
+/// `recolor_λ(n)` (equation 1) in which members of one class can
+/// differ. Equation 1 uses a *set* of pairs, so repeats are skipped.
 #[inline]
-fn recolor_signature(prev: u32, pairs: &[(u32, u32)]) -> (u64, u64) {
-    let c = prev as u64;
-    let mut h1 = mix64(c ^ 0xA5A5_5A5A_DEAD_BEEF);
-    let mut h2 = mix64(c ^ 0x0123_4567_89AB_CDEF);
-    for &(cp, co) in pairs {
-        let x = ((cp as u64) << 32) | co as u64;
+fn pair_signature(sorted: &[u64]) -> (u64, u64) {
+    let mut h1 = mix64(0xA5A5_5A5A_DEAD_BEEF);
+    let mut h2 = mix64(0x0123_4567_89AB_CDEF);
+    for (k, &x) in sorted.iter().enumerate() {
+        if k > 0 && sorted[k - 1] == x {
+            continue;
+        }
         h1 = (h1.rotate_left(5) ^ x).wrapping_mul(K1);
         h2 = (h2.rotate_left(9) ^ x).wrapping_mul(K2);
     }
     (h1, h2)
+}
+
+/// One class of `X` inside a fixpoint: a range of the member array,
+/// the last round that split it (0 before any), and whether its
+/// members have a successor that can ever split: one in `X`, or one
+/// holding an initial color shared across `X`'s boundary. A class
+/// without one never turns dirty after round 1.
+#[derive(Debug, Clone, Copy)]
+struct Class {
+    start: u32,
+    end: u32,
+    split: u32,
+    linked: bool,
+}
+
+impl Class {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
+/// One member of a dirty class, its signature, and (in round 1)
+/// whether it is linked in the sense of [`Class`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    sig: (u64, u64),
+    node: u32,
+    linked: bool,
+}
+
+/// What one round did, for its `refine.round` span.
+struct RoundStats {
+    signed: usize,
+    sig_time: Duration,
+    canon_time: Duration,
 }
 
 /// Reusable, deterministic, multi-threaded refinement engine.
@@ -104,15 +158,24 @@ pub struct RefineEngine {
     /// Instrumentation sink; [`Recorder::disabled`] by default, in
     /// which case every emission site reduces to one branch.
     recorder: Arc<Recorder>,
-    /// Interning map of recolored nodes' signatures, reused round to
-    /// round and run to run.
-    map: FxHashMap<(u64, u64), u32>,
-    /// Interning table of kept colors, sharing the map's id counter.
-    kept: DenseIds,
-    /// One block's key slots.
-    keys: Vec<RoundKey>,
+    /// One slot per initial color: the census of `X` when a fixpoint
+    /// starts, the first-occurrence renumber when it ends.
+    table: Vec<u32>,
+    /// One bit per initial color: held by a node of `X`.
+    x_colors: Vec<u64>,
+    /// The nodes of `X`, grouped by class.
+    members: Vec<u32>,
+    /// The classes of `X`; class `l` has color `base + l`, where `base`
+    /// is the initial partition's color count.
+    classes: Vec<Class>,
+    /// The current round's dirty classes.
+    dirty: Vec<u32>,
+    /// One batch's slots.
+    slots: Vec<Slot>,
+    /// Scratch for splitting one class by signature.
+    groups: Groups,
     /// One pair buffer per worker for equation 1's sorted pair set.
-    bufs: Vec<Vec<(u32, u32)>>,
+    bufs: Vec<Vec<u64>>,
 }
 
 impl RefineEngine {
@@ -121,9 +184,13 @@ impl RefineEngine {
         RefineEngine {
             threads: threads.resolve(),
             recorder: Arc::new(Recorder::disabled()),
-            map: FxHashMap::default(),
-            kept: DenseIds::default(),
-            keys: Vec::new(),
+            table: Vec::new(),
+            x_colors: Vec::new(),
+            members: Vec::new(),
+            classes: Vec::new(),
+            dirty: Vec::new(),
+            slots: Vec::new(),
+            groups: Groups::default(),
             bufs: Vec::new(),
         }
     }
@@ -175,26 +242,52 @@ impl RefineEngine {
                 rounds: 1,
             };
         }
+        let base = initial.num_colors();
+        // Classes of `X` take ids above `base`, and `NONE` is no id.
+        assert!(
+            base as usize + n < NONE as usize,
+            "too many nodes for 32-bit color ids"
+        );
         let rec = Arc::clone(&self.recorder);
         let mut fix = rec.span("refine.fixpoint");
-        let x_len = in_x.iter().filter(|&&b| b).count();
-        let mut partition = initial;
+        let mut colors = initial.into_colors();
+        let (x_len, kept) = self.index_x(&colors, in_x, base);
+        // The reference's class count before round 1 is the initial
+        // partition's; after a round it is the colors kept outside `X`
+        // plus the classes of `X`.
+        let mut classes = base as usize;
         let mut rounds = 0;
         loop {
-            let prev_num = partition.num_colors();
-            partition = self.round(cols, in_x, x_len, &partition, &rec, rounds + 1);
             rounds += 1;
-            if partition.num_colors() == prev_num {
+            let mut sp = rec.span("refine.round");
+            let stats = self.round(cols, &mut colors, base, rounds);
+            let prev = classes;
+            classes = kept + self.classes.len();
+            if sp.enabled() {
+                sp.field("round", rounds);
+                sp.field("classes", classes);
+                sp.field("splits", classes.saturating_sub(prev));
+                sp.field("signed", stats.signed);
+                sp.field("sig_us", stats.sig_time.as_micros() as u64);
+                sp.field("canon_us", stats.canon_time.as_micros() as u64);
+            }
+            if classes == prev {
                 break;
             }
         }
+        let num_colors = self.renumber(&mut colors, base);
+        debug_assert_eq!(num_colors as usize, classes);
         if fix.enabled() {
             fix.field("rounds", rounds);
-            fix.field("classes", partition.num_colors());
+            fix.field("classes", num_colors);
             fix.field("nodes", n);
+            fix.field("x", x_len);
             fix.field("threads", self.threads.min(n));
         }
-        RefineOutcome { partition, rounds }
+        RefineOutcome {
+            partition: Partition::from_dense(colors, num_colors),
+            rounds: rounds as usize,
+        }
     }
 
     /// [`RefineEngine::refine_fixpoint_columns`] over a graph's own
@@ -230,64 +323,202 @@ impl RefineEngine {
         self.refine_fixpoint_columns(cols, label_partition_from(labels), &all)
     }
 
-    /// One refinement step `BisimRefine_X(λ)` (equation 2), block by
-    /// block: parallel signatures, then a sequential first-occurrence
-    /// intern on the calling thread. `x_len` is `|X|`, the number of
-    /// signatures the map can receive.
+    /// Index `X` by class: counting-sort the `X` nodes by initial color
+    /// into `members`, one class per color they hold, ascending, and
+    /// mark those colors in `x_colors`. A class that shares its color
+    /// with nodes outside `X` is split off from them by round 1, so it
+    /// starts marked as split in round 1. Returns `|X|` and the number
+    /// of colors held outside `X` (a partition's colors are dense, so
+    /// every color is held somewhere).
+    fn index_x(
+        &mut self,
+        colors: &[ColorId],
+        in_x: &[bool],
+        base: u32,
+    ) -> (usize, usize) {
+        // The `X` nodes in node order, until they are scattered, listed
+        // without a branch per node: membership is hard to predict.
+        let x_len = in_x.iter().filter(|&&x| x).count();
+        let xs = &mut self.dirty;
+        xs.clear();
+        xs.resize(x_len + 1, 0);
+        let mut k = 0;
+        for (i, &x) in in_x.iter().enumerate() {
+            xs[k] = i as u32;
+            k += usize::from(x);
+        }
+        xs.truncate(x_len);
+        let table = &mut self.table;
+        table.clear();
+        table.resize(base as usize, 0);
+        for &i in xs.iter() {
+            table[colors[i as usize].index()] += 1;
+        }
+        let x_colors = &mut self.x_colors;
+        x_colors.clear();
+        x_colors.resize((base as usize).div_ceil(64), 0);
+        self.classes.clear();
+        let mut at = 0;
+        for (c, slot) in table.iter_mut().enumerate() {
+            let count = *slot;
+            if count > 0 {
+                x_colors[c / 64] |= 1 << (c % 64);
+                self.classes.push(Class {
+                    start: at,
+                    end: at + count,
+                    split: 0,
+                    linked: false,
+                });
+            }
+            // From here on the slot is the class's write cursor.
+            *slot = at;
+            at += count;
+        }
+        self.members.clear();
+        self.members.resize(x_len, 0);
+        for &i in xs.iter() {
+            let cursor = &mut table[colors[i as usize].index()];
+            self.members[*cursor as usize] = i;
+            *cursor += 1;
+        }
+        // A node outside `X` holding a color of `X` is rare: look for one
+        // without a branch, and only then mark the classes shared across
+        // the boundary, each found by its end, now its color's cursor.
+        let x_bit = |c: ColorId| x_colors[c.index() / 64] >> (c.0 % 64) & 1;
+        let shares = |(&c, &x): (&ColorId, &bool)| x_bit(c) & u64::from(!x);
+        let nodes = || colors.iter().zip(in_x);
+        let mut shared = 0;
+        if nodes().map(shares).fold(0, |any, s| any | s) == 1 {
+            for (&c, _) in nodes().filter(|&node| shares(node) == 1) {
+                let end = table[c.index()];
+                let l = self.classes.partition_point(|k| k.end < end);
+                shared += usize::from(self.classes[l].split == 0);
+                self.classes[l].split = 1;
+            }
+        }
+        (x_len, base as usize - self.classes.len() + shared)
+    }
+
+    /// One refinement step `BisimRefine_X(λ)` (equation 2) over the
+    /// classes of `X` that can split: pick the dirty classes, sign their
+    /// members batch by batch, split each class by signature, then write
+    /// the colors of the round's new classes (of every class of `X` in
+    /// round 1).
     fn round(
         &mut self,
         cols: &OutColumns<'_>,
-        in_x: &[bool],
-        x_len: usize,
-        prev: &Partition,
-        rec: &Recorder,
-        round: usize,
-    ) -> Partition {
-        let mut sp = rec.span("refine.round");
-        let n = prev.len();
+        colors: &mut [ColorId],
+        base: u32,
+        round: u32,
+    ) -> RoundStats {
         let sig = Signatures {
             offsets: cols.offsets(),
             preds: cols.preds(),
             objs: cols.objs(),
-            in_x,
-            colors: prev.colors(),
+            colors,
+            x_colors: &self.x_colors,
         };
-        let block = BLOCK.min(n);
-        self.keys.resize(block, RoundKey::Kept(0));
-        self.bufs.resize_with(self.threads.min(block), Vec::new);
-        self.map.clear();
-        self.map.reserve(x_len);
-        let kept = &mut self.kept;
-        kept.reset(prev.num_colors() as usize);
-        let mut colors = Vec::with_capacity(n);
-        let (mut sig_time, mut canon_time) = (Duration::ZERO, Duration::ZERO);
-        for start in (0..n).step_by(block) {
-            let keys = &mut self.keys[..block.min(n - start)];
-            let sig_start = Instant::now();
-            sig.fill(keys, start, &mut self.bufs);
-            let canon_start = Instant::now();
-            sig_time += canon_start - sig_start;
-            for &key in keys.iter() {
-                let id = match key {
-                    RoundKey::Kept(c) => kept.id(c),
-                    RoundKey::Recolored(h1, h2) => match self.map.entry((h1, h2)) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(e) => *e.insert(kept.fresh()),
-                    },
-                };
-                colors.push(ColorId(id));
+        let mut stats = RoundStats {
+            signed: 0,
+            sig_time: Duration::ZERO,
+            canon_time: Duration::ZERO,
+        };
+        let pick_start = Instant::now();
+        self.dirty.clear();
+        if round == 1 {
+            self.dirty.extend(0..self.classes.len() as u32);
+        } else {
+            let last = round - 1;
+            let classes = &self.classes;
+            let split_last = |s: NodeId| {
+                let c = sig.colors[s.index()].0;
+                match c.checked_sub(base) {
+                    Some(l) => classes[l as usize].split == last,
+                    // Outside `X`, only a color shared with `X` split,
+                    // and only in round 1.
+                    None => last == 1 && sig.x_color(c),
+                }
+            };
+            for (l, class) in classes.iter().enumerate() {
+                if !class.linked {
+                    continue;
+                }
+                let head = self.members[class.start as usize] as usize;
+                if sig.successors(head).any(split_last) {
+                    self.dirty.push(l as u32);
+                }
             }
-            canon_time += canon_start.elapsed();
         }
-        let new_num = kept.count();
-        if sp.enabled() {
-            sp.field("round", round);
-            sp.field("classes", new_num);
-            sp.field("splits", new_num.saturating_sub(prev.num_colors()));
-            sp.field("sig_us", sig_time.as_micros() as u64);
-            sp.field("canon_us", canon_time.as_micros() as u64);
+        stats.sig_time += pick_start.elapsed();
+        self.bufs.resize_with(self.threads, Vec::new);
+        let first_new = self.classes.len();
+        let mut next = 0;
+        while next < self.dirty.len() {
+            let sig_start = Instant::now();
+            let batch_start = next;
+            self.slots.clear();
+            while next < self.dirty.len() && self.slots.len() < BLOCK {
+                let class = self.classes[self.dirty[next] as usize];
+                self.slots.extend(
+                    self.members[class.range()]
+                        .iter()
+                        .map(|&node| Slot {
+                            sig: (0, 0),
+                            node,
+                            linked: false,
+                        }),
+                );
+                next += 1;
+            }
+            sig.fill(&mut self.slots, &mut self.bufs, round == 1);
+            stats.signed += self.slots.len();
+            let canon_start = Instant::now();
+            stats.sig_time += canon_start - sig_start;
+            let mut rest = &mut self.slots[..];
+            for &l in &self.dirty[batch_start..next] {
+                let len = self.classes[l as usize].range().len();
+                let (slots, tail) = rest.split_at_mut(len);
+                rest = tail;
+                split_class(
+                    &mut self.classes,
+                    &mut self.members,
+                    &mut self.groups,
+                    l as usize,
+                    slots,
+                    round,
+                );
+            }
+            stats.canon_time += canon_start.elapsed();
         }
-        Partition::from_dense(colors, new_num)
+        let write_start = Instant::now();
+        let from = if round == 1 { 0 } else { first_new };
+        for (l, class) in self.classes.iter().enumerate().skip(from) {
+            let color = ColorId(base + l as u32);
+            for &node in &self.members[class.range()] {
+                colors[node as usize] = color;
+            }
+        }
+        stats.canon_time += write_start.elapsed();
+        stats
+    }
+
+    /// Renumber the colors in place by first occurrence in node order;
+    /// returns the class count.
+    fn renumber(&mut self, colors: &mut [ColorId], base: u32) -> u32 {
+        let table = &mut self.table;
+        table.clear();
+        table.resize(base as usize + self.classes.len(), NONE);
+        let mut next = 0;
+        for c in colors.iter_mut() {
+            // Branch-free: whether a color is new is hard to predict.
+            let slot = &mut table[c.index()];
+            let unseen = *slot == NONE;
+            let id = if unseen { next } else { *slot };
+            *slot = id;
+            next += u32::from(unseen);
+            *c = ColorId(id);
+        }
+        next
     }
 }
 
@@ -297,52 +528,178 @@ impl Default for RefineEngine {
     }
 }
 
+/// Scratch for grouping one class's slots by signature.
+#[derive(Debug, Default)]
+struct Groups {
+    /// Open addressing over the signature's top bits: group ids, and
+    /// [`NONE`] in an empty slot.
+    table: Vec<u32>,
+    /// Each slot's group.
+    of: Vec<u32>,
+    /// Each group's first slot.
+    first: Vec<u32>,
+    /// Each group's size, then its write cursor.
+    cursor: Vec<u32>,
+}
+
+impl Groups {
+    /// Number the distinct signatures of `slots` (at least two) by
+    /// first occurrence; returns how many there are.
+    fn number(&mut self, slots: &[Slot]) -> usize {
+        let bits = (2 * slots.len()).next_power_of_two().trailing_zeros();
+        let mask = (1 << bits) - 1;
+        self.table.clear();
+        self.table.resize(mask + 1, NONE);
+        self.of.clear();
+        self.first.clear();
+        for (k, slot) in slots.iter().enumerate() {
+            let mut pos = (slot.sig.0 >> (64 - bits)) as usize;
+            let group = loop {
+                let g = self.table[pos];
+                if g == NONE {
+                    self.table[pos] = self.first.len() as u32;
+                    self.first.push(k as u32);
+                    break self.table[pos];
+                }
+                if slots[self.first[g as usize] as usize].sig == slot.sig {
+                    break g;
+                }
+                pos = (pos + 1) & mask;
+            };
+            self.of.push(group);
+        }
+        self.first.len()
+    }
+}
+
+/// Split class `l`, whose members' signed slots are `slots` in member
+/// order, into one class per distinct signature: its members are
+/// regrouped by signature in order of first occurrence, the first
+/// group keeps `l`, and every other group becomes a new class. Every
+/// resulting class is marked as split in `round`; a class whose
+/// members all agree keeps its members. In round 1 every class takes
+/// its `linked` flag from its members; later, fragments inherit it.
+fn split_class(
+    classes: &mut Vec<Class>,
+    members: &mut [u32],
+    groups: &mut Groups,
+    l: usize,
+    slots: &[Slot],
+    round: u32,
+) {
+    let inherited = classes[l].linked;
+    let linked = |s: &Slot| if round == 1 { s.linked } else { inherited };
+    let first = slots[0].sig;
+    if slots.iter().all(|s| s.sig == first) {
+        classes[l].linked = linked(&slots[0]);
+        return;
+    }
+    let count = groups.number(slots);
+    let Groups { of, first, cursor, .. } = groups;
+    cursor.clear();
+    cursor.resize(count, 0);
+    for &g in of.iter() {
+        cursor[g as usize] += 1;
+    }
+    let mut at = classes[l].start;
+    for (g, slot) in cursor.iter_mut().enumerate() {
+        let class = Class {
+            start: at,
+            end: at + *slot,
+            split: round,
+            linked: linked(&slots[first[g] as usize]),
+        };
+        if g == 0 {
+            classes[l] = class;
+        } else {
+            classes.push(class);
+        }
+        *slot = at;
+        at = class.end;
+    }
+    for (slot, &g) in slots.iter().zip(of.iter()) {
+        let cursor = &mut cursor[g as usize];
+        members[*cursor as usize] = slot.node;
+        *cursor += 1;
+    }
+}
+
 /// The equation-1 signature function of one round over a grouped-CSR
 /// view, with the round's inputs hoisted into plain slices.
 struct Signatures<'a> {
     offsets: &'a [u32],
     preds: &'a [NodeId],
     objs: &'a [NodeId],
-    in_x: &'a [bool],
     colors: &'a [ColorId],
+    /// One bit per initial color: held by a node of `X`.
+    x_colors: &'a [u64],
 }
 
 impl Signatures<'_> {
-    /// Node `i`'s key: its previous color when `i ∉ X`, else the hash of
-    /// its previous color and its sorted, distinct outbound color pairs.
+    /// Whether a node of `X` holds initial color `c`.
     #[inline]
-    fn key(&self, i: usize, buf: &mut Vec<(u32, u32)>) -> RoundKey {
-        let prev = self.colors[i].0;
-        if !self.in_x[i] {
-            return RoundKey::Kept(prev);
-        }
-        buf.clear();
-        let edges = self.offsets[i] as usize..self.offsets[i + 1] as usize;
-        for (p, o) in self.preds[edges.clone()].iter().zip(&self.objs[edges]) {
-            buf.push((self.colors[p.index()].0, self.colors[o.index()].0));
-        }
-        // Equation (1) uses a *set* of color pairs: sort + dedup gives
-        // the canonical sequence to hash.
-        buf.sort_unstable();
-        buf.dedup();
-        let (h1, h2) = recolor_signature(prev, buf);
-        RoundKey::Recolored(h1, h2)
+    fn x_color(&self, c: u32) -> bool {
+        self.x_colors[c as usize / 64] >> (c % 64) & 1 == 1
     }
 
-    /// Fill `keys` with the keys of nodes `first..first + keys.len()`,
-    /// split across at most `bufs.len()` workers.
-    fn fill(&self, keys: &mut [RoundKey], first: usize, bufs: &mut [Vec<(u32, u32)>]) {
-        let ranges = chunk_ranges(keys.len(), bufs.len());
-        let mut tasks = Vec::with_capacity(ranges.len());
-        let mut rest = keys;
-        for (range, buf) in ranges.into_iter().zip(bufs) {
-            let (slots, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            tasks.push((first + range.start, slots, buf));
+    /// Node `i`'s successors: the predicate and object of every
+    /// outbound edge.
+    fn successors(&self, i: usize) -> impl Iterator<Item = NodeId> + '_ {
+        let edges = self.offsets[i] as usize..self.offsets[i + 1] as usize;
+        self.preds[edges.clone()]
+            .iter()
+            .chain(&self.objs[edges])
+            .copied()
+    }
+
+    /// Append node `i`'s outbound color pairs to `buf`, packed.
+    #[inline]
+    fn gather(&self, i: usize, buf: &mut Vec<u64>) {
+        let edges = self.offsets[i] as usize..self.offsets[i + 1] as usize;
+        for (p, o) in self.preds[edges.clone()].iter().zip(&self.objs[edges]) {
+            let (cp, co) = (self.colors[p.index()], self.colors[o.index()]);
+            buf.push(u64::from(cp.0) << 32 | u64::from(co.0));
         }
-        scoped_map(tasks, |_, (base, slots, buf)| {
-            for (i, slot) in (base..).zip(slots.iter_mut()) {
-                *slot = self.key(i, buf);
+    }
+
+    /// Sign every slot, split across at most `bufs.len()` workers. In
+    /// round 1 also record whether each slot's node is linked (see
+    /// [`Class`]): whether a pair holds a color of `X`, which nodes
+    /// outside `X` hold only if it is shared.
+    fn fill(
+        &self,
+        slots: &mut [Slot],
+        bufs: &mut [Vec<u64>],
+        round1: bool,
+    ) {
+        let ranges = chunk_ranges(slots.len(), bufs.len());
+        let mut tasks = Vec::with_capacity(ranges.len());
+        let mut rest = slots;
+        for (range, buf) in ranges.into_iter().zip(bufs) {
+            let (chunk, tail) = rest.split_at_mut(range.len());
+            rest = tail;
+            tasks.push((chunk, buf));
+        }
+        scoped_map(tasks, |_, (chunk, buf)| {
+            for group in chunk.chunks_mut(GATHER) {
+                buf.clear();
+                let mut ends = [0; GATHER];
+                for (end, slot) in ends.iter_mut().zip(group.iter()) {
+                    self.gather(slot.node as usize, buf);
+                    *end = buf.len();
+                }
+                let mut start = 0;
+                for (&end, slot) in ends.iter().zip(group.iter_mut()) {
+                    let pairs = &mut buf[start..end];
+                    pairs.sort_unstable();
+                    slot.sig = pair_signature(pairs);
+                    slot.linked = round1
+                        && pairs.iter().any(|&pair| {
+                            let (cp, co) = ((pair >> 32) as u32, pair as u32);
+                            self.x_color(cp) || self.x_color(co)
+                        });
+                    start = end;
+                }
             }
         });
     }

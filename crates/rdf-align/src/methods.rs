@@ -8,8 +8,8 @@ use crate::engine::RefineEngine;
 use crate::partition::{
     unaligned_non_literals, ColorId, DenseIds, Partition, SideCounts,
 };
-use crate::refine::{label_partition, RefineOutcome};
-use rdf_model::{CombinedGraph, NodeId};
+use crate::refine::{label_partition, verify_stable, RefineOutcome, Unstable};
+use rdf_model::{CombinedGraph, NodeId, TripleGraph};
 
 /// `λ_Trivial` (§3.1): label equality on non-blank nodes; every blank node
 /// is its own class.
@@ -45,21 +45,52 @@ pub fn deblank_partition_with(
     engine: &mut RefineEngine,
 ) -> RefineOutcome {
     let g = combined.graph();
-    let initial = label_partition(g);
-    let in_x: Vec<bool> = g.nodes().map(|n| g.is_blank(n)).collect();
-    engine.refine_fixpoint_mask(g, initial, &in_x)
+    engine.refine_fixpoint_mask(g, label_partition(g), &blank_mask(g))
+}
+
+/// Deblank's `X`: a mask of the blank nodes.
+fn blank_mask(g: &TripleGraph) -> Vec<bool> {
+    g.nodes().map(|n| g.is_blank(n)).collect()
+}
+
+/// The mask of `X` over `n` nodes, for a list of its members.
+pub(crate) fn mask_of(n: usize, x: &[NodeId]) -> Vec<bool> {
+    let mut in_x = vec![false; n];
+    for &m in x {
+        in_x[m.index()] = true;
+    }
+    in_x
+}
+
+/// Certify that `partition` is the fixpoint Deblank reaches (Definition
+/// 4 with `X` the blank nodes), by [`verify_stable`]: what
+/// `rdf align --method deblank --verify` checks.
+pub fn verify_deblank(
+    combined: &CombinedGraph,
+    partition: &Partition,
+) -> Result<(), Unstable> {
+    let g = combined.graph();
+    verify_stable(partition, &g.out_columns(), &blank_mask(g))
 }
 
 /// `Blank(λ, X)` (equation 3): reset the color of the nodes in `X` to the
 /// neutral blank color (a single fresh class).
+///
+/// One pass in node order numbers the classes by first occurrence, the
+/// blanked class where its first member falls.
 pub fn blank_out(partition: &Partition, x: &[NodeId]) -> Partition {
     let fresh = partition.num_colors();
-    let mut raw: Vec<u32> = partition.colors().iter().map(|c| c.0).collect();
-    for &n in x {
-        raw[n.index()] = fresh;
-    }
+    let in_x = mask_of(partition.len(), x);
+    let mut ids = DenseIds::default();
     // Keys are colors plus the one fresh color: dense.
-    Partition::from_dense_keys(raw.iter().copied())
+    ids.reset(fresh as usize + 1);
+    let colors = partition
+        .colors()
+        .iter()
+        .zip(&in_x)
+        .map(|(c, &x)| ColorId(ids.id(if x { fresh } else { c.0 })))
+        .collect();
+    Partition::from_dense(colors, ids.count())
 }
 
 /// Outcome of the hybrid alignment, with intermediate stages exposed for
@@ -75,6 +106,19 @@ pub struct HybridOutcome {
     pub partition: Partition,
     /// Refinement rounds spent in the hybrid stage.
     pub rounds: usize,
+}
+
+impl HybridOutcome {
+    /// Certify both fixpoints of the hybrid run by [`verify_stable`]:
+    /// the stage it started from over the blank nodes (Deblank's `X`),
+    /// and its own partition over `UN(λ_Deblank)`. What
+    /// `rdf align --method hybrid --verify` checks.
+    pub fn verify(&self, combined: &CombinedGraph) -> Result<(), Unstable> {
+        verify_deblank(combined, &self.deblank)?;
+        let g = combined.graph();
+        let in_x = mask_of(g.node_count(), &self.unaligned);
+        verify_stable(&self.partition, &g.out_columns(), &in_x)
+    }
 }
 
 /// `λ_Hybrid` (§3.4): blank out `UN(λ_Deblank)` (unaligned non-literal
@@ -110,10 +154,7 @@ pub fn hybrid_from_with(
 ) -> HybridOutcome {
     let unaligned = unaligned_non_literals(&base, combined);
     let blanked = blank_out(&base, &unaligned);
-    let mut in_x = vec![false; combined.graph().node_count()];
-    for &n in &unaligned {
-        in_x[n.index()] = true;
-    }
+    let in_x = mask_of(combined.graph().node_count(), &unaligned);
     let out = engine.refine_fixpoint_mask(combined.graph(), blanked, &in_x);
     HybridOutcome {
         deblank: base,

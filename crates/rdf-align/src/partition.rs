@@ -131,6 +131,11 @@ impl Partition {
         Partition { colors, num_colors }
     }
 
+    /// The color column, given up for reuse (internal use).
+    pub(crate) fn into_colors(self) -> Vec<ColorId> {
+        self.colors
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn len(&self) -> usize {

@@ -9,9 +9,11 @@ use crate::engine::RefineEngine;
 use crate::metrics::{edge_stats, EdgeStats, NodeCounts};
 use crate::methods::{
     deblank_partition_with, hybrid_partition_with, trivial_partition,
+    verify_deblank,
 };
 use crate::overlap_align::{overlap_align_with, OverlapConfig};
 use crate::partition::{NodeKinds, Partition, SideCounts};
+use crate::refine::Unstable;
 use crate::weighted::WeightedPartition;
 use rdf_model::{CombinedGraph, NodeId, RdfGraph, Vocab};
 use rdf_obs::Recorder;
@@ -142,7 +144,10 @@ pub fn align_with_recorder(
         }
         combined
     };
-    align_combined(vocab, combined, method, threads, recorder)
+    match align_combined(vocab, combined, method, threads, recorder, false) {
+        Ok(aligned) => aligned,
+        Err(_) => unreachable!("a run that certifies nothing cannot fail"),
+    }
 }
 
 /// Align a built union of two versions (sharing `vocab`) with the
@@ -151,19 +156,33 @@ pub fn align_with_recorder(
 /// `align.method` covers the method's whole run: its set-up (initial
 /// partitions, `UN(λ)`, blank-out) and its `refine.fixpoint` runs.
 ///
+/// With `verify`, every fixpoint the method reached is certified by
+/// [`crate::refine::verify_stable`] inside `align.method`
+/// ([`verify_deblank`], [`crate::HybridOutcome::verify`]), and an
+/// unstable one is the error. Only Deblank and Hybrid can be verified:
+/// Trivial runs no refinement, and Overlap's weighted fixpoints have no
+/// certificate, so `verify` with either panics. Without `verify` the
+/// call cannot fail.
+///
 /// One [`RefineEngine`] is built here and reused across every
-/// refinement stage of the chosen method. The result is bit-identical
-/// for every thread count and every recorder.
+/// refinement stage of the chosen method, and dropped before the
+/// metrics. The result is bit-identical for every thread count and
+/// every recorder.
 pub fn align_combined(
     vocab: &Vocab,
     combined: CombinedGraph,
     method: Method,
     threads: Threads,
     recorder: Arc<Recorder>,
-) -> Aligned {
+    verify: bool,
+) -> Result<Aligned, Unstable> {
+    assert!(
+        !verify || matches!(method, Method::Deblank | Method::Hybrid),
+        "only deblank and hybrid fixpoints can be verified"
+    );
     let rec = Arc::clone(&recorder);
-    let mut engine = RefineEngine::with_recorder(threads, recorder);
     let weighted = {
+        let mut engine = RefineEngine::with_recorder(threads, recorder);
         let mut sp = rec.span("align.method");
         if sp.enabled() {
             sp.field("method", method.name());
@@ -172,12 +191,20 @@ pub fn align_combined(
             Method::Trivial => {
                 WeightedPartition::zero(trivial_partition(&combined))
             }
-            Method::Deblank => WeightedPartition::zero(
-                deblank_partition_with(&combined, &mut engine).partition,
-            ),
-            Method::Hybrid => WeightedPartition::zero(
-                hybrid_partition_with(&combined, &mut engine).partition,
-            ),
+            Method::Deblank => {
+                let out = deblank_partition_with(&combined, &mut engine);
+                if verify {
+                    verify_deblank(&combined, &out.partition)?;
+                }
+                WeightedPartition::zero(out.partition)
+            }
+            Method::Hybrid => {
+                let out = hybrid_partition_with(&combined, &mut engine);
+                if verify {
+                    out.verify(&combined)?;
+                }
+                WeightedPartition::zero(out.partition)
+            }
             Method::Overlap(cfg) => {
                 overlap_align_with(&combined, vocab, cfg, &mut engine)
                     .weighted
@@ -194,13 +221,13 @@ pub fn align_combined(
         sp.field("unaligned", unaligned.len());
     }
     drop(sp);
-    Aligned {
+    Ok(Aligned {
         combined,
         weighted,
         edges,
         nodes,
         unaligned,
-    }
+    })
 }
 
 #[cfg(test)]

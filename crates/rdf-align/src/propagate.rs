@@ -21,7 +21,7 @@
 
 use crate::engine::RefineEngine;
 use crate::refine::RefineOutcome;
-use crate::methods::blank_out;
+use crate::methods::{blank_out, mask_of};
 use crate::partition::unaligned_non_literals;
 use crate::weighted::WeightedPartition;
 use rdf_model::{CombinedGraph, NodeId, TripleGraph};
@@ -80,10 +80,7 @@ pub(crate) fn weighted_refine_fixpoint_with(
     x: &[NodeId],
     engine: &mut RefineEngine,
 ) -> WeightedPartition {
-    let mut in_x = vec![false; g.node_count()];
-    for &n in x {
-        in_x[n.index()] = true;
-    }
+    let in_x = mask_of(g.node_count(), x);
     let WeightedPartition {
         partition,
         mut weights,

@@ -2,8 +2,9 @@
 //! reference: at 1, 2 and 4 threads it must produce partitions with the
 //! same dense color vectors — not merely equivalent partitions — for
 //! random version pairs, across the Trivial/Deblank/Hybrid method
-//! family, and on a union that spans several engine blocks; and it must
-//! be deterministic run to run at a fixed thread count. This is the
+//! family, on unions larger than one signature batch, and on graphs
+//! built to steer the engine's dirty-class worklist; and it must be
+//! deterministic run to run at a fixed thread count. This is the
 //! determinism guarantee the CLI's `--threads 1` vs `--threads 4` CI
 //! diff also checks end to end. The reference interns exact keys, so a
 //! signature collision in the engine would fail these suites. Every
@@ -210,9 +211,9 @@ proptest! {
     }
 }
 
-/// A version pair whose union spans more than one engine block
-/// ([`rdf_align::engine::BLOCK`] nodes), so signatures and first
-/// occurrences straddle block boundaries. Each entity `e{i}` owns a
+/// A version pair whose union holds more than
+/// [`rdf_align::engine::BLOCK`] nodes, so first occurrences spread far
+/// past one signature batch. Each entity `e{i}` owns a
 /// blank record; records point at literals from a small pool and at
 /// one of the first 997 records, so refinement takes more than one
 /// changing round and classes recur across blocks. The second version
@@ -247,7 +248,7 @@ fn multi_block_versions(entities: usize) -> (Vocab, RdfGraph, RdfGraph) {
     (vocab, g1, g2)
 }
 
-/// Deblank and hybrid over a union larger than one block: the engine
+/// Deblank and hybrid over a union larger than one batch: the engine
 /// at threads {1, 2, 4} == the exact sequential reference.
 #[test]
 fn multi_block_graph_identical_to_reference() {
@@ -333,12 +334,12 @@ fn xorshift(seed: u64) -> impl FnMut() -> u64 {
 }
 
 /// The engine over a union of more than three [`BLOCK`]s whose initial
-/// partition and `X` make kept colors first occur out of color order
-/// and in a later block than their class's first member, interleaved
-/// with recolored nodes. Kept colors are interned through the dense
-/// table and recolored ones through the map, from one counter; the
-/// result must equal the exact reference bit for bit at 1, 2 and 4
-/// threads.
+/// partition and `X` make every class of `X` share its color with
+/// nodes outside `X`, whose colors first occur out of color order and
+/// in a later block than their class's first member, between members
+/// of `X`. Round 1 must part each class from its members outside `X`,
+/// and `X`'s members fill more than one signature batch; the result
+/// must equal the exact reference bit for bit at 1, 2 and 4 threads.
 ///
 /// [`BLOCK`]: rdf_align::engine::BLOCK
 #[test]
@@ -404,5 +405,164 @@ fn kept_colors_across_blocks_match_reference() {
         );
         assert_eq!(out.rounds, reference.rounds);
         assert_eq!(stable(&g, &out.partition, &in_x), Ok(()));
+    }
+}
+
+/// A hybrid outcome with two of its classes merged fails
+/// [`rdf_align::HybridOutcome::verify`], the check behind
+/// `rdf align --method hybrid --verify`. Each of the two classes pairs
+/// a renamed entity with its new name (`e7` with `n7`, `e14` with
+/// `n14`), so the merged class holds records with different literals.
+#[test]
+fn merged_hybrid_classes_fail_verify() {
+    let (vocab, g1, g2) = multi_block_versions(2_000);
+    let c = CombinedGraph::union(&vocab, &g1, &g2);
+    let g = c.graph();
+    let mut out =
+        hybrid_partition_with(&c, &mut RefineEngine::new(Threads::Fixed(2)));
+    assert_eq!(out.verify(&c), Ok(()));
+    let entity = |name: &str| {
+        g.nodes()
+            .find(|&n| g.is_uri(n) && vocab.text(g.label(n)) == name)
+            .unwrap()
+    };
+    let (a, b) = (entity("e7"), entity("e14"));
+    assert!(out.unaligned.contains(&a) && out.unaligned.contains(&b));
+    let (ca, cb) = (out.partition.color(a), out.partition.color(b));
+    assert_ne!(ca, cb, "the mutant must merge two distinct classes");
+    let raw: Vec<u32> = out
+        .partition
+        .colors()
+        .iter()
+        .map(|&col| if col == cb { ca.0 } else { col.0 })
+        .collect();
+    out.partition = Partition::from_colors(&raw);
+    assert!(matches!(out.verify(&c), Err(Unstable::SplitClass { .. })));
+}
+
+/// A graph and `X` built so that the engine's dirty-class worklist is
+/// what decides the result:
+///
+/// * two blank chains of `len` ≥ 4 nodes that end in different
+///   literals, so their heads part only in round `len` and the
+///   fixpoint takes at least 5 rounds, and a blank cycle that reaches
+///   a literal from one member;
+/// * blank predicates `q0`, `q1` that part in round 1, and blank
+///   subjects `s0 -q0-> o`, `s1 -q1-> o` that part in round 2 only
+///   through the predicate position;
+/// * a label class that crosses `X`'s boundary: URIs `w` in `X` and
+///   `w'` outside it, with the same label. Blanks `b -p-> w` and
+///   `a -p-> w'` share a class after round 1 and part in round 2, as
+///   do `a2 -r-> w'` and `b2 -r-> w`; `b` comes first in node order in
+///   the one pair and `a2` in the other, so each side of the boundary
+///   heads one class;
+/// * a pool of extra blanks and of URIs that share labels, joined by
+///   random edges; for odd `seed >> 63`, the pool's nodes join `X` at
+///   random, so `X` shares label classes with nodes outside it, else
+///   the pool's blanks make up the rest of `X`.
+fn worklist_case(
+    len: usize,
+    pool: usize,
+    seed: u64,
+) -> (TripleGraph, Vec<bool>) {
+    let mixed = seed >> 63 == 1;
+    let mut next = xorshift(seed);
+    let mut v = Vocab::new();
+    let [p, o, w, r, u0, u1] =
+        ["p", "o", "w", "r", "u0", "u1"].map(|t| v.uri(t));
+    let lits = [v.literal("a"), v.literal("b")];
+    let mut b = GraphBuilder::new();
+    let mut x: Vec<NodeId> = Vec::new();
+    let mut blanks = |b: &mut GraphBuilder, k: usize| -> Vec<NodeId> {
+        let nodes: Vec<NodeId> =
+            (0..k).map(|_| b.add_node(LabelId::BLANK, &v)).collect();
+        x.extend(&nodes);
+        nodes
+    };
+    let p = b.add_node(p, &v);
+    let o = b.add_node(o, &v);
+    let lit = lits.map(|l| b.add_node(l, &v));
+    for end in lit {
+        let chain = blanks(&mut b, len);
+        for pair in chain.windows(2) {
+            b.add_triple(pair[0], p, pair[1]);
+        }
+        b.add_triple(chain[len - 1], p, end);
+    }
+    let cycle = blanks(&mut b, 2 + (next() % 5) as usize);
+    for (k, &n) in cycle.iter().enumerate() {
+        b.add_triple(n, p, cycle[(k + 1) % cycle.len()]);
+    }
+    b.add_triple(cycle[0], p, lit[(next() % 2) as usize]);
+    let q = blanks(&mut b, 2);
+    let s = blanks(&mut b, 2);
+    for k in 0..2 {
+        b.add_triple(q[k], p, lit[k]);
+        b.add_triple(s[k], q[k], o);
+    }
+    let (w_in, w_out) = (b.add_node(w, &v), b.add_node(w, &v));
+    let r = b.add_node(r, &v);
+    let ab = blanks(&mut b, 4);
+    b.add_triple(ab[0], p, w_in);
+    b.add_triple(ab[1], p, w_out);
+    b.add_triple(ab[2], r, w_out);
+    b.add_triple(ab[3], r, w_in);
+    let extra: Vec<NodeId> = (0..pool)
+        .map(|k| match next() % 3 {
+            0 => b.add_node([u0, u1][k % 2], &v),
+            _ => b.add_node(LabelId::BLANK, &v),
+        })
+        .collect();
+    let n = u64::from(extra.last().unwrap_or(&ab[3]).0) + 1;
+    let preds = [p, q[0], q[1]];
+    for &e in &extra {
+        for _ in 0..next() % 3 {
+            let obj = NodeId((next() % n) as u32);
+            b.add_triple(e, preds[(next() % 3) as usize], obj);
+        }
+    }
+    let g = b.freeze();
+    let mut in_x = vec![false; g.node_count()];
+    for &m in x.iter().chain([&w_in]) {
+        in_x[m.index()] = true;
+    }
+    for &e in &extra {
+        in_x[e.index()] = if mixed {
+            next().is_multiple_of(2)
+        } else {
+            g.is_blank(e)
+        };
+    }
+    (g, in_x)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The dirty-class worklist equals the exact reference: at 1, 2
+    /// and 4 threads, on the cases of [`worklist_case`], the colors are
+    /// bit-identical, the round counts equal (at least 4), and the
+    /// partition is certified stable.
+    #[test]
+    fn dirty_worklist_identical_to_reference(
+        len in 4usize..9,
+        pool in 0usize..24,
+        seed in any::<u64>(),
+    ) {
+        let (g, in_x) = worklist_case(len, pool, seed);
+        let initial = label_partition(&g);
+        let reference =
+            reference_refine_fixpoint_mask(&g, initial.clone(), &in_x);
+        prop_assert!(reference.rounds >= 4);
+        for t in THREAD_COUNTS {
+            let out = RefineEngine::new(Threads::Fixed(t))
+                .refine_fixpoint_mask(&g, initial.clone(), &in_x);
+            prop_assert_eq!(
+                out.partition.colors(),
+                reference.partition.colors()
+            );
+            prop_assert_eq!(out.rounds, reference.rounds);
+            prop_assert_eq!(stable(&g, &out.partition, &in_x), Ok(()));
+        }
     }
 }

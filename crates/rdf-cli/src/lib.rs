@@ -14,6 +14,7 @@ pub mod signals;
 
 use crate::pipeline::{ctx, open_any, Input};
 use rdf_align::pipeline::{align_combined, Aligned, Method};
+use rdf_align::refine::{verify_stable, Unstable};
 use rdf_align::{RefineEngine, Threads};
 use rdf_model::{CombinedGraph, GraphAppender, Vocab};
 use rdf_obs::{Recorder, RunReport};
@@ -43,6 +44,13 @@ impl fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+/// A `--verify` run whose partition is not stable.
+impl From<Unstable> for CliError {
+    fn from(e: Unstable) -> Self {
+        CliError(format!("--verify: {e}"))
+    }
+}
 
 /// `rdf import <input.nt> <output.rdfb>` — stream-parse N-Triples
 /// into one dictionary-encoded `.rdfb` store in the fixed-width layout.
@@ -155,7 +163,7 @@ pub fn export(input: &Path, output: &Path) -> Result<String, CliError> {
 /// maximal-bisimulation summary (quotient classes and rounds) computed
 /// through the [`RefineEngine`] on the given thread configuration.
 pub fn info(input: &Path, bisim: Option<Threads>) -> Result<String, CliError> {
-    info_traced(input, bisim, &Arc::new(Recorder::disabled()))
+    info_traced(input, bisim, false, &Arc::new(Recorder::disabled()))
 }
 
 /// [`info`] with instrumentation: the container parse emits a
@@ -163,9 +171,15 @@ pub fn info(input: &Path, bisim: Option<Threads>) -> Result<String, CliError> {
 /// (`NODE` and `TRPL`: bisimulation starts from the labels alone) and
 /// the refinement its `refine.*` spans into `rec`. The report text is
 /// byte-identical to the untraced run.
+///
+/// With `verify` (`rdf info --bisim --verify`), the bisimulation
+/// partition is certified by [`rdf_align::refine::verify_stable`] with
+/// `X` = every node, and an unstable one is the error. A certified run
+/// prints the same bytes as an unverified one.
 pub fn info_traced(
     input: &Path,
     bisim: Option<Threads>,
+    verify: bool,
     rec: &Arc<Recorder>,
 ) -> Result<String, CliError> {
     // One parse (one checksum pass) serves both the summary and the
@@ -216,6 +230,10 @@ pub fn info_traced(
             let mut engine =
                 RefineEngine::with_recorder(threads, Arc::clone(rec));
             let outcome = engine.bisimulation_columns(view.labels(), &cols);
+            if verify {
+                let all = vec![true; view.node_count()];
+                verify_stable(&outcome.partition, &cols, &all)?;
+            }
             out.push_str(&bisim_line(
                 outcome.partition.num_colors(),
                 view.node_count(),
@@ -360,6 +378,7 @@ pub fn align(
         method_name,
         theta,
         threads,
+        false,
         &Arc::new(Recorder::disabled()),
     )
 }
@@ -368,18 +387,34 @@ pub fn align(
 /// the pipeline emits `align.*` / `refine.*` spans into `rec`. The
 /// rendered report is byte-identical to the untraced run — tracing is
 /// a pure side channel.
+///
+/// With `verify` (`rdf align --verify`), every fixpoint the method
+/// reached is certified by [`rdf_align::refine::verify_stable`]: the
+/// blanks' for deblank, and for hybrid both that one and its own over
+/// `UN(λ_Deblank)`. An unstable partition is the error; a certified
+/// run renders the same report as an unverified one. Trivial runs no
+/// refinement and overlap's weighted fixpoints have no certificate, so
+/// `verify` with either is refused before any input is read.
 pub fn align_traced(
     source: &Path,
     target: &Path,
     method_name: &str,
     theta: Option<f64>,
     threads: Threads,
+    verify: bool,
     rec: &Arc<Recorder>,
 ) -> Result<AlignOutcome, CliError> {
     let method = parse_method(method_name, theta)?;
+    if verify && !matches!(method, Method::Deblank | Method::Hybrid) {
+        return Err(CliError::new(format!(
+            "--verify needs --method deblank or hybrid, not {method_name}: \
+             trivial runs no refinement, and overlap's weighted fixpoints \
+             have no certificate"
+        )));
+    }
     let session =
         Session::load(Input::open(source)?, Input::open(target)?, rec)?;
-    Ok(session.align(source, target, method, threads, rec))
+    Ok(session.align(source, target, method, threads, verify, rec)?)
 }
 
 /// The union of one `align`'s two inputs, loaded straight into one
@@ -436,16 +471,19 @@ impl Session {
 
     /// The outcome step of `align`: run `method` over the session's
     /// union and keep the result with its input context. The paths
-    /// name the inputs in the report.
+    /// name the inputs in the report. With `verify`, every fixpoint the
+    /// method reached is certified first (see [`align_combined`]),
+    /// which only deblank and hybrid allow.
     pub fn align(
         &self,
         source: &Path,
         target: &Path,
         method: Method,
         threads: Threads,
+        verify: bool,
         rec: &Arc<Recorder>,
-    ) -> AlignOutcome {
-        AlignOutcome {
+    ) -> Result<AlignOutcome, Unstable> {
+        Ok(AlignOutcome {
             method: method.name().to_string(),
             source: (
                 source.display().to_string(),
@@ -463,8 +501,9 @@ impl Session {
                 method,
                 threads,
                 Arc::clone(rec),
-            ),
-        }
+                verify,
+            )?,
+        })
     }
 }
 

@@ -3,9 +3,9 @@
 //! ```text
 //! rdf import [--trace PATH] <input.nt> <output.rdfb>
 //! rdf export <input> <output.nt>
-//! rdf info   [--bisim] [--threads N] [--trace PATH] <file>
+//! rdf info   [--bisim [--verify]] [--threads N] [--trace PATH] <file>
 //! rdf align  [--method trivial|deblank|hybrid|overlap] [--theta T]
-//!            [--threads N] [--trace PATH] <source> <target>
+//!            [--threads N] [--verify] [--trace PATH] <source> <target>
 //! rdf stats  <trace.jsonl>
 //! rdf gen    [--scale F] [--versions N] --out-dir DIR
 //! rdf serve  [--socket SOCK] [--threads N]
@@ -32,12 +32,12 @@ commands:
                                     .rdfb store in the zero-copy
                                     fixed-width layout
   export <input> <output.nt>        write a store as canonical N-Triples
-  info   [--bisim] [--threads N] [--trace PATH] <file>
+  info   [--bisim [--verify]] [--threads N] [--trace PATH] <file>
                                     header, counts, sections, checksums;
                                     --bisim adds a maximal-bisimulation
                                     summary (graph stores)
-  align  [--method M] [--theta T] [--threads N] [--trace PATH]
-         <source> <target>
+  align  [--method M] [--theta T] [--threads N] [--verify]
+         [--trace PATH] <source> <target>
                                     align two graphs (stores or
                                     N-Triples, mixed freely);
                                     M = trivial|deblank|hybrid|overlap
@@ -68,6 +68,16 @@ threading:
                                     RDF_THREADS environment variable when
                                     it holds such an integer, else all
                                     cores (at most 256).
+
+certificate:
+  --verify                          (align --method deblank|hybrid, and
+                                    info --bisim) check every refinement
+                                    fixpoint the command reached against
+                                    Definition 4, exactly (no hashing).
+                                    A stable partition prints the same
+                                    bytes as without the flag; an
+                                    unstable one exits 2 and names the
+                                    class on stderr.
 
 tracing:
   --trace PATH                      (import|info|align) append one JSONL
@@ -114,29 +124,38 @@ EXAMPLES
 ";
 
 const HELP_INFO: &str = "\
-usage: rdf info [--bisim] [--threads N] [--trace PATH] <file>
+usage: rdf info [--bisim [--verify]] [--threads N] [--trace PATH] <file>
 
 Report the container header, counts and per-section sizes; every
 checksum is verified first. --bisim adds a maximal-bisimulation
 summary (classes, rounds) for graph stores, computed on the
 deterministic parallel engine; the line is byte-identical for every
---threads. --trace PATH (or
+--threads. --verify certifies that partition exactly (Definition 4,
+X = every node) without changing the output; an unstable one exits 2
+with the class named on stderr. --trace PATH (or
 RDF_TRACE=PATH) appends load and refinement timing events as JSONL;
 see `rdf stats`.
 
 EXAMPLES
   rdf info /tmp/efo/v1.rdfb
   rdf info --bisim --threads 4 /tmp/efo/v1.rdfb
+  rdf info --bisim --verify /tmp/efo/v1.rdfb
 ";
 
 const HELP_ALIGN: &str = "\
-usage: rdf align [--method M] [--theta T] [--threads N] [--trace PATH]
-                 <source> <target>
+usage: rdf align [--method M] [--theta T] [--threads N] [--verify]
+                 [--trace PATH] <source> <target>
 
 Align two graph versions and print the report of §5 metrics. Inputs
 may be .rdfb stores or N-Triples text, mixed freely. M =
 trivial|deblank|hybrid|overlap (default hybrid); --theta sets the
 overlap threshold. The report is byte-identical at every --threads.
+--verify certifies every refinement fixpoint the method reached
+(Definition 4, checked exactly): deblank's over the blank nodes, and
+for hybrid also its second stage's over UN(λ_Deblank). The report is
+unchanged; an unstable partition exits 2 with the class named on
+stderr. --verify with trivial (no refinement) or overlap (weighted
+fixpoints, no certificate) is a usage error.
 --trace PATH (or RDF_TRACE=PATH) appends load, union and per-round
 refinement timing events as JSONL without changing the report; see
 `rdf stats`.
@@ -144,6 +163,7 @@ refinement timing events as JSONL without changing the report; see
 EXAMPLES
   rdf align --method hybrid /tmp/efo/v1.rdfb /tmp/efo/v2.rdfb
   rdf align --method overlap --theta 0.5 /tmp/efo/v1.rdfb /tmp/efo/v2.rdfb
+  rdf align --method deblank --verify /tmp/efo/v1.rdfb /tmp/efo/v2.rdfb
 ";
 
 const HELP_STATS: &str = "\
@@ -314,6 +334,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 return Ok(HELP_INFO.to_string());
             }
             let mut bisim = false;
+            let mut verify = false;
             let mut threads = Threads::Auto;
             let mut trace: Option<PathBuf> = None;
             let mut inputs: Vec<PathBuf> = Vec::new();
@@ -321,6 +342,7 @@ fn run(args: &[String]) -> Result<String, String> {
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--bisim" => bisim = true,
+                    "--verify" => verify = true,
                     "--threads" => {
                         threads = threads_arg(it.next())?;
                     }
@@ -335,10 +357,14 @@ fn run(args: &[String]) -> Result<String, String> {
             let [input]: [PathBuf; 1] = inputs
                 .try_into()
                 .map_err(|_| "info takes exactly one file")?;
+            if verify && !bisim {
+                return Err("--verify needs --bisim".into());
+            }
             let rec = trace_recorder(trace)?;
             let out = rdf_cli::info_traced(
                 &input,
                 bisim.then_some(threads),
+                verify,
                 &rec,
             )
             .map_err(|e| e.to_string())?;
@@ -350,6 +376,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 return Ok(HELP_ALIGN.to_string());
             }
             let mut method = "hybrid".to_string();
+            let mut verify = false;
             let mut theta: Option<f64> = None;
             let mut threads = Threads::Auto;
             let mut trace: Option<PathBuf> = None;
@@ -379,6 +406,7 @@ fn run(args: &[String]) -> Result<String, String> {
                     "--threads" => {
                         threads = threads_arg(it.next())?;
                     }
+                    "--verify" => verify = true,
                     other => inputs.push(positional(other, "align")?),
                 }
             }
@@ -387,7 +415,7 @@ fn run(args: &[String]) -> Result<String, String> {
                 .map_err(|_| "align takes exactly two inputs")?;
             let rec = trace_recorder(trace)?;
             let outcome = rdf_cli::align_traced(
-                &source, &target, &method, theta, threads, &rec,
+                &source, &target, &method, theta, threads, verify, &rec,
             )
             .map_err(|e| e.to_string())?;
             finish_trace(&rec)?;

@@ -415,6 +415,7 @@ fn dispatch(state: &Arc<ServeState>, req: Request) -> Response {
             crate::info_traced(
                 Path::new(&path),
                 bisim.then_some(threads),
+                false,
                 &rec,
             )
             .map(|report| (report, false))
@@ -481,7 +482,7 @@ fn align(
     let (source, target) = (Path::new(source), Path::new(target));
     let (session, cached) = state.session(source, target, rec)?;
     let _heavy = state.permit();
-    let outcome = session.align(source, target, method, threads, rec);
+    let outcome = session.align(source, target, method, threads, false, rec)?;
     Ok((outcome.render(), cached))
 }
 

@@ -344,6 +344,58 @@ fn align_supports_all_methods() {
     assert!(report.contains("aligned edge ratio"));
 }
 
+/// `--verify` certifies every refinement fixpoint without changing a
+/// byte of output: deblank and hybrid at 1 and 4 threads, and
+/// `info --bisim`. With trivial or overlap it is a usage error (exit
+/// 2), and so is `info --verify` without `--bisim`.
+#[test]
+fn verify_certifies_without_changing_output() {
+    let dir = TempDir::new("verify");
+    run_ok(&[
+        "gen",
+        "--scale",
+        "0.1",
+        "--versions",
+        "2",
+        "--out-dir",
+        s(&dir.0),
+    ]);
+    let (v1, v2) = (dir.path("v1.rdfb"), dir.path("v2.rdfb"));
+    run_ok(&["import", s(&dir.path("efo-v1.nt")), s(&v1)]);
+    run_ok(&["import", s(&dir.path("efo-v2.nt")), s(&v2)]);
+    for method in ["deblank", "hybrid"] {
+        for threads in ["1", "4"] {
+            let align = |extra: &[&str]| {
+                let mut args =
+                    vec!["align", "--method", method, "--threads", threads];
+                args.extend(extra);
+                args.extend([s(&v1), s(&v2)]);
+                run_ok(&args)
+            };
+            let verified = align(&["--verify"]);
+            assert_eq!(align(&[]), verified, "{method} t{threads}");
+        }
+    }
+    assert_eq!(
+        run_ok(&["info", "--bisim", s(&v1)]),
+        run_ok(&["info", "--bisim", "--verify", s(&v1)])
+    );
+    let usage = |args: &[&str], message: &str| {
+        let out =
+            Command::new(bin()).args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "rdf {args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "rdf {args:?}: {err}");
+    };
+    for method in ["trivial", "overlap"] {
+        usage(
+            &["align", "--method", method, "--verify", s(&v1), s(&v2)],
+            "--verify needs --method deblank or hybrid",
+        );
+    }
+    usage(&["info", "--verify", s(&v1)], "--verify needs --bisim");
+}
+
 /// The EXAMPLES blocks in `--help` cannot rot: the top-level examples
 /// are extracted from the real help text and *executed* in order
 /// (paths redirected into a temp dir), and every subcommand's help

@@ -10,15 +10,16 @@
 //!    are counting-sorted by initial color into one member array, and
 //!    each class of `X` is a range of it. No round visits a node
 //!    outside `X`.
-//! 2. **A dirty-class worklist.** All members of a class share one pair
-//!    set over the previous colors. So a class can split in round `r`
-//!    only if a member has a successor, in predicate or object
-//!    position, in a class that split in round `r - 1`, and then every
-//!    member has one: testing one member per class is exact. Round 1
-//!    takes every class of `X`. Later rounds test only the classes
-//!    with a successor that can ever split (one in `X`, or one whose
-//!    initial color `X` shares), found while round 1 signs them, and
-//!    take the dirty ones. A round with none does no work.
+//! 2. **A dirty-class worklist.** A class of one node has one pair
+//!    set, so no round can split it, and no round signs it. All members
+//!    of a class share one pair set over the previous colors. So a
+//!    class can split in round `r > 1` only if a member has a
+//!    successor, in predicate or object position, in a class that split
+//!    in round `r - 1`, and then every member has one: testing one
+//!    member per class is exact. Round 1 takes every class of `X` with
+//!    two or more members. Each later round tests the first member of
+//!    every such class and takes the dirty ones. A round with none does
+//!    no work.
 //! 3. **Signatures, then splits.** The members of the dirty classes
 //!    are signed in batches of about [`BLOCK`] nodes. Workers fill
 //!    disjoint chunks of a batch's slots in parallel
@@ -92,16 +93,12 @@ fn pair_signature(sorted: &[u64]) -> (u64, u64) {
 }
 
 /// One class of `X` inside a fixpoint: a range of the member array,
-/// the last round that split it (0 before any), and whether its
-/// members have a successor that can ever split: one in `X`, or one
-/// holding an initial color shared across `X`'s boundary. A class
-/// without one never turns dirty after round 1.
+/// and the last round that split it (0 before any).
 #[derive(Debug, Clone, Copy)]
 struct Class {
     start: u32,
     end: u32,
     split: u32,
-    linked: bool,
 }
 
 impl Class {
@@ -110,13 +107,11 @@ impl Class {
     }
 }
 
-/// One member of a dirty class, its signature, and (in round 1)
-/// whether it is linked in the sense of [`Class`].
+/// One member of a dirty class and its signature.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     sig: (u64, u64),
     node: u32,
-    linked: bool,
 }
 
 /// What one round did, for its `refine.round` span.
@@ -367,7 +362,6 @@ impl RefineEngine {
                     start: at,
                     end: at + count,
                     split: 0,
-                    linked: false,
                 });
             }
             // From here on the slot is the class's write cursor.
@@ -400,10 +394,10 @@ impl RefineEngine {
     }
 
     /// One refinement step `BisimRefine_X(λ)` (equation 2) over the
-    /// classes of `X` that can split: pick the dirty classes, sign their
-    /// members batch by batch, split each class by signature, then write
-    /// the colors of the round's new classes (of every class of `X` in
-    /// round 1).
+    /// classes of `X` that can split: pick the dirty classes of two or
+    /// more members, sign their members batch by batch, split each
+    /// class by signature, then write the colors of the round's new
+    /// classes (of every class of `X` in round 1).
     fn round(
         &mut self,
         cols: &OutColumns<'_>,
@@ -425,28 +419,25 @@ impl RefineEngine {
         };
         let pick_start = Instant::now();
         self.dirty.clear();
-        if round == 1 {
-            self.dirty.extend(0..self.classes.len() as u32);
-        } else {
-            let last = round - 1;
-            let classes = &self.classes;
-            let split_last = |s: NodeId| {
-                let c = sig.colors[s.index()].0;
-                match c.checked_sub(base) {
-                    Some(l) => classes[l as usize].split == last,
-                    // Outside `X`, only a color shared with `X` split,
-                    // and only in round 1.
-                    None => last == 1 && sig.x_color(c),
-                }
-            };
-            for (l, class) in classes.iter().enumerate() {
-                if !class.linked {
-                    continue;
-                }
-                let head = self.members[class.start as usize] as usize;
-                if sig.successors(head).any(split_last) {
-                    self.dirty.push(l as u32);
-                }
+        let last = round - 1;
+        let classes = &self.classes;
+        let split_last = |s: NodeId| {
+            let c = sig.colors[s.index()].0;
+            match c.checked_sub(base) {
+                Some(l) => classes[l as usize].split == last,
+                // Outside `X`, only a color shared with `X` split, and
+                // only in round 1.
+                None => last == 1 && sig.x_color(c),
+            }
+        };
+        for (l, class) in classes.iter().enumerate() {
+            // A class of one node has one pair set: it never splits.
+            if class.end - class.start < 2 {
+                continue;
+            }
+            let head = self.members[class.start as usize] as usize;
+            if round == 1 || sig.successors(head).any(split_last) {
+                self.dirty.push(l as u32);
             }
         }
         stats.sig_time += pick_start.elapsed();
@@ -462,15 +453,11 @@ impl RefineEngine {
                 self.slots.extend(
                     self.members[class.range()]
                         .iter()
-                        .map(|&node| Slot {
-                            sig: (0, 0),
-                            node,
-                            linked: false,
-                        }),
+                        .map(|&node| Slot { sig: (0, 0), node }),
                 );
                 next += 1;
             }
-            sig.fill(&mut self.slots, &mut self.bufs, round == 1);
+            sig.fill(&mut self.slots, &mut self.bufs);
             stats.signed += self.slots.len();
             let canon_start = Instant::now();
             stats.sig_time += canon_start - sig_start;
@@ -577,8 +564,7 @@ impl Groups {
 /// regrouped by signature in order of first occurrence, the first
 /// group keeps `l`, and every other group becomes a new class. Every
 /// resulting class is marked as split in `round`; a class whose
-/// members all agree keeps its members. In round 1 every class takes
-/// its `linked` flag from its members; later, fragments inherit it.
+/// members all agree keeps its members.
 fn split_class(
     classes: &mut Vec<Class>,
     members: &mut [u32],
@@ -587,15 +573,12 @@ fn split_class(
     slots: &[Slot],
     round: u32,
 ) {
-    let inherited = classes[l].linked;
-    let linked = |s: &Slot| if round == 1 { s.linked } else { inherited };
     let first = slots[0].sig;
     if slots.iter().all(|s| s.sig == first) {
-        classes[l].linked = linked(&slots[0]);
         return;
     }
     let count = groups.number(slots);
-    let Groups { of, first, cursor, .. } = groups;
+    let Groups { of, cursor, .. } = groups;
     cursor.clear();
     cursor.resize(count, 0);
     for &g in of.iter() {
@@ -607,7 +590,6 @@ fn split_class(
             start: at,
             end: at + *slot,
             split: round,
-            linked: linked(&slots[first[g] as usize]),
         };
         if g == 0 {
             classes[l] = class;
@@ -662,16 +644,8 @@ impl Signatures<'_> {
         }
     }
 
-    /// Sign every slot, split across at most `bufs.len()` workers. In
-    /// round 1 also record whether each slot's node is linked (see
-    /// [`Class`]): whether a pair holds a color of `X`, which nodes
-    /// outside `X` hold only if it is shared.
-    fn fill(
-        &self,
-        slots: &mut [Slot],
-        bufs: &mut [Vec<u64>],
-        round1: bool,
-    ) {
+    /// Sign every slot, split across at most `bufs.len()` workers.
+    fn fill(&self, slots: &mut [Slot], bufs: &mut [Vec<u64>]) {
         let ranges = chunk_ranges(slots.len(), bufs.len());
         let mut tasks = Vec::with_capacity(ranges.len());
         let mut rest = slots;
@@ -693,11 +667,6 @@ impl Signatures<'_> {
                     let pairs = &mut buf[start..end];
                     pairs.sort_unstable();
                     slot.sig = pair_signature(pairs);
-                    slot.linked = round1
-                        && pairs.iter().any(|&pair| {
-                            let (cp, co) = ((pair >> 32) as u32, pair as u32);
-                            self.x_color(cp) || self.x_color(co)
-                        });
                     start = end;
                 }
             }
@@ -781,5 +750,88 @@ mod tests {
         );
         assert_eq!(seq.partition.colors(), par.partition.colors());
         assert_eq!(seq.rounds, par.rounds);
+    }
+
+    /// An in-memory JSONL sink the test reads back.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Run one traced fixpoint; returns its outcome and each round's
+    /// traced `signed` count, after checking colors and rounds against
+    /// the sequential reference.
+    fn traced_signed(
+        g: &TripleGraph,
+        in_x: &[bool],
+    ) -> (RefineOutcome, Vec<u64>) {
+        let buf = SharedBuf::default();
+        let rec = Arc::new(Recorder::jsonl_writer(Box::new(buf.clone())));
+        let out = RefineEngine::with_recorder(Threads::Fixed(2), rec)
+            .refine_fixpoint_mask(g, label_partition(g), in_x);
+        let want = crate::refine::reference_refine_fixpoint_mask(
+            g,
+            label_partition(g),
+            in_x,
+        );
+        assert_eq!(out.partition.colors(), want.partition.colors());
+        assert_eq!(out.rounds, want.rounds);
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let signed = text
+            .lines()
+            .map(|line| rdf_obs::json::parse(line).unwrap())
+            .filter(|ev| {
+                ev.get("name").and_then(|n| n.as_str()) == Some("refine.round")
+            })
+            .map(|ev| ev.get("signed").and_then(|n| n.as_u64()).unwrap())
+            .collect();
+        (out, signed)
+    }
+
+    /// The members of `X`'s initial classes of two or more.
+    fn multi_member_nodes(g: &TripleGraph, in_x: &[bool]) -> u64 {
+        let initial = label_partition(g);
+        let mut size = vec![0; initial.num_colors() as usize];
+        for (c, _) in initial.colors().iter().zip(in_x).filter(|p| *p.1) {
+            size[c.index()] += 1;
+        }
+        size.into_iter().filter(|&k| k >= 2).sum()
+    }
+
+    #[test]
+    fn rounds_sign_only_classes_of_two_or_more() {
+        let g = sample();
+        let all = vec![true; g.node_count()];
+        let blanks: Vec<bool> = g.nodes().map(|n| g.is_blank(n)).collect();
+        // Two of the three blanks: their class shares its color with a
+        // node outside `X`.
+        let mut two = blanks.clone();
+        two[g.blanks()[2].index()] = false;
+        for in_x in [&all, &blanks, &two] {
+            let (_, signed) = traced_signed(&g, in_x);
+            assert_eq!(signed[0], multi_member_nodes(&g, in_x));
+        }
+        // Without blank nodes every label class is a singleton.
+        let mut v = Vocab::new();
+        let mut b = GraphBuilder::new();
+        let [a, c, p, q] =
+            ["a", "c", "p", "q"].map(|u| b.add_node(v.uri(u), &v));
+        let [x, y] = ["x", "y"].map(|l| b.add_node(v.literal(l), &v));
+        b.add_triple(a, p, c);
+        b.add_triple(c, q, x);
+        b.add_triple(a, q, y);
+        b.add_triple(c, p, a);
+        let g = b.freeze();
+        let (out, signed) = traced_signed(&g, &vec![true; g.node_count()]);
+        assert_eq!(out.partition.num_colors() as usize, g.node_count());
+        assert!(signed.iter().all(|&k| k == 0), "signed {signed:?}");
     }
 }

@@ -192,7 +192,7 @@ pub fn enrich(
     let base = xi.partition.num_colors();
     let mut raw: Vec<u32> =
         xi.partition.colors().iter().map(|c| c.0).collect();
-    let mut weights = xi.weights.clone();
+    let mut weights = xi.weights();
     for (&node, &comp) in &ew.component {
         raw[node.index()] = base + comp;
         weights[node.index()] = ew.weights[&node];

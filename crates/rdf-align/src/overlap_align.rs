@@ -518,7 +518,7 @@ mod tests {
         assert!(out.rounds.len() <= 2);
         assert!(out
             .weighted
-            .weights
+            .weights()
             .iter()
             .all(|&w| w == 0.0));
     }

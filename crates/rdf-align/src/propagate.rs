@@ -81,10 +81,7 @@ pub(crate) fn weighted_refine_fixpoint_with(
     engine: &mut RefineEngine,
 ) -> WeightedPartition {
     let in_x = mask_of(g.node_count(), x);
-    let WeightedPartition {
-        partition,
-        mut weights,
-    } = xi;
+    let (partition, mut weights) = xi.into_parts();
     let RefineOutcome {
         partition,
         rounds: color_rounds,
@@ -112,7 +109,7 @@ pub fn blank_out_weighted(
     x: &[NodeId],
 ) -> WeightedPartition {
     let partition = blank_out(&xi.partition, x);
-    let mut weights = xi.weights.clone();
+    let mut weights = xi.weights();
     for &n in x {
         weights[n.index()] = 0.0;
     }
@@ -171,7 +168,7 @@ mod tests {
         let out = propagate(&c, &xi);
         let hybrid = hybrid_partition(&c).partition;
         assert!(out.partition.equivalent(&hybrid));
-        assert!(out.weights.iter().all(|&w| w == 0.0));
+        assert!(out.weights().iter().all(|&w| w == 0.0));
     }
 
     #[test]

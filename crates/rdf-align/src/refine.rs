@@ -7,13 +7,14 @@
 //! `recolor` embeds the previous color, classes only ever split, so the
 //! fixpoint test reduces to "did the number of classes change".
 //!
-//! Colors are interned per round. The engine identifies a recolored
-//! node's color by a 128-bit signature of its previous color and its
-//! sorted, distinct outbound color pairs — the "simple hashing
-//! technique" the paper describes for representing derivation-tree
-//! colors as DAGs. Collisions are possible in principle but need ~2⁶⁴
-//! distinct classes to become likely; the paper-scale inputs have < 2²³
-//! nodes.
+//! The engine interns no colors. It splits one class at a time, and
+//! groups the class's members by a 128-bit signature of their sorted,
+//! distinct outbound color pairs — the "simple hashing technique" the
+//! paper describes for representing derivation-tree colors as DAGs.
+//! The members of a class share their previous color, so the signature
+//! need not cover it. A collision would merge two members of one class
+//! with different pair sets; it needs ~2⁶⁴ members in one class to
+//! become likely, and the paper-scale inputs have < 2²³ nodes.
 //!
 //! The heavy lifting lives in [`crate::engine::RefineEngine`]. This
 //! module holds the initial partitions, the [`bisimulation_partition`]
@@ -71,8 +72,8 @@ enum ExactKey {
 /// One refinement step `BisimRefine_X(λ)` (equation 2) by the
 /// *sequential reference* algorithm: a single interning map filled in
 /// node order, dense ids straight from insertion order. It is kept —
-/// deliberately separate from the engine's blocked rounds and hashed
-/// keys — as the oracle the engine must match bit-for-bit at every
+/// deliberately separate from the engine's class worklist and hashed
+/// signatures — as the oracle the engine must match bit-for-bit at every
 /// thread count (asserted by `tests/parallel_refine_identity.rs`).
 ///
 /// Returns the refined partition and whether it is strictly finer than

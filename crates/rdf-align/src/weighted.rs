@@ -20,18 +20,18 @@ use rdf_edit::algebra::oplus;
 pub struct WeightedPartition {
     /// The underlying partition `λ`.
     pub partition: Partition,
-    /// Per-node weights `ω ∈ [0, 1]`.
-    pub weights: Vec<f64>,
+    /// Per-node weights `ω ∈ [0, 1]`, or none for the constant-zero
+    /// function, which every partition-only method carries.
+    weights: Vec<f64>,
 }
 
 impl WeightedPartition {
     /// Wrap a partition with the constant-zero weight function (the
     /// starting point `ξ₀ = (λ_Hybrid, 0)` of Algorithm 2).
     pub fn zero(partition: Partition) -> Self {
-        let n = partition.len();
         WeightedPartition {
             partition,
-            weights: vec![0.0; n],
+            weights: Vec::new(),
         }
     }
 
@@ -63,7 +63,25 @@ impl WeightedPartition {
     /// The weight of a node.
     #[inline]
     pub fn weight(&self, n: NodeId) -> f64 {
-        self.weights[n.index()]
+        if self.weights.is_empty() {
+            0.0
+        } else {
+            self.weights[n.index()]
+        }
+    }
+
+    /// Every node's weight, in node order.
+    pub fn weights(&self) -> Vec<f64> {
+        let mut weights = self.weights.clone();
+        weights.resize(self.len(), 0.0);
+        weights
+    }
+
+    /// The partition and every node's weight, in node order.
+    pub fn into_parts(self) -> (Partition, Vec<f64>) {
+        let mut weights = self.weights;
+        weights.resize(self.partition.len(), 0.0);
+        (self.partition, weights)
     }
 
     /// The induced distance `σ_ξ` (equation 5).
@@ -123,7 +141,7 @@ mod tests {
     fn zero_weights() {
         let c = combined();
         let w = WeightedPartition::zero(trivial_partition(&c));
-        assert!(w.weights.iter().all(|&x| x == 0.0));
+        assert!(w.weights().iter().all(|&x| x == 0.0));
         assert_eq!(w.len(), 6);
         assert!(!w.is_empty());
     }

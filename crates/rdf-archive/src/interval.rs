@@ -13,13 +13,6 @@ impl IntervalSet {
         Self::default()
     }
 
-    /// A set containing a single version.
-    pub fn singleton(v: u32) -> Self {
-        IntervalSet {
-            ranges: vec![(v, v + 1)],
-        }
-    }
-
     /// Record presence at version `v`. Versions must be pushed in
     /// non-decreasing order (archives are built version by version).
     pub fn push(&mut self, v: u32) {

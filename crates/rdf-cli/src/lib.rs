@@ -54,14 +54,9 @@ impl From<Unstable> for CliError {
 
 /// `rdf import <input.nt> <output.rdfb>` — stream-parse N-Triples
 /// into one dictionary-encoded `.rdfb` store in the fixed-width layout.
-pub fn import(input: &Path, output: &Path) -> Result<String, CliError> {
-    import_traced(input, output, &Recorder::disabled())
-}
-
-/// [`import`] with instrumentation: the streaming parse+write is
-/// wrapped in one `import.run` span, split into `import.parse` and
-/// `import.write`. The report text is byte-identical to the untraced
-/// run.
+/// The streaming parse+write is wrapped in one `import.run` span into
+/// `rec`, split into `import.parse` and `import.write`; the report text
+/// is the same with [`Recorder::disabled`].
 ///
 /// The store is written to a temporary file beside `output` and renamed
 /// over it only once complete, so a failed import leaves an existing
@@ -162,15 +157,11 @@ pub fn export(input: &Path, output: &Path) -> Result<String, CliError> {
 /// With `bisim = Some(threads)`, graph stores additionally get a
 /// maximal-bisimulation summary (quotient classes and rounds) computed
 /// through the [`RefineEngine`] on the given thread configuration.
-pub fn info(input: &Path, bisim: Option<Threads>) -> Result<String, CliError> {
-    info_traced(input, bisim, false, &Arc::new(Recorder::disabled()))
-}
-
-/// [`info`] with instrumentation: the container parse emits a
-/// `store.open` span, the `--bisim` view its `store.section` spans
-/// (`NODE` and `TRPL`: bisimulation starts from the labels alone) and
-/// the refinement its `refine.*` spans into `rec`. The report text is
-/// byte-identical to the untraced run.
+///
+/// The container parse emits a `store.open` span, the `--bisim` view
+/// its `store.section` spans (`NODE` and `TRPL`: bisimulation starts
+/// from the labels alone) and the refinement its `refine.*` spans into
+/// `rec`; the report text is the same with [`Recorder::disabled`].
 ///
 /// With `verify` (`rdf info --bisim --verify`), the bisimulation
 /// partition is certified by [`rdf_align::refine::verify_stable`] with
@@ -281,11 +272,18 @@ fn bisim_line(
     )
 }
 
-/// Parse a `--method` argument.
+/// Parse a `--method` argument and its optional overlap threshold
+/// `--theta`, which must lie in (0, 1].
 pub fn parse_method(
     name: &str,
     theta: Option<f64>,
 ) -> Result<Method, CliError> {
+    // Written so that NaN fails too.
+    if let Some(t) = theta.filter(|&t| !(t > 0.0 && t <= 1.0)) {
+        return Err(CliError::new(format!(
+            "theta {t} is outside (0, 1]"
+        )));
+    }
     match name {
         "trivial" => Ok(Method::Trivial),
         "deblank" => Ok(Method::Deblank),
@@ -519,11 +517,17 @@ pub fn stats(trace: &Path) -> Result<String, CliError> {
 /// `rdf gen [--scale F] [--versions N] --out-dir DIR` — write the first
 /// `N` versions of the seeded EFO-like dataset as N-Triples files
 /// (`efo-v1.nt`, `efo-v2.nt`, …): the fixture generator for smoke tests.
+/// `scale` must be finite and above 0.
 pub fn gen(
     out_dir: &Path,
     scale: f64,
     versions: usize,
 ) -> Result<String, CliError> {
+    if !(scale > 0.0 && scale.is_finite()) {
+        return Err(CliError::new(format!(
+            "--scale {scale} must be a finite number above 0"
+        )));
+    }
     let mut cfg = rdf_datagen::EfoConfig::default().scaled(scale);
     cfg.versions = versions.max(1);
     let ds = rdf_datagen::generate_efo(&cfg);

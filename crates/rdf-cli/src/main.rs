@@ -149,7 +149,7 @@ usage: rdf align [--method M] [--theta T] [--threads N] [--verify]
 Align two graph versions and print the report of §5 metrics. Inputs
 may be .rdfb stores or N-Triples text, mixed freely. M =
 trivial|deblank|hybrid|overlap (default hybrid); --theta sets the
-overlap threshold. The report is byte-identical at every --threads.
+overlap threshold, in (0, 1]. The report is byte-identical at every --threads.
 --verify certifies every refinement fixpoint the method reached
 (Definition 4, checked exactly): deblank's over the blank nodes, and
 for hybrid also its second stage's over UN(λ_Deblank). The report is
@@ -184,7 +184,7 @@ usage: rdf gen [--scale F] [--versions N] --out-dir DIR
 
 Write the first N versions of the seeded EFO-like dataset as
 N-Triples files (efo-v1.nt, efo-v2.nt, ...) — the fixture generator
-for smoke tests and benchmarks.
+for smoke tests and benchmarks. F (default 0.25) must be above 0.
 
 EXAMPLES
   rdf gen --scale 0.25 --versions 2 --out-dir /tmp/efo

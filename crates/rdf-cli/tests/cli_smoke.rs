@@ -595,6 +595,20 @@ fn errors_exit_nonzero_with_context() {
     // Unknown method.
     let err = run_err(&["align", "--method", "psychic", s(&nt), s(&nt)]);
     assert!(err.contains("unknown method"));
+    // Thresholds outside (0, 1], refused before an input opens.
+    let absent = dir.path("absent.rdfb");
+    for theta in ["nan", "0", "-1", "1.5", "inf"] {
+        let args = ["align", "--method", "overlap", "--theta", theta];
+        let err = run_err(&[&args[..], &[s(&absent), s(&absent)]].concat());
+        assert!(err.contains("outside (0, 1]"), "{theta}: {err}");
+    }
+    // Scales that generate nothing.
+    for scale in ["0", "-1", "nan", "inf"] {
+        let out = dir.path("gen");
+        let err = run_err(&["gen", "--scale", scale, "--out-dir", s(&out)]);
+        assert!(err.contains("--scale"), "{scale}: {err}");
+        assert!(!out.exists(), "{scale}: wrote {}", out.display());
+    }
     // Invalid thread counts.
     let err = run_err(&["align", "--threads", "0", s(&nt), s(&nt)]);
     assert!(err.contains("invalid thread count"), "got: {err}");

@@ -543,6 +543,22 @@ fn malformed_lines_get_typed_errors_not_dropped_connections() {
     let stats =
         run_ok(&["request", "--socket", daemon.sock(), r#"{"op":"stats"}"#]);
     assert!(stats.contains("errors 7"), "errors counted: {stats}");
+
+    // A threshold outside (0, 1] is refused before an input opens.
+    for theta in ["0", "-1", "1.5", "1e999"] {
+        let req = format!(
+            "{{\"op\":\"align\",\"source\":\"/absent1\",\
+             \"target\":\"/absent2\",\"method\":\"overlap\",\
+             \"theta\":{theta}}}"
+        );
+        let reply = &raw_roundtrips(&daemon.socket, &[req])[0];
+        assert!(
+            reply.contains(r#""kind":"engine""#)
+                && reply.contains("outside (0, 1]")
+                && !reply.contains("absent"),
+            "theta {theta}: {reply}"
+        );
+    }
 }
 
 /// `info` over the daemon matches the one-shot CLI byte-for-byte as

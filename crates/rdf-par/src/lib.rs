@@ -15,8 +15,8 @@
 //!
 //! Threads are spawned per call (a few tens of microseconds each); the
 //! intended callers amortise that over work measured in milliseconds
-//! per round and keep all *allocations* (scratch buffers, interning
-//! maps) in long-lived engine state instead.
+//! per round and keep all *allocations* (scratch buffers, signature
+//! tables) in long-lived engine state instead.
 
 #![warn(missing_docs)]
 
@@ -29,7 +29,7 @@ use std::ops::Range;
 pub const THREADS_ENV: &str = "RDF_THREADS";
 
 /// Most threads any configuration resolves to. A refinement round
-/// starts up to this many workers per block, so a count from outside
+/// starts up to this many workers per batch, so a count from outside
 /// the program (a flag, the environment, a request) above it is
 /// refused rather than allowed to start one thread per node.
 pub const MAX_THREADS: usize = 256;

@@ -196,5 +196,5 @@ fn weights_zero_when_nothing_edited() {
         &ds.versions[0].graph,
     );
     let out = overlap_align(&c, &ds.vocab, OverlapConfig::default());
-    assert!(out.weighted.weights.iter().all(|&w| w == 0.0));
+    assert!(out.weighted.weights().iter().all(|&w| w == 0.0));
 }

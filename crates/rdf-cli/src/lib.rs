@@ -430,9 +430,11 @@ pub struct Session {
 
 impl Session {
     /// The load step of `align`: the source, then the target, appended
-    /// to one union over a fresh vocabulary. Each input is released
-    /// once it is appended, and no per-version graph is kept. The union
-    /// is completed inside one `align.union` span.
+    /// to one union over a fresh vocabulary. The union's columns are
+    /// reserved once, from both stores' headers, before the first
+    /// append. Each input is released once it is appended, and no
+    /// per-version graph is kept. The union is completed inside one
+    /// `align.union` span.
     pub fn load(
         source: Input<'_>,
         target: Input<'_>,
@@ -440,6 +442,8 @@ impl Session {
     ) -> Result<Session, CliError> {
         let mut vocab = Vocab::new();
         let mut union = GraphAppender::new();
+        let (s, t) = (source.declared_counts(), target.declared_counts());
+        union.reserve(s.0 + t.0, s.1 + t.1);
         let source = source.append_into(&mut vocab, &mut union, rec)?;
         let target = target.append_into(&mut vocab, &mut union, rec)?;
         let mut sp = rec.span("align.union");

@@ -104,10 +104,11 @@ usage: rdf import [--trace PATH] <input.nt> <output.rdfb>
 
 Parse N-Triples (streaming, one block of lines resident at a time)
 into one dictionary-encoded .rdfb store in the fixed-width layout (container
-version 2), whose id columns load zero-copy (`rdf info` shows the
-layout and load mode). `--layout fixed` is accepted and changes
-nothing; `--layout varint` is an error, because the varint layout
-(version 1) is retired and readers refuse it. --trace PATH (or
+version 3, its dictionary in label-hash order), whose id columns load
+zero-copy (`rdf info` shows the layout and load mode). `--layout
+fixed` is accepted and changes nothing; `--layout varint` is an error,
+because the varint layout (version 1) is retired and readers refuse
+it. --trace PATH (or
 RDF_TRACE=PATH) appends timing events as JSONL; see `rdf stats`.
 
 EXAMPLES

@@ -58,6 +58,28 @@ impl<'p> Input<'p> {
         Ok(Input { path, store })
     }
 
+    /// The node and triple counts a store's header declares, each
+    /// capped by what the file could hold (a node takes at least one
+    /// byte of `NODE`, a triple three of `TRPL`), or `(0, 0)` for text
+    /// and for a header that does not parse. Only a reservation reads
+    /// them: the load checks the real counts.
+    pub fn declared_counts(&self) -> (usize, usize) {
+        let Some(bytes) = self.store.as_ref().map(|r| r.buf().as_slice())
+        else {
+            return (0, 0);
+        };
+        match rdf_store::Container::parse_header(bytes) {
+            Ok(h) => {
+                let cap = |count: u64, per: usize| {
+                    let most = bytes.len() / per;
+                    usize::try_from(count).map_or(most, |c| c.min(most))
+                };
+                (cap(h.counts[1], 1), cap(h.counts[2], 3))
+            }
+            Err(_) => (0, 0),
+        }
+    }
+
     /// Append the graph to `union` as its next part, with its labels
     /// in the session vocabulary, and release the input; returns the
     /// graph's node and triple counts. A store is appended column by

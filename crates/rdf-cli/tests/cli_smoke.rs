@@ -234,7 +234,7 @@ fn retired_varint_layout_fails_with_the_path_named() {
     run_ok(&["import", "--layout", "fixed", s(&nt), s(&fixed)]);
     assert_eq!(std::fs::read(&plain).unwrap(), std::fs::read(&fixed).unwrap());
     let info_out = run_ok(&["info", s(&plain)]);
-    assert!(info_out.contains("RDFB v2 graph store"), "got: {info_out}");
+    assert!(info_out.contains("RDFB v3 graph store"), "got: {info_out}");
     assert!(info_out.contains("layout fixed"), "got: {info_out}");
 
     let varint = dir.path("varint.rdfb");
@@ -272,6 +272,54 @@ fn retired_varint_layout_fails_with_the_path_named() {
         assert!(!err.contains("panicked"), "rdf {args:?}: got {err}");
     }
     assert!(!out_nt.exists(), "export wrote output for a version-1 store");
+}
+
+/// A version-2 graph store (written before `DICT` was hash-ordered:
+/// `tests/data/fixed-v2.rdfb`, the three-triple graph above) is refused
+/// by every command that reads a store: exit 2, the path named, a
+/// message that says to re-import, and no panic. Re-importing the same
+/// text gives a version-3 store that loads.
+#[test]
+fn retired_v2_store_fails_with_a_reimport_message() {
+    const V2_STORE: &[u8] =
+        include_bytes!("../../rdf-store/tests/data/fixed-v2.rdfb");
+    let dir = TempDir::new("retired-v2");
+    let v2 = dir.path("old.rdfb");
+    std::fs::write(&v2, V2_STORE).unwrap();
+    let nt = dir.path("x.nt");
+    std::fs::write(
+        &nt,
+        "<u:s> <u:p> <u:o> .\n<u:s> <u:q> _:b1 .\n_:b1 <u:p> \"lit\" .\n",
+    )
+    .unwrap();
+    let fresh = dir.path("fresh.rdfb");
+    run_ok(&["import", s(&nt), s(&fresh)]);
+    let out_nt = dir.path("out.nt");
+    for args in [
+        vec!["align", s(&v2), s(&fresh)],
+        vec!["align", s(&fresh), s(&v2)],
+        vec!["info", "--bisim", s(&v2)],
+        vec!["info", s(&v2)],
+        vec!["export", s(&v2), s(&out_nt)],
+    ] {
+        let out = Command::new(bin())
+            .args(&args)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "rdf {args:?}: {err}");
+        assert!(
+            err.contains(s(&v2))
+                && err.contains("container version 2")
+                && err.contains("retired")
+                && err.contains("rdf import"),
+            "rdf {args:?}: got {err}"
+        );
+        assert!(!err.contains("panicked"), "rdf {args:?}: got {err}");
+    }
+    assert!(!out_nt.exists(), "export wrote output for a version-2 store");
+    let info = run_ok(&["info", s(&fresh)]);
+    assert!(info.contains("RDFB v3 graph store"), "got: {info}");
 }
 
 /// Content kinds 3 and 4 belonged to the retired sharded layout. A

@@ -2,15 +2,21 @@
 //! that reads it: the owned decode (`read_graph`), the direct join into
 //! a session vocabulary (`read_graph_into`, on a fresh and on a
 //! pre-populated session), the view (`read_view`), the append into a
-//! union (`append_into`), the CLI loader (`load_input`) and `rdf
-//! align`, which loads both inputs straight into their union (the
-//! CLI's messages name the file). A `BNAM` or `TRPL` defect in a store
+//! union (`append_into`), the CLI loader (`load_input`), `rdf align`,
+//! which loads both inputs straight into their union, and `rdf export`
+//! (the CLI's messages name the file). Each body is forged in hash
+//! order, `(label_hash, kind, text)`, up to its one defect, so it
+//! reaches the check it was written for; entries out of that order —
+//! descending, repeated, or tied on the hash in the wrong kind or text
+//! order — are `Corrupt` too. A `BNAM` or `TRPL` defect in a store
 //! with valid checksums is refused on the union path too, and so is a
 //! `NODE` label id beyond the dictionary on every path, `rdf info
 //! --bisim` included, which reads only the `DICT` entry count.
 
 use rdf_align::Threads;
-use rdf_model::{GraphAppender, LabelId, RdfGraphBuilder, Vocab};
+use rdf_model::{
+    label_hash, GraphAppender, LabelId, LabelKind, RdfGraphBuilder, Vocab,
+};
 use rdf_obs::Recorder;
 use rdf_store::fixed::{
     encode_node_fixed_into, pad8, parse_fixed_body, FIXED_PREAMBLE,
@@ -34,11 +40,13 @@ fn sample() -> Vec<u8> {
     graph_to_bytes(&vocab, &g).unwrap()
 }
 
-/// The sample store with its `DICT` body replaced by `entries` (each a
-/// kind tag and raw text bytes; a text of `None` is an entry whose
-/// length runs past the body), and the header's label count set to
-/// `header_count`.
-fn with_dict(entries: &[(u8, Option<&[u8]>)], header_count: u64) -> Vec<u8> {
+/// One forged `DICT` entry: a kind tag and raw text bytes, or `None`
+/// for a text whose length runs past the body.
+type Entry<'a> = (u8, Option<&'a [u8]>);
+
+/// The sample store with its `DICT` body replaced by `entries`, and the
+/// header's label count set to `header_count`.
+fn with_dict(entries: &[Entry<'_>], header_count: u64) -> Vec<u8> {
     let mut dict = Vec::new();
     write_varint(&mut dict, entries.len() as u64 + 1);
     for (tag, text) in entries {
@@ -53,6 +61,66 @@ fn with_dict(entries: &[(u8, Option<&[u8]>)], header_count: u64) -> Vec<u8> {
     }
     pad8(&mut dict);
     reframe(&sample(), b"DICT", &dict, Some(header_count))
+}
+
+/// The store order of an entry that has one: a URI or literal tag and
+/// UTF-8 text.
+fn order_key(&(tag, text): &Entry<'_>) -> Option<(u64, LabelKind, String)> {
+    let kind = match tag {
+        1 => LabelKind::Uri,
+        2 => LabelKind::Literal,
+        _ => return None,
+    };
+    let text = std::str::from_utf8(text?).ok()?;
+    Some((label_hash(kind, text), kind, text.to_owned()))
+}
+
+/// `entries` with every well-formed entry in hash order; a malformed
+/// one (bad tag, bad UTF-8, cut short) keeps its position.
+fn hash_ordered<'a>(entries: &[Entry<'a>]) -> Vec<Entry<'a>> {
+    let mut good: Vec<Entry<'a>> =
+        entries.iter().copied().filter(|e| order_key(e).is_some()).collect();
+    good.sort_by_key(|e| order_key(e));
+    let mut good = good.into_iter();
+    entries
+        .iter()
+        .map(|e| match order_key(e) {
+            Some(_) => good.next().unwrap(),
+            None => *e,
+        })
+        .collect()
+}
+
+/// The folded multiply of [`label_hash`].
+fn fold(a: u64) -> u64 {
+    let p = u128::from(a) * u128::from(0x9e37_79b9_7f4a_7c15u64);
+    p as u64 ^ (p >> 64) as u64
+}
+
+/// Two distinct 16-byte ASCII URI texts with equal label hashes, in
+/// ascending text order. Both take the same seed; the second word of
+/// the second text is its first's state difference xored into the
+/// first text's second word, so both reach the same state after two
+/// words. A prefix is searched for a difference whose bytes are all
+/// ASCII.
+fn equal_hash_uris() -> (String, String) {
+    let seed = 16u64 << 8;
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+    let (a1, a2) = (word(b"http://a"), word(b"/label00"));
+    let state = fold(seed ^ a1);
+    let (b1, d) = (b'0'..=b'z')
+        .flat_map(|x| (b'0'..=b'z').map(move |y| [x, y]))
+        .map(|[x, y]| [b'h', b't', b't', b'p', b':', b'/', x, y])
+        .map(|b1| (word(&b1), fold(seed ^ word(&b1)) ^ state))
+        .find(|&(b1, d)| b1 != a1 && d & 0x8080_8080_8080_8080 == 0)
+        .expect("an ASCII state difference");
+    let text = |w1: u64, w2: u64| {
+        let bytes = [w1.to_le_bytes(), w2.to_le_bytes()].concat();
+        String::from_utf8(bytes).unwrap()
+    };
+    let (a, b) = (text(a1, a2), text(b1, a2 ^ d));
+    assert_eq!(label_hash(LabelKind::Uri, &a), label_hash(LabelKind::Uri, &b));
+    if a < b { (a, b) } else { (b, a) }
 }
 
 /// `bytes` re-framed with valid checksums, section `tag` replaced by
@@ -117,24 +185,52 @@ struct Case {
     name: &'static str,
     bytes: Vec<u8>,
     truncated: bool,
+    /// What a `Corrupt` message must say: which check refused it.
+    says: &'static str,
 }
 
 fn cases() -> Vec<Case> {
     let (s, p, o) = (Some(&b"s"[..]), Some(&b"p"[..]), Some(&b"o"[..]));
     let bad_utf8 = Some(&b"\xff\xfe"[..]);
-    let case = |name, entries: &[(u8, Option<&[u8]>)], count, truncated| {
-        Case {
-            name,
-            bytes: with_dict(entries, count),
-            truncated,
-        }
+    let case = |name, entries: &[Entry<'_>], count, truncated, says| Case {
+        name,
+        bytes: with_dict(&hash_ordered(entries), count),
+        truncated,
+        says,
+    };
+    let mut descending = hash_ordered(&[(1, s), (1, p), (1, o)]);
+    descending.reverse();
+    // Equal hashes: a URI and a literal whose first words differ by
+    // exactly the kind seed, and two URIs (see `equal_hash_uris`). In
+    // hash order the URI and the smaller text come first; swap each.
+    let kind_tie = [
+        (1, Some(&b"aaaaaaaabbbbbbbb"[..])),
+        (2, Some(&b"`aaaaaaabbbbbbbb"[..])),
+    ];
+    let (lo, hi) = equal_hash_uris();
+    let text_tie = [(1, Some(lo.as_bytes())), (1, Some(hi.as_bytes()))];
+    let swapped = |pair: [Entry<'_>; 2]| {
+        let mut entries = hash_ordered(&[pair[0], pair[1], (1, o)]);
+        let at = entries.iter().position(|e| *e == pair[0]).unwrap();
+        assert_eq!(entries[at + 1], pair[1], "a tie sorts adjacent");
+        entries.swap(at, at + 1);
+        with_dict(&entries, 4)
+    };
+    let raw = |name, bytes, says| Case {
+        name,
+        bytes,
+        truncated: false,
+        says,
     };
     vec![
-        case("dup", &[(1, s), (1, p), (1, p)], 4, false),
-        case("tag", &[(1, s), (7, p), (1, o)], 4, false),
-        case("utf8", &[(1, s), (1, bad_utf8), (1, o)], 4, false),
-        case("cut", &[(1, s), (1, p), (1, None)], 4, true),
-        case("count", &[(1, s), (1, p), (1, o)], 5, false),
+        case("dup", &[(1, s), (1, p), (1, p)], 4, false, "ascending"),
+        case("tag", &[(1, s), (7, p), (1, o)], 4, false, "kind tag"),
+        case("utf8", &[(1, s), (1, bad_utf8), (1, o)], 4, false, "UTF-8"),
+        case("cut", &[(1, s), (1, p), (1, None)], 4, true, ""),
+        case("count", &[(1, s), (1, p), (1, o)], 5, false, "disagrees"),
+        raw("descending", with_dict(&descending, 4), "ascending"),
+        raw("kindtie", swapped(kind_tie), "ascending"),
+        raw("texttie", swapped(text_tie), "ascending"),
     ]
 }
 
@@ -144,8 +240,8 @@ fn assert_typed<T: std::fmt::Debug>(
     got: Result<T, StoreError>,
 ) {
     match (case.truncated, &got) {
-        (false, Err(StoreError::Corrupt(_)))
-        | (true, Err(StoreError::Truncated { .. })) => {}
+        (false, Err(StoreError::Corrupt(m))) if m.contains(case.says) => {}
+        (true, Err(StoreError::Truncated { .. })) => {}
         _ => panic!("{} via {entry}: got {got:?}", case.name),
     }
 }
@@ -159,7 +255,7 @@ fn malformed_dictionaries_are_typed_errors_everywhere() {
 
     // The sample itself loads, so each failure below is the DICT's.
     let valid = with_dict(
-        &[(1, Some(b"s")), (1, Some(b"p")), (1, Some(b"o"))],
+        &hash_ordered(&[(1, Some(b"s")), (1, Some(b"p")), (1, Some(b"o"))]),
         4,
     );
     assert_eq!(valid, sample());
@@ -200,13 +296,23 @@ fn malformed_dictionaries_are_typed_errors_everywhere() {
                 case.name
             );
         }
-        let msg = align_error(&path);
         let kind = if case.truncated { "truncated" } else { "corrupt" };
-        assert!(
-            msg.contains(&format!("{}.rdfb", case.name)) && msg.contains(kind),
-            "{} via align: {msg}",
-            case.name
-        );
+        let out = dir.join(format!("{}.nt", case.name));
+        let export = match rdf_cli::export(&path, &out) {
+            Ok(_) => panic!("{} exported", case.name),
+            Err(e) => e.to_string(),
+        };
+        assert!(!out.exists(), "{}: export wrote output", case.name);
+        let via = [("align", align_error(&path)), ("export", export)];
+        for (entry, msg) in via {
+            assert!(
+                msg.contains(&format!("{}.rdfb", case.name))
+                    && msg.contains(kind)
+                    && msg.contains(case.says),
+                "{} via {entry}: {msg}",
+                case.name
+            );
+        }
     }
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -710,3 +710,45 @@ fn retired_varint_layout_gets_typed_errors() {
     }
     assert!(replies[4].contains(r#""ok":true"#), "{}", replies[4]);
 }
+
+/// A version-2 graph store (its `DICT` in first-use order) is retired
+/// in the daemon too: `align` with it on either side and `info`, with
+/// or without `bisim`, each get an `engine` error naming the path and
+/// saying to re-import, and the same connection then aligns a current
+/// pair.
+#[test]
+fn retired_v2_store_gets_typed_errors() {
+    let dir = TempDir::new("retired-v2");
+    let (v1, v2) = fixture(&dir);
+    let old = dir.path("old.rdfb");
+    std::fs::write(
+        &old,
+        include_bytes!("../../rdf-store/tests/data/fixed-v2.rdfb"),
+    )
+    .unwrap();
+    let daemon = Daemon::start(&dir.path("rdf.sock"), &[]);
+    let replies = raw_roundtrips(
+        &daemon.socket,
+        &[
+            &align_request(&old, &v2),
+            &align_request(&v1, &old),
+            &format!(r#"{{"op":"info","path":"{}"}}"#, old.display()),
+            &format!(
+                r#"{{"op":"info","path":"{}","bisim":true}}"#,
+                old.display()
+            ),
+            &align_request(&v1, &v2),
+        ],
+    );
+    for reply in &replies[..4] {
+        assert!(reply.contains(r#""kind":"engine""#), "{reply}");
+        assert!(
+            reply.contains(s(&old))
+                && reply.contains("container version 2")
+                && reply.contains("retired")
+                && reply.contains("rdf import"),
+            "{reply}"
+        );
+    }
+    assert!(replies[4].contains(r#""ok":true"#), "{}", replies[4]);
+}

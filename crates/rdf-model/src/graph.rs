@@ -615,6 +615,18 @@ impl GraphAppender {
         self.graph.node_count()
     }
 
+    /// Reserve room for parts of `nodes` nodes and `triples` triples in
+    /// all, so that appending them moves no edge column: the offsets and
+    /// both edge columns are allocated once, at their final size,
+    /// whatever order the parts come in. The first part's labels and
+    /// kinds are taken as they are, and grow once per later part.
+    pub fn reserve(&mut self, nodes: usize, triples: usize) {
+        let g = &mut self.graph;
+        g.offsets.reserve_exact(nodes);
+        g.preds.reserve_exact(triples);
+        g.objs.reserve_exact(triples);
+    }
+
     /// Append a part given as per-node labels and kinds and the
     /// `(s, p, o)` columns of its triples, in part-local ids.
     ///

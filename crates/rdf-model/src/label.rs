@@ -6,6 +6,13 @@
 //! that label equality — the basis of the trivial alignment — is an integer
 //! comparison, and so that two graph versions built against the same
 //! [`Vocab`] can be combined without string comparisons.
+//!
+//! Every label has one 64-bit hash, [`label_hash`], specified byte for
+//! byte in `docs/FORMAT.md` §3.1 because it is part of the store
+//! format: a graph store's dictionary is sorted by it. A [`Vocab`]
+//! places each label in its table by the top bits of the same hash, so
+//! a dictionary in that order is interned front to back, and
+//! [`Vocab::hash_order`] reads the order back off the table.
 
 use std::fmt;
 
@@ -98,9 +105,18 @@ impl fmt::Display for LabelRef<'_> {
 /// `String`, and label `i` is the slice between the end offsets of labels
 /// `i - 1` and `i`. No label owns an allocation, so a vocabulary of a
 /// million labels is a handful of buffers. An open-addressing table of
-/// label ids indexes the arena; each slot keeps 32 bits of its label's
-/// hash, so interning hashes `(kind, text)` once, compares text only when
-/// those bits match, and confirms every hit on the exact text.
+/// label ids indexes the arena; each slot keeps the top 32 bits of its
+/// label's [`label_hash`], so interning hashes `(kind, text)` once,
+/// compares text only when those bits match, and confirms every hit on
+/// the exact text.
+///
+/// A label's home slot is the **top** bits of its hash, so slot order
+/// is hash order: labels interned in ascending hash order (a graph
+/// store's `DICT`) fill the table, the arena and the end offsets front
+/// to back, and [`Vocab::hash_order`] reads the store order off the
+/// table without hashing again. Ascending inserts into a table too
+/// small for them would pile into one cluster, so an insert whose probe
+/// runs long at a load of at most 1/2 doubles the table.
 #[derive(Debug, Clone)]
 pub struct Vocab {
     /// Every label's text, back to back, in id order.
@@ -118,17 +134,33 @@ pub struct Vocab {
 /// Slots a fresh vocabulary starts with.
 const MIN_SLOTS: usize = 16;
 
-/// The 32-bit hash tag of a label: its table position (low bits) and
-/// the filter a probe checks before comparing text.
+/// An insert that probes past this many slots while the table is at
+/// most half full doubles it: at that load a probe this long means the
+/// hashes are poorly spread over the table's top bits (ascending
+/// inserts into a small table), not chance.
+const PROBE_LIMIT: usize = 128;
+
+/// Growth for spread alone stops at this many slots per label, so
+/// labels crafted to share their hash's top bits cannot make the table
+/// large.
+const SPREAD_SLOTS_PER_LABEL: usize = 1024;
+
+/// The 64-bit hash of a label, which orders a graph store's `DICT`
+/// (`docs/FORMAT.md` §3.1) and places the label in a [`Vocab`]'s table
+/// by its top bits. The blank kind has no text and is never hashed.
 ///
-/// Each 8-byte word is mixed in by a folded multiply (the two halves of
-/// the 128-bit product xor-ed), which carries every input bit into
-/// every output bit. `FxHasher`'s plain multiply-xor does not: on the
-/// scale-400 EFO dictionary it gave ~4k full 64-bit collisions and
-/// average linear-probe chains of 7.9 slots at load 0.49, against
-/// 1.47 for this hash.
+/// The state starts as `kind | byte_len << 8` (URI 0, literal 1). Each
+/// 8-byte little-endian word of the text is mixed in by a folded
+/// multiply, `fold(h ^ word)`, where `fold(a)` xors the two halves of
+/// the 128-bit product `a · 0x9e37_79b9_7f4a_7c15`; the tail is
+/// zero-padded to one last word, which is mixed in even when empty.
+/// The fold carries every input bit into every output bit.
+/// `FxHasher`'s plain multiply-xor does not: on the scale-400 EFO
+/// dictionary it gave ~4k full 64-bit collisions and average
+/// linear-probe chains of 7.9 slots at load 0.49, against 1.47 for this
+/// hash.
 #[inline]
-fn label_tag(kind: LabelKind, text: &str) -> u32 {
+pub fn label_hash(kind: LabelKind, text: &str) -> u64 {
     const K: u64 = 0x9e37_79b9_7f4a_7c15;
     let fold = |a: u64| {
         let p = u128::from(a) * u128::from(K);
@@ -143,7 +175,22 @@ fn label_tag(kind: LabelKind, text: &str) -> u32 {
     }
     let mut last = [0u8; 8];
     last[..words.remainder().len()].copy_from_slice(words.remainder());
-    (fold(h ^ u64::from_le_bytes(last)) >> 32) as u32
+    fold(h ^ u64::from_le_bytes(last))
+}
+
+/// The 32-bit tag a slot keeps: the top half of the hash, which is
+/// both the label's table position and the filter a probe checks
+/// before comparing text.
+#[inline]
+fn tag_of(hash: u64) -> u32 {
+    (hash >> 32) as u32
+}
+
+/// The home slot of `tag` in a table of `len` slots (a power of two):
+/// the tag's top `log2(len)` bits.
+#[inline]
+fn home(tag: u32, len: usize) -> usize {
+    ((u64::from(tag) << 32) >> (64 - len.trailing_zeros())) as usize
 }
 
 impl Default for Vocab {
@@ -169,9 +216,34 @@ impl Vocab {
         self.kinds.len()
     }
 
+    /// Total bytes of every label's text.
+    pub fn text_bytes(&self) -> usize {
+        self.arena.len()
+    }
+
     /// Whether the vocabulary holds only the blank label.
     pub fn is_empty(&self) -> bool {
         self.kinds.len() <= 1
+    }
+
+    /// Make room for `labels` labels in all (the blank label included)
+    /// holding `text_bytes` bytes of text in all, so that interning up
+    /// to that much grows neither the table nor the arena and the
+    /// per-label columns. Both are totals, not additions.
+    pub fn reserve(&mut self, labels: usize, text_bytes: usize) {
+        self.arena
+            .reserve_exact(text_bytes.saturating_sub(self.arena.len()));
+        let more = labels.saturating_sub(self.kinds.len());
+        self.ends.reserve_exact(more);
+        self.kinds.reserve_exact(more);
+        let need = labels
+            .saturating_mul(4)
+            .div_ceil(3)
+            .next_power_of_two()
+            .max(MIN_SLOTS);
+        if need > self.slots.len() {
+            self.rebuild(need);
+        }
     }
 
     /// Intern a URI label.
@@ -192,10 +264,27 @@ impl Vocab {
         if kind == LabelKind::Blank {
             return LabelId::BLANK;
         }
-        let tag = label_tag(kind, text);
-        let slot = match self.probe(kind, text, tag) {
+        self.intern_hashed(kind, text, label_hash(kind, text))
+    }
+
+    /// [`Vocab::intern`] with the label's hash already computed by the
+    /// caller; `hash` must be [`label_hash`]`(kind, text)`.
+    pub fn intern_hashed(
+        &mut self,
+        kind: LabelKind,
+        text: &str,
+        hash: u64,
+    ) -> LabelId {
+        debug_assert!(
+            kind == LabelKind::Blank || hash == label_hash(kind, text)
+        );
+        if kind == LabelKind::Blank {
+            return LabelId::BLANK;
+        }
+        let tag = tag_of(hash);
+        let (slot, probed) = match self.probe(kind, text, tag) {
             Ok(id) => return id,
-            Err(slot) => slot,
+            Err(at) => at,
         };
         let id = u32::try_from(self.kinds.len())
             .expect("vocabulary exceeds u32 label ids");
@@ -203,9 +292,15 @@ impl Vocab {
         self.ends.push(self.arena.len());
         self.kinds.push(kind);
         self.slots[slot] = u64::from(tag) << 32 | u64::from(id);
-        // Keep the load factor at most 3/4.
-        if self.kinds.len() * 4 > self.slots.len() * 3 {
-            self.grow();
+        // Keep the load factor at most 3/4, and spread a long probe at
+        // low load (see `PROBE_LIMIT`).
+        let (labels, slots) = (self.kinds.len(), self.slots.len());
+        if labels * 4 > slots * 3
+            || probed > PROBE_LIMIT
+                && labels * 2 <= slots
+                && slots < labels * SPREAD_SLOTS_PER_LABEL
+        {
+            self.rebuild(slots * 2);
         }
         LabelId(id)
     }
@@ -221,23 +316,25 @@ impl Vocab {
     }
 
     fn find(&self, kind: LabelKind, text: &str) -> Option<LabelId> {
-        self.probe(kind, text, label_tag(kind, text)).ok()
+        self.probe(kind, text, tag_of(label_hash(kind, text))).ok()
     }
 
-    /// The id of `(kind, text)`, or the empty slot where it belongs.
+    /// The id of `(kind, text)`, or the empty slot where it belongs
+    /// and how many occupied slots the probe passed on the way.
     #[inline]
     fn probe(
         &self,
         kind: LabelKind,
         text: &str,
         tag: u32,
-    ) -> Result<LabelId, usize> {
+    ) -> Result<LabelId, (usize, usize)> {
         let mask = self.slots.len() - 1;
-        let mut i = tag as usize & mask;
+        let mut i = home(tag, self.slots.len());
+        let mut probed = 0;
         loop {
             let slot = self.slots[i];
             if slot == 0 {
-                return Err(i);
+                return Err((i, probed));
             }
             let id = LabelId(slot as u32);
             if (slot >> 32) as u32 == tag
@@ -247,22 +344,83 @@ impl Vocab {
                 return Ok(id);
             }
             i = (i + 1) & mask;
+            probed += 1;
         }
     }
 
-    /// Double the table. Slots move by their stored tag, so no text is
-    /// hashed again.
-    fn grow(&mut self) {
-        let mut slots = vec![0u64; self.slots.len() * 2];
-        let mask = slots.len() - 1;
+    /// Move every slot into a new table of `len` slots (a power of
+    /// two) by its stored tag, so no text is hashed again. Homes keep
+    /// their order, so the old table is read and the new one written
+    /// front to back.
+    fn rebuild(&mut self, len: usize) {
+        let mut slots = vec![0u64; len];
+        let mask = len - 1;
         for &slot in self.slots.iter().filter(|&&s| s != 0) {
-            let mut i = (slot >> 32) as usize & mask;
+            let mut i = home((slot >> 32) as u32, len);
             while slots[i] != 0 {
                 i = (i + 1) & mask;
             }
             slots[i] = slot;
         }
         self.slots = slots;
+    }
+
+    /// Every label but the blank one, ascending by
+    /// `(`[`label_hash`]`, kind, text)`: the order of a graph store's
+    /// `DICT`.
+    ///
+    /// Homes ascend with the hash, and linear probing keeps a label
+    /// inside the cluster (the run of occupied slots) that holds its
+    /// home, so the clusters in slot order are in hash order and only
+    /// each cluster's few labels need sorting, by their stored tags.
+    /// Only labels whose 32-bit tags tie are hashed again, to break the
+    /// tie on the full hash, then kind and text. The one cluster that
+    /// runs past the last slot into the first ones holds the table's
+    /// first homes and its last ones, and is split between the two
+    /// ends of the order.
+    pub fn hash_order(&self) -> Vec<LabelId> {
+        let len = self.slots.len();
+        let mut ids = Vec::with_capacity(self.kinds.len() - 1);
+        let mut cluster = Vec::new();
+        // The table is never full, so it has a first empty slot; the
+        // slots before it that hold a home past them wrapped around.
+        let head = self.slots.iter().position(|&s| s == 0).unwrap_or(len);
+        let mut wrapped = Vec::new();
+        for (i, &slot) in self.slots[..head].iter().enumerate() {
+            if home((slot >> 32) as u32, len) > i {
+                wrapped.push(slot);
+            } else {
+                cluster.push(slot);
+            }
+        }
+        self.emit_sorted(&mut cluster, &mut ids);
+        for &slot in &self.slots[head..] {
+            if slot == 0 {
+                self.emit_sorted(&mut cluster, &mut ids);
+            } else {
+                cluster.push(slot);
+            }
+        }
+        cluster.append(&mut wrapped);
+        self.emit_sorted(&mut cluster, &mut ids);
+        ids
+    }
+
+    /// Sort one cluster's slots by `(label_hash, kind, text)`, append
+    /// their ids to `ids` and empty the cluster.
+    fn emit_sorted(&self, cluster: &mut Vec<u64>, ids: &mut Vec<LabelId>) {
+        cluster.sort_unstable();
+        for run in cluster.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let start = ids.len();
+            ids.extend(run.iter().map(|&s| LabelId(s as u32)));
+            if run.len() > 1 {
+                ids[start..].sort_unstable_by_key(|&id| {
+                    let (kind, text) = (self.kind(id), self.text(id));
+                    (label_hash(kind, text), kind, text)
+                });
+            }
+        }
+        cluster.clear();
     }
 
     /// The syntactic category of a label.
@@ -352,7 +510,7 @@ mod tests {
         let (a, b) = (0u32..)
             .map(|i| format!("http://e.org/{i}"))
             .find_map(|t| {
-                let tag = label_tag(LabelKind::Uri, &t);
+                let tag = tag_of(label_hash(LabelKind::Uri, &t));
                 first_with_tag.insert(tag, t.clone()).map(|prev| (prev, t))
             })
             .unwrap();
@@ -363,6 +521,47 @@ mod tests {
         assert_ne!(ia, ib);
         assert_eq!((v.find_uri(&a), v.find_uri(&b)), (Some(ia), Some(ib)));
         assert_eq!((v.text(ia), v.text(ib)), (a.as_str(), b.as_str()));
+    }
+
+    /// Labels interned in ascending hash order — a graph store's
+    /// `DICT`, or N-Triples crafted that way — all have homes in the
+    /// front of a table too small for them, and without the spread
+    /// rule would pile into one cluster that every insert walks to its
+    /// end. With it, no insert's probe passes a bounded number of
+    /// slots, the probes total a few per label, and the table stays
+    /// within twice what the load rule alone would give. Counted, not
+    /// timed.
+    #[test]
+    fn ascending_hash_inserts_keep_probes_short() {
+        const N: usize = 200_000;
+        let mut labels: Vec<(u64, String)> = (0..N)
+            .map(|i| {
+                let text = format!("http://e.org/{i}");
+                (label_hash(LabelKind::Uri, &text), text)
+            })
+            .collect();
+        labels.sort_unstable();
+        let descending: Vec<_> = labels.iter().rev().cloned().collect();
+        for order in [&labels, &descending] {
+            let mut v = Vocab::new();
+            let (mut longest, mut total) = (0, 0);
+            for (hash, text) in order {
+                let probed =
+                    match v.probe(LabelKind::Uri, text, tag_of(*hash)) {
+                        Err((_, probed)) => probed,
+                        Ok(_) => unreachable!("labels are distinct"),
+                    };
+                longest = longest.max(probed);
+                total += probed;
+                v.intern_hashed(LabelKind::Uri, text, *hash);
+            }
+            assert_eq!(v.len(), N + 1);
+            assert!(longest <= 4 * PROBE_LIMIT, "longest probe {longest}");
+            assert!(total <= 4 * N, "probes total {total}");
+            let by_load = ((N + 1) * 4).div_ceil(3).next_power_of_two();
+            assert!(v.slots.len() <= 2 * by_load, "{} slots", v.slots.len());
+            assert_eq!(v.hash_order().len(), N);
+        }
     }
 
     #[test]

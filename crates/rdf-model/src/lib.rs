@@ -50,7 +50,7 @@ pub use view::{
     TripleGraphView, ViewError,
 };
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use label::{LabelId, LabelKind, LabelRef, Vocab};
+pub use label::{label_hash, LabelId, LabelKind, LabelRef, Vocab};
 pub use rdf::{rebase_into, RdfError, RdfGraph, RdfGraphBuilder, Term};
 pub use stats::GraphStats;
 pub use truth::GroundTruth;

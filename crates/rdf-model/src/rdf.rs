@@ -121,7 +121,10 @@ impl RdfGraph {
 
 /// Re-express `graph`'s labels in `vocab`, interning each label of
 /// `from` once, in id order — `O(|dictionary|)` string work, nothing per
-/// node or per triple. An empty `vocab` becomes a copy of `from`.
+/// node or per triple. An empty `vocab` becomes a copy of `from`;
+/// otherwise its table is first sized for the larger of the two, since
+/// `from` may be in hash order (a store's dictionary), which a small
+/// table would take in as one cluster.
 ///
 /// This is how a graph held against its own vocabulary (the daemon's
 /// cached stores) joins a shared session vocabulary (the alignment
@@ -139,6 +142,10 @@ pub fn rebase_into(
         vocab.clone_from(from);
         (0..from.len()).map(|i| LabelId(i as u32)).collect()
     } else {
+        vocab.reserve(
+            vocab.len().max(from.len()),
+            vocab.text_bytes().max(from.text_bytes()),
+        );
         (0..from.len())
             .map(|i| {
                 let id = LabelId(i as u32);

@@ -2,7 +2,7 @@
 //! graph, borrowed from an external byte buffer where possible instead
 //! of owning copies — the model half of the zero-copy store load path.
 //!
-//! The fixed-width `.rdfb` layout (container version 2, `docs/FORMAT.md` §3)
+//! The fixed-width `.rdfb` layout (container version 3, `docs/FORMAT.md` §3)
 //! stores the `NODE` label array and the `TRPL` subject/predicate/
 //! object columns as padded little-endian fixed-width arrays. When a
 //! column is 4 bytes wide and the buffer is aligned, the reader hands

@@ -123,6 +123,49 @@ proptest! {
         }
     }
 
+    /// Reserving the union's final size before the first append
+    /// changes no column: in both part orders, a reserved and an
+    /// unreserved appender build the same labels, kinds, offsets and
+    /// edges.
+    #[test]
+    fn reserved_append_builds_the_same_columns(
+        (n1, t1) in arb_spec(),
+        (n2, t2) in arb_spec(),
+    ) {
+        let (g1, g2) = (graph_of(n1, &t1), graph_of(n2, &t2));
+        let append = |appender: &mut GraphAppender, g: &TripleGraph| {
+            let column = |pick: fn(&Triple) -> NodeId| -> Vec<NodeId> {
+                g.triples().map(|t| pick(&t)).collect()
+            };
+            let (s, p, o) = (column(|t| t.s), column(|t| t.p), column(|t| t.o));
+            appender
+                .append_columns(
+                    g.labels_raw().to_vec(),
+                    g.kinds_raw().to_vec(),
+                    &s,
+                    &p,
+                    &o,
+                )
+                .unwrap();
+        };
+        for (a, b) in [(&g1, &g2), (&g2, &g1)] {
+            let mut plain = GraphAppender::new();
+            append(&mut plain, a);
+            append(&mut plain, b);
+            let plain = plain.finish();
+            let mut reserved = GraphAppender::new();
+            reserved.reserve(n1 + n2, t1.len() + t2.len());
+            append(&mut reserved, a);
+            append(&mut reserved, b);
+            let reserved = reserved.finish();
+            prop_assert_eq!(plain.labels_raw(), reserved.labels_raw());
+            prop_assert_eq!(plain.kinds_raw(), reserved.kinds_raw());
+            let (pc, rc) = (plain.out_columns(), reserved.out_columns());
+            prop_assert_eq!(pc.offsets(), rc.offsets());
+            prop_assert!(plain.triples().eq(reserved.triples()));
+        }
+    }
+
     /// Appending two parts — one as checked columns, one as a graph —
     /// gives the graph a sorting builder makes of both parts' triples
     /// with the second part's ids offset; a part whose triples are not

@@ -3,10 +3,13 @@
 //! the same text in both namespaces, empty and non-ASCII texts, and
 //! enough distinct labels to grow the table several times. Lookups
 //! never intern, `text`/`resolve` round-trip, and a clone is
-//! independent of its original.
+//! independent of its original. Labels arriving in first-use,
+//! ascending-hash or descending-hash order (the table places a label by
+//! its hash's top bits, so sorted arrivals are its hard case) intern to
+//! the same model, and `hash_order` lists them by `(hash, kind, text)`.
 
 use proptest::prelude::*;
-use rdf_model::{LabelId, LabelKind, LabelRef, Vocab};
+use rdf_model::{label_hash, LabelId, LabelKind, LabelRef, Vocab};
 use std::collections::HashMap;
 
 /// Texts that stress equality: empty, prefixes of each other, multi-byte
@@ -136,6 +139,61 @@ proptest! {
         }
         check_all(&copy, &copy_ids)?;
         check_all(&original, &by_id)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Distinct labels interned in first-use, ascending-hash or
+    /// descending-hash order (each interned twice) get dense ids in
+    /// arrival order, and `find`, `text` and `resolve` agree with the
+    /// reference map; labels never interned are not found. Reserving
+    /// first changes nothing. `hash_order` holds every label once,
+    /// strictly ascending by `(label_hash, kind, text)`.
+    #[test]
+    fn every_arrival_order_matches_reference_map(
+        draws in proptest::collection::vec((0u8..2, 0u16..4000), 0..1500),
+        order in 0u8..3,
+        reserve in 0u8..2,
+    ) {
+        let key = |(kind, text): &(LabelKind, String)| {
+            (label_hash(*kind, text), *kind, text.clone())
+        };
+        let mut seen = std::collections::HashSet::new();
+        let mut labels: Vec<(LabelKind, String)> = draws
+            .iter()
+            .map(|&(k, t)| (kind_of(k), text_of(t)))
+            .filter(|label| seen.insert(label.clone()))
+            .collect();
+        match order {
+            1 => labels.sort_by_key(key),
+            2 => labels.sort_by_key(|l| std::cmp::Reverse(key(l))),
+            _ => {}
+        }
+        let mut v = Vocab::new();
+        if reserve == 1 {
+            let bytes = labels.iter().map(|(_, t)| t.len()).sum();
+            v.reserve(labels.len() + 1, bytes);
+        }
+        let mut by_id = vec![(LabelKind::Blank, String::new())];
+        for (kind, text) in &labels {
+            let id = v.intern(*kind, text);
+            prop_assert_eq!(id, LabelId(by_id.len() as u32));
+            by_id.push((*kind, text.clone()));
+            prop_assert_eq!(v.intern(*kind, text), id);
+        }
+        check_all(&v, &by_id)?;
+        for t in 4000u16..4020 {
+            prop_assert_eq!(find(&v, LabelKind::Uri, &text_of(t)), None);
+        }
+        let order = v.hash_order();
+        prop_assert_eq!(order.len(), labels.len());
+        let keys: Vec<_> = order
+            .iter()
+            .map(|&id| key(&(v.kind(id), v.text(id).to_string())))
+            .collect();
+        prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
     }
 }
 

@@ -1,4 +1,5 @@
-//! CRC-32 (IEEE 802.3 polynomial), table-driven, eight bytes at a time.
+//! CRC-32 (IEEE 802.3 polynomial), table-driven, eight bytes at a time
+//! on three independent streams.
 //!
 //! Every section payload of a `.rdfb` container is checksummed so that
 //! bit rot or a partial write is detected at load time instead of
@@ -7,7 +8,12 @@
 //!
 //! The loop is slicing-by-8: eight lookup tables fold eight input bytes
 //! into the running CRC per step, instead of one byte per step with the
-//! classic single table. The result is the same CRC.
+//! classic single table. One such chain is bound by the latency of its
+//! lookups, so a payload of [`SPLIT_MIN`] bytes or more is cut into
+//! thirds whose CRCs run interleaved in one loop, and the three values
+//! are joined with zlib's `crc32_combine` (the CRC of `a ‖ b` from the
+//! CRCs of `a` and `b` and the length of `b`). The result is the same
+//! CRC, about twice as fast on a 39 MB store.
 
 /// Reflected polynomial of CRC-32/ISO-HDLC (zlib, PNG, Ethernet).
 const POLY: u32 = 0xEDB8_8320;
@@ -50,24 +56,106 @@ fn step(crc: u32, byte: u8) -> u32 {
     (crc >> 8) ^ TABLES[0][((crc ^ u32::from(byte)) & 0xff) as usize]
 }
 
+/// Payloads at least this long are checksummed as three interleaved
+/// streams; shorter ones in one.
+const SPLIT_MIN: usize = 1024;
+
+/// Fold one 8-byte word `c` into the CRC register `crc`, slicing-by-8.
+#[inline(always)]
+fn fold8(crc: u32, c: &[u8]) -> u32 {
+    let t = &TABLES;
+    let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+    t[7][(lo & 0xff) as usize]
+        ^ t[6][((lo >> 8) & 0xff) as usize]
+        ^ t[5][((lo >> 16) & 0xff) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xff) as usize]
+        ^ t[2][((hi >> 8) & 0xff) as usize]
+        ^ t[1][((hi >> 16) & 0xff) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
+/// The CRC register after `data`, starting from register `crc` (no
+/// final xor).
+fn update(crc: u32, data: &[u8]) -> u32 {
+    let mut chunks = data.chunks_exact(8);
+    let crc = (&mut chunks).fold(crc, fold8);
+    chunks.remainder().iter().fold(crc, |crc, &b| step(crc, b))
+}
+
 /// CRC-32 of `data` (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = &TABLES;
-    let mut crc = u32::MAX;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    if data.len() < SPLIT_MIN {
+        return update(u32::MAX, data) ^ u32::MAX;
     }
-    chunks.remainder().iter().fold(crc, |crc, &b| step(crc, b)) ^ u32::MAX
+    // Three equal runs of whole 8-byte words; the tail joins the last.
+    let third = data.len() / 24 * 8;
+    let (a, rest) = data.split_at(third);
+    let (b, c) = rest.split_at(third);
+    let (mut ca, mut cb, mut cc) = (u32::MAX, u32::MAX, u32::MAX);
+    for ((wa, wb), wc) in a
+        .chunks_exact(8)
+        .zip(b.chunks_exact(8))
+        .zip(c.chunks_exact(8))
+    {
+        ca = fold8(ca, wa);
+        cb = fold8(cb, wb);
+        cc = fold8(cc, wc);
+    }
+    let cc = update(cc, &c[third..]);
+    let ab = crc32_combine(ca ^ u32::MAX, cb ^ u32::MAX, b.len() as u64);
+    crc32_combine(ab, cc ^ u32::MAX, c.len() as u64)
+}
+
+/// The CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`,
+/// as zlib's `crc32_combine`: `crc32(a)` is shifted past `len_b` zero
+/// bytes by a multiplication by `x^(8·len_b)` modulo the polynomial.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    multmodp(x8nmodp(len_b), crc_a) ^ crc_b
+}
+
+/// `a · b` modulo the CRC polynomial, both in the reflected bit order
+/// (`1 << 31` is `x^0`).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut m = 1u32 << 31;
+    let mut p = 0u32;
+    loop {
+        if a & m != 0 {
+            p ^= b;
+            if a & (m - 1) == 0 {
+                return p;
+            }
+        }
+        m >>= 1;
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+}
+
+/// `X2N[k]` is `x^(2^k)` modulo the polynomial.
+const X2N: [u32; 64] = {
+    let mut t = [0u32; 64];
+    t[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 64 {
+        t[k] = multmodp(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
+
+/// `x^(8·n)` modulo the polynomial: the shift past `n` zero bytes.
+fn x8nmodp(mut n: u64) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    let mut k = 3; // 8 = 2^3
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(X2N[k], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
 }
 
 #[cfg(test)]
@@ -101,13 +189,40 @@ mod tests {
         }
     }
 
+    /// The three-stream CRC equals the bytewise loop at every length
+    /// from 0 to 4096 bytes, which crosses [`SPLIT_MIN`] and every
+    /// remainder of the thirds, and combining is associative with the
+    /// plain concatenation.
+    #[test]
+    fn three_streams_match_bytewise_at_every_length() {
+        let data: Vec<u8> = (0u32..4096 + 64)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in 0..=4096 {
+            let sub = &data[..len];
+            assert_eq!(crc32(sub), crc32_bytewise(sub), "length {len}");
+        }
+        for len in SPLIT_MIN - 40..SPLIT_MIN + 40 {
+            for skip in 0..8 {
+                let sub = &data[skip..skip + len];
+                assert_eq!(crc32(sub), crc32_bytewise(sub), "{skip}+{len}");
+            }
+        }
+        let (a, b) = data.split_at(1000);
+        assert_eq!(
+            crc32_combine(crc32(a), crc32(b), b.len() as u64),
+            crc32(&data)
+        );
+        assert_eq!(crc32_combine(crc32(a), crc32(b""), 0), crc32(a));
+    }
+
     proptest! {
         /// Slicing-by-8 agrees with the bytewise loop on any bytes, any
         /// length and any start offset (so any alignment of the 8-byte
-        /// chunks).
+        /// chunks), on both sides of the three-stream threshold.
         #[test]
         fn sliced_matches_bytewise(
-            words in proptest::collection::vec(0u16..256, 0..300),
+            words in proptest::collection::vec(0u16..256, 0..3 * SPLIT_MIN),
             skip in 0usize..8,
         ) {
             let data: Vec<u8> = words.iter().map(|&w| w as u8).collect();

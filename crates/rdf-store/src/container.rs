@@ -13,11 +13,12 @@
 //! of materialising a wrong graph.
 //!
 //! The header version field doubles as the **layout flag**: graph
-//! stores are version 2, whose `NODE`/`TRPL` bodies are the
-//! fixed-width columns of `docs/FORMAT.md` §3; version 1 is the
-//! archive container (and the retired varint graph layout, which
-//! [`Container::parse_header`] rejects with
-//! [`StoreError::RetiredLayout`]). Layout is always resolved from the
+//! stores are version 3, whose `NODE`/`TRPL` bodies are the
+//! fixed-width columns of `docs/FORMAT.md` §3 and whose `DICT` is in
+//! hash order; version 1 is the archive container. Graph stores of
+//! versions 1 (the varint layout) and 2 (a `DICT` in first-use order)
+//! are retired, and [`Container::parse_header`] rejects them with
+//! [`StoreError::RetiredLayout`]. Layout is always resolved from the
 //! header, never from a file extension.
 
 use crate::checksum::crc32;
@@ -31,15 +32,17 @@ pub const MAGIC: [u8; 4] = *b"RDFB";
 /// layout and is rejected with [`StoreError::RetiredLayout`].
 pub const FORMAT_VERSION: u16 = 1;
 
-/// Container version 2, the fixed-width layout every graph store is
+/// Container version 3, the fixed-width layout every graph store is
 /// written in: `NODE`/`TRPL` bodies are padded little-endian
-/// fixed-width arrays and every section payload is zero-padded to a
+/// fixed-width arrays, every section payload is zero-padded to a
 /// multiple of 8 bytes, so readers can serve typed slices straight
-/// from the file image (`docs/FORMAT.md` §3).
-pub const FORMAT_VERSION_FIXED: u16 = 2;
+/// from the file image, and the `DICT` entries ascend by label hash
+/// (`docs/FORMAT.md` §3). Version 2 graph stores, the same layout with
+/// a `DICT` in first-use order, are retired.
+pub const FORMAT_VERSION_FIXED: u16 = 3;
 
 /// Highest container version this build reads.
-pub const MAX_FORMAT_VERSION: u16 = 2;
+pub const MAX_FORMAT_VERSION: u16 = 3;
 
 /// Section body layout of a container, as selected by the header
 /// version field. Graph stores are always [`Layout::Fixed`];
@@ -48,7 +51,7 @@ pub const MAX_FORMAT_VERSION: u16 = 2;
 pub enum Layout {
     /// Version 1: varint section bodies (archives).
     Varint,
-    /// Version 2: padded fixed-width little-endian section bodies
+    /// Version 3: padded fixed-width little-endian section bodies
     /// (graph stores; zero-copy or widen-only loads).
     Fixed,
 }
@@ -238,7 +241,8 @@ impl<'a> Container<'a> {
 
     /// Parse only the fixed header (no section walking) — enough for a
     /// cheap `info` on a large file. Rejects unknown versions, the
-    /// retired kinds and version-1 graph stores (the retired layout).
+    /// retired kinds and graph stores of versions 1 and 2 (the retired
+    /// layouts).
     pub fn parse_header(bytes: &[u8]) -> Result<Header, StoreError> {
         // Check the magic before the length, so a short non-container
         // file reports "not an RDFB container" rather than "truncated".
@@ -262,7 +266,7 @@ impl<'a> Container<'a> {
         if RETIRED_KINDS.contains(&kind) {
             return Err(StoreError::RetiredKind { found: kind });
         }
-        if kind == KIND_GRAPH && version == FORMAT_VERSION {
+        if kind == KIND_GRAPH && version < FORMAT_VERSION_FIXED {
             return Err(StoreError::RetiredLayout { version });
         }
         let sections = head[7];
@@ -414,8 +418,9 @@ mod tests {
         assert_eq!(Layout::Varint.version(), FORMAT_VERSION);
         assert_eq!(Layout::Fixed.version(), FORMAT_VERSION_FIXED);
         assert_eq!(Layout::from_version(1), Some(Layout::Varint));
-        assert_eq!(Layout::from_version(2), Some(Layout::Fixed));
-        assert_eq!(Layout::from_version(3), None);
+        assert_eq!(Layout::from_version(2), None);
+        assert_eq!(Layout::from_version(3), Some(Layout::Fixed));
+        assert_eq!(Layout::from_version(4), None);
         assert_eq!(Layout::Varint.to_string(), "varint");
         assert_eq!(Layout::Fixed.to_string(), "fixed");
     }
@@ -443,16 +448,21 @@ mod tests {
         }
     }
 
-    /// A version-1 graph store is the retired varint layout, refused
-    /// from its header; a version-1 archive still parses.
+    /// Graph stores of versions 1 (the varint layout) and 2 (a `DICT`
+    /// in first-use order) are retired, refused from their header; a
+    /// version-1 archive still parses.
     #[test]
     fn retired_layout_rejected() {
+        for version in [FORMAT_VERSION, 2] {
+            let mut bytes = sample();
+            bytes[4] = version as u8;
+            assert!(matches!(
+                Container::parse(&bytes),
+                Err(StoreError::RetiredLayout { version: v }) if v == version
+            ));
+        }
         let mut bytes = sample();
         bytes[4] = FORMAT_VERSION as u8;
-        assert!(matches!(
-            Container::parse(&bytes),
-            Err(StoreError::RetiredLayout { version: FORMAT_VERSION })
-        ));
         bytes[6] = KIND_ARCHIVE;
         assert_eq!(Container::parse(&bytes).unwrap().header().version, 1);
     }

@@ -6,15 +6,23 @@
 //! id 0), then per non-blank entry a kind tag (1 = URI, 2 = literal), a
 //! varint byte length, and the UTF-8 text.
 //!
+//! A graph store's entries are strictly ascending by
+//! `(`[`label_hash`]`, kind, text bytes)` (`docs/FORMAT.md` §3.1), the
+//! order [`Vocab::hash_order`] reads off a vocabulary's table. Archives
+//! keep their own order.
+//!
 //! Every reader walks a body in place with [`DictEntries`], which
 //! borrows each entry's text from the (mapped) bytes.
-//! [`intern_entries`] joins the entries into a vocabulary — the store
-//! load's join into the session vocabulary — and [`read_dict`] interns
-//! them into a fresh one.
+//! [`intern_entries`] joins a graph store's entries into a vocabulary —
+//! the store load's join into the session vocabulary. Because a label's
+//! table slot is the top bits of the same hash, the join writes and
+//! probes the table front to back, and its order check is also the
+//! repeat check. [`read_dict`] interns an archive's entries into a fresh
+//! vocabulary.
 
 use crate::error::StoreError;
 use crate::varint::{read_varint_usize, write_varint};
-use rdf_model::{LabelId, LabelKind, Vocab};
+use rdf_model::{label_hash, LabelId, LabelKind, Vocab};
 
 /// Append a dictionary section body for the given label ids (the blank
 /// label is implicit and must not be among `ids`).
@@ -47,6 +55,14 @@ pub fn write_dict(
 /// `(LabelKind, &str)`, with its kind tag and UTF-8 validated. The walk
 /// allocates nothing; every reader of `DICT` goes through it.
 ///
+/// UTF-8 is validated a stretch of the body at a time, not text by
+/// text: a text is preceded by the last byte of its length varint,
+/// which is ASCII, so a text inside a valid stretch that ends on a
+/// character boundary is valid on its own. A stretch ends where the
+/// body stops being UTF-8 (a length of 128 or more, or a bad text);
+/// the text there is checked alone and the next stretch starts after
+/// it.
+///
 /// The iterator stops after the first error; [`DictEntries::pos`] is
 /// then meaningless.
 #[derive(Debug, Clone)]
@@ -56,6 +72,9 @@ pub struct DictEntries<'a> {
     label_count: usize,
     /// Non-blank entries not yet read.
     remaining: usize,
+    /// The valid UTF-8 stretch of `buf` starting at `run_at`.
+    run: &'a str,
+    run_at: usize,
 }
 
 impl<'a> DictEntries<'a> {
@@ -72,6 +91,8 @@ impl<'a> DictEntries<'a> {
             pos,
             label_count,
             remaining: label_count - 1,
+            run: "",
+            run_at: pos,
         })
     }
 
@@ -109,7 +130,28 @@ impl<'a> DictEntries<'a> {
             }
         };
         self.pos += 1;
-        let text = read_str(self.buf, &mut self.pos, "dictionary text")?;
+        let len = read_varint_usize(self.buf, &mut self.pos)?;
+        let start = self.pos;
+        let truncated = || StoreError::Truncated {
+            what: "dictionary text",
+        };
+        let end = start.checked_add(len).ok_or_else(truncated)?;
+        let bytes = self.buf.get(start..end).ok_or_else(truncated)?;
+        self.pos = end;
+        if let Some(text) = self.run.get(start - self.run_at..end - self.run_at)
+        {
+            return Ok((kind, text));
+        }
+        let text = std::str::from_utf8(bytes).map_err(|_| {
+            StoreError::Corrupt("dictionary text is not UTF-8".into())
+        })?;
+        let rest = &self.buf[end..];
+        self.run = match std::str::from_utf8(rest) {
+            Ok(run) => run,
+            Err(e) => std::str::from_utf8(&rest[..e.valid_up_to()])
+                .expect("valid up to its first error"),
+        };
+        self.run_at = end;
         Ok((kind, text))
     }
 }
@@ -144,39 +186,40 @@ impl DictJoin {
     }
 }
 
-/// Intern every remaining entry of `entries` into `vocab`, one hash per
-/// label. A text repeated within a namespace is `Corrupt`, whether or
-/// not `vocab` held it before: a repeat of a label this walk added is
-/// an intern that adds nothing, and a repeat of a label `vocab` already
-/// held is caught by a bitset over those ids. On error `vocab` keeps the
-/// labels interned before it.
+/// Intern every remaining entry of a graph store's `DICT` into
+/// `vocab`, one hash per label. The entries must be strictly ascending
+/// by `(label_hash, kind, text)`; a pair that is not is `Corrupt`, and
+/// since equal entries are such a pair, so is a repeated label, whether
+/// or not `vocab` held it before. `vocab` is first sized for the larger
+/// of itself and the dictionary (its label count, and the unread body
+/// bytes as a bound on its text), never their sum, so the join grows it
+/// at most once more. On error `vocab` keeps the labels interned
+/// before it.
 pub fn intern_entries(
     entries: &mut DictEntries<'_>,
     vocab: &mut Vocab,
 ) -> Result<DictJoin, StoreError> {
     let before = vocab.len();
-    let mut shared_seen = vec![0u64; before.div_ceil(64)];
+    let body = entries.buf.len() - entries.pos;
+    vocab.reserve(
+        before.max(entries.capacity_hint()),
+        vocab.text_bytes().max(body),
+    );
     let mut map = Vec::with_capacity(entries.capacity_hint());
     map.push(LabelId::BLANK);
+    let mut prev: Option<(u64, LabelKind, &str)> = None;
     for entry in entries {
         let (kind, text) = entry?;
-        let len = vocab.len();
-        let id = vocab.intern(kind, text);
-        let i = id.index();
-        let repeat = if i >= before {
-            i != len
-        } else {
-            let (word, bit) = (i / 64, 1u64 << (i % 64));
-            let seen = shared_seen[word] & bit != 0;
-            shared_seen[word] |= bit;
-            seen
-        };
-        if repeat {
+        let key = (label_hash(kind, text), kind, text);
+        if prev.is_some_and(|prev| prev >= key) {
             return Err(StoreError::Corrupt(
-                "duplicate label text within a namespace".into(),
+                "dictionary entries not strictly ascending by \
+                 (hash, kind, text): repeated or out of order"
+                    .into(),
             ));
         }
-        map.push(id);
+        prev = Some(key);
+        map.push(vocab.intern_hashed(kind, text, key.0));
     }
     Ok(DictJoin {
         new: vocab.len() - before,
@@ -184,13 +227,23 @@ pub fn intern_entries(
     })
 }
 
-/// Decode a dictionary section body into a fresh [`Vocab`] (dense ids,
-/// blank at 0). Counts and lengths are untrusted: allocation is capped
-/// by the bytes actually present, and all arithmetic is checked.
+/// Decode an archive's dictionary section body into a fresh [`Vocab`]
+/// (dense ids in entry order, blank at 0); a text repeated within a
+/// namespace is `Corrupt`. Counts and lengths are untrusted: allocation
+/// is capped by the bytes actually present, and all arithmetic is
+/// checked.
 pub fn read_dict(buf: &[u8], pos: &mut usize) -> Result<Vocab, StoreError> {
     let mut entries = DictEntries::new(buf, *pos)?;
     let mut vocab = Vocab::new();
-    intern_entries(&mut entries, &mut vocab)?;
+    for entry in &mut entries {
+        let (kind, text) = entry?;
+        let len = vocab.len();
+        if vocab.intern(kind, text).index() != len {
+            return Err(StoreError::Corrupt(
+                "duplicate label text within a namespace".into(),
+            ));
+        }
+    }
     *pos = entries.pos();
     Ok(vocab)
 }
@@ -299,6 +352,18 @@ mod tests {
         assert_eq!(v.len(), 3);
     }
 
+    /// `entries` in a graph store's order: ascending by
+    /// `(label_hash, kind, text)`.
+    fn hash_sorted<'a>(entries: &[(u8, &'a [u8])]) -> Vec<(u8, &'a [u8])> {
+        let mut sorted = entries.to_vec();
+        sorted.sort_by_key(|&(tag, text)| {
+            let kind = [LabelKind::Uri, LabelKind::Literal][tag as usize - 1];
+            let text = std::str::from_utf8(text).unwrap();
+            (label_hash(kind, text), kind, text)
+        });
+        sorted
+    }
+
     /// Interning into a vocabulary that already holds some labels maps
     /// them to their existing ids, counts new and shared entries, and
     /// still refuses a text the dictionary repeats.
@@ -307,12 +372,17 @@ mod tests {
         let mut session = Vocab::new();
         session.uri("unrelated");
         let shared = session.literal("x");
-        let buf = body(3, &[(1, b"fresh"), (2, b"x")]);
-        let mut entries = DictEntries::new(&buf, 0).unwrap();
-        let join = intern_entries(&mut entries, &mut session).unwrap();
-        assert_eq!(join.map, vec![LabelId::BLANK, LabelId(3), shared]);
+        let entries = hash_sorted(&[(1, b"fresh"), (2, b"x")]);
+        let buf = body(3, &entries);
+        let mut walk = DictEntries::new(&buf, 0).unwrap();
+        let join = intern_entries(&mut walk, &mut session).unwrap();
+        let want = |text: &[u8]| if text == b"x" { shared } else { LabelId(3) };
+        let expected: Vec<LabelId> = std::iter::once(LabelId::BLANK)
+            .chain(entries.iter().map(|&(_, text)| want(text)))
+            .collect();
+        assert_eq!(join.map, expected);
         assert_eq!((join.new, join.shared()), (1, 1));
-        assert_eq!(entries.pos(), buf.len());
+        assert_eq!(walk.pos(), buf.len());
 
         for dup in [
             body(3, &[(2, b"x"), (2, b"x")]),
@@ -324,6 +394,37 @@ mod tests {
                 Err(StoreError::Corrupt(_))
             ));
         }
+    }
+
+    /// A graph store's entries must ascend by `(hash, kind, text)`:
+    /// two labels in descending hash order are `Corrupt`, and so are
+    /// two labels of equal hash in the wrong kind order. A URI and a
+    /// literal whose first words differ exactly by the kind seed hash
+    /// the same, and the URI (kind 0) comes first.
+    #[test]
+    fn intern_refuses_entries_out_of_hash_order() {
+        let corrupt = |entries: &[(u8, &[u8])]| {
+            let buf = body(entries.len() as u64 + 1, entries);
+            let mut walk = DictEntries::new(&buf, 0).unwrap();
+            matches!(
+                intern_entries(&mut walk, &mut Vocab::new()),
+                Err(StoreError::Corrupt(m)) if m.contains("ascending")
+            )
+        };
+        let sorted = hash_sorted(&[(1, b"a"), (1, b"b"), (2, b"c")]);
+        assert!(!corrupt(&sorted));
+        let mut reversed = sorted.clone();
+        reversed.reverse();
+        assert!(corrupt(&reversed));
+
+        let uri = &b"aaaaaaaabbbbbbbb"[..];
+        let literal = &b"`aaaaaaabbbbbbbb"[..];
+        assert_eq!(
+            label_hash(LabelKind::Uri, "aaaaaaaabbbbbbbb"),
+            label_hash(LabelKind::Literal, "`aaaaaaabbbbbbbb")
+        );
+        assert!(!corrupt(&[(1, uri), (2, literal)]));
+        assert!(corrupt(&[(2, literal), (1, uri)]));
     }
 
     #[test]

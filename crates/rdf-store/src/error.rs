@@ -54,10 +54,10 @@ pub enum StoreError {
         /// Kind byte found in the header.
         found: u8,
     },
-    /// A graph store (kind 1) in a retired section layout: container
-    /// version 1, the varint `NODE`/`TRPL` bodies. Graph stores are
-    /// written and read in the fixed layout (version 2) only;
-    /// archives keep version 1.
+    /// A graph store (kind 1) in a retired layout: container version 1,
+    /// the varint `NODE`/`TRPL` bodies, or version 2, whose `DICT` is in
+    /// first-use order. Graph stores are written and read as version 3
+    /// only; archives keep version 1.
     RetiredLayout {
         /// Container version found in the header.
         version: u16,
@@ -119,11 +119,16 @@ impl fmt::Display for StoreError {
                  sharded store layout; re-import the N-Triples into a \
                  single .rdfb store"
             ),
+            StoreError::RetiredLayout { version: 1 } => f.write_str(
+                "the varint graph-store layout (container version 1) is \
+                 retired; re-import the N-Triples with `rdf import`, which \
+                 writes the fixed layout",
+            ),
             StoreError::RetiredLayout { version } => write!(
                 f,
-                "the varint graph-store layout (container version \
-                 {version}) is retired; re-import the N-Triples with \
-                 `rdf import`, which writes the fixed layout"
+                "graph-store container version {version} (a DICT in \
+                 first-use order) is retired; re-import the N-Triples with \
+                 `rdf import`, which writes version 3"
             ),
             StoreError::Corrupt(msg) => write!(f, "corrupt container: {msg}"),
         }

@@ -1,4 +1,4 @@
-//! Fixed-width section bodies (container version 2, the one graph-store
+//! Fixed-width section bodies (container version 3, the one graph-store
 //! layout).
 //!
 //! The layout trades a few bytes of padding for *decodability by

@@ -7,14 +7,19 @@
 //! (the sorted triples as three fixed-width columns) and `BNAM`
 //! (document-local blank-node names); their exact byte layouts are
 //! specified in `docs/FORMAT.md` §3. Every graph store is container
-//! version 2; a version-1 graph store is the retired varint layout and
-//! is refused with [`StoreError::RetiredLayout`].
+//! version 3; graph stores of versions 1 (the varint layout) and 2 (a
+//! `DICT` in first-use order) are retired and refused with
+//! [`StoreError::RetiredLayout`].
 //!
-//! Labels are remapped to *dense* ids in ascending first-use order before
-//! writing, so a store written from a freshly parsed graph has exactly
-//! the parse's interning order, and `load(save(parse(text)))` rebuilds a
-//! graph byte-identical to `parse(text)` — same node ids, same label ids,
-//! same CSR layout — without hashing a single string per node or triple.
+//! The `DICT` holds the labels the graph uses, strictly ascending by
+//! `(`[`rdf_model::label_hash`]`, kind, text)`, and a `NODE` label id is
+//! its label's rank in that order. The writer reads the order off the
+//! vocabulary's table ([`Vocab::hash_order`]) rather than hashing every
+//! label again. So a store depends only on the graph's terms, never on
+//! the order they were interned in: `save(load(save(g)))` is
+//! byte-identical to `save(g)`, and `load(save(parse(text)))` keeps
+//! `parse(text)`'s node ids, CSR layout, kinds and blank names, with
+//! every node's label equal by `(kind, text)`.
 //!
 //! [`TripleGraph`]: rdf_model::TripleGraph
 
@@ -54,8 +59,8 @@ impl<W: Write> StoreWriter<W> {
     /// and return the sink.
     ///
     /// Label ids are remapped onto a dense dictionary: 0 stays the
-    /// blank label, the rest keep their relative first-interned order,
-    /// so a graph parsed into a fresh vocab maps identically.
+    /// blank label, and the labels the graph uses follow in hash order
+    /// (see the module docs).
     pub fn write_graph(
         mut self,
         vocab: &Vocab,
@@ -63,19 +68,19 @@ impl<W: Write> StoreWriter<W> {
     ) -> Result<W, StoreError> {
         let g = graph.graph();
 
-        let mut used: Vec<LabelId> = g.labels_raw().to_vec();
-        used.sort_unstable();
-        used.dedup();
-        if used.first() != Some(&LabelId::BLANK) {
-            used.insert(0, LabelId::BLANK);
-        }
         let mut dense = vec![u32::MAX; vocab.len()];
-        for (new, old) in used.iter().enumerate() {
-            dense[old.index()] = new as u32;
+        for l in g.labels_raw() {
+            dense[l.index()] = 0;
         }
+        let mut used = vocab.hash_order();
+        used.retain(|id| dense[id.index()] == 0);
+        for (rank, id) in (1..).zip(&used) {
+            dense[id.index()] = rank;
+        }
+        dense[0] = 0;
 
         let mut dict = Vec::new();
-        write_dict(&mut dict, vocab, used[1..].iter().copied())?;
+        write_dict(&mut dict, vocab, used.iter().copied())?;
         pad8(&mut dict);
 
         let remapped: Vec<LabelId> = g
@@ -108,7 +113,7 @@ impl<W: Write> StoreWriter<W> {
         pad8(&mut bnam);
 
         let counts = [
-            used.len() as u64,
+            used.len() as u64 + 1,
             g.node_count() as u64,
             g.triple_count() as u64,
         ];

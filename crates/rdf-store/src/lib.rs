@@ -21,9 +21,10 @@
 //!   `rdf-archive` for persistent archives.
 //!
 //! A graph store is always one `.rdfb` file in the fixed-width layout
-//! (container version 2). Version-1 graph stores, the retired varint
-//! layout, are refused with [`StoreError::RetiredLayout`]; archives
-//! stay version 1.
+//! with its dictionary in label-hash order (container version 3).
+//! Version-1 graph stores (the retired varint layout) and version-2
+//! ones (a dictionary in first-use order) are refused with
+//! [`StoreError::RetiredLayout`]; archives stay version 1.
 //!
 //! The byte-level layout of every container kind — header, section
 //! framing, `DICT`/`NODE`/`TRPL`/`BNAM` bodies, varint and CRC rules —

@@ -1,11 +1,13 @@
 //! Property suite for the `.rdfb` graph store through its one reader:
 //! `load(save(g)) == g` term-for-term for random graphs (blank nodes,
-//! escaped / lang-tagged / datatyped literals); byte-identical
-//! reconstruction of freshly parsed graphs; deterministic writes; and
+//! escaped / lang-tagged / datatyped literals); byte-identical re-saves
+//! (`save(load(save(g))) == save(g)`); freshly parsed graphs reloaded
+//! with their node ids, adjacency and terms; deterministic writes; and
 //! typed — never panicking — failures on corrupt containers (truncation,
-//! bit flips, bad magic, future versions, checksum flips) and on
-//! version-1 stores, the retired varint layout. The fixed-width column
-//! bodies themselves are exercised by `store_v2_roundtrip.rs`.
+//! bit flips, bad magic, future versions, checksum flips) and on the
+//! retired version-1 (varint) and version-2 (first-use `DICT`) stores.
+//! The fixed-width column bodies themselves are exercised by
+//! `store_v2_roundtrip.rs`.
 
 mod common;
 
@@ -14,28 +16,6 @@ use proptest::prelude::*;
 use rdf_io::{parse_graph, write_graph};
 use rdf_model::{RdfGraph, Vocab};
 use rdf_store::{graph_to_bytes, Layout, LoadMode, StoreError};
-
-/// Assert two loaded (vocab, graph) pairs are bit-identical: dense
-/// arrays, CSR adjacency, blank names and dictionary.
-fn assert_loads_identical(
-    (va, ga): &(Vocab, RdfGraph),
-    (vb, gb): &(Vocab, RdfGraph),
-) -> Result<(), String> {
-    prop_assert_eq!(ga.graph().labels_raw(), gb.graph().labels_raw());
-    prop_assert_eq!(ga.graph().kinds_raw(), gb.graph().kinds_raw());
-    prop_assert!(ga.graph().triples().eq(gb.graph().triples()));
-    for n in ga.graph().nodes() {
-        prop_assert_eq!(ga.graph().out(n), gb.graph().out(n));
-        prop_assert_eq!(ga.blank_name(n), gb.blank_name(n));
-    }
-    prop_assert_eq!(va.len(), vb.len());
-    for i in 0..va.len() {
-        let id = rdf_model::LabelId(i as u32);
-        prop_assert_eq!(va.kind(id), vb.kind(id));
-        prop_assert_eq!(va.text(id), vb.text(id));
-    }
-    Ok(())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -53,21 +33,37 @@ proptest! {
         }
     }
 
-    /// `load(save(parse(text)))` reconstructs `parse(text)` *bit-
-    /// identically*: same node ids, same label ids, same CSR adjacency,
-    /// same blank names and dictionary — not just term equality —
-    /// because a fresh parse interns labels densely in first-appearance
-    /// order, which is exactly the store's dictionary order. The
-    /// canonical export bytes agree too.
+    /// A store depends only on the graph's terms: `save(load(save(g)))`
+    /// is byte-identical to `save(g)`, for a freshly parsed graph and
+    /// for its reload. And `load(save(parse(text)))` keeps
+    /// `parse(text)`'s node ids, CSR adjacency, kinds and blank names,
+    /// with every node's label equal by `(kind, text)` — the label ids
+    /// are the dictionary's hash-order ranks, not the parse's
+    /// first-use ids. The canonical export bytes agree too.
     #[test]
     fn store_of_fresh_parse_is_byte_identical((vocab, g) in arb_rdf_graph()) {
         let text = write_graph(&g, &vocab);
         let mut fresh = Vocab::new();
         let parsed = parse_graph(&text, &mut fresh).unwrap();
-        let bytes = graph_to_bytes(&fresh, &parsed).unwrap();
-        let loaded = load(&bytes).unwrap();
-        assert_loads_identical(&loaded, &(fresh, parsed))?;
-        prop_assert_eq!(write_graph(&loaded.1, &loaded.0), text);
+        for (v, graph) in [(&vocab, &g), (&fresh, &parsed)] {
+            let bytes = graph_to_bytes(v, graph).unwrap();
+            let (lv, lg) = load(&bytes).unwrap();
+            prop_assert_eq!(graph_to_bytes(&lv, &lg).unwrap(), bytes);
+        }
+        let (lv, lg) = load(&graph_to_bytes(&fresh, &parsed).unwrap()).unwrap();
+
+        let (a, b) = (parsed.graph(), lg.graph());
+        prop_assert_eq!(a.kinds_raw(), b.kinds_raw());
+        prop_assert!(a.triples().eq(b.triples()));
+        for n in a.nodes() {
+            prop_assert_eq!(a.out(n), b.out(n));
+            prop_assert_eq!(parsed.blank_name(n), lg.blank_name(n));
+            let (la, lb) = (a.label(n), b.label(n));
+            prop_assert_eq!(fresh.kind(la), lv.kind(lb));
+            prop_assert_eq!(fresh.text(la), lv.text(lb));
+        }
+        prop_assert_eq!(lv.len(), fresh.len());
+        prop_assert_eq!(write_graph(&lg, &lv), text);
     }
 
     /// Saving is deterministic: identical graphs produce identical bytes.
@@ -144,10 +140,10 @@ fn bad_magic_is_typed() {
 #[test]
 fn future_version_is_typed() {
     let (_, _, mut bytes) = sample_store();
-    bytes[4] = 3;
+    bytes[4] = 4;
     bytes[5] = 0;
     match load(&bytes) {
-        Err(StoreError::UnsupportedVersion { found: 3, supported }) => {
+        Err(StoreError::UnsupportedVersion { found: 4, supported }) => {
             assert_eq!(supported, rdf_store::MAX_FORMAT_VERSION)
         }
         other => panic!("expected UnsupportedVersion, got {other:?}"),
@@ -221,6 +217,33 @@ fn varint_store_is_retired_with_a_typed_error() {
     )
     .unwrap();
     assert_eq!(fixed, out);
+}
+
+/// A version-2 graph store as the writer before hash-ordered `DICT`s
+/// laid it out (`tests/data/fixed-v2.rdfb`, the three-triple graph of
+/// the varint case) is refused by every reader entry point with a typed
+/// error that says to re-import; re-importing the text loads.
+#[test]
+fn first_use_dict_store_is_retired_with_a_typed_error() {
+    const V2: &[u8] = include_bytes!("data/fixed-v2.rdfb");
+    const TEXT: &str =
+        "<u:s> <u:p> <u:o> .\n<u:s> <u:q> _:b1 .\n_:b1 <u:p> \"lit\" .\n";
+    let reader = reader_of(V2);
+    for got in [
+        reader.read_graph().map(drop),
+        reader.read_view().map(drop),
+        reader.info().map(drop),
+    ] {
+        let err = got.expect_err("a version-2 graph store must not load");
+        assert!(matches!(err, StoreError::RetiredLayout { version: 2 }));
+        assert!(err.to_string().contains("rdf import"), "got: {err}");
+    }
+    let mut out = Vec::new();
+    rdf_store::import_ntriples(TEXT.as_bytes(), &mut out).unwrap();
+    assert_eq!(out.len(), V2.len(), "only the order changed");
+    assert_eq!(out[4..6], rdf_store::FORMAT_VERSION_FIXED.to_le_bytes());
+    let (_, g) = load(&out).unwrap();
+    assert_eq!((g.node_count(), g.triple_count()), (6, 3));
 }
 
 #[test]

@@ -144,15 +144,24 @@ pub fn align_with_recorder(
         }
         combined
     };
-    match align_combined(vocab, combined, method, threads, recorder, false) {
+    match align_combined(
+        Some(vocab),
+        combined,
+        method,
+        threads,
+        recorder,
+        false,
+    ) {
         Ok(aligned) => aligned,
         Err(_) => unreachable!("a run that certifies nothing cannot fail"),
     }
 }
 
-/// Align a built union of two versions (sharing `vocab`) with the
-/// chosen method: the alignment of a held union, which builds nothing
-/// before refinement. Emits `align.method` and `align.metrics` spans;
+/// Align a built union of two versions with the chosen method: the
+/// alignment of a held union, which builds nothing before refinement.
+/// `texts` holds the text of every label of the union; only overlap
+/// reads it (the words of unaligned literals), so the other methods may
+/// be given `None`. Emits `align.method` and `align.metrics` spans;
 /// `align.method` covers the method's whole run: its set-up (initial
 /// partitions, `UN(λ)`, blank-out) and its `refine.fixpoint` runs.
 ///
@@ -161,15 +170,15 @@ pub fn align_with_recorder(
 /// ([`verify_deblank`], [`crate::HybridOutcome::verify`]), and an
 /// unstable one is the error. Only Deblank and Hybrid can be verified:
 /// Trivial runs no refinement, and Overlap's weighted fixpoints have no
-/// certificate, so `verify` with either panics. Without `verify` the
-/// call cannot fail.
+/// certificate, so `verify` with either panics, and so does Overlap
+/// without `texts`. Without `verify` the call cannot fail.
 ///
 /// One [`RefineEngine`] is built here and reused across every
 /// refinement stage of the chosen method, and dropped before the
 /// metrics. The result is bit-identical for every thread count and
 /// every recorder.
 pub fn align_combined(
-    vocab: &Vocab,
+    texts: Option<&Vocab>,
     combined: CombinedGraph,
     method: Method,
     threads: Threads,
@@ -206,7 +215,8 @@ pub fn align_combined(
                 WeightedPartition::zero(out.partition)
             }
             Method::Overlap(cfg) => {
-                overlap_align_with(&combined, vocab, cfg, &mut engine)
+                let texts = texts.expect("overlap reads label texts");
+                overlap_align_with(&combined, texts, cfg, &mut engine)
                     .weighted
             }
         }

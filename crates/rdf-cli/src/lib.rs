@@ -12,17 +12,18 @@ pub mod pipeline;
 pub mod serve;
 pub mod signals;
 
-use crate::pipeline::{ctx, open_any, Input};
+use crate::pipeline::{ctx, open_any, Input, Part};
 use rdf_align::pipeline::{align_combined, Aligned, Method};
 use rdf_align::refine::{verify_stable, Unstable};
 use rdf_align::{RefineEngine, Threads};
 use rdf_model::{CombinedGraph, GraphAppender, Vocab};
 use rdf_obs::{Recorder, RunReport};
+use rdf_store::dict::{merge_labels, LabelMerge};
 use rdf_store::{BorrowedStoreReader, Layout, StoreError, StoreInfo};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub use pipeline::load_input;
 
@@ -167,6 +168,11 @@ pub fn export(input: &Path, output: &Path) -> Result<String, CliError> {
 /// partition is certified by [`rdf_align::refine::verify_stable`] with
 /// `X` = every node, and an unstable one is the error. A certified run
 /// prints the same bytes as an unverified one.
+///
+/// `--bisim` reads no label kinds, so it does not check the RDF
+/// conventions that `align` and `export` refuse a store for breaking
+/// (a literal subject, a blank or literal predicate): bisimulation
+/// needs only label equality.
 pub fn info_traced(
     input: &Path,
     bisim: Option<Threads>,
@@ -410,17 +416,61 @@ pub fn align_traced(
              have no certificate"
         )));
     }
+    let texts = matches!(method, Method::Overlap(_));
     let session =
-        Session::load(Input::open(source)?, Input::open(target)?, rec)?;
-    Ok(session.align(source, target, method, threads, verify, rec)?)
+        Session::load(Input::open(source)?, Input::open(target)?, texts, rec)?;
+    record_rss(rec, "union");
+    let outcome = session.align(source, target, method, threads, verify, rec);
+    record_rss(rec, "end");
+    outcome
+}
+
+/// Record the process's resident memory into `rec` as three gauges,
+/// `rss.<at>.vm_hwm_kib` (peak resident set so far), `rss.<at>.rss_anon_kib`
+/// (anonymous pages) and `rss.<at>.rss_file_kib` (file-backed pages,
+/// such as a mapped store's), read from `/proc/self/status` in KiB.
+/// Where that file does not exist, and when `rec` is disabled, nothing
+/// is recorded. `rdf align --trace` records them at the end of
+/// `align.union` (`at` = `union`) and at the end of the command
+/// (`end`).
+fn record_rss(rec: &Recorder, at: &str) {
+    if !rec.enabled() {
+        return;
+    }
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return;
+    };
+    for (key, name) in [
+        ("VmHWM:", "vm_hwm_kib"),
+        ("RssAnon:", "rss_anon_kib"),
+        ("RssFile:", "rss_file_kib"),
+    ] {
+        let kib = status.lines().find_map(|line| {
+            let value = line.strip_prefix(key)?.trim();
+            value.strip_suffix("kB")?.trim().parse::<u64>().ok()
+        });
+        if let Some(kib) = kib {
+            rec.gauge(&format!("rss.{at}.{name}")).set(kib);
+        }
+    }
 }
 
 /// The union of one `align`'s two inputs, loaded straight into one
-/// graph over one session vocabulary. `rdf align` loads one and aligns
-/// it once; the daemon keeps the last one it loaded and aligns its
-/// union once per request, building nothing before refinement.
+/// graph whose labels are session ids: the ranks of both inputs'
+/// labels in one merged hash order. `rdf align` loads one and aligns it
+/// once; the daemon keeps the last one it loaded and aligns its union
+/// once per request, building nothing before refinement.
+///
+/// Trivial, deblank and hybrid read only label equality and kind, so a
+/// session holds no label text unless overlap, the one method that
+/// reads it, asks: a session loaded with texts holds them as a
+/// [`Vocab`] whose ids are the session's, and a text-less one can be
+/// filled once from the same inputs ([`Session::fill_texts`]).
 pub struct Session {
-    vocab: Vocab,
+    /// Every session label's text, when loaded or filled.
+    texts: OnceLock<Vocab>,
+    /// Session labels, the blank label included.
+    labels: usize,
     combined: CombinedGraph,
     /// The source's node and triple counts, for the report.
     source: (usize, usize),
@@ -429,41 +479,95 @@ pub struct Session {
 }
 
 impl Session {
-    /// The load step of `align`: the source, then the target, appended
-    /// to one union over a fresh vocabulary. The union's columns are
-    /// reserved once, from both stores' headers, before the first
-    /// append. Each input is released once it is appended, and no
+    /// The load step of `align`. Both inputs are opened: a store's
+    /// container is checksummed, text is parsed into its own
+    /// vocabulary. Their labels are joined by one streaming merge of
+    /// their hash-ordered label streams (`store.merge`), which gives
+    /// each input a map to session ids; with `texts` the merge also
+    /// keeps every label's text (overlap needs it). Then the source and
+    /// the target are appended through their maps to one union, whose
+    /// columns are reserved once, from both stores' headers, before the
+    /// first append. Each input is released once it is appended, and no
     /// per-version graph is kept. The union is completed inside one
     /// `align.union` span.
     pub fn load(
         source: Input<'_>,
         target: Input<'_>,
+        texts: bool,
         rec: &Recorder,
     ) -> Result<Session, CliError> {
-        let mut vocab = Vocab::new();
-        let mut union = GraphAppender::new();
         let (s, t) = (source.declared_counts(), target.declared_counts());
+        let (src, tgt) = (source.part(rec)?, target.part(rec)?);
+        let mut vocab = texts.then(Vocab::new);
+        let merge =
+            merge_parts([&source, &target], [&src, &tgt], vocab.as_mut(), rec)?;
+        let mut union = GraphAppender::new();
         union.reserve(s.0 + t.0, s.1 + t.1);
-        let source = source.append_into(&mut vocab, &mut union, rec)?;
-        let target = target.append_into(&mut vocab, &mut union, rec)?;
+        let [ms, mt] = &merge.maps;
+        let source_counts =
+            src.append_into(source.path, ms, &merge.kinds, &mut union, rec)?;
+        drop(src);
+        drop(source);
+        let target_counts =
+            tgt.append_into(target.path, mt, &merge.kinds, &mut union, rec)?;
+        drop(tgt);
+        drop(target);
         let mut sp = rec.span("align.union");
-        let combined = CombinedGraph::from_parts(union.finish(), source.0);
+        let combined =
+            CombinedGraph::from_parts(union.finish(), source_counts.0);
         if sp.enabled() {
             sp.field("nodes", combined.graph().node_count());
             sp.field("triples", combined.graph().triple_count());
         }
         drop(sp);
         Ok(Session {
-            vocab,
+            texts: vocab.map(OnceLock::from).unwrap_or_default(),
+            labels: merge.len(),
             combined,
-            source,
-            target,
+            source: source_counts,
+            target: target_counts,
         })
     }
 
-    /// The session vocabulary both inputs' labels are interned in.
-    pub fn vocab(&self) -> &Vocab {
-        &self.vocab
+    /// Every session label's text, by session id, if the session was
+    /// loaded with texts or has been filled.
+    pub fn texts(&self) -> Option<&Vocab> {
+        self.texts.get()
+    }
+
+    /// Give a text-less session its labels' texts, from the inputs it
+    /// was loaded from (the daemon checks they are the same bytes): the
+    /// labels are merged again with texts kept (`store.open` and
+    /// `store.merge` spans), and must come out as the session's labels.
+    /// A session that has its texts keeps them.
+    pub fn fill_texts(
+        &self,
+        source: &Input<'_>,
+        target: &Input<'_>,
+        rec: &Recorder,
+    ) -> Result<&Vocab, CliError> {
+        if let Some(texts) = self.texts.get() {
+            return Ok(texts);
+        }
+        let parts = [source.part(rec)?, target.part(rec)?];
+        let mut vocab = Vocab::new();
+        let merge = merge_parts(
+            [source, target],
+            [&parts[0], &parts[1]],
+            Some(&mut vocab),
+            rec,
+        )?;
+        if merge.len() != self.labels {
+            return Err(CliError::new(format!(
+                "{} + {}: the inputs now hold {} labels, not the \
+                 session's {}",
+                source.path.display(),
+                target.path.display(),
+                merge.len(),
+                self.labels
+            )));
+        }
+        Ok(self.texts.get_or_init(|| vocab))
     }
 
     /// The union of the two inputs, source first.
@@ -475,7 +579,8 @@ impl Session {
     /// union and keep the result with its input context. The paths
     /// name the inputs in the report. With `verify`, every fixpoint the
     /// method reached is certified first (see [`align_combined`]),
-    /// which only deblank and hybrid allow.
+    /// which only deblank and hybrid allow. Overlap needs the
+    /// session's texts, and without them is an error.
     pub fn align(
         &self,
         source: &Path,
@@ -484,7 +589,13 @@ impl Session {
         threads: Threads,
         verify: bool,
         rec: &Arc<Recorder>,
-    ) -> Result<AlignOutcome, Unstable> {
+    ) -> Result<AlignOutcome, CliError> {
+        if matches!(method, Method::Overlap(_)) && self.texts().is_none() {
+            return Err(CliError::new(
+                "overlap reads label texts, and this session was loaded \
+                 without them",
+            ));
+        }
         Ok(AlignOutcome {
             method: method.name().to_string(),
             source: (
@@ -498,7 +609,7 @@ impl Session {
                 self.target.1,
             ),
             aligned: align_combined(
-                &self.vocab,
+                self.texts(),
                 self.combined.clone(),
                 method,
                 threads,
@@ -507,6 +618,40 @@ impl Session {
             )?,
         })
     }
+}
+
+/// Join the labels of two opened inputs with one
+/// [`merge_labels`] inside one `store.merge` span; with `texts`, every
+/// session label's text is interned into it in id order.
+fn merge_parts(
+    inputs: [&Input<'_>; 2],
+    parts: [&Part<'_>; 2],
+    mut texts: Option<&mut Vocab>,
+    rec: &Recorder,
+) -> Result<LabelMerge, CliError> {
+    let mut sp = rec.span("store.merge");
+    let mut streams = Vec::with_capacity(2);
+    for (input, part) in inputs.iter().zip(parts) {
+        streams.push(part.labels().map_err(|e| ctx(input.path, e))?);
+    }
+    let [a, b] = &mut streams[..] else {
+        unreachable!("two inputs")
+    };
+    // Sized for the larger input, never the sum: the texts grow at most
+    // once more, and a table sized for the sum would be half empty.
+    if let Some(vocab) = texts.as_deref_mut() {
+        let labels = a.len_hint().max(b.len_hint()) + 1;
+        vocab.reserve(labels, parts[0].text_bytes().max(parts[1].text_bytes()));
+    }
+    let merge = merge_labels([a.as_mut(), b.as_mut()], texts)
+        .map_err(|e| ctx(inputs[e.input].path, e.error))?;
+    if sp.enabled() {
+        sp.field("labels", merge.len() - 1);
+        sp.field("source", merge.maps[0].len() - 1);
+        sp.field("target", merge.maps[1].len() - 1);
+        sp.field("shared", merge.shared);
+    }
+    Ok(merge)
 }
 
 /// `rdf stats <trace.jsonl>` — aggregate a `--trace` run (or re-render

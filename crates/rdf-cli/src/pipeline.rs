@@ -4,9 +4,11 @@
 //! *content* (the container magic), never by extension.
 
 use crate::CliError;
-use rdf_model::{GraphAppender, RdfGraph, Vocab};
+use rdf_model::{GraphAppender, LabelId, LabelKind, RdfGraph, Vocab};
 use rdf_obs::Recorder;
-use rdf_store::BorrowedStoreReader;
+use rdf_store::borrowed::GraphPart;
+use rdf_store::dict::{KeyStream, VocabKeys};
+use rdf_store::{BorrowedStoreReader, StoreError};
 use std::path::Path;
 
 pub(crate) fn ctx(path: &Path, e: impl std::fmt::Display) -> CliError {
@@ -80,37 +82,33 @@ impl<'p> Input<'p> {
         }
     }
 
-    /// Append the graph to `union` as its next part, with its labels
-    /// in the session vocabulary, and release the input; returns the
-    /// graph's node and triple counts. A store is appended column by
-    /// column ([`BorrowedStoreReader::append_into`]) and emits
-    /// `store.open`, `store.section` and `store.append` spans into
-    /// `rec`. N-Triples text is parsed into a graph, which is appended
-    /// and dropped (text loads are not instrumented).
-    pub fn append_into(
-        self,
-        vocab: &mut Vocab,
-        union: &mut GraphAppender,
-        rec: &Recorder,
-    ) -> Result<(usize, usize), CliError> {
-        match &self.store {
-            Some(reader) => reader
-                .append_into(vocab, union, rec)
-                .map_err(|e| ctx(self.path, e)),
-            None => {
-                let parsed = rdf_io::load_file(self.path, vocab)
-                    .map_err(|e| ctx(self.path, e))?;
-                union.append_graph(parsed.graph());
-                Ok((parsed.node_count(), parsed.triple_count()))
+    /// Ready the input for a session load: a store's container is
+    /// parsed and checksummed (one `store.open` span), N-Triples text
+    /// is parsed into its own vocabulary (text loads are not
+    /// instrumented).
+    pub(crate) fn part(&self, rec: &Recorder) -> Result<Part<'_>, CliError> {
+        Ok(match &self.store {
+            Some(reader) => {
+                Part::Store(reader.part(rec).map_err(|e| ctx(self.path, e))?)
             }
-        }
+            None => {
+                let mut vocab = Vocab::new();
+                let graph = rdf_io::load_file(self.path, &mut vocab)
+                    .map_err(|e| ctx(self.path, e))?;
+                let order = vocab.hash_order();
+                Part::Text {
+                    vocab,
+                    graph,
+                    order,
+                }
+            }
+        })
     }
 
-    /// Load the graph on its own into the session vocabulary and
-    /// release the input: a store through
-    /// [`BorrowedStoreReader::read_graph_into`] (the append of
-    /// [`Input::append_into`] into an empty graph, plus its blank
-    /// names), text through the parser.
+    /// Load the graph on its own into a vocabulary and release the
+    /// input: a store through [`BorrowedStoreReader::read_graph_into`]
+    /// (its `DICT` interned into `vocab`, its columns appended to an
+    /// empty graph, plus its blank names), text through the parser.
     pub fn load_into(
         self,
         vocab: &mut Vocab,
@@ -122,6 +120,78 @@ impl<'p> Input<'p> {
                 .map_err(|e| ctx(self.path, e)),
             None => rdf_io::load_file(self.path, vocab)
                 .map_err(|e| ctx(self.path, e)),
+        }
+    }
+}
+
+/// One input of a session load, between its label join and its append
+/// (see [`crate::Session::load`]).
+pub(crate) enum Part<'a> {
+    /// A store: its parsed container, its labels walked in place.
+    Store(GraphPart<'a>),
+    /// N-Triples text parsed into its own vocabulary, with that
+    /// vocabulary's labels in hash order.
+    Text {
+        vocab: Vocab,
+        graph: RdfGraph,
+        order: Vec<LabelId>,
+    },
+}
+
+impl Part<'_> {
+    /// The labels, as [`merge_labels`](rdf_store::dict::merge_labels)
+    /// reads them: every check of a store's `DICT` walk applies, and
+    /// its pages are released behind the cursor.
+    pub(crate) fn labels(
+        &self,
+    ) -> Result<Box<dyn KeyStream<'_> + '_>, StoreError> {
+        Ok(match self {
+            Part::Store(part) => Box::new(part.labels()?),
+            Part::Text { vocab, order, .. } => {
+                Box::new(VocabKeys::new(vocab, order))
+            }
+        })
+    }
+
+    /// Bytes of label text the input holds at most.
+    pub(crate) fn text_bytes(&self) -> usize {
+        match self {
+            Part::Store(part) => part.dict_bytes(),
+            Part::Text { vocab, .. } => vocab.text_bytes(),
+        }
+    }
+
+    /// Append the graph to `union` as its next part, with each label
+    /// replaced by its session id: `ids[k + 1]` is the session id of
+    /// the `k`-th label of [`Part::labels`], and `kinds` the kind of
+    /// each session id. A store is appended column by column
+    /// ([`GraphPart::append_into`]: `store.section` and `store.append`
+    /// spans); text through its parsed graph. Returns the graph's node
+    /// and triple counts.
+    pub(crate) fn append_into(
+        &self,
+        path: &Path,
+        ids: &[LabelId],
+        kinds: &[LabelKind],
+        union: &mut GraphAppender,
+        rec: &Recorder,
+    ) -> Result<(usize, usize), CliError> {
+        match self {
+            Part::Store(part) => part
+                .append_into(ids, kinds, union, rec)
+                .map_err(|e| ctx(path, e)),
+            Part::Text {
+                vocab,
+                graph,
+                order,
+            } => {
+                let mut map = vec![LabelId::BLANK; vocab.len()];
+                for (&local, &id) in order.iter().zip(&ids[1..]) {
+                    map[local.index()] = id;
+                }
+                union.append_relabelled(graph.graph(), &map);
+                Ok((graph.node_count(), graph.triple_count()))
+            }
         }
     }
 }

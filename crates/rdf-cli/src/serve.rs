@@ -9,7 +9,8 @@
 //! * one **session slot**: the last store pair aligned, loaded by the
 //!   one-shot load step ([`Session::load`]) and keyed by the content
 //!   hashes of both stores, so a request for the same pair under any
-//!   method reuses it and any other pair replaces it;
+//!   method reuses it and any other pair replaces it (an overlap
+//!   request fills a text-less session's label texts once);
 //! * one scoped thread per connection, up to [`MAX_CONNECTIONS`], so
 //!   an idle client holds only its own thread;
 //! * `workers` permits for heavy requests (`import`, `info`, `align`),
@@ -25,10 +26,11 @@
 use crate::pipeline::{ctx, Input};
 use crate::signals;
 use crate::{CliError, Session};
-use rdf_align::Threads;
+use rdf_align::{Method, Threads};
 use rdf_obs::Recorder;
 use rdf_par::MAX_THREADS;
 use rdf_serve::{ErrorKind, Request, Response};
+use rdf_store::mmap::RELEASE_WINDOW;
 use std::hash::Hasher;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -198,38 +200,49 @@ impl ServeState {
         }
     }
 
-    /// The session for an `align` of `source` to `target`, and whether
-    /// it came from the slot.
+    /// The session for an `align` of `source` to `target`, with label
+    /// texts when `texts` (overlap reads them), and whether it came
+    /// from the slot.
     ///
     /// A pair of stores is keyed by the content hashes of the bytes
     /// opened, and loaded by the one-shot load step under the entry's
     /// lock, so reports stay byte-identical to `rdf align` and a reuse
-    /// opens nothing (no `store.open` span). A failed load leaves the
-    /// entry empty, and the next request retries it. A pair with
-    /// N-Triples text bypasses the slot. Opening, hashing and loading
-    /// each run under a permit; waiting on the entry lock does not.
+    /// opens nothing (no `store.open` span). A session is loaded with
+    /// texts only if the request that loads it needs them; a request
+    /// that needs them and finds a text-less session fills it once,
+    /// under the entry's lock, from the inputs it has open
+    /// ([`Session::fill_texts`]). A failed load leaves the entry empty,
+    /// and the next request retries it. A pair with N-Triples text
+    /// bypasses the slot. Opening, hashing, loading and filling each
+    /// run under a permit; waiting on the entry lock does not.
     fn session(
         &self,
         source: &Path,
         target: &Path,
+        texts: bool,
         rec: &Recorder,
     ) -> Result<(Arc<Session>, bool), CliError> {
         let heavy = self.permit();
         let (source, target) = (Input::open(source)?, Input::open(target)?);
         let (Some(k1), Some(k2)) = (store_key(&source)?, store_key(&target)?)
         else {
-            return Ok((Arc::new(Session::load(source, target, rec)?), false));
+            let session = Session::load(source, target, texts, rec)?;
+            return Ok((Arc::new(session), false));
         };
         drop(heavy);
         let entry = self.entry((k1, k2));
         let mut loaded = lock(&entry.session);
         if let Some(session) = &*loaded {
             self.hits.fetch_add(2, Ordering::Relaxed);
+            if texts && session.texts().is_none() {
+                let _heavy = self.permit();
+                session.fill_texts(&source, &target, rec)?;
+            }
             return Ok((Arc::clone(session), true));
         }
         self.misses.fetch_add(2, Ordering::Relaxed);
         let _heavy = self.permit();
-        let session = Arc::new(Session::load(source, target, rec)?);
+        let session = Arc::new(Session::load(source, target, texts, rec)?);
         *loaded = Some(Arc::clone(&session));
         Ok((session, false))
     }
@@ -285,26 +298,33 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// The slot key of one input: [`content_key`] over an open store's
-/// bytes, or `None` for N-Triples text. A bad header (a retired kind or
-/// layout) fails before the slot counts a lookup.
+/// bytes, releasing the pages behind the hash as it goes, or `None` for
+/// N-Triples text. A bad header (a retired kind or layout) fails before
+/// the slot counts a lookup.
 fn store_key(input: &Input<'_>) -> Result<Option<u64>, CliError> {
     let Some(reader) = &input.store else {
         return Ok(None);
     };
-    let bytes = reader.buf().as_slice();
-    rdf_store::Container::parse_header(bytes)
+    let buf = reader.buf();
+    rdf_store::Container::parse_header(buf.as_slice())
         .map_err(|e| ctx(input.path, e))?;
-    Ok(Some(content_key(bytes)))
+    Ok(Some(content_key(buf.as_slice(), |done| buf.release(done))))
 }
 
 /// FxHash over the file's length, then its bytes eight at a time: half
 /// of the slot key. Content-addressed, so re-imports of identical data
 /// hit and rewritten files miss — no mtime races. The length goes first
 /// because FxHash starts at 0, and would map leading zero words to 0.
-fn content_key(bytes: &[u8]) -> u64 {
+/// The bytes are hashed [`RELEASE_WINDOW`] at a time (a multiple of 8,
+/// so the value is that of one pass), and `done` is handed each window
+/// once it is hashed.
+fn content_key(bytes: &[u8], mut done: impl FnMut(&[u8])) -> u64 {
     let mut h = rdf_model::FxHasher::default();
     h.write_usize(bytes.len());
-    h.write(bytes);
+    for window in bytes.chunks(RELEASE_WINDOW) {
+        h.write(window);
+        done(window);
+    }
     h.finish()
 }
 
@@ -480,7 +500,8 @@ fn align(
 ) -> Result<(String, bool), CliError> {
     let method = crate::parse_method(method_name, theta)?;
     let (source, target) = (Path::new(source), Path::new(target));
-    let (session, cached) = state.session(source, target, rec)?;
+    let texts = matches!(method, Method::Overlap(_));
+    let (session, cached) = state.session(source, target, texts, rec)?;
     let _heavy = state.permit();
     let outcome = session.align(source, target, method, threads, false, rec)?;
     Ok((outcome.render(), cached))
@@ -861,7 +882,7 @@ mod tests {
     }
 
     fn slot_key(source: &Path, target: &Path) -> (u64, u64) {
-        let hash = |p: &Path| content_key(&std::fs::read(p).unwrap());
+        let hash = |p: &Path| content_key(&std::fs::read(p).unwrap(), |_| {});
         (hash(source), hash(target))
     }
 
@@ -1013,15 +1034,19 @@ mod tests {
 
         for len in [8 * 125, 8 * 125 + 3] {
             let bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
-            let base = content_key(&bytes);
+            let base = content_key(&bytes, |_| {});
             for at in [0, len / 2, len - 2, len - 1] {
                 let mut edited = bytes.clone();
                 edited[at] ^= 1;
-                assert_ne!(content_key(&edited), base, "len {len}, byte {at}");
+                assert_ne!(
+                    content_key(&edited, |_| {}),
+                    base,
+                    "len {len}, byte {at}"
+                );
             }
         }
         // Leading zero words count: the length is hashed first.
-        assert_ne!(content_key(&[0; 16]), content_key(&[0; 8]));
+        assert_ne!(content_key(&[0; 16], |_| {}), content_key(&[0; 8], |_| {}));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -553,24 +553,36 @@ fn trace_and_stats_cover_span_families() {
     assert!(spans > 0, "trace carries span events");
     assert_eq!(reports, 1, "exactly one final report line");
 
-    // Each store's DICT is interned into the session vocabulary, and
-    // its span counts the labels that were new and those already
-    // there: none for v1 (the session starts empty), most for v2.
-    let joins: Vec<(u64, u64)> = text
-        .lines()
-        .map(|l| rdf_obs::json::parse(l).unwrap())
-        .filter(|j| {
-            j.get("name").and_then(|v| v.as_str()) == Some("store.section")
-                && j.get("section").and_then(|v| v.as_str()) == Some("DICT")
-        })
-        .map(|j| {
-            let field = |k| j.get(k).and_then(|v| v.as_u64()).unwrap();
-            (field("labels_new"), field("labels_shared"))
-        })
+    // Both stores' DICTs are joined by one merge, which accounts for
+    // every label of each (the header's count minus the implicit blank
+    // label); the session holds their union. No DICT section span is
+    // left on the align path.
+    let lines: Vec<_> =
+        text.lines().map(|l| rdf_obs::json::parse(l).unwrap()).collect();
+    let name = |j: &rdf_obs::json::Json| {
+        j.get("name").and_then(|v| v.as_str()).map(str::to_owned)
+    };
+    let merges: Vec<_> = lines
+        .iter()
+        .filter(|j| name(j).as_deref() == Some("store.merge"))
         .collect();
-    assert_eq!(joins.len(), 2, "one DICT span per store");
-    assert!(joins[0].0 > 0 && joins[0].1 == 0, "v1 join: {:?}", joins[0]);
-    assert!(joins[1].1 > joins[1].0, "v2 join: {:?}", joins[1]);
+    assert_eq!(merges.len(), 1, "one merge span");
+    let field = |k| merges[0].get(k).and_then(|v| v.as_u64()).unwrap();
+    let labels = |p: &std::path::Path| {
+        let reader = rdf_store::BorrowedStoreReader::open(p).unwrap();
+        reader.info().unwrap().header.counts[0] - 1
+    };
+    assert_eq!(field("source"), labels(&v1), "v1's labels");
+    assert_eq!(field("target"), labels(&v2), "v2's labels");
+    let shared = field("shared");
+    assert!(shared > 0 && shared < field("source"), "shared {shared}");
+    assert_eq!(field("labels"), field("source") + field("target") - shared);
+    assert!(
+        !lines.iter().any(|j| {
+            j.get("section").and_then(|v| v.as_str()) == Some("DICT")
+        }),
+        "a DICT section span on the align path"
+    );
 
     // stats aggregates the trace and names the span families.
     let stats_out = run_ok(&["stats", s(&trace)]);

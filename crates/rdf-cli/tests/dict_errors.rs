@@ -4,18 +4,27 @@
 //! pre-populated session), the view (`read_view`), the append into a
 //! union (`append_into`), the CLI loader (`load_input`), `rdf align`,
 //! which loads both inputs straight into their union, and `rdf export`
-//! (the CLI's messages name the file). Each body is forged in hash
+//! (the CLI's messages name the file), and the session load's merge of
+//! both inputs' labels, on a store/store and an N-Triples/store pair.
+//! Each body is forged in hash
 //! order, `(label_hash, kind, text)`, up to its one defect, so it
 //! reaches the check it was written for; entries out of that order —
 //! descending, repeated, or tied on the hash in the wrong kind or text
 //! order — are `Corrupt` too. A `BNAM` or `TRPL` defect in a store
 //! with valid checksums is refused on the union path too, and so is a
 //! `NODE` label id beyond the dictionary on every path, `rdf info
-//! --bisim` included, which reads only the `DICT` entry count.
+//! --bisim` included, which reads only the `DICT` entry count. A store
+//! whose triple breaks an RDF convention the parser enforces (a literal
+//! subject, a blank or literal predicate), written with a correctly
+//! ordered and checksummed `DICT`, is refused by every load that knows
+//! label kinds.
 
 use rdf_align::Threads;
+use rdf_cli::pipeline::Input;
+use rdf_cli::Session;
 use rdf_model::{
-    label_hash, GraphAppender, LabelId, LabelKind, RdfGraphBuilder, Vocab,
+    label_hash, GraphAppender, GraphBuilder, LabelId, LabelKind, RdfGraph,
+    RdfGraphBuilder, Vocab,
 };
 use rdf_obs::Recorder;
 use rdf_store::fixed::{
@@ -171,6 +180,31 @@ fn align_error(path: &Path) -> String {
     }
 }
 
+/// The error of a session load (the label merge, then the appends) of
+/// `source` and `target`, with and without texts.
+fn session_errors(source: &Path, target: &Path) -> Vec<String> {
+    [false, true]
+        .map(|texts| {
+            let inputs = (Input::open(source), Input::open(target));
+            let rec = Recorder::disabled();
+            match inputs {
+                (Ok(s), Ok(t)) => match Session::load(s, t, texts, &rec) {
+                    Ok(_) => panic!("{} loaded", source.display()),
+                    Err(e) => e.to_string(),
+                },
+                (Err(e), _) | (_, Err(e)) => e.to_string(),
+            }
+        })
+        .to_vec()
+}
+
+/// A one-line N-Triples file that loads.
+fn good_text(dir: &Path) -> PathBuf {
+    let path = dir.join("good.nt");
+    std::fs::write(&path, "<a> <b> <c> .\n").unwrap();
+    path
+}
+
 /// A session that already holds the sample's label `p`, so the `dup`
 /// case repeats a label the session held before the join rather than
 /// one the join added.
@@ -303,7 +337,15 @@ fn malformed_dictionaries_are_typed_errors_everywhere() {
             Err(e) => e.to_string(),
         };
         assert!(!out.exists(), "{}: export wrote output", case.name);
-        let via = [("align", align_error(&path)), ("export", export)];
+        let mut via = vec![("align", align_error(&path)), ("export", export)];
+        let text = good_text(&dir);
+        for (pair, [a, b]) in [
+            ("store/store", [&path, &path]),
+            ("nt/store", [&text, &path]),
+            ("store/nt", [&path, &text]),
+        ] {
+            via.extend(session_errors(a, b).into_iter().map(|m| (pair, m)));
+        }
         for (entry, msg) in via {
             assert!(
                 msg.contains(&format!("{}.rdfb", case.name))
@@ -462,5 +504,101 @@ fn node_label_ids_beyond_the_dictionary_are_refused_everywhere() {
     std::fs::write(&path, &bad).unwrap();
     assert_info_bisim_refuses(&path, "exceeds");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store whose one triple breaks an RDF convention, written by the
+/// store writer itself, so its `DICT` is correctly ordered and its
+/// sections checksummed: the subject and predicate get the given
+/// labels, the object the URI `o`.
+fn convention_breaker(s: (LabelKind, &str), p: (LabelKind, &str)) -> Vec<u8> {
+    let mut vocab = Vocab::new();
+    let mut b = GraphBuilder::new();
+    let sn = b.add_node(vocab.intern(s.0, s.1), &vocab);
+    let pn = b.add_node(vocab.intern(p.0, p.1), &vocab);
+    let on = b.add_node(vocab.uri("o"), &vocab);
+    b.add_triple(sn, pn, on);
+    let g = RdfGraph::from_raw_parts(b.freeze(), Default::default());
+    graph_to_bytes(&vocab, &g).unwrap()
+}
+
+/// A literal subject, a literal predicate and a blank predicate are
+/// `Corrupt`, naming the `TRPL` record, through the owned decode, the
+/// direct join, the union append, the session load (store/store,
+/// N-Triples/store, with and without texts), `rdf align` and `rdf
+/// export`; the union is left unchanged.
+#[test]
+fn stores_breaking_rdf_conventions_are_refused_everywhere() {
+    let dir = std::env::temp_dir()
+        .join(format!("rdf-cli-conventions-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let text = good_text(&dir);
+    let (uri, literal) = (LabelKind::Uri, LabelKind::Literal);
+    for (name, s, p, rule) in [
+        ("litsubj", (literal, "s"), (uri, "p"), "literal in subject position"),
+        ("litpred", (uri, "s"), (literal, "p"), "literal in predicate position"),
+        (
+            "blankpred",
+            (uri, "s"),
+            (LabelKind::Blank, ""),
+            "blank node in predicate position",
+        ),
+    ] {
+        let bytes = convention_breaker(s, p);
+        let says = format!("record 0: {rule}");
+        let reader =
+            BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bytes));
+        reader.info().expect("checksums are valid");
+        let typed = |got: Result<(), StoreError>, entry: &str| match got {
+            Err(StoreError::Corrupt(m)) if m.contains(&says) => {}
+            other => panic!("{name} via {entry}: got {other:?}"),
+        };
+        let rec = Recorder::disabled();
+        typed(reader.read_graph().map(drop), "read_graph");
+        typed(
+            reader.read_graph_into(&mut Vocab::new(), &rec).map(drop),
+            "read_graph_into",
+        );
+        let mut union = GraphAppender::new();
+        typed(
+            reader.append_into(&mut Vocab::new(), &mut union, &rec).map(drop),
+            "append_into",
+        );
+        assert_eq!(union.node_count(), 0, "{name}: union changed");
+
+        let path = dir.join(format!("{name}.rdfb"));
+        std::fs::write(&path, &bytes).unwrap();
+        let out = dir.join(format!("{name}.nt"));
+        let export = match rdf_cli::export(&path, &out) {
+            Ok(_) => panic!("{name} exported"),
+            Err(e) => e.to_string(),
+        };
+        assert!(!out.exists(), "{name}: export wrote output");
+        let cli = Command::new(env!("CARGO_BIN_EXE_rdf"))
+            .args(["align", path.to_str().unwrap(), path.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert_eq!(cli.status.code(), Some(2), "{name}: rdf align");
+        let mut via = vec![
+            ("align", align_error(&path)),
+            ("export", export),
+            ("rdf align", String::from_utf8_lossy(&cli.stderr).into_owned()),
+        ];
+        for (pair, [a, b]) in
+            [("store/store", [&path, &path]), ("nt/store", [&text, &path])]
+        {
+            via.extend(session_errors(a, b).into_iter().map(|m| (pair, m)));
+        }
+        for (entry, msg) in via {
+            assert!(
+                msg.contains(&format!("{name}.rdfb"))
+                    && msg.contains("corrupt")
+                    && msg.contains(&says)
+                    && !msg.contains("panicked"),
+                "{name} via {entry}: {msg}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -321,6 +321,49 @@ fn every_method_matches_one_shot_cold_and_warm_across_pairs() {
     }
 }
 
+/// A session loaded by a hybrid align holds no label text; the first
+/// overlap align on it fills the texts once from the inputs it opened
+/// (its trace opens both stores and merges their labels, but builds no
+/// union), and later aligns of either method reuse the session as it
+/// is. Every report equals the one-shot CLI's.
+#[test]
+fn overlap_fills_a_text_less_session_once() {
+    let dir = TempDir::new("fill");
+    let (v1, v2) = fixture(&dir);
+    let daemon = Daemon::start(&dir.path("rdf.sock"), &[]);
+    let request = |method: &str, trace: &Path| {
+        let req = format!(
+            r#"{{"op":"align","source":"{}","target":"{}","method":"{method}","trace":true}}"#,
+            v1.display(),
+            v2.display()
+        );
+        let out = run_ok(&[
+            "request", "--socket", daemon.sock(),
+            "--trace-out", s(trace), &req,
+        ]);
+        (out, std::fs::read_to_string(trace).unwrap())
+    };
+    let count = |text: &str, name: &str| {
+        let name = format!(r#""name":"{name}""#);
+        text.lines().filter(|l| l.contains(&name)).count()
+    };
+    let one_shot = |method| run_ok(&["align", "--method", method, s(&v1), s(&v2)]);
+    let (hybrid, overlap) = (one_shot("hybrid"), one_shot("overlap"));
+    let steps = [
+        ("hybrid", &hybrid, [2, 1, 1]),
+        ("overlap", &overlap, [2, 1, 0]),
+        ("hybrid", &hybrid, [0, 0, 0]),
+        ("overlap", &overlap, [0, 0, 0]),
+    ];
+    for (i, (method, want, [opens, merges, unions])) in steps.into_iter().enumerate() {
+        let (out, trace) = request(method, &dir.path(&format!("t{i}.jsonl")));
+        assert_eq!(&out, want, "step {i}: {method}");
+        assert_eq!(count(&trace, "store.open"), opens, "step {i}: {trace}");
+        assert_eq!(count(&trace, "store.merge"), merges, "step {i}: {trace}");
+        assert_eq!(count(&trace, "align.union"), unions, "step {i}: {trace}");
+    }
+}
+
 /// Re-importing a store while an align over it is in flight: the
 /// in-flight align reports over the bytes it opened (the old store);
 /// the next align misses the slot and reports over the new store.

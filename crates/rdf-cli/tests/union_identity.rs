@@ -1,13 +1,14 @@
 //! The union `rdf align` loads is the union of the per-version loads.
 //!
-//! `Session::load` appends both inputs straight into one graph (a
-//! store column by column, N-Triples text through its parsed graph)
-//! and builds no per-version graph. These tests hold that union to
-//! `CombinedGraph::union` over the two graphs `load_input` reads into
-//! one vocabulary — vocabulary, labels, kinds, every `out(n)`, the
-//! triples and the side boundary — and certify the refinement
-//! partitions computed over its borrowed columns with the exact
-//! `verify_stable` check.
+//! `Session::load` joins both inputs' labels with one merge and appends
+//! both inputs straight into one graph (a store column by column,
+//! N-Triples text through its parsed graph), building no per-version
+//! graph. These tests hold that union to `CombinedGraph::union` over
+//! the two graphs `load_input` reads into one vocabulary — the label
+//! set, each node's label up to the relabelling by merged rank, kinds,
+//! every `out(n)`, the triples and the side boundary — and certify the
+//! refinement partitions computed over its borrowed columns with the
+//! exact `verify_stable` check.
 
 use rdf_align::refine::verify_stable;
 use rdf_align::{
@@ -48,9 +49,14 @@ impl Drop for TempDir {
 }
 
 fn load(source: &Path, target: &Path) -> Session {
+    load_with(source, target, true)
+}
+
+fn load_with(source: &Path, target: &Path, texts: bool) -> Session {
     Session::load(
         Input::open(source).unwrap(),
         Input::open(target).unwrap(),
+        texts,
         &Recorder::disabled(),
     )
     .unwrap()
@@ -66,12 +72,19 @@ fn assert_union_identity(source: &Path, target: &Path) {
     let g2 = rdf_cli::load_input(target, &mut vocab).unwrap();
     let reference = CombinedGraph::union(&vocab, &g1, &g2);
 
-    let held = session.vocab();
+    // Session ids are the ranks of the merged hash order, so the held
+    // texts list the session's labels in that order.
+    let held = session.texts().expect("loaded with texts");
     assert_eq!(held.len(), vocab.len(), "{what}: vocabulary size");
-    for id in (0..vocab.len() as u32).map(LabelId) {
-        assert_eq!(held.kind(id), vocab.kind(id), "{what}: kind of {id:?}");
-        assert_eq!(held.text(id), vocab.text(id), "{what}: text of {id:?}");
-    }
+    let ranks = (1..held.len() as u32).map(LabelId);
+    assert!(held.hash_order().into_iter().eq(ranks), "{what}: ranks");
+    let bare = load_with(source, target, false);
+    assert!(bare.texts().is_none(), "{what}: text-less load holds texts");
+    assert_eq!(
+        bare.combined().graph().labels_raw(),
+        session.combined().graph().labels_raw(),
+        "{what}: texts change the labels"
+    );
     let (c, g, r) = (
         session.combined(),
         session.combined().graph(),
@@ -81,7 +94,11 @@ fn assert_union_identity(source: &Path, target: &Path) {
     assert_eq!(c.source_len(), g1.node_count(), "{what}: source_len");
     assert_eq!(g.node_count(), r.node_count(), "{what}: nodes");
     assert_eq!(g.triple_count(), r.triple_count(), "{what}: triples");
-    assert_eq!(g.labels_raw(), r.labels_raw(), "{what}: labels");
+    for n in g.nodes() {
+        let (l, m) = (g.label(n), r.label(n));
+        assert_eq!(held.kind(l), vocab.kind(m), "{what}: kind of {n}");
+        assert_eq!(held.text(l), vocab.text(m), "{what}: text of {n}");
+    }
     assert_eq!(g.kinds_raw(), r.kinds_raw(), "{what}: kinds");
     for n in g.nodes() {
         assert_eq!(g.out(n), r.out(n), "{what}: out({n})");

@@ -9,7 +9,7 @@
 //! CSR form so refinement rounds iterate it without allocation.
 
 use crate::label::{LabelId, LabelKind, Vocab};
-use crate::view::{check_sorted_columns, ViewError};
+use crate::view::{SortedColumns, ViewError};
 use std::fmt;
 
 /// Dense node identifier, local to one [`TripleGraph`].
@@ -628,13 +628,13 @@ impl GraphAppender {
     }
 
     /// Append a part given as per-node labels and kinds and the
-    /// `(s, p, o)` columns of its triples, in part-local ids.
+    /// `(s, p, o)` columns of its triples, in part-local ids: one
+    /// [`GraphAppender::part`] fed all the triples at once.
     ///
     /// Checks one kind per label and everything
     /// [`crate::TripleGraphView::from_sorted_columns`] checks — equal
     /// column lengths, ids below the part's node count, and the triples
-    /// strictly ascending — before it appends anything, so on error the
-    /// appender is unchanged.
+    /// strictly ascending; on error the appender is unchanged.
     pub fn append_columns(
         &mut self,
         labels: Vec<LabelId>,
@@ -643,11 +643,32 @@ impl GraphAppender {
         p: &[NodeId],
         o: &[NodeId],
     ) -> Result<(), ViewError> {
+        let mut part = self.part(labels, kinds, s.len())?;
+        part.push(s, p, o)?;
+        part.finish();
+        Ok(())
+    }
+
+    /// Start appending a part of `labels.len()` nodes, with their
+    /// kinds, and `triples` triples, which are then fed in order as
+    /// runs of `(s, p, o)` columns ([`PartAppender::push`]). Each run is
+    /// checked as it is appended, so a caller can read a part's columns
+    /// a window at a time and be done with each window once it is
+    /// pushed. A part that is dropped before
+    /// [`PartAppender::finish`] — because a check failed, or for any
+    /// other reason — is taken out again, leaving the appender as it
+    /// was.
+    pub fn part(
+        &mut self,
+        labels: Vec<LabelId>,
+        kinds: Vec<LabelKind>,
+        triples: usize,
+    ) -> Result<PartAppender<'_>, ViewError> {
         check_kinds(&labels, &kinds).map_err(ViewError::Raw)?;
-        check_sorted_columns(labels.len(), s, p, o)?;
         let g = &mut self.graph;
-        let base = g.labels.len() as u32;
-        let n = labels.len();
+        let (base, edges, offsets) =
+            (g.labels.len(), g.preds.len(), g.offsets.len());
+        let nodes = labels.len();
         if base == 0 {
             g.labels = labels;
             g.kinds = kinds;
@@ -657,19 +678,49 @@ impl GraphAppender {
         }
         // The offsets grow after the labels: growing them first moved
         // the heap layout and raised `align`'s peak by 7 MiB at scale
-        // 400.
-        extend_offsets(&mut g.offsets, n, s.iter().copied());
-        extend_shifted(&mut g.preds, p, base);
-        extend_shifted(&mut g.objs, o, base);
-        Ok(())
+        // 400. They grow once, to their exact size (see
+        // `extend_offsets`).
+        g.offsets.reserve_exact(nodes + usize::from(g.offsets.is_empty()));
+        if g.offsets.is_empty() {
+            g.offsets.push(0);
+        }
+        let first = g.offsets.len();
+        g.offsets.resize(first + nodes, 0);
+        g.preds.reserve_exact(triples);
+        g.objs.reserve_exact(triples);
+        Ok(PartAppender {
+            graph: g,
+            rollback: (base, edges, offsets),
+            first,
+            sorted: SortedColumns::new(nodes),
+            finished: false,
+        })
     }
 
     /// Append a whole graph as the next part.
     pub fn append_graph(&mut self, part: &TripleGraph) {
+        self.graph.labels.extend_from_slice(&part.labels);
+        self.append_edges(part);
+    }
+
+    /// Append a whole graph as the next part, with each of its labels
+    /// `l` replaced by `map[l]` (an id of another vocabulary: the
+    /// session's, for a graph parsed into its own).
+    ///
+    /// # Panics
+    ///
+    /// If a label of `part` has no entry in `map`.
+    pub fn append_relabelled(&mut self, part: &TripleGraph, map: &[LabelId]) {
+        let labels = part.labels.iter().map(|l| map[l.index()]);
+        self.graph.labels.extend(labels);
+        self.append_edges(part);
+    }
+
+    /// Append `part`'s kinds, offsets and edges, after its labels.
+    fn append_edges(&mut self, part: &TripleGraph) {
         let g = &mut self.graph;
-        let base = g.labels.len() as u32;
+        let base = g.kinds.len() as u32;
         let edges = g.preds.len() as u32;
-        g.labels.extend_from_slice(&part.labels);
         g.kinds.extend_from_slice(&part.kinds);
         g.offsets.reserve_exact(part.node_count());
         g.offsets.extend(part.offsets[1..].iter().map(|&e| edges + e));
@@ -680,6 +731,78 @@ impl GraphAppender {
     /// The graph of every part appended, in order.
     pub fn finish(self) -> TripleGraph {
         self.graph
+    }
+}
+
+/// One part being appended to a [`GraphAppender`] (see
+/// [`GraphAppender::part`]): its labels and kinds are in, and its
+/// triples are pushed in runs. Until [`PartAppender::finish`], the
+/// part's offsets hold per-node edge counts; dropping it unfinished
+/// takes the part out again.
+pub struct PartAppender<'g> {
+    graph: &'g mut TripleGraph,
+    /// Label, edge and offset counts before the part.
+    rollback: (usize, usize, usize),
+    /// Index of the part's first node's entry in the offsets.
+    first: usize,
+    /// The checks of the triples pushed so far.
+    sorted: SortedColumns,
+    finished: bool,
+}
+
+impl PartAppender<'_> {
+    /// The part's node kinds, by part-local id.
+    pub fn kinds(&self) -> &[LabelKind] {
+        &self.graph.kinds[self.rollback.0..]
+    }
+
+    /// Append the next run of triples, given as equally long `(s, p,
+    /// o)` columns in part-local ids. Every id must be below the part's
+    /// node count, and the triples must ascend strictly, within the run
+    /// and after the last one pushed; a run that breaks either is
+    /// refused (its index is the triple's within the part), and the
+    /// part must then be dropped.
+    pub fn push(
+        &mut self,
+        s: &[NodeId],
+        p: &[NodeId],
+        o: &[NodeId],
+    ) -> Result<(), ViewError> {
+        self.sorted.check(s, p, o)?;
+        let g = &mut *self.graph;
+        let counts = &mut g.offsets[self.first..];
+        for s in s {
+            counts[s.index()] += 1;
+        }
+        let base = self.rollback.0 as u32;
+        extend_shifted(&mut g.preds, p, base);
+        extend_shifted(&mut g.objs, o, base);
+        Ok(())
+    }
+
+    /// Complete the part: its per-node edge counts become CSR offsets.
+    pub fn finish(mut self) {
+        let offsets = &mut self.graph.offsets;
+        let mut edges = offsets[self.first - 1];
+        for c in &mut offsets[self.first..] {
+            edges += *c;
+            *c = edges;
+        }
+        self.finished = true;
+    }
+}
+
+impl Drop for PartAppender<'_> {
+    fn drop(&mut self) {
+        if !self.finished {
+            let (labels, edges, offsets) = self.rollback;
+            let g = &mut *self.graph;
+            g.labels.truncate(labels);
+            g.kinds.truncate(labels);
+            g.offsets.truncate(offsets);
+            g.preds.truncate(edges);
+            g.objs.truncate(edges);
+        }
     }
 }
 

@@ -423,6 +423,11 @@ impl Vocab {
         cluster.clear();
     }
 
+    /// The kind of every label, by id; entry 0 is the blank label.
+    pub fn kinds(&self) -> &[LabelKind] {
+        &self.kinds
+    }
+
     /// The syntactic category of a label.
     #[inline]
     pub fn kind(&self, id: LabelId) -> LabelKind {

@@ -43,6 +43,7 @@ pub mod view;
 
 pub use graph::{
     GraphAppender, GraphBuilder, NodeId, OutColumns, OutEdges, OutIter,
+    PartAppender,
     RawPartsError, Triple, TripleGraph, Triples,
 };
 pub use view::{

@@ -100,7 +100,7 @@ impl<'a> TripleGraphView<'a> {
         preds: Cow<'a, [NodeId]>,
         objs: Cow<'a, [NodeId]>,
     ) -> Result<TripleGraphView<'a>, ViewError> {
-        check_sorted_columns(labels.len(), subjects, &preds, &objs)?;
+        SortedColumns::new(labels.len()).check(subjects, &preds, &objs)?;
         let mut offsets = Vec::new();
         extend_offsets(&mut offsets, labels.len(), subjects.iter().copied());
         Ok(TripleGraphView {
@@ -164,43 +164,67 @@ impl<'a> TripleGraphView<'a> {
     }
 }
 
-/// The checks of a graph given as sorted triple columns: three columns
-/// of equal length, every node id below `nodes`, and the `(s, p, o)`
-/// sequence strictly ascending (sorted *and* duplicate-free — the
-/// on-disk contract).
-pub(crate) fn check_sorted_columns(
-    nodes: usize,
-    subjects: &[NodeId],
-    preds: &[NodeId],
-    objs: &[NodeId],
-) -> Result<(), ViewError> {
-    let e = subjects.len();
-    if preds.len() != e || objs.len() != e {
-        return Err(ViewError::ColumnLengthMismatch {
-            subjects: e,
-            preds: preds.len(),
-            objs: objs.len(),
-        });
-    }
-    let n = nodes as u32;
-    for j in 0..e {
-        for node in [subjects[j], preds[j], objs[j]] {
-            if node.0 >= n {
-                return Err(ViewError::Raw(RawPartsError::NodeOutOfRange {
-                    node: node.0,
-                    nodes: n,
-                }));
-            }
-        }
-        if j > 0 {
-            let prev = (subjects[j - 1], preds[j - 1], objs[j - 1]);
-            let cur = (subjects[j], preds[j], objs[j]);
-            if prev >= cur {
-                return Err(ViewError::Unsorted { at: j });
-            }
+/// The checks of a graph given as sorted triple columns, made one run
+/// of records at a time: each run's three columns of equal length,
+/// every node id below `nodes`, and the `(s, p, o)` sequence strictly
+/// ascending (sorted *and* duplicate-free — the on-disk contract)
+/// within each run and across runs.
+pub(crate) struct SortedColumns {
+    nodes: u32,
+    /// The last triple checked.
+    prev: Option<(NodeId, NodeId, NodeId)>,
+    /// Triples checked so far: the index of the next run's first.
+    checked: usize,
+}
+
+impl SortedColumns {
+    /// Checks for a graph of `nodes` nodes.
+    pub(crate) fn new(nodes: usize) -> Self {
+        SortedColumns {
+            nodes: nodes as u32,
+            prev: None,
+            checked: 0,
         }
     }
-    Ok(())
+
+    /// Check the next run of triples; an error's index is the
+    /// triple's among all runs.
+    pub(crate) fn check(
+        &mut self,
+        subjects: &[NodeId],
+        preds: &[NodeId],
+        objs: &[NodeId],
+    ) -> Result<(), ViewError> {
+        let e = subjects.len();
+        if preds.len() != e || objs.len() != e {
+            return Err(ViewError::ColumnLengthMismatch {
+                subjects: e,
+                preds: preds.len(),
+                objs: objs.len(),
+            });
+        }
+        let n = self.nodes;
+        for (j, ((&s, &p), &o)) in
+            subjects.iter().zip(preds).zip(objs).enumerate()
+        {
+            for node in [s, p, o] {
+                if node.0 >= n {
+                    return Err(ViewError::Raw(RawPartsError::NodeOutOfRange {
+                        node: node.0,
+                        nodes: n,
+                    }));
+                }
+            }
+            if self.prev >= Some((s, p, o)) {
+                return Err(ViewError::Unsorted {
+                    at: self.checked + j,
+                });
+            }
+            self.prev = Some((s, p, o));
+        }
+        self.checked += e;
+        Ok(())
+    }
 }
 
 /// Inconsistency detected by [`TripleGraphView::from_sorted_columns`]

@@ -15,13 +15,21 @@
 //!   `NODE` labels and the `TRPL` edges, which are all bisimulation
 //!   reads. Of `DICT` it reads only the entry count, which bounds the
 //!   label ids; it reads no entry and interns nothing;
-//! * [`BorrowedStoreReader::append_into`] — the columns appended to a
-//!   [`GraphAppender`] (the union of two versions), with labels
-//!   interned straight into a caller's [`Vocab`] and `BNAM` checked
-//!   but not kept, for `align` (one-shot and served);
-//! * [`BorrowedStoreReader::read_graph_into`] — the same append into an
-//!   empty appender, plus `BNAM` decoded, as an owned [`RdfGraph`], for
-//!   `export`.
+//! * [`BorrowedStoreReader::part`] — the store as a [`GraphPart`]: its
+//!   `DICT` walked in place as hash-ordered keys, for a session to
+//!   merge with its other input's ([`crate::dict::merge_labels`]), then
+//!   its columns appended to a [`GraphAppender`] (the union of two
+//!   versions) through the resulting id map, with `BNAM` checked but
+//!   not kept, for `align` (one-shot and served);
+//!   [`BorrowedStoreReader::append_into`] is the same append with the
+//!   `DICT` interned into a caller's [`Vocab`] instead;
+//! * [`BorrowedStoreReader::read_graph_into`] — the append into an
+//!   empty appender with the `DICT` interned into a [`Vocab`], plus
+//!   `BNAM` decoded, as an owned [`RdfGraph`], for `export`.
+//!
+//! Every pass over a mapped buffer releases the pages behind it
+//! ([`StoreBuf::release`]): the checksum pass, and each section walk of
+//! a load.
 //!
 //! A caller that needs both the summary and the view (as `rdf info
 //! --bisim` does) parses once with [`BorrowedStoreReader::container`]
@@ -38,12 +46,13 @@ use crate::container::{
 };
 use crate::error::StoreError;
 use crate::fixed::{fixed_column, parse_fixed_body, widen_column, FixedBody};
+use crate::dict::{intern_keys, DictKeys};
 use crate::graph_store::{
-    decode_bnam, dict_entry, dict_label_count, join_dict_section,
+    decode_bnam, dict_entry, dict_label_count, dict_section,
     label_beyond_dict, section_span, walk_bnam, TAG_BNAM, TAG_DICT,
     TAG_NODE, TAG_TRPL,
 };
-use crate::mmap::StoreBuf;
+use crate::mmap::{StoreBuf, RELEASE_WINDOW};
 use rdf_model::{
     label_ids_from_le_bytes, node_ids_from_le_bytes, GraphAppender, LabelId,
     LabelKind, NodeId, RdfGraph, TripleGraphView, ViewError, Vocab,
@@ -134,10 +143,14 @@ impl StoreInfo {
 }
 
 /// The `NODE` and `TRPL` id columns of a graph store, borrowed or
-/// widened.
+/// widened, with the bytes they were read from.
 struct Columns<'a> {
     labels: Cow<'a, [LabelId]>,
     spo: [Cow<'a, [NodeId]>; 3],
+    /// The `NODE` column's bytes.
+    node_column: &'a [u8],
+    /// The bytes of the `TRPL` columns.
+    trpl_columns: [&'a [u8]; 3],
 }
 
 /// A graph store opened over a [`StoreBuf`]: the one reader.
@@ -203,7 +216,9 @@ impl BorrowedStoreReader {
     /// Parse and fully validate the container (header, framing, every
     /// section checksum) inside one `store.open` span. Works for any
     /// content kind; a version-1 graph store fails here with
-    /// [`StoreError::RetiredLayout`].
+    /// [`StoreError::RetiredLayout`]. The checksum pass releases the
+    /// pages behind it ([`StoreBuf::release`]), so a section read later
+    /// faults its pages back in as it is walked.
     pub fn container(
         &self,
         rec: &Recorder,
@@ -211,7 +226,9 @@ impl BorrowedStoreReader {
         let bytes = self.buf.as_slice();
         let mut open = rec.span("store.open");
         open.field("bytes", bytes.len());
-        let c = Container::parse(bytes)?;
+        let c = Container::parse_releasing(bytes, |done| {
+            self.buf.release(done)
+        })?;
         open.field("layout", c.header().layout().to_string());
         Ok(c)
     }
@@ -231,9 +248,9 @@ impl BorrowedStoreReader {
     ) -> Result<(Vocab, TripleGraphView<'_>), StoreError> {
         let c = self.container(&Recorder::disabled())?;
         let view = Self::view_in(&c, &Recorder::disabled())?;
+        let part = GraphPart::of(&self.buf, c)?;
         let mut vocab = Vocab::new();
-        let dict_body = c.section(TAG_DICT)?;
-        join_dict_section(dict_body, c.header().counts[0], &mut vocab)?;
+        intern_keys(&mut part.labels()?, part.dict.len(), &mut vocab)?;
         Ok((vocab, view))
     }
 
@@ -245,7 +262,10 @@ impl BorrowedStoreReader {
     /// is read only for its entry count: the count must match the
     /// header and fit the body, and a `NODE` label id at or above it is
     /// `Corrupt`, so no forged id can size a per-label table. No entry
-    /// is read and no label is interned.
+    /// is read and no label is interned, so no label kind is known
+    /// either: the view does not check the RDF conventions of
+    /// [`BorrowedStoreReader::read_graph`] (a literal subject, a blank
+    /// or literal predicate), which bisimulation does not need.
     pub fn view_in<'a>(
         c: &Container<'a>,
         rec: &Recorder,
@@ -255,6 +275,7 @@ impl BorrowedStoreReader {
         let Columns {
             labels,
             spo: [s, p, o],
+            ..
         } = columns(c, rec)?;
         if let Some(&l) = labels.iter().find(|l| l.index() >= label_count) {
             return Err(label_beyond_dict(l, label_count));
@@ -286,10 +307,10 @@ impl BorrowedStoreReader {
         Ok((vocab, graph))
     }
 
-    /// Load the graph with its labels interned straight into `vocab`,
-    /// the session vocabulary: [`BorrowedStoreReader::append_into`] run
-    /// on an empty [`GraphAppender`], plus the `BNAM` names. The graph
-    /// equals [`rdf_model::rebase_into`] of [`read_graph`] into the same
+    /// Load the graph with its labels interned straight into `vocab`:
+    /// [`BorrowedStoreReader::append_into`] run on an empty
+    /// [`GraphAppender`], plus the `BNAM` names. The graph equals
+    /// [`rdf_model::rebase_into`] of [`read_graph`] into the same
     /// vocabulary, without building the store's own vocabulary first.
     ///
     /// Emits the spans of [`BorrowedStoreReader::append_into`]. Every
@@ -302,99 +323,228 @@ impl BorrowedStoreReader {
         vocab: &mut Vocab,
         rec: &Recorder,
     ) -> Result<RdfGraph, StoreError> {
-        let c = self.container(rec)?;
-        let part = Part::load(&c, vocab, rec)?;
-        let nodes = part.labels.len();
+        let part = self.part(rec)?;
+        let map = part.intern_into(vocab, rec)?;
+        let columns = part.load(&map, vocab.kinds(), rec)?;
+        let nodes = columns.labels.len();
         let mut graph = GraphAppender::new();
-        part.append_to(&mut graph, rec)?;
-        let bnam_body = c.section(TAG_BNAM)?;
+        columns.append_to(&mut graph, rec)?;
+        let bnam_body = part.c.section(TAG_BNAM)?;
         let blank_names = {
             let _sp = section_span(rec, "BNAM", bnam_body.len());
             decode_bnam(bnam_body, nodes)?
         };
+        self.buf.release(bnam_body);
         Ok(RdfGraph::from_raw_parts(graph.finish(), blank_names))
     }
 
     /// Append the graph to `union` as its next part, with its labels
-    /// interned straight into `vocab`, the session vocabulary: the
-    /// mapped `DICT` is walked as borrowed text, each entry is interned
-    /// with one hash, the `NODE` column is rewritten through the
-    /// resulting id map, and the `TRPL` columns are checked (ids in
-    /// range, triples strictly ascending) and appended with no sort.
-    /// Returns the part's node and triple counts.
+    /// interned straight into `vocab`: the mapped `DICT` is walked as
+    /// borrowed text and each entry is interned with one hash
+    /// ([`intern_entries`]), then the part is appended through the
+    /// resulting id map ([`GraphPart::append_into`]). Returns the
+    /// part's node and triple counts.
     ///
-    /// `BNAM` is walked with every check [`read_graph`] makes, but no
-    /// name is kept: blank names are document-local, and nothing an
-    /// alignment reports reads them.
-    ///
-    /// Emits one `store.open` span (the container parse: framing plus
-    /// every section CRC), one `store.section` span per section body
-    /// (the `DICT` span carries `labels_new` and `labels_shared`) and
-    /// one `store.append` span. Every check is a typed [`StoreError`],
-    /// made before `union` changes: on error `union` is unchanged, and
+    /// Emits one `store.open` span, one `store.section` span per
+    /// section body (the `DICT` span carries `labels_new` and
+    /// `labels_shared`) and one `store.append` span. Every check is a
+    /// typed [`StoreError`]; on error `union` is left as it was, and
     /// `vocab` keeps any labels interned before the error was found.
     ///
-    /// [`read_graph`]: BorrowedStoreReader::read_graph
+    /// [`intern_entries`]: crate::dict::intern_entries
     pub fn append_into(
         &self,
         vocab: &mut Vocab,
         union: &mut GraphAppender,
         rec: &Recorder,
     ) -> Result<(usize, usize), StoreError> {
-        let c = self.container(rec)?;
-        let part = Part::load(&c, vocab, rec)?;
+        let part = self.part(rec)?;
+        let map = part.intern_into(vocab, rec)?;
+        part.append_into(&map, vocab.kinds(), union, rec)
+    }
+
+    /// Parse and validate the container for a load ([`container`]) and
+    /// check that it holds a graph: the store as a [`GraphPart`], whose
+    /// labels a caller joins with any other input's before appending
+    /// it. `rdf align` loads its stores this way, joining both
+    /// dictionaries with one [`crate::dict::merge_labels`].
+    ///
+    /// [`container`]: BorrowedStoreReader::container
+    pub fn part(&self, rec: &Recorder) -> Result<GraphPart<'_>, StoreError> {
+        GraphPart::of(&self.buf, self.container(rec)?)
+    }
+}
+
+/// A graph store's container, parsed and checksummed, ready to be
+/// loaded in two steps: its labels are joined with other inputs'
+/// ([`GraphPart::labels`]), then its graph is appended through the
+/// resulting id map ([`GraphPart::append_into`]). Every section walk
+/// releases the pages behind its cursor ([`StoreBuf::release`]), so a
+/// part keeps little of its file resident while it waits for its
+/// append.
+#[derive(Debug)]
+pub struct GraphPart<'a> {
+    buf: &'a StoreBuf,
+    c: Container<'a>,
+    dict: &'a [u8],
+}
+
+impl<'a> GraphPart<'a> {
+    fn of(buf: &'a StoreBuf, c: Container<'a>) -> Result<Self, StoreError> {
+        let dict = graph_section(&c, TAG_DICT)?;
+        Ok(GraphPart { buf, c, dict })
+    }
+
+    /// Bytes of the `DICT` body: a bound on the text its labels hold.
+    pub fn dict_bytes(&self) -> usize {
+        self.dict.len()
+    }
+
+    /// Walk the `DICT` in place as ascending [`LabelKey`]s
+    /// ([`DictKeys::section`]). The entry count must equal the
+    /// header's, and is checked here, before any entry is read; each
+    /// entry's kind tag and UTF-8 are checked as it is read, the
+    /// entries must ascend strictly by `(label_hash, kind, text)`, and
+    /// the pad-to-8 tail is checked after the last one. Each is a typed
+    /// error the walk ends with. Pages behind the cursor are released
+    /// every [`crate::mmap::RELEASE_WINDOW`] bytes.
+    ///
+    /// [`LabelKey`]: crate::dict::LabelKey
+    pub fn labels(&self) -> Result<DictKeys<'a>, StoreError> {
+        let entries = dict_section(self.dict, self.c.header().counts[0])?;
+        Ok(DictKeys::section(entries, self.buf))
+    }
+
+    /// Intern the `DICT` into `vocab` inside its `store.section` span
+    /// and return the dictionary-id → vocabulary-id map.
+    fn intern_into(
+        &self,
+        vocab: &mut Vocab,
+        rec: &Recorder,
+    ) -> Result<Vec<LabelId>, StoreError> {
+        let mut sp = section_span(rec, "DICT", self.dict.len());
+        let join = intern_keys(&mut self.labels()?, self.dict.len(), vocab)?;
+        sp.field("labels_new", join.new);
+        sp.field("labels_shared", join.shared());
+        Ok(join.map)
+    }
+
+    /// Append the graph to `union` as its next part: each `NODE` label
+    /// id `l` becomes `map[l]`, whose kind is `kinds[map[l]]`, and the
+    /// `TRPL` columns are checked (ids in range, triples strictly
+    /// ascending, no literal subject, no blank or literal predicate)
+    /// and appended with no sort. `BNAM` is walked with every check
+    /// [`BorrowedStoreReader::read_graph`] makes, but no name is kept:
+    /// blank names are document-local, and nothing an alignment
+    /// reports reads them. Returns the part's node and triple counts.
+    ///
+    /// `map` must have one entry per dictionary id (a `NODE` id beyond
+    /// it is `Corrupt`), and `kinds` one per id `map` yields.
+    ///
+    /// Emits one `store.section` span each for `NODE`, `TRPL` and
+    /// `BNAM`, and one `store.append` span. Every check is a typed
+    /// [`StoreError`]; the `TRPL` checks are made one window of records
+    /// at a time as it is appended, and on error the part is taken out
+    /// again, so `union` is left as it was.
+    pub fn append_into(
+        &self,
+        map: &[LabelId],
+        kinds: &[LabelKind],
+        union: &mut GraphAppender,
+        rec: &Recorder,
+    ) -> Result<(usize, usize), StoreError> {
+        let part = self.load(map, kinds, rec)?;
         let counts = (part.labels.len(), part.spo[0].len());
-        let bnam_body = c.section(TAG_BNAM)?;
+        let bnam_body = self.c.section(TAG_BNAM)?;
         {
             let _sp = section_span(rec, "BNAM", bnam_body.len());
             walk_bnam(bnam_body, counts.0, |_, _| {})?;
         }
+        self.buf.release(bnam_body);
         part.append_to(union, rec)?;
         Ok(counts)
     }
+
+    /// Rewrite the `NODE` column through `map`, with its kinds, and
+    /// check the `TRPL` columns against those kinds.
+    fn load(
+        &self,
+        map: &[LabelId],
+        kinds: &[LabelKind],
+        rec: &Recorder,
+    ) -> Result<Part<'a>, StoreError> {
+        let Columns {
+            labels: store_labels,
+            spo,
+            node_column,
+            trpl_columns,
+        } = columns(&self.c, rec)?;
+        let mut labels = Vec::with_capacity(store_labels.len());
+        let mut node_kinds = Vec::with_capacity(store_labels.len());
+        let width = node_column.len() / store_labels.len().max(1);
+        let step = RELEASE_WINDOW / width.max(1);
+        for (i, window) in store_labels.chunks(step).enumerate() {
+            for &l in window {
+                let id = dict_entry(map, l)?;
+                labels.push(id);
+                node_kinds.push(kinds[id.index()]);
+            }
+            let at = i * step * width;
+            self.buf.release(&node_column[at..at + window.len() * width]);
+        }
+        Ok(Part {
+            labels,
+            kinds: node_kinds,
+            spo,
+            trpl_columns,
+            buf: self.buf,
+        })
+    }
+}
+
+/// The RDF conventions the N-Triples parser enforces
+/// (`RdfError::{LiteralSubject, LiteralPredicate, BlankPredicate}`),
+/// checked over a run of a part's subject and predicate columns, its
+/// first record at index `first`, against the part's node kinds: a
+/// violation is `Corrupt`, naming the `TRPL` record. An id beyond the
+/// kinds is left to the range check of the append.
+fn check_conventions(
+    kinds: &[LabelKind],
+    s: &[NodeId],
+    p: &[NodeId],
+    first: usize,
+) -> Result<(), StoreError> {
+    for (at, (s, p)) in (first..).zip(s.iter().zip(p)) {
+        let rule = match (kinds.get(s.index()), kinds.get(p.index())) {
+            (Some(LabelKind::Literal), _) => "literal in subject position",
+            (_, Some(LabelKind::Literal)) => "literal in predicate position",
+            (_, Some(LabelKind::Blank)) => "blank node in predicate position",
+            _ => continue,
+        };
+        return Err(StoreError::Corrupt(format!(
+            "fixed TRPL section: record {at}: {rule}"
+        )));
+    }
+    Ok(())
 }
 
 /// One store's graph ready to append: its labels joined into the
-/// session vocabulary, their kinds, and its `TRPL` columns.
+/// session, their kinds, and its `TRPL` columns (with the bytes they
+/// were read from, released as they are appended).
 struct Part<'a> {
     labels: Vec<LabelId>,
     kinds: Vec<LabelKind>,
     spo: [Cow<'a, [NodeId]>; 3],
+    trpl_columns: [&'a [u8]; 3],
+    buf: &'a StoreBuf,
 }
 
-impl<'a> Part<'a> {
-    /// Join the `DICT` into `vocab` and rewrite the `NODE` column
-    /// through the join map.
-    fn load(
-        c: &Container<'a>,
-        vocab: &mut Vocab,
-        rec: &Recorder,
-    ) -> Result<Part<'a>, StoreError> {
-        let dict_body = graph_section(c, TAG_DICT)?;
-        let map = {
-            let mut sp = section_span(rec, "DICT", dict_body.len());
-            let join =
-                join_dict_section(dict_body, c.header().counts[0], vocab)?;
-            sp.field("labels_new", join.new);
-            sp.field("labels_shared", join.shared());
-            join.map
-        };
-        let Columns {
-            labels: store_labels,
-            spo,
-        } = columns(c, rec)?;
-        let mut labels = Vec::with_capacity(store_labels.len());
-        let mut kinds = Vec::with_capacity(store_labels.len());
-        for &l in store_labels.iter() {
-            let id = dict_entry(&map, l)?;
-            labels.push(id);
-            kinds.push(vocab.kind(id));
-        }
-        Ok(Part { labels, kinds, spo })
-    }
-
-    /// Check the `TRPL` columns and append the part, inside one
-    /// `store.append` span.
+impl Part<'_> {
+    /// Append the part inside one `store.append` span, reading the
+    /// `TRPL` columns a window of records at a time: each window is
+    /// checked against the RDF conventions and appended (which checks
+    /// its ids and order), and its pages are released. On error the
+    /// part is taken out of `union` again.
     fn append_to(
         self,
         union: &mut GraphAppender,
@@ -405,16 +555,31 @@ impl<'a> Part<'a> {
             sp.field("nodes", self.labels.len());
             sp.field("triples", self.spo[0].len());
         }
+        let corrupt = |e| match e {
+            ViewError::Unsorted { at } => StoreError::Corrupt(format!(
+                "fixed TRPL section: triples not strictly ascending \
+                 at record {at}"
+            )),
+            e => StoreError::Corrupt(e.to_string()),
+        };
         let [s, p, o] = &self.spo;
-        union
-            .append_columns(self.labels, self.kinds, s, p, o)
-            .map_err(|e| match e {
-                ViewError::Unsorted { at } => StoreError::Corrupt(format!(
-                    "fixed TRPL section: triples not strictly ascending \
-                     at record {at}"
-                )),
-                e => StoreError::Corrupt(e.to_string()),
-            })
+        let records = s.len();
+        let mut part =
+            union.part(self.labels, self.kinds, records).map_err(corrupt)?;
+        // A window spans the three columns, RELEASE_WINDOW bytes in all.
+        let width = self.trpl_columns[0].len() / records.max(1);
+        let step = RELEASE_WINDOW / (3 * width).max(1);
+        for start in (0..records).step_by(step) {
+            let w = start..records.min(start + step);
+            let (s, p, o) = (&s[w.clone()], &p[w.clone()], &o[w.clone()]);
+            check_conventions(part.kinds(), s, p, start)?;
+            part.push(s, p, o).map_err(corrupt)?;
+            for column in self.trpl_columns {
+                self.buf.release(&column[w.start * width..w.end * width]);
+            }
+        }
+        part.finish();
+        Ok(())
     }
 }
 
@@ -441,7 +606,7 @@ fn columns<'a>(
 ) -> Result<Columns<'a>, StoreError> {
     let header = *c.header();
     let node_body = c.section(TAG_NODE)?;
-    let labels = {
+    let (labels, node_column) = {
         let _sp = section_span(rec, "NODE", node_body.len());
         let fb = parse_fixed_body(
             node_body,
@@ -449,11 +614,14 @@ fn columns<'a>(
             Some(header.counts[1]),
             "fixed NODE section",
         )?;
-        id_column(node_body, &fb, 0, label_ids_from_le_bytes, LabelId, rec)
+        (
+            id_column(node_body, &fb, 0, label_ids_from_le_bytes, LabelId, rec),
+            fixed_column(node_body, &fb, 0),
+        )
     };
 
     let trpl_body = c.section(TAG_TRPL)?;
-    let spo = {
+    let (spo, trpl_columns) = {
         let _sp = section_span(rec, "TRPL", trpl_body.len());
         let fb = parse_fixed_body(
             trpl_body,
@@ -461,11 +629,17 @@ fn columns<'a>(
             Some(header.counts[2]),
             "fixed TRPL section",
         )?;
-        [0, 1, 2].map(|i| {
+        let spo = [0, 1, 2].map(|i| {
             id_column(trpl_body, &fb, i, node_ids_from_le_bytes, NodeId, rec)
-        })
+        });
+        (spo, [0, 1, 2].map(|i| fixed_column(trpl_body, &fb, i)))
     };
-    Ok(Columns { labels, spo })
+    Ok(Columns {
+        labels,
+        spo,
+        node_column,
+        trpl_columns,
+    })
 }
 
 /// Column `i` of a fixed body as typed ids: borrowed from the buffer

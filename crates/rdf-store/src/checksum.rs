@@ -9,11 +9,16 @@
 //! The loop is slicing-by-8: eight lookup tables fold eight input bytes
 //! into the running CRC per step, instead of one byte per step with the
 //! classic single table. One such chain is bound by the latency of its
-//! lookups, so a payload of [`SPLIT_MIN`] bytes or more is cut into
+//! lookups, so a payload of `SPLIT_MIN` bytes or more is cut into
 //! thirds whose CRCs run interleaved in one loop, and the three values
 //! are joined with zlib's `crc32_combine` (the CRC of `a ‖ b` from the
 //! CRCs of `a` and `b` and the length of `b`). The result is the same
 //! CRC, about twice as fast on a 39 MB store.
+//!
+//! [`crc32_windows`] joins the CRCs of consecutive windows the same
+//! way, so a caller can act on each window as soon as it is
+//! checksummed (the store reader releases its pages) and still get the
+//! CRC of the whole.
 
 /// Reflected polynomial of CRC-32/ISO-HDLC (zlib, PNG, Ethernet).
 const POLY: u32 = 0xEDB8_8320;
@@ -106,6 +111,23 @@ pub fn crc32(data: &[u8]) -> u32 {
     let cc = update(cc, &c[third..]);
     let ab = crc32_combine(ca ^ u32::MAX, cb ^ u32::MAX, b.len() as u64);
     crc32_combine(ab, cc ^ u32::MAX, c.len() as u64)
+}
+
+/// [`crc32`] of `data`, computed `window` bytes at a time: `done` is
+/// handed each window once its bytes are folded in, and the windows'
+/// CRCs are joined with `crc32_combine`, so the value equals
+/// `crc32(data)`.
+pub fn crc32_windows(
+    data: &[u8],
+    window: usize,
+    mut done: impl FnMut(&[u8]),
+) -> u32 {
+    let mut crc = 0;
+    for chunk in data.chunks(window.max(1)) {
+        crc = crc32_combine(crc, crc32(chunk), chunk.len() as u64);
+        done(chunk);
+    }
+    crc
 }
 
 /// The CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`,
@@ -214,6 +236,22 @@ mod tests {
             crc32(&data)
         );
         assert_eq!(crc32_combine(crc32(a), crc32(b""), 0), crc32(a));
+    }
+
+    /// Windowed CRCs equal the whole one for windows that split the
+    /// data anywhere, and every byte is handed to `done` once, in order.
+    #[test]
+    fn windows_join_to_the_whole_crc() {
+        let data: Vec<u8> = (0u32..10_000)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+            .collect();
+        for window in [1, 7, 8, 1000, 1024, 4096, 9999, 10_000, 20_000] {
+            let mut seen: Vec<u8> = Vec::new();
+            let crc = crc32_windows(&data, window, |w| seen.extend(w));
+            assert_eq!(crc, crc32(&data), "window {window}");
+            assert_eq!(seen, data, "window {window}");
+        }
+        assert_eq!(crc32_windows(b"", 8, |_| panic!("no window")), 0);
     }
 
     proptest! {

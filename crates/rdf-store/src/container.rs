@@ -21,7 +21,8 @@
 //! [`StoreError::RetiredLayout`]. Layout is always resolved from the
 //! header, never from a file extension.
 
-use crate::checksum::crc32;
+use crate::checksum::{crc32, crc32_windows};
+use crate::mmap::RELEASE_WINDOW;
 use crate::error::StoreError;
 
 /// The four magic bytes opening every container.
@@ -193,6 +194,19 @@ impl<'a> Container<'a> {
     /// Parse and fully validate a container (header fields, section
     /// framing, and every payload checksum).
     pub fn parse(bytes: &'a [u8]) -> Result<Self, StoreError> {
+        Self::parse_releasing(bytes, |_| {})
+    }
+
+    /// [`Container::parse`], handing each stretch of payload to `done`
+    /// once its checksum pass is past it, at most
+    /// [`RELEASE_WINDOW`] bytes at a time: the store reader releases
+    /// those pages of its mapping ([`crate::StoreBuf::release`]). The
+    /// checksums are the same values, and a section is still fully
+    /// checksummed before this returns.
+    pub fn parse_releasing(
+        bytes: &'a [u8],
+        mut done: impl FnMut(&[u8]),
+    ) -> Result<Self, StoreError> {
         let header = Self::parse_header(bytes)?;
         let mut pos = HEADER_LEN;
         let mut sections = Vec::with_capacity(header.sections as usize);
@@ -220,7 +234,7 @@ impl<'a> Container<'a> {
                     what: "section payload",
                 })?;
             pos = end;
-            let computed = crc32(payload);
+            let computed = crc32_windows(payload, RELEASE_WINDOW, &mut done);
             if computed != stored {
                 return Err(StoreError::ChecksumMismatch {
                     section: tag,

@@ -12,15 +12,30 @@
 //! keep their own order.
 //!
 //! Every reader walks a body in place with [`DictEntries`], which
-//! borrows each entry's text from the (mapped) bytes.
-//! [`intern_entries`] joins a graph store's entries into a vocabulary —
-//! the store load's join into the session vocabulary. Because a label's
-//! table slot is the top bits of the same hash, the join writes and
-//! probes the table front to back, and its order check is also the
-//! repeat check. [`read_dict`] interns an archive's entries into a fresh
-//! vocabulary.
+//! borrows each entry's text from the (mapped) bytes, and reads a graph
+//! store's entries as a [`KeyStream`] ([`DictKeys`]), which hashes each
+//! one into a [`LabelKey`] and refuses a stream that does not strictly
+//! ascend; a repeated label is such a stream, so the order check is
+//! also the repeat check.
+//!
+//! Two joins consume those keys:
+//!
+//! * [`merge_labels`] — the session load's join of two inputs: one
+//!   streaming merge of their hash-ordered label streams (a store's
+//!   `DICT`, or a parsed text's [`Vocab::hash_order`] through
+//!   [`VocabKeys`]). Session label ids are the ranks of the merged
+//!   order; it keeps each label's kind, and its text only when asked
+//!   to.
+//! * [`intern_entries`] — one store's entries interned into a
+//!   vocabulary, for the loads that keep a [`Vocab`] (`read_graph`,
+//!   `export`). Because a label's table slot is the top bits of the
+//!   same hash, it writes and probes the table front to back.
+//!
+//! [`read_dict`] interns an archive's entries into a fresh vocabulary.
 
 use crate::error::StoreError;
+use crate::fixed::check_pad8;
+use crate::mmap::{StoreBuf, RELEASE_WINDOW};
 use crate::varint::{read_varint_usize, write_varint};
 use rdf_model::{label_hash, LabelId, LabelKind, Vocab};
 
@@ -50,6 +65,9 @@ pub fn write_dict(
     Ok(())
 }
 
+/// The most bytes one UTF-8 stretch of a [`DictEntries`] walk covers.
+const RUN_BYTES: usize = 64 << 10;
+
 /// The entries of a dictionary section body, walked in place: each
 /// non-blank entry is borrowed from the body bytes as
 /// `(LabelKind, &str)`, with its kind tag and UTF-8 validated. The walk
@@ -62,6 +80,10 @@ pub fn write_dict(
 /// body stops being UTF-8 (a length of 128 or more, or a bad text);
 /// the text there is checked alone and the next stretch starts after
 /// it.
+///
+/// A stretch is at most 64 KiB long, so the check reads only a
+/// little ahead of the walk (which keeps few pages of a mapped body
+/// resident ahead of the cursor).
 ///
 /// The iterator stops after the first error; [`DictEntries::pos`] is
 /// then meaningless.
@@ -114,6 +136,28 @@ impl<'a> DictEntries<'a> {
         1 + self.remaining.min((self.buf.len() - self.pos) / 2)
     }
 
+    /// The next entry if it is the common shape — a valid tag, a
+    /// one-byte length and a text inside the current UTF-8 stretch —
+    /// read without building an error path; `None` leaves the walk
+    /// where it was, for [`DictEntries::next`] to read or refuse.
+    #[inline]
+    fn next_plain(&mut self) -> Option<(LabelKind, &'a str)> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let &[tag @ (1 | 2), len @ 0..0x80] =
+            self.buf.get(self.pos..self.pos + 2)?
+        else {
+            return None;
+        };
+        let start = self.pos + 2 - self.run_at;
+        let text = self.run.get(start..start + usize::from(len))?;
+        self.pos += 2 + usize::from(len);
+        self.remaining -= 1;
+        let kind = [LabelKind::Uri, LabelKind::Literal][usize::from(tag - 1)];
+        Some((kind, text))
+    }
+
     fn entry(&mut self) -> Result<(LabelKind, &'a str), StoreError> {
         let kind = match self.buf.get(self.pos) {
             Some(1) => LabelKind::Uri,
@@ -145,12 +189,8 @@ impl<'a> DictEntries<'a> {
         let text = std::str::from_utf8(bytes).map_err(|_| {
             StoreError::Corrupt("dictionary text is not UTF-8".into())
         })?;
-        let rest = &self.buf[end..];
-        self.run = match std::str::from_utf8(rest) {
-            Ok(run) => run,
-            Err(e) => std::str::from_utf8(&rest[..e.valid_up_to()])
-                .expect("valid up to its first error"),
-        };
+        let ahead = &self.buf[end..self.buf.len().min(end + RUN_BYTES)];
+        self.run = ahead.utf8_chunks().next().map_or("", |c| c.valid());
         self.run_at = end;
         Ok((kind, text))
     }
@@ -160,12 +200,390 @@ impl<'a> Iterator for DictEntries<'a> {
     type Item = Result<(LabelKind, &'a str), StoreError>;
 
     fn next(&mut self) -> Option<Self::Item> {
+        if let Some(entry) = self.next_plain() {
+            return Some(Ok(entry));
+        }
         if self.remaining == 0 {
             return None;
         }
         let entry = self.entry();
         self.remaining = if entry.is_ok() { self.remaining - 1 } else { 0 };
         Some(entry)
+    }
+
+}
+
+/// A label as a graph store orders its `DICT`: by [`label_hash`], then
+/// kind, then text bytes (the field order, which the derived ordering
+/// follows, so text is compared only when hash and kind tie).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct LabelKey<'a> {
+    /// [`label_hash`]`(kind, text)`.
+    pub hash: u64,
+    /// URI or literal, never blank.
+    pub kind: LabelKind,
+    /// The label's text.
+    pub text: &'a str,
+}
+
+impl<'a> LabelKey<'a> {
+    /// The key of a URI or literal label.
+    #[inline]
+    pub fn new(kind: LabelKind, text: &'a str) -> Self {
+        LabelKey {
+            hash: label_hash(kind, text),
+            kind,
+            text,
+        }
+    }
+}
+
+/// Keys a [`KeyStream`] hands out per batch.
+pub const KEY_BATCH: usize = 1024;
+
+/// A stream of labels as [`LabelKey`]s, checked to ascend strictly,
+/// read [`KEY_BATCH`] at a time so the walk, the hashing and the order
+/// check each run as one tight loop.
+pub trait KeyStream<'a> {
+    /// Append the next keys, at most [`KEY_BATCH`], to `out`; none at
+    /// the end of the stream. The first pair of keys that does not
+    /// ascend is `Corrupt`, and so is a malformed entry; an error ends
+    /// the stream, and is reported in stream order (a pair out of
+    /// order before a malformed entry is reported first).
+    fn next_batch(
+        &mut self,
+        out: &mut Vec<LabelKey<'a>>,
+    ) -> Result<(), StoreError>;
+
+    /// A lower bound on the keys still to come, safe to size an
+    /// allocation by.
+    fn len_hint(&self) -> usize;
+}
+
+/// Check that `keys` ascend strictly and follow `prev`, then make
+/// their last key the new `prev`.
+fn check_ascending<'a>(
+    prev: &mut Option<LabelKey<'a>>,
+    keys: &[LabelKey<'a>],
+) -> Result<(), StoreError> {
+    let first_ok = match (prev.as_ref(), keys.first()) {
+        (Some(p), Some(k)) => p < k,
+        _ => true,
+    };
+    if !first_ok || keys.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(not_ascending());
+    }
+    if let Some(&last) = keys.last() {
+        *prev = Some(last);
+    }
+    Ok(())
+}
+
+#[cold]
+fn not_ascending() -> StoreError {
+    StoreError::Corrupt(
+        "dictionary entries not strictly ascending by (hash, kind, text): \
+         repeated or out of order"
+            .into(),
+    )
+}
+
+/// A `DICT` body's entries as a [`KeyStream`]. For a graph store's
+/// section ([`DictKeys::section`]) the walk also checks the body's
+/// pad-to-8 tail after the last entry, and releases the pages behind
+/// its caller: each batch first releases the body before the batch, in
+/// [`RELEASE_WINDOW`] steps, since the caller is done with the keys it
+/// was handed before (their texts point into those pages). The rest is
+/// released when the stream is dropped.
+#[derive(Debug)]
+pub struct DictKeys<'a> {
+    entries: DictEntries<'a>,
+    prev: Option<LabelKey<'a>>,
+    /// The buffer of a store section: release its pages, check its pad.
+    section: Option<&'a StoreBuf>,
+    /// Bytes of the body before this offset are released.
+    released: usize,
+    ended: bool,
+}
+
+impl<'a> DictKeys<'a> {
+    /// The keys of `entries`.
+    pub fn new(entries: DictEntries<'a>) -> Self {
+        DictKeys {
+            entries,
+            prev: None,
+            section: None,
+            released: 0,
+            ended: false,
+        }
+    }
+
+    /// The keys of a graph store's `DICT` section, walked from the
+    /// start of its body, which lies in `buf`.
+    pub fn section(entries: DictEntries<'a>, buf: &'a StoreBuf) -> Self {
+        let mut keys = DictKeys::new(entries);
+        keys.section = Some(buf);
+        keys
+    }
+
+    /// The end of a section's walk: check the body's tail.
+    fn end_section(&mut self) -> Result<(), StoreError> {
+        match self.section {
+            Some(_) => {
+                check_pad8(self.entries.buf, self.entries.pos, "DICT section")
+            }
+            None => Ok(()),
+        }
+    }
+}
+
+impl Drop for DictKeys<'_> {
+    fn drop(&mut self) {
+        if let Some(buf) = self.section {
+            buf.release(&self.entries.buf[self.released..]);
+        }
+    }
+}
+
+impl<'a> KeyStream<'a> for DictKeys<'a> {
+    fn next_batch(
+        &mut self,
+        out: &mut Vec<LabelKey<'a>>,
+    ) -> Result<(), StoreError> {
+        if self.ended {
+            return Ok(());
+        }
+        // The caller is done with the previous batch, whose texts it
+        // may have read: the body before this batch can go.
+        let pos = self.entries.pos;
+        if let Some(buf) = self.section {
+            if pos - self.released >= RELEASE_WINDOW {
+                buf.release(&self.entries.buf[self.released..pos]);
+                self.released = pos;
+            }
+        }
+        let start = out.len();
+        let mut failed = None;
+        while out.len() - start < KEY_BATCH {
+            match self.entries.next() {
+                Some(Ok((kind, text))) => out.push(LabelKey::new(kind, text)),
+                Some(Err(e)) => {
+                    failed = Some(e);
+                    break;
+                }
+                None => {
+                    self.ended = true;
+                    break;
+                }
+            }
+        }
+        let mut checked = check_ascending(&mut self.prev, &out[start..])
+            .and_then(|()| failed.map_or(Ok(()), Err));
+        if checked.is_ok() && self.ended {
+            checked = self.end_section();
+        }
+        if checked.is_err() {
+            self.ended = true;
+        }
+        checked
+    }
+
+    fn len_hint(&self) -> usize {
+        if self.ended {
+            0
+        } else {
+            self.entries.capacity_hint() - 1
+        }
+    }
+}
+
+/// The labels of a vocabulary in a given order (its
+/// [`Vocab::hash_order`]) as a [`KeyStream`]: how a parsed text's
+/// labels meet a store's in [`merge_labels`].
+#[derive(Debug, Clone)]
+pub struct VocabKeys<'a> {
+    vocab: &'a Vocab,
+    ids: std::slice::Iter<'a, LabelId>,
+    prev: Option<LabelKey<'a>>,
+}
+
+impl<'a> VocabKeys<'a> {
+    /// The labels `order` names, in that order; none may be blank.
+    pub fn new(vocab: &'a Vocab, order: &'a [LabelId]) -> Self {
+        VocabKeys {
+            vocab,
+            ids: order.iter(),
+            prev: None,
+        }
+    }
+}
+
+impl<'a> KeyStream<'a> for VocabKeys<'a> {
+    fn next_batch(
+        &mut self,
+        out: &mut Vec<LabelKey<'a>>,
+    ) -> Result<(), StoreError> {
+        let start = out.len();
+        let vocab = self.vocab;
+        out.extend(
+            self.ids
+                .by_ref()
+                .take(KEY_BATCH)
+                .map(|&id| LabelKey::new(vocab.kind(id), vocab.text(id))),
+        );
+        let checked = check_ascending(&mut self.prev, &out[start..]);
+        if checked.is_err() {
+            self.ids = [].iter();
+        }
+        checked
+    }
+
+    fn len_hint(&self) -> usize {
+        self.ids.len()
+    }
+}
+
+/// The labels of two inputs joined by [`merge_labels`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LabelMerge {
+    /// Per input, the session id of each label of its stream: entry
+    /// `k + 1` is the id of the stream's `k`-th label, and entry 0, the
+    /// blank label, is [`LabelId::BLANK`]. For a store this is its
+    /// dictionary-id → session-id map, and it ascends.
+    pub maps: [Vec<LabelId>; 2],
+    /// The kind of every session label, by id; entry 0 is the blank
+    /// label.
+    pub kinds: Vec<LabelKind>,
+    /// How many labels both inputs hold.
+    pub shared: usize,
+}
+
+impl LabelMerge {
+    /// Session labels, the blank label included.
+    pub fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    /// Whether the session holds only the blank label.
+    pub fn is_empty(&self) -> bool {
+        self.kinds.len() <= 1
+    }
+}
+
+/// A [`merge_labels`] that failed: the input whose stream did (0 or
+/// 1), and its error.
+#[derive(Debug)]
+pub struct MergeError {
+    /// The input at fault.
+    pub input: usize,
+    /// What its stream refused.
+    pub error: StoreError,
+}
+
+/// Join the labels of two inputs with one streaming merge of their
+/// ascending [`KeyStream`]s: a store's `DICT` ([`DictKeys`]), or a
+/// parsed text's labels in [`Vocab::hash_order`] ([`VocabKeys`]).
+/// Session label ids are the ranks of the merged order, the blank
+/// label being 0, so a label both inputs hold gets one id and every map
+/// ascends. Keys are compared by hash and kind first; text is compared
+/// only when both tie.
+///
+/// Kinds are kept for every session label. Texts are kept only when
+/// `texts` is given: each session label is then interned into it in id
+/// order, so a fresh vocabulary comes out with the session's ids.
+///
+/// The first error of either stream ends the merge, naming its input.
+pub fn merge_labels<'a>(
+    streams: [&mut dyn KeyStream<'a>; 2],
+    texts: Option<&mut Vocab>,
+) -> Result<LabelMerge, MergeError> {
+    use std::cmp::Ordering::{Greater, Less};
+    let hints = [streams[0].len_hint(), streams[1].len_hint()];
+    let mut out = Merged {
+        maps: hints.map(|n| {
+            let mut map = Vec::with_capacity(n + 1);
+            map.push(LabelId::BLANK);
+            map
+        }),
+        kinds: Vec::with_capacity(hints[0].max(hints[1]) + 1),
+        shared: 0,
+        texts,
+    };
+    out.kinds.push(LabelKind::Blank);
+    let mut batches: [Vec<LabelKey<'a>>; 2] =
+        [Vec::with_capacity(KEY_BATCH), Vec::with_capacity(KEY_BATCH)];
+    let mut at = [0usize; 2];
+    loop {
+        // Both batches hold keys: the common case, with no refill test.
+        while at[0] < batches[0].len() && at[1] < batches[1].len() {
+            let (x, y) = (batches[0][at[0]], batches[1][at[1]]);
+            let order = x.cmp(&y);
+            out.emit(if order == Greater { y } else { x }, order);
+            at[0] += usize::from(order != Greater);
+            at[1] += usize::from(order != Less);
+        }
+        let mut live = [false; 2];
+        for input in 0..2 {
+            if at[input] == batches[input].len() {
+                batches[input].clear();
+                at[input] = 0;
+                streams[input]
+                    .next_batch(&mut batches[input])
+                    .map_err(|error| MergeError { input, error })?;
+            }
+            live[input] = !batches[input].is_empty();
+        }
+        match live {
+            [false, false] => break,
+            [true, false] => {
+                out.emit(batches[0][at[0]], Less);
+                at[0] += 1;
+            }
+            [false, true] => {
+                out.emit(batches[1][at[1]], Greater);
+                at[1] += 1;
+            }
+            [true, true] => {}
+        }
+    }
+    Ok(LabelMerge {
+        maps: out.maps,
+        kinds: out.kinds,
+        shared: out.shared,
+    })
+}
+
+/// What [`merge_labels`] has built so far.
+struct Merged<'v> {
+    maps: [Vec<LabelId>; 2],
+    kinds: Vec<LabelKind>,
+    shared: usize,
+    texts: Option<&'v mut Vocab>,
+}
+
+impl Merged<'_> {
+    /// Give `key` the next session id: `order` is how input 0's key
+    /// compared with input 1's, so `Less` is input 0's alone,
+    /// `Greater` input 1's alone and `Equal` both.
+    #[inline]
+    fn emit(&mut self, key: LabelKey<'_>, order: std::cmp::Ordering) {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let id = LabelId(
+            u32::try_from(self.kinds.len())
+                .expect("session exceeds u32 label ids"),
+        );
+        self.kinds.push(key.kind);
+        if let Some(texts) = self.texts.as_deref_mut() {
+            let got = texts.intern_hashed(key.kind, key.text, key.hash);
+            debug_assert_eq!(got, id, "texts are filled in id order");
+        }
+        if order != Greater {
+            self.maps[0].push(id);
+        }
+        if order != Less {
+            self.maps[1].push(id);
+        }
+        self.shared += usize::from(order == Equal);
     }
 }
 
@@ -199,27 +617,35 @@ pub fn intern_entries(
     entries: &mut DictEntries<'_>,
     vocab: &mut Vocab,
 ) -> Result<DictJoin, StoreError> {
-    let before = vocab.len();
     let body = entries.buf.len() - entries.pos;
-    vocab.reserve(
-        before.max(entries.capacity_hint()),
-        vocab.text_bytes().max(body),
-    );
-    let mut map = Vec::with_capacity(entries.capacity_hint());
+    let mut keys = DictKeys::new(entries.clone());
+    let join = intern_keys(&mut keys, body, vocab)?;
+    *entries = keys.entries.clone();
+    Ok(join)
+}
+
+/// [`intern_entries`] over a key stream, with `body` bytes left to
+/// walk as the bound on its text.
+pub(crate) fn intern_keys<'a>(
+    keys: &mut dyn KeyStream<'a>,
+    body: usize,
+    vocab: &mut Vocab,
+) -> Result<DictJoin, StoreError> {
+    let before = vocab.len();
+    let labels = keys.len_hint() + 1;
+    vocab.reserve(before.max(labels), vocab.text_bytes().max(body));
+    let mut map = Vec::with_capacity(labels);
     map.push(LabelId::BLANK);
-    let mut prev: Option<(u64, LabelKind, &str)> = None;
-    for entry in entries {
-        let (kind, text) = entry?;
-        let key = (label_hash(kind, text), kind, text);
-        if prev.is_some_and(|prev| prev >= key) {
-            return Err(StoreError::Corrupt(
-                "dictionary entries not strictly ascending by \
-                 (hash, kind, text): repeated or out of order"
-                    .into(),
-            ));
+    let mut batch = Vec::with_capacity(KEY_BATCH);
+    loop {
+        batch.clear();
+        keys.next_batch(&mut batch)?;
+        if batch.is_empty() {
+            break;
         }
-        prev = Some(key);
-        map.push(vocab.intern_hashed(kind, text, key.0));
+        for key in &batch {
+            map.push(vocab.intern_hashed(key.kind, key.text, key.hash));
+        }
     }
     Ok(DictJoin {
         new: vocab.len() - before,

@@ -25,9 +25,7 @@
 
 use crate::borrowed::BorrowedStoreReader;
 use crate::container::{ContainerWriter, KIND_GRAPH, FORMAT_VERSION_FIXED};
-use crate::dict::{
-    intern_entries, read_str, write_dict, DictEntries, DictJoin,
-};
+use crate::dict::{read_str, write_dict, DictEntries};
 use crate::error::StoreError;
 use crate::fixed::{
     check_pad8, encode_node_fixed_into, encode_trpl_fixed_into, pad8,
@@ -180,7 +178,7 @@ pub(crate) fn decode_bnam(
 /// Start the walk of a `DICT` body whose entry count must match the
 /// header's `expected` exactly. The count is checked before any entry
 /// is read, so a mismatch interns nothing.
-fn dict_section(
+pub(crate) fn dict_section(
     dict: &[u8],
     expected: u64,
 ) -> Result<DictEntries<'_>, StoreError> {
@@ -192,20 +190,6 @@ fn dict_section(
         )));
     }
     Ok(entries)
-}
-
-/// Intern a `DICT` body into `vocab` (see [`intern_entries`]). The body
-/// keeps its varint encoding and ends in the pad-to-8 tail, which is
-/// verified here.
-pub(crate) fn join_dict_section(
-    dict: &[u8],
-    expected: u64,
-    vocab: &mut Vocab,
-) -> Result<DictJoin, StoreError> {
-    let mut entries = dict_section(dict, expected)?;
-    let join = intern_entries(&mut entries, vocab)?;
-    check_pad8(dict, entries.pos(), "DICT section")?;
-    Ok(join)
 }
 
 /// The entry count of a `DICT` body, without reading an entry: it must

@@ -2,11 +2,18 @@
 //! memory-mapped file when the platform allows it, an 8-aligned owned
 //! buffer otherwise.
 //!
-//! The mapping is std-only: a raw `mmap(2)`/`munmap(2)` syscall pair
-//! on Linux x86-64 and aarch64 (no libc crate, nothing to install),
-//! and a single `read_to_end`-style fallback everywhere else — so
-//! every platform and the CI container keep working, just without
+//! The mapping is std-only: raw `mmap(2)`/`munmap(2)` syscalls on
+//! Linux x86-64 and aarch64 (no libc crate, nothing to install), and a
+//! single `read_to_end`-style fallback everywhere else — so every
+//! platform and the CI container keep working, just without
 //! page-cache sharing. A failed map falls back the same way.
+//!
+//! A reader that is done with a stretch of the file hands it to
+//! [`StoreBuf::release`], which drops its pages from the process with
+//! `madvise(MADV_DONTNEED)`: the mapping is private and never written,
+//! so a later read of the same bytes faults them back in from the page
+//! cache unchanged. That is how a load keeps only the pages near its
+//! cursor resident. On the owned fallback it does nothing.
 //!
 //! Either way the buffer base is at least 8-aligned (pages are
 //! page-aligned; the owned fallback stores `u64` words), which is what
@@ -23,6 +30,18 @@ const MMAP_SUPPORTED: bool = cfg!(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ));
+
+/// The page size [`StoreBuf::release`] aligns to. A kernel with larger
+/// pages refuses the misaligned spans, and those pages stay resident.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+const PAGE: usize = 4096;
+
+/// Bytes a reader walks between two releases of the pages behind its
+/// cursor ([`StoreBuf::release`]): the most of one walk left resident.
+pub const RELEASE_WINDOW: usize = 1 << 20;
 
 /// An owned byte buffer whose base is 8-aligned: `u64` storage viewed
 /// as bytes. `Vec<u8>` guarantees only 1-alignment, which would defeat
@@ -96,7 +115,7 @@ struct RawMapping {
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
 mod sys {
-    //! The two syscalls, invoked directly so the crate stays std-only.
+    //! The syscalls, invoked directly so the crate stays std-only.
     use super::RawMapping;
     use std::os::fd::RawFd;
 
@@ -107,10 +126,16 @@ mod sys {
     const SYS_MMAP: usize = 9;
     #[cfg(target_arch = "x86_64")]
     const SYS_MUNMAP: usize = 11;
+    #[cfg(target_arch = "x86_64")]
+    const SYS_MADVISE: usize = 28;
     #[cfg(target_arch = "aarch64")]
     const SYS_MMAP: usize = 222;
     #[cfg(target_arch = "aarch64")]
     const SYS_MUNMAP: usize = 215;
+    #[cfg(target_arch = "aarch64")]
+    const SYS_MADVISE: usize = 233;
+
+    const MADV_DONTNEED: usize = 4;
 
     #[cfg(target_arch = "x86_64")]
     #[allow(unsafe_code)]
@@ -200,6 +225,21 @@ mod sys {
             addr: ret as *const u8,
             len,
         })
+    }
+
+    /// Drop the pages of `addr..addr + len`, a page-aligned span inside
+    /// a mapping, from the process; the next read faults them back in
+    /// from the file. A failure (say, a kernel with larger pages than
+    /// the span's alignment) leaves them resident, which is harmless.
+    pub(super) fn dont_need(addr: usize, len: usize) {
+        // SAFETY: the span lies inside a live read-only private file
+        // mapping that is never written, so dropping its pages changes
+        // no byte a reader can observe: a later access re-reads them
+        // from the file.
+        #[allow(unsafe_code)]
+        unsafe {
+            syscall6(SYS_MADVISE, addr, len, MADV_DONTNEED, 0, 0, 0);
+        }
     }
 
     pub(super) fn unmap(m: &RawMapping) {
@@ -347,6 +387,38 @@ impl StoreBuf {
         self.len() == 0
     }
 
+    /// Release the pages that lie wholly inside `done`, a stretch of
+    /// [`StoreBuf::as_slice`] the caller has finished reading: on a
+    /// mapping they are dropped from the resident set (see the module
+    /// docs), and reading them again faults them back in with the same
+    /// bytes. Pages shared with bytes outside `done` stay. On the owned
+    /// fallback, and for a slice that is not part of this buffer, it
+    /// does nothing.
+    pub fn release(&self, done: &[u8]) {
+        #[cfg(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        ))]
+        if let BufImpl::Mapped(m) = &self.inner {
+            let base = m.addr as usize;
+            let start = done.as_ptr() as usize;
+            let end = start + done.len();
+            if start < base || end > base + m.len {
+                return;
+            }
+            let first = start.next_multiple_of(PAGE);
+            let last = end / PAGE * PAGE;
+            if first < last {
+                sys::dont_need(first, last - first);
+            }
+        }
+        #[cfg(not(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        )))]
+        let _ = done;
+    }
+
     /// Whether the bytes come from a memory mapping (false: owned
     /// fallback buffer).
     pub fn is_mapped(&self) -> bool {
@@ -406,6 +478,28 @@ mod tests {
         assert!(!owned.is_mapped());
         assert_eq!(owned.as_slice(), data.as_slice());
         assert_eq!(owned.as_slice().as_ptr() as usize % 8, 0);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Releasing a stretch of a mapped file, or of an owned buffer,
+    /// changes no byte a reader sees: the next read serves the same
+    /// bytes, whatever the stretch's alignment, and a slice of another
+    /// buffer is ignored.
+    #[test]
+    fn released_pages_read_back_unchanged() {
+        let path = temp_path("release");
+        let data: Vec<u8> =
+            (0..5 * 4096 + 123u32).map(|i| (i * 31 % 253) as u8).collect();
+        File::create(&path).unwrap().write_all(&data).unwrap();
+        for buf in [StoreBuf::open(&path).unwrap(), StoreBuf::from_bytes(&data)]
+        {
+            let bytes = buf.as_slice();
+            buf.release(&bytes[100..3 * 4096 + 7]);
+            assert_eq!(buf.as_slice(), data.as_slice());
+            buf.release(bytes);
+            buf.release(&data[..4096]);
+            assert_eq!(buf.as_slice(), data.as_slice());
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

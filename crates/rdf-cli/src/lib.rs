@@ -23,7 +23,7 @@ use rdf_store::{BorrowedStoreReader, Layout, StoreError, StoreInfo};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 pub use pipeline::load_input;
 
@@ -464,13 +464,10 @@ fn record_rss(rec: &Recorder, at: &str) {
 /// Trivial, deblank and hybrid read only label equality and kind, so a
 /// session holds no label text unless overlap, the one method that
 /// reads it, asks: a session loaded with texts holds them as a
-/// [`Vocab`] whose ids are the session's, and a text-less one can be
-/// filled once from the same inputs ([`Session::fill_texts`]).
+/// [`Vocab`] whose ids are the session's.
 pub struct Session {
-    /// Every session label's text, when loaded or filled.
-    texts: OnceLock<Vocab>,
-    /// Session labels, the blank label included.
-    labels: usize,
+    /// Every session label's text, when loaded with texts.
+    texts: Option<Vocab>,
     combined: CombinedGraph,
     /// The source's node and triple counts, for the report.
     source: (usize, usize),
@@ -521,8 +518,7 @@ impl Session {
         }
         drop(sp);
         Ok(Session {
-            texts: vocab.map(OnceLock::from).unwrap_or_default(),
-            labels: merge.len(),
+            texts: vocab,
             combined,
             source: source_counts,
             target: target_counts,
@@ -530,44 +526,9 @@ impl Session {
     }
 
     /// Every session label's text, by session id, if the session was
-    /// loaded with texts or has been filled.
+    /// loaded with texts.
     pub fn texts(&self) -> Option<&Vocab> {
-        self.texts.get()
-    }
-
-    /// Give a text-less session its labels' texts, from the inputs it
-    /// was loaded from (the daemon checks they are the same bytes): the
-    /// labels are merged again with texts kept (`store.open` and
-    /// `store.merge` spans), and must come out as the session's labels.
-    /// A session that has its texts keeps them.
-    pub fn fill_texts(
-        &self,
-        source: &Input<'_>,
-        target: &Input<'_>,
-        rec: &Recorder,
-    ) -> Result<&Vocab, CliError> {
-        if let Some(texts) = self.texts.get() {
-            return Ok(texts);
-        }
-        let parts = [source.part(rec)?, target.part(rec)?];
-        let mut vocab = Vocab::new();
-        let merge = merge_parts(
-            [source, target],
-            [&parts[0], &parts[1]],
-            Some(&mut vocab),
-            rec,
-        )?;
-        if merge.len() != self.labels {
-            return Err(CliError::new(format!(
-                "{} + {}: the inputs now hold {} labels, not the \
-                 session's {}",
-                source.path.display(),
-                target.path.display(),
-                merge.len(),
-                self.labels
-            )));
-        }
-        Ok(self.texts.get_or_init(|| vocab))
+        self.texts.as_ref()
     }
 
     /// The union of the two inputs, source first.

@@ -10,7 +10,7 @@
 //!   one-shot load step ([`Session::load`]) and keyed by the content
 //!   hashes of both stores, so a request for the same pair under any
 //!   method reuses it and any other pair replaces it (an overlap
-//!   request fills a text-less session's label texts once);
+//!   request reloads a text-less session with its label texts);
 //! * one scoped thread per connection, up to [`MAX_CONNECTIONS`], so
 //!   an idle client holds only its own thread;
 //! * `workers` permits for heavy requests (`import`, `info`, `align`),
@@ -209,12 +209,13 @@ impl ServeState {
     /// lock, so reports stay byte-identical to `rdf align` and a reuse
     /// opens nothing (no `store.open` span). A session is loaded with
     /// texts only if the request that loads it needs them; a request
-    /// that needs them and finds a text-less session fills it once,
-    /// under the entry's lock, from the inputs it has open
-    /// ([`Session::fill_texts`]). A failed load leaves the entry empty,
-    /// and the next request retries it. A pair with N-Triples text
-    /// bypasses the slot. Opening, hashing, loading and filling each
-    /// run under a permit; waiting on the entry lock does not.
+    /// that needs them and finds a text-less session reloads it with
+    /// texts from the inputs it has open, under the entry's lock, as a
+    /// miss does, and the reloaded session replaces it. A failed load
+    /// leaves the entry empty, and the next request retries it. A pair
+    /// with N-Triples text bypasses the slot. Opening, hashing and
+    /// loading each run under a permit; waiting on the entry lock does
+    /// not.
     fn session(
         &self,
         source: &Path,
@@ -232,16 +233,16 @@ impl ServeState {
         drop(heavy);
         let entry = self.entry((k1, k2));
         let mut loaded = lock(&entry.session);
-        if let Some(session) = &*loaded {
-            self.hits.fetch_add(2, Ordering::Relaxed);
-            if texts && session.texts().is_none() {
-                let _heavy = self.permit();
-                session.fill_texts(&source, &target, rec)?;
+        match &*loaded {
+            Some(session) if !texts || session.texts().is_some() => {
+                self.hits.fetch_add(2, Ordering::Relaxed);
+                return Ok((Arc::clone(session), true));
             }
-            return Ok((Arc::clone(session), true));
+            _ => {}
         }
         self.misses.fetch_add(2, Ordering::Relaxed);
         let _heavy = self.permit();
+        *loaded = None;
         let session = Arc::new(Session::load(source, target, texts, rec)?);
         *loaded = Some(Arc::clone(&session));
         Ok((session, false))

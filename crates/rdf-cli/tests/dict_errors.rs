@@ -1,12 +1,11 @@
 //! Every malformed `DICT` is a typed error through every entry point
 //! that reads it: the owned decode (`read_graph`), the direct join into
 //! a session vocabulary (`read_graph_into`, on a fresh and on a
-//! pre-populated session), the view (`read_view`), the append into a
-//! union (`append_into`), the CLI loader (`load_input`), `rdf align`,
-//! which loads both inputs straight into their union, and `rdf export`
-//! (the CLI's messages name the file), and the session load's merge of
-//! both inputs' labels, on a store/store and an N-Triples/store pair.
-//! Each body is forged in hash
+//! pre-populated session), the view (`read_view`), the CLI loader
+//! (`load_input`), `rdf align`, which loads both inputs straight into
+//! their union, and `rdf export` (the CLI's messages name the file), and
+//! the session load's merge of both inputs' labels, on a store/store
+//! and an N-Triples/store pair. Each body is forged in hash
 //! order, `(label_hash, kind, text)`, up to its one defect, so it
 //! reaches the check it was written for; entries out of that order —
 //! descending, repeated, or tied on the hash in the wrong kind or text
@@ -17,19 +16,22 @@
 //! whose triple breaks an RDF convention the parser enforces (a literal
 //! subject, a blank or literal predicate), written with a correctly
 //! ordered and checksummed `DICT`, is refused by every load that knows
-//! label kinds.
+//! label kinds. A store large enough that its `DICT`, `NODE` and `TRPL`
+//! walks each take several release windows is refused at the record of
+//! a defect placed at the start of its second `TRPL` window.
 
 use rdf_align::Threads;
 use rdf_cli::pipeline::Input;
 use rdf_cli::Session;
 use rdf_model::{
-    label_hash, GraphAppender, GraphBuilder, LabelId, LabelKind, RdfGraph,
-    RdfGraphBuilder, Vocab,
+    label_hash, GraphBuilder, LabelId, LabelKind, RdfGraph, RdfGraphBuilder,
+    Vocab,
 };
 use rdf_obs::Recorder;
 use rdf_store::fixed::{
     encode_node_fixed_into, pad8, parse_fixed_body, FIXED_PREAMBLE,
 };
+use rdf_store::mmap::RELEASE_WINDOW;
 use rdf_store::varint::write_varint;
 use rdf_store::{
     graph_to_bytes, BorrowedStoreReader, Container, ContainerWriter,
@@ -308,13 +310,6 @@ fn malformed_dictionaries_are_typed_errors_everywhere() {
                 &format!("read_graph_into({session})"),
                 reader.read_graph_into(&mut vocab, &rec),
             );
-            let mut union = GraphAppender::new();
-            assert_typed(
-                &case,
-                &format!("append_into({session})"),
-                reader.append_into(&mut vocab, &mut union, &rec),
-            );
-            assert_eq!(union.node_count(), 0, "{}: union changed", case.name);
         }
 
         let path: PathBuf = dir.join(format!("{}.rdfb", case.name));
@@ -362,9 +357,9 @@ fn malformed_dictionaries_are_typed_errors_everywhere() {
 
 /// A store whose `BNAM` names a node beyond the node count, and one
 /// whose `TRPL` records are not ascending, both re-framed with valid
-/// checksums: the union path (`append_into`, `rdf align`) refuses each
-/// with a typed error that names the defect, as the owned decode does,
-/// and leaves the union unchanged.
+/// checksums: the union path (the session load of a store/store and an
+/// N-Triples/store pair, `rdf align`) refuses each with an error that
+/// names the file and the defect, as the owned decode does.
 #[test]
 fn bnam_and_trpl_defects_are_typed_errors_on_the_union_path() {
     let dir = std::env::temp_dir()
@@ -406,23 +401,24 @@ fn bnam_and_trpl_defects_are_typed_errors_on_the_union_path() {
             other => panic!("{name} via {entry}: got {other:?}"),
         };
         typed(reader.read_graph().map(drop), "read_graph");
-        let mut union = GraphAppender::new();
-        let rec = Recorder::disabled();
-        typed(
-            reader.append_into(&mut Vocab::new(), &mut union, &rec).map(drop),
-            "append_into",
-        );
-        assert_eq!(union.node_count(), 0, "{name}: union changed");
 
         let path = dir.join(format!("{name}.rdfb"));
         std::fs::write(&path, &bad).unwrap();
-        let msg = align_error(&path);
-        assert!(
-            msg.contains(&format!("{name}.rdfb"))
-                && msg.contains("corrupt")
-                && msg.contains(defect),
-            "{name} via align: {msg}"
-        );
+        let mut via = vec![("align", align_error(&path))];
+        let text = good_text(&dir);
+        for (pair, [a, b]) in
+            [("store/store", [&path, &path]), ("nt/store", [&text, &path])]
+        {
+            via.extend(session_errors(a, b).into_iter().map(|m| (pair, m)));
+        }
+        for (entry, msg) in via {
+            assert!(
+                msg.contains(&format!("{name}.rdfb"))
+                    && msg.contains("corrupt")
+                    && msg.contains(defect),
+                "{name} via {entry}: {msg}"
+            );
+        }
     }
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -449,7 +445,7 @@ fn assert_info_bisim_refuses(path: &Path, defect: &str) {
 
 /// The label bound on a `NODE` id: the `DICT` entry count. A store
 /// with valid checksums whose `NODE` holds an id equal to the count is
-/// `Corrupt` through the view, the owned decode, the union append and
+/// `Corrupt` through the view, the owned decode, the session load and
 /// `rdf info --bisim`; a `DICT` whose declared count matches the header
 /// but not what its body holds is refused by the view and `info
 /// --bisim` before any entry is read.
@@ -472,15 +468,16 @@ fn node_label_ids_beyond_the_dictionary_are_refused_everywhere() {
     };
     beyond(reader.read_view().map(drop), "read_view");
     beyond(reader.read_graph().map(drop), "read_graph");
-    let mut union = GraphAppender::new();
-    let rec = Recorder::disabled();
-    beyond(
-        reader.append_into(&mut Vocab::new(), &mut union, &rec).map(drop),
-        "append_into",
-    );
-    assert_eq!(union.node_count(), 0, "label bound: union changed");
     let path = dir.join("label-bound.rdfb");
     std::fs::write(&path, &bad).unwrap();
+    for msg in session_errors(&path, &path) {
+        assert!(
+            msg.contains("label-bound.rdfb")
+                && msg.contains("corrupt")
+                && msg.contains("beyond dictionary"),
+            "label bound via the session load: {msg}"
+        );
+    }
     assert_info_bisim_refuses(&path, "beyond dictionary");
 
     // Case 2: a declared count of 2^20 in a body of three entries.
@@ -524,9 +521,8 @@ fn convention_breaker(s: (LabelKind, &str), p: (LabelKind, &str)) -> Vec<u8> {
 
 /// A literal subject, a literal predicate and a blank predicate are
 /// `Corrupt`, naming the `TRPL` record, through the owned decode, the
-/// direct join, the union append, the session load (store/store,
-/// N-Triples/store, with and without texts), `rdf align` and `rdf
-/// export`; the union is left unchanged.
+/// direct join, the session load (store/store, N-Triples/store, with and
+/// without texts), `rdf align` and `rdf export`.
 #[test]
 fn stores_breaking_rdf_conventions_are_refused_everywhere() {
     let dir = std::env::temp_dir()
@@ -560,12 +556,6 @@ fn stores_breaking_rdf_conventions_are_refused_everywhere() {
             reader.read_graph_into(&mut Vocab::new(), &rec).map(drop),
             "read_graph_into",
         );
-        let mut union = GraphAppender::new();
-        typed(
-            reader.append_into(&mut Vocab::new(), &mut union, &rec).map(drop),
-            "append_into",
-        );
-        assert_eq!(union.node_count(), 0, "{name}: union changed");
 
         let path = dir.join(format!("{name}.rdfb"));
         std::fs::write(&path, &bytes).unwrap();
@@ -596,6 +586,131 @@ fn stores_breaking_rdf_conventions_are_refused_everywhere() {
                     && msg.contains("corrupt")
                     && msg.contains(&says)
                     && !msg.contains("panicked"),
+                "{name} via {entry}: {msg}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A chain `n0 -> n1 -> ..` of `nodes` URI nodes under one predicate,
+/// written by the store writer, with node `literal_at` a literal instead
+/// when set. The predicate is the last node, so every node but the last
+/// two is the subject of one triple, and node `k`'s triple is `TRPL`
+/// record `k`.
+fn chain_store(nodes: usize, literal_at: Option<usize>) -> Vec<u8> {
+    let mut vocab = Vocab::new();
+    let mut b = GraphBuilder::new();
+    let chain: Vec<_> = (0..nodes)
+        .map(|i| {
+            let text = format!("n{i}");
+            let label = if literal_at == Some(i) {
+                vocab.literal(&text)
+            } else {
+                vocab.uri(&text)
+            };
+            b.add_node(label, &vocab)
+        })
+        .collect();
+    let next = b.add_node(vocab.uri("next"), &vocab);
+    for pair in chain.windows(2) {
+        b.add_triple(pair[0], next, pair[1]);
+    }
+    let g = RdfGraph::from_raw_parts(b.freeze(), Default::default());
+    graph_to_bytes(&vocab, &g).unwrap()
+}
+
+/// A fixed `TRPL` body with records `at` and `at + 1` swapped in every
+/// column, so record `at + 1` is the one triple that descends.
+fn swapped_records(body: &[u8], at: usize) -> Vec<u8> {
+    let fb = parse_fixed_body(body, 3, None, "TRPL").unwrap();
+    let width = fb.width as usize;
+    let mut out = body.to_vec();
+    for c in 0..3 {
+        let start = FIXED_PREAMBLE + c * fb.col_stride + at * width;
+        let pair = &mut out[start..start + 2 * width];
+        pair.rotate_left(width);
+    }
+    out
+}
+
+/// A store whose `DICT`, `NODE` and `TRPL` walks each take more than one
+/// release window (and `TRPL` more than three) loads whole through the
+/// session load. With a defect at the first record of its second `TRPL`
+/// window — a descending pair straddling the window boundary, or a
+/// literal subject — the owned decode, the direct join, the session load
+/// (store/store and N-Triples/store, with and without texts) and `rdf
+/// align` each refuse it at that record.
+#[test]
+fn defects_past_the_first_window_are_refused_at_their_record() {
+    let dir = std::env::temp_dir()
+        .join(format!("rdf-cli-windows-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // Node and triple ids above 65535 make every column 4 bytes wide: a
+    // `NODE` window holds RELEASE_WINDOW / 4 labels, a `TRPL` window
+    // RELEASE_WINDOW / 12 records.
+    let nodes = RELEASE_WINDOW / 4 + 1_000;
+    let step = RELEASE_WINDOW / 12;
+    let valid = chain_store(nodes, None);
+    let c = Container::parse(&valid).unwrap();
+    let trpl = c.section(*b"TRPL").unwrap();
+    assert_eq!(parse_fixed_body(trpl, 3, None, "TRPL").unwrap().width, 4);
+    assert!(c.section(*b"DICT").unwrap().len() > 2 * RELEASE_WINDOW);
+    assert!(nodes - 2 > 3 * step);
+
+    let path = dir.join("valid.rdfb");
+    std::fs::write(&path, &valid).unwrap();
+    let (s, t) = (Input::open(&path).unwrap(), Input::open(&path).unwrap());
+    let session = Session::load(s, t, false, &Recorder::disabled()).unwrap();
+    let union = session.combined().graph();
+    assert_eq!(union.node_count(), 2 * (nodes + 1));
+    assert_eq!(union.triple_count(), 2 * (nodes - 1));
+    let (_, owned) = BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&valid))
+        .read_graph()
+        .unwrap();
+    assert!(owned.graph().triples().eq(union.triples().take(nodes - 1)));
+
+    let text = good_text(&dir);
+    for (name, bad, says) in [
+        (
+            "descending",
+            reframe(&valid, b"TRPL", &swapped_records(trpl, step - 1), None),
+            format!("not strictly ascending at record {step}"),
+        ),
+        (
+            "litsubj",
+            chain_store(nodes, Some(step)),
+            format!("record {step}: literal in subject position"),
+        ),
+    ] {
+        let reader = BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bad));
+        reader.info().expect("checksums are valid");
+        let typed = |got: Result<(), StoreError>, entry: &str| match got {
+            Err(StoreError::Corrupt(m)) if m.contains(&says) => {}
+            other => panic!("{name} via {entry}: got {other:?}"),
+        };
+        typed(reader.read_graph().map(drop), "read_graph");
+        typed(
+            reader
+                .read_graph_into(&mut populated(), &Recorder::disabled())
+                .map(drop),
+            "read_graph_into",
+        );
+        let path = dir.join(format!("{name}.rdfb"));
+        std::fs::write(&path, &bad).unwrap();
+        let mut via = vec![("align", align_error(&path))];
+        for (pair, [a, b]) in
+            [("store/store", [&path, &path]), ("nt/store", [&text, &path])]
+        {
+            via.extend(session_errors(a, b).into_iter().map(|m| (pair, m)));
+        }
+        for (entry, msg) in via {
+            assert!(
+                msg.contains(&format!("{name}.rdfb"))
+                    && msg.contains("corrupt")
+                    && msg.contains(&says),
                 "{name} via {entry}: {msg}"
             );
         }

@@ -322,13 +322,14 @@ fn every_method_matches_one_shot_cold_and_warm_across_pairs() {
 }
 
 /// A session loaded by a hybrid align holds no label text; the first
-/// overlap align on it fills the texts once from the inputs it opened
-/// (its trace opens both stores and merges their labels, but builds no
-/// union), and later aligns of either method reuse the session as it
-/// is. Every report equals the one-shot CLI's.
+/// overlap align on it reloads the pair with texts, as a miss loads it
+/// (its trace opens both stores, merges their labels and builds the
+/// union; `stats` counts its misses), and later aligns of either method
+/// reuse the reloaded session as it is. Every report equals the
+/// one-shot CLI's.
 #[test]
-fn overlap_fills_a_text_less_session_once() {
-    let dir = TempDir::new("fill");
+fn overlap_reloads_a_text_less_session_with_texts() {
+    let dir = TempDir::new("reload");
     let (v1, v2) = fixture(&dir);
     let daemon = Daemon::start(&dir.path("rdf.sock"), &[]);
     let request = |method: &str, trace: &Path| {
@@ -351,7 +352,7 @@ fn overlap_fills_a_text_less_session_once() {
     let (hybrid, overlap) = (one_shot("hybrid"), one_shot("overlap"));
     let steps = [
         ("hybrid", &hybrid, [2, 1, 1]),
-        ("overlap", &overlap, [2, 1, 0]),
+        ("overlap", &overlap, [2, 1, 1]),
         ("hybrid", &hybrid, [0, 0, 0]),
         ("overlap", &overlap, [0, 0, 0]),
     ];
@@ -362,6 +363,9 @@ fn overlap_fills_a_text_less_session_once() {
         assert_eq!(count(&trace, "store.merge"), merges, "step {i}: {trace}");
         assert_eq!(count(&trace, "align.union"), unions, "step {i}: {trace}");
     }
+    let stats =
+        run_ok(&["request", "--socket", daemon.sock(), r#"{"op":"stats"}"#]);
+    assert!(stats.contains("cache hits 4 misses 4"), "{stats}");
 }
 
 /// Re-importing a store while an align over it is in flight: the

@@ -963,6 +963,84 @@ mod tests {
         assert!(empty.out_columns().is_empty());
     }
 
+    /// Everything a graph holds, for comparing appender states.
+    fn parts(g: &TripleGraph) -> (Vec<LabelId>, Vec<LabelKind>, Vec<Triple>) {
+        (g.labels.clone(), g.kinds.clone(), g.triples().collect())
+    }
+
+    /// A part fed in runs: each run is checked against the last triple
+    /// of the runs before it, an error's index is the triple's within
+    /// the part, and a part dropped unfinished — after a refused run, or
+    /// after good runs only — leaves the appender as it was, whether it
+    /// held a part before or none. Pushed in order, the runs append what
+    /// one `append_columns` appends.
+    #[test]
+    fn part_runs_are_checked_across_runs_and_rolled_back() {
+        // A chain 0 -> 1 -> .. -> 5 under predicate node 6.
+        let nodes = 7;
+        let labels: Vec<LabelId> = (1..=nodes).map(LabelId).collect();
+        let kinds = vec![LabelKind::Uri; nodes as usize];
+        let s: Vec<NodeId> = (0..5).map(NodeId).collect();
+        let p = vec![NodeId(6); 5];
+        let o: Vec<NodeId> = (1..6).map(NodeId).collect();
+        let runs = [0..2, 2..4, 4..5];
+        let feed = |appender: &mut GraphAppender,
+                    s: &[NodeId],
+                    o: &[NodeId],
+                    finish: bool| {
+            let mut part =
+                appender.part(labels.clone(), kinds.clone(), s.len())?;
+            for r in runs.clone() {
+                part.push(&s[r.clone()], &p[r.clone()], &o[r])?;
+            }
+            if finish {
+                part.finish();
+            }
+            Ok::<(), ViewError>(())
+        };
+        // Records 1 and 2 swapped: the pair straddles the first run
+        // boundary, and record 2 is the one that descends.
+        let (mut s_bad, mut o_bad) = (s.clone(), o.clone());
+        s_bad.swap(1, 2);
+        o_bad.swap(1, 2);
+        // Record 4, alone in the last run, names a node beyond the part.
+        let mut o_far = o.clone();
+        o_far[4] = NodeId(nodes);
+
+        let (_, g) = tiny();
+        for held in [None, Some(&g)] {
+            let mut appender = GraphAppender::new();
+            if let Some(g) = held {
+                appender.append_graph(g);
+            }
+            let before = parts(&appender.clone().finish());
+            assert_eq!(
+                feed(&mut appender, &s_bad, &o_bad, true),
+                Err(ViewError::Unsorted { at: 2 })
+            );
+            assert_eq!(parts(&appender.clone().finish()), before);
+            assert!(matches!(
+                feed(&mut appender, &s, &o_far, true),
+                Err(ViewError::Raw(RawPartsError::NodeOutOfRange { .. }))
+            ));
+            assert_eq!(parts(&appender.clone().finish()), before);
+            feed(&mut appender, &s, &o, false).unwrap();
+            assert_eq!(parts(&appender.clone().finish()), before);
+
+            feed(&mut appender, &s, &o, true).unwrap();
+            let mut whole = GraphAppender::new();
+            if let Some(g) = held {
+                whole.append_graph(g);
+            }
+            whole
+                .append_columns(labels.clone(), kinds.clone(), &s, &p, &o)
+                .unwrap();
+            let (fed, whole) = (appender.finish(), whole.finish());
+            assert_eq!(parts(&fed), parts(&whole));
+            assert_eq!(fed.offsets, whole.offsets);
+        }
+    }
+
     #[test]
     fn raw_parts_round_trip() {
         let (_, g) = tiny();

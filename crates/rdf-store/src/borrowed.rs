@@ -21,11 +21,9 @@
 //!   its columns appended to a [`GraphAppender`] (the union of two
 //!   versions) through the resulting id map, with `BNAM` checked but
 //!   not kept, for `align` (one-shot and served);
-//!   [`BorrowedStoreReader::append_into`] is the same append with the
-//!   `DICT` interned into a caller's [`Vocab`] instead;
-//! * [`BorrowedStoreReader::read_graph_into`] — the append into an
-//!   empty appender with the `DICT` interned into a [`Vocab`], plus
-//!   `BNAM` decoded, as an owned [`RdfGraph`], for `export`.
+//! * [`BorrowedStoreReader::read_graph_into`] — the same append into an
+//!   empty appender with the `DICT` interned into a [`Vocab`] instead,
+//!   plus `BNAM` decoded, as an owned [`RdfGraph`], for `export`.
 //!
 //! Every pass over a mapped buffer releases the pages behind it
 //! ([`StoreBuf::release`]): the checksum pass, and each section walk of
@@ -308,16 +306,22 @@ impl BorrowedStoreReader {
     }
 
     /// Load the graph with its labels interned straight into `vocab`:
-    /// [`BorrowedStoreReader::append_into`] run on an empty
-    /// [`GraphAppender`], plus the `BNAM` names. The graph equals
-    /// [`rdf_model::rebase_into`] of [`read_graph`] into the same
-    /// vocabulary, without building the store's own vocabulary first.
+    /// the mapped `DICT` is walked as borrowed text and each entry is
+    /// interned with one hash ([`intern_entries`]), then the columns are
+    /// appended to an empty [`GraphAppender`] through the resulting id
+    /// map, as [`GraphPart::append_into`] appends them, and the `BNAM`
+    /// names are decoded. The graph equals [`rdf_model::rebase_into`] of
+    /// [`read_graph`] into the same vocabulary, without building the
+    /// store's own vocabulary first.
     ///
-    /// Emits the spans of [`BorrowedStoreReader::append_into`]. Every
-    /// check applies, each a typed [`StoreError`]. On error `vocab`
-    /// keeps any labels interned before the error was found.
+    /// Emits one `store.open` span, one `store.section` span per section
+    /// body (the `DICT` span carries `labels_new` and `labels_shared`)
+    /// and one `store.append` span. Every check applies, each a typed
+    /// [`StoreError`]. On error `vocab` keeps any labels interned before
+    /// the error was found.
     ///
     /// [`read_graph`]: BorrowedStoreReader::read_graph
+    /// [`intern_entries`]: crate::dict::intern_entries
     pub fn read_graph_into(
         &self,
         vocab: &mut Vocab,
@@ -336,31 +340,6 @@ impl BorrowedStoreReader {
         };
         self.buf.release(bnam_body);
         Ok(RdfGraph::from_raw_parts(graph.finish(), blank_names))
-    }
-
-    /// Append the graph to `union` as its next part, with its labels
-    /// interned straight into `vocab`: the mapped `DICT` is walked as
-    /// borrowed text and each entry is interned with one hash
-    /// ([`intern_entries`]), then the part is appended through the
-    /// resulting id map ([`GraphPart::append_into`]). Returns the
-    /// part's node and triple counts.
-    ///
-    /// Emits one `store.open` span, one `store.section` span per
-    /// section body (the `DICT` span carries `labels_new` and
-    /// `labels_shared`) and one `store.append` span. Every check is a
-    /// typed [`StoreError`]; on error `union` is left as it was, and
-    /// `vocab` keeps any labels interned before the error was found.
-    ///
-    /// [`intern_entries`]: crate::dict::intern_entries
-    pub fn append_into(
-        &self,
-        vocab: &mut Vocab,
-        union: &mut GraphAppender,
-        rec: &Recorder,
-    ) -> Result<(usize, usize), StoreError> {
-        let part = self.part(rec)?;
-        let map = part.intern_into(vocab, rec)?;
-        part.append_into(&map, vocab.kinds(), union, rec)
     }
 
     /// Parse and validate the container for a load ([`container`]) and

@@ -72,14 +72,6 @@ pub fn save_archive<W: Write>(
     vocab: &Vocab,
     archive: &Archive,
 ) -> Result<(), StoreError> {
-    // DICT — the whole vocabulary, ids preserved verbatim.
-    let mut dict = Vec::new();
-    write_dict(
-        &mut dict,
-        vocab,
-        (1..vocab.len()).map(|i| LabelId(i as u32)),
-    )?;
-
     let mut meta = Vec::new();
     write_varint(&mut meta, u64::from(archive.num_versions));
     write_varint(&mut meta, u64::from(archive.next_canon));
@@ -141,12 +133,15 @@ pub fn save_archive<W: Write>(
         archive.triples.len() as u64,
     ];
     let mut w = ContainerWriter::new();
-    w.section(TAG_DICT, dict)
-        .section(TAG_META, meta)
-        .section(TAG_LIFE, life)
-        .section(TAG_LABL, labl)
-        .section(TAG_TRPL, trpl)
-        .section(TAG_LMAP, lmap);
+    // DICT — the whole vocabulary, ids preserved verbatim.
+    w.windowed(TAG_DICT, |w| {
+        write_dict(w, vocab, (1..vocab.len()).map(|i| LabelId(i as u32)))
+    })
+    .section(TAG_META, meta)
+    .section(TAG_LIFE, life)
+    .section(TAG_LABL, labl)
+    .section(TAG_TRPL, trpl)
+    .section(TAG_LMAP, lmap);
     w.finish(&mut out, KIND_ARCHIVE, counts)?;
     out.flush()?;
     Ok(())

@@ -17,7 +17,7 @@ use rdf_align::pipeline::{align_combined, Aligned, Method};
 use rdf_align::refine::{verify_stable, Unstable};
 use rdf_align::{RefineEngine, Threads};
 use rdf_model::{CombinedGraph, GraphAppender, Vocab};
-use rdf_obs::{Recorder, RunReport};
+use rdf_obs::{record_rss, Recorder, RunReport};
 use rdf_store::dict::{merge_labels, LabelMerge};
 use rdf_store::{BorrowedStoreReader, Layout, StoreError, StoreInfo};
 use std::fmt;
@@ -56,8 +56,10 @@ impl From<Unstable> for CliError {
 /// `rdf import <input.nt> <output.rdfb>` — stream-parse N-Triples
 /// into one dictionary-encoded `.rdfb` store in the fixed-width layout.
 /// The streaming parse+write is wrapped in one `import.run` span into
-/// `rec`, split into `import.parse` and `import.write`; the report text
-/// is the same with [`Recorder::disabled`].
+/// `rec`, split into `import.parse` and `import.write`, and the
+/// `rss.parse.*` and `rss.end.*` gauges ([`record_rss`]) are recorded
+/// as the parse and the command end; the report text is the same with
+/// [`Recorder::disabled`].
 ///
 /// The store is written to a temporary file beside `output` and renamed
 /// over it only once complete, so a failed import leaves an existing
@@ -82,20 +84,21 @@ pub fn import_traced(
             std::fs::rename(&tmp, output).map_err(|e| ctx(output, e))?;
             Ok(parsed)
         });
-    let (vocab, graph) = written.inspect_err(|_| {
+    let imported = written.inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
     })?;
-    sp.field("nodes", graph.node_count());
-    sp.field("triples", graph.triple_count());
+    sp.field("nodes", imported.nodes);
+    sp.field("triples", imported.triples);
     drop(sp);
+    record_rss(rec, "end");
     let out_bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
     Ok(format!(
         "imported {} -> {}\n  nodes {} triples {} labels {}\n  {} bytes -> {} bytes\n",
         input.display(),
         output.display(),
-        graph.node_count(),
-        graph.triple_count(),
-        vocab.len(),
+        imported.nodes,
+        imported.triples,
+        imported.labels,
         in_bytes,
         out_bytes,
     ))
@@ -423,36 +426,6 @@ pub fn align_traced(
     let outcome = session.align(source, target, method, threads, verify, rec);
     record_rss(rec, "end");
     outcome
-}
-
-/// Record the process's resident memory into `rec` as three gauges,
-/// `rss.<at>.vm_hwm_kib` (peak resident set so far), `rss.<at>.rss_anon_kib`
-/// (anonymous pages) and `rss.<at>.rss_file_kib` (file-backed pages,
-/// such as a mapped store's), read from `/proc/self/status` in KiB.
-/// Where that file does not exist, and when `rec` is disabled, nothing
-/// is recorded. `rdf align --trace` records them at the end of
-/// `align.union` (`at` = `union`) and at the end of the command
-/// (`end`).
-fn record_rss(rec: &Recorder, at: &str) {
-    if !rec.enabled() {
-        return;
-    }
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return;
-    };
-    for (key, name) in [
-        ("VmHWM:", "vm_hwm_kib"),
-        ("RssAnon:", "rss_anon_kib"),
-        ("RssFile:", "rss_file_kib"),
-    ] {
-        let kib = status.lines().find_map(|line| {
-            let value = line.strip_prefix(key)?.trim();
-            value.strip_suffix("kB")?.trim().parse::<u64>().ok()
-        });
-        if let Some(kib) = kib {
-            rec.gauge(&format!("rss.{at}.{name}")).set(kib);
-        }
-    }
 }
 
 /// The union of one `align`'s two inputs, loaded straight into one

@@ -248,9 +248,11 @@ impl ServeState {
         Ok((session, false))
     }
 
-    /// Render the `stats` report.
+    /// Render the `stats` report. Its last line, the daemon's resident
+    /// and peak resident memory in KiB (`VmRSS` and `VmHWM` of
+    /// `/proc/self/status`), is left out where that file does not exist.
     fn stats_text(&self) -> String {
-        format!(
+        let mut text = format!(
             "rdf serve stats\n\
              \x20 uptime_s {}\n\
              \x20 requests {} errors {}\n\
@@ -262,7 +264,13 @@ impl ServeState {
             self.workers,
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
-        )
+        );
+        let status = rdf_obs::proc_status().unwrap_or_default();
+        let kib = |key| rdf_obs::status_kib(&status, key);
+        if let (Some(rss), Some(hwm)) = (kib("VmRSS"), kib("VmHWM")) {
+            text += &format!("  memory vm_rss_kib {rss} vm_hwm_kib {hwm}\n");
+        }
+        text
     }
 
     /// Track a live connection by its read-side closer, or `None` when

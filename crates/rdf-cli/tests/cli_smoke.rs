@@ -524,6 +524,25 @@ fn trace_and_stats_cover_span_families() {
     run_ok(&["import", s(&dir.path("efo-v1.nt")), s(&v1)]);
     run_ok(&["import", s(&dir.path("efo-v2.nt")), s(&v2)]);
 
+    // A traced import writes the same store, and on Linux records the
+    // peak resident set as its parse and the command end.
+    let import_trace = dir.path("import.jsonl");
+    let traced_v1 = dir.path("v1-traced.rdfb");
+    run_ok(&[
+        "import", "--trace", s(&import_trace),
+        s(&dir.path("efo-v1.nt")), s(&traced_v1),
+    ]);
+    assert_eq!(std::fs::read(&traced_v1).unwrap(), std::fs::read(&v1).unwrap());
+    let text = std::fs::read_to_string(&import_trace).unwrap();
+    let report = rdf_obs::RunReport::from_jsonl(&text).unwrap();
+    assert!(report.span("import.write").is_some(), "{text}");
+    if cfg!(target_os = "linux") {
+        for at in ["parse", "end"] {
+            let gauge = format!("rss.{at}.vm_hwm_kib");
+            assert!(report.gauge(&gauge) > Some(0), "{gauge}: {text}");
+        }
+    }
+
     // Traced and untraced runs print byte-identical reports.
     let untraced = run_ok(&["align", "--method", "hybrid", s(&v1), s(&v2)]);
     let trace = dir.path("t.jsonl");
@@ -683,7 +702,8 @@ fn errors_exit_nonzero_with_context() {
 
 /// A failed import over an existing store leaves it byte-identical:
 /// the new store is written beside it and renamed into place only on
-/// success, and the temporary file is removed either way.
+/// success, and the temporary file is removed either way. A failed
+/// import to a new path leaves no file behind.
 #[test]
 fn failed_import_leaves_existing_store_intact() {
     let dir = TempDir::new("atomic-import");
@@ -703,6 +723,10 @@ fn failed_import_leaves_existing_store_intact() {
     // A successful re-import replaces the store in place.
     run_ok(&["import", s(&good), s(&store)]);
     assert_eq!(std::fs::read(&store).unwrap(), before);
+
+    // A failed import to a new path writes no output at all.
+    let err = run_err(&["import", s(&bad), s(&dir.path("new.rdfb"))]);
+    assert!(err.contains("line 2"), "got: {err}");
 
     let mut names: Vec<String> = std::fs::read_dir(&dir.0)
         .unwrap()

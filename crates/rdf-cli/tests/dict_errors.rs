@@ -24,13 +24,11 @@ use rdf_align::Threads;
 use rdf_cli::pipeline::Input;
 use rdf_cli::Session;
 use rdf_model::{
-    label_hash, GraphBuilder, LabelId, LabelKind, RdfGraph, RdfGraphBuilder,
+    label_hash, GraphBuilder, LabelKind, RdfGraph, RdfGraphBuilder,
     Vocab,
 };
 use rdf_obs::Recorder;
-use rdf_store::fixed::{
-    encode_node_fixed_into, pad8, parse_fixed_body, FIXED_PREAMBLE,
-};
+use rdf_store::fixed::{pad8, parse_fixed_body, FIXED_PREAMBLE};
 use rdf_store::mmap::RELEASE_WINDOW;
 use rdf_store::varint::write_varint;
 use rdf_store::{
@@ -457,8 +455,12 @@ fn node_label_ids_beyond_the_dictionary_are_refused_everywhere() {
     std::fs::create_dir_all(&dir).unwrap();
 
     // Case 1: the sample's labels are dictionary ids 1..=3 of 4.
+    // A fixed `NODE` body: count 3, width 1, then the ids 1, 2 and 4.
     let mut node = Vec::new();
-    encode_node_fixed_into(&mut node, &[LabelId(1), LabelId(2), LabelId(4)]);
+    node.extend_from_slice(&3u64.to_le_bytes());
+    node.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]);
+    node.extend_from_slice(&[1, 2, 4]);
+    pad8(&mut node);
     let bad = reframe(&sample(), b"NODE", &node, None);
     let reader = BorrowedStoreReader::from_buf(StoreBuf::from_bytes(&bad));
     reader.info().expect("checksums are valid");

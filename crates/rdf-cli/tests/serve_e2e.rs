@@ -625,6 +625,51 @@ fn served_info_matches_one_shot_cli() {
     assert!(rest.contains("requests served"), "{rest:?}");
 }
 
+/// A served traced `import` records the resident-memory gauges at the
+/// end of its parse and of the request, and `stats` then reports the
+/// daemon's resident and peak resident memory: on Linux, VmHWM ≥ VmRSS
+/// > 0 KiB; where `/proc/self/status` does not exist, no memory line.
+#[test]
+fn stats_reports_resident_memory_after_a_traced_import() {
+    let dir = TempDir::new("memory");
+    run_ok(&[
+        "gen", "--scale", "0.1", "--versions", "1", "--out-dir", s(&dir.0),
+    ]);
+    let daemon = Daemon::start(&dir.path("rdf.sock"), &[]);
+    let req = format!(
+        r#"{{"op":"import","input":"{}","output":"{}","trace":true}}"#,
+        dir.path("efo-v1.nt").display(),
+        dir.path("v1.rdfb").display()
+    );
+    let reply = &raw_roundtrips(&daemon.socket, &[req])[0];
+    let Response::Ok { trace, .. } = Response::parse(reply).unwrap() else {
+        panic!("import failed: {reply}");
+    };
+    let trace = trace.expect("a traced request returns its trace");
+    let report = rdf_obs::RunReport::from_jsonl(&trace).unwrap();
+    let stats =
+        run_ok(&["request", "--socket", daemon.sock(), r#"{"op":"stats"}"#]);
+    let memory = stats.lines().find_map(|l| l.trim().strip_prefix("memory "));
+    if cfg!(target_os = "linux") {
+        for at in ["parse", "end"] {
+            let gauge = format!("rss.{at}.vm_hwm_kib");
+            assert!(report.gauge(&gauge) > Some(0), "{gauge}: {trace}");
+        }
+        let fields: Vec<&str> =
+            memory.expect("a memory line").split_whitespace().collect();
+        let [_, rss, _, hwm] = fields[..] else {
+            panic!("memory line: {stats}");
+        };
+        let (rss, hwm): (u64, u64) =
+            (rss.parse().unwrap(), hwm.parse().unwrap());
+        assert!(hwm >= rss && rss > 0, "{stats}");
+    } else {
+        assert_eq!(memory, None, "{stats}");
+    }
+    let (clean, _) = daemon.terminate();
+    assert!(clean);
+}
+
 /// The streaming engine is gone, but the protocol still parses its
 /// `streaming` field: `true` on either op gets a typed `bad_request`
 /// that says why, over valid inputs, while `false` is still served.

@@ -219,6 +219,46 @@ fn a_store_and_text_load_into_the_same_union_in_both_orders() {
     assert_union_identity(&t2, &s1);
 }
 
+/// A document of `n` triples, `shift` apart from another of the same
+/// `n`, whose store's `DICT` spans three windows or more and whose
+/// `TRPL` spans two: every triple has its own long literal.
+fn large_document(n: usize, shift: usize) -> String {
+    let mut doc = String::new();
+    for i in shift..shift + n {
+        let s = i / 2;
+        doc.push_str(&match i % 10 {
+            0 => format!("_:b{s} <http://e.org/p> <http://e.org/s{s}> .\n"),
+            _ => format!(
+                "<http://e.org/s{s}> <http://e.org/p{}> \
+                 \"literal number {i}, long enough to fill windows\" .\n",
+                i % 3
+            ),
+        });
+    }
+    doc
+}
+
+/// Stores `rdf import` wrote a window at a time, with sections larger
+/// than a window, load through the store/store session into the union
+/// of their per-version loads.
+#[test]
+fn imported_stores_spanning_windows_load_into_the_same_union() {
+    let dir = TempDir::new("windows");
+    let [s1, s2] = [0, 30_000].map(|shift| {
+        let text = dir.0.join(format!("large-{shift}.nt"));
+        std::fs::write(&text, large_document(100_000, shift)).unwrap();
+        let store = dir.0.join(format!("large-{shift}.rdfb"));
+        rdf_cli::import_traced(&text, &store, &Recorder::disabled()).unwrap();
+        store
+    });
+    let bytes = std::fs::read(&s1).unwrap();
+    let c = rdf_store::Container::parse(&bytes).unwrap();
+    let window = rdf_store::container::SECTION_WINDOW;
+    assert!(c.section(*b"DICT").unwrap().len() > 2 * window);
+    assert!(c.section(*b"TRPL").unwrap().len() > window);
+    assert_union_identity(&s1, &s2);
+}
+
 #[test]
 fn empty_graphs_load_into_the_same_union() {
     let dir = TempDir::new("empty");

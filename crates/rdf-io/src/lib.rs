@@ -28,8 +28,8 @@
 pub mod ntriples;
 
 pub use ntriples::{
-    parse_graph, parse_graph_reader, parse_triples, write_graph, ParseError,
-    ReadError,
+    parse_graph, parse_graph_reader, parse_sorted_reader, parse_triples,
+    write_graph, ParseError, ReadError,
 };
 
 use rdf_model::{RdfGraph, Vocab};

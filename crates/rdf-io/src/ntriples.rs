@@ -14,7 +14,8 @@
 //! only when it holds a `\` escape or a folded suffix.
 
 use rdf_model::{
-    LabelKind, NodeId, RdfError, RdfGraph, RdfGraphBuilder, Term, Vocab,
+    LabelKind, NodeId, RdfError, RdfGraph, RdfGraphBuilder, SortedGraph, Term,
+    Vocab,
 };
 use std::fmt;
 use std::io::{BufRead, Read};
@@ -641,9 +642,20 @@ impl<'v> GraphSink<'v> {
 /// UTF-8 and RDF-convention violations (literal subject, blank or
 /// literal predicate).
 pub fn parse_graph_reader<R: BufRead>(
-    mut reader: R,
+    reader: R,
     vocab: &mut Vocab,
 ) -> Result<RdfGraph, ReadError> {
+    parse_sorted_reader(reader, vocab).map(SortedGraph::into_graph)
+}
+
+/// [`parse_graph_reader`] without the CSR layout: the parsed graph's
+/// node labels, its sorted triples and its blank names
+/// ([`rdf_model::RdfGraphBuilder::finish_sorted`]) — what `rdf import`
+/// writes a store from.
+pub fn parse_sorted_reader<R: BufRead>(
+    mut reader: R,
+    vocab: &mut Vocab,
+) -> Result<SortedGraph, ReadError> {
     let mut sink = GraphSink::new(vocab);
     let mut lines = Lines::default();
     let mut buf: Vec<u8> = Vec::with_capacity(BLOCK);
@@ -664,7 +676,7 @@ pub fn parse_graph_reader<R: BufRead>(
         }
         buf.drain(..cut);
     }
-    Ok(sink.b.finish())
+    Ok(sink.b.finish_sorted())
 }
 
 /// Parse an N-Triples document directly into an [`RdfGraph`], interning

@@ -92,7 +92,7 @@ impl TripleGraph {
 
     /// Lay out sorted, duplicate-free triples whose node ids are below
     /// `labels.len()` as CSR columns.
-    fn from_sorted_triples(
+    pub(crate) fn from_sorted_triples(
         labels: Vec<LabelId>,
         kinds: Vec<LabelKind>,
         triples: &[Triple],
@@ -568,16 +568,23 @@ impl GraphBuilder {
         self.triples.push(Triple::new(s, p, o));
     }
 
-    /// Freeze into an immutable graph: sorts triples, removes duplicates,
-    /// and lays out the CSR columns.
-    pub fn freeze(mut self) -> TripleGraph {
+    /// Sort the triples and remove duplicates, in place, and hand back
+    /// the parts: per-node labels, per-node kinds and the strictly
+    /// ascending triples. Nothing is laid out, so a caller that only
+    /// serialises the graph never builds its CSR.
+    pub fn into_sorted(
+        mut self,
+    ) -> (Vec<LabelId>, Vec<LabelKind>, Vec<Triple>) {
         self.triples.sort_unstable();
         self.triples.dedup();
-        TripleGraph::from_sorted_triples(
-            self.labels,
-            self.kinds,
-            &self.triples,
-        )
+        (self.labels, self.kinds, self.triples)
+    }
+
+    /// Freeze into an immutable graph: sorts triples, removes duplicates,
+    /// and lays out the CSR columns.
+    pub fn freeze(self) -> TripleGraph {
+        let (labels, kinds, triples) = self.into_sorted();
+        TripleGraph::from_sorted_triples(labels, kinds, &triples)
     }
 }
 

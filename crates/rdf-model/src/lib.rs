@@ -52,7 +52,9 @@ pub use view::{
 };
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use label::{label_hash, LabelId, LabelKind, LabelRef, Vocab};
-pub use rdf::{rebase_into, RdfError, RdfGraph, RdfGraphBuilder, Term};
+pub use rdf::{
+    rebase_into, RdfError, RdfGraph, RdfGraphBuilder, SortedGraph, Term,
+};
 pub use stats::GraphStats;
 pub use truth::GroundTruth;
 pub use union::{CombinedGraph, Side};

@@ -9,7 +9,7 @@
 //! locally named blank nodes) and enforces those invariants, producing an
 //! [`RdfGraph`] that owns the underlying [`TripleGraph`].
 
-use crate::graph::{GraphBuilder, NodeId, TripleGraph};
+use crate::graph::{GraphBuilder, NodeId, Triple, TripleGraph};
 use crate::hash::FxHashMap;
 use crate::label::{LabelId, LabelKind, Vocab};
 use std::fmt;
@@ -350,10 +350,51 @@ impl<'v> RdfGraphBuilder<'v> {
         self.vocab.text(self.builder.label(n)).to_owned()
     }
 
-    /// Freeze into an [`RdfGraph`].
+    /// Sort and deduplicate the triples in place and hand back the
+    /// graph's parts, without laying out its CSR: what a writer that
+    /// only serialises the graph needs.
+    pub fn finish_sorted(self) -> SortedGraph {
+        let (labels, kinds, triples) = self.builder.into_sorted();
+        SortedGraph {
+            labels,
+            kinds,
+            triples,
+            blank_names: self.blank_names,
+        }
+    }
+
+    /// Freeze into an [`RdfGraph`]: [`RdfGraphBuilder::finish_sorted`],
+    /// then the CSR layout ([`SortedGraph::into_graph`]).
     pub fn finish(self) -> RdfGraph {
+        self.finish_sorted().into_graph()
+    }
+}
+
+/// A built RDF graph before its CSR layout
+/// ([`RdfGraphBuilder::finish_sorted`]): per-node labels and kinds, the
+/// triples sorted by `(s, p, o)` without duplicates, and the blank
+/// nodes' document-local names.
+#[derive(Debug, Clone)]
+pub struct SortedGraph {
+    /// The label of every node, by node id.
+    pub labels: Vec<LabelId>,
+    /// The label kind of every node, by node id.
+    pub kinds: Vec<LabelKind>,
+    /// The triples, strictly ascending.
+    pub triples: Vec<Triple>,
+    /// Local blank-node names, keyed by node id.
+    pub blank_names: FxHashMap<NodeId, String>,
+}
+
+impl SortedGraph {
+    /// Lay the triples out as the CSR columns of an [`RdfGraph`].
+    pub fn into_graph(self) -> RdfGraph {
         RdfGraph {
-            graph: self.builder.freeze(),
+            graph: TripleGraph::from_sorted_triples(
+                self.labels,
+                self.kinds,
+                &self.triples,
+            ),
             blank_names: self.blank_names,
         }
     }

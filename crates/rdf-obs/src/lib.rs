@@ -27,6 +27,8 @@
 //! * [`RunReport`] — per-span-family totals, counter table, gauge table
 //!   and core count; renders as JSON (the trace's final line) or as a
 //!   text table (`rdf stats`).
+//! * [`record_rss`] — the process's resident memory as `rss.<at>.*`
+//!   gauges, read from `/proc/self/status` where it exists.
 //!
 //! There is intentionally **no** global or thread-local recorder.
 //! Recorders are plain values handed down by the caller (usually as
@@ -43,6 +45,8 @@
 pub mod json;
 mod recorder;
 mod report;
+mod rss;
 
 pub use recorder::{Counter, FieldValue, Gauge, Recorder, SpanGuard};
 pub use report::{RunReport, SpanTotal};
+pub use rss::{proc_status, record_rss, status_kib};

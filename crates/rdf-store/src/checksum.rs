@@ -18,7 +18,9 @@
 //! [`crc32_windows`] joins the CRCs of consecutive windows the same
 //! way, so a caller can act on each window as soon as it is
 //! checksummed (the store reader releases its pages) and still get the
-//! CRC of the whole.
+//! CRC of the whole. The container writer folds the windows of a
+//! section it encodes in the same way, so no section payload is ever
+//! whole in memory.
 
 /// Reflected polynomial of CRC-32/ISO-HDLC (zlib, PNG, Ethernet).
 const POLY: u32 = 0xEDB8_8320;
@@ -133,7 +135,7 @@ pub fn crc32_windows(
 /// The CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`,
 /// as zlib's `crc32_combine`: `crc32(a)` is shifted past `len_b` zero
 /// bytes by a multiplication by `x^(8·len_b)` modulo the polynomial.
-fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
     multmodp(x8nmodp(len_b), crc_a) ^ crc_b
 }
 

@@ -21,7 +21,7 @@
 //! [`StoreError::RetiredLayout`]. Layout is always resolved from the
 //! header, never from a file extension.
 
-use crate::checksum::{crc32, crc32_windows};
+use crate::checksum::{crc32, crc32_combine, crc32_windows};
 use crate::mmap::RELEASE_WINDOW;
 use crate::error::StoreError;
 
@@ -125,21 +125,113 @@ impl Header {
     }
 }
 
-/// Accumulates tagged sections, then writes the whole container.
-#[derive(Debug, Default)]
-pub struct ContainerWriter {
-    sections: Vec<([u8; 4], Vec<u8>)>,
+/// The most bytes a section source hands on at once: the size of the
+/// one window buffer [`ContainerWriter`] encodes every section into.
+pub const SECTION_WINDOW: usize = 1 << 20;
+
+/// Where a section source puts its payload, one window at a time
+/// (see [`ContainerWriter::windowed`]). Bytes collect in a window of
+/// at most [`SECTION_WINDOW`] bytes, which is handed on whenever the
+/// next bytes do not fit; a run of a whole window or more is handed on
+/// as it is, without a copy.
+pub struct Windows<'a> {
+    buf: &'a mut Vec<u8>,
+    sink: &'a mut dyn FnMut(&[u8]) -> Result<(), StoreError>,
+    /// Bytes handed on so far.
+    flushed: u64,
 }
 
-impl ContainerWriter {
+impl Windows<'_> {
+    /// Append `bytes` to the payload.
+    pub fn put(&mut self, bytes: &[u8]) -> Result<(), StoreError> {
+        if bytes.len() > SECTION_WINDOW - self.buf.len() {
+            self.flush()?;
+            if bytes.len() >= SECTION_WINDOW {
+                self.flushed += bytes.len() as u64;
+                return (self.sink)(bytes);
+            }
+        }
+        self.buf.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    /// The window, with room for at least `n` more bytes (handed on
+    /// first if it has less), for the caller to append to directly
+    /// while keeping it within [`SECTION_WINDOW`] bytes; `n` must not
+    /// exceed [`SECTION_WINDOW`].
+    pub fn room(&mut self, n: usize) -> Result<&mut Vec<u8>, StoreError> {
+        debug_assert!(n <= SECTION_WINDOW);
+        if n > SECTION_WINDOW - self.buf.len() {
+            self.flush()?;
+        }
+        Ok(self.buf)
+    }
+
+    /// Zero-pad the payload to a multiple of 8 bytes (the fixed
+    /// layout's universal payload rule).
+    pub fn pad8(&mut self) -> Result<(), StoreError> {
+        let len = self.flushed + self.buf.len() as u64;
+        let pad = (8 - len % 8) % 8;
+        self.put(&[0u8; 8][..pad as usize])
+    }
+
+    /// Hand on the bytes collected so far.
+    fn flush(&mut self) -> Result<(), StoreError> {
+        if !self.buf.is_empty() {
+            self.flushed += self.buf.len() as u64;
+            (self.sink)(self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+}
+
+/// A section payload, produced a window at a time.
+type Source<'a> = Box<dyn Fn(&mut Windows<'_>) -> Result<(), StoreError> + 'a>;
+
+/// Collects tagged sections, then writes the whole container, one
+/// window of one section at a time.
+///
+/// A section's frame carries its length and CRC ahead of its payload,
+/// and the sink is a plain [`std::io::Write`], so every section is
+/// produced twice: the first pass folds each window into the CRC
+/// (`crc32_combine`) and counts its bytes, the second writes the frame
+/// and then the windows. Only one window of one section is in memory at
+/// a time. A source must therefore put the same bytes on both passes.
+#[derive(Default)]
+pub struct ContainerWriter<'a> {
+    sections: Vec<([u8; 4], Source<'a>)>,
+}
+
+impl std::fmt::Debug for ContainerWriter<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let tags =
+            self.sections.iter().map(|(t, _)| String::from_utf8_lossy(t));
+        f.debug_list().entries(tags).finish()
+    }
+}
+
+impl<'a> ContainerWriter<'a> {
     /// Empty writer.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Append a section; order is preserved in the file.
+    /// Append a section whose payload is already whole: one window.
+    /// Order is preserved in the file.
     pub fn section(&mut self, tag: [u8; 4], payload: Vec<u8>) -> &mut Self {
-        self.sections.push((tag, payload));
+        self.windowed(tag, move |w| w.put(&payload))
+    }
+
+    /// Append a section whose payload `source` puts into a [`Windows`];
+    /// it runs once per pass and must put the same bytes each time.
+    /// Order is preserved in the file.
+    pub fn windowed(
+        &mut self,
+        tag: [u8; 4],
+        source: impl Fn(&mut Windows<'_>) -> Result<(), StoreError> + 'a,
+    ) -> &mut Self {
+        self.sections.push((tag, Box::new(source)));
         self
     }
 
@@ -172,14 +264,45 @@ impl ContainerWriter {
         for c in counts {
             out.write_all(&c.to_le_bytes())?;
         }
-        for (tag, payload) in &self.sections {
+        let mut buf = Vec::with_capacity(SECTION_WINDOW);
+        for (tag, source) in &self.sections {
+            let mut crc = 0;
+            let len = run(source, &mut buf, &mut |w| {
+                crc = crc32_combine(crc, crc32(w), w.len() as u64);
+                Ok(())
+            })?;
             out.write_all(tag)?;
-            out.write_all(&(payload.len() as u64).to_le_bytes())?;
-            out.write_all(&crc32(payload).to_le_bytes())?;
-            out.write_all(payload)?;
+            out.write_all(&len.to_le_bytes())?;
+            out.write_all(&crc.to_le_bytes())?;
+            let written =
+                run(source, &mut buf, &mut |w| Ok(out.write_all(w)?))?;
+            if written != len {
+                return Err(StoreError::Corrupt(format!(
+                    "section {} put {len} bytes, then {written}",
+                    String::from_utf8_lossy(tag)
+                )));
+            }
         }
         Ok(())
     }
+}
+
+/// One pass of a section source into `sink` through the window `buf`;
+/// returns the payload's length.
+fn run(
+    source: &Source<'_>,
+    buf: &mut Vec<u8>,
+    sink: &mut dyn FnMut(&[u8]) -> Result<(), StoreError>,
+) -> Result<u64, StoreError> {
+    buf.clear();
+    let mut w = Windows {
+        buf,
+        sink,
+        flushed: 0,
+    };
+    source(&mut w)?;
+    w.flush()?;
+    Ok(w.flushed)
 }
 
 /// A parsed container over an in-memory byte buffer; every section's
@@ -346,6 +469,45 @@ mod tests {
             c.section(*b"ZZZZ"),
             Err(StoreError::MissingSection { .. })
         ));
+    }
+
+    /// A windowed payload is framed with the length and CRC of all its
+    /// windows: small puts that share a window, a put that does not fit
+    /// the rest of one, and a run longer than a window handed on whole.
+    #[test]
+    fn windowed_sections_frame_every_window() {
+        let big: Vec<u8> =
+            (0..SECTION_WINDOW * 2 + 5).map(|i| i as u8).collect();
+        let mut whole = b"head".to_vec();
+        whole.extend_from_slice(&big[..SECTION_WINDOW - 2]);
+        whole.extend_from_slice(&big);
+        let mut w = ContainerWriter::new();
+        w.windowed(*b"WIND", |w| {
+            w.put(b"head")?;
+            w.put(&big[..SECTION_WINDOW - 2])?;
+            w.put(&big)
+        });
+        w.section(*b"WHOL", whole.clone());
+        let mut out = Vec::new();
+        w.finish_versioned(&mut out, FORMAT_VERSION_FIXED, KIND_GRAPH, [0; 3])
+            .unwrap();
+        let c = Container::parse(&out).unwrap();
+        assert_eq!(c.section(*b"WIND").unwrap(), whole.as_slice());
+        assert_eq!(c.section(*b"WHOL").unwrap(), whole.as_slice());
+    }
+
+    /// A source that puts other bytes on its second pass than on its
+    /// first is refused rather than framed wrongly.
+    #[test]
+    fn unrepeatable_source_is_an_error() {
+        let passes = std::cell::Cell::new(0);
+        let mut w = ContainerWriter::new();
+        w.windowed(*b"ONCE", |w| {
+            passes.set(passes.get() + 1);
+            w.put(&vec![7; passes.get()])
+        });
+        let err = w.finish(&mut Vec::new(), KIND_ARCHIVE, [0; 3]).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(m) if m.contains("ONCE")));
     }
 
     #[test]

@@ -33,20 +33,21 @@
 //!
 //! [`read_dict`] interns an archive's entries into a fresh vocabulary.
 
+use crate::container::Windows;
 use crate::error::StoreError;
 use crate::fixed::check_pad8;
 use crate::mmap::{StoreBuf, RELEASE_WINDOW};
-use crate::varint::{read_varint_usize, write_varint};
+use crate::varint::{read_varint_usize, write_varint, VARINT_MAX};
 use rdf_model::{label_hash, LabelId, LabelKind, Vocab};
 
-/// Append a dictionary section body for the given label ids (the blank
-/// label is implicit and must not be among `ids`).
+/// Put a dictionary section body for the given label ids (the blank
+/// label is implicit and must not be among `ids`), entry by entry.
 pub fn write_dict(
-    out: &mut Vec<u8>,
+    w: &mut Windows<'_>,
     vocab: &Vocab,
     ids: impl ExactSizeIterator<Item = LabelId>,
 ) -> Result<(), StoreError> {
-    write_varint(out, ids.len() as u64 + 1);
+    write_varint(w.room(VARINT_MAX)?, ids.len() as u64 + 1);
     for label in ids {
         let kind = match vocab.kind(label) {
             LabelKind::Uri => 1u8,
@@ -58,9 +59,10 @@ pub fn write_dict(
             }
         };
         let text = vocab.text(label);
-        out.push(kind);
-        write_varint(out, text.len() as u64);
-        out.extend_from_slice(text.as_bytes());
+        let head = w.room(1 + VARINT_MAX)?;
+        head.push(kind);
+        write_varint(head, text.len() as u64);
+        w.put(text.as_bytes())?;
     }
     Ok(())
 }
@@ -703,14 +705,24 @@ pub fn read_string(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::{Container, ContainerWriter, KIND_ARCHIVE};
+
+    /// The `DICT` body [`write_dict`] puts for `ids`, written through
+    /// the container writer and read back.
+    fn dict_bytes(vocab: &Vocab, ids: &[LabelId]) -> Vec<u8> {
+        let mut w = ContainerWriter::new();
+        w.windowed(*b"DICT", |w| write_dict(w, vocab, ids.iter().copied()));
+        let mut out = Vec::new();
+        w.finish(&mut out, KIND_ARCHIVE, [0; 3]).unwrap();
+        Container::parse(&out).unwrap().section(*b"DICT").unwrap().to_vec()
+    }
 
     #[test]
     fn round_trip() {
         let mut vocab = Vocab::new();
         let u = vocab.uri("http://e.org/x");
         let l = vocab.literal("a literal");
-        let mut buf = Vec::new();
-        write_dict(&mut buf, &vocab, [u, l].into_iter()).unwrap();
+        let buf = dict_bytes(&vocab, &[u, l]);
         let mut pos = 0;
         let v2 = read_dict(&buf, &mut pos).unwrap();
         assert_eq!(pos, buf.len());
@@ -740,8 +752,7 @@ mod tests {
         let mut v = Vocab::new();
         let u = v.uri("u:x");
         let l = v.literal("x");
-        let mut buf = Vec::new();
-        write_dict(&mut buf, &v, [u, l].into_iter()).unwrap();
+        let buf = dict_bytes(&v, &[u, l]);
         let mut v2 = read_dict(&buf, &mut 0).unwrap();
         assert_eq!(v2.find_uri("u:x"), Some(u));
         assert_eq!(v2.find_literal("x"), Some(l));

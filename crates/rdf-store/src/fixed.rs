@@ -25,8 +25,8 @@
 //! the three widths. Pad bytes must be zero ([`check_pad8`]); anything
 //! else is a typed corruption error.
 
+use crate::container::{Windows, SECTION_WINDOW};
 use crate::error::StoreError;
-use rdf_model::{LabelId, OutColumns};
 
 /// Valid fixed-column widths in bytes.
 pub const FIXED_WIDTHS: [u8; 3] = [1, 2, 4];
@@ -73,71 +73,78 @@ pub fn check_pad8(body: &[u8], pos: usize, what: &str) -> Result<(), StoreError>
     Ok(())
 }
 
-/// Append one id at the given width (LE truncation is lossless by the
-/// writer's width choice).
-#[inline]
-fn push_id(out: &mut Vec<u8>, id: u32, width: u8) {
-    match width {
-        1 => out.push(id as u8),
-        2 => out.extend_from_slice(&(id as u16).to_le_bytes()),
-        _ => out.extend_from_slice(&id.to_le_bytes()),
-    }
+/// Put the 16-byte preamble of a fixed body of `count` records at
+/// `width` bytes per id.
+pub fn put_preamble(
+    w: &mut Windows<'_>,
+    count: usize,
+    width: u8,
+) -> Result<(), StoreError> {
+    let mut head = [0u8; FIXED_PREAMBLE];
+    head[..8].copy_from_slice(&(count as u64).to_le_bytes());
+    head[8] = width;
+    w.put(&head)
 }
 
-/// Reserve the exact size of a fixed body of `columns` padded columns
-/// of `count` ids each, then write its 16-byte preamble. The exact
-/// reservation keeps the `Vec` from doubling past the body size.
-fn push_preamble(out: &mut Vec<u8>, count: usize, width: u8, columns: usize) {
-    let col_stride = (count * width as usize).div_ceil(8) * 8;
-    out.reserve_exact(FIXED_PREAMBLE + columns * col_stride);
-    out.extend_from_slice(&(count as u64).to_le_bytes());
-    out.push(width);
-    out.extend_from_slice(&[0u8; 7]);
-}
-
-/// Encode a fixed `NODE` body (per-node label ids) into `out`
-/// (cleared first — callers reuse one scratch buffer across sections).
-pub fn encode_node_fixed_into(out: &mut Vec<u8>, labels: &[LabelId]) {
-    out.clear();
-    let max = labels.iter().map(|l| l.0).max().unwrap_or(0);
-    let width = width_for(max);
-    push_preamble(out, labels.len(), width, 1);
-    for l in labels {
-        push_id(out, l.0, width);
-    }
-    pad8(out);
-}
-
-/// Encode a fixed `TRPL` body (three padded columns) into `out`
-/// (cleared first) from a graph's CSR columns: their `(s, p, o)` order
-/// is the strictly ascending triple order every stored graph keeps.
-/// The subject column repeats each node id once per out-edge.
-pub fn encode_trpl_fixed_into(out: &mut Vec<u8>, cols: &OutColumns<'_>) {
-    out.clear();
-    let offsets = cols.offsets();
-    let last_subject = offsets.windows(2).rposition(|w| w[0] < w[1]);
-    let max = cols
-        .preds()
-        .iter()
-        .chain(cols.objs())
-        .map(|n| n.0)
-        .chain(last_subject.map(|s| s as u32))
-        .max()
-        .unwrap_or(0);
-    let width = width_for(max);
-    push_preamble(out, cols.len(), width, 3);
-    for (s, w) in offsets.windows(2).enumerate() {
-        for _ in w[0]..w[1] {
-            push_id(out, s as u32, width);
+/// Put one column of ids at `width` bytes each (LE truncation is
+/// lossless by the writer's width choice), then its zero padding to 8.
+/// The ids are encoded straight into the window, as many as fit at a
+/// time.
+pub fn put_column(
+    w: &mut Windows<'_>,
+    mut ids: impl Iterator<Item = u32>,
+    width: u8,
+) -> Result<(), StoreError> {
+    let bytes = usize::from(width);
+    loop {
+        let buf = w.room(bytes)?;
+        let fit = (SECTION_WINDOW - buf.len()) / bytes;
+        let before = buf.len();
+        let run = ids.by_ref().take(fit);
+        match width {
+            1 => buf.extend(run.map(|id| id as u8)),
+            2 => run.for_each(|id| {
+                buf.extend_from_slice(&(id as u16).to_le_bytes())
+            }),
+            _ => run.for_each(|id| buf.extend_from_slice(&id.to_le_bytes())),
+        }
+        if buf.len() - before < fit * bytes {
+            break;
         }
     }
-    pad8(out);
-    for column in [cols.preds(), cols.objs()] {
-        for id in column {
-            push_id(out, id.0, width);
-        }
-        pad8(out);
-    }
+    w.pad8()
+}
+
+/// Put a fixed `NODE` body: the `count` per-node dictionary ids of
+/// `labels`, whose largest is `max`, as one column of the minimal
+/// width.
+pub fn put_node_fixed(
+    w: &mut Windows<'_>,
+    count: usize,
+    max: u32,
+    labels: impl Iterator<Item = u32>,
+) -> Result<(), StoreError> {
+    let width = width_for(max);
+    put_preamble(w, count, width)?;
+    put_column(w, labels, width)
+}
+
+/// Put a fixed `TRPL` body: `count` triples, strictly ascending by
+/// `(s, p, o)` and with no node id above `max`, as their subject,
+/// predicate and object columns at the minimal width.
+pub fn put_trpl_fixed(
+    w: &mut Windows<'_>,
+    count: usize,
+    max: u32,
+    s: impl Iterator<Item = u32>,
+    p: impl Iterator<Item = u32>,
+    o: impl Iterator<Item = u32>,
+) -> Result<(), StoreError> {
+    let width = width_for(max);
+    put_preamble(w, count, width)?;
+    put_column(w, s, width)?;
+    put_column(w, p, width)?;
+    put_column(w, o, width)
 }
 
 /// A parsed fixed-section preamble plus the offsets of its columns.
@@ -254,25 +261,44 @@ pub fn widen_column(col: &[u8], width: u8) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdf_model::{LabelKind, NodeId, Triple, TripleGraph};
+    use crate::container::{Container, ContainerWriter, KIND_GRAPH};
+    use rdf_model::{LabelId, NodeId, Triple};
 
     fn t(s: u32, p: u32, o: u32) -> Triple {
         Triple::new(NodeId(s), NodeId(p), NodeId(o))
     }
 
-    /// A graph holding exactly `triples`, on just enough nodes.
-    fn graph_of(triples: &[Triple]) -> TripleGraph {
-        let n = triples
-            .iter()
-            .map(|t| t.s.0.max(t.p.0).max(t.o.0) as usize + 1)
-            .max()
-            .unwrap_or(0);
-        TripleGraph::from_raw_parts(
-            vec![LabelId::BLANK; n],
-            vec![LabelKind::Blank; n],
-            triples.to_vec(),
-        )
-        .unwrap()
+    /// The payload `source` puts, written through the container writer
+    /// (both passes, CRC checked) and read back.
+    fn body(
+        source: impl Fn(&mut Windows<'_>) -> Result<(), StoreError>,
+    ) -> Vec<u8> {
+        let mut w = ContainerWriter::new();
+        w.windowed(*b"BODY", source);
+        let mut out = Vec::new();
+        w.finish_versioned(&mut out, 3, KIND_GRAPH, [0; 3]).unwrap();
+        Container::parse(&out).unwrap().section(*b"BODY").unwrap().to_vec()
+    }
+
+    fn node_body(labels: &[LabelId]) -> Vec<u8> {
+        let max = labels.iter().map(|l| l.0).max().unwrap_or(0);
+        let ids = labels.iter().map(|l| l.0);
+        body(|w| put_node_fixed(w, labels.len(), max, ids.clone()))
+    }
+
+    /// A fixed `TRPL` body of sorted, duplicate-free triples.
+    fn trpl_body(sorted: &[Triple]) -> Vec<u8> {
+        let max = sorted.iter().map(|t| t.s.0.max(t.p.0).max(t.o.0)).max();
+        body(|w| {
+            put_trpl_fixed(
+                w,
+                sorted.len(),
+                max.unwrap_or(0),
+                sorted.iter().map(|t| t.s.0),
+                sorted.iter().map(|t| t.p.0),
+                sorted.iter().map(|t| t.o.0),
+            )
+        })
     }
 
     /// Read a fixed `NODE` body back through the reader's helpers.
@@ -313,15 +339,12 @@ mod tests {
         for max in [5u32, 300, 70_000] {
             let labels: Vec<LabelId> =
                 (0..9u32).map(|i| LabelId(i * max / 9)).collect();
-            let mut body = Vec::new();
-            encode_node_fixed_into(&mut body, &labels);
+            let body = node_body(&labels);
             assert_eq!(body.len() % 8, 0);
-            assert_eq!(body.capacity(), body.len(), "exact reservation");
             let back = decode_node(&body, Some(9)).unwrap();
             assert_eq!(back, labels);
         }
-        let mut empty = Vec::new();
-        encode_node_fixed_into(&mut empty, &[]);
+        let empty = node_body(&[]);
         assert_eq!(empty.len(), FIXED_PREAMBLE);
         assert_eq!(decode_node(&empty, Some(0)).unwrap(), vec![]);
     }
@@ -329,41 +352,48 @@ mod tests {
     #[test]
     fn trpl_round_trip_all_widths() {
         for max in [9u32, 2_000, 100_000] {
-            let triples: Vec<Triple> = (0..7u32)
+            let mut sorted: Vec<Triple> = (0..7u32)
                 .map(|i| t(i * max / 7, (i + 1) % 5, max - i * (max / 7)))
-                .collect::<Vec<_>>()
-                .into_iter()
                 .collect();
-            let mut sorted = triples.clone();
             sorted.sort_unstable();
             sorted.dedup();
-            let mut body = Vec::new();
-            encode_trpl_fixed_into(&mut body, &graph_of(&sorted).out_columns());
+            let body = trpl_body(&sorted);
             assert_eq!(body.len() % 8, 0);
-            assert_eq!(body.capacity(), body.len(), "exact reservation");
             let back =
                 decode_trpl(&body, Some(sorted.len() as u64)).unwrap();
             assert_eq!(back, sorted);
         }
-        let mut empty = Vec::new();
-        encode_trpl_fixed_into(&mut empty, &graph_of(&[]).out_columns());
-        assert_eq!(decode_trpl(&empty, Some(0)).unwrap(), vec![]);
+        assert_eq!(decode_trpl(&trpl_body(&[]), Some(0)).unwrap(), vec![]);
     }
 
+    /// The writer's one window buffer is reused from section to section
+    /// and from pass to pass: a body written after another, and one long
+    /// enough to span several windows, read back exactly.
     #[test]
     fn scratch_reuse_clears_between_sections() {
-        let mut scratch = vec![0xAA; 64];
-        encode_node_fixed_into(&mut scratch, &[LabelId(1), LabelId(2)]);
-        let first = scratch.clone();
-        encode_node_fixed_into(&mut scratch, &[LabelId(1), LabelId(2)]);
-        assert_eq!(scratch, first);
+        let labels: Vec<u32> = (0..(SECTION_WINDOW as u32 / 2 + 3)).collect();
+        let max = *labels.last().unwrap();
+        let mut w = ContainerWriter::new();
+        w.windowed(*b"AAAA", |w| put_node_fixed(w, 2, 2, [1, 2].into_iter()));
+        w.windowed(*b"BBBB", |w| {
+            put_node_fixed(w, labels.len(), max, labels.iter().copied())
+        });
+        w.windowed(*b"CCCC", |w| put_node_fixed(w, 2, 2, [1, 2].into_iter()));
+        let mut out = Vec::new();
+        w.finish_versioned(&mut out, 3, KIND_GRAPH, [0; 3]).unwrap();
+        let c = Container::parse(&out).unwrap();
+        let small = node_body(&[LabelId(1), LabelId(2)]);
+        assert_eq!(c.section(*b"AAAA").unwrap(), small.as_slice());
+        assert_eq!(c.section(*b"CCCC").unwrap(), small.as_slice());
+        let long = c.section(*b"BBBB").unwrap();
+        assert!(long.len() > 2 * SECTION_WINDOW, "spans three windows");
+        let back = decode_node(long, Some(labels.len() as u64)).unwrap();
+        assert!(back.iter().map(|l| l.0).eq(labels.iter().copied()));
     }
 
     #[test]
     fn corruption_is_typed() {
-        let sorted = [t(0, 1, 2), t(1, 0, 300)];
-        let mut body = Vec::new();
-        encode_trpl_fixed_into(&mut body, &graph_of(&sorted).out_columns());
+        let body = trpl_body(&[t(0, 1, 2), t(1, 0, 300)]);
 
         // Bad width byte.
         let mut bad = body.clone();

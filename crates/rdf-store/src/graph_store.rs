@@ -21,17 +21,22 @@
 //! `parse(text)`'s node ids, CSR layout, kinds and blank names, with
 //! every node's label equal by `(kind, text)`.
 //!
+//! The writer takes a graph either laid out ([`StoreWriter::write_graph`],
+//! which reads the `TRPL` columns off its CSR) or as the parser's
+//! sorted parts ([`StoreWriter::write_sorted`], the import path, which
+//! never lays out a CSR); both give the same bytes for the same graph.
+//!
 //! [`TripleGraph`]: rdf_model::TripleGraph
 
 use crate::borrowed::BorrowedStoreReader;
 use crate::container::{ContainerWriter, KIND_GRAPH, FORMAT_VERSION_FIXED};
 use crate::dict::{read_str, write_dict, DictEntries};
 use crate::error::StoreError;
-use crate::fixed::{
-    check_pad8, encode_node_fixed_into, encode_trpl_fixed_into, pad8,
+use crate::fixed::{check_pad8, put_node_fixed, put_trpl_fixed};
+use crate::varint::{
+    read_varint_u32, read_varint_usize, write_varint, VARINT_MAX,
 };
-use crate::varint::{read_varint_u32, read_varint_usize, write_varint};
-use rdf_model::{FxHashMap, LabelId, NodeId, RdfGraph, Vocab};
+use rdf_model::{FxHashMap, LabelId, NodeId, RdfGraph, SortedGraph, Vocab};
 use rdf_obs::{Recorder, SpanGuard};
 use std::io::Write;
 use std::path::Path;
@@ -41,7 +46,10 @@ pub(crate) const TAG_NODE: [u8; 4] = *b"NODE";
 pub(crate) const TAG_TRPL: [u8; 4] = *b"TRPL";
 pub(crate) const TAG_BNAM: [u8; 4] = *b"BNAM";
 
-/// Writes graph containers to any [`Write`] sink.
+/// Writes graph containers to any [`Write`] sink, one window of one
+/// section at a time (see [`ContainerWriter`]): besides the graph it is
+/// given, it holds the dictionary order, each vocabulary id's rank in
+/// it, the blank names sorted by node, and one window.
 #[derive(Debug)]
 pub struct StoreWriter<W: Write> {
     out: W,
@@ -54,20 +62,75 @@ impl<W: Write> StoreWriter<W> {
     }
 
     /// Serialise one graph (with the vocabulary its labels live in)
-    /// and return the sink.
+    /// and return the sink. The `TRPL` columns are read off the graph's
+    /// CSR.
     ///
     /// Label ids are remapped onto a dense dictionary: 0 stays the
     /// blank label, and the labels the graph uses follow in hash order
     /// (see the module docs).
     pub fn write_graph(
-        mut self,
+        self,
         vocab: &Vocab,
         graph: &RdfGraph,
     ) -> Result<W, StoreError> {
         let g = graph.graph();
+        let cols = g.out_columns();
+        let offsets = cols.offsets();
+        let last_subject = offsets.windows(2).rposition(|w| w[0] < w[1]);
+        let max = ids(cols.preds())
+            .chain(ids(cols.objs()))
+            .chain(last_subject.map(|s| s as u32))
+            .max();
+        let subjects = offsets.windows(2).enumerate().flat_map(|(s, w)| {
+            std::iter::repeat_n(s as u32, (w[1] - w[0]) as usize)
+        });
+        let edges = Edges {
+            count: cols.len(),
+            max: max.unwrap_or(0),
+            s: subjects,
+            p: ids(cols.preds()),
+            o: ids(cols.objs()),
+        };
+        self.write(vocab, g.labels_raw(), edges, graph.blank_names())
+    }
 
+    /// Serialise one graph given as its sorted parts
+    /// ([`rdf_model::RdfGraphBuilder::finish_sorted`]) and return the
+    /// sink: the same bytes [`StoreWriter::write_graph`] writes for the
+    /// graph those parts lay out, without laying out its CSR.
+    pub fn write_sorted(
+        self,
+        vocab: &Vocab,
+        graph: &SortedGraph,
+    ) -> Result<W, StoreError> {
+        let t = &graph.triples;
+        let max = t.iter().map(|t| t.s.0.max(t.p.0).max(t.o.0)).max();
+        let edges = Edges {
+            count: t.len(),
+            max: max.unwrap_or(0),
+            s: t.iter().map(|t| t.s.0),
+            p: t.iter().map(|t| t.p.0),
+            o: t.iter().map(|t| t.o.0),
+        };
+        self.write(vocab, &graph.labels, edges, &graph.blank_names)
+    }
+
+    /// Write the container of a graph with per-node `labels`, the
+    /// triple columns `edges` and `blank_names`.
+    fn write<S, P, O>(
+        mut self,
+        vocab: &Vocab,
+        labels: &[LabelId],
+        edges: Edges<S, P, O>,
+        blank_names: &FxHashMap<NodeId, String>,
+    ) -> Result<W, StoreError>
+    where
+        S: Iterator<Item = u32> + Clone,
+        P: Iterator<Item = u32> + Clone,
+        O: Iterator<Item = u32> + Clone,
+    {
         let mut dense = vec![u32::MAX; vocab.len()];
-        for l in g.labels_raw() {
+        for l in labels {
             dense[l.index()] = 0;
         }
         let mut used = vocab.hash_order();
@@ -76,50 +139,46 @@ impl<W: Write> StoreWriter<W> {
             dense[id.index()] = rank;
         }
         dense[0] = 0;
+        // Every label in `used` is some node's, so the largest `NODE`
+        // id is the last rank.
+        let max_rank = used.len() as u32;
 
-        let mut dict = Vec::new();
-        write_dict(&mut dict, vocab, used.iter().copied())?;
-        pad8(&mut dict);
-
-        let remapped: Vec<LabelId> = g
-            .labels_raw()
-            .iter()
-            .map(|l| LabelId(dense[l.index()]))
-            .collect();
-        let mut node = Vec::new();
-        encode_node_fixed_into(&mut node, &remapped);
-        drop(remapped);
-
-        let mut trpl = Vec::new();
-        encode_trpl_fixed_into(&mut trpl, &g.out_columns());
-
-        let mut names: Vec<(NodeId, &str)> = graph
-            .blank_names()
+        let mut names: Vec<(NodeId, &str)> = blank_names
             .iter()
             .map(|(&n, s)| (n, s.as_str()))
             .collect();
         names.sort_unstable_by_key(|&(n, _)| n);
-        let mut bnam = Vec::new();
-        write_varint(&mut bnam, names.len() as u64);
-        let mut prev = 0u32;
-        for (n, name) in names {
-            write_varint(&mut bnam, u64::from(n.0 - prev));
-            prev = n.0;
-            write_varint(&mut bnam, name.len() as u64);
-            bnam.extend_from_slice(name.as_bytes());
-        }
-        pad8(&mut bnam);
 
         let counts = [
             used.len() as u64 + 1,
-            g.node_count() as u64,
-            g.triple_count() as u64,
+            labels.len() as u64,
+            edges.count as u64,
         ];
         let mut w = ContainerWriter::new();
-        w.section(TAG_DICT, dict)
-            .section(TAG_NODE, node)
-            .section(TAG_TRPL, trpl)
-            .section(TAG_BNAM, bnam);
+        w.windowed(TAG_DICT, |w| {
+            write_dict(w, vocab, used.iter().copied())?;
+            w.pad8()
+        })
+        .windowed(TAG_NODE, |w| {
+            let ranks = labels.iter().map(|l| dense[l.index()]);
+            put_node_fixed(w, labels.len(), max_rank, ranks)
+        })
+        .windowed(TAG_TRPL, |w| {
+            let e = edges.clone();
+            put_trpl_fixed(w, e.count, e.max, e.s, e.p, e.o)
+        })
+        .windowed(TAG_BNAM, |w| {
+            write_varint(w.room(VARINT_MAX)?, names.len() as u64);
+            let mut prev = 0u32;
+            for &(n, name) in &names {
+                let head = w.room(2 * VARINT_MAX)?;
+                write_varint(head, u64::from(n.0 - prev));
+                prev = n.0;
+                write_varint(head, name.len() as u64);
+                w.put(name.as_bytes())?;
+            }
+            w.pad8()
+        });
         w.finish_versioned(
             &mut self.out,
             FORMAT_VERSION_FIXED,
@@ -129,6 +188,22 @@ impl<W: Write> StoreWriter<W> {
         self.out.flush()?;
         Ok(self.out)
     }
+}
+
+/// The `TRPL` columns of a graph: `count` triples in `(s, p, o)` order,
+/// no node id above `max`.
+#[derive(Clone)]
+struct Edges<S, P, O> {
+    count: usize,
+    max: u32,
+    s: S,
+    p: P,
+    o: O,
+}
+
+/// A column of node ids as `u32`s.
+fn ids(column: &[NodeId]) -> impl Iterator<Item = u32> + Clone + '_ {
+    column.iter().map(|n| n.0)
 }
 
 /// Walk a `BNAM` body, handing each blank node's id and name to

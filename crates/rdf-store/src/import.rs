@@ -1,14 +1,36 @@
 //! Streaming N-Triples → store ingest: feed the writer straight from any
 //! [`BufRead`] without ever materialising the input document as one
 //! `String` (the parser holds one block of lines at a time).
+//!
+//! The parse ends with the graph's sorted parts
+//! ([`rdf_io::parse_sorted_reader`]): node labels, triples sorted and
+//! deduplicated in place, and blank names. The writer encodes the store
+//! from them a window at a time ([`StoreWriter::write_sorted`]), so the
+//! import never lays out the graph's CSR and never holds a whole
+//! section. Its peak memory is the parsed vocabulary and parts, plus the
+//! writer's dictionary order and one window. An import returns only the
+//! graph's counts ([`Imported`]); a caller that wants the graph loads
+//! the store.
 
 use crate::container::Layout;
 use crate::error::StoreError;
 use crate::graph_store::StoreWriter;
-use rdf_model::{RdfGraph, Vocab};
-use rdf_obs::Recorder;
+use rdf_model::Vocab;
+use rdf_obs::{record_rss, Recorder};
 use std::fmt;
 use std::io::{self, BufRead, Read, Write};
+
+/// What an import wrote: the graph's counts, as `rdf import` reports
+/// them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Imported {
+    /// Nodes of the graph.
+    pub nodes: usize,
+    /// Distinct triples of the graph.
+    pub triples: usize,
+    /// Labels of the parsed vocabulary, the blank label included.
+    pub labels: usize,
+}
 
 /// Error from [`import_ntriples`]: the input failed to parse/read, or the
 /// container failed to write.
@@ -51,33 +73,41 @@ impl From<StoreError> for ImportError {
 }
 
 /// Parse N-Triples from `reader` block by block and write the resulting
-/// graph as a container to `out`. Returns the parsed vocabulary and graph
-/// so callers can report counts without re-reading the store.
+/// graph as a container to `out`. Returns the graph's counts.
 pub fn import_ntriples<R: BufRead, W: Write>(
     reader: R,
     out: W,
-) -> Result<(Vocab, RdfGraph), ImportError> {
+) -> Result<Imported, ImportError> {
     import_ntriples_traced(reader, out, &Recorder::disabled())
 }
 
 /// [`import_ntriples`] with instrumentation: one `import.parse` span
-/// (parse and intern, which run interleaved; field `bytes_in`) and one
-/// `import.write` span (encode, checksum and write; field `bytes_out`).
+/// (parse and intern, which run interleaved, then the triples' sort;
+/// field `bytes_in`), the `rss.parse.*` gauges ([`record_rss`]) as it
+/// ends, and one `import.write` span (encode, checksum and write; field
+/// `bytes_out`).
 pub fn import_ntriples_traced<R: BufRead, W: Write>(
     reader: R,
     out: W,
     rec: &Recorder,
-) -> Result<(Vocab, RdfGraph), ImportError> {
+) -> Result<Imported, ImportError> {
     let mut vocab = Vocab::new();
     let mut sp = rec.span("import.parse");
     let mut input = Counted::new(reader);
-    let graph = rdf_io::parse_graph_reader(&mut input, &mut vocab)?;
+    let mut graph = rdf_io::parse_sorted_reader(&mut input, &mut vocab)?;
+    // The store's kinds come from its `DICT`; the writer reads labels.
+    graph.kinds = Vec::new();
     sp.field("bytes_in", input.bytes);
     drop(sp);
+    record_rss(rec, "parse");
     let mut sp = rec.span("import.write");
-    let out = StoreWriter::new(Counted::new(out)).write_graph(&vocab, &graph)?;
+    let out = StoreWriter::new(Counted::new(out)).write_sorted(&vocab, &graph)?;
     sp.field("bytes_out", out.bytes);
-    Ok((vocab, graph))
+    Ok(Imported {
+        nodes: graph.labels.len(),
+        triples: graph.triples.len(),
+        labels: vocab.len(),
+    })
 }
 
 /// A reader or writer that counts the bytes passing through it.
@@ -131,7 +161,7 @@ pub fn import_ntriples_layout<R: BufRead, W: Write>(
     reader: R,
     out: W,
     layout: Layout,
-) -> Result<(Vocab, RdfGraph), ImportError> {
+) -> Result<Imported, ImportError> {
     match layout {
         Layout::Fixed => import_ntriples(reader, out),
         Layout::Varint => Err(ImportError::Store(StoreError::RetiredLayout {

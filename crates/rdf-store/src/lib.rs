@@ -9,14 +9,16 @@
 //! protected by a CRC-32 so corruption fails loudly.
 //!
 //! * [`StoreWriter`] / [`save_graph`] / [`graph_to_bytes`] — serialise
-//!   a graph + vocabulary;
+//!   a graph + vocabulary, one window of one section at a time
+//!   ([`ContainerWriter`]);
 //! * [`BorrowedStoreReader`] — the one reader: `info`, a zero-copy
 //!   view whose id columns borrow straight from the mapped file, and
 //!   an owned `(Vocab, RdfGraph)` decode ([`load_graph`]) with **zero
 //!   per-triple string hashing**;
 //! * [`import_ntriples`] — stream N-Triples from any `BufRead` into a
 //!   store without materialising the document (one block of lines is
-//!   resident at a time);
+//!   resident at a time) or laying out the graph's CSR, returning the
+//!   graph's counts ([`Imported`]);
 //! * [`container`] — the generic section framing, reused by
 //!   `rdf-archive` for persistent archives.
 //!
@@ -72,5 +74,6 @@ pub use error::StoreError;
 pub use graph_store::{graph_to_bytes, load_graph, save_graph, StoreWriter};
 pub use import::{
     import_ntriples, import_ntriples_layout, import_ntriples_traced, ImportError,
+    Imported,
 };
 pub use mmap::StoreBuf;

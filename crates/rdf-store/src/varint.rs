@@ -6,6 +6,9 @@
 
 use crate::error::StoreError;
 
+/// The most bytes one varint takes.
+pub const VARINT_MAX: usize = 10;
+
 /// Append `value` to `out` as an LEB128 varint (1–10 bytes).
 pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
     loop {
